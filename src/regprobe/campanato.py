@@ -30,6 +30,7 @@ from .errors import (
     CalibrationError,
     FieldValidationError,
     FitError,
+    SmallnessError,
 )
 from .fields import CoefficientField, _extended_modulus, make_field
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
@@ -141,6 +142,8 @@ class IterationConfig:
             raise ValueError(
                 f"need 2*C1*lam < 1/4, got C1={self.C1}, lam={self.lam}"
             )
+        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 1:
             raise ValueError("need at least one scale")
         if not (0.0 < self.alpha < 1.0):
@@ -234,6 +237,14 @@ class SweepResult:
 # sup norms over balls
 
 
+def _disk_lattice(radius, cells):
+    """Square-lattice points of spacing radius/cells in the closed disk."""
+    ax = np.arange(-cells, cells + 1) * (radius / cells)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    mask = gx * gx + gy * gy <= radius * radius * (1.0 + 1e-12)
+    return np.stack([gx[mask], gy[mask]], axis=1)
+
+
 def ball_sup(fn, radius, cells=48, refine=3):
     """Sup of |fn| over the closed ball, with a crude resolution error bar.
 
@@ -241,10 +252,7 @@ def ball_sup(fn, radius, cells=48, refine=3):
     argmax.  The bar is 2 * (fine spacing) * (local Lipschitz estimate).
     """
     step = radius / cells
-    ax = np.arange(-cells, cells + 1) * step
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    mask = gx * gx + gy * gy <= radius * radius * (1.0 + 1e-12)
-    pts = np.stack([gx[mask], gy[mask]], axis=1)
+    pts = _disk_lattice(radius, cells)
     ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     ring = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     allpts = np.concatenate([pts, ring], axis=0)
@@ -271,11 +279,7 @@ def ball_sup(fn, radius, cells=48, refine=3):
 
 
 def _ball_max(fn, radius, cells=24):
-    step = radius / cells
-    ax = np.arange(-cells, cells + 1) * step
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    mask = gx * gx + gy * gy <= radius * radius * (1.0 + 1e-12)
-    pts = np.stack([gx[mask], gy[mask]], axis=1)
+    pts = _disk_lattice(radius, cells)
     return float(np.max(np.abs(np.asarray(fn(pts), dtype=float))))
 
 
@@ -401,7 +405,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
     smallness = _smallness_flags(cfg, mode, problem.omega_a, ell,
                                  nu, lambda1, tau)
     if cfg.enforce_smallness == "error" and not smallness["ok"]:
-        raise ValueError(f"smallness conditions violated: {smallness}")
+        raise SmallnessError(f"smallness conditions violated: {smallness}")
 
     # Numeric data cannot resolve balls much smaller than the grid cell;
     # stop the ladder one rung above the floor and flag the truncation.
@@ -525,12 +529,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
     for i, row in enumerate(rows):
         ok = margin = None
         if i + 1 < len(rows):
-            bound = cfg.safety * (row["xi"] * row["M"] + row["eta"])
-            nxt = rows[i + 1]["M"]
-            if bound == 0.0 and nxt == 0.0:
-                ok, margin = True, math.inf
-            else:
-                ok, margin = bool(nxt <= bound), bound - nxt
+            ok, margin = _recurrence_step(cfg.safety, row["xi"], row["M"],
+                                          row["eta"], rows[i + 1]["M"])
         records.append(ScaleRecord(
             k=row["k"], scale=row["scale"], M=row["M"], xi=row["xi"],
             eta=row["eta"], S=row["S"], N=row["N"], approx=row["approx"],
@@ -568,22 +568,26 @@ def c11_probe(problem, cfg: IterationConfig, u=None, label="") -> IterationTrace
 # verification and certificates
 
 
+def _recurrence_step(safety, xi, M, eta, M_next):
+    """(ok, margin) of M_next <= safety * (xi M + eta).
+
+    A zero bound met by a zero sup passes with infinite margin.
+    """
+    bound = safety * (xi * M + eta)
+    if bound == 0.0 and M_next == 0.0:
+        return True, math.inf
+    return bool(M_next <= bound), bound - M_next
+
+
 def verify_recurrence(trace: IterationTrace, safety=None) -> RecurrenceReport:
     """Check M_{k+1} <= safety * (xi_k M_k + eta_k) on consecutive records."""
     if len(trace.records) < 2:
         raise ValueError("need at least two scales to check the recurrence")
     safety = trace.config.safety if safety is None else float(safety)
-    ok = []
-    margins = []
-    for cur, nxt in zip(trace.records, trace.records[1:]):
-        bound = safety * (cur.xi * cur.M + cur.eta)
-        if bound == 0.0 and nxt.M == 0.0:
-            ok.append(True)
-            margins.append(math.inf)
-        else:
-            ok.append(bool(nxt.M <= bound))
-            margins.append(bound - nxt.M)
-    return RecurrenceReport(tuple(ok), tuple(margins), safety)
+    steps = [_recurrence_step(safety, cur.xi, cur.M, cur.eta, nxt.M)
+             for cur, nxt in zip(trace.records, trace.records[1:])]
+    return RecurrenceReport(tuple(ok for ok, _ in steps),
+                            tuple(margin for _, margin in steps), safety)
 
 
 def _stalled(M: np.ndarray) -> bool:
@@ -900,21 +904,29 @@ _CSV_COLUMNS = {
 }
 
 
+def trace_rows(trace: IterationTrace):
+    """CSV header and rows of a trace, floats written with ``repr``."""
+    rows = []
+    for rec in trace.records:
+        ap = rec.approx
+        if trace.mode == "c1":
+            coeffs = [ap.A, ap.B[0], ap.B[1]]
+        else:
+            coeffs = [ap.E, ap.F[0], ap.F[1],
+                      ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]]
+        rows.append(
+            [rec.k]
+            + [repr(float(x)) for x in
+               [rec.scale, rec.M, rec.xi, rec.eta, rec.S, rec.N]]
+            + [repr(float(x)) for x in coeffs]
+        )
+    return _CSV_COLUMNS[trace.mode], rows
+
+
 def trace_to_csv(trace: IterationTrace, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """Write ``trace_rows(trace)`` to ``path`` (not atomically)."""
+    header, rows = trace_rows(trace)
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS[trace.mode])
-        for rec in trace.records:
-            ap = rec.approx
-            if trace.mode == "c1":
-                coeffs = [ap.A, ap.B[0], ap.B[1]]
-            else:
-                coeffs = [ap.E, ap.F[0], ap.F[1],
-                          ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]]
-            writer.writerow(
-                [rec.k]
-                + [repr(float(x)) for x in
-                   [rec.scale, rec.M, rec.xi, rec.eta, rec.S, rec.N]]
-                + [repr(float(x)) for x in coeffs]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -19,7 +19,8 @@ stencil exact on quadratics right up to the boundary.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +33,7 @@ from .grid import AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid
 ANISOTROPY_LIMIT = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearOperator:
     """Assembled interior matrix plus the boundary coupling."""
 
@@ -43,7 +44,6 @@ class LinearOperator:
     anisotropy_max: float
     monotone: bool
     label: str = ""
-    _ilu: object = dc_field(default=None, repr=False)
 
     def apply(self, interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Evaluate the discrete operator given interior and boundary values."""
@@ -53,6 +53,16 @@ class LinearOperator:
                  boundary: DiscreteField) -> DiscreteField:
         res = rhs.values - self.apply(u.values, boundary.values)
         return DiscreteField(self.grid, res, "residual")
+
+    @cached_property
+    def equilibrated(self) -> sp.csc_matrix:
+        """The interior matrix with every row divided by its row scale."""
+        return (sp.diags(1.0 / self.row_scale) @ self.matrix).tocsc()
+
+    @cached_property
+    def factor(self):
+        """Sparse LU factor of the equilibrated matrix, computed once."""
+        return spla.splu(self.equilibrated, permc_spec="MMD_AT_PLUS_A")
 
 
 def _pair_weights(theta_p, theta_m, factor, step2):
@@ -183,27 +193,20 @@ def assemble(field: CoefficientField, grid: DiskGrid, label: str = "") -> Linear
     return LinearOperator(grid, mat, bmat, scale, anis, monotone, label)
 
 
-@dataclass(frozen=True)
-class SolveStats:
-    iterations: int
-    residual: float
-    target: float
-    method: str
-
-
 def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteField,
-                    rtol: float = 1e-11, max_iter: int = 10000,
-                    return_stats: bool = False):
+                    rtol: float = 1e-11) -> DiscreteField:
     """Solve the Dirichlet problem L u = rhs with the given boundary values.
 
-    Krylov iteration (BiCGStab, with an LGMRES fallback) preconditioned by
-    an incomplete LU factorization of the row-equilibrated matrix.  The
-    returned solution satisfies, in the equilibrated system,
+    One sparse LU factorization of the row-equilibrated matrix, made on the
+    first solve and kept on the operator, so later solves with the same
+    operator only run the triangular substitutions.  ``rtol`` is a check,
+    not a stopping rule: the solution must satisfy, in the equilibrated
+    system,
 
         ||A u - b||_2 <= rtol * (||rhs||_2 + ||B g||_2)
 
-    or SolverError is raised with the residual history attached.  Fully
-    deterministic for a fixed operator, right-hand side and budget.
+    or SolverError is raised with the residual attached as its history.
+    Fully deterministic for a fixed operator and right-hand side.
     """
     if rhs.role == "boundary" or boundary.role != "boundary":
         raise FieldValidationError("expected (rhs, boundary) field roles")
@@ -211,58 +214,20 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteFi
         raise FieldValidationError("fields and operator live on different grids")
 
     d = 1.0 / op.row_scale
-    a_eq = sp.diags(d) @ op.matrix
-    b_vec = d * (rhs.values - op.boundary_matrix @ boundary.values)
-    scale = float(np.linalg.norm(d * rhs.values)
-                  + np.linalg.norm(d * (op.boundary_matrix @ boundary.values)))
+    coupled = op.boundary_matrix @ boundary.values
+    b_vec = d * (rhs.values - coupled)
+    scale = float(np.linalg.norm(d * rhs.values) + np.linalg.norm(d * coupled))
     if scale == 0.0:
-        sol = DiscreteField(op.grid, np.zeros(op.grid.n_interior), "solution")
-        return (sol, SolveStats(0, 0.0, 0.0, "trivial")) if return_stats else sol
+        return DiscreteField(op.grid, np.zeros(op.grid.n_interior), "solution")
     target = rtol * scale
 
-    if op._ilu is None:
-        op._ilu = spla.spilu(a_eq.tocsc(), drop_tol=1e-6, fill_factor=24)
-    prec = spla.LinearOperator(a_eq.shape, op._ilu.solve)
-
-    history: list[float] = []
-    iters = 0
-
-    def run(method, x0, budget):
-        nonlocal iters
-        count = [0]
-
-        def cb(arg):
-            count[0] += 1
-
-        kw = dict(M=prec, maxiter=budget, rtol=1e-14, atol=0.1 * target)
-        if method == "bicgstab":
-            x, _ = spla.bicgstab(a_eq, b_vec, x0=x0, callback=cb, **kw)
-        else:
-            x, _ = spla.lgmres(a_eq, b_vec, x0=x0, callback=cb, **kw)
-        iters += count[0]
-        res = float(np.linalg.norm(b_vec - a_eq @ x))
-        history.append(res)
-        return x, res
-
-    x, res = run("bicgstab", None, max_iter)
-    refinements = 0
-    while res > 0.5 * target and refinements < 3 and iters < max_iter:
-        x, res = run("bicgstab", x, max(50, max_iter - iters))
-        refinements += 1
-    if res > 0.5 * target and iters < max_iter:
-        x, res = run("lgmres", x, max(50, max_iter - iters))
-    if not np.all(np.isfinite(x)) or res > target:
-        err = SolverError(
-            f"linear solve stalled: residual {res:.3e} above target {target:.3e} "
-            f"after {iters} iterations"
-        )
-        err.residual_history = tuple(history)
-        raise err
-
-    sol = DiscreteField(op.grid, x, "solution")
-    if return_stats:
-        return sol, SolveStats(iters, res, target, "bicgstab+ilu")
-    return sol
+    x = op.factor.solve(b_vec)
+    res = float(np.linalg.norm(b_vec - op.equilibrated @ x))
+    if not np.all(np.isfinite(x)) or not res <= target:
+        raise SolverError(
+            f"linear solve missed its residual check: residual {res:.3e} "
+            f"above target {target:.3e}", residual_history=[res])
+    return DiscreteField(op.grid, x, "solution")
 
 
 @dataclass(frozen=True)
@@ -401,8 +366,10 @@ def constant_coeff_solve(a0: np.ndarray, rhs_fn, boundary_fn, grid: DiskGrid,
                          rtol: float = 1e-11) -> DiscreteField:
     """Dirichlet solve for a frozen coefficient matrix a0.
 
-    Goes through the same assembly and Krylov path as the variable case;
-    a0 must be symmetric positive definite with eigenvalue ratio at most 5.
+    Assembles the constant field and solves it through ``solve_dirichlet``,
+    like any variable-coefficient operator, so every call builds and factors
+    a fresh operator; a0 must be symmetric positive definite with
+    eigenvalue ratio at most 5.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):

@@ -30,10 +30,14 @@ class AnisotropyError(RegprobeError, ValueError):
     """The coefficient matrix is too anisotropic for the discretization to stay monotone."""
 
 
-class SolverError(RegprobeError, RuntimeError):
-    """The linear solver failed to reach the requested residual.
+class SmallnessError(RegprobeError, ValueError):
+    """A probe was told to enforce smallness conditions its problem violates."""
 
-    Carries the residual history of the failed run so callers can report it.
+
+class SolverError(RegprobeError, RuntimeError):
+    """A linear solve missed its residual check.
+
+    Carries the residual history of the failed solve so callers can report it.
     """
 
     def __init__(self, message: str, residual_history=None):

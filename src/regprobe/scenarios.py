@@ -30,7 +30,7 @@ from .campanato import (
     c11_probe,
     certificate,
     perturbation_sweep,
-    trace_to_csv,
+    trace_rows,
     verify_recurrence,
 )
 from .elliptic import abp_check, assemble, convergence_order, solve_dirichlet
@@ -132,13 +132,17 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
         except ValueError as exc:
             raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
+        grid = doc.get("grid", {})
+        if not isinstance(grid, dict):
+            raise ScenarioError(
+                f"{source}: key 'grid' must be an object holding grid.cells")
         data_mode = doc.get("data_mode", "manufactured")
         if data_mode not in ("manufactured", "numeric"):
             raise ScenarioError(
                 f"{source}: key 'data_mode' must be 'manufactured' or "
                 f"'numeric', got {data_mode!r}")
         if data_mode == "numeric":
-            cells = doc.get("grid", {}).get("cells")
+            cells = grid.get("cells")
             if not isinstance(cells, int) or cells < 16:
                 raise ScenarioError(
                     f"{source}: numeric mode needs grid.cells >= 16")
@@ -278,18 +282,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     cert = certificate(trace)
     rec = verify_recurrence(trace) if len(trace.records) >= 2 else None
 
-    tmp_csv = out_dir / f"{doc['id']}_trace.csv"
-    tmp_csv.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=tmp_csv.parent, prefix=tmp_csv.name + ".",
-                               suffix=".tmp")
-    os.close(fd)
-    try:
-        trace_to_csv(trace, tmp)
-        os.replace(tmp, tmp_csv)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_rows(out_dir / f"{doc['id']}_trace.csv", *trace_rows(trace))
 
     last = trace.records[-1]
     limits = {

@@ -31,6 +31,7 @@ from regprobe.campanato import (
     certificate,
     perturbation_sweep,
     taylor_fit,
+    trace_rows,
     trace_to_csv,
     verify_recurrence,
 )
@@ -363,6 +364,8 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     trace_to_csv(tr, path)
     with path.open() as fh:
         rows = list(csv.reader(fh))
+    header, body = trace_rows(tr)
+    assert rows == [header] + [[str(v) for v in row] for row in body]
     assert rows[0] == ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
                        "A", "B1", "B2"]
     assert len(rows) == 5
@@ -372,10 +375,8 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     assert float(rows[-1][8]) == tr.records[-1].approx.B[0]
 
     tr2 = c11_probe(get_problem("cubic_c11"), IterationConfig(K=2, **CAL))
-    path2 = tmp_path / "trace2.csv"
-    trace_to_csv(tr2, path2)
-    with path2.open() as fh:
-        header = next(csv.reader(fh))
+    header, body = trace_rows(tr2)
+    assert len(body) == 3 and len(body[0]) == len(header)
     assert header == ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
                       "E", "F1", "F2", "G11", "G12", "G22"]
 

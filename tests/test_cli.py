@@ -110,9 +110,14 @@ def test_schema_version_mismatch_exits_2(tmp_path):
 
 
 def test_bad_iteration_block_exits_2(tmp_path, capsys):
-    path = write_scenario(tmp_path, iteration={"lam": 0.3})
-    assert main(["run", str(path)]) == 2
-    assert "iteration" in capsys.readouterr().err
+    for iteration in ({"lam": 0.3}, {"K": 2.5}, {"K": True}):
+        path = write_scenario(tmp_path, iteration=iteration)
+        assert main(["run", str(path)]) == 2
+        assert "iteration" in capsys.readouterr().err
+    path = write_scenario(tmp_path, problem="drift_c1",
+                          iteration={"K": 1, "enforce_smallness": "error"})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "smallness" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():
@@ -225,9 +230,9 @@ def test_bad_picard_block_exits_2(tmp_path, capsys):
     assert "picard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cells", [8, "many", None])
-def test_numeric_mode_needs_sane_grid(tmp_path, cells, capsys):
-    grid = {} if cells is None else {"cells": cells}
+@pytest.mark.parametrize("grid", [{"cells": 8}, {"cells": "many"}, {}, [1]],
+                         ids=["8", "many", "None", "list"])
+def test_numeric_mode_needs_sane_grid(tmp_path, grid, capsys):
     path = write_scenario(tmp_path, data_mode="numeric", grid=grid)
     assert main(["run", str(path)]) == 2
     assert "grid.cells" in capsys.readouterr().err

@@ -255,7 +255,7 @@ def test_solver_error_carries_history():
     rhs = grid.field_from_function(lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1])
     g = grid.boundary_from_function(trig_boundary(0))
     with pytest.raises(SolverError) as err:
-        solve_dirichlet(op, rhs, g, rtol=1e-15, max_iter=1)
+        solve_dirichlet(op, rhs, g, rtol=1e-18)
     assert len(err.value.residual_history) >= 1
     assert all(np.isfinite(v) for v in err.value.residual_history)
 
