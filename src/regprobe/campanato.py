@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .errors import (
     FieldValidationError,
     FitError,
     SmallnessError,
+    check_numbers,
 )
 from .fields import CoefficientField, _extended_modulus, make_field
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
@@ -136,16 +138,24 @@ class IterationConfig:
     enforce_smallness: str = "warn"
 
     def __post_init__(self):
+        check_numbers(
+            self, ints=("K", "sub_cells", "sup_cells"),
+            floats=("lam", "C0", "C1", "C2", "alpha", "beta", "cert_tol",
+                    "safety", "solver_rtol"),
+            optional=("nu", "lambda1", "tau", "fit_radius"))
         if not (0.0 < self.lam < 0.25):
             raise ValueError(f"scale ratio must lie in (0, 1/4), got {self.lam}")
         if not (2.0 * self.C1 * self.lam < 0.25):
             raise ValueError(
                 f"need 2*C1*lam < 1/4, got C1={self.C1}, lam={self.lam}"
             )
-        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):
-            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 1:
             raise ValueError("need at least one scale")
+        # each rung divides by lam**(2k), which must stay a normal float;
+        # compared through logs so a huge K cannot overflow the power
+        if self.K > math.log(sys.float_info.min) / (2.0 * math.log(self.lam)):
+            raise ValueError(
+                f"K={self.K} underflows lam**(2K) at lam={self.lam}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         for name in ("C0", "C1", "C2", "cert_tol", "safety"):

@@ -262,58 +262,6 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField, boundary: DiscreteField,
     return AbpReport(lhs, bmax, fnorm, implied, passed, C_cal)
 
 
-def holder_seminorm(u: DiscreteField, alpha: float, subradius: float | None = None,
-                    far_pairs: int = 10000, seed: int = 0) -> float:
-    """Largest |u(x)-u(y)| / |x-y|^alpha over sampled node pairs.
-
-    All pairs within 8h of each other are enumerated exactly; longer-range
-    behavior is probed with ``far_pairs`` seeded random pairs.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    grid = u.grid
-    pts = u.points
-    vals = u.values
-    if subradius is not None:
-        d = pts - np.asarray(grid.center)
-        keep = np.hypot(d[:, 0], d[:, 1]) <= subradius * (1.0 + 1e-12)
-        pts = pts[keep]
-        vals = vals[keep]
-    npts = len(pts)
-    if npts < 2:
-        return 0.0
-
-    best = 0.0
-    keyed = np.round((pts - np.asarray(grid.center)) / grid.h).astype(int)
-    shift = keyed.min(axis=0)
-    keyed = keyed - shift
-    dims = keyed.max(axis=0) + 1
-    lookup = -np.ones(tuple(dims + 16), dtype=int)
-    lookup[keyed[:, 0] + 8, keyed[:, 1] + 8] = np.arange(npts)
-    half = [(di, dj) for di in range(-8, 9) for dj in range(-8, 9)
-            if 0 < di * di + dj * dj <= 64 and (di > 0 or (di == 0 and dj > 0))]
-    for di, dj in half:
-        partner = lookup[keyed[:, 0] + 8 + di, keyed[:, 1] + 8 + dj]
-        ok = partner >= 0
-        if not np.any(ok):
-            continue
-        i = np.nonzero(ok)[0]
-        j = partner[ok]
-        dist = np.hypot(*(pts[i] - pts[j]).T)
-        ratio = np.abs(vals[i] - vals[j]) / dist ** alpha
-        best = max(best, float(np.max(ratio)))
-
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, npts, far_pairs)
-    j = rng.integers(0, npts, far_pairs)
-    ok = i != j
-    dist = np.hypot(*(pts[i[ok]] - pts[j[ok]]).T)
-    ratio = np.abs(vals[i[ok]] - vals[j[ok]]) / dist ** alpha
-    if len(ratio):
-        best = max(best, float(np.max(ratio)))
-    return best
-
-
 @dataclass(frozen=True)
 class OrderReport:
     hs: tuple

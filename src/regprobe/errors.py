@@ -1,5 +1,33 @@
-"""Shared exception types."""
+"""Shared exception types, and the number check that config blocks share."""
 from __future__ import annotations
+
+import math
+import numbers
+
+
+def check_numbers(cfg, ints=(), floats=(), optional=()) -> None:
+    """Raise ValueError unless the named fields of ``cfg`` hold real numbers.
+
+    ``ints`` must be integers; ``floats`` and ``optional`` must be finite,
+    and ``optional`` may also be None.  A bool is neither, so a JSON
+    ``true`` never passes as 1.
+    """
+    for name in ints:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in floats + optional:
+        value = getattr(cfg, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class RegprobeError(Exception):

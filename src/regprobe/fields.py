@@ -1,18 +1,17 @@
 """Coefficient fields, nonlinearities, and frozen-coefficient potentials.
 
-This module owns the structural data of a problem: the matrix field ``a`` and
-drift ``b`` with their ellipticity and integrability constants, the
+This module owns the structural data of a problem: the matrix field ``a``
+and drift ``b`` with their ellipticity and integrability constants, the
 nonlinearity ``f(x, t)`` with its modulus of continuity in ``t``, and the
-comparison potentials solving the frozen-coefficient equation.  It also
-provides the integral norms used to quantify how far a field is from its
-value at a point: L^n distances over balls, pointwise sup moduli, and L^q
-drift norms.
+comparison potentials solving the frozen-coefficient equation.  The
+constants are declared, not measured: the probes read them as given.  The
+registries below resolve the string ids that scenarios use to name the
+built-in fields and nonlinearities.
 
 Conventions: everything is vectorized over points.  A matrix field maps an
 ``(N, 2)`` array of points to ``(N, 2, 2)``; a drift maps it to ``(N, 2)``;
 scalar functions map it to ``(N,)``.  All built-ins are defined on the whole
-plane, so their ``domain_radius`` is infinite; user fields may declare a
-finite one, and ball-based operations check containment.
+plane.
 """
 from __future__ import annotations
 
@@ -21,15 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
-from .errors import (
-    DomainError,
-    ExponentError,
-    FieldValidationError,
-    RegistryError,
-)
-from .modulus import Modulus, log_power, power, zero_modulus
+from .errors import ExponentError, FieldValidationError, RegistryError
+from .modulus import Modulus, power, zero_modulus
 
 
 @dataclass(frozen=True)
@@ -46,24 +39,17 @@ class CoefficientField:
     ellipticity: float
     drift_bound: float
     q: float
-    n: int = 2
-    domain_radius: float = math.inf
-    a_modulus: Modulus | None = None
-    a_modulus_scale: float = 1.0
-    r0: float = 1.0
     label: str = ""
 
     def __post_init__(self):
-        if self.n != 2:
-            raise FieldValidationError("only n=2 is implemented")
         if not (0.0 < self.ellipticity <= 1.0):
             raise FieldValidationError(
                 f"ellipticity constant must lie in (0, 1], got {self.ellipticity}"
             )
         if self.drift_bound < 0.0:
             raise FieldValidationError("drift bound must be nonnegative")
-        if not (self.q > self.n):
-            raise ExponentError(f"drift exponent must exceed n={self.n}, got {self.q}")
+        if not (self.q > 2.0):
+            raise ExponentError(f"drift exponent must exceed n=2, got {self.q}")
 
     def eval_a(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -89,13 +75,11 @@ class Nonlinearity:
     """A right-hand side ``f(x, t)`` with modulus of continuity in ``t``.
 
     ``f`` maps an ``(N, 2)`` point array and scalar (or matching-shape) ``t``
-    to ``(N,)`` values.  ``sup_bound`` dominates ``|f|`` over the domain and
-    all of ``t``.
+    to ``(N,)`` values.
     """
 
     f: Callable
     modulus: Modulus
-    sup_bound: float
     label: str = ""
 
     def eval(self, pts, t) -> np.ndarray:
@@ -106,9 +90,6 @@ class Nonlinearity:
                 f"nonlinearity returned shape {out.shape}, expected {(len(pts),)}"
             )
         return out
-
-
-_PROVENANCES = ("closed_form", "solved")
 
 
 @dataclass(frozen=True)
@@ -123,248 +104,10 @@ class PotentialFamily:
 
     v: Callable
     hessian_bound: float
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in _PROVENANCES:
-            raise FieldValidationError(
-                f"provenance must be one of {_PROVENANCES}, got {self.provenance!r}"
-            )
 
     def eval(self, x0, t, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.v(np.asarray(x0, dtype=float), t, pts), dtype=float)
-
-
-@dataclass(frozen=True)
-class PointwiseModulusReport:
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    fitted_nu: float
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_ratio: float
-    max_ratio: float
-    passed: bool
-    samples: int
-
-
-@dataclass(frozen=True)
-class LnDistanceReport:
-    per_entry: tuple[tuple[float, ...], ...]
-    value: float
-    r: float
-
-
-@dataclass(frozen=True)
-class NonlinearityReport:
-    passed: bool
-    max_violation: float
-    sup_excess: float
-    worst: tuple | None
-    checked: int
-
-
-# ---------------------------------------------------------------------------
-# quadrature over balls
-
-
-def disk_cells(x0, r: float, cells_per_radius: int = 128):
-    """Midpoint cells covering ``B_r(x0)`` with covered-area weights.
-
-    Cells fully inside the ball carry weight ``h**2``; cells cut by the
-    boundary are weighted by the covered-area fraction estimated from a 4x4
-    subsample.  Returns ``(points, weights)`` with points at cell midpoints.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if not (r > 0.0):
-        raise DomainError(f"ball radius must be positive, got {r}")
-    m = int(cells_per_radius)
-    h = r / m
-    edges = np.arange(-m, m + 1) * h
-    xlo, ylo = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
-    xlo = xlo.ravel()
-    ylo = ylo.ravel()
-    xhi = xlo + h
-    yhi = ylo + h
-
-    nearest = np.hypot(np.clip(0.0, xlo, xhi), np.clip(0.0, ylo, yhi))
-    far_x = np.where(np.abs(xlo) > np.abs(xhi), xlo, xhi)
-    far_y = np.where(np.abs(ylo) > np.abs(yhi), ylo, yhi)
-    farthest = np.hypot(far_x, far_y)
-
-    inside = farthest <= r
-    cut = (~inside) & (nearest < r)
-
-    frac = np.zeros(xlo.shape)
-    frac[inside] = 1.0
-    if np.any(cut):
-        sub = (np.arange(4) + 0.5) / 4.0
-        sx = xlo[cut, None, None] + h * sub[None, :, None]
-        sy = ylo[cut, None, None] + h * sub[None, None, :]
-        frac[cut] = np.mean(sx * sx + sy * sy <= r * r, axis=(1, 2))
-
-    keep = frac > 0.0
-    pts = np.stack([xlo[keep] + 0.5 * h + x0[0], ylo[keep] + 0.5 * h + x0[1]], axis=1)
-    weights = frac[keep] * h * h
-    return pts, weights
-
-
-def _check_ball_in_domain(field, x0, r):
-    x0 = np.asarray(x0, dtype=float)
-    if math.isfinite(field.domain_radius):
-        if float(np.hypot(*x0)) + r > field.domain_radius * (1.0 + 1e-12):
-            raise DomainError(
-                f"ball of radius {r} at {tuple(x0)} exits the field domain "
-                f"(radius {field.domain_radius})"
-            )
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def check_ellipticity(field: CoefficientField, sample_count: int = 256,
-                      radius: float = 1.0) -> EllipticityReport:
-    """Probe Rayleigh quotients of ``a`` on quasi-random (x, xi) pairs.
-
-    Passes when every quotient lies in ``[Lambda, 1/Lambda]``.  An asymmetric
-    matrix sample raises :class:`FieldValidationError` instead of failing.
-    """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    sampler = qmc.Halton(d=3, scramble=False)
-    uvw = sampler.random(sample_count)
-    rad = radius * np.sqrt(uvw[:, 0])
-    ang = 2.0 * np.pi * uvw[:, 1]
-    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    xi_ang = 2.0 * np.pi * uvw[:, 2]
-    xi = np.stack([np.cos(xi_ang), np.sin(xi_ang)], axis=1)
-
-    mats = field.eval_a(pts)
-    skew = np.abs(mats[:, 0, 1] - mats[:, 1, 0])
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    if np.any(skew > 1e-14 * scale):
-        i = int(np.argmax(skew / scale))
-        raise FieldValidationError(
-            f"a({tuple(pts[i])}) is asymmetric: {mats[i].tolist()}"
-        )
-    quot = np.einsum("ni,nij,nj->n", xi, mats, xi)
-    lo = float(quot.min())
-    hi = float(quot.max())
-    lam = field.ellipticity
-    ok = lo >= lam * (1.0 - 1e-12) and hi <= (1.0 / lam) * (1.0 + 1e-12)
-    return EllipticityReport(lo, hi, bool(ok), sample_count)
-
-
-def ln_distance(field: CoefficientField, x0, r: float,
-                cells_per_radius: int = 128) -> LnDistanceReport:
-    """Entrywise ``L^n(B_r(x0))`` distance of ``a`` from ``a(x0)``.
-
-    The aggregated ``value`` is the maximum over matrix entries.
-    """
-    _check_ball_in_domain(field, x0, r)
-    x0 = np.asarray(x0, dtype=float)
-    pts, w = disk_cells(x0, r, cells_per_radius)
-    mats = field.eval_a(pts)
-    ref = field.eval_a(x0[None, :])[0]
-    n = field.n
-    diff = np.abs(mats - ref[None, :, :]) ** n
-    per_entry = np.einsum("n,nij->ij", w, diff) ** (1.0 / n)
-    return LnDistanceReport(
-        tuple(tuple(float(v) for v in row) for row in per_entry),
-        float(per_entry.max()),
-        float(r),
-    )
-
-
-def _component_sup(diff: np.ndarray) -> np.ndarray:
-    flat = diff.reshape(diff.shape[0], -1)
-    return np.max(np.abs(flat), axis=1)
-
-
-def pointwise_modulus_fit(g, x0, radii, reference: Modulus | None = None,
-                          samples: int = 100000,
-                          ring_points: int = 512) -> PointwiseModulusReport:
-    """Sup-norm distance ``||g - g(x0)||_{L^inf(B_r(x0))}`` per radius.
-
-    ``g`` may be a :class:`CoefficientField` (its matrix part is used) or any
-    vectorized callable of points.  The sup is taken over a dense Halton
-    sample of the largest ball together with explicit rings at each requested
-    radius, which makes radial profiles exact.  ``fitted_nu`` is the sup of
-    ``values / reference(r)`` when a reference modulus is declared, otherwise
-    a least-squares Lipschitz slope.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    rs = sorted({float(r) for r in radii}, reverse=True)
-    if not rs or rs[-1] <= 0.0:
-        raise DomainError("radii must be positive")
-    r_big = rs[0]
-
-    if isinstance(g, CoefficientField):
-        _check_ball_in_domain(g, x0, r_big)
-        fn = g.eval_a
-    else:
-        fn = lambda pts: np.asarray(g(pts), dtype=float)
-
-    ref_val = np.asarray(fn(x0[None, :]), dtype=float)[0]
-
-    sampler = qmc.Halton(d=2, scramble=False)
-    uv = sampler.random(samples)
-    rad = r_big * np.sqrt(uv[:, 0])
-    ang = 2.0 * np.pi * uv[:, 1]
-    pts = x0[None, :] + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    dev = _component_sup(np.asarray(fn(pts), dtype=float) - ref_val)
-
-    order = np.argsort(rad)
-    rad_sorted = rad[order]
-    cum = np.maximum.accumulate(dev[order])
-
-    theta = 2.0 * np.pi * (np.arange(ring_points) + 0.5) / ring_points
-    ring_dir = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-    values = []
-    for r in rs:
-        k = int(np.searchsorted(rad_sorted, r, side="right"))
-        interior = float(cum[k - 1]) if k > 0 else 0.0
-        ring = x0[None, :] + r * ring_dir
-        ring_dev = float(_component_sup(np.asarray(fn(ring), dtype=float) - ref_val).max())
-        values.append(max(interior, ring_dev))
-    values_arr = np.asarray(values)
-
-    if reference is not None:
-        cap = reference.r_max
-        ref_at = np.asarray([reference.eval(min(r, cap)) for r in rs])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(ref_at > 0.0, values_arr / ref_at, 0.0)
-        fitted = float(ratios.max())
-    else:
-        rs_arr = np.asarray(rs)
-        fitted = float(np.dot(values_arr, rs_arr) / np.dot(rs_arr, rs_arr))
-
-    return PointwiseModulusReport(tuple(rs), tuple(float(v) for v in values_arr), fitted)
-
-
-def lq_norm(g, q: float, x0=(0.0, 0.0), r: float = 1.0,
-            cells_per_radius: int = 128, n: int = 2) -> float:
-    """``L^q`` norm of a scalar function over ``B_r(x0)`` by midpoint quadrature."""
-    if not (q > n):
-        raise ExponentError(f"integrability exponent must exceed n={n}, got {q}")
-    pts, w = disk_cells(np.asarray(x0, dtype=float), r, cells_per_radius)
-    vals = np.abs(np.asarray(g(pts), dtype=float))
-    return float(np.dot(w, vals ** q) ** (1.0 / q))
-
-
-def drift_norm_total(field: CoefficientField, r: float = 1.0,
-                     cells_per_radius: int = 128) -> float:
-    """Sum of component L^q norms of the drift over ``B_r``."""
-    total = 0.0
-    for i in range(field.n):
-        total += lq_norm(lambda pts, i=i: field.eval_b(pts)[:, i], field.q,
-                         r=r, cells_per_radius=cells_per_radius, n=field.n)
-    return total
 
 
 def _extended_modulus(phi: Modulus, delta: float) -> float:
@@ -375,94 +118,6 @@ def _extended_modulus(phi: Modulus, delta: float) -> float:
         return float(phi.eval(min(delta, cap))) if math.isfinite(cap) else float(phi.eval(delta))
     chunks = math.ceil(delta / cap)
     return chunks * float(phi.eval(cap))
-
-
-def verify_nonlinearity(nl: Nonlinearity, triple_count: int = 2000,
-                        seed: int = 0, t_span: float = 2.0,
-                        tol: float = 1e-10) -> NonlinearityReport:
-    """Spot-check the modulus inequality and sup bound on random triples.
-
-    Samples ``(x, t1, t2)`` with x in the unit disk and t uniform in
-    ``[-t_span, t_span]``; fails when ``|f(x,t2)-f(x,t1)|`` exceeds the
-    modulus of ``|t2-t1|`` by more than ``tol``, or when ``|f|`` exceeds
-    ``sup_bound``.  Beyond the modulus domain, subadditive chaining extends
-    the bound.
-    """
-    if triple_count < 1000:
-        raise ValueError("triple_count must be at least 1000")
-    rng = np.random.default_rng(seed)
-    rad = np.sqrt(rng.random(triple_count))
-    ang = 2.0 * np.pi * rng.random(triple_count)
-    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    t1 = rng.uniform(-t_span, t_span, triple_count)
-    t2 = rng.uniform(-t_span, t_span, triple_count)
-
-    f1 = nl.eval(pts, t1)
-    f2 = nl.eval(pts, t2)
-    bound = np.asarray([_extended_modulus(nl.modulus, d) for d in np.abs(t2 - t1)])
-    violation = np.abs(f2 - f1) - bound
-    sup_excess = float(max(np.abs(f1).max(), np.abs(f2).max()) - nl.sup_bound)
-
-    worst_idx = int(np.argmax(violation))
-    worst = (tuple(pts[worst_idx]), float(t1[worst_idx]), float(t2[worst_idx]))
-    max_violation = float(violation[worst_idx])
-    passed = max_violation <= tol and sup_excess <= tol
-    return NonlinearityReport(bool(passed), max_violation, sup_excess, worst,
-                              triple_count)
-
-
-def potential_residual(pf: PotentialFamily, field: CoefficientField,
-                       nl: Nonlinearity, x0, t, h: float,
-                       sample_count: int = 200) -> float:
-    """Sup of ``|a_ij(x0) D^h_ij v - f(x, t)|`` over stencil centers in ``B_{1/2}(x0)``.
-
-    Second derivatives are taken by central differences at spacing ``h``, so
-    closed-form quadratic-plus-cubic potentials come out exactly and smooth
-    ones at second order.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    a0 = field.eval_a(x0[None, :])[0]
-    sampler = qmc.Halton(d=2, scramble=False)
-    uv = sampler.random(sample_count)
-    rad = 0.5 * np.sqrt(uv[:, 0])
-    ang = 2.0 * np.pi * uv[:, 1]
-    centers = x0[None, :] + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-
-    def v_at(shift):
-        return pf.eval(x0, t, centers + shift)
-
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    v0 = v_at(np.zeros(2))
-    d11 = (v_at(e1) - 2.0 * v0 + v_at(-e1)) / h ** 2
-    d22 = (v_at(e2) - 2.0 * v0 + v_at(-e2)) / h ** 2
-    d12 = (v_at(e1 + e2) - v_at(e1 - e2) - v_at(-e1 + e2) + v_at(-e1 - e2)) / (4.0 * h ** 2)
-
-    lhs = a0[0, 0] * d11 + a0[1, 1] * d22 + 2.0 * a0[0, 1] * d12
-    rhs = nl.eval(centers, t)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def hessian_sup_estimate(pf: PotentialFamily, x0, t, h: float,
-                         sample_count: int = 200) -> float:
-    """Estimate ``||D^2 v||_{L^inf(B_1(x0))}`` entrywise by second differences."""
-    x0 = np.asarray(x0, dtype=float)
-    sampler = qmc.Halton(d=2, scramble=False)
-    uv = sampler.random(sample_count)
-    rad = (1.0 - 2.0 * h) * np.sqrt(uv[:, 0])
-    ang = 2.0 * np.pi * uv[:, 1]
-    centers = x0[None, :] + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-
-    def v_at(shift):
-        return pf.eval(x0, t, centers + shift)
-
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    v0 = v_at(np.zeros(2))
-    d11 = (v_at(e1) - 2.0 * v0 + v_at(-e1)) / h ** 2
-    d22 = (v_at(e2) - 2.0 * v0 + v_at(-e2)) / h ** 2
-    d12 = (v_at(e1 + e2) - v_at(e1 - e2) - v_at(-e1 + e2) + v_at(-e1 - e2)) / (4.0 * h ** 2)
-    return float(max(np.abs(d11).max(), np.abs(d22).max(), np.abs(d12).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +149,12 @@ def _parse_params(arg: str, count: int, full_id: str) -> list[float]:
 
 
 def parse_coefficients(coeff_id: str):
-    """Resolve a coefficient id to ``(a, Lambda, modulus, nu, r0)``."""
+    """Resolve a coefficient id to ``(a, Lambda)``."""
     name, _, arg = str(coeff_id).partition(":")
     if name == "identity":
         if arg:
             raise RegistryError(f"identity takes no parameter, got {coeff_id!r}")
-        return _identity_matrix_field, 1.0, None, 0.0, 1.0
+        return _identity_matrix_field, 1.0
     if name == "radial_lipschitz":
         (nu,) = _parse_params(arg, 1, coeff_id)
         if not (0.0 < nu):
@@ -509,7 +164,7 @@ def parse_coefficients(coeff_id: str):
             s = np.minimum(np.hypot(pts[:, 0], pts[:, 1]), 1.0)
             return _scalar_times_identity(1.0 + nu * s)
 
-        return a_fn, 1.0 / (1.0 + nu), power(1.0), nu, 0.75
+        return a_fn, 1.0 / (1.0 + nu)
     if name == "dini_log":
         (p,) = _parse_params(arg, 1, coeff_id)
         if not (p > 0.0):
@@ -523,7 +178,7 @@ def parse_coefficients(coeff_id: str):
             prof[pos] = (-np.log(s[pos])) ** (-p)
             return _scalar_times_identity(1.0 + prof)
 
-        return a_fn, 1.0 / (1.0 + p ** -p), log_power(p), 1.0, r_cap
+        return a_fn, 1.0 / (1.0 + p ** -p)
     raise RegistryError(f"unknown coefficient id {coeff_id!r}")
 
 
@@ -564,11 +219,10 @@ def parse_drift(drift_id: str, q: float):
 def make_field(coefficients: str = "identity", drift: str = "zero",
                q: float = 4.0) -> CoefficientField:
     """Assemble a :class:`CoefficientField` from registry ids."""
-    a_fn, lam, a_mod, nu, r0 = parse_coefficients(coefficients)
+    a_fn, lam = parse_coefficients(coefficients)
     b_fn, lam1, q_eff = parse_drift(drift, q)
     return CoefficientField(
         a=a_fn, b=b_fn, ellipticity=lam, drift_bound=lam1, q=q_eff,
-        a_modulus=a_mod, a_modulus_scale=nu, r0=r0,
         label=f"{coefficients}|{drift}",
     )
 
@@ -582,7 +236,7 @@ def parse_nonlinearity(nl_id: str) -> Nonlinearity:
         def f_fn(pts, t, c=c):
             return np.full(len(pts), c)
 
-        return Nonlinearity(f_fn, zero_modulus(), abs(c), label=nl_id)
+        return Nonlinearity(f_fn, zero_modulus(), label=nl_id)
     if name == "sqrt_dini":
         if arg:
             raise RegistryError(f"sqrt_dini takes no parameter, got {nl_id!r}")
@@ -591,7 +245,7 @@ def parse_nonlinearity(nl_id: str) -> Nonlinearity:
             tt = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
             return np.sqrt(np.minimum(np.abs(tt), 1.0))
 
-        return Nonlinearity(f_fn, power(0.5, r_max=1.0), 1.0, label=nl_id)
+        return Nonlinearity(f_fn, power(0.5, r_max=1.0), label=nl_id)
     if name == "from_manufactured":
         if not arg:
             raise RegistryError("from_manufactured needs a problem id")

@@ -11,10 +11,8 @@ the axis arms, the last four the diagonal arms grouped in opposite pairs.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
@@ -118,16 +116,12 @@ class DiskGrid:
     def n_boundary(self) -> int:
         return len(self.boundary_points)
 
-    def interior_radii(self) -> np.ndarray:
-        d = self.coords - np.asarray(self.center)
-        return np.hypot(d[:, 0], d[:, 1])
-
     def node_weights(self) -> np.ndarray:
         """Midpoint-cell quadrature weights for the interior nodes.
 
         Each node owns the cell of side ``h`` centered on it; cells cut by
         the circle are weighted by the covered-area fraction from a 4x4
-        subsample, matching the ball quadrature used for field norms.
+        subsample.
         """
         d = self.coords - np.asarray(self.center)
         h = self.h
@@ -189,14 +183,6 @@ class DiscreteField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "value"])
-            for (x, y), v in zip(self.points, self.values):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
 
 
 def bicubic_sampler(field: DiscreteField):

@@ -143,7 +143,6 @@ def _closed_potential(fn, hessian_bound):
     return PotentialFamily(
         v=lambda x0, t, pts: fn(np.asarray(pts, dtype=float)),
         hessian_bound=hessian_bound,
-        provenance="closed_form",
     )
 
 
@@ -154,7 +153,6 @@ def _build_zero_case():
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
-            sup_bound=4.0,
             label="const-4",
         ),
         u=_quadratic,
@@ -174,7 +172,6 @@ def _build_drift_c1():
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
-            sup_bound=4.0,
             label="const-4",
         ),
         u=_drift_u,
@@ -203,7 +200,6 @@ def _build_cubic_c11():
         nonlinearity=Nonlinearity(
             f=f,
             modulus=zero_modulus(),
-            sup_bound=4.0 + 2.0 * _CUBIC_BETA,
             label="tilted-4",
         ),
         u=_quadratic,
@@ -223,7 +219,6 @@ def _build_nondini_c11():
         nonlinearity=Nonlinearity(
             f=lambda pts, t: 4.0 + _g_nondini(t) * np.ones(len(pts)),
             modulus=log_inverse(),
-            sup_bound=4.5,
             label="log-inverse-reaction",
         ),
         u=_nondini_u,

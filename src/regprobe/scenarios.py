@@ -116,7 +116,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: unknown key {key!r} for mode {mode!r}")
     seed = doc.get("seed", _DEFAULT_SEED)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError(f"{source}: key 'seed' must be an integer")
 
     if mode in ("c1", "c11"):

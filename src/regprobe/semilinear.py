@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import LinearOperator, assemble, solve_dirichlet
-from .errors import FieldValidationError, FixedPointError
-from .fields import CoefficientField, Nonlinearity
-from .grid import DiscreteField, DiskGrid
+from .elliptic import LinearOperator, solve_dirichlet
+from .errors import FieldValidationError, FixedPointError, check_numbers
+from .fields import Nonlinearity
+from .grid import DiscreteField
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class PicardConfig:
     rtol: float = 1e-11
 
     def __post_init__(self):
+        check_numbers(self, ints=("max_outer",),
+                      floats=("tol", "damping", "rtol"))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if self.tol <= self.rtol:
@@ -91,54 +93,17 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
             theta *= 0.5
             halved = True
         if _stalled(increments):
-            err = FixedPointError(
+            raise FixedPointError(
                 f"updates stopped shrinking for 5 consecutive steps "
-                f"(last {increments[-1]:.3e})"
-            )
-            err.history = tuple(increments)
-            raise err
+                f"(last {increments[-1]:.3e})", history=increments)
 
     if not converged:
-        err = FixedPointError(
+        raise FixedPointError(
             f"no fixed point within {config.max_outer} outer iterations "
-            f"(last update {increments[-1]:.3e})"
-        )
-        err.history = tuple(increments)
-        raise err
+            f"(last update {increments[-1]:.3e})", history=increments)
 
     f_final = nonlinearity.eval(pts, u)
     raw = f_final - op.apply(u, boundary.values)
     residual = float(np.max(np.abs(raw / op.row_scale)))
     return PicardResult(DiscreteField(grid, u, "solution"),
                         len(increments), tuple(increments), theta, residual)
-
-
-def contraction_estimate(op: LinearOperator, lipschitz: float,
-                         rtol: float = 1e-11) -> float:
-    """Upper bound lipschitz * ||L^{-1} 1||_inf on the Picard contraction factor.
-
-    Solves L w = -1 with zero boundary values; for the Laplacian on the
-    unit disk the sup of w is 1/4.
-    """
-    if lipschitz < 0.0:
-        raise ValueError("Lipschitz bound must be nonnegative")
-    grid = op.grid
-    rhs = DiscreteField(grid, -np.ones(grid.n_interior), "rhs")
-    zero = DiscreteField(grid, np.zeros(grid.n_boundary), "boundary")
-    w = solve_dirichlet(op, rhs, zero, rtol=rtol)
-    return lipschitz * float(np.max(np.abs(w.values)))
-
-
-@dataclass(frozen=True)
-class SemilinearProblem:
-    """Coefficients, nonlinearity and boundary data, ready to solve on a grid."""
-
-    field: CoefficientField
-    nonlinearity: Nonlinearity
-    boundary: object
-    label: str = ""
-
-    def solve(self, grid: DiskGrid, config: PicardConfig | None = None) -> PicardResult:
-        op = assemble(self.field, grid, label=self.label)
-        g = grid.boundary_from_function(self.boundary)
-        return picard_solve(op, self.nonlinearity, g, config)

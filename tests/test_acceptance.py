@@ -185,12 +185,11 @@ def scaled_problem(base, s: float):
         base,
         nonlinearity=Nonlinearity(
             f=lambda pts, t: s * nl.f(pts, np.asarray(t) / s),
-            modulus=nl.modulus, sup_bound=s * nl.sup_bound, label="scaled"),
+            modulus=nl.modulus, label="scaled"),
         u=lambda pts: s * np.asarray(base.u(pts)),
         potential=PotentialFamily(
             v=lambda x0, t, pts: s * np.asarray(base.potential.v(x0, t, pts)),
-            hessian_bound=s * base.potential.hessian_bound,
-            provenance="closed_form"),
+            hessian_bound=s * base.potential.hessian_bound),
     )
 
 

@@ -155,6 +155,9 @@ def test_config_validation():
         IterationConfig(nu=-0.1)
     with pytest.raises(ValueError):
         IterationConfig(enforce_smallness="maybe")
+    assert IterationConfig(K=220).K == 220
+    with pytest.raises(ValueError):
+        IterationConfig(K=221)
 
 
 def test_smallness_flag_recorded_and_enforceable():
@@ -320,14 +323,12 @@ def test_scalar_rescaling_invariance():
             base,
             nonlinearity=Nonlinearity(
                 f=lambda pts, t, s=s: s * nl.f(pts, np.asarray(t) / s),
-                modulus=nl.modulus, sup_bound=s * nl.sup_bound,
-                label="scaled"),
+                modulus=nl.modulus, label="scaled"),
             u=lambda pts, s=s: s * np.asarray(base.u(pts)),
             potential=PotentialFamily(
                 v=lambda x0, t, pts, s=s: s * np.asarray(
                     base.potential.v(x0, t, pts)),
-                hessian_bound=s * base.potential.hessian_bound,
-                provenance="closed_form"),
+                hessian_bound=s * base.potential.hessian_bound),
         )
         trs = c1_probe(scaled, cfg)
         for r0, rs in zip(tr0.records, trs.records):

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +114,9 @@ def test_schema_version_mismatch_exits_2(tmp_path):
 
 
 def test_bad_iteration_block_exits_2(tmp_path, capsys):
-    for iteration in ({"lam": 0.3}, {"K": 2.5}, {"K": True}):
+    for iteration in ({"lam": 0.3}, {"K": 2.5}, {"K": True}, {"K": 240},
+                      {"K": 500}, {"cert_tol": float("inf")},
+                      {"sub_cells": 20.5}, {"sup_cells": 48.5}):
         path = write_scenario(tmp_path, iteration=iteration)
         assert main(["run", str(path)]) == 2
         assert "iteration" in capsys.readouterr().err
@@ -118,6 +124,9 @@ def test_bad_iteration_block_exits_2(tmp_path, capsys):
                           iteration={"K": 1, "enforce_smallness": "error"})
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "smallness" in capsys.readouterr().err
+    path = write_scenario(tmp_path, seed=True)
+    assert main(["run", str(path)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():
@@ -224,10 +233,18 @@ def test_numeric_scenario_reports_truncation(tmp_path):
 
 
 def test_bad_picard_block_exits_2(tmp_path, capsys):
-    path = write_scenario(tmp_path, data_mode="numeric",
-                          grid={"cells": 32}, picard={"damping": 2.0})
-    assert main(["run", str(path)]) == 2
-    assert "picard" in capsys.readouterr().err
+    for picard in ({"damping": 2.0}, {"max_outer": 2.5}, {"max_outer": True}):
+        path = write_scenario(tmp_path, data_mode="numeric",
+                              grid={"cells": 32}, picard=picard)
+        assert main(["run", str(path)]) == 2
+        assert "picard" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, regprobe.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("grid", [{"cells": 8}, {"cells": "many"}, {}, [1]],

@@ -7,8 +7,6 @@ matrices, and smooth manufactured problems pin the convergence order.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from regprobe.elliptic import (
     assemble,
     constant_coeff_solve,
     convergence_order,
-    holder_seminorm,
     solve_dirichlet,
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
@@ -87,7 +84,7 @@ def test_grid_geometry():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     n = grid.n_interior
     assert abs(n * grid.h ** 2 - np.pi) < 0.1
-    r = grid.interior_radii()
+    r = np.hypot(grid.coords[:, 0], grid.coords[:, 1])
     assert np.all(r < 1.0)
     assert np.min(r) == 0.0
     assert np.all((grid.arm > 0.0) & (grid.arm <= 1.0))
@@ -356,28 +353,13 @@ def test_abp_zero_forcing():
     assert report.passed
 
 
-def test_holder_seminorm_sqrt():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
-    u = grid.field_from_function(
-        lambda p: np.hypot(p[:, 0], p[:, 1]) ** 0.5, "solution")
-    got = holder_seminorm(u, 0.5)
-    assert abs(got - 1.0) < 2e-2
-
-
-def test_holder_seminorm_linear():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
-    u = grid.field_from_function(lambda p: p[:, 0], "solution")
-    assert abs(holder_seminorm(u, 1.0) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        holder_seminorm(u, 1.5)
-
-
 def second_difference_sup(grid, values, min_dist):
     idx_e, idx_w = grid.neighbor[:, 0], grid.neighbor[:, 1]
     idx_n, idx_s = grid.neighbor[:, 2], grid.neighbor[:, 3]
     idx_ne, idx_sw = grid.neighbor[:, 4], grid.neighbor[:, 5]
     regular = np.all(grid.neighbor >= 0, axis=1)
-    deep = regular & (grid.interior_radii() <= grid.radius - min_dist)
+    d = grid.coords - np.asarray(grid.center)
+    deep = regular & (np.hypot(d[:, 0], d[:, 1]) <= grid.radius - min_dist)
     h2 = grid.h ** 2
     d11 = (values[idx_e[deep]] - 2 * values[deep] + values[idx_w[deep]]) / h2
     d22 = (values[idx_n[deep]] - 2 * values[deep] + values[idx_s[deep]]) / h2
@@ -418,16 +400,3 @@ def test_residual_of_solution_small():
     assert res.role == "residual"
     scaled = res.values / op.row_scale
     assert float(np.max(np.abs(scaled))) < 1e-9
-
-
-def test_csv_dump(tmp_path):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
-    u = grid.field_from_function(lambda p: p[:, 0] + 2.0 * p[:, 1], "solution")
-    path = tmp_path / "field.csv"
-    u.to_csv(path)
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "value"]
-    assert len(rows) == grid.n_interior + 1
-    x, y, v = (float(t) for t in rows[1])
-    assert abs(v - (x + 2.0 * y)) < 1e-12

@@ -1,8 +1,7 @@
 """Picard iteration tests.
 
-The linear-in-u cases have independent oracles: a direct sparse solve of
-the absorbed system (L - eps) u = g checks the fixed point, and the
-torsion function gives the contraction estimate in closed form.
+The linear-in-u cases have an independent oracle: a direct sparse solve of
+the absorbed system (L - eps) u = g checks the fixed point.
 """
 from __future__ import annotations
 
@@ -19,8 +18,6 @@ from regprobe.grid import DiskGrid
 from regprobe.semilinear import (
     PicardConfig,
     PicardResult,
-    SemilinearProblem,
-    contraction_estimate,
     picard_solve,
 )
 
@@ -35,11 +32,10 @@ def laplacian_field():
     )
 
 
-def linear_reaction(eps, g_fn, sup=50.0):
+def linear_reaction(eps, g_fn):
     return Nonlinearity(
         f=lambda pts, t: eps * np.asarray(t) * np.ones(len(pts)) + g_fn(pts),
         modulus=power(1.0, r_max=100.0),
-        sup_bound=sup,
         label=f"linear-{eps}",
     )
 
@@ -109,7 +105,7 @@ def test_picard_steps_share_one_factorization(monkeypatch):
 def test_oscillatory_reaction_rescued_by_damping():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
-    nl = linear_reaction(9.0, lambda p: np.full(len(p), 4.0), sup=1e6)
+    nl = linear_reaction(9.0, lambda p: np.full(len(p), 4.0))
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
     result = picard_solve(op, nl, boundary, PicardConfig(tol=1e-9, max_outer=200))
     assert result.damping_used == 0.5
@@ -127,7 +123,6 @@ def test_sublinear_nonlinearity_converges():
     nl = Nonlinearity(
         f=lambda pts, t: -4.0 + 0.5 * sqrt_part.eval(pts, t),
         modulus=sqrt_part.modulus,
-        sup_bound=4.5,
     )
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
     result = picard_solve(op, nl, boundary, PicardConfig(tol=1e-10))
@@ -141,33 +136,10 @@ def test_sublinear_nonlinearity_converges():
 def test_runaway_reaction_stalls():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
-    nl = linear_reaction(-8.0, lambda p: np.full(len(p), 1.0), sup=1e6)
+    nl = linear_reaction(-8.0, lambda p: np.full(len(p), 1.0))
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
     with pytest.raises(FixedPointError) as err:
         picard_solve(op, nl, boundary, PicardConfig(tol=1e-9, max_outer=100))
     history = err.value.history
     assert len(history) >= 5
     assert history[-1] >= history[-5]
-
-
-def test_contraction_estimate_torsion():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
-    op = assemble(laplacian_field(), grid)
-    est = contraction_estimate(op, 1.0)
-    assert abs(est - 0.25) < 1e-3
-    assert abs(contraction_estimate(op, 2.0) - 0.5) < 2e-3
-    with pytest.raises(ValueError):
-        contraction_estimate(op, -1.0)
-
-
-def test_problem_bundle_solve():
-    problem = SemilinearProblem(
-        field=laplacian_field(),
-        nonlinearity=parse_nonlinearity("const:-4.0"),
-        boundary=lambda p: np.zeros(len(p)),
-        label="poisson",
-    )
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 24)
-    result = problem.solve(grid)
-    exact = 1.0 - grid.coords[:, 0] ** 2 - grid.coords[:, 1] ** 2
-    assert np.max(np.abs(result.u.values - exact)) < 1e-9
