@@ -26,7 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .elliptic import assemble, constant_coeff_solve, solve_dirichlet
+from .elliptic import (
+    LinearOperator,
+    assemble,
+    frozen_operator,
+    solve_dirichlet,
+)
 from .errors import (
     CalibrationError,
     FieldValidationError,
@@ -156,9 +161,11 @@ class IterationConfig:
         if self.K > math.log(sys.float_info.min) / (2.0 * math.log(self.lam)):
             raise ValueError(
                 f"K={self.K} underflows lam**(2K) at lam={self.lam}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("C0", "C1", "C2", "cert_tol", "safety"):
+        for name in ("alpha", "beta"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(
+                    f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("C0", "C1", "C2", "cert_tol", "safety", "solver_rtol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("nu", "lambda1", "tau"):
@@ -297,20 +304,35 @@ def _ball_max(fn, radius, cells=24):
 # frozen-coefficient comparison and polynomial extraction
 
 
-def approximate(w, a0, radius=1.0, cells=32, rtol=1e-11):
+def comparison_operator(a0, cells=32) -> LinearOperator:
+    """The frozen operator a0 : D^2 that ``approximate`` solves with.
+
+    It lives on the disk of radius 3/4 around the origin, with ``cells``
+    grid spacings across that radius.
+    """
+    return frozen_operator(a0, DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
+
+
+def approximate(w, op: LinearOperator, rtol=1e-11):
     """Compare w with the frozen-coefficient solution sharing its trace.
 
-    Solves a0 : D^2 h = 0 on the ball of radius 3r/4 with boundary values
-    taken from w, and returns (h, gap) with gap = sup over the r/2 ball of
-    |w - h|.  ``w`` may be a callable or an interior DiscreteField.
+    ``op`` is a frozen operator a0 : D^2 on the disk of radius 3r/4 around
+    the origin, as ``comparison_operator`` builds it for r = 1.  Solves
+    a0 : D^2 h = 0 there with boundary values taken from w, and returns
+    (h, gap) with gap = sup over the r/2 ball of |w - h|, measured on a
+    lattice at least as fine as the operator's grid.  ``w`` may be a
+    callable or an interior DiscreteField.  The operator keeps its LU
+    factor, so callers that compare many functions against the same
+    frozen coefficients pass the same ``op`` and factor it once.
     """
     w_fn = w if callable(w) else bicubic_sampler(w)
-    sub = DiskGrid((0.0, 0.0), 0.75 * radius, 0.75 * radius / cells)
-    h = constant_coeff_solve(a0, lambda pts: np.zeros(len(pts)), w_fn, sub,
-                             rtol=rtol)
+    sub = op.grid
+    h = solve_dirichlet(op, sub.zeros("rhs"), sub.boundary_from_function(w_fn),
+                        rtol=rtol)
     h_fn = bicubic_sampler(h)
+    radius = sub.radius / 0.75
     gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5 * radius,
-                      cells=max(24, cells))
+                      cells=max(24, round(sub.radius / sub.h)))
     return h, gap
 
 
@@ -439,6 +461,9 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
     else:
         approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
 
+    # one frozen operator serves every rung, so its LU factor is made once;
+    # a one-rung ladder compares nothing and builds none
+    comparison = comparison_operator(a0, cfg.sub_cells) if K_eff else None
     rows = []
     S = 0.0
     for k in range(K_eff + 1):
@@ -474,8 +499,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
             z = np.atleast_2d(np.asarray(z, dtype=float))
             return gap_fn(z * scale) / (scale * scale)
 
-        h_field, gap = approximate(rescaled_gap, a0, radius=1.0,
-                                   cells=cfg.sub_cells, rtol=cfg.solver_rtol)
+        h_field, gap = approximate(rescaled_gap, comparison,
+                                   rtol=cfg.solver_rtol)
         inc = taylor_fit(h_field, (0.0, 0.0), fit_radius, order, a0=a0)
         new_approx = _advance(approx, inc, scale)
         if order == 2:
@@ -689,12 +714,10 @@ def _perturbed_field(eps: float) -> CoefficientField:
     )
 
 
-def _solve_perturbed(eps, shape_fn, cells, rtol):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
-    op = assemble(_perturbed_field(eps), grid)
-    rhs = grid.zeros("rhs")
-    bc = grid.boundary_from_function(shape_fn)
-    return solve_dirichlet(op, rhs, bc, rtol=rtol)
+def _shape_solve(op, shape_fn, rtol):
+    """Solution of L w = 0 with boundary values ``shape_fn``."""
+    return solve_dirichlet(op, op.grid.zeros("rhs"),
+                           op.grid.boundary_from_function(shape_fn), rtol=rtol)
 
 
 def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
@@ -705,17 +728,21 @@ def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
     field, compares against the frozen solve sharing its trace, and
     reports gap / sup|w|.  The log-log slope across eps is the headline
     number; it must come out positive for the approximation law to hold.
+    Each perturbed operator is assembled once for all the shapes, and one
+    frozen operator serves every comparison.
     """
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) < 2:
         raise ValueError("need at least two perturbation sizes")
     shapes = _sweep_shapes()
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    frozen = comparison_operator(np.eye(2), sub_cells)
     ratios = np.zeros((len(shapes), len(epsilons)))
-    for i, (_, shape_fn) in enumerate(shapes):
-        for j, eps in enumerate(epsilons):
-            w = _solve_perturbed(eps, shape_fn, cells, rtol)
-            _, gap = approximate(w, np.eye(2), radius=1.0, cells=sub_cells,
-                                 rtol=rtol)
+    for j, eps in enumerate(epsilons):
+        op = assemble(_perturbed_field(eps), grid)
+        for i, (_, shape_fn) in enumerate(shapes):
+            w = _shape_solve(op, shape_fn, rtol)
+            _, gap = approximate(w, frozen, rtol=rtol)
             ratios[i, j] = gap / w.sup_norm()
     mean_ratio = ratios.mean(axis=0)
     slope = float(np.polyfit(np.log(epsilons), np.log(mean_ratio), 1)[0])
@@ -802,7 +829,7 @@ def _interior_bound_constant():
     return worst
 
 
-def _one_step_linear(u_field, v_fn, lam, sub_cells, rtol, fit_radius):
+def _one_step_linear(u_field, v_fn, lam, frozen, rtol, fit_radius):
     """One rung of the first-order ladder on a numeric solution."""
     sampler = bicubic_sampler(u_field)
     shift = float(sampler(np.zeros((1, 2)))[0])
@@ -811,8 +838,7 @@ def _one_step_linear(u_field, v_fn, lam, sub_cells, rtol, fit_radius):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9, cells=48)
-    h, gap = approximate(w_fn, np.eye(2), radius=1.0, cells=sub_cells,
-                         rtol=rtol)
+    h, gap = approximate(w_fn, frozen, rtol=rtol)
     inc = taylor_fit(h, (0.0, 0.0), fit_radius, 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam, cells=48)
     return M0, M1 / lam, gap, inc
@@ -836,14 +862,28 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
 
     epsilons = (0.02, 0.05, 0.1, 0.2)
     shapes = _sweep_shapes()
-    train, holdout = shapes[:2], shapes[2:]
+    n_train = 2
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    frozen = comparison_operator(np.eye(2), sub_cells)
+    steps = np.zeros((n_train, len(epsilons), 2))
+    hold_ratios = np.zeros((len(shapes) - n_train, len(epsilons)))
+    for j, eps in enumerate(epsilons):
+        op = assemble(_perturbed_field(eps), grid)
+        for i, (_, shape_fn) in enumerate(shapes):
+            w = _shape_solve(op, shape_fn, rtol)
+            if i < n_train:
+                M0, M1, _, _ = _one_step_linear(
+                    w, lambda pts: np.zeros(len(pts)), lam, frozen, rtol, lam)
+                steps[i, j] = M0, M1
+            else:
+                _, gap = approximate(w, frozen, rtol=rtol)
+                hold_ratios[i - n_train, j] = gap / w.sup_norm()
+
     num = 0.0
     den = 0.0
-    for _, shape_fn in train:
-        for eps in epsilons:
-            w = _solve_perturbed(eps, shape_fn, cells, rtol)
-            M0, M1, _, _ = _one_step_linear(
-                w, lambda pts: np.zeros(len(pts)), lam, sub_cells, rtol, lam)
+    for i in range(n_train):
+        for j, eps in enumerate(epsilons):
+            M0, M1 = steps[i, j]
             x = (lam ** 2 + eps ** alpha) * M0 / lam
             num += x * M1
             den += x * x
@@ -853,15 +893,6 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
     if not (0.0 < C1 and 2.0 * C1 * lam < 0.25):
         raise CalibrationError(f"calibrated C1={C1} breaks 2*C1*lam < 1/4")
 
-    hold_ratios = []
-    for _, shape_fn in holdout:
-        row = []
-        for eps in epsilons:
-            w = _solve_perturbed(eps, shape_fn, cells, rtol)
-            _, gap = approximate(w, np.eye(2), radius=1.0, cells=sub_cells,
-                                 rtol=rtol)
-            row.append(gap / w.sup_norm())
-        hold_ratios.append(row)
     holdout_slope = float(np.polyfit(
         np.log(epsilons), np.log(np.mean(hold_ratios, axis=0)), 1)[0])
     if holdout_slope < alpha - 0.05:
@@ -869,7 +900,6 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
             f"holdout slope {holdout_slope} under alpha - 0.05 = {alpha - 0.05}"
         )
 
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
     num = 0.0
     den = 0.0
     for bmag in (0.3, 0.6, 1.0):
@@ -887,7 +917,7 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
                                 rtol=rtol)
             M0, M1, _, _ = _one_step_linear(
                 u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, lam,
-                sub_cells, rtol, lam)
+                frozen, rtol, lam)
             lam1 = field.drift_bound
             xi0 = (C1 / lam) * (lam ** 2 + lam1 ** alpha)
             eta_need = max(0.0, M1 - xi0 * M0)

@@ -310,14 +310,14 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn, hs,
     return OrderReport(tuple(hs), tuple(errors), float(slope), False, monotone)
 
 
-def constant_coeff_solve(a0: np.ndarray, rhs_fn, boundary_fn, grid: DiskGrid,
-                         rtol: float = 1e-11) -> DiscreteField:
-    """Dirichlet solve for a frozen coefficient matrix a0.
+def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
+    """The constant-coefficient operator a0 : D^2 on ``grid``, assembled.
 
-    Assembles the constant field and solves it through ``solve_dirichlet``,
-    like any variable-coefficient operator, so every call builds and factors
-    a fresh operator; a0 must be symmetric positive definite with
-    eigenvalue ratio at most 5.
+    a0 must be a symmetric positive definite 2x2 matrix with eigenvalue
+    ratio at most 5.  The operator's ``factor`` is computed on its first
+    solve and reused by every later one, so a caller that solves many
+    Dirichlet problems for the same frozen coefficients (one per rung of a
+    ladder, one per boundary shape of a sweep) builds and factors it once.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):
@@ -334,7 +334,4 @@ def constant_coeff_solve(a0: np.ndarray, rhs_fn, boundary_fn, grid: DiskGrid,
         q=4.0,
         label="constant",
     )
-    op = assemble(field, grid)
-    rhs = grid.field_from_function(rhs_fn, "rhs")
-    g = grid.boundary_from_function(boundary_fn)
-    return solve_dirichlet(op, rhs, g, rtol=rtol)
+    return assemble(field, grid)

@@ -20,6 +20,7 @@ which stays accurate down to radii around 1e-40.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,18 +78,63 @@ def _drift_series_coeffs():
     c[0] = iv_half[2] / iv_half[0]
     for m in range(1, _DRIFT_TERMS):
         c[m] = (iv_half[abs(m - 2)] + iv_half[m + 2]) / iv_half[m]
+    c.setflags(write=False)
     return c
 
 
-def _drift_u(pts):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    th = np.arctan2(pts[:, 1], pts[:, 0])
+_DRIFT_POWERS = 256
+
+
+@lru_cache(maxsize=1)
+def _drift_series_table():
+    """Read-only table t[m, k] = c_m / (k! (k+m)!), k < _DRIFT_POWERS."""
     c = _drift_series_coeffs()
     orders = np.arange(_DRIFT_TERMS)
-    psi = np.sum(c[None, :] * iv(orders[None, :], r[:, None] / 2.0)
-                 * np.cos(orders[None, :] * th[:, None]), axis=1)
-    return 2.0 * pts[:, 1] ** 2 + np.exp(-pts[:, 0] / 2.0) * psi
+    table = np.empty((_DRIFT_TERMS, _DRIFT_POWERS))
+    table[:, 0] = c / np.array([math.factorial(m) for m in orders], dtype=float)
+    for k in range(1, _DRIFT_POWERS):
+        table[:, k] = table[:, k - 1] / (k * (k + orders))
+    table.setflags(write=False)
+    return table
+
+
+def _series_powers(y_max):
+    """Number of powers of y = (r/4)^2 that sums every I_m(r/2) exactly.
+
+    After P terms the tail of sum_k y^k / (k! (k+m)!), relative to its
+    first term, is below 2 y^P / (P!)^2 once (P+1)^2 > 2y; stop when that
+    falls under half an ulp.  Capping P at the table's width keeps a
+    non-finite or huge y from looping; the sum is exact up to r of about
+    300.
+    """
+    n, term = 0, 1.0
+    while n < _DRIFT_POWERS and (term > 2.0 ** -55
+                                 or (n + 1) ** 2 <= 2.0 * y_max):
+        n += 1
+        term *= y_max / (n * n)
+    return n
+
+
+def _drift_u(pts):
+    """u = 2 x2^2 + exp(-x1/2) psi, psi = sum_m c_m I_m(r/2) cos(m theta).
+
+    With w = (x1 + i x2)/4 and y = |w|^2, I_m(r/2) cos(m theta) is
+    Re w^m sum_k y^k / (k! (k+m)!), so psi is a polynomial in w whose
+    coefficients are power series in y; both are summed by Horner.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    w = (pts[:, 0] + 1j * pts[:, 1]) / 4.0
+    y = w.real ** 2 + w.imag ** 2
+    table = _drift_series_table()[:, :_series_powers(float(y.max(initial=0.0)))]
+    radial = np.repeat(table[:, -1:], len(y), axis=1)
+    for k in range(table.shape[1] - 2, -1, -1):
+        radial *= y
+        radial += table[:, k:k + 1]
+    psi = radial[-1].astype(complex)
+    for m in range(_DRIFT_TERMS - 2, -1, -1):
+        psi *= w
+        psi += radial[m]
+    return 2.0 * pts[:, 1] ** 2 + np.exp(-pts[:, 0] / 2.0) * psi.real
 
 
 _NONDINI_LOG_FLOOR = -92.0

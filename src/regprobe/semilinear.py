@@ -31,6 +31,8 @@ class PicardConfig:
                       floats=("tol", "damping", "rtol"))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.rtol <= 0.0:
+            raise ValueError(f"rtol must be positive, got {self.rtol}")
         if self.tol <= self.rtol:
             raise ValueError(
                 f"outer tolerance {self.tol} must exceed the linear solver tolerance {self.rtol}"

@@ -29,6 +29,7 @@ from regprobe.campanato import (
     c11_probe,
     calibrate_constants,
     certificate,
+    comparison_operator,
     perturbation_sweep,
     taylor_fit,
     trace_rows,
@@ -83,20 +84,33 @@ def test_approximant_validation():
 
 
 def test_approximate_harmonic_quadratic_is_reproduced():
-    _, gap = approximate(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, np.eye(2))
+    _, gap = approximate(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+                         comparison_operator(np.eye(2)))
     assert gap <= 1e-9
 
 
 def test_approximate_paraboloid_gap_is_exact():
-    h, gap = approximate(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2, np.eye(2))
+    h, gap = approximate(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
+                         comparison_operator(np.eye(2)))
     assert np.max(np.abs(h.values - 9.0 / 16.0)) <= 1e-9
     assert gap == pytest.approx(9.0 / 16.0, abs=1e-9)
 
 
 def test_approximate_accepts_discrete_field():
     w = sampled_field(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, cells=48)
-    _, gap = approximate(w, np.eye(2))
+    _, gap = approximate(w, comparison_operator(np.eye(2)))
     assert gap <= 1e-9
+
+
+def test_approximate_reuses_the_operator_factor(count_factorizations):
+    op = comparison_operator(np.eye(2), cells=24)
+    assert op.grid.radius == 0.75 and op.grid.h == 0.75 / 24
+    for fn in (lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+               lambda p: p[:, 0] * p[:, 1] + p[:, 0],
+               lambda p: 3.0 - p[:, 1]):
+        _, gap = approximate(fn, op)
+        assert gap <= 1e-9
+    assert len(count_factorizations) == 1
 
 
 def test_taylor_fit_order1_exact():
@@ -382,10 +396,23 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
                       "E", "F1", "F2", "G11", "G12", "G22"]
 
 
-def test_perturbation_sweep_slope_is_positive():
+def test_perturbation_sweep_slope_is_positive(count_factorizations):
     sweep = perturbation_sweep()
     assert sweep.slope >= 0.15
     assert np.all(np.diff(np.mean(sweep.ratios, axis=0)) > 0.0)
+    # one factor per eps, shared by the three shapes, plus the frozen one
+    assert len(count_factorizations) == 5
+
+
+@pytest.mark.parametrize("probe, name, K", [
+    (c1_probe, "drift_c1", 6),
+    (c11_probe, "nondini_c11", 8),
+])
+def test_ladder_factors_its_frozen_operator_once(count_factorizations,
+                                                 probe, name, K):
+    tr = probe(get_problem(name), IterationConfig(K=K, **CAL))
+    assert len(tr.records) == K + 1
+    assert len(count_factorizations) == 1
 
 
 def test_calibration_produces_admissible_constants():

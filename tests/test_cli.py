@@ -116,7 +116,9 @@ def test_schema_version_mismatch_exits_2(tmp_path):
 def test_bad_iteration_block_exits_2(tmp_path, capsys):
     for iteration in ({"lam": 0.3}, {"K": 2.5}, {"K": True}, {"K": 240},
                       {"K": 500}, {"cert_tol": float("inf")},
-                      {"sub_cells": 20.5}, {"sup_cells": 48.5}):
+                      {"sub_cells": 20.5}, {"sup_cells": 48.5},
+                      {"solver_rtol": -1.0}, {"solver_rtol": 0.0},
+                      {"beta": -5.0}, {"beta": 1.0}):
         path = write_scenario(tmp_path, iteration=iteration)
         assert main(["run", str(path)]) == 2
         assert "iteration" in capsys.readouterr().err
@@ -141,11 +143,15 @@ def test_strict_flags_failed_verdict(tmp_path):
 
 
 def test_run_parallel_scenarios(tmp_path):
-    code = main(["run", "zero_case", "drift_c1", "--out", str(tmp_path),
-                 "--threads", "2"])
-    assert code == 0
-    assert (tmp_path / "zero_case_report.json").exists()
-    assert (tmp_path / "drift_c1_report.json").exists()
+    names = ["zero_case", "drift_c1", "cubic_c11"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["run", *names, "--out", str(serial)]) == 0
+    assert main(["run", *names, "--out", str(parallel), "--threads", "2"]) == 0
+    files = sorted(p.name for p in serial.iterdir())
+    assert files == sorted(p.name for p in parallel.iterdir())
+    assert len(files) == 2 * len(names)
+    for name in files:
+        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_report_table_sorted_by_verdict_then_id(tmp_path, capsys):
@@ -233,7 +239,8 @@ def test_numeric_scenario_reports_truncation(tmp_path):
 
 
 def test_bad_picard_block_exits_2(tmp_path, capsys):
-    for picard in ({"damping": 2.0}, {"max_outer": 2.5}, {"max_outer": True}):
+    for picard in ({"damping": 2.0}, {"max_outer": 2.5}, {"max_outer": True},
+                   {"rtol": 0.0}, {"rtol": -1e-11}):
         path = write_scenario(tmp_path, data_mode="numeric",
                               grid={"cells": 32}, picard=picard)
         assert main(["run", str(path)]) == 2

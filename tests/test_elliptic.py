@@ -14,8 +14,8 @@ from regprobe.elliptic import (
     AbpReport,
     abp_check,
     assemble,
-    constant_coeff_solve,
     convergence_order,
+    frozen_operator,
     solve_dirichlet,
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
@@ -234,16 +234,17 @@ def test_constant_coeff_rotated_oracle():
         return y[:, 0] ** 2 - y[:, 1] ** 2
 
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
-    u = constant_coeff_solve(a0, lambda p: np.zeros(len(p)), u_exact, grid)
+    u = solve_dirichlet(frozen_operator(a0, grid), grid.zeros("rhs"),
+                        grid.boundary_from_function(u_exact))
     assert np.max(np.abs(u.values - u_exact(grid.coords))) < 1e-8
 
 
 def test_constant_coeff_rejects_indefinite():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
     with pytest.raises(FieldValidationError):
-        constant_coeff_solve(np.array([[1.0, 2.0], [2.0, 1.0]]),
-                             lambda p: np.zeros(len(p)),
-                             lambda p: np.zeros(len(p)), grid)
+        frozen_operator(np.array([[1.0, 2.0], [2.0, 1.0]]), grid)
+    with pytest.raises(FieldValidationError):
+        frozen_operator(np.eye(3), grid)
 
 
 def test_solver_error_carries_history():

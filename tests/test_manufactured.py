@@ -17,6 +17,8 @@ from regprobe.errors import RegistryError
 from regprobe.fields import _extended_modulus, parse_nonlinearity
 from regprobe.grid import DiskGrid
 from regprobe.manufactured import (
+    _drift_series_coeffs,
+    _drift_u,
     _g_nondini,
     get_problem,
     problem_names,
@@ -124,6 +126,29 @@ def test_drift_values_at_origin_match_bessel_identities():
     gy = (p.u_values([[0.0, h]])[0] - p.u_values([[0.0, -h]])[0]) / (2.0 * h)
     assert gx == pytest.approx(c1 / 4.0 - c0 / 2.0, abs=1e-8)
     assert gy == pytest.approx(0.0, abs=1e-10)
+
+
+def bessel_drift_u(pts):
+    """The drift solution summed term by term with scipy's I_m."""
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    th = np.arctan2(pts[:, 1], pts[:, 0])
+    c = _drift_series_coeffs()
+    m = np.arange(len(c))
+    psi = np.sum(c * iv(m, r[:, None] / 2.0) * np.cos(m * th[:, None]), axis=1)
+    return 2.0 * pts[:, 1] ** 2 + np.exp(-pts[:, 0] / 2.0) * psi
+
+
+def test_drift_horner_series_matches_bessel_oracle():
+    ax = np.linspace(-1.0, 1.0, 41)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    lattice = lattice[np.hypot(lattice[:, 0], lattice[:, 1]) <= 1.0]
+    th = np.linspace(0.0, 2.0 * np.pi, 97)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    for pts in (lattice, np.zeros((1, 2)), ring, 1.5 * ring, 3.0 * ring,
+                np.concatenate([lattice, 1.5 * ring])):
+        exact = bessel_drift_u(pts)
+        assert np.max(np.abs(_drift_u(pts) - exact) / np.abs(exact)) < 1e-13
 
 
 @pytest.mark.parametrize("name", problem_names())

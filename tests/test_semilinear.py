@@ -10,7 +10,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from regprobe import elliptic
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FixedPointError
 from regprobe.fields import CoefficientField, Nonlinearity, parse_nonlinearity, power
@@ -84,22 +83,14 @@ def test_absorbed_linear_reaction_oracle():
     assert result.damping_used == 1.0
 
 
-def test_picard_steps_share_one_factorization(monkeypatch):
-    calls = []
-    splu = elliptic.spla.splu
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(elliptic.spla, "splu", counting_splu)
+def test_picard_steps_share_one_factorization(count_factorizations):
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(0.3, lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
     boundary = grid.boundary_from_function(lambda p: p[:, 0] ** 2)
     result = picard_solve(op, nl, boundary, PicardConfig(tol=1e-10))
     assert result.outer_iterations > 2
-    assert len(calls) == 1
+    assert len(count_factorizations) == 1
 
 
 def test_oscillatory_reaction_rescued_by_damping():
