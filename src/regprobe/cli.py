@@ -43,6 +43,7 @@ from .scenarios import (
     load_scenario,
     run_scenario,
     sanitize,
+    validate_scenario,
 )
 
 PASS_VERDICTS = frozenset({"C1_certified", "C11_certified", "pass"})
@@ -218,6 +219,7 @@ def _cmd_bundled(args, name: str, overrides: dict) -> int:
     for key, value in overrides.items():
         if value is not None:
             doc[key] = value
+    validate_scenario(doc, source=f"bundled:{name} with command-line overrides")
     report = run_scenario(doc, _out_dir(args))
     print(f"{doc['id']}: {report['verdict']}")
     for key, value in report["limits"].items():

@@ -61,8 +61,17 @@ class LinearOperator:
 
     @cached_property
     def factor(self):
-        """Sparse LU factor of the equilibrated matrix, computed once."""
-        return spla.splu(self.equilibrated, permc_spec="MMD_AT_PLUS_A")
+        """Sparse LU factor of the equilibrated matrix, computed once.
+
+        SuperLU runs in its SymmetricMode: the elimination tree comes from
+        A^T + A, like the minimum-degree ordering, and a diagonal pivot is
+        taken whenever it passes the threshold test, so the row order
+        follows the column order on these structurally symmetric,
+        diagonally dominant stencils.  Partial pivoting takes over for
+        any column whose diagonal fails the test.
+        """
+        return spla.splu(self.equilibrated, permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
 
 
 def _pair_weights(theta_p, theta_m, factor, step2):
@@ -271,27 +280,33 @@ class OrderReport:
     monotone: bool
 
 
-def convergence_order(field: CoefficientField, u_exact, rhs_fn, hs,
-                      center=(0.0, 0.0), radius: float = 1.0,
-                      rtol: float = 1e-11) -> OrderReport:
-    """Sup-norm self-convergence study against a known solution.
-
-    Requires at least three spacings in geometric progression.  When every
-    error sits at solver noise the scheme is exact on this solution and no
-    order is fitted; a non-monotone error sequence fits the order anyway
-    but flags it and warns.
-    """
-    hs = [float(v) for v in hs]
+def check_resolutions(hs) -> None:
+    """Raise ValueError unless ``hs`` lists at least three grid spacings
+    that shrink in geometric progression."""
     if len(hs) < 3:
         raise ValueError("need at least three resolutions")
     ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
-    if any(abs(q - ratios[0]) > 1e-9 * ratios[0] for q in ratios):
-        raise ValueError("resolutions must form a geometric progression")
+    if not ratios[0] > 1.0 or any(abs(q - ratios[0]) > 1e-9 * ratios[0]
+                                  for q in ratios):
+        raise ValueError("resolutions must shrink in geometric progression")
+
+
+def convergence_order(field: CoefficientField, u_exact, rhs_fn, grids,
+                      rtol: float = 1e-11) -> OrderReport:
+    """Sup-norm self-convergence study against a known solution.
+
+    ``grids`` are disk grids whose spacings pass ``check_resolutions``; a
+    caller that runs several studies on one set of grids builds them once.
+    When every error sits at solver noise the scheme is exact on this
+    solution and no order is fitted; a non-monotone error sequence fits
+    the order anyway but flags it and warns.
+    """
+    hs = [grid.h for grid in grids]
+    check_resolutions(hs)
 
     errors = []
     usup = 1.0
-    for h in hs:
-        grid = DiskGrid(tuple(center), radius, h)
+    for grid in grids:
         op = assemble(field, grid)
         rhs = grid.field_from_function(rhs_fn, "rhs")
         g = grid.boundary_from_function(u_exact)

@@ -277,6 +277,33 @@ def _band_integral_log(omega: Modulus, xa: float, xb: float, depth: int = 0) -> 
             + _band_integral_log(omega, mid, xb, depth + 1))
 
 
+def _take_bands(band_vals: list, vals: np.ndarray, total: float, j0: int,
+                x0: float, dx: float) -> tuple[float, bool]:
+    """Append bands ``j0, j0 + 1, ...`` with values ``vals`` to ``band_vals``,
+    stopping after the first band that no longer contributes.
+
+    Returns the running total and whether the integral converged.  The
+    running totals come from one cumulative sum seeded with ``total``,
+    which adds in sequence, so they carry the bits of a band-by-band
+    ``total += val``.  A non-finite band raises ModulusDomainError.
+    """
+    run = np.cumsum(np.concatenate(([total], vals)))[1:]
+    bad = ~np.isfinite(vals)
+    done = ((j0 + np.arange(len(vals)) >= 8)
+            & (vals <= 1e-15 * np.maximum(run, 1e-300)))
+    stops = np.flatnonzero(bad | done)
+    if not stops.size:
+        band_vals.extend(vals.tolist())
+        return (float(run[-1]) if len(run) else total), False
+    k = int(stops[0])
+    if bad[k]:
+        raise ModulusDomainError(
+            f"modulus produced non-finite samples near t={math.exp(-x0 - (j0 + k) * dx)!r}"
+        )
+    band_vals.extend(vals[:k + 1].tolist())
+    return float(run[k]), True
+
+
 def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
                   divergence_ratio: float = 0.95, *,
                   log_t0: float | None = None) -> DiniReport:
@@ -326,21 +353,21 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
                   + _gl_block_log(omega, lefts + 0.5 * dx, 0.5 * dx))
         accepted = (np.abs(halves - whole)
                     <= 1e-14 * np.maximum(np.abs(halves), 1e-300))
-        for i in range(count):
-            j = start + i
-            if accepted[i]:
-                val = float(halves[i])
-            else:
-                val = _band_integral_log(omega, x0 + j * dx, x0 + (j + 1) * dx)
-            if not math.isfinite(val):
-                raise ModulusDomainError(
-                    f"modulus produced non-finite samples near t={math.exp(-x0 - j * dx)!r}"
-                )
-            band_vals.append(val)
-            total += val
-            if j >= 8 and val <= 1e-15 * max(total, 1e-300):
-                converged = True
+        # Take the accepted bands in runs; a rejected band is refined only
+        # once every band before it has been taken without stopping.
+        i = 0
+        for r in (*np.flatnonzero(~accepted).tolist(), count):
+            total, converged = _take_bands(band_vals, halves[i:r], total,
+                                           start + i, x0, dx)
+            if converged or r == count:
                 break
+            j = start + r
+            refined = _band_integral_log(omega, x0 + j * dx, x0 + (j + 1) * dx)
+            total, converged = _take_bands(band_vals, np.array([refined]),
+                                           total, j, x0, dx)
+            if converged:
+                break
+            i = r + 1
         if converged:
             break
 

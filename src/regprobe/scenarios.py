@@ -21,6 +21,7 @@ import tempfile
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,8 +34,19 @@ from .campanato import (
     trace_rows,
     verify_recurrence,
 )
-from .elliptic import abp_check, assemble, convergence_order, solve_dirichlet
-from .errors import RegistryError, ScenarioError, SchemaVersionError
+from .elliptic import (
+    abp_check,
+    assemble,
+    check_resolutions,
+    convergence_order,
+    solve_dirichlet,
+)
+from .errors import (
+    RegistryError,
+    ScenarioError,
+    SchemaVersionError,
+    check_numbers,
+)
 from .fields import CoefficientField
 from .grid import DiskGrid
 from .manufactured import get_problem
@@ -46,16 +58,33 @@ SCHEMA_VERSION = 1
 MODES = ("c1", "c11", "lemma25_sweep", "solver_validation", "modulus_check")
 
 _COMMON_KEYS = {"v", "id", "mode", "seed", "output_dir", "description"}
+
+_DEFAULT_SEED = 20260822
+
+# Defaults of the top-level keys of the modes without config blocks.
+_DEFAULTS = {
+    "lemma25_sweep": {"epsilons": [0.02, 0.05, 0.1, 0.2], "cells": 48,
+                      "sub_cells": 32, "solver_rtol": 1e-11,
+                      "min_slope": 0.15},
+    "solver_validation": {"resolutions": [1 / 32, 1 / 64, 1 / 128],
+                          "operators": 20, "solver_rtol": 1e-11},
+    "modulus_check": {
+        "families": [
+            {"id": "power:0.5", "dini": True},
+            {"id": "power:1.0", "dini": True},
+            {"id": "log_power:2.0", "dini": True},
+            {"id": "log_power:1.0", "dini": False},
+            {"id": "log_inverse", "dini": False},
+            {"id": "zero", "dini": True},
+        ],
+        "lams": [0.125, 0.2, 0.25], "k0_max": 6},
+}
+
 _MODE_KEYS = {
     "c1": {"problem", "iteration", "data_mode", "grid", "picard"},
     "c11": {"problem", "iteration", "data_mode", "grid", "picard"},
-    "lemma25_sweep": {"epsilons", "cells", "sub_cells", "solver_rtol",
-                      "min_slope"},
-    "solver_validation": {"resolutions", "operators", "solver_rtol"},
-    "modulus_check": {"families", "lams", "k0_max"},
+    **{mode: set(defaults) for mode, defaults in _DEFAULTS.items()},
 }
-
-_DEFAULT_SEED = 20260822
 
 
 def _scenario_dir():
@@ -116,12 +145,18 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: unknown key {key!r} for mode {mode!r}")
     seed = doc.get("seed", _DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError(f"{source}: key 'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ScenarioError(
+            f"{source}: key 'seed' must be a non-negative integer")
+    out = doc.get("output_dir", ".")
+    if not isinstance(out, str) or not out:
+        raise ScenarioError(
+            f"{source}: key 'output_dir' must be a non-empty string")
 
     if mode in ("c1", "c11"):
-        if "problem" not in doc:
-            raise ScenarioError(f"{source}: mode {mode!r} needs key 'problem'")
+        if not isinstance(doc.get("problem"), str):
+            raise ScenarioError(
+                f"{source}: mode {mode!r} needs key 'problem' naming a problem")
         get_problem(doc["problem"])
         iteration = doc.get("iteration", {})
         if not isinstance(iteration, dict):
@@ -153,34 +188,88 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                 raise ScenarioError(
                     f"{source}: bad picard block: {exc}") from exc
     elif mode == "lemma25_sweep":
-        eps = doc.get("epsilons", [0.02, 0.05, 0.1, 0.2])
+        cfg = _checked_settings(doc, source, ints=("cells", "sub_cells"),
+                                floats=("solver_rtol", "min_slope"))
+        eps = cfg.epsilons
         if (not isinstance(eps, list) or len(eps) < 2
                 or not all(isinstance(e, (int, float)) and 0 < e < 1
                            for e in eps)):
             raise ScenarioError(
                 f"{source}: key 'epsilons' must list at least two values "
                 f"in (0, 1)")
+        if cfg.cells < 16 or cfg.sub_cells < 16:
+            raise ScenarioError(
+                f"{source}: keys 'cells' and 'sub_cells' must be at least 16")
     elif mode == "solver_validation":
-        ops = doc.get("operators", 20)
-        if not isinstance(ops, int) or ops < 1:
+        cfg = _checked_settings(doc, source, ints=("operators",),
+                                floats=("solver_rtol",))
+        if cfg.operators < 1:
             raise ScenarioError(
                 f"{source}: key 'operators' must be a positive integer")
-        hs = doc.get("resolutions", [1 / 32, 1 / 64, 1 / 128])
-        if not isinstance(hs, list) or len(hs) < 3:
+        hs = cfg.resolutions
+        if not isinstance(hs, list):
             raise ScenarioError(
-                f"{source}: key 'resolutions' must list at least three "
-                f"spacings")
+                f"{source}: key 'resolutions' must list grid spacings")
+        _check_items(source, "resolutions", hs)
+        if not all(0.0 < h <= 1.0 / 16.0 for h in hs):
+            raise ScenarioError(
+                f"{source}: key 'resolutions' must hold spacings in "
+                f"(0, 1/16] for the unit disk")
+        try:
+            check_resolutions(hs)
+        except ValueError as exc:
+            raise ScenarioError(f"{source}: key 'resolutions': {exc}") from exc
     elif mode == "modulus_check":
-        fams = doc.get("families", _DEFAULT_FAMILIES)
+        cfg = _checked_settings(doc, source, ints=("k0_max",))
+        if cfg.k0_max < 1:
+            raise ScenarioError(
+                f"{source}: key 'k0_max' must be a positive integer")
+        if not isinstance(cfg.lams, list) or not cfg.lams:
+            raise ScenarioError(
+                f"{source}: key 'lams' must be a non-empty list")
+        _check_items(source, "lams", cfg.lams)
+        if not all(0.0 < lam < 1.0 for lam in cfg.lams):
+            raise ScenarioError(
+                f"{source}: key 'lams' must hold scale ratios in (0, 1)")
+        fams = cfg.families
         if not isinstance(fams, list) or not fams:
             raise ScenarioError(f"{source}: key 'families' must be a "
                                 f"non-empty list")
         for fam in fams:
             if (not isinstance(fam, dict) or "id" not in fam
-                    or "dini" not in fam):
+                    or not isinstance(fam.get("dini"), bool)):
                 raise ScenarioError(
-                    f"{source}: each family needs keys 'id' and 'dini'")
+                    f"{source}: each entry of key 'families' needs keys 'id' "
+                    f"and 'dini' (true or false)")
             parse_modulus(fam["id"])
+
+
+def _settings(doc: dict) -> SimpleNamespace:
+    """The top-level keys of a sweep, validation or modulus document, with
+    the defaults filled in."""
+    defaults = _DEFAULTS[doc["mode"]]
+    return SimpleNamespace(**{k: doc.get(k, v) for k, v in defaults.items()})
+
+
+def _checked_settings(doc: dict, source: str, ints=(), floats=()):
+    """``_settings`` after the number check; ``solver_rtol`` must be positive."""
+    cfg = _settings(doc)
+    try:
+        check_numbers(cfg, ints=ints, floats=floats)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: key {exc}") from exc
+    if "solver_rtol" in floats and cfg.solver_rtol <= 0.0:
+        raise ScenarioError(f"{source}: key 'solver_rtol' must be positive")
+    return cfg
+
+
+def _check_items(source: str, key: str, values: list) -> None:
+    """Raise ScenarioError unless every entry of the list is a finite number."""
+    items = SimpleNamespace(**{f"{key}[{i}]": v for i, v in enumerate(values)})
+    try:
+        check_numbers(items, floats=tuple(vars(items)))
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: key {exc}") from exc
 
 
 def sanitize(obj):
@@ -300,14 +389,14 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
 
 
 def _run_sweep(doc: dict, out_dir: Path) -> dict:
-    eps = tuple(doc.get("epsilons", [0.02, 0.05, 0.1, 0.2]))
+    cfg = _settings(doc)
     sweep = perturbation_sweep(
-        epsilons=eps,
-        cells=doc.get("cells", 48),
-        sub_cells=doc.get("sub_cells", 32),
-        rtol=doc.get("solver_rtol", 1e-11),
+        epsilons=tuple(cfg.epsilons),
+        cells=cfg.cells,
+        sub_cells=cfg.sub_cells,
+        rtol=cfg.solver_rtol,
     )
-    min_slope = doc.get("min_slope", 0.15)
+    min_slope = cfg.min_slope
     rows = []
     for i, shape in enumerate(sweep.shapes):
         for j, e in enumerate(sweep.epsilons):
@@ -408,17 +497,25 @@ def _exact_quadratic(pts):
 
 
 def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
+    """Convergence orders, the exact quadratic and the randomized operators.
+
+    One grid per spacing serves every check, and each randomized operator
+    is assembled once per spacing, so its maximum-principle and implied-C
+    solves on the coarse grid share one LU factor.
+    """
     rng = np.random.default_rng(doc.get("seed", _DEFAULT_SEED))
-    hs = [float(h) for h in doc.get("resolutions", [1 / 32, 1 / 64, 1 / 128])]
-    n_ops = doc.get("operators", 20)
-    rtol = doc.get("solver_rtol", 1e-11)
+    cfg = _settings(doc)
+    hs = [float(h) for h in cfg.resolutions]
+    n_ops = cfg.operators
+    rtol = cfg.solver_rtol
+    grids = [DiskGrid((0.0, 0.0), 1.0, h) for h in hs]
     rows = []
     ok_all = True
 
     orders = {}
     for name, field_kw, u_exact, rhs_fn in _SMOOTH_CASES:
         field = CoefficientField(label=name, **field_kw)
-        rep = convergence_order(field, u_exact, rhs_fn, hs, rtol=rtol)
+        rep = convergence_order(field, u_exact, rhs_fn, grids, rtol=rtol)
         orders[name] = rep.order
         ok = rep.order is not None and abs(rep.order - 2.0) <= 0.2
         ok_all = ok_all and ok
@@ -430,45 +527,40 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         a=lambda pts: np.broadcast_to(_EXACT_A0, (len(pts), 2, 2)),
         b=lambda pts: np.zeros((len(pts), 2)),
         ellipticity=0.6, drift_bound=0.0, q=4.0, label="frozen_quadratic")
-    for h in hs[:2]:
-        grid = DiskGrid((0.0, 0.0), 1.0, h)
+    for grid in grids[:2]:
         op = assemble(field0, grid)
-        rhs = grid.field_from_function(lambda pts: np.zeros(len(pts)), "rhs")
         bc = grid.boundary_from_function(_exact_quadratic)
-        u = solve_dirichlet(op, rhs, bc, rtol=rtol)
+        u = solve_dirichlet(op, grid.zeros("rhs"), bc, rtol=rtol)
         err = float(np.max(np.abs(u.values - _exact_quadratic(grid.coords))))
         exact_errs.append(err)
         ok = err <= 1e-10
         ok_all = ok_all and ok
-        rows.append(["frozen_quadratic", "exact", repr(h), repr(err), int(ok)])
+        rows.append(["frozen_quadratic", "exact", repr(grid.h), repr(err),
+                     int(ok)])
 
     mp_excess = []
     spreads = []
-    h_coarse, h_fine = hs[0], hs[1]
+    coarse, fine = grids[:2]
     for i in range(n_ops):
         field, boundary_fn, forcing_fn = _random_operator(rng)
-        grid = DiskGrid((0.0, 0.0), 1.0, h_coarse)
-        op = assemble(field, grid)
-        bc = grid.boundary_from_function(boundary_fn)
-        zero = grid.field_from_function(lambda pts: np.zeros(len(pts)), "rhs")
-        u0 = solve_dirichlet(op, zero, bc, rtol=rtol)
+        op = assemble(field, coarse)
+        bc = coarse.boundary_from_function(boundary_fn)
+        u0 = solve_dirichlet(op, coarse.zeros("rhs"), bc, rtol=rtol)
         excess = float(np.max(u0.values) - np.max(bc.values))
         mp_excess.append(excess)
         ok = excess <= 1e-10
         ok_all = ok_all and ok
-        rows.append([f"op{i:02d}", "max_principle", repr(h_coarse),
+        rows.append([f"op{i:02d}", "max_principle", repr(coarse.h),
                      repr(excess), int(ok)])
 
         implied = []
-        for h in (h_coarse, h_fine):
-            g = DiskGrid((0.0, 0.0), 1.0, h)
-            o = assemble(field, g)
-            f = g.field_from_function(forcing_fn, "rhs")
-            b = g.boundary_from_function(lambda pts: np.zeros(len(pts)))
+        for o in (op, assemble(field, fine)):
+            f = o.grid.field_from_function(forcing_fn, "rhs")
+            b = o.grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
             uf = solve_dirichlet(o, f, b, rtol=rtol)
             rep = abp_check(uf, f, b)
             implied.append(rep.implied_C)
-            rows.append([f"op{i:02d}", "implied_c", repr(h),
+            rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
                          repr(float(rep.implied_C)), int(rep.passed)])
             ok_all = ok_all and rep.passed
         spread = abs(implied[0] - implied[1]) / max(abs(implied[0]),
@@ -476,7 +568,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         spreads.append(spread)
         ok = spread <= 0.2
         ok_all = ok_all and ok
-        rows.append([f"op{i:02d}", "implied_c_spread", repr(h_fine),
+        rows.append([f"op{i:02d}", "implied_c_spread", repr(fine.h),
                      repr(spread), int(ok)])
 
     _write_rows(out_dir / f"{doc['id']}_trace.csv",
@@ -491,20 +583,11 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     return _base_report(doc, "pass" if ok_all else "failed", limits, {})
 
 
-_DEFAULT_FAMILIES = [
-    {"id": "power:0.5", "dini": True},
-    {"id": "power:1.0", "dini": True},
-    {"id": "log_power:2.0", "dini": True},
-    {"id": "log_power:1.0", "dini": False},
-    {"id": "log_inverse", "dini": False},
-    {"id": "zero", "dini": True},
-]
-
-
 def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
-    families = doc.get("families", _DEFAULT_FAMILIES)
-    lams = [float(v) for v in doc.get("lams", [0.125, 0.2, 0.25])]
-    k0_max = int(doc.get("k0_max", 6))
+    cfg = _settings(doc)
+    families = cfg.families
+    lams = [float(v) for v in cfg.lams]
+    k0_max = cfg.k0_max
     rows = []
     ok_all = True
     checked = 0

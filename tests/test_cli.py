@@ -12,9 +12,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regprobe.cli import main
 from regprobe.scenarios import bundled_names, load_scenario, run_scenario
@@ -131,6 +133,37 @@ def test_bad_iteration_block_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("lemma25_sweep", "solver_rtol", -1.0),
+    ("lemma25_sweep", "cells", "x"),
+    ("lemma25_sweep", "min_slope", "x"),
+    ("lemma25_sweep", "sub_cells", 8),
+    ("solver_validation", "resolutions", ["a", "b", "c"]),
+    ("solver_validation", "resolutions", [0.05, 0.04, 0.01]),
+    ("solver_validation", "resolutions", [0.01, 0.02, 0.04]),
+    ("solver_validation", "resolutions", [0.25, 0.125, 0.0625]),
+    ("solver_validation", "solver_rtol", 0.0),
+    ("solver_validation", "operators", True),
+    ("solver_validation", "seed", -1),
+    ("modulus_check", "lams", [2.0]),
+    ("modulus_check", "lams", "x"),
+    ("modulus_check", "k0_max", "x"),
+    ("modulus_check", "families", [{"id": "zero", "dini": "yes"}]),
+    ("c1", "problem", []),
+    ("c1", "output_dir", 5),
+])
+def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
+    doc = {"v": 1, "id": "custom", "mode": mode, key: value}
+    if mode == "c1":
+        doc.setdefault("problem", "zero_case")
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
@@ -200,16 +233,29 @@ def test_check_modulus_subcommand(tmp_path, capsys):
     assert (tmp_path / "modulus_check_report.json").exists()
 
 
-def test_validate_solver_subcommand(tmp_path, capsys):
+def test_validate_solver_subcommand(tmp_path, capsys, count_factorizations):
     code = main(["validate-solver", "--operators", "2",
                  "--out", str(tmp_path)])
     assert code == 0
+    # 9 convergence solves, 2 exact-quadratic solves, and per operator one
+    # factor on each of the two grids: the coarse one serves both its
+    # maximum-principle and its implied-C solve.
+    assert len(count_factorizations) == 15
     out = capsys.readouterr().out
     assert "solver_validation: pass" in out
     report = json.loads(
         (tmp_path / "solver_validation_report.json").read_text())
     assert report["limits"]["operators"] == 2
     assert report["flags"]["seed"] == 20260822
+
+
+@pytest.mark.parametrize("override", [["--operators", "0"], ["--seed", "-1"]],
+                         ids=["operators", "seed"])
+def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    assert main(["validate-solver", *override, "--out", str(out)]) == 2
+    assert override[0][2:] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_subcommand(tmp_path, capsys):
@@ -260,3 +306,44 @@ def test_numeric_mode_needs_sane_grid(tmp_path, grid, capsys):
     path = write_scenario(tmp_path, data_mode="numeric", grid=grid)
     assert main(["run", str(path)]) == 2
     assert "grid.cells" in capsys.readouterr().err
+
+# Fuzzed documents start from the bundled ones, with solver_rtol present so
+# that it is fuzzed too and the solver validation cut to test size.
+_FUZZ_BASE = {
+    "lemma25_sweep": {"solver_rtol": 1e-11},
+    "solver_validation": {"operators": 2, "solver_rtol": 1e-11,
+                          "resolutions": [1 / 16, 1 / 32, 1 / 64]},
+}
+_BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})
+
+
+def _key_paths(value, prefix=()):
+    """Every key or list index of a document, nested ones included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield prefix + (key,)
+        yield from _key_paths(sub, prefix + (key,))
+
+
+@st.composite
+def broken_documents(draw):
+    name = draw(st.sampled_from(bundled_names()))
+    doc = load_scenario(name)
+    doc.update(_FUZZ_BASE.get(name, {}))
+    path = draw(st.sampled_from(list(_key_paths(doc))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = draw(st.sampled_from(_BAD_VALUES))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(broken_documents())
+def test_broken_documents_exit_with_a_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in {0, 1, 2, 3, 4}

@@ -269,6 +269,10 @@ def test_solver_deterministic():
     assert np.array_equal(vals[0], vals[1])
 
 
+def disk_grids(hs):
+    return [DiskGrid((0.0, 0.0), 1.0, h) for h in hs]
+
+
 def test_convergence_order_variable_coefficients():
     def a(pts):
         out = np.tile(np.eye(2), (len(pts), 1, 1))
@@ -291,7 +295,8 @@ def test_convergence_order_variable_coefficients():
         d2 = -np.exp(p[:, 0]) * np.sin(p[:, 1])
         return (a11 - 1.0) * val + p[:, 1] / 5.0 * d1 - p[:, 0] / 5.0 * d2
 
-    report = convergence_order(field, u_exact, rhs, [1 / 16, 1 / 32, 1 / 64])
+    report = convergence_order(field, u_exact, rhs,
+                               disk_grids([1 / 16, 1 / 32, 1 / 64]))
     assert not report.exact_on_stencil
     assert report.monotone
     assert 1.8 <= report.order <= 2.2
@@ -302,7 +307,7 @@ def test_convergence_order_exact_on_stencil():
         laplacian_field(),
         lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
         lambda p: np.zeros(len(p)),
-        [1 / 16, 1 / 32, 1 / 64],
+        disk_grids([1 / 16, 1 / 32, 1 / 64]),
     )
     assert report.exact_on_stencil
     assert report.order is None
@@ -311,10 +316,10 @@ def test_convergence_order_exact_on_stencil():
 def test_convergence_order_validates_resolutions():
     field = laplacian_field()
     fn = lambda p: np.zeros(len(p))
-    with pytest.raises(ValueError):
-        convergence_order(field, fn, fn, [1 / 16, 1 / 32])
-    with pytest.raises(ValueError):
-        convergence_order(field, fn, fn, [1 / 16, 1 / 32, 1 / 48])
+    for hs in ([1 / 16, 1 / 32], [1 / 16, 1 / 32, 1 / 48],
+               [1 / 64, 1 / 32, 1 / 16], [1 / 32, 1 / 32, 1 / 32]):
+        with pytest.raises(ValueError):
+            convergence_order(field, fn, fn, disk_grids(hs))
 
 
 def test_maximum_principle_random_operators():

@@ -233,3 +233,153 @@ def test_parse_modulus_ids():
                 "table:/definitely/not/here.csv", "power:-1"]:
         with pytest.raises(RegistryError):
             modulus.parse_modulus(bad)
+
+
+def _serial_dini_integral(omega, log_t0, levels=10, divergence_ratio=0.95):
+    """The band-by-band loop ``dini_integral`` used before it was vectorized,
+    kept as the reference its bits are checked against."""
+    t0 = math.exp(log_t0)
+    checkpoints = [8 * 2 ** level for level in range(levels)]
+    x0 = -log_t0
+    dx = math.log(2.0)
+    band_vals = []
+    total = 0.0
+    converged = False
+    for start in range(0, checkpoints[-1], 256):
+        count = min(256, checkpoints[-1] - start)
+        lefts = x0 + (start + np.arange(count)) * dx
+        whole = modulus._gl_block_log(omega, lefts, dx)
+        halves = (modulus._gl_block_log(omega, lefts, 0.5 * dx)
+                  + modulus._gl_block_log(omega, lefts + 0.5 * dx, 0.5 * dx))
+        accepted = (np.abs(halves - whole)
+                    <= 1e-14 * np.maximum(np.abs(halves), 1e-300))
+        for i in range(count):
+            j = start + i
+            if accepted[i]:
+                val = float(halves[i])
+            else:
+                val = modulus._band_integral_log(omega, x0 + j * dx,
+                                                 x0 + (j + 1) * dx)
+            if not math.isfinite(val):
+                raise ModulusDomainError(
+                    f"modulus produced non-finite samples near t={math.exp(-x0 - j * dx)!r}"
+                )
+            band_vals.append(val)
+            total += val
+            if j >= 8 and val <= 1e-15 * max(total, 1e-300):
+                converged = True
+                break
+        if converged:
+            break
+
+    csum = np.cumsum(band_vals)
+    partial = tuple(float(csum[min(c, len(band_vals)) - 1]) for c in checkpoints)
+    if converged:
+        return modulus.DiniReport(float(total), t0, partial, "dini")
+    last = band_vals[-4:]
+    slow = min(last) > 0.0 and all(
+        last[i + 1] / last[i] > divergence_ratio for i in range(len(last) - 1)
+    )
+    fit_n = min(16, len(band_vals))
+    idx = np.arange(len(band_vals) - fit_n, len(band_vals))
+    x_mid = x0 + (idx + 0.5) * dx
+    vals = np.asarray(band_vals[-fit_n:], dtype=float)
+    good = vals > 0.0
+    if int(good.sum()) >= 4:
+        slope, intercept = np.polyfit(np.log(x_mid[good]), np.log(vals[good] / dx), 1)
+        p_fit = -float(slope)
+        c_fit = math.exp(float(intercept))
+    else:
+        p_fit = math.inf
+        c_fit = 0.0
+    if slow and p_fit <= 1.02:
+        return modulus.DiniReport(math.inf, t0, partial, "non_dini")
+    if slow and math.isfinite(p_fit):
+        x_end = x0 + len(band_vals) * dx
+        tail = c_fit * x_end ** (1.0 - p_fit) / (p_fit - 1.0)
+    elif len(band_vals) >= 5 and band_vals[-5] > 0.0:
+        rho = min((band_vals[-1] / band_vals[-5]) ** 0.25, 0.999)
+        tail = band_vals[-1] * rho / (1.0 - rho)
+    else:
+        tail = 0.0
+    return modulus.DiniReport(float(total + tail), t0, partial, "dini")
+
+
+class _Poisoned(modulus.Modulus):
+    """log_inverse with one infinite sample at ``x = ln(1/r) = spike`` and,
+    when ``jump`` is set, a factor of 2 on the samples beyond ``x = jump``."""
+
+    spike = math.inf
+    jump = math.inf
+
+    def eval_log(self, log_r):
+        x = -np.asarray(log_r, dtype=float)
+        out = super().eval_log(log_r) * np.where(x > self.jump, 2.0, 1.0)
+        return np.where(np.abs(x - self.spike) < 1e-9, np.inf, out)
+
+
+def _poisoned(band, spike, jump=None):
+    # band ``band`` of dini_integral(log_t0=-1) spans [xa, xa + ln 2]
+    om = _Poisoned("log_inverse", {}, math.exp(-1.0))
+    xa = 1.0 + band * math.log(2.0)
+    object.__setattr__(om, "spike", xa + spike * math.log(2.0))
+    if jump is not None:
+        object.__setattr__(om, "jump", xa + jump * math.log(2.0))
+    return om
+
+
+def _refinements(monkeypatch):
+    calls = []
+    refine = modulus._band_integral_log
+
+    def counted(omega, xa, xb, depth=0):
+        if depth == 0:
+            calls.append((xa, xb))
+        return refine(omega, xa, xb, depth)
+
+    monkeypatch.setattr(modulus, "_band_integral_log", counted)
+    return calls
+
+
+def test_dini_integral_matches_the_serial_band_loop(monkeypatch):
+    r = np.geomspace(1e-6, 0.5, 40)
+    table = modulus.tabulated(r, np.sqrt(r) * (1.0 + 0.2 * np.sin(np.log(r))))
+    moduli = [modulus.parse_modulus(i) for i in (
+        "power:0.05", "power:0.5", "power:1.0", "power:3.0", "log_power:0.5",
+        "log_power:1.0", "log_power:1.1", "log_power:2.0", "log_power:3.0",
+        "log_inverse")] + [table]
+    refinements = _refinements(monkeypatch)
+    compared = 0
+    for om in moduli:
+        log_cap = math.log(om.r_max)
+        depths = {log_cap}
+        for lam in (0.125, 0.2, 0.5, 0.9):
+            for k0 in (1, 3, 8):
+                depths.add(min((k0 - 1) * math.log(lam), log_cap))
+            depths.add((2000 - 0.5) * math.log(lam) if lam < 0.5 else -3000.0)
+        for log_t0 in sorted(depths):
+            refinements.clear()
+            new = modulus.dini_integral(om, log_t0=log_t0)
+            new_calls = list(refinements)
+            refinements.clear()
+            old = _serial_dini_integral(om, log_t0)
+            assert repr(new) == repr(old), (om.to_id(), log_t0)
+            assert new_calls == refinements, (om.to_id(), log_t0)
+            compared += 1
+    assert compared > 100
+
+
+    # The spike sits on the centre node of a half band, where the block
+    # quadrature meets it and accepts the band, or of an eighth band, where
+    # only the refinement of a band made rough by the jump meets it.
+    for om in (_poisoned(20, 0.25), _poisoned(20, 0.125, jump=0.8)):
+        refinements.clear()
+        with pytest.raises(ModulusDomainError) as serial:
+            _serial_dini_integral(om, -1.0)
+        serial_calls = list(refinements)
+        refinements.clear()
+        with pytest.raises(ModulusDomainError) as vectorized:
+            modulus.dini_integral(om, log_t0=-1.0)
+        assert "non-finite samples" in str(serial.value)
+        assert str(vectorized.value) == str(serial.value)
+        assert refinements == serial_calls
