@@ -193,8 +193,6 @@ class ScaleRecord:
     S: float
     N: float
     approx: LinearApprox | QuadApprox
-    recurrence_ok: bool | None
-    margin: float | None
     diagnostics: dict
 
 
@@ -206,7 +204,6 @@ class IterationTrace:
     config: IterationConfig
     truncated: bool
     flags: dict
-    label: str = ""
 
     @property
     def M_values(self) -> np.ndarray:
@@ -225,7 +222,6 @@ class IterationTrace:
 class RecurrenceReport:
     ok: tuple
     margins: tuple
-    safety: float
 
     @property
     def ok_fraction(self) -> float:
@@ -235,7 +231,6 @@ class RecurrenceReport:
 @dataclass(frozen=True)
 class CertificateReport:
     verdict: str
-    n_values: tuple
     final_n: float
     tail_monotone: bool
     sum_plateau: bool
@@ -265,8 +260,11 @@ def _disk_lattice(radius, cells):
 def ball_sup(fn, radius, cells=48, refine=3):
     """Sup of |fn| over the closed ball, with a crude resolution error bar.
 
-    Dense lattice plus a rim ring, then a locally refined window around the
-    argmax.  The bar is 2 * (fine spacing) * (local Lipschitz estimate).
+    The sample plan is the disk lattice of spacing radius/cells plus 720
+    rim points, then a window refined ``refine``-fold around the argmax;
+    ``fn`` sees each part once, so the ladder reads its other per-rung
+    sups from the same samples.  The bar is 2 * (fine spacing) * (local
+    Lipschitz estimate).
     """
     step = radius / cells
     pts = _disk_lattice(radius, cells)
@@ -293,11 +291,6 @@ def ball_sup(fn, radius, cells=48, refine=3):
     near = dist > 0.0
     lip = float(np.max(np.abs(lvals[near] - coarse_sup) / dist[near])) if np.any(near) else 0.0
     return sup, 2.0 * fine * lip
-
-
-def _ball_max(fn, radius, cells=24):
-    pts = _disk_lattice(radius, cells)
-    return float(np.max(np.abs(np.asarray(fn(pts), dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +399,7 @@ def _smallness_flags(cfg: IterationConfig, mode: str, omega_a: Modulus,
             "ok": bool(osc <= osc_bound and drift <= 0.25)}
 
 
-def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
+def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     mode = "c1" if order == 1 else "c11"
     field: CoefficientField = problem.field
     nl = problem.nonlinearity
@@ -475,22 +468,24 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
         def gap_fn(pts, cur=cur):
             return u_fn(pts) - u_shift - v_fn(pts) - cur(pts)
 
-        if order == 1:
-            tracked = gap_fn
-        else:
-            corr = float(b0 @ cur.F) / (2.0 * a0[0, 0])
+        # u is evaluated once on the rung's sample plan; the tracked sup,
+        # the reaction increment and the sup of u are all read from it
+        corr = float(b0 @ cur.F) / (2.0 * a0[0, 0]) if order == 2 else 0.0
+        sampled = []
 
-            def tracked(pts, cur=cur, corr=corr):
-                pts = np.atleast_2d(np.asarray(pts, dtype=float))
-                return gap_fn(pts) + corr * pts[:, 0] ** 2
+        def tracked(pts, cur=cur, corr=corr):
+            u = u_fn(pts)
+            sampled.append((pts, u))
+            gap = u - u_shift - v_fn(pts) - cur(pts)
+            return gap + corr * pts[:, 0] ** 2 if order == 2 else gap
 
         sup, bar = ball_sup(tracked, meas_r, cells=cfg.sup_cells)
         M = sup / scale ** order
         S = S + M
         row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
                "xi": math.nan, "eta": math.nan,
-               "diag": {"sup_error_bar": bar / scale ** order,
-                        "measure_radius": meas_r}}
+               "diagnostics": {"sup_error_bar": bar / scale ** order,
+                               "measure_radius": meas_r}}
         rows.append(row)
         if k == K_eff:
             break
@@ -510,13 +505,13 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
                     f"frozen-coefficient trace drifted to {drift_tr} at scale {k}"
                 )
 
-        fdev = _ball_max(
-            lambda p: nl.eval(p, u_fn(p)) - nl.eval(p, 0.0), meas_r
-        )
-        u_sup = _ball_max(lambda p: u_fn(p) - u_shift, meas_r)
+        pts = np.concatenate([p for p, _ in sampled])
+        u = np.concatenate([v for _, v in sampled])
+        fdev = float(np.max(np.abs(nl.eval(pts, u) - nl.eval(pts, 0.0))))
+        u_sup = float(np.max(np.abs(u - u_shift)))
         phi_u = _extended_modulus(nl.modulus, u_sup)
         phi_scale = _extended_modulus(nl.modulus, scale)
-        row["diag"].update({
+        row["diagnostics"].update({
             "gap": gap, "fdev": fdev, "phi_u": phi_u, "phi_scale": phi_scale,
             "phi_doubling_applicable": bool(u_sup >= scale),
             "increment": inc,
@@ -548,29 +543,19 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
 
     limit = approx
     tau_term = tau / (2.0 * ell)
+    records = []
     for row in rows:
         ap = row["approx"]
         scale = row["scale"]
         if order == 1:
-            row["N"] = (row["M"] + float(np.linalg.norm(ap.B - limit.B))
-                        + abs(ap.A - limit.A) / scale)
+            N = (row["M"] + float(np.linalg.norm(ap.B - limit.B))
+                 + abs(ap.A - limit.A) / scale)
         else:
             f_dist = float(np.linalg.norm(ap.F - limit.F))
-            row["N"] = (row["M"] + float(np.linalg.norm(ap.G - limit.G))
-                        + f_dist / scale + abs(ap.E - limit.E) / scale ** 2
-                        + tau_term * f_dist)
-
-    records = []
-    for i, row in enumerate(rows):
-        ok = margin = None
-        if i + 1 < len(rows):
-            ok, margin = _recurrence_step(cfg.safety, row["xi"], row["M"],
-                                          row["eta"], rows[i + 1]["M"])
-        records.append(ScaleRecord(
-            k=row["k"], scale=row["scale"], M=row["M"], xi=row["xi"],
-            eta=row["eta"], S=row["S"], N=row["N"], approx=row["approx"],
-            recurrence_ok=ok, margin=margin, diagnostics=row["diag"],
-        ))
+            N = (row["M"] + float(np.linalg.norm(ap.G - limit.G))
+                 + f_dist / scale + abs(ap.E - limit.E) / scale ** 2
+                 + tau_term * f_dist)
+        records.append(ScaleRecord(N=N, **row))
 
     flags = {
         "smallness": smallness,
@@ -581,48 +566,48 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data, label):
     return IterationTrace(
         mode=mode, records=tuple(records), limit=limit, config=cfg,
         truncated=truncated, flags=flags,
-        label=label or getattr(problem, "label", ""),
     )
 
 
-def c1_probe(problem, cfg: IterationConfig, u=None, label="") -> IterationTrace:
+def c1_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
     """First-order ladder: affine approximants, sup normalized by scale."""
-    return _run_ladder(problem, cfg, 1, u, label)
+    return _run_ladder(problem, cfg, 1, u)
 
 
-def c11_probe(problem, cfg: IterationConfig, u=None, label="") -> IterationTrace:
+def c11_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
     """Second-order ladder: trace-free quadratic approximants.
 
     The tracked sup carries the drift correction term
     (b(0).F_k) x1^2 / (2 a11(0)) and is normalized by scale squared.
     """
-    return _run_ladder(problem, cfg, 2, u, label)
+    return _run_ladder(problem, cfg, 2, u)
 
 
 # ---------------------------------------------------------------------------
 # verification and certificates
 
 
-def _recurrence_step(safety, xi, M, eta, M_next):
-    """(ok, margin) of M_next <= safety * (xi M + eta).
-
-    A zero bound met by a zero sup passes with infinite margin.
-    """
-    bound = safety * (xi * M + eta)
-    if bound == 0.0 and M_next == 0.0:
-        return True, math.inf
-    return bool(M_next <= bound), bound - M_next
-
-
 def verify_recurrence(trace: IterationTrace, safety=None) -> RecurrenceReport:
-    """Check M_{k+1} <= safety * (xi_k M_k + eta_k) on consecutive records."""
+    """Check M_{k+1} <= safety * (xi_k M_k + eta_k) on consecutive records.
+
+    Each margin is the bound minus M_{k+1}; a zero bound met by a zero sup
+    passes with infinite margin.  This is the one place the recurrence is
+    evaluated.
+    """
     if len(trace.records) < 2:
         raise ValueError("need at least two scales to check the recurrence")
     safety = trace.config.safety if safety is None else float(safety)
-    steps = [_recurrence_step(safety, cur.xi, cur.M, cur.eta, nxt.M)
-             for cur, nxt in zip(trace.records, trace.records[1:])]
-    return RecurrenceReport(tuple(ok for ok, _ in steps),
-                            tuple(margin for _, margin in steps), safety)
+    ok = []
+    margins = []
+    for cur, nxt in zip(trace.records, trace.records[1:]):
+        bound = safety * (cur.xi * cur.M + cur.eta)
+        if bound == 0.0 and nxt.M == 0.0:
+            ok.append(True)
+            margins.append(math.inf)
+        else:
+            ok.append(bool(nxt.M <= bound))
+            margins.append(bound - nxt.M)
+    return RecurrenceReport(tuple(ok), tuple(margins))
 
 
 def _stalled(M: np.ndarray) -> bool:
@@ -674,8 +659,7 @@ def certificate(trace: IterationTrace) -> CertificateReport:
     else:
         verdict = "inconclusive"
     return CertificateReport(
-        verdict=verdict, n_values=tuple(float(x) for x in N),
-        final_n=final_n, tail_monotone=tail_monotone,
+        verdict=verdict, final_n=final_n, tail_monotone=tail_monotone,
         sum_plateau=sum_plateau, stalled=stalled,
     )
 

@@ -143,9 +143,12 @@ def _parse_params(arg: str, count: int, full_id: str) -> list[float]:
     if len(parts) != count:
         raise RegistryError(f"id {full_id!r} needs {count} numeric parameter(s)")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise RegistryError(f"bad numeric parameter in id {full_id!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise RegistryError(f"non-finite parameter in id {full_id!r}")
+    return values
 
 
 def parse_coefficients(coeff_id: str):

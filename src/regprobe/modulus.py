@@ -58,6 +58,8 @@ class Modulus:
             w = np.asarray(self.params["omega"], dtype=float)
             if r.ndim != 1 or r.shape != w.shape or r.size < 2:
                 raise ModulusDomainError("tabulated modulus needs matching 1-d node arrays")
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
+                raise ModulusDomainError("tabulated nodes must be finite")
             if np.any(r <= 0.0) or np.any(w <= 0.0):
                 raise ModulusDomainError("tabulated nodes must be positive")
             if np.any(np.diff(r) <= 0.0) or np.any(np.diff(w) <= 0.0):
@@ -271,6 +273,8 @@ def _band_integral_log(omega: Modulus, xa: float, xb: float, depth: int = 0) -> 
     whole = _gl_segment_log(omega, xa, xb)
     mid = 0.5 * (xa + xb)
     halves = _gl_segment_log(omega, xa, mid) + _gl_segment_log(omega, mid, xb)
+    if not (math.isfinite(whole) and math.isfinite(halves)):
+        return math.nan  # bisecting would not heal it; the caller reports it
     if depth >= 24 or abs(halves - whole) <= 1e-14 * max(abs(halves), 1e-300):
         return halves
     return (_band_integral_log(omega, xa, mid, depth + 1)

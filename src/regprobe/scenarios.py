@@ -367,7 +367,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         u = picard_solve(op, problem.nonlinearity, boundary, picard).u
 
     probe = c1_probe if doc["mode"] == "c1" else c11_probe
-    trace = probe(problem, cfg, u=u, label=doc["id"])
+    trace = probe(problem, cfg, u=u)
     cert = certificate(trace)
     rec = verify_recurrence(trace) if len(trace.records) >= 2 else None
 

@@ -61,8 +61,7 @@ def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
         e = eta[k] if k < len(eta) else math.nan
         records.append(ScaleRecord(
             k=k, scale=cfg.lam ** k, M=M[k], xi=x, eta=e, S=float(S[k]),
-            N=N[k], approx=approx, recurrence_ok=None, margin=None,
-            diagnostics={},
+            N=N[k], approx=approx, diagnostics={},
         ))
     return IterationTrace(mode=mode, records=tuple(records), limit=approx,
                           config=cfg, truncated=False, flags={})
@@ -404,15 +403,47 @@ def test_perturbation_sweep_slope_is_positive(count_factorizations):
     assert len(count_factorizations) == 5
 
 
-@pytest.mark.parametrize("probe, name, K", [
+LADDERS = pytest.mark.parametrize("probe, name, K", [
     (c1_probe, "drift_c1", 6),
     (c11_probe, "nondini_c11", 8),
 ])
+
+
+@LADDERS
 def test_ladder_factors_its_frozen_operator_once(count_factorizations,
                                                  probe, name, K):
     tr = probe(get_problem(name), IterationConfig(K=K, **CAL))
     assert len(tr.records) == K + 1
     assert len(count_factorizations) == 1
+
+
+def disk_lattice_size(cells):
+    ij = np.arange(-cells, cells + 1)
+    return int(np.count_nonzero(ij[:, None] ** 2 + ij[None, :] ** 2
+                                <= cells * cells))
+
+
+@LADDERS
+def test_rung_samples_its_ball_once(probe, name, K):
+    """Each rung evaluates u on one lattice-plus-ring plan (then its refine
+    window), never on a second, bare disk lattice."""
+    problem = get_problem(name)
+    u = problem.u
+    sizes = []
+
+    def counted(pts):
+        sizes.append(len(pts))
+        return u(pts)
+
+    cfg = IterationConfig(K=K, **CAL)
+    object.__setattr__(problem, "u", counted)
+    try:
+        probe(problem, cfg)
+    finally:
+        object.__setattr__(problem, "u", u)
+    bare = {disk_lattice_size(cells) for cells in range(16, 97)}
+    assert [n for n in sizes if n in bare] == []
+    assert sizes.count(disk_lattice_size(cfg.sup_cells) + 720) == K + 1
 
 
 def test_calibration_produces_admissible_constants():

@@ -164,6 +164,21 @@ def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     assert not out.exists()
 
 
+def test_non_finite_modulus_table_exits_3(tmp_path, capsys,
+                                          count_segment_quadratures):
+    # a bad table is a malformed registry id, like a decreasing one
+    table = tmp_path / "nan.csv"
+    table.write_text("r,omega\nnan,0.3\n0.1,0.4\n0.5,0.7\n")
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({
+        "v": 1, "id": "custom", "mode": "modulus_check",
+        "families": [{"id": f"table:{table}", "dini": True}]}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

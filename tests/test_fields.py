@@ -81,9 +81,13 @@ def test_registry_ids():
     nl = fields.parse_nonlinearity("const:-2.5")
     assert float(nl.eval(np.zeros((3, 2)), 7.0)[0]) == -2.5
 
-    for bad in ["identity:1", "mystery", "radial_lipschitz:", "radial_lipschitz:x"]:
+    for bad in ["identity:1", "mystery", "radial_lipschitz:", "radial_lipschitz:x",
+                "radial_lipschitz:inf"]:
         with pytest.raises(RegistryError):
             fields.parse_coefficients(bad)
+    for bad in ["constant:nan,0", "constant:inf,0"]:
+        with pytest.raises(RegistryError):
+            fields.make_field("identity", bad)
     for bad in ["zero:1", "constant:1", "constant:a,b", "spiral"]:
         with pytest.raises((RegistryError, ExponentError)):
             fields.parse_drift(bad, 4.0)

@@ -214,11 +214,15 @@ def test_tabulated_interpolation_and_integral(tmp_path):
 
 def test_tabulated_rejects_bad_tables(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("r,omega\n0.5,0.7\n0.25,0.5\n")
-    with pytest.raises(RegistryError):
-        modulus.from_table_file(bad)
-    with pytest.raises(ModulusDomainError):
-        modulus.tabulated([0.1, 0.2], [0.5, 0.5])
+    for rows in ("0.5,0.7\n0.25,0.5\n", "nan,0.3\n0.1,0.4\n0.5,0.7\n",
+                 "0.1,0.4\n0.5,inf\n", "0.1,0.4\ninf,0.7\n"):
+        bad.write_text("r,omega\n" + rows)
+        with pytest.raises(RegistryError):
+            modulus.from_table_file(bad)
+    for r, w in (([0.1, 0.2], [0.5, 0.5]), ([math.nan, 0.2], [0.5, 0.6]),
+                 ([0.1, 0.2], [0.5, math.nan]), ([0.1, math.inf], [0.5, 0.6])):
+        with pytest.raises(ModulusDomainError):
+            modulus.tabulated(r, w)
 
 
 def test_parse_modulus_ids():
@@ -383,3 +387,21 @@ def test_dini_integral_matches_the_serial_band_loop(monkeypatch):
         assert "non-finite samples" in str(serial.value)
         assert str(vectorized.value) == str(serial.value)
         assert refinements == serial_calls
+
+
+class _NanBelow(modulus.Modulus):
+    """log_inverse returning NaN below r = e^-200."""
+
+    def eval_log(self, log_r):
+        out = super().eval_log(log_r)
+        return np.where(-np.asarray(log_r, dtype=float) > 200.0, np.nan, out)
+
+
+def test_band_refinement_stops_at_non_finite_samples(count_segment_quadratures):
+    om = _NanBelow("log_inverse", {}, math.exp(-1.0))
+    assert math.isnan(modulus._band_integral_log(om, 199.5, 199.5 + math.log(2.0)))
+    assert len(count_segment_quadratures) == 3
+    count_segment_quadratures.clear()
+    with pytest.raises(ModulusDomainError, match="non-finite samples"):
+        modulus.dini_integral(om, log_t0=-190.0)
+    assert len(count_segment_quadratures) == 3
