@@ -18,6 +18,7 @@ stencil exact on quadratics right up to the boundary.
 """
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +32,15 @@ from .fields import CoefficientField
 from .grid import AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid
 
 ANISOTROPY_LIMIT = 5.0
+
+# glibc raises its mmap threshold to each freed mapped block's size, so SuperLU's
+# multi-MB workspaces land on a heap that fragments differently per process: on a
+# 2-vCPU VM one solver_validation input peaked at 203 MB or 243 MB.  Pinned at 4 MB
+# (mallopt's -3), such blocks are mapped and unmapped whole; every process: 194 MB.
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+    _MALLOPT = None
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,8 @@ class LinearOperator:
         diagonally dominant stencils.  Partial pivoting takes over for
         any column whose diagonal fails the test.
         """
+        if _MALLOPT is not None:
+            _MALLOPT(-3, 4 << 20)
         return spla.splu(self.equilibrated, permc_spec="MMD_AT_PLUS_A",
                          options={"SymmetricMode": True})
 

@@ -248,10 +248,6 @@ class DiniReport:
     partial_sums: tuple[float, ...]
     classification: str
 
-    @property
-    def is_dini(self) -> bool:
-        return self.classification == "dini"
-
 
 def _gl_segment_log(omega: Modulus, xa: float, xb: float) -> float:
     # integral of omega(e^-x) dx over [xa, xb], which equals the integral of

@@ -7,9 +7,12 @@ matrices, and smooth manufactured problems pin the convergence order.
 """
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 import pytest
 
+from regprobe import elliptic
 from regprobe.elliptic import (
     AbpReport,
     abp_check,
@@ -406,3 +409,12 @@ def test_residual_of_solution_small():
     assert res.role == "residual"
     scaled = res.values / op.row_scale
     assert float(np.max(np.abs(scaled))) < 1e-9
+
+
+def test_factor_pins_mmap_threshold(monkeypatch):
+    if platform.libc_ver()[0] == "glibc":
+        assert elliptic._MALLOPT is not None
+    calls = []
+    monkeypatch.setattr(elliptic, "_MALLOPT", lambda *args: calls.append(args))
+    frozen_operator(np.eye(2), DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)).factor
+    assert calls == [(-3, 4 << 20)]
