@@ -15,7 +15,9 @@ makes any non-passing verdict exit 1; ``--out DIR`` chooses the output
 directory; ``--threads K`` runs independent scenarios concurrently.
 
 Exit codes: 0 ok; 1 non-passing verdict under ``--strict``; 2 usage or
-config errors; 3 unknown registry ids; 4 solver or fixed-point failures.
+config errors, malformed registry parameters and malformed table content;
+3 unknown registry ids and table files that are missing or unreadable;
+4 solver or fixed-point failures.
 With several scenarios the most config-sided error wins (2 over 3 over 4);
 all scenarios are validated before any of them runs.
 """
@@ -31,6 +33,7 @@ from .campanato import calibrate_constants
 from .errors import (
     CalibrationError,
     FixedPointError,
+    MalformedIdError,
     RegistryError,
     RegprobeError,
     ScenarioError,
@@ -50,6 +53,8 @@ PASS_VERDICTS = frozenset({"C1_certified", "C11_certified", "pass"})
 
 
 def _exit_code(exc: RegprobeError) -> int:
+    if isinstance(exc, MalformedIdError):
+        return 2
     if isinstance(exc, RegistryError):
         return 3
     if isinstance(exc, (SolverError, FixedPointError, CalibrationError)):

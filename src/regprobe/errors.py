@@ -39,7 +39,11 @@ class ModulusDomainError(RegprobeError, ValueError):
 
 
 class RegistryError(RegprobeError, ValueError):
-    """An identifier does not name a registered object, or its parameters are malformed."""
+    """An identifier does not name a registered object, or names a table file that cannot be read."""
+
+
+class MalformedIdError(RegistryError):
+    """A known identifier has malformed parameters, or names a table whose content is malformed."""
 
 
 class FieldValidationError(RegprobeError, ValueError):

@@ -21,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExponentError, FieldValidationError, RegistryError
+from .errors import (
+    ExponentError,
+    FieldValidationError,
+    MalformedIdError,
+    RegistryError,
+)
 from .modulus import Modulus, power, zero_modulus
 
 
@@ -141,13 +146,13 @@ def _scalar_times_identity(scale):
 def _parse_params(arg: str, count: int, full_id: str) -> list[float]:
     parts = arg.split(",") if arg else []
     if len(parts) != count:
-        raise RegistryError(f"id {full_id!r} needs {count} numeric parameter(s)")
+        raise MalformedIdError(f"id {full_id!r} needs {count} numeric parameter(s)")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise RegistryError(f"bad numeric parameter in id {full_id!r}") from None
+        raise MalformedIdError(f"bad numeric parameter in id {full_id!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise RegistryError(f"non-finite parameter in id {full_id!r}")
+        raise MalformedIdError(f"non-finite parameter in id {full_id!r}")
     return values
 
 
@@ -156,12 +161,12 @@ def parse_coefficients(coeff_id: str):
     name, _, arg = str(coeff_id).partition(":")
     if name == "identity":
         if arg:
-            raise RegistryError(f"identity takes no parameter, got {coeff_id!r}")
+            raise MalformedIdError(f"identity takes no parameter, got {coeff_id!r}")
         return _identity_matrix_field, 1.0
     if name == "radial_lipschitz":
         (nu,) = _parse_params(arg, 1, coeff_id)
         if not (0.0 < nu):
-            raise RegistryError(f"radial_lipschitz needs nu > 0, got {nu}")
+            raise MalformedIdError(f"radial_lipschitz needs nu > 0, got {nu}")
 
         def a_fn(pts, nu=nu):
             s = np.minimum(np.hypot(pts[:, 0], pts[:, 1]), 1.0)
@@ -171,7 +176,7 @@ def parse_coefficients(coeff_id: str):
     if name == "dini_log":
         (p,) = _parse_params(arg, 1, coeff_id)
         if not (p > 0.0):
-            raise RegistryError(f"dini_log needs p > 0, got {p}")
+            raise MalformedIdError(f"dini_log needs p > 0, got {p}")
         r_cap = math.exp(-p)
 
         def a_fn(pts, p=p, r_cap=r_cap):
@@ -190,7 +195,7 @@ def parse_drift(drift_id: str, q: float):
     name, _, arg = str(drift_id).partition(":")
     if name == "zero":
         if arg:
-            raise RegistryError(f"zero drift takes no parameter, got {drift_id!r}")
+            raise MalformedIdError(f"zero drift takes no parameter, got {drift_id!r}")
         return (lambda pts: np.zeros((len(pts), 2))), 0.0, q
     if name == "constant":
         b1, b2 = _parse_params(arg, 2, drift_id)
@@ -242,7 +247,7 @@ def parse_nonlinearity(nl_id: str) -> Nonlinearity:
         return Nonlinearity(f_fn, zero_modulus(), label=nl_id)
     if name == "sqrt_dini":
         if arg:
-            raise RegistryError(f"sqrt_dini takes no parameter, got {nl_id!r}")
+            raise MalformedIdError(f"sqrt_dini takes no parameter, got {nl_id!r}")
 
         def f_fn(pts, t):
             tt = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
@@ -251,7 +256,7 @@ def parse_nonlinearity(nl_id: str) -> Nonlinearity:
         return Nonlinearity(f_fn, power(0.5, r_max=1.0), label=nl_id)
     if name == "from_manufactured":
         if not arg:
-            raise RegistryError("from_manufactured needs a problem id")
+            raise MalformedIdError("from_manufactured needs a problem id")
         from . import manufactured
 
         return manufactured.get_problem(arg).nonlinearity

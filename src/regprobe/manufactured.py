@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
-from scipy.special import iv
+from scipy.linalg import solve_banded
 
 from .errors import RegistryError
 from .fields import CoefficientField, Nonlinearity, PotentialFamily, make_field
@@ -70,10 +68,20 @@ def _identity_field(drift="zero", q=4.0):
 _DRIFT_TERMS = 34
 
 
+def _bessel_i_half(m):
+    """I_m(1/2) = sum_k (1/4)^(2k+m) / (k! (k+m)!).
+
+    Each term is one correctly rounded integer division and fsum adds them
+    exactly; past k = 15 the terms fall below 1e-40 of the sum.
+    """
+    return math.fsum(
+        1 / (4 ** (2 * k + m) * math.factorial(k) * math.factorial(k + m))
+        for k in range(16))
+
+
 @lru_cache(maxsize=1)
 def _drift_series_coeffs():
-    orders = np.arange(_DRIFT_TERMS + 2)
-    iv_half = iv(orders, 0.5)
+    iv_half = [_bessel_i_half(m) for m in range(_DRIFT_TERMS + 2)]
     c = np.zeros(_DRIFT_TERMS)
     c[0] = iv_half[2] / iv_half[0]
     for m in range(1, _DRIFT_TERMS):
@@ -150,6 +158,97 @@ def _g_nondini(t):
     return float(out[0]) if scalar else out
 
 
+def _simpson_weights(x):
+    """The weights of scipy's cumulative Simpson rule on the lattice ``x``.
+
+    Interval i is integrated over the parabola through three neighbouring
+    nodes: i, i+1, i+2 for even i, and i+1, i, i-1 for odd i and for the last
+    interval (scipy's h1 and h2 formulas on unequal intervals).  Returns the
+    node indices, shape (3, n-1), and the weights x21/6 and coeff1..coeff3,
+    shape (4, n-1), each computed with scipy's operations in scipy's order.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    i = np.arange(n - 1)
+    step = np.where((i % 2 == 1) | (i == n - 2), -1, 1)
+    first = np.where(step < 0, i + 1, i)
+    x21 = dx
+    x32 = dx[i + step]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    weights = np.stack((x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31,
+                        -x21x21_x31x32))
+    return np.stack((first, first + step, first + 2 * step)), weights
+
+
+def _cumulative_simpson(y, nodes, weights):
+    """Cumulative integral of ``y`` from 0 at the first node."""
+    f1, f2, f3 = y[nodes]
+    parts = weights[0] * (weights[1] * f1 + weights[2] * f2 + weights[3] * f3)
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
+@dataclass(frozen=True, eq=False)
+class _CubicProfile:
+    """Piecewise cubic c3 + c2 s + c1 s^2 + c0 s^3, s = x - nodes[i].
+
+    Evaluated as scipy's PPoly does: x lies in [nodes[i], nodes[i+1]) (the
+    end intervals extrapolate), and the powers of s are accumulated term by
+    term.  The nodes are uniform, so i is estimated from the spacing and
+    corrected by one comparison each way, which finds the interval a
+    bisection would; the estimate is within one interval on a linspace.
+    """
+
+    nodes: np.ndarray
+    c: np.ndarray  # shape (4, len(nodes) - 1), highest power first
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        nodes, last = self.nodes, len(self.nodes) - 2
+        step = (nodes[-1] - nodes[0]) / (last + 1)
+        i = np.clip(((x - nodes[0]) / step).astype(np.intp), 0, last)
+        i -= x < nodes[i]
+        i += x >= nodes[i + 1]
+        np.clip(i, 0, last, out=i)
+        s = x - nodes[i]
+        c0, c1, c2, c3 = np.take(self.c, i, axis=1)
+        z = s * s
+        out = c3 + c2 * s + c1 * z
+        z *= s
+        out += c0 * z
+        return out
+
+
+def _not_a_knot_spline(x, y):
+    """Coefficients of the not-a-knot cubic spline through (x, y).
+
+    The slopes solve scipy's tridiagonal system, built and solved the way
+    CubicSpline does it; the coefficients follow CubicHermiteSpline.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    b[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
+    s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
+                     overwrite_b=True, check_finite=False)[:, 0]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 @lru_cache(maxsize=1)
 def _nondini_profile():
     """Spline x -> q(x) with u(e^x) = e^{2x} (1 + q(x)), built by fixed point.
@@ -159,19 +258,22 @@ def _nondini_profile():
     integrals become plain cumulative integrals in x = ln r.
     """
     x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
+    nodes, weights = _simpson_weights(x)
     r2 = np.exp(2.0 * x)
     u = r2.copy()
     for _ in range(12):
         gv = _g_nondini(u)
-        s = cumulative_simpson(r2 * gv, x=x, initial=0.0)
-        w = cumulative_simpson(s, x=x, initial=0.0)
+        s = _cumulative_simpson(r2 * gv, nodes, weights)
+        w = _cumulative_simpson(s, nodes, weights)
         unew = r2 + w
         change = np.max(np.abs(unew - u) / np.maximum(r2, 1e-300))
         u = unew
         if change < 1e-15:
             break
-    q = w / r2
-    return CubicSpline(x, q)
+    c = _not_a_knot_spline(x, w / r2)
+    x.setflags(write=False)
+    c.setflags(write=False)
+    return _CubicProfile(x, c)
 
 
 def _nondini_u(pts):

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModulusDomainError, RegistryError
+from .errors import MalformedIdError, ModulusDomainError, RegistryError
 
 _FAMILIES = ("power", "log_power", "log_inverse", "tabulated", "zero")
 
@@ -175,28 +175,37 @@ def tabulated(r: Sequence[float], omega: Sequence[float], source: str | None = N
 
 
 def from_table_file(path) -> Modulus:
-    """Load a tabulated modulus from a two-column CSV of (r, omega) rows."""
+    """Load a tabulated modulus from a two-column UTF-8 CSV of (r, omega) rows.
+
+    A file that cannot be read raises RegistryError; content that does not
+    decode or does not make a valid table raises MalformedIdError.
+    """
     path = Path(path)
     rows = []
-    with path.open(newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or not rec[0].strip():
-                continue
-            try:
-                rows.append((float(rec[0]), float(rec[1])))
-            except ValueError:
-                if not rows:
-                    continue  # header line
-                raise RegistryError(f"non-numeric row {rec!r} in {path}")
-            except IndexError:
-                raise RegistryError(f"short row {rec!r} in {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            for rec in csv.reader(fh):
+                if not rec or not rec[0].strip():
+                    continue
+                try:
+                    rows.append((float(rec[0]), float(rec[1])))
+                except ValueError:
+                    if not rows:
+                        continue  # header line
+                    raise MalformedIdError(f"non-numeric row {rec!r} in {path}")
+                except IndexError:
+                    raise MalformedIdError(f"short row {rec!r} in {path}")
+    except OSError as exc:
+        raise RegistryError(f"cannot read table {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedIdError(f"bad table {path}: {exc}") from exc
     if len(rows) < 2:
-        raise RegistryError(f"table {path} needs at least two numeric rows")
+        raise MalformedIdError(f"table {path} needs at least two numeric rows")
     r, w = zip(*rows)
     try:
         return tabulated(r, w, source=str(path))
     except ModulusDomainError as exc:
-        raise RegistryError(f"bad table {path}: {exc}") from exc
+        raise MalformedIdError(f"bad table {path}: {exc}") from exc
 
 
 def parse_modulus(modulus_id: str) -> Modulus:
@@ -209,21 +218,18 @@ def parse_modulus(modulus_id: str) -> Modulus:
             return log_power(_registry_float(arg, modulus_id))
         if name == "log_inverse":
             if arg:
-                raise RegistryError(f"log_inverse takes no parameter, got {modulus_id!r}")
+                raise MalformedIdError(f"log_inverse takes no parameter, got {modulus_id!r}")
             return log_inverse()
         if name == "zero":
             if arg:
-                raise RegistryError(f"zero takes no parameter, got {modulus_id!r}")
+                raise MalformedIdError(f"zero takes no parameter, got {modulus_id!r}")
             return zero_modulus()
         if name == "table":
             if not arg:
-                raise RegistryError("table id needs a file path, e.g. table:data.csv")
-            p = Path(arg)
-            if not p.exists():
-                raise RegistryError(f"table file not found: {arg}")
-            return from_table_file(p)
+                raise MalformedIdError("table id needs a file path, e.g. table:data.csv")
+            return from_table_file(arg)
     except ModulusDomainError as exc:
-        raise RegistryError(f"bad modulus id {modulus_id!r}: {exc}") from exc
+        raise MalformedIdError(f"bad modulus id {modulus_id!r}: {exc}") from exc
     raise RegistryError(f"unknown modulus id {modulus_id!r}")
 
 
@@ -231,7 +237,7 @@ def _registry_float(arg: str, full_id: str) -> float:
     try:
         return float(arg)
     except ValueError:
-        raise RegistryError(f"bad numeric parameter in modulus id {full_id!r}") from None
+        raise MalformedIdError(f"bad numeric parameter in modulus id {full_id!r}") from None
 
 
 @dataclass(frozen=True)

@@ -100,17 +100,23 @@ def bundled_names() -> tuple:
 def load_scenario(ref) -> dict:
     """Load and validate a scenario from a file path or a bundled id."""
     path = Path(str(ref))
-    if path.exists() and path.is_file():
-        text = path.read_text()
-        source = str(path)
-    else:
-        candidate = _scenario_dir() / f"{ref}.json"
-        if "/" in str(ref) or not candidate.is_file():
+    candidate = _scenario_dir() / f"{ref}.json"
+    try:
+        if path.is_file():
+            text = path.read_text(encoding="utf-8")
+            source = str(path)
+        elif "/" not in str(ref) and candidate.is_file():
+            text = candidate.read_text(encoding="utf-8")
+            source = f"bundled:{ref}"
+        else:
             raise RegistryError(
                 f"no scenario file or bundled scenario id {ref!r} "
                 f"(bundled: {', '.join(bundled_names())})")
-        text = candidate.read_text()
-        source = f"bundled:{ref}"
+    except OSError as exc:
+        raise RegistryError(
+            f"cannot read scenario {ref!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -7,12 +7,15 @@ bundled zero_case scenario doubles as a fast end-to-end fixture.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -164,19 +167,61 @@ def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     assert not out.exists()
 
 
-def test_non_finite_modulus_table_exits_3(tmp_path, capsys,
-                                          count_segment_quadratures):
-    # a bad table is a malformed registry id, like a decreasing one
-    table = tmp_path / "nan.csv"
-    table.write_text("r,omega\nnan,0.3\n0.1,0.4\n0.5,0.7\n")
+def write_modulus_doc(tmp_path, modulus_id):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps({
         "v": 1, "id": "custom", "mode": "modulus_check",
-        "families": [{"id": f"table:{table}", "dini": True}]}))
+        "families": [{"id": modulus_id, "dini": True}],
+        "lams": [0.5], "k0_max": 2}))
+    return path
+
+
+def test_non_finite_modulus_table_exits_2(tmp_path, capsys,
+                                          count_segment_quadratures):
+    # a table with bad content is a malformed scenario, like a bad parameter
+    table = tmp_path / "nan.csv"
+    table.write_text("r,omega\nnan,0.3\n0.1,0.4\n0.5,0.7\n")
+    path = write_modulus_doc(tmp_path, f"table:{table}")
     out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert main(["run", str(path), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("modulus_id, code", [
+    ("power:nan", 2),
+    ("power:", 2),
+    ("log_inverse:3", 2),
+    ("table:", 2),
+    ("nope:1", 3),
+    ("table:{tmp}/missing.csv", 3),
+    ("table:{tmp}", 3),
+    ("table:{tmp}/" + "x" * 5000, 3),
+], ids=["nan", "empty", "extra", "no_path", "unknown", "missing", "directory",
+        "too_long"])
+def test_registry_exit_codes(tmp_path, capsys, modulus_id, code):
+    """A known id with a malformed parameter exits 2; an unknown id or a
+    table that cannot be read exits 3."""
+    path = write_modulus_doc(tmp_path, modulus_id.format(tmp=tmp_path))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_undecodable_table_exits_2_naming_it(tmp_path, capsys):
+    table = tmp_path / "utf16.csv"
+    table.write_bytes("r,omega\n0.1,0.4\n0.5,0.7\n".encode("utf-16"))
+    path = write_modulus_doc(tmp_path, f"table:{table}")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(table) in capsys.readouterr().err
+
+
+def test_unreadable_scenario_files(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps({"v": 1}).encode("utf-16"))
+    assert main(["run", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+    assert main(["run", "x" * 5000]) == 3
+    assert "cannot read scenario" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():
@@ -309,10 +354,16 @@ def test_bad_picard_block_exits_2(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # the scipy subpackages the program does not use, or uses only in tests
+    unused = ["scipy.stats", "scipy.special", "scipy.interpolate",
+              "scipy.integrate", "scipy.optimize"]
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, regprobe.cli; assert 'scipy.stats' not in sys.modules"
+    code = ("import sys, regprobe.cli; "
+            f"print(*[m for m in {unused!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == []
 
 
 @pytest.mark.parametrize("grid", [{"cells": 8}, {"cells": "many"}, {}, [1]],
@@ -362,3 +413,71 @@ def test_broken_documents_exit_with_a_code(doc):
         path.write_text(json.dumps(doc))
         code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
     assert code in {0, 1, 2, 3, 4}
+
+
+# Generated tables for a modulus_check document: a well-formed table
+# (positive, finite, strictly increasing in both columns) with at most one
+# defect, so the expected exit code is known by construction.
+_TABLE_NODES = (1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
+_TABLE_DEFECTS = (None, None, None, "nan", "inf", "-inf", "negative", "zero",
+                  "duplicate", "decreasing", "short", "header_only",
+                  "non_utf8", "nul_row")
+
+
+@st.composite
+def table_files(draw):
+    """(kind, bytes, malformed): kind is "file", "directory" or "missing"."""
+    kind = draw(st.sampled_from(["file"] * 8 + ["directory", "missing"]))
+    nodes = st.lists(st.sampled_from(_TABLE_NODES), min_size=2, max_size=5,
+                     unique=True)
+    r, w = sorted(draw(nodes)), sorted(draw(nodes))
+    rows = [[repr(a), repr(b)] for a, b in zip(r, w)]
+    defect = draw(st.sampled_from(_TABLE_DEFECTS))
+    i = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, 1))
+    if defect in ("nan", "inf", "-inf"):
+        rows[i][col] = defect
+    elif defect == "negative":
+        rows[i][col] = "-0.5"
+    elif defect == "zero":
+        rows[i][col] = "0.0"
+    elif defect == "duplicate":
+        rows.insert(i, list(rows[i]))
+    elif defect == "decreasing":
+        rows.reverse()
+    elif defect == "short":
+        rows[i] = rows[i][:1]
+    elif defect == "header_only":
+        rows = []
+    elif defect == "nul_row":  # a row after the first that is not numbers
+        rows.insert(1, ["0.3\x00", "0.4"])
+    header = draw(st.sampled_from(["r,omega\n", "r,\x00omega\n", ""]))
+    data = (header + "".join(",".join(row) + "\n" for row in rows)).encode()
+    if defect == "non_utf8":
+        data = draw(st.sampled_from([b"\xff\xfe", b"\x80", b"0.1\xff,"])) + data
+    return kind, data, defect is not None
+
+
+# A per-example deadline turns a pathologically slow table (a runaway
+# quadrature, say) into a failure instead of a slow pass.
+@settings(max_examples=250, deadline=timedelta(seconds=5), database=None,
+          derandomize=True)
+@given(table_files())
+def test_table_files_exit_with_a_code(table):
+    kind, data, malformed = table
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        target = tmp / "table.csv"
+        if kind == "file":
+            target.write_bytes(data)
+        elif kind == "directory":
+            target.mkdir()
+        path = write_modulus_doc(tmp, f"table:{target}")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--out", str(tmp / "out")])
+    if kind != "file":
+        assert code == 3
+    else:
+        assert code == (2 if malformed else 0), stderr.getvalue()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from regprobe import fields
-from regprobe.errors import ExponentError, FieldValidationError, RegistryError
+from regprobe.errors import (
+    ExponentError,
+    FieldValidationError,
+    MalformedIdError,
+    RegistryError,
+)
 
 
 def test_field_constructor_validation():
@@ -81,16 +86,25 @@ def test_registry_ids():
     nl = fields.parse_nonlinearity("const:-2.5")
     assert float(nl.eval(np.zeros((3, 2)), 7.0)[0]) == -2.5
 
-    for bad in ["identity:1", "mystery", "radial_lipschitz:", "radial_lipschitz:x",
-                "radial_lipschitz:inf"]:
-        with pytest.raises(RegistryError):
+    # a known id with malformed parameters raises MalformedIdError (exit 2)
+    for bad in ["identity:1", "radial_lipschitz:", "radial_lipschitz:x",
+                "radial_lipschitz:inf", "radial_lipschitz:-1", "dini_log:nan"]:
+        with pytest.raises(MalformedIdError):
             fields.parse_coefficients(bad)
     for bad in ["constant:nan,0", "constant:inf,0"]:
-        with pytest.raises(RegistryError):
+        with pytest.raises(MalformedIdError):
             fields.make_field("identity", bad)
-    for bad in ["zero:1", "constant:1", "constant:a,b", "spiral"]:
-        with pytest.raises((RegistryError, ExponentError)):
+    for bad in ["zero:1", "constant:1", "constant:a,b"]:
+        with pytest.raises(MalformedIdError):
             fields.parse_drift(bad, 4.0)
-    for bad in ["sqrt_dini:1", "const:", "unknown"]:
-        with pytest.raises(RegistryError):
+    for bad in ["sqrt_dini:1", "const:", "from_manufactured:"]:
+        with pytest.raises(MalformedIdError):
             fields.parse_nonlinearity(bad)
+    # an unknown id raises a plain RegistryError (exit 3)
+    for parse, bad in ((fields.parse_coefficients, "mystery"),
+                       (lambda i: fields.parse_drift(i, 4.0), "spiral"),
+                       (fields.parse_nonlinearity, "unknown"),
+                       (fields.parse_nonlinearity, "from_manufactured:bogus")):
+        with pytest.raises(RegistryError) as info:
+            parse(bad)
+        assert not isinstance(info.value, MalformedIdError)

@@ -7,9 +7,13 @@ cross check.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
+from scipy.interpolate import CubicSpline
 from scipy.special import iv
 
 from regprobe.elliptic import assemble, solve_dirichlet
@@ -17,9 +21,12 @@ from regprobe.errors import RegistryError
 from regprobe.fields import _extended_modulus, parse_nonlinearity
 from regprobe.grid import DiskGrid
 from regprobe.manufactured import (
+    _NONDINI_LOG_FLOOR,
+    _bessel_i_half,
     _drift_series_coeffs,
     _drift_u,
     _g_nondini,
+    _nondini_profile,
     get_problem,
     problem_names,
 )
@@ -128,6 +135,14 @@ def test_drift_values_at_origin_match_bessel_identities():
     assert gy == pytest.approx(0.0, abs=1e-10)
 
 
+def test_bessel_series_is_within_an_ulp():
+    for m in range(36):
+        exact = sum(Fraction(1, 4 ** (2 * k + m) * math.factorial(k)
+                             * math.factorial(k + m)) for k in range(40))
+        ulp = math.ulp(float(exact))
+        assert abs(Fraction(_bessel_i_half(m)) - exact) <= Fraction(ulp)
+
+
 def bessel_drift_u(pts):
     """The drift solution summed term by term with scipy's I_m."""
     r = np.hypot(pts[:, 0], pts[:, 1])
@@ -172,6 +187,36 @@ def test_nondini_profile_against_adaptive_quadrature():
                          0.0, r, epsabs=1e-13, epsrel=1e-11, limit=200)
         w_closed = u_rad(r) - r * r
         assert w_quad == pytest.approx(w_closed, rel=1e-7, abs=1e-12)
+
+
+def scipy_nondini_profile():
+    """The profile's fixed point with scipy's cumulative Simpson rule and
+    not-a-knot CubicSpline."""
+    x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
+    r2 = np.exp(2.0 * x)
+    u = r2.copy()
+    for _ in range(12):
+        s = cumulative_simpson(r2 * _g_nondini(u), x=x, initial=0.0)
+        w = cumulative_simpson(s, x=x, initial=0.0)
+        change = np.max(np.abs(r2 + w - u) / np.maximum(r2, 1e-300))
+        u = r2 + w
+        if change < 1e-15:
+            break
+    return CubicSpline(x, w / r2)
+
+
+def test_nondini_profile_is_bit_equal_to_scipy():
+    profile, oracle = _nondini_profile(), scipy_nondini_profile()
+    assert np.array_equal(profile.c, oracle.c)
+    # at every node and one ulp either side, where the interval changes
+    for x in (oracle.x, np.nextafter(oracle.x, -np.inf),
+              np.nextafter(oracle.x, np.inf)):
+        assert np.array_equal(profile(x), oracle(x))
+    x = np.random.default_rng(12).uniform(_NONDINI_LOG_FLOOR, 0.0, 100_000)
+    assert np.array_equal(profile(x), oracle(x))
+    # the end intervals extrapolate, as CubicSpline's do
+    outside = np.array([_NONDINI_LOG_FLOOR - 1.0, 0.5])
+    assert np.array_equal(profile(outside), oracle(outside))
 
 
 def test_nondini_slow_decay_rate():

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from regprobe import modulus
-from regprobe.errors import ModulusDomainError, RegistryError
+from regprobe.errors import MalformedIdError, ModulusDomainError, RegistryError
 
 
 def test_power_eval_and_domain():
@@ -225,7 +225,7 @@ def test_tabulated_rejects_bad_tables(tmp_path):
             modulus.tabulated(r, w)
 
 
-def test_parse_modulus_ids():
+def test_parse_modulus_ids(tmp_path):
     om = modulus.parse_modulus("power:0.5")
     assert om.family == "power" and om.params["gamma"] == 0.5
     assert om.to_id() == "power:0.5"
@@ -233,10 +233,18 @@ def test_parse_modulus_ids():
     assert om.family == "log_power" and om.r_max == pytest.approx(math.exp(-2.0))
     assert modulus.parse_modulus("log_inverse").family == "log_inverse"
     assert modulus.parse_modulus("zero").family == "zero"
-    for bad in ["power", "power:x", "nope:1", "log_inverse:3", "table:",
-                "table:/definitely/not/here.csv", "power:-1"]:
-        with pytest.raises(RegistryError):
+    # a known id with a malformed parameter or table (exit 2)
+    table = tmp_path / "decreasing.csv"
+    table.write_text("r,omega\n0.5,0.7\n0.25,0.5\n")
+    for bad in ["power", "power:x", "log_inverse:3", "table:", "power:-1",
+                "power:nan", "zero:1", f"table:{table}"]:
+        with pytest.raises(MalformedIdError):
             modulus.parse_modulus(bad)
+    # an unknown id or a table that cannot be read (exit 3)
+    for bad in ["nope:1", "table:/definitely/not/here.csv", f"table:{tmp_path}"]:
+        with pytest.raises(RegistryError) as info:
+            modulus.parse_modulus(bad)
+        assert not isinstance(info.value, MalformedIdError)
 
 
 def _serial_dini_integral(omega, log_t0, levels=10, divergence_ratio=0.95):
