@@ -125,7 +125,15 @@ def _threads(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    docs = [load_scenario(ref) for ref in args.scenario]
+    docs, errors = [], []
+    for ref in args.scenario:
+        try:
+            docs.append(load_scenario(ref))
+        except RegprobeError as exc:
+            errors.append(exc)
+    if errors:
+        # the lowest exit code wins; min keeps the first on a tie
+        raise min(errors, key=_exit_code)
     out = _out_dir(args)
 
     def execute(doc):

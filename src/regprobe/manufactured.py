@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import RegistryError
-from .fields import CoefficientField, Nonlinearity, PotentialFamily, make_field
+from .fields import CoefficientField, Nonlinearity, PotentialFamily
 from .modulus import Modulus, log_inverse, zero_modulus
 
 
@@ -47,22 +47,19 @@ class ManufacturedProblem:
     tau: float
     nu: float
 
-    def u_values(self, pts) -> np.ndarray:
-        return np.asarray(self.u(np.asarray(pts, dtype=float)), dtype=float)
-
-    def v_values(self, pts) -> np.ndarray:
-        return np.asarray(
-            self.potential.v((0.0, 0.0), 0.0, np.asarray(pts, dtype=float)),
-            dtype=float,
-        )
-
 
 def _quadratic(pts):
     return pts[:, 0] ** 2 + pts[:, 1] ** 2
 
 
-def _identity_field(drift="zero", q=4.0):
-    return make_field("identity", drift, q=q)
+def _identity_field(b1=0.0):
+    """a = I with the constant drift b = (b1, 0); drift_bound is |b1|'s
+    L^4(B_1) norm, |b1| pi^(1/4)."""
+    return CoefficientField(
+        a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
+        b=lambda pts: np.broadcast_to((b1, 0.0), (len(pts), 2)),
+        ellipticity=1.0, drift_bound=abs(b1) * math.pi ** 0.25, q=4.0,
+    )
 
 
 _DRIFT_TERMS = 34
@@ -316,7 +313,7 @@ def _build_zero_case():
 def _build_drift_c1():
     return ManufacturedProblem(
         label="drift_c1",
-        field=make_field("identity", "constant:1.0,0.0", q=4.0),
+        field=_identity_field(1.0),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
@@ -344,7 +341,7 @@ def _build_cubic_c11():
 
     return ManufacturedProblem(
         label="cubic_c11",
-        field=make_field("identity", f"constant:{_CUBIC_BETA},0.0", q=4.0),
+        field=_identity_field(_CUBIC_BETA),
         nonlinearity=Nonlinearity(
             f=f,
             modulus=zero_modulus(),
@@ -396,7 +393,3 @@ def get_problem(name: str) -> ManufacturedProblem:
             f"unknown manufactured problem {name!r}; have {sorted(_BUILDERS)}"
         ) from None
     return builder()
-
-
-def problem_names() -> tuple:
-    return tuple(sorted(_BUILDERS))

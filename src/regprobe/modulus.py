@@ -132,18 +132,6 @@ class Modulus:
             out = np.where(below, self._log_w[0] + slope * (lr - self._log_r[0]), out)
         return out
 
-    def to_id(self) -> str:
-        if self.family == "power":
-            return f"power:{float(self.params['gamma']):g}"
-        if self.family == "log_power":
-            return f"log_power:{float(self.params['p']):g}"
-        if self.family == "log_inverse":
-            return "log_inverse"
-        if self.family == "zero":
-            return "zero"
-        source = self.params.get("source")
-        return f"table:{source}" if source else "table:<inline>"
-
 
 def power(gamma: float, r_max: float = 1.0) -> Modulus:
     return Modulus("power", {"gamma": float(gamma)}, r_max)
@@ -177,24 +165,26 @@ def tabulated(r: Sequence[float], omega: Sequence[float], source: str | None = N
 def from_table_file(path) -> Modulus:
     """Load a tabulated modulus from a two-column UTF-8 CSV of (r, omega) rows.
 
+    The first non-blank row is skipped as a header when it holds no digit.
     A file that cannot be read raises RegistryError; content that does not
     decode or does not make a valid table raises MalformedIdError.
     """
     path = Path(path)
     rows = []
+    first = True
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             for rec in csv.reader(fh):
-                if not rec or not rec[0].strip():
+                if not any(cell.strip() for cell in rec):
                     continue
                 try:
                     rows.append((float(rec[0]), float(rec[1])))
                 except ValueError:
-                    if not rows:
-                        continue  # header line
-                    raise MalformedIdError(f"non-numeric row {rec!r} in {path}")
+                    if not first or any(c.isdigit() for c in "".join(rec)):
+                        raise MalformedIdError(f"non-numeric row {rec!r} in {path}")
                 except IndexError:
                     raise MalformedIdError(f"short row {rec!r} in {path}")
+                first = False
     except OSError as exc:
         raise RegistryError(f"cannot read table {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -113,6 +113,15 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "surprise" in capsys.readouterr().err
 
 
+def test_config_error_outranks_unknown_id_in_either_order(tmp_path, capsys):
+    bad = str(write_scenario(tmp_path, surprise=True))
+    out_dir = tmp_path / "out"
+    for refs in (["no_such_scenario", bad], [bad, "no_such_scenario"]):
+        assert main(["run", *refs, "--out", str(out_dir)]) == 2
+        assert "surprise" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_schema_version_mismatch_exits_2(tmp_path):
     path = write_scenario(tmp_path, v=99)
     assert main(["run", str(path)]) == 2
@@ -421,7 +430,7 @@ def test_broken_documents_exit_with_a_code(doc):
 _TABLE_NODES = (1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
 _TABLE_DEFECTS = (None, None, None, "nan", "inf", "-inf", "negative", "zero",
                   "duplicate", "decreasing", "short", "header_only",
-                  "non_utf8", "nul_row")
+                  "non_utf8", "nul_row", "letter_o_row", "empty_cell")
 
 
 @st.composite
@@ -447,10 +456,14 @@ def table_files(draw):
         rows.reverse()
     elif defect == "short":
         rows[i] = rows[i][:1]
+    elif defect == "empty_cell":
+        rows[i][col] = ""
     elif defect == "header_only":
         rows = []
-    elif defect == "nul_row":  # a row after the first that is not numbers
-        rows.insert(1, ["0.3\x00", "0.4"])
+    elif defect == "nul_row":  # a row that is not numbers, first included
+        rows.insert(draw(st.integers(0, len(rows))), ["0.3\x00", "0.4"])
+    elif defect == "letter_o_row":  # a first data row with O for 0
+        rows.insert(0, ["O.1", "0.4"])
     header = draw(st.sampled_from(["r,omega\n", "r,\x00omega\n", ""]))
     data = (header + "".join(",".join(row) + "\n" for row in rows)).encode()
     if defect == "non_utf8":

@@ -18,7 +18,7 @@ from scipy.special import iv
 
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import RegistryError
-from regprobe.fields import _extended_modulus, parse_nonlinearity
+from regprobe.fields import _extended_modulus
 from regprobe.grid import DiskGrid
 from regprobe.manufactured import (
     _NONDINI_LOG_FLOOR,
@@ -28,7 +28,6 @@ from regprobe.manufactured import (
     _g_nondini,
     _nondini_profile,
     get_problem,
-    problem_names,
 )
 
 
@@ -38,9 +37,7 @@ def fd_operator_residual(problem, pts, h=1e-4):
     a = problem.field.eval_a(pts)
     b = problem.field.eval_b(pts)
 
-    def u(q):
-        return problem.u_values(q)
-
+    u = problem.u
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])
     u0 = u(pts)
@@ -96,7 +93,8 @@ def _modulus_violation(nl):
 
 
 def test_registry_lists_and_rejects():
-    assert problem_names() == ("cubic_c11", "drift_c1", "nondini_c11", "zero_case")
+    for name in ("cubic_c11", "drift_c1", "nondini_c11", "zero_case"):
+        assert get_problem(name).label == name
     with pytest.raises(RegistryError):
         get_problem("no_such_problem")
 
@@ -105,8 +103,8 @@ def test_zero_case_is_the_plain_paraboloid():
     p = get_problem("zero_case")
     pts = interior_samples(3)
     r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    assert np.max(np.abs(p.u_values(pts) - r2)) == 0.0
-    assert np.max(np.abs(p.v_values(pts) - r2)) == 0.0
+    assert np.max(np.abs(p.u(pts) - r2)) == 0.0
+    assert np.max(np.abs(p.potential.eval((0.0, 0.0), 0.0, pts) - r2)) == 0.0
     assert fd_operator_residual(p, pts) < 1e-6
 
 
@@ -120,17 +118,17 @@ def test_drift_boundary_trace_is_one():
     p = get_problem("drift_c1")
     th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     circ = np.stack([np.cos(th), np.sin(th)], axis=1)
-    assert np.max(np.abs(p.u_values(circ) - 1.0)) < 1e-12
+    assert np.max(np.abs(p.u(circ) - 1.0)) < 1e-12
 
 
 def test_drift_values_at_origin_match_bessel_identities():
     p = get_problem("drift_c1")
     c0 = iv(2, 0.5) / iv(0, 0.5)
     c1 = (iv(1, 0.5) + iv(3, 0.5)) / iv(1, 0.5)
-    assert p.u_values([[0.0, 0.0]])[0] == pytest.approx(c0, abs=1e-12)
+    assert p.u(np.zeros((1, 2)))[0] == pytest.approx(c0, abs=1e-12)
     h = 1e-5
-    gx = (p.u_values([[h, 0.0]])[0] - p.u_values([[-h, 0.0]])[0]) / (2.0 * h)
-    gy = (p.u_values([[0.0, h]])[0] - p.u_values([[0.0, -h]])[0]) / (2.0 * h)
+    gx = (p.u(np.array([[h, 0.0]]))[0] - p.u(np.array([[-h, 0.0]]))[0]) / (2.0 * h)
+    gy = (p.u(np.array([[0.0, h]]))[0] - p.u(np.array([[0.0, -h]]))[0]) / (2.0 * h)
     assert gx == pytest.approx(c1 / 4.0 - c0 / 2.0, abs=1e-8)
     assert gy == pytest.approx(0.0, abs=1e-10)
 
@@ -166,7 +164,8 @@ def test_drift_horner_series_matches_bessel_oracle():
         assert np.max(np.abs(_drift_u(pts) - exact) / np.abs(exact)) < 1e-13
 
 
-@pytest.mark.parametrize("name", problem_names())
+@pytest.mark.parametrize("name", ["cubic_c11", "drift_c1", "nondini_c11",
+                                  "zero_case"])
 def test_potentials_solve_the_frozen_equation(name):
     p = get_problem(name)
     assert _potential_residual(p, h=1e-4) < 3e-4
@@ -178,7 +177,7 @@ def test_nondini_profile_against_adaptive_quadrature():
     p = get_problem("nondini_c11")
 
     def u_rad(r):
-        return p.u_values([[r, 0.0]])[0]
+        return p.u(np.array([[r, 0.0]]))[0]
 
     # w(r) = int_0^r (1/t) int_0^t z g(u(z)) dz dt, with the order of
     # integration swapped (Fubini) into one integral
@@ -224,7 +223,7 @@ def test_nondini_slow_decay_rate():
     # (u - r^2)/r^2 behaves like 1/(8 ln(1/r)): ratios across decades stay
     # close to the logarithm ratio, far from any power decay
     radii = np.array([1e-4, 1e-8, 1e-16])
-    vals = np.array([p.u_values([[r, 0.0]])[0] / r**2 - 1.0 for r in radii])
+    vals = np.array([p.u(np.array([[r, 0.0]]))[0] / r**2 - 1.0 for r in radii])
     assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.1)
     assert vals[1] / vals[2] == pytest.approx(2.0, rel=0.1)
 
@@ -237,13 +236,6 @@ def test_nondini_reaction_passes_modulus_audit():
     assert _g_nondini(10.0) == pytest.approx(0.5)
 
 
-def test_from_manufactured_nonlinearity_hook():
-    nl = parse_nonlinearity("from_manufactured:nondini_c11")
-    assert nl is get_problem("nondini_c11").nonlinearity
-    with pytest.raises(RegistryError):
-        parse_nonlinearity("from_manufactured:bogus")
-
-
 def test_drift_solution_agrees_with_discrete_solver():
     p = get_problem("drift_c1")
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 48.0)
@@ -251,5 +243,5 @@ def test_drift_solution_agrees_with_discrete_solver():
     rhs = grid.field_from_function(lambda pts: np.full(len(pts), 4.0))
     bc = grid.boundary_from_function(lambda pts: np.ones(len(pts)))
     u_h = solve_dirichlet(op, rhs, bc)
-    exact = p.u_values(grid.coords)
+    exact = p.u(grid.coords)
     assert np.max(np.abs(u_h.values - exact)) < 5e-4

@@ -44,7 +44,7 @@ def test_monotone_on_geometric_grid():
     for om in cases:
         grid = np.geomspace(om.r_max * 1e-9, om.r_max, 64)
         vals = om.eval(grid)
-        assert np.all(np.diff(vals) >= -1e-15), om.to_id()
+        assert np.all(np.diff(vals) >= -1e-15), repr(om)
         assert np.all(vals >= 0.0)
 
 
@@ -165,7 +165,7 @@ def test_dini_tail_sum_sweep_bound_holds():
                         modulus.dini_tail_sum(om, lam, k0)
                     continue
                 s, b = modulus.dini_tail_sum(om, lam, k0)
-                assert s <= b * (1.0 + 1e-12), (om.to_id(), lam, k0)
+                assert s <= b * (1.0 + 1e-12), (repr(om), lam, k0)
                 if om.family != "log_inverse":
                     assert math.isfinite(s) and math.isfinite(b)
                     assert 0.0 < s
@@ -228,7 +228,6 @@ def test_tabulated_rejects_bad_tables(tmp_path):
 def test_parse_modulus_ids(tmp_path):
     om = modulus.parse_modulus("power:0.5")
     assert om.family == "power" and om.params["gamma"] == 0.5
-    assert om.to_id() == "power:0.5"
     om = modulus.parse_modulus("log_power:2")
     assert om.family == "log_power" and om.r_max == pytest.approx(math.exp(-2.0))
     assert modulus.parse_modulus("log_inverse").family == "log_inverse"
@@ -375,8 +374,8 @@ def test_dini_integral_matches_the_serial_band_loop(monkeypatch):
             new_calls = list(refinements)
             refinements.clear()
             old = _serial_dini_integral(om, log_t0)
-            assert repr(new) == repr(old), (om.to_id(), log_t0)
-            assert new_calls == refinements, (om.to_id(), log_t0)
+            assert repr(new) == repr(old), (repr(om), log_t0)
+            assert new_calls == refinements, (repr(om), log_t0)
             compared += 1
     assert compared > 100
 

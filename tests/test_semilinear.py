@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FixedPointError
-from regprobe.fields import CoefficientField, Nonlinearity, parse_nonlinearity, power
+from regprobe.fields import CoefficientField, Nonlinearity
 from regprobe.grid import DiskGrid
+from regprobe.modulus import power, zero_modulus
 from regprobe.semilinear import (
     PicardConfig,
     PicardResult,
@@ -60,7 +61,7 @@ def test_t_independent_matches_linear_solve():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     g = grid.boundary_from_function(lambda p: np.zeros(len(p)))
-    nl = parse_nonlinearity("const:-4.0")
+    nl = Nonlinearity(lambda pts, t: np.full(len(pts), -4.0), zero_modulus())
     result = picard_solve(op, nl, g)
     rhs = grid.field_from_function(lambda p: np.full(len(p), -4.0))
     direct = solve_dirichlet(op, rhs, g)
@@ -110,7 +111,12 @@ def test_oscillatory_reaction_rescued_by_damping():
 def test_sublinear_nonlinearity_converges():
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
-    sqrt_part = parse_nonlinearity("sqrt_dini")
+
+    def sqrt_dini(pts, t):
+        tt = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
+        return np.sqrt(np.minimum(np.abs(tt), 1.0))
+
+    sqrt_part = Nonlinearity(sqrt_dini, power(0.5, r_max=1.0))
     nl = Nonlinearity(
         f=lambda pts, t: -4.0 + 0.5 * sqrt_part.eval(pts, t),
         modulus=sqrt_part.modulus,
