@@ -232,9 +232,6 @@ class RecurrenceReport:
 class CertificateReport:
     verdict: str
     final_n: float
-    tail_monotone: bool
-    sum_plateau: bool
-    stalled: bool
 
 
 @dataclass(frozen=True)
@@ -257,11 +254,14 @@ def _disk_lattice(radius, cells):
     return np.stack([gx[mask], gy[mask]], axis=1)
 
 
-def ball_sup(fn, radius, cells=48, refine=3):
+_REFINE = 3
+
+
+def ball_sup(fn, radius, cells=48):
     """Sup of |fn| over the closed ball, with a crude resolution error bar.
 
     The sample plan is the disk lattice of spacing radius/cells plus 720
-    rim points, then a window refined ``refine``-fold around the argmax;
+    rim points, then a window refined ``_REFINE``-fold around the argmax;
     ``fn`` sees each part once, so the ladder reads its other per-rung
     sups from the same samples.  The bar is 2 * (fine spacing) * (local
     Lipschitz estimate).
@@ -276,8 +276,8 @@ def ball_sup(fn, radius, cells=48, refine=3):
     coarse_sup = float(vals[best])
     center = allpts[best]
 
-    fine = step / refine
-    w = np.arange(-2 * refine, 2 * refine + 1) * fine
+    fine = step / _REFINE
+    w = np.arange(-2 * _REFINE, 2 * _REFINE + 1) * fine
     lx, ly = np.meshgrid(w, w, indexing="ij")
     local = center[None, :] + np.stack([lx.ravel(), ly.ravel()], axis=1)
     rho = np.hypot(local[:, 0], local[:, 1])
@@ -587,16 +587,16 @@ def c11_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
 # verification and certificates
 
 
-def verify_recurrence(trace: IterationTrace, safety=None) -> RecurrenceReport:
+def verify_recurrence(trace: IterationTrace) -> RecurrenceReport:
     """Check M_{k+1} <= safety * (xi_k M_k + eta_k) on consecutive records.
 
-    Each margin is the bound minus M_{k+1}; a zero bound met by a zero sup
-    passes with infinite margin.  This is the one place the recurrence is
-    evaluated.
+    ``safety`` is the trace config's.  Each margin is the bound minus
+    M_{k+1}; a zero bound met by a zero sup passes with infinite margin.
+    This is the one place the recurrence is evaluated.
     """
     if len(trace.records) < 2:
         raise ValueError("need at least two scales to check the recurrence")
-    safety = trace.config.safety if safety is None else float(safety)
+    safety = trace.config.safety
     ok = []
     margins = []
     for cur, nxt in zip(trace.records, trace.records[1:]):
@@ -648,20 +648,16 @@ def certificate(trace: IterationTrace) -> CertificateReport:
         )
     else:
         sum_plateau = True
-    stalled = _stalled(M)
 
     if trace.truncated:
         verdict = "inconclusive"
-    elif stalled:
+    elif _stalled(M):
         verdict = "failed"
     elif final_n <= cfg.cert_tol and tail_monotone and sum_plateau:
         verdict = "C1_certified" if trace.mode == "c1" else "C11_certified"
     else:
         verdict = "inconclusive"
-    return CertificateReport(
-        verdict=verdict, final_n=final_n, tail_monotone=tail_monotone,
-        sum_plateau=sum_plateau, stalled=stalled,
-    )
+    return CertificateReport(verdict=verdict, final_n=final_n)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +690,6 @@ def _perturbed_field(eps: float) -> CoefficientField:
     return CoefficientField(
         a=a_fn, b=lambda pts: np.zeros((len(pts), 2)),
         ellipticity=1.0 - eps, drift_bound=0.0, q=4.0,
-        label=f"perturbed:{eps}",
     )
 
 
@@ -736,7 +731,7 @@ def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
     )
 
 
-def _boundary_exponent(cells=96, rtol=1e-11):
+def _boundary_exponent(cells):
     """Measured boundary growth exponent of the Dirichlet solver.
 
     Solves with boundary data vanishing like |angle|^p at a rim point and
@@ -754,8 +749,7 @@ def _boundary_exponent(cells=96, rtol=1e-11):
             th = np.arctan2(pts[:, 1], pts[:, 0])
             return np.abs(th) ** p
 
-        u = solve_dirichlet(op, rhs, grid.boundary_from_function(data),
-                            rtol=rtol)
+        u = solve_dirichlet(op, rhs, grid.boundary_from_function(data))
         d = np.hypot(u.points[:, 0] - anchor[0], u.points[:, 1] - anchor[1])
         sups = np.array([
             np.max(np.abs(u.values[d <= delta])) for delta in deltas
@@ -782,7 +776,8 @@ def _harmonic_suite():
     return [rad(1), rad(2), rad(3), rad(5), pole, tilted]
 
 
-def _fd_derivatives(fn, pts, h=1e-5):
+def _fd_derivatives(fn, pts):
+    h = 1e-5
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])
     f0 = fn(pts)
@@ -813,8 +808,8 @@ def _interior_bound_constant():
     return worst
 
 
-def _one_step_linear(u_field, v_fn, lam, frozen, rtol, fit_radius):
-    """One rung of the first-order ladder on a numeric solution."""
+def _one_step_linear(u_field, v_fn, lam, frozen):
+    """Sups (M0, M1) of one first-order rung on a numeric solution."""
     sampler = bicubic_sampler(u_field)
     shift = float(sampler(np.zeros((1, 2)))[0])
 
@@ -822,13 +817,13 @@ def _one_step_linear(u_field, v_fn, lam, frozen, rtol, fit_radius):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9, cells=48)
-    h, gap = approximate(w_fn, frozen, rtol=rtol)
-    inc = taylor_fit(h, (0.0, 0.0), fit_radius, 1)
+    h, _ = approximate(w_fn, frozen)
+    inc = taylor_fit(h, (0.0, 0.0), lam, 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam, cells=48)
-    return M0, M1 / lam, gap, inc
+    return M0, M1 / lam
 
 
-def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
+def calibrate_constants(lam=0.2, cells=48) -> dict:
     """Empirical constants for the ladder inequalities.
 
     beta is the measured boundary growth exponent, alpha = beta/(2+beta);
@@ -838,7 +833,7 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
     for C2).  A holdout boundary shape checks that the perturbation law
     decays at least as fast as alpha predicts.
     """
-    beta = _boundary_exponent(cells=max(cells, 96), rtol=rtol)
+    beta = _boundary_exponent(max(cells, 96))
     alpha = beta / (2.0 + beta)
     if not (0.0 < alpha <= 1.0 / 3.0 + 1e-12):
         raise CalibrationError(f"alpha {alpha} escaped (0, 1/3]")
@@ -848,19 +843,18 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
     shapes = _sweep_shapes()
     n_train = 2
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
-    frozen = comparison_operator(np.eye(2), sub_cells)
+    frozen = comparison_operator(np.eye(2), 32)
     steps = np.zeros((n_train, len(epsilons), 2))
     hold_ratios = np.zeros((len(shapes) - n_train, len(epsilons)))
     for j, eps in enumerate(epsilons):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
-            w = _shape_solve(op, shape_fn, rtol)
+            w = _shape_solve(op, shape_fn, 1e-11)
             if i < n_train:
-                M0, M1, _, _ = _one_step_linear(
-                    w, lambda pts: np.zeros(len(pts)), lam, frozen, rtol, lam)
-                steps[i, j] = M0, M1
+                steps[i, j] = _one_step_linear(
+                    w, lambda pts: np.zeros(len(pts)), lam, frozen)
             else:
-                _, gap = approximate(w, frozen, rtol=rtol)
+                _, gap = approximate(w, frozen)
                 hold_ratios[i - n_train, j] = gap / w.sup_norm()
 
     num = 0.0
@@ -892,16 +886,13 @@ def calibrate_constants(lam=0.2, cells=48, sub_cells=32, rtol=1e-11) -> dict:
             b=lambda pts, bmag=bmag: np.column_stack(
                 [np.full(len(pts), bmag), np.zeros(len(pts))]),
             ellipticity=1.0, drift_bound=bmag * math.pi ** 0.25, q=4.0,
-            label=f"drift:{bmag}",
         )
         op = assemble(field, grid)
         rhs = grid.field_from_function(lambda pts: np.full(len(pts), 4.0))
         for _, shape_fn in shapes:
-            u = solve_dirichlet(op, rhs, grid.boundary_from_function(shape_fn),
-                                rtol=rtol)
-            M0, M1, _, _ = _one_step_linear(
-                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, lam,
-                frozen, rtol, lam)
+            u = solve_dirichlet(op, rhs, grid.boundary_from_function(shape_fn))
+            M0, M1 = _one_step_linear(
+                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, lam, frozen)
             lam1 = field.drift_bound
             xi0 = (C1 / lam) * (lam ** 2 + lam1 ** alpha)
             eta_need = max(0.0, M1 - xi0 * M0)

@@ -15,9 +15,10 @@ makes any non-passing verdict exit 1; ``--out DIR`` chooses the output
 directory; ``--threads K`` runs independent scenarios concurrently.
 
 Exit codes: 0 ok; 1 non-passing verdict under ``--strict``; 2 usage or
-config errors, malformed registry parameters and malformed table content;
-3 unknown registry ids and table files that are missing or unreadable;
-4 solver or fixed-point failures.
+config errors, malformed registry parameters, malformed table content,
+malformed report files and outputs that cannot be written; 3 unknown
+registry ids and table files that are missing or unreadable; 4 solver,
+fixed-point or calibration failures and running out of memory.
 With several scenarios the most config-sided error wins (2 over 3 over 4);
 all scenarios are validated before any of them runs.
 """
@@ -181,24 +182,29 @@ def _cmd_report(args) -> int:
         raise ScenarioError(
             "no report files found (expected *_report.json)")
 
+    header = ["scenario_id", "mode", "verdict", "final_n", "s_last",
+              "worst_margin"]
     rows = []
     for p in paths:
         try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{p}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(doc, dict) or doc.get("v") != SCHEMA_VERSION:
+            doc = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+            raise ScenarioError(f"{p}: not a readable JSON report: {exc}") from exc
+        version = doc.get("v") if isinstance(doc, dict) else None
+        if version != SCHEMA_VERSION:
             raise SchemaVersionError(
-                f"{p}: schema version {doc.get('v')!r} not supported "
+                f"{p}: schema version {version!r} not supported "
                 f"(expected {SCHEMA_VERSION})")
+        row = [doc.get(k) for k in header[:3]]
         limits = doc.get("limits", {})
-        rows.append([doc["scenario_id"], doc["mode"], doc["verdict"],
-                     limits.get("final_n"), limits.get("s_last"),
-                     limits.get("worst_margin")])
+        if not (all(isinstance(v, str) for v in row)
+                and isinstance(limits, dict)):
+            raise ScenarioError(
+                f"{p}: a report needs strings under {', '.join(header[:3])} "
+                f"and an object under limits")
+        rows.append(row + [limits.get(k) for k in header[3:]])
     rows.sort(key=lambda r: (r[2], r[0]))
 
-    header = ["scenario_id", "mode", "verdict", "final_n", "s_last",
-              "worst_margin"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else _fmt(v) for v in row))
@@ -219,6 +225,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # the ranges every scenario's IterationConfig and DiskGrid enforce
+    if not 0.0 < args.lam < 0.25:
+        raise ScenarioError(f"--lam must lie in (0, 1/4), got {args.lam}")
+    if args.cells < 16:
+        raise ScenarioError(f"--cells must be at least 16, got {args.cells}")
     constants = calibrate_constants(lam=args.lam, cells=args.cells)
     text = json.dumps(sanitize(constants), indent=2)
     print(text)
@@ -263,6 +274,9 @@ def main(argv=None) -> int:
     except RegprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

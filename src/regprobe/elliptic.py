@@ -51,18 +51,10 @@ class LinearOperator:
     matrix: sp.csr_matrix
     boundary_matrix: sp.csr_matrix
     row_scale: np.ndarray
-    anisotropy_max: float
-    monotone: bool
-    label: str = ""
 
     def apply(self, interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Evaluate the discrete operator given interior and boundary values."""
         return self.matrix @ interior + self.boundary_matrix @ boundary
-
-    def residual(self, u: DiscreteField, rhs: DiscreteField,
-                 boundary: DiscreteField) -> DiscreteField:
-        res = rhs.values - self.apply(u.values, boundary.values)
-        return DiscreteField(self.grid, res, "residual")
 
     @cached_property
     def equilibrated(self) -> sp.csc_matrix:
@@ -104,7 +96,7 @@ def _drift_weights(theta_p, theta_m, coeff, step):
     return wp, wm, wc
 
 
-def assemble(field: CoefficientField, grid: DiskGrid, label: str = "") -> LinearOperator:
+def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     """Build the discrete operator for ``field`` on ``grid``.
 
     Raises AnisotropyError when the local eigenvalue ratio of a(x) exceeds
@@ -152,7 +144,6 @@ def assemble(field: CoefficientField, grid: DiskGrid, label: str = "") -> Linear
     brows: list[np.ndarray] = []
     bcols: list[np.ndarray] = []
     bvals: list[np.ndarray] = []
-    min_off_weight = np.inf
     idx = np.arange(n)
 
     def scatter(side_k, w):
@@ -187,7 +178,6 @@ def assemble(field: CoefficientField, grid: DiskGrid, label: str = "") -> Linear
             wp = wp + dp
             wm = wm + dm
             wc = wc + dc
-        min_off_weight = min(min_off_weight, float(np.min(wp)), float(np.min(wm)))
         diag += wc
         scatter(kp, wp)
         scatter(km, wm)
@@ -210,8 +200,7 @@ def assemble(field: CoefficientField, grid: DiskGrid, label: str = "") -> Linear
         np.abs(bmat).max(axis=1).toarray().ravel() if grid.n_boundary else 0.0,
     )
     scale[scale == 0.0] = 1.0
-    monotone = min_off_weight >= -1e-12 * float(np.max(scale))
-    return LinearOperator(grid, mat, bmat, scale, anis, monotone, label)
+    return LinearOperator(grid, mat, bmat, scale)
 
 
 def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteField,
@@ -251,24 +240,18 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteFi
     return DiscreteField(op.grid, x, "solution")
 
 
-@dataclass(frozen=True)
-class AbpReport:
-    lhs: float
-    boundary_max: float
-    f_ln_norm: float
-    implied_C: float
-    passed: bool
-    C_cal: float
+# The constant of the maximum-principle bound that ``abp_check`` tests.
+C_CAL = 0.36
 
 
-def abp_check(u: DiscreteField, f_rhs: DiscreteField, boundary: DiscreteField,
-              C_cal: float = 0.36) -> AbpReport:
+def abp_check(u: DiscreteField, f_rhs: DiscreteField,
+              boundary: DiscreteField) -> tuple[float, bool]:
     """Check the interior maximum of u against boundary data and forcing.
 
-    Bound tested: max u <= max boundary + C_cal * ||f||_{L^2} with an
+    Bound tested: max u <= max boundary + C_CAL * ||f||_{L^2} with an
     absolute slack of 1e-10.  The L^2 norm uses the grid's cut-cell
-    midpoint quadrature; implied_C is the ratio actually achieved, zero
-    when the forcing vanishes.
+    midpoint quadrature.  Returns (implied_C, passed), implied_C being the
+    ratio actually achieved, zero when the forcing vanishes.
     """
     grid = u.grid
     lhs = float(np.max(u.values))
@@ -279,17 +262,7 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField, boundary: DiscreteField,
         implied = (lhs - bmax) / fnorm
     else:
         implied = 0.0
-    passed = lhs <= bmax + C_cal * fnorm + 1e-10
-    return AbpReport(lhs, bmax, fnorm, implied, passed, C_cal)
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    hs: tuple
-    errors: tuple
-    order: float | None
-    exact_on_stencil: bool
-    monotone: bool
+    return implied, lhs <= bmax + C_CAL * fnorm + 1e-10
 
 
 def check_resolutions(hs) -> None:
@@ -304,14 +277,14 @@ def check_resolutions(hs) -> None:
 
 
 def convergence_order(field: CoefficientField, u_exact, rhs_fn, grids,
-                      rtol: float = 1e-11) -> OrderReport:
-    """Sup-norm self-convergence study against a known solution.
+                      rtol: float = 1e-11) -> float | None:
+    """Sup-norm convergence order of the solver on a known solution.
 
     ``grids`` are disk grids whose spacings pass ``check_resolutions``; a
     caller that runs several studies on one set of grids builds them once.
     When every error sits at solver noise the scheme is exact on this
-    solution and no order is fitted; a non-monotone error sequence fits
-    the order anyway but flags it and warns.
+    solution and the result is None; a non-monotone error sequence fits
+    the order anyway but warns.
     """
     hs = [grid.h for grid in grids]
     check_resolutions(hs)
@@ -328,13 +301,12 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn, grids,
         errors.append(float(np.max(np.abs(u.values - exact))))
 
     if max(errors) <= 1e-11 * usup:
-        return OrderReport(tuple(hs), tuple(errors), None, True, True)
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
+        return None
     slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0]
-    if not monotone:
+    if not all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)):
         warnings.warn("error sequence is not monotone; fitted order is unreliable",
                       RuntimeWarning, stacklevel=2)
-    return OrderReport(tuple(hs), tuple(errors), float(slope), False, monotone)
+    return float(slope)
 
 
 def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
@@ -359,6 +331,5 @@ def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
         ellipticity=lam,
         drift_bound=0.0,
         q=4.0,
-        label="constant",
     )
     return assemble(field, grid)

@@ -38,7 +38,6 @@ class CoefficientField:
     ellipticity: float
     drift_bound: float
     q: float
-    label: str = ""
 
     def __post_init__(self):
         if not (0.0 < self.ellipticity <= 1.0):
@@ -79,7 +78,6 @@ class Nonlinearity:
 
     f: Callable
     modulus: Modulus
-    label: str = ""
 
     def eval(self, pts, t) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -113,7 +111,6 @@ def _extended_modulus(phi: Modulus, delta: float) -> float:
     if delta <= 0.0:
         return 0.0
     cap = phi.r_max
-    if not math.isfinite(cap) or delta <= cap:
-        return float(phi.eval(min(delta, cap))) if math.isfinite(cap) else float(phi.eval(delta))
-    chunks = math.ceil(delta / cap)
-    return chunks * float(phi.eval(cap))
+    if not delta > cap:  # the zero modulus's cap is inf; eval rejects NaN
+        return float(phi.eval(delta))
+    return math.ceil(delta / cap) * float(phi.eval(cap))

@@ -25,7 +25,7 @@ DIRECTIONS = np.array(
 AXIS_PAIRS = ((0, 1), (2, 3))
 DIAG_PAIRS = ((4, 5), (6, 7))
 
-_ROLES = ("solution", "rhs", "boundary", "residual")
+_ROLES = ("solution", "rhs", "boundary")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .modulus import Modulus, log_inverse, zero_modulus
 class ManufacturedProblem:
     """A probe problem with exact solution and frozen-coefficient potential."""
 
-    label: str
     field: CoefficientField
     nonlinearity: Nonlinearity
     u: object
@@ -293,12 +292,10 @@ def _closed_potential(fn, hessian_bound):
 
 def _build_zero_case():
     return ManufacturedProblem(
-        label="zero_case",
         field=_identity_field(),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
-            label="const-4",
         ),
         u=_quadratic,
         boundary=_quadratic,
@@ -312,12 +309,10 @@ def _build_zero_case():
 
 def _build_drift_c1():
     return ManufacturedProblem(
-        label="drift_c1",
         field=_identity_field(1.0),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
-            label="const-4",
         ),
         u=_drift_u,
         boundary=lambda pts: np.ones(len(np.atleast_2d(pts))),
@@ -340,12 +335,10 @@ def _build_cubic_c11():
         return _quadratic(pts) + (_CUBIC_BETA / 3.0) * pts[:, 0] ** 3
 
     return ManufacturedProblem(
-        label="cubic_c11",
         field=_identity_field(_CUBIC_BETA),
         nonlinearity=Nonlinearity(
             f=f,
             modulus=zero_modulus(),
-            label="tilted-4",
         ),
         u=_quadratic,
         boundary=_quadratic,
@@ -359,12 +352,10 @@ def _build_cubic_c11():
 
 def _build_nondini_c11():
     return ManufacturedProblem(
-        label="nondini_c11",
         field=_identity_field(),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: 4.0 + _g_nondini(t) * np.ones(len(pts)),
             modulus=log_inverse(),
-            label="log-inverse-reaction",
         ),
         u=_nondini_u,
         boundary=_nondini_u,

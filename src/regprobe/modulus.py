@@ -82,19 +82,7 @@ class Modulus:
                 raise ModulusDomainError(
                     f"modulus evaluated at r={worst!r}, outside (0, {self.r_max}]"
                 )
-        if self.family == "power":
-            out = arr ** float(self.params["gamma"])
-        elif self.family in ("log_power", "log_inverse"):
-            out = np.power(-np.log(np.minimum(arr, 1.0 - 1e-16)), -self._log_exponent())
-        elif self.family == "tabulated":
-            out = np.exp(self._interp_log(np.log(arr)))
-        else:
-            out = np.zeros_like(arr)
-        if np.ndim(r) == 0:
-            return float(out)
-        return out
-
-    __call__ = eval
+        return self.eval_log(np.log(arr))
 
     def eval_log(self, log_r):
         """Evaluate at ``r = exp(log_r)`` without forming ``r``.
@@ -133,32 +121,26 @@ class Modulus:
         return out
 
 
-def power(gamma: float, r_max: float = 1.0) -> Modulus:
-    return Modulus("power", {"gamma": float(gamma)}, r_max)
+def power(gamma: float) -> Modulus:
+    return Modulus("power", {"gamma": float(gamma)}, 1.0)
 
 
-def log_power(p: float, r_max: float | None = None) -> Modulus:
+def log_power(p: float) -> Modulus:
     p = float(p)
-    if r_max is None:
-        r_max = math.exp(-p)
-    return Modulus("log_power", {"p": p}, r_max)
+    return Modulus("log_power", {"p": p}, math.exp(-p))
 
 
-def log_inverse(r_max: float | None = None) -> Modulus:
-    if r_max is None:
-        r_max = math.exp(-1.0)
-    return Modulus("log_inverse", {}, r_max)
+def log_inverse() -> Modulus:
+    return Modulus("log_inverse", {}, math.exp(-1.0))
 
 
 def zero_modulus() -> Modulus:
     return Modulus("zero", {}, math.inf)
 
 
-def tabulated(r: Sequence[float], omega: Sequence[float], source: str | None = None) -> Modulus:
-    params: dict[str, object] = {"r": tuple(float(v) for v in r),
-                                 "omega": tuple(float(v) for v in omega)}
-    if source is not None:
-        params["source"] = str(source)
+def tabulated(r: Sequence[float], omega: Sequence[float]) -> Modulus:
+    params = {"r": tuple(float(v) for v in r),
+              "omega": tuple(float(v) for v in omega)}
     return Modulus("tabulated", params, float(r[-1]))
 
 
@@ -193,7 +175,7 @@ def from_table_file(path) -> Modulus:
         raise MalformedIdError(f"table {path} needs at least two numeric rows")
     r, w = zip(*rows)
     try:
-        return tabulated(r, w, source=str(path))
+        return tabulated(r, w)
     except ModulusDomainError as exc:
         raise MalformedIdError(f"bad table {path}: {exc}") from exc
 
@@ -235,13 +217,10 @@ class DiniReport:
     """Result of integrating ``omega(t)/t`` down to zero.
 
     ``integral_value`` is ``math.inf`` when the integral diverges, in which
-    case ``classification`` is ``"non_dini"``.  ``partial_sums`` records the
-    running value after each geometric refinement level.
+    case ``classification`` is ``"non_dini"``.
     """
 
     integral_value: float
-    t0: float
-    partial_sums: tuple[float, ...]
     classification: str
 
 
@@ -300,8 +279,11 @@ def _take_bands(band_vals: list, vals: np.ndarray, total: float, j0: int,
     return float(run[k]), True
 
 
-def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
-                  divergence_ratio: float = 0.95, *,
+_DINI_BANDS = 4096
+_DIVERGENCE_RATIO = 0.95
+
+
+def dini_integral(omega: Modulus, t0: float | None = None, *,
                   log_t0: float | None = None) -> DiniReport:
     """Integrate ``omega(t)/t`` over ``(0, t0]`` by adaptive quadrature on
     geometric bands ``[t0/2**(j+1), t0/2**j]``.
@@ -309,14 +291,12 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
     The substitution ``x = ln(1/t)`` turns the bands into equal intervals of
     width ``ln 2``, which is also what keeps the computation meaningful at
     depths where the radius itself would underflow (callers at such depths
-    pass ``log_t0``).  Bands are accumulated until they stop contributing.
-    If the band values shrink slower than ``divergence_ratio`` per band (a
-    logarithmic signature), a power-law fit in ``x`` decides between a
-    genuinely divergent integral and a slowly convergent one, and supplies
-    the tail in the latter case.
+    pass ``log_t0``).  Bands are accumulated until they stop contributing,
+    at most ``_DINI_BANDS`` of them.  If the last band values shrink slower
+    than ``_DIVERGENCE_RATIO`` per band (a logarithmic signature), a
+    power-law fit in ``x`` decides between a genuinely divergent integral
+    and a slowly convergent one, and supplies the tail in the latter case.
     """
-    if levels < 8:
-        raise ValueError("levels must be at least 8")
     if log_t0 is None:
         if t0 is None:
             t0 = omega.r_max if math.isfinite(omega.r_max) else 1.0
@@ -330,19 +310,17 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
         if not (math.isfinite(log_t0) and log_t0 <= log_cap + 1e-12):
             raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
         log_t0 = min(log_t0, log_cap)
-        t0 = math.exp(log_t0)
 
-    checkpoints = [8 * 2 ** level for level in range(levels)]
     if omega.family == "zero":
-        return DiniReport(0.0, t0, tuple(0.0 for _ in checkpoints), "dini")
+        return DiniReport(0.0, "dini")
 
     x0 = -log_t0
     dx = math.log(2.0)
     band_vals: list[float] = []
     total = 0.0
     converged = False
-    for start in range(0, checkpoints[-1], 256):
-        count = min(256, checkpoints[-1] - start)
+    for start in range(0, _DINI_BANDS, 256):
+        count = min(256, _DINI_BANDS - start)
         lefts = x0 + (start + np.arange(count)) * dx
         whole = _gl_block_log(omega, lefts, dx)
         halves = (_gl_block_log(omega, lefts, 0.5 * dx)
@@ -367,15 +345,12 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
         if converged:
             break
 
-    csum = np.cumsum(band_vals)
-    partial = tuple(float(csum[min(c, len(band_vals)) - 1]) for c in checkpoints)
-
     if converged:
-        return DiniReport(float(total), t0, partial, "dini")
+        return DiniReport(float(total), "dini")
 
     last = band_vals[-4:]
     slow = min(last) > 0.0 and all(
-        last[i + 1] / last[i] > divergence_ratio for i in range(len(last) - 1)
+        last[i + 1] / last[i] > _DIVERGENCE_RATIO for i in range(len(last) - 1)
     )
     fit_n = min(16, len(band_vals))
     idx = np.arange(len(band_vals) - fit_n, len(band_vals))
@@ -391,7 +366,7 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
         c_fit = 0.0
 
     if slow and p_fit <= 1.02:
-        return DiniReport(math.inf, t0, partial, "non_dini")
+        return DiniReport(math.inf, "non_dini")
     if slow and math.isfinite(p_fit):
         x_end = x0 + len(band_vals) * dx
         tail = c_fit * x_end ** (1.0 - p_fit) / (p_fit - 1.0)
@@ -400,13 +375,13 @@ def dini_integral(omega: Modulus, t0: float | None = None, levels: int = 10,
         tail = band_vals[-1] * rho / (1.0 - rho)
     else:
         tail = 0.0
-    return DiniReport(float(total + tail), t0, partial, "dini")
+    return DiniReport(float(total + tail), "dini")
 
 
-def doubling_check(omega: Modulus, points: int = 100) -> bool:
-    """Check ``omega(2r) <= 2 omega(r)`` on a geometric scan of the domain."""
+def doubling_check(omega: Modulus) -> bool:
+    """Check ``omega(2r) <= 2 omega(r)`` on a 100-point geometric scan of the domain."""
     r_hi = omega.r_max if math.isfinite(omega.r_max) else 1.0
-    r = np.geomspace(r_hi * 2.0 ** -50, r_hi / 2.0, points)
+    r = np.geomspace(r_hi * 2.0 ** -50, r_hi / 2.0, 100)
     return bool(np.all(omega.eval(2.0 * r) <= 2.0 * omega.eval(r) * (1.0 + 1e-12)))
 
 

@@ -301,18 +301,27 @@ def sanitize(obj):
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it there.
+
+    An OSError, such as an output directory that is a regular file, becomes
+    a ScenarioError naming ``path``; the temp file never outlives a failure.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot write {path}: {exc}") from exc
 
 
 def _write_report(report: dict, path) -> None:
@@ -367,7 +376,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     if doc.get("data_mode", "manufactured") == "numeric":
         cells = doc["grid"]["cells"]
         grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
-        op = assemble(problem.field, grid, label=doc["id"])
+        op = assemble(problem.field, grid)
         boundary = grid.boundary_from_function(problem.boundary)
         picard = PicardConfig(**doc.get("picard", {}))
         u = picard_solve(op, problem.nonlinearity, boundary, picard).u
@@ -444,7 +453,6 @@ def _random_operator(rng) -> tuple:
         ellipticity=0.42,
         drift_bound=float(np.linalg.norm(b0)) * math.pi ** 0.25,
         q=4.0,
-        label="randomized",
     )
 
     coeff = rng.normal(0.0, 0.5, size=7)
@@ -520,19 +528,19 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
 
     orders = {}
     for name, field_kw, u_exact, rhs_fn in _SMOOTH_CASES:
-        field = CoefficientField(label=name, **field_kw)
-        rep = convergence_order(field, u_exact, rhs_fn, grids, rtol=rtol)
-        orders[name] = rep.order
-        ok = rep.order is not None and abs(rep.order - 2.0) <= 0.2
+        order = convergence_order(CoefficientField(**field_kw), u_exact,
+                                  rhs_fn, grids, rtol=rtol)
+        orders[name] = order
+        ok = order is not None and abs(order - 2.0) <= 0.2
         ok_all = ok_all and ok
-        rows.append([name, "order", repr(min(hs)), repr(float(rep.order)),
+        rows.append([name, "order", repr(min(hs)), repr(float(order)),
                      int(ok)])
 
     exact_errs = []
     field0 = CoefficientField(
         a=lambda pts: np.broadcast_to(_EXACT_A0, (len(pts), 2, 2)),
         b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=0.6, drift_bound=0.0, q=4.0, label="frozen_quadratic")
+        ellipticity=0.6, drift_bound=0.0, q=4.0)
     for grid in grids[:2]:
         op = assemble(field0, grid)
         bc = grid.boundary_from_function(_exact_quadratic)
@@ -564,11 +572,11 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
             f = o.grid.field_from_function(forcing_fn, "rhs")
             b = o.grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
             uf = solve_dirichlet(o, f, b, rtol=rtol)
-            rep = abp_check(uf, f, b)
-            implied.append(rep.implied_C)
+            implied_C, passed = abp_check(uf, f, b)
+            implied.append(implied_C)
             rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
-                         repr(float(rep.implied_C)), int(rep.passed)])
-            ok_all = ok_all and rep.passed
+                         repr(float(implied_C)), int(passed)])
+            ok_all = ok_all and passed
         spread = abs(implied[0] - implied[1]) / max(abs(implied[0]),
                                                     abs(implied[1]), 1e-300)
         spreads.append(spread)

@@ -185,7 +185,7 @@ def scaled_problem(base, s: float):
         base,
         nonlinearity=Nonlinearity(
             f=lambda pts, t: s * nl.f(pts, np.asarray(t) / s),
-            modulus=nl.modulus, label="scaled"),
+            modulus=nl.modulus),
         u=lambda pts: s * np.asarray(base.u(pts)),
         potential=PotentialFamily(
             v=lambda x0, t, pts: s * np.asarray(base.potential.v(x0, t, pts)),

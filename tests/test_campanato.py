@@ -67,6 +67,10 @@ def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
                           config=cfg, truncated=False, flags={})
 
 
+def with_safety(trace, safety):
+    return replace(trace, config=replace(trace.config, safety=safety))
+
+
 def test_approximants_evaluate():
     L = LinearApprox(1.0, (2.0, -1.0))
     assert L(np.array([[1.0, 1.0]]))[0] == pytest.approx(2.0)
@@ -246,7 +250,6 @@ def test_nondini_ladder_stalls_and_fails():
     assert np.all(ratios > 0.95)
     cert = certificate(tr)
     assert cert.verdict == "failed"
-    assert cert.stalled
 
 
 def test_recurrence_check_on_synthetic_values():
@@ -255,9 +258,9 @@ def test_recurrence_check_on_synthetic_values():
     assert rep.ok == (True, True)
     assert rep.margins[0] == pytest.approx(1.5 * 0.26 - 0.2)
     assert rep.margins[1] == pytest.approx(1.5 * 0.055 - 0.05)
-    strict = verify_recurrence(tr, safety=1.0)
+    strict = verify_recurrence(with_safety(tr, 1.0))
     assert strict.ok == (True, True)
-    assert verify_recurrence(tr, safety=0.1).ok == (False, False)
+    assert verify_recurrence(with_safety(tr, 0.1)).ok == (False, False)
 
 
 def test_certificate_on_synthetic_geometric_decay():
@@ -267,7 +270,6 @@ def test_certificate_on_synthetic_geometric_decay():
                     cfg=IterationConfig(K=9, cert_tol=1e-2, **CAL))
     cert = certificate(tr)
     assert cert.verdict == "C1_certified"
-    assert cert.tail_monotone and cert.sum_plateau and not cert.stalled
 
 
 def test_certificate_all_zero_is_certified():
@@ -336,7 +338,7 @@ def test_scalar_rescaling_invariance():
             base,
             nonlinearity=Nonlinearity(
                 f=lambda pts, t, s=s: s * nl.f(pts, np.asarray(t) / s),
-                modulus=nl.modulus, label="scaled"),
+                modulus=nl.modulus),
             u=lambda pts, s=s: s * np.asarray(base.u(pts)),
             potential=PotentialFamily(
                 v=lambda x0, t, pts, s=s: s * np.asarray(

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regprobe import campanato, cli
 from regprobe.cli import main
 from regprobe.scenarios import bundled_names, load_scenario, run_scenario
 
@@ -295,6 +296,63 @@ def test_report_rejects_schema_mismatch(tmp_path, capsys):
     assert "schema version" in capsys.readouterr().err
 
 
+def _report_without_ids(folder):
+    (folder / "bad_report.json").write_text('{"v": 1}')
+
+
+def _report_not_utf8(folder):
+    (folder / "bad_report.json").write_bytes(b'{"v": 1, "id": "\xff"}')
+
+
+def _report_directory(folder):
+    (folder / "bad_report.json").mkdir()
+
+
+def _report_with_list_limits(folder):
+    (folder / "bad_report.json").write_text(json.dumps(
+        {"v": 1, "scenario_id": "x", "mode": "c1", "verdict": "pass",
+         "limits": [1]}))
+
+
+@pytest.mark.parametrize("make", [_report_without_ids, _report_not_utf8,
+                                  _report_directory, _report_with_list_limits],
+                         ids=["no_ids", "not_utf8", "directory", "list_limits"])
+def test_malformed_report_exits_2_naming_it(tmp_path, capsys, make):
+    make(tmp_path)
+    assert main(["report", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert "bad_report.json" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "zero_case", "--out", "{file}"],
+    ["run", "zero_case", "--out", "{file}/sub"],
+    ["report", "{reports}", "--out", "{file}"],
+], ids=["run_out_file", "run_out_under_file", "report_out_file"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, argv):
+    reports = tmp_path / "reports"
+    assert main(["run", "zero_case", "--out", str(reports)]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    capsys.readouterr()
+    argv = [a.format(file=afile, reports=reports) for a in argv]
+    assert main(argv) == 2
+    assert f"cannot write {afile}" in capsys.readouterr().err
+    assert afile.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "reports"]
+
+
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhausted(radius, cells):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(campanato, "_disk_lattice", exhausted)
+    assert main(["run", "zero_case", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "error: not enough memory: Unable to allocate" in err
+    assert "Traceback" not in err
+
+
 def test_check_modulus_subcommand(tmp_path, capsys):
     code = main(["check-modulus", "--out", str(tmp_path)])
     assert code == 0
@@ -334,6 +392,20 @@ def test_calibrate_subcommand(tmp_path, capsys):
     stored = json.loads((tmp_path / "calibration.json").read_text())
     assert printed == stored
     assert 0.0 < stored["alpha"] <= 1.0 / 3.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lam", "0.9"), ("--lam", "0.25"), ("--lam", "0.3"), ("--lam", "0"),
+    ("--lam", "-1"), ("--lam", "nan"), ("--cells", "0"), ("--cells", "15"),
+])
+def test_calibrate_rejects_flags_before_solving(capsys, monkeypatch, flag,
+                                                value):
+    def unreachable(**kwargs):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(cli, "calibrate_constants", unreachable)
+    assert main(["calibrate", flag, value]) == 2
+    assert f"{flag} must" in capsys.readouterr().err
 
 
 def test_run_scenario_api_reports_seed(tmp_path):

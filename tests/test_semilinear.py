@@ -14,7 +14,7 @@ from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FixedPointError
 from regprobe.fields import CoefficientField, Nonlinearity
 from regprobe.grid import DiskGrid
-from regprobe.modulus import power, zero_modulus
+from regprobe.modulus import Modulus, power, zero_modulus
 from regprobe.semilinear import (
     PicardConfig,
     PicardResult,
@@ -35,8 +35,7 @@ def laplacian_field():
 def linear_reaction(eps, g_fn):
     return Nonlinearity(
         f=lambda pts, t: eps * np.asarray(t) * np.ones(len(pts)) + g_fn(pts),
-        modulus=power(1.0, r_max=100.0),
-        label=f"linear-{eps}",
+        modulus=Modulus("power", {"gamma": 1.0}, 100.0),
     )
 
 
@@ -116,7 +115,7 @@ def test_sublinear_nonlinearity_converges():
         tt = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
         return np.sqrt(np.minimum(np.abs(tt), 1.0))
 
-    sqrt_part = Nonlinearity(sqrt_dini, power(0.5, r_max=1.0))
+    sqrt_part = Nonlinearity(sqrt_dini, power(0.5))
     nl = Nonlinearity(
         f=lambda pts, t: -4.0 + 0.5 * sqrt_part.eval(pts, t),
         modulus=sqrt_part.modulus,
