@@ -12,7 +12,7 @@ Subcommands:
 
 Global flags (accepted before or after the subcommand): ``--strict``
 makes any non-passing verdict exit 1; ``--out DIR`` chooses the output
-directory; ``--threads K`` runs independent scenarios concurrently.
+directory.  Several scenarios run one after another, in argument order.
 
 Exit codes: 0 ok; 1 non-passing verdict under ``--strict``; 2 usage or
 config errors, malformed registry parameters, malformed table content,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .campanato import calibrate_constants
@@ -69,9 +68,6 @@ def _common_flags() -> argparse.ArgumentParser:
                    help="exit 1 unless every verdict is certified or pass")
     p.add_argument("--out", metavar="DIR", default=argparse.SUPPRESS,
                    help="output directory (default: current directory)")
-    p.add_argument("--threads", type=int, metavar="K",
-                   default=argparse.SUPPRESS,
-                   help="run up to K scenarios concurrently")
     return p
 
 
@@ -121,10 +117,6 @@ def _out_dir(args) -> Path:
     return Path(getattr(args, "out", None) or ".")
 
 
-def _threads(args) -> int:
-    return max(1, getattr(args, "threads", 1))
-
-
 def _cmd_run(args) -> int:
     docs, errors = [], []
     for ref in args.scenario:
@@ -136,19 +128,9 @@ def _cmd_run(args) -> int:
         # the lowest exit code wins; min keeps the first on a tie
         raise min(errors, key=_exit_code)
     out = _out_dir(args)
-
-    def execute(doc):
-        return run_scenario(doc, out)
-
-    n_workers = min(_threads(args), len(docs))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            reports = list(pool.map(execute, docs))
-    else:
-        reports = [execute(doc) for doc in docs]
-
     all_pass = True
-    for doc, report in zip(docs, reports):
+    for doc in docs:
+        report = run_scenario(doc, out)
         eff = Path(doc.get("output_dir", out))
         print(f"{doc['id']}: {report['verdict']} "
               f"({eff / (doc['id'] + '_report.json')})")

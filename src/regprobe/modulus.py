@@ -21,8 +21,6 @@ from .errors import MalformedIdError, ModulusDomainError, RegistryError
 
 _FAMILIES = ("power", "log_power", "log_inverse", "tabulated", "zero")
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -212,90 +210,16 @@ def _registry_float(arg: str, full_id: str) -> float:
         raise MalformedIdError(f"bad numeric parameter in modulus id {full_id!r}") from None
 
 
-@dataclass(frozen=True)
-class DiniReport:
-    """Result of integrating ``omega(t)/t`` down to zero.
-
-    ``integral_value`` is ``math.inf`` when the integral diverges, in which
-    case ``classification`` is ``"non_dini"``.
-    """
-
-    integral_value: float
-    classification: str
-
-
-def _gl_segment_log(omega: Modulus, xa: float, xb: float) -> float:
-    # integral of omega(e^-x) dx over [xa, xb], which equals the integral of
-    # omega(t)/t dt over the matching radius band
-    mid = 0.5 * (xa + xb)
-    half = 0.5 * (xb - xa)
-    x = mid + half * _GL_NODES
-    return float(half * np.dot(_GL_WEIGHTS, omega.eval_log(-x)))
-
-
-def _gl_block_log(omega: Modulus, lefts: np.ndarray, width: float) -> np.ndarray:
-    # one quadrature pass over many equal-width segments at once
-    half = 0.5 * width
-    x = (lefts + half)[:, None] + half * _GL_NODES[None, :]
-    return half * (omega.eval_log(-x) @ _GL_WEIGHTS)
-
-
-def _band_integral_log(omega: Modulus, xa: float, xb: float, depth: int = 0) -> float:
-    whole = _gl_segment_log(omega, xa, xb)
-    mid = 0.5 * (xa + xb)
-    halves = _gl_segment_log(omega, xa, mid) + _gl_segment_log(omega, mid, xb)
-    if not (math.isfinite(whole) and math.isfinite(halves)):
-        return math.nan  # bisecting would not heal it; the caller reports it
-    if depth >= 24 or abs(halves - whole) <= 1e-14 * max(abs(halves), 1e-300):
-        return halves
-    return (_band_integral_log(omega, xa, mid, depth + 1)
-            + _band_integral_log(omega, mid, xb, depth + 1))
-
-
-def _take_bands(band_vals: list, vals: np.ndarray, total: float, j0: int,
-                x0: float, dx: float) -> tuple[float, bool]:
-    """Append bands ``j0, j0 + 1, ...`` with values ``vals`` to ``band_vals``,
-    stopping after the first band that no longer contributes.
-
-    Returns the running total and whether the integral converged.  The
-    running totals come from one cumulative sum seeded with ``total``,
-    which adds in sequence, so they carry the bits of a band-by-band
-    ``total += val``.  A non-finite band raises ModulusDomainError.
-    """
-    run = np.cumsum(np.concatenate(([total], vals)))[1:]
-    bad = ~np.isfinite(vals)
-    done = ((j0 + np.arange(len(vals)) >= 8)
-            & (vals <= 1e-15 * np.maximum(run, 1e-300)))
-    stops = np.flatnonzero(bad | done)
-    if not stops.size:
-        band_vals.extend(vals.tolist())
-        return (float(run[-1]) if len(run) else total), False
-    k = int(stops[0])
-    if bad[k]:
-        raise ModulusDomainError(
-            f"modulus produced non-finite samples near t={math.exp(-x0 - (j0 + k) * dx)!r}"
-        )
-    band_vals.extend(vals[:k + 1].tolist())
-    return float(run[k]), True
-
-
-_DINI_BANDS = 4096
-_DIVERGENCE_RATIO = 0.95
-
-
 def dini_integral(omega: Modulus, t0: float | None = None, *,
-                  log_t0: float | None = None) -> DiniReport:
-    """Integrate ``omega(t)/t`` over ``(0, t0]`` by adaptive quadrature on
-    geometric bands ``[t0/2**(j+1), t0/2**j]``.
+                  log_t0: float | None = None) -> float:
+    """Integrate ``omega(t)/t`` over ``(0, t0]``; ``math.inf`` exactly when
+    the integral diverges.
 
-    The substitution ``x = ln(1/t)`` turns the bands into equal intervals of
-    width ``ln 2``, which is also what keeps the computation meaningful at
-    depths where the radius itself would underflow (callers at such depths
-    pass ``log_t0``).  Bands are accumulated until they stop contributing,
-    at most ``_DINI_BANDS`` of them.  If the last band values shrink slower
-    than ``_DIVERGENCE_RATIO`` per band (a logarithmic signature), a
-    power-law fit in ``x`` decides between a genuinely divergent integral
-    and a slowly convergent one, and supplies the tail in the latter case.
+    Every family has a closed antiderivative in ``x = ln t``, where the
+    integrand is ``omega(e^x)``.  Working in ``x`` also keeps the result
+    meaningful at depths where the radius itself would underflow (callers
+    at such depths pass ``log_t0``).  A table is a power law between its
+    nodes and below its first one, so each piece integrates exactly.
     """
     if log_t0 is None:
         if t0 is None:
@@ -312,70 +236,16 @@ def dini_integral(omega: Modulus, t0: float | None = None, *,
         log_t0 = min(log_t0, log_cap)
 
     if omega.family == "zero":
-        return DiniReport(0.0, "dini")
-
-    x0 = -log_t0
-    dx = math.log(2.0)
-    band_vals: list[float] = []
-    total = 0.0
-    converged = False
-    for start in range(0, _DINI_BANDS, 256):
-        count = min(256, _DINI_BANDS - start)
-        lefts = x0 + (start + np.arange(count)) * dx
-        whole = _gl_block_log(omega, lefts, dx)
-        halves = (_gl_block_log(omega, lefts, 0.5 * dx)
-                  + _gl_block_log(omega, lefts + 0.5 * dx, 0.5 * dx))
-        accepted = (np.abs(halves - whole)
-                    <= 1e-14 * np.maximum(np.abs(halves), 1e-300))
-        # Take the accepted bands in runs; a rejected band is refined only
-        # once every band before it has been taken without stopping.
-        i = 0
-        for r in (*np.flatnonzero(~accepted).tolist(), count):
-            total, converged = _take_bands(band_vals, halves[i:r], total,
-                                           start + i, x0, dx)
-            if converged or r == count:
-                break
-            j = start + r
-            refined = _band_integral_log(omega, x0 + j * dx, x0 + (j + 1) * dx)
-            total, converged = _take_bands(band_vals, np.array([refined]),
-                                           total, j, x0, dx)
-            if converged:
-                break
-            i = r + 1
-        if converged:
-            break
-
-    if converged:
-        return DiniReport(float(total), "dini")
-
-    last = band_vals[-4:]
-    slow = min(last) > 0.0 and all(
-        last[i + 1] / last[i] > _DIVERGENCE_RATIO for i in range(len(last) - 1)
-    )
-    fit_n = min(16, len(band_vals))
-    idx = np.arange(len(band_vals) - fit_n, len(band_vals))
-    x_mid = x0 + (idx + 0.5) * dx
-    vals = np.asarray(band_vals[-fit_n:], dtype=float)
-    good = vals > 0.0
-    if int(good.sum()) >= 4:
-        slope, intercept = np.polyfit(np.log(x_mid[good]), np.log(vals[good] / dx), 1)
-        p_fit = -float(slope)
-        c_fit = math.exp(float(intercept))
-    else:
-        p_fit = math.inf
-        c_fit = 0.0
-
-    if slow and p_fit <= 1.02:
-        return DiniReport(math.inf, "non_dini")
-    if slow and math.isfinite(p_fit):
-        x_end = x0 + len(band_vals) * dx
-        tail = c_fit * x_end ** (1.0 - p_fit) / (p_fit - 1.0)
-    elif len(band_vals) >= 5 and band_vals[-5] > 0.0:
-        rho = min((band_vals[-1] / band_vals[-5]) ** 0.25, 0.999)
-        tail = band_vals[-1] * rho / (1.0 - rho)
-    else:
-        tail = 0.0
-    return DiniReport(float(total + tail), "dini")
+        return 0.0
+    if omega.family == "power":
+        gamma = float(omega.params["gamma"])
+        return math.exp(gamma * log_t0) / gamma
+    if omega.family in ("log_power", "log_inverse"):
+        p = omega._log_exponent()
+        return (-log_t0) ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
+    s = np.diff(omega._log_w) / np.diff(omega._log_r)
+    w = omega.eval_log(np.minimum(omega._log_r, log_t0))
+    return float(w[0] / s[0] + np.sum(np.diff(w) / s))
 
 
 def doubling_check(omega: Modulus) -> bool:
@@ -423,12 +293,5 @@ def dini_tail_sum(omega: Modulus, lam: float, k0: int) -> tuple[float, float]:
             converged = True
             break
     if not converged:
-        rep = dini_integral(omega, log_t0=(i - 0.5) * log_lam)
-        if not math.isfinite(rep.integral_value):
-            total = math.inf
-        else:
-            total += rep.integral_value / log_inv_lam
-
-    bound_rep = dini_integral(omega, t0=upper)
-    bound = bound_rep.integral_value / log_inv_lam
-    return total, bound
+        total += dini_integral(omega, log_t0=(i - 0.5) * log_lam) / log_inv_lam
+    return total, dini_integral(omega, t0=upper) / log_inv_lam

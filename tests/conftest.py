@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from regprobe import elliptic, modulus
+from regprobe import elliptic
 
 
 @pytest.fixture
@@ -23,22 +23,3 @@ def count_factorizations(monkeypatch):
     monkeypatch.setattr(elliptic.spla, "splu", counting_splu)
     return calls
 
-
-@pytest.fixture
-def count_segment_quadratures(monkeypatch):
-    """Count the Gauss-Legendre segment quadratures of ``modulus``.
-
-    Returns the list of ``(xa, xb)`` segments so far.  Past 1000 calls it
-    raises, so a runaway bisection fails the test instead of hanging it.
-    """
-    calls = []
-    segment = modulus._gl_segment_log
-
-    def counting_segment(omega, xa, xb):
-        calls.append((xa, xb))
-        if len(calls) > 1000:
-            raise AssertionError("runaway bisection: over 1000 segments")
-        return segment(omega, xa, xb)
-
-    monkeypatch.setattr(modulus, "_gl_segment_log", counting_segment)
-    return calls

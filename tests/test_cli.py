@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from regprobe import campanato, cli
 from regprobe.cli import main
-from regprobe.scenarios import bundled_names, load_scenario, run_scenario
+from regprobe.errors import ScenarioError
+from regprobe.scenarios import (
+    bundled_names,
+    load_scenario,
+    run_scenario,
+    validate_scenario,
+)
 
 GOLDEN = "tests/golden/zero_case_report.json"
 
@@ -177,17 +184,45 @@ def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     assert not out.exists()
 
 
-def write_modulus_doc(tmp_path, modulus_id):
+def write_modulus_doc(tmp_path, modulus_id, lams=(0.5,), k0_max=2):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps({
         "v": 1, "id": "custom", "mode": "modulus_check",
         "families": [{"id": modulus_id, "dini": True}],
-        "lams": [0.5], "k0_max": 2}))
+        "lams": list(lams), "k0_max": k0_max}))
     return path
 
 
-def test_non_finite_modulus_table_exits_2(tmp_path, capsys,
-                                          count_segment_quadratures):
+def test_modulus_check_just_above_the_dini_threshold(tmp_path):
+    # the integral of (ln 1/t)^-1.01 / t converges, so the tail sums do too
+    path = write_modulus_doc(tmp_path, "log_power:1.01", lams=[0.2], k0_max=3)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "custom_report.json").read_text())
+    assert report["verdict"] == "pass"
+    with open(out / "custom_trace.csv", newline="") as fh:
+        tails = [row for row in csv.DictReader(fh) if row["kind"] == "tail_sum"]
+    assert len(tails) == 2
+    assert all(math.isfinite(float(row["value"])) for row in tails)
+
+
+def test_k0_max_that_underflows_the_tail_radius_exits_2(tmp_path, capsys):
+    path = write_modulus_doc(tmp_path, "power:0.5", lams=[0.2], k0_max=600)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "k0_max" in capsys.readouterr().err
+    assert not out.exists()
+    # the largest k0_max keeps 0.2**(k0_max-1) a normal float
+    largest = math.floor(math.log(sys.float_info.min) / math.log(0.2)) + 1
+    assert 0.2 ** (largest - 1) >= sys.float_info.min
+    doc = json.loads(path.read_text())
+    validate_scenario(dict(doc, k0_max=largest))
+    for k0_max in (largest + 1, 10**400):
+        with pytest.raises(ScenarioError, match="k0_max"):
+            validate_scenario(dict(doc, k0_max=k0_max))
+
+
+def test_non_finite_modulus_table_exits_2(tmp_path, capsys):
     # a table with bad content is a malformed scenario, like a bad parameter
     table = tmp_path / "nan.csv"
     table.write_text("r,omega\nnan,0.3\n0.1,0.4\n0.5,0.7\n")
@@ -243,18 +278,6 @@ def test_strict_flags_failed_verdict(tmp_path):
     assert main(["run", "nondini_c11", "--out", str(tmp_path)]) == 0
     assert main(["--strict", "run", "nondini_c11",
                  "--out", str(tmp_path)]) == 1
-
-
-def test_run_parallel_scenarios(tmp_path):
-    names = ["zero_case", "drift_c1", "cubic_c11"]
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["run", *names, "--out", str(serial)]) == 0
-    assert main(["run", *names, "--out", str(parallel), "--threads", "2"]) == 0
-    files = sorted(p.name for p in serial.iterdir())
-    assert files == sorted(p.name for p in parallel.iterdir())
-    assert len(files) == 2 * len(names)
-    for name in files:
-        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_report_table_sorted_by_verdict_then_id(tmp_path, capsys):
@@ -432,6 +455,12 @@ def test_bad_picard_block_exits_2(tmp_path, capsys):
                               grid={"cells": 32}, picard=picard)
         assert main(["run", str(path)]) == 2
         assert "picard" in capsys.readouterr().err
+    # manufactured mode reads neither block, but checks both
+    for key, block in (("grid", {"cellz": "x"}),
+                       ("picard", {"bogus": 1, "tol": -5})):
+        path = write_scenario(tmp_path, **{key: block})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

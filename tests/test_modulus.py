@@ -49,29 +49,23 @@ def test_monotone_on_geometric_grid():
 
 
 def test_dini_integral_sqrt():
-    rep = modulus.dini_integral(modulus.power(0.5))
-    assert rep.classification == "dini"
-    assert rep.integral_value == pytest.approx(2.0, abs=1e-6)
+    assert modulus.dini_integral(modulus.power(0.5)) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_dini_integral_linear():
-    rep = modulus.dini_integral(modulus.power(1.0))
-    assert rep.classification == "dini"
-    assert rep.integral_value == pytest.approx(1.0, abs=1e-9)
+    assert modulus.dini_integral(modulus.power(1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dini_integral_log_inverse_diverges():
-    rep = modulus.dini_integral(modulus.log_inverse(), t0=math.exp(-1.0))
-    assert rep.classification == "non_dini"
-    assert math.isinf(rep.integral_value)
+    assert math.isinf(modulus.dini_integral(modulus.log_inverse(),
+                                            t0=math.exp(-1.0)))
 
 
 def test_dini_integral_log_power_two():
     # integral of (ln 1/t)^-2 / t equals 1/ln(1/t0)
     t0 = math.exp(-2.0)
-    rep = modulus.dini_integral(modulus.log_power(2.0), t0=t0)
-    assert rep.classification == "dini"
-    assert rep.integral_value == pytest.approx(0.5, abs=1e-8)
+    assert modulus.dini_integral(modulus.log_power(2.0), t0=t0) == pytest.approx(
+        0.5, abs=1e-8)
 
 
 @pytest.mark.parametrize("om", [
@@ -83,8 +77,8 @@ def test_dini_integral_log_power_two():
 def test_dini_integral_additive_in_t0(om):
     lo = om.r_max * 0.2
     hi = om.r_max
-    i_lo = modulus.dini_integral(om, t0=lo).integral_value
-    i_hi = modulus.dini_integral(om, t0=hi).integral_value
+    i_lo = modulus.dini_integral(om, t0=lo)
+    i_hi = modulus.dini_integral(om, t0=hi)
     band, err = integrate.quad(lambda t: om.eval(t) / t, lo, hi,
                                epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
@@ -95,7 +89,7 @@ def test_dini_integral_additive_in_t0(om):
 def test_dini_integral_monotone_in_t0():
     om = modulus.power(0.5)
     t0s = np.geomspace(1e-4, 1.0, 9)
-    vals = [modulus.dini_integral(om, t0=float(t)).integral_value for t in t0s]
+    vals = [modulus.dini_integral(om, t0=float(t)) for t in t0s]
     assert np.all(np.diff(vals) >= -1e-9)
 
 
@@ -176,9 +170,7 @@ def test_zero_modulus():
     om = modulus.zero_modulus()
     assert om.eval(1e-8) == 0.0
     assert om.eval(17.0) == 0.0
-    rep = modulus.dini_integral(om)
-    assert rep.classification == "dini"
-    assert rep.integral_value == 0.0
+    assert modulus.dini_integral(om) == 0.0
     assert modulus.doubling_check(om)
 
 
@@ -197,9 +189,7 @@ def test_tabulated_interpolation_and_integral(tmp_path):
     # below the table the first-segment slope takes over, which is the same power law
     assert om.eval(1e-12) == pytest.approx(1e-6, rel=1e-8)
 
-    rep = modulus.dini_integral(om)
-    assert rep.classification == "dini"
-    assert rep.integral_value == pytest.approx(2.0, abs=1e-6)
+    assert modulus.dini_integral(om) == pytest.approx(2.0, abs=1e-6)
     assert modulus.doubling_check(om)
 
 
@@ -237,165 +227,38 @@ def test_parse_modulus_ids(tmp_path):
         assert not isinstance(info.value, MalformedIdError)
 
 
-def _serial_dini_integral(omega, log_t0):
-    """The band-by-band loop ``dini_integral`` used before it was vectorized,
-    kept as the reference its bits are checked against."""
-    x0 = -log_t0
-    dx = math.log(2.0)
-    band_vals = []
-    total = 0.0
-    converged = False
-    for start in range(0, 4096, 256):
-        count = min(256, 4096 - start)
-        lefts = x0 + (start + np.arange(count)) * dx
-        whole = modulus._gl_block_log(omega, lefts, dx)
-        halves = (modulus._gl_block_log(omega, lefts, 0.5 * dx)
-                  + modulus._gl_block_log(omega, lefts + 0.5 * dx, 0.5 * dx))
-        accepted = (np.abs(halves - whole)
-                    <= 1e-14 * np.maximum(np.abs(halves), 1e-300))
-        for i in range(count):
-            j = start + i
-            if accepted[i]:
-                val = float(halves[i])
-            else:
-                val = modulus._band_integral_log(omega, x0 + j * dx,
-                                                 x0 + (j + 1) * dx)
-            if not math.isfinite(val):
-                raise ModulusDomainError(
-                    f"modulus produced non-finite samples near t={math.exp(-x0 - j * dx)!r}"
-                )
-            band_vals.append(val)
-            total += val
-            if j >= 8 and val <= 1e-15 * max(total, 1e-300):
-                converged = True
-                break
-        if converged:
-            break
-
-    if converged:
-        return modulus.DiniReport(float(total), "dini")
-    last = band_vals[-4:]
-    slow = min(last) > 0.0 and all(
-        last[i + 1] / last[i] > 0.95 for i in range(len(last) - 1)
-    )
-    fit_n = min(16, len(band_vals))
-    idx = np.arange(len(band_vals) - fit_n, len(band_vals))
-    x_mid = x0 + (idx + 0.5) * dx
-    vals = np.asarray(band_vals[-fit_n:], dtype=float)
-    good = vals > 0.0
-    if int(good.sum()) >= 4:
-        slope, intercept = np.polyfit(np.log(x_mid[good]), np.log(vals[good] / dx), 1)
-        p_fit = -float(slope)
-        c_fit = math.exp(float(intercept))
-    else:
-        p_fit = math.inf
-        c_fit = 0.0
-    if slow and p_fit <= 1.02:
-        return modulus.DiniReport(math.inf, "non_dini")
-    if slow and math.isfinite(p_fit):
-        x_end = x0 + len(band_vals) * dx
-        tail = c_fit * x_end ** (1.0 - p_fit) / (p_fit - 1.0)
-    elif len(band_vals) >= 5 and band_vals[-5] > 0.0:
-        rho = min((band_vals[-1] / band_vals[-5]) ** 0.25, 0.999)
-        tail = band_vals[-1] * rho / (1.0 - rho)
-    else:
-        tail = 0.0
-    return modulus.DiniReport(float(total + tail), "dini")
+_TABLE_R = np.geomspace(1e-6, 0.5, 40)
+_TABLE = modulus.tabulated(_TABLE_R, np.sqrt(_TABLE_R)
+                           * (1.0 + 0.2 * np.sin(np.log(_TABLE_R))))
 
 
-class _Poisoned(modulus.Modulus):
-    """log_inverse with one infinite sample at ``x = ln(1/r) = spike`` and,
-    when ``jump`` is set, a factor of 2 on the samples beyond ``x = jump``."""
-
-    spike = math.inf
-    jump = math.inf
-
-    def eval_log(self, log_r):
-        x = -np.asarray(log_r, dtype=float)
-        out = super().eval_log(log_r) * np.where(x > self.jump, 2.0, 1.0)
-        return np.where(np.abs(x - self.spike) < 1e-9, np.inf, out)
-
-
-def _poisoned(band, spike, jump=None):
-    # band ``band`` of dini_integral(log_t0=-1) spans [xa, xa + ln 2]
-    om = _Poisoned("log_inverse", {}, math.exp(-1.0))
-    xa = 1.0 + band * math.log(2.0)
-    object.__setattr__(om, "spike", xa + spike * math.log(2.0))
-    if jump is not None:
-        object.__setattr__(om, "jump", xa + jump * math.log(2.0))
-    return om
+@pytest.mark.parametrize("om", [
+    modulus.power(0.05), modulus.power(0.5), modulus.power(3.0),
+    modulus.log_power(1.5), modulus.log_power(2.0), modulus.log_power(3.0),
+    _TABLE,
+], ids=["power:0.05", "power:0.5", "power:3", "log_power:1.5", "log_power:2",
+        "log_power:3", "table"])
+@pytest.mark.parametrize("frac", [1.0, 0.3, 1e-3])
+def test_dini_integral_matches_quadrature(om, frac):
+    # the integral of omega(t)/t over (0, t0] is that of omega(e^x) over
+    # x < ln t0; quad takes it piecewise between the table nodes
+    log_t0 = math.log(frac * om.r_max)
+    nodes = np.log(_TABLE_R) if om.family == "tabulated" else np.empty(0)
+    edges = [-math.inf, *nodes[nodes < log_t0].tolist(), log_t0]
+    oracle = math.fsum(
+        integrate.quad(om.eval_log, a, b, epsabs=0.0, epsrel=1e-13,
+                       limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:]))
+    assert modulus.dini_integral(om, t0=frac * om.r_max) == pytest.approx(
+        oracle, rel=1e-12)
 
 
-def _refinements(monkeypatch):
-    calls = []
-    refine = modulus._band_integral_log
-
-    def counted(omega, xa, xb, depth=0):
-        if depth == 0:
-            calls.append((xa, xb))
-        return refine(omega, xa, xb, depth)
-
-    monkeypatch.setattr(modulus, "_band_integral_log", counted)
-    return calls
+@pytest.mark.parametrize("p", [1.0001, 1.01])
+def test_dini_integral_near_the_threshold_is_finite(p):
+    # at t0 = r_max = e^-p the integral of (ln 1/t)^-p / t is p**(1-p)/(p-1)
+    value = modulus.dini_integral(modulus.log_power(p))
+    assert value == pytest.approx(p ** (1.0 - p) / (p - 1.0), rel=1e-12)
 
 
-def test_dini_integral_matches_the_serial_band_loop(monkeypatch):
-    r = np.geomspace(1e-6, 0.5, 40)
-    table = modulus.tabulated(r, np.sqrt(r) * (1.0 + 0.2 * np.sin(np.log(r))))
-    moduli = [modulus.parse_modulus(i) for i in (
-        "power:0.05", "power:0.5", "power:1.0", "power:3.0", "log_power:0.5",
-        "log_power:1.0", "log_power:1.1", "log_power:2.0", "log_power:3.0",
-        "log_inverse")] + [table]
-    refinements = _refinements(monkeypatch)
-    compared = 0
-    for om in moduli:
-        log_cap = math.log(om.r_max)
-        depths = {log_cap}
-        for lam in (0.125, 0.2, 0.5, 0.9):
-            for k0 in (1, 3, 8):
-                depths.add(min((k0 - 1) * math.log(lam), log_cap))
-            depths.add((2000 - 0.5) * math.log(lam) if lam < 0.5 else -3000.0)
-        for log_t0 in sorted(depths):
-            refinements.clear()
-            new = modulus.dini_integral(om, log_t0=log_t0)
-            new_calls = list(refinements)
-            refinements.clear()
-            old = _serial_dini_integral(om, log_t0)
-            assert repr(new) == repr(old), (repr(om), log_t0)
-            assert new_calls == refinements, (repr(om), log_t0)
-            compared += 1
-    assert compared > 100
-
-
-    # The spike sits on the centre node of a half band, where the block
-    # quadrature meets it and accepts the band, or of an eighth band, where
-    # only the refinement of a band made rough by the jump meets it.
-    for om in (_poisoned(20, 0.25), _poisoned(20, 0.125, jump=0.8)):
-        refinements.clear()
-        with pytest.raises(ModulusDomainError) as serial:
-            _serial_dini_integral(om, -1.0)
-        serial_calls = list(refinements)
-        refinements.clear()
-        with pytest.raises(ModulusDomainError) as vectorized:
-            modulus.dini_integral(om, log_t0=-1.0)
-        assert "non-finite samples" in str(serial.value)
-        assert str(vectorized.value) == str(serial.value)
-        assert refinements == serial_calls
-
-
-class _NanBelow(modulus.Modulus):
-    """log_inverse returning NaN below r = e^-200."""
-
-    def eval_log(self, log_r):
-        out = super().eval_log(log_r)
-        return np.where(-np.asarray(log_r, dtype=float) > 200.0, np.nan, out)
-
-
-def test_band_refinement_stops_at_non_finite_samples(count_segment_quadratures):
-    om = _NanBelow("log_inverse", {}, math.exp(-1.0))
-    assert math.isnan(modulus._band_integral_log(om, 199.5, 199.5 + math.log(2.0)))
-    assert len(count_segment_quadratures) == 3
-    count_segment_quadratures.clear()
-    with pytest.raises(ModulusDomainError, match="non-finite samples"):
-        modulus.dini_integral(om, log_t0=-190.0)
-    assert len(count_segment_quadratures) == 3
+def test_dini_integral_at_the_threshold_diverges():
+    assert math.isinf(modulus.dini_integral(modulus.log_power(1.0)))
