@@ -2,12 +2,12 @@
 
 The certificate engine: measure how well the gap between a solution u and
 its frozen-coefficient potential v is tracked by polynomials across
-geometrically shrinking balls around the origin.  Each scale solves a
-constant-coefficient comparison problem on the rescaled gap, fits the
-comparison solution by a polynomial at the origin, folds that into the
-running approximant, and records the normalized sup M_k together with the
-contraction factor xi_k and forcing term eta_k that the one-step bound
-M_{k+1} <= xi_k * M_k + eta_k predicts.
+geometrically shrinking balls around the origin.  Each scale solves the
+comparison problem on the rescaled gap (``approximate``), fits its solution
+h by a polynomial at the origin and folds that into the approximant.  The
+rung's record holds M_k, the xi_k and eta_k of the one-step bound
+M_{k+1} <= xi_k * M_k + eta_k, and what the rung measured on the way (bar,
+gap |w - h| on h's nodes, reaction terms, increment); all reach the trace.
 
 A run certifies first-order (mode "c1", affine approximants) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
@@ -183,17 +183,26 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class ScaleRecord:
-    """One rung of the ladder: measurements with the approximant in force."""
+    """One rung of the ladder; docs/report_schema.md (Trace CSV) defines it."""
 
     k: int
     scale: float
     M: float
-    xi: float
-    eta: float
     S: float
     N: float
     approx: LinearApprox | QuadApprox
-    diagnostics: dict
+    sup_error_bar: float
+    measure_radius: float
+    # from the comparison solve that leads to the next rung, so the last
+    # rung leaves them NaN/None
+    xi: float = math.nan
+    eta: float = math.nan
+    gap: float = math.nan
+    fdev: float = math.nan
+    u_sup: float = math.nan
+    phi_u: float = math.nan
+    phi_scale: float = math.nan
+    increment: LinearApprox | QuadApprox | None = None
 
 
 @dataclass(frozen=True)
@@ -212,10 +221,6 @@ class IterationTrace:
     @property
     def N_values(self) -> np.ndarray:
         return np.array([r.N for r in self.records])
-
-    @property
-    def S_values(self) -> np.ndarray:
-        return np.array([r.S for r in self.records])
 
 
 @dataclass(frozen=True)
@@ -306,27 +311,34 @@ def comparison_operator(a0, cells=32) -> LinearOperator:
     return frozen_operator(a0, DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
 
 
-def approximate(w, op: LinearOperator, rtol=1e-11):
-    """Compare w with the frozen-coefficient solution sharing its trace.
+def approximate(w_fn, op: LinearOperator, rtol=1e-11) -> DiscreteField:
+    """Solve a0 : D^2 h = 0 with h = w on the rim of ``op``'s disk; return h.
 
-    ``op`` is a frozen operator a0 : D^2 on the disk of radius 3r/4 around
-    the origin, as ``comparison_operator`` builds it for r = 1.  Solves
-    a0 : D^2 h = 0 there with boundary values taken from w, and returns
-    (h, gap) with gap = sup over the r/2 ball of |w - h|, measured on a
-    lattice at least as fine as the operator's grid.  ``w`` may be a
-    callable or an interior DiscreteField.  The operator keeps its LU
-    factor, so callers that compare many functions against the same
-    frozen coefficients pass the same ``op`` and factor it once.
+    ``op`` is a frozen operator from ``comparison_operator``; it keeps its
+    LU factor, so solves after the first are triangular substitutions only.
     """
-    w_fn = w if callable(w) else bicubic_sampler(w)
     sub = op.grid
-    h = solve_dirichlet(op, sub.zeros("rhs"), sub.boundary_from_function(w_fn),
-                        rtol=rtol)
-    h_fn = bicubic_sampler(h)
-    radius = sub.radius / 0.75
-    gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5 * radius,
+    return solve_dirichlet(op, sub.zeros("rhs"),
+                           sub.boundary_from_function(w_fn), rtol=rtol)
+
+
+def _node_gap(w_fn, h: DiscreteField) -> float:
+    """Max |w - h| on h's own nodes in the half ball, radius 1/2, uninterpolated."""
+    pts = h.points
+    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
+    return float(np.max(np.abs(w_fn(pts[near]) - h.values[near])))
+
+
+def _gap_ratio(w: DiscreteField, op: LinearOperator, rtol=1e-11) -> float:
+    """sup |w - h| / sup |w| for h = ``approximate(w)``, the sup over the
+    half ball on a lattice at least as fine as the operator's grid, with w
+    and h both sampled bicubically; the sweep's and the holdout's measure."""
+    w_fn = bicubic_sampler(w)
+    h_fn = bicubic_sampler(approximate(w_fn, op, rtol=rtol))
+    sub = op.grid
+    gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5 * sub.radius / 0.75,
                       cells=max(24, round(sub.radius / sub.h)))
-    return h, gap
+    return gap / w.sup_norm()
 
 
 def taylor_fit(h: DiscreteField, center, fit_radius, order, a0=None):
@@ -464,10 +476,6 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         meas_r = min(scale, safe_radius)
 
         cur = approx
-
-        def gap_fn(pts, cur=cur):
-            return u_fn(pts) - u_shift - v_fn(pts) - cur(pts)
-
         # u is evaluated once on the rung's sample plan; the tracked sup,
         # the reaction increment and the sup of u are all read from it
         corr = float(b0 @ cur.F) / (2.0 * a0[0, 0]) if order == 2 else 0.0
@@ -483,19 +491,16 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         M = sup / scale ** order
         S = S + M
         row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
-               "xi": math.nan, "eta": math.nan,
-               "diagnostics": {"sup_error_bar": bar / scale ** order,
-                               "measure_radius": meas_r}}
+               "sup_error_bar": bar / scale ** order, "measure_radius": meas_r}
         rows.append(row)
         if k == K_eff:
             break
 
-        def rescaled_gap(z, scale=scale):
-            z = np.atleast_2d(np.asarray(z, dtype=float))
-            return gap_fn(z * scale) / (scale * scale)
+        def rescaled_gap(z):
+            pts = np.atleast_2d(np.asarray(z, dtype=float)) * scale
+            return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
 
-        h_field, gap = approximate(rescaled_gap, comparison,
-                                   rtol=cfg.solver_rtol)
+        h_field = approximate(rescaled_gap, comparison, rtol=cfg.solver_rtol)
         inc = taylor_fit(h_field, (0.0, 0.0), fit_radius, order, a0=a0)
         new_approx = _advance(approx, inc, scale)
         if order == 2:
@@ -509,13 +514,10 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         u = np.concatenate([v for _, v in sampled])
         fdev = float(np.max(np.abs(nl.eval(pts, u) - nl.eval(pts, 0.0))))
         u_sup = float(np.max(np.abs(u - u_shift)))
-        phi_u = _extended_modulus(nl.modulus, u_sup)
-        phi_scale = _extended_modulus(nl.modulus, scale)
-        row["diagnostics"].update({
-            "gap": gap, "fdev": fdev, "phi_u": phi_u, "phi_scale": phi_scale,
-            "phi_doubling_applicable": bool(u_sup >= scale),
-            "increment": inc,
-        })
+        row.update(gap=_node_gap(rescaled_gap, h_field), fdev=fdev,
+                   u_sup=u_sup, phi_u=_extended_modulus(nl.modulus, u_sup),
+                   phi_scale=_extended_modulus(nl.modulus, scale),
+                   increment=inc)
 
         if order == 1:
             drift_k = lambda1 * lam ** (k * drift_exp)
@@ -630,7 +632,7 @@ def certificate(trace: IterationTrace) -> CertificateReport:
     cfg = trace.config
     N = trace.N_values
     M = trace.M_values
-    S = trace.S_values
+    S = np.array([r.S for r in trace.records])
     final_n = float(N[-1])
 
     tail_len = min(3, len(N) - 1)
@@ -720,9 +722,8 @@ def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
     for j, eps in enumerate(epsilons):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
-            w = _shape_solve(op, shape_fn, rtol)
-            _, gap = approximate(w, frozen, rtol=rtol)
-            ratios[i, j] = gap / w.sup_norm()
+            ratios[i, j] = _gap_ratio(_shape_solve(op, shape_fn, rtol), frozen,
+                                      rtol=rtol)
     mean_ratio = ratios.mean(axis=0)
     slope = float(np.polyfit(np.log(epsilons), np.log(mean_ratio), 1)[0])
     return SweepResult(
@@ -817,8 +818,7 @@ def _one_step_linear(u_field, v_fn, lam, frozen):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9, cells=48)
-    h, _ = approximate(w_fn, frozen)
-    inc = taylor_fit(h, (0.0, 0.0), lam, 1)
+    inc = taylor_fit(approximate(w_fn, frozen), (0.0, 0.0), lam, 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam, cells=48)
     return M0, M1 / lam
 
@@ -854,8 +854,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
                 steps[i, j] = _one_step_linear(
                     w, lambda pts: np.zeros(len(pts)), lam, frozen)
             else:
-                _, gap = approximate(w, frozen)
-                hold_ratios[i - n_train, j] = gap / w.sup_norm()
+                hold_ratios[i - n_train, j] = _gap_ratio(w, frozen)
 
     num = 0.0
     den = 0.0
@@ -912,30 +911,30 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
 # serialization
 
 
-_CSV_COLUMNS = {
-    "c1": ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k", "A", "B1", "B2"],
-    "c11": ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
-            "E", "F1", "F2", "G11", "G12", "G22"],
-}
+_COEFFS = {"c1": ["A", "B1", "B2"],
+           "c11": ["E", "F1", "F2", "G11", "G12", "G22"]}
+
+
+def _coeffs(ap) -> list:
+    if isinstance(ap, LinearApprox):
+        return [ap.A, *ap.B]
+    return [ap.E, *ap.F, ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]]
 
 
 def trace_rows(trace: IterationTrace):
-    """CSV header and rows of a trace, floats written with ``repr``."""
+    """CSV header and rows of a trace, one rung a row, floats in ``repr``."""
+    names = _COEFFS[trace.mode]
+    header = (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k"] + names
+              + ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",
+                 "phi_scale_k"] + [f"inc_{name}" for name in names])
     rows = []
-    for rec in trace.records:
-        ap = rec.approx
-        if trace.mode == "c1":
-            coeffs = [ap.A, ap.B[0], ap.B[1]]
-        else:
-            coeffs = [ap.E, ap.F[0], ap.F[1],
-                      ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]]
-        rows.append(
-            [rec.k]
-            + [repr(float(x)) for x in
-               [rec.scale, rec.M, rec.xi, rec.eta, rec.S, rec.N]]
-            + [repr(float(x)) for x in coeffs]
-        )
-    return _CSV_COLUMNS[trace.mode], rows
+    for r in trace.records:
+        inc = [math.nan] * len(names) if r.increment is None else _coeffs(r.increment)
+        rows.append([r.k] + [repr(float(x)) for x in (
+            r.scale, r.M, r.xi, r.eta, r.S, r.N, *_coeffs(r.approx),
+            r.sup_error_bar, r.measure_radius, r.gap, r.fdev, r.u_sup,
+            r.phi_u, r.phi_scale, *inc)])
+    return header, rows
 
 
 def trace_to_csv(trace: IterationTrace, path) -> None:

@@ -67,25 +67,12 @@ class SmallnessError(RegprobeError, ValueError):
 
 
 class SolverError(RegprobeError, RuntimeError):
-    """A linear solve missed its residual check.
-
-    Carries the residual history of the failed solve so callers can report it.
-    """
-
-    def __init__(self, message: str, residual_history=None):
-        super().__init__(message)
-        self.residual_history = list(residual_history or [])
+    """A linear solve missed its residual check; the message names the residual."""
 
 
 class FixedPointError(RegprobeError, RuntimeError):
-    """The outer fixed-point iteration failed to contract.
-
-    Carries the history of successive sup-norm differences.
-    """
-
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = list(history or [])
+    """The outer fixed-point iteration failed to contract; the message names
+    the last update."""
 
 
 class FitError(RegprobeError, ValueError):

@@ -62,6 +62,10 @@ _COMMON_KEYS = {"v", "id", "mode", "seed", "output_dir", "description"}
 
 _DEFAULT_SEED = 20260822
 
+# A grid of c cells has about pi c^2 nodes; a numeric run peaked at 1.6 KB
+# a node at 64-192 cells.  At 2 KiB a node, 4 GiB holds 817 cells.
+_GRID_BUDGET_BYTES, _NODE_BYTES = 4 << 30, 2048
+
 # Defaults of the top-level keys of the modes without config blocks.
 _DEFAULTS = {
     "lemma25_sweep": {"epsilons": [0.02, 0.05, 0.1, 0.2], "cells": 48,
@@ -185,11 +189,15 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                 f"{source}: key 'data_mode' must be 'manufactured' or "
                 f"'numeric', got {data_mode!r}")
         cells = grid.get("cells")
+        # the memory estimate is compared through logs, so no count overflows
         if ("cells" in grid or data_mode == "numeric") and (
-                not isinstance(cells, int) or cells < 16):
+                not isinstance(cells, int) or cells < 16
+                or 2.0 * math.log(cells) + math.log(math.pi * _NODE_BYTES)
+                > math.log(_GRID_BUDGET_BYTES)):
             raise ScenarioError(
-                f"{source}: grid.cells must be an integer >= 16, and numeric "
-                f"mode needs it")
+                f"{source}: grid.cells must be an integer >= 16 whose grid "
+                f"fits in {_GRID_BUDGET_BYTES >> 30} GiB at {_NODE_BYTES >> 10} "
+                f"KiB a node, and numeric mode needs it")
         try:
             PicardConfig(**doc.get("picard", {}))
         except (TypeError, ValueError) as exc:
@@ -379,14 +387,15 @@ def _base_report(doc: dict, verdict: str, limits: dict, flags: dict) -> dict:
 def _run_probe(doc: dict, out_dir: Path) -> dict:
     problem = get_problem(doc["problem"])
     cfg = IterationConfig(**doc.get("iteration", {}))
-    u = None
+    u = solved = None
     if doc.get("data_mode", "manufactured") == "numeric":
         cells = doc["grid"]["cells"]
         grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
         op = assemble(problem.field, grid)
         boundary = grid.boundary_from_function(problem.boundary)
         picard = PicardConfig(**doc.get("picard", {}))
-        u = picard_solve(op, problem.nonlinearity, boundary, picard).u
+        solved = picard_solve(op, problem.nonlinearity, boundary, picard)
+        u = solved.u
 
     probe = c1_probe if doc["mode"] == "c1" else c11_probe
     trace = probe(problem, cfg, u=u)
@@ -407,6 +416,10 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     }
     flags = dict(trace.flags)
     flags["scales_run"] = len(trace.records)
+    if solved is not None:
+        flags["picard"] = {"increments": solved.increments,
+                           "damping_used": solved.damping_used,
+                           "residual_sup": solved.residual_sup}
     return _base_report(doc, cert.verdict, limits, flags)
 
 

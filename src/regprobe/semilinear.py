@@ -5,7 +5,7 @@ the previous iterate, reusing the operator's one LU factor, then blends
 old and new solutions with a damping weight.  Convergence is declared
 when the sup-norm update drops below the configured tolerance; a run
 whose updates fail to shrink for five consecutive steps is declared
-stalled and raises FixedPointError with the full update history attached.
+stalled and raises FixedPointError naming the last update.
 """
 from __future__ import annotations
 
@@ -97,12 +97,12 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
         if _stalled(increments):
             raise FixedPointError(
                 f"updates stopped shrinking for 5 consecutive steps "
-                f"(last {increments[-1]:.3e})", history=increments)
+                f"(last {increments[-1]:.3e})")
 
     if not converged:
         raise FixedPointError(
             f"no fixed point within {config.max_outer} outer iterations "
-            f"(last update {increments[-1]:.3e})", history=increments)
+            f"(last update {increments[-1]:.3e})")
 
     f_final = nonlinearity.eval(pts, u)
     raw = f_final - op.apply(u, boundary.values)

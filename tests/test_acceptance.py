@@ -200,7 +200,7 @@ def assert_telescoping(tr):
     else:
         acc = [0.0, np.zeros(2), np.zeros((2, 2))]
     for rec in tr.records[:-1]:
-        inc = rec.diagnostics["increment"]
+        inc = rec.increment
         scale = tr.config.lam ** rec.k
         if tr.mode == "c1":
             acc[0] = acc[0] + scale * scale * inc.A

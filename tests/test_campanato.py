@@ -23,6 +23,8 @@ from regprobe.campanato import (
     LinearApprox,
     QuadApprox,
     ScaleRecord,
+    _gap_ratio,
+    _node_gap,
     approximate,
     ball_sup,
     c1_probe,
@@ -61,7 +63,8 @@ def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
         e = eta[k] if k < len(eta) else math.nan
         records.append(ScaleRecord(
             k=k, scale=cfg.lam ** k, M=M[k], xi=x, eta=e, S=float(S[k]),
-            N=N[k], approx=approx, diagnostics={},
+            N=N[k], approx=approx, sup_error_bar=0.0,
+            measure_radius=cfg.lam ** k,
         ))
     return IterationTrace(mode=mode, records=tuple(records), limit=approx,
                           config=cfg, truncated=False, flags={})
@@ -86,33 +89,42 @@ def test_approximant_validation():
         QuadApprox(0.0, (0.0, 0.0), [[0.0, 1.0], [0.0, 0.0]])
 
 
+def harmonic(p):
+    return p[:, 0] ** 2 - p[:, 1] ** 2
+
+
+def node_error(w_fn, h):
+    return float(np.max(np.abs(w_fn(h.points) - h.values)))
+
+
 def test_approximate_harmonic_quadratic_is_reproduced():
-    _, gap = approximate(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
-                         comparison_operator(np.eye(2)))
-    assert gap <= 1e-9
+    h = approximate(harmonic, comparison_operator(np.eye(2)))
+    assert node_error(harmonic, h) <= 1e-9
+    assert _node_gap(harmonic, h) <= 1e-9
 
 
 def test_approximate_paraboloid_gap_is_exact():
-    h, gap = approximate(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
-                         comparison_operator(np.eye(2)))
+    def paraboloid(p):
+        return p[:, 0] ** 2 + p[:, 1] ** 2
+
+    h = approximate(paraboloid, comparison_operator(np.eye(2)))
     assert np.max(np.abs(h.values - 9.0 / 16.0)) <= 1e-9
-    assert gap == pytest.approx(9.0 / 16.0, abs=1e-9)
+    # the origin is a node, where the gap peaks
+    assert _node_gap(paraboloid, h) == pytest.approx(9.0 / 16.0, abs=1e-9)
 
 
-def test_approximate_accepts_discrete_field():
-    w = sampled_field(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2, cells=48)
-    _, gap = approximate(w, comparison_operator(np.eye(2)))
-    assert gap <= 1e-9
+def test_gap_ratio_accepts_discrete_field():
+    w = sampled_field(harmonic, cells=48)
+    assert _gap_ratio(w, comparison_operator(np.eye(2))) <= 1e-9
 
 
 def test_approximate_reuses_the_operator_factor(count_factorizations):
     op = comparison_operator(np.eye(2), cells=24)
     assert op.grid.radius == 0.75 and op.grid.h == 0.75 / 24
-    for fn in (lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+    for fn in (harmonic,
                lambda p: p[:, 0] * p[:, 1] + p[:, 0],
                lambda p: 3.0 - p[:, 1]):
-        _, gap = approximate(fn, op)
-        assert gap <= 1e-9
+        assert node_error(fn, approximate(fn, op)) <= 1e-9
     assert len(count_factorizations) == 1
 
 
@@ -192,6 +204,9 @@ def test_zero_case_certifies_at_machine_precision():
     rep = verify_recurrence(tr)
     assert rep.ok_fraction == 1.0
     assert all(math.isinf(m) for m in rep.margins)
+    # u - u(0) is the potential, so every comparison solve sees w = 0
+    assert [rec.gap for rec in tr.records[:-1]] == [0.0] * 6
+    assert math.isnan(tr.records[-1].gap)
 
 
 def test_drift_ladder_contracts_and_certifies():
@@ -221,7 +236,7 @@ def test_drift_limit_gradient_matches_bessel_series():
 def test_cubic_first_increment_matches_hand_computation():
     beta = 0.1
     tr = c11_probe(get_problem("cubic_c11"), IterationConfig(K=2, **CAL))
-    inc = tr.records[0].diagnostics["increment"]
+    inc = tr.records[0].increment
     assert inc.F[0] == pytest.approx(-beta * (0.75 ** 2) / 4.0, abs=1e-5)
     assert abs(inc.E) <= 1e-8
     assert np.max(np.abs(inc.G)) <= 1e-8
@@ -316,7 +331,7 @@ def test_telescoping_and_partial_sums_are_exact():
     A = 0.0
     B = np.zeros(2)
     for rec in tr.records[:-1]:
-        inc = rec.diagnostics["increment"]
+        inc = rec.increment
         scale = cfg.lam ** rec.k
         A = A + scale * scale * inc.A
         B = B + scale * inc.B
@@ -368,10 +383,14 @@ def test_numeric_mode_truncates_at_scale_floor():
     assert tr.flags["data_mode"] == "numeric"
     assert len(tr.records) == 1
     assert tr.flags["scale_floor_k"] == 1
-    assert tr.records[0].diagnostics["measure_radius"] < 1.0
+    assert tr.records[0].measure_radius < 1.0
     closed = c1_probe(drift, IterationConfig(K=1, **CAL))
     assert tr.records[0].M == pytest.approx(closed.records[0].M, rel=1e-3)
     assert certificate(tr).verdict == "inconclusive"
+
+
+DIAG_COLUMNS = ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",
+                "phi_scale_k"]
 
 
 def test_trace_csv_schema_and_roundtrip(tmp_path):
@@ -382,19 +401,32 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
         rows = list(csv.reader(fh))
     header, body = trace_rows(tr)
     assert rows == [header] + [[str(v) for v in row] for row in body]
-    assert rows[0] == ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
-                       "A", "B1", "B2"]
+    assert rows[0] == (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
+                        "A", "B1", "B2"] + DIAG_COLUMNS
+                       + ["inc_A", "inc_B1", "inc_B2"])
     assert len(rows) == 5
     assert rows[1][0] == "0"
     assert float(rows[1][2]) == tr.records[0].M
     assert rows[-1][3] == "nan" and rows[-1][4] == "nan"
     assert float(rows[-1][8]) == tr.records[-1].approx.B[0]
+    first, last = tr.records[0], tr.records[-1]
+    assert [float(v) for v in rows[1][10:]] == [
+        first.sup_error_bar, first.measure_radius, first.gap, first.fdev,
+        first.u_sup, first.phi_u, first.phi_scale,
+        first.increment.A, *first.increment.B]
+    # the last rung has no comparison solve: bar and radius only
+    assert [float(v) for v in rows[-1][10:12]] == [last.sup_error_bar,
+                                                   last.measure_radius]
+    assert rows[-1][12:] == ["nan"] * 8
 
     tr2 = c11_probe(get_problem("cubic_c11"), IterationConfig(K=2, **CAL))
     header, body = trace_rows(tr2)
-    assert len(body) == 3 and len(body[0]) == len(header)
-    assert header == ["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
-                      "E", "F1", "F2", "G11", "G12", "G22"]
+    assert len(body) == 3 and all(len(row) == len(header) for row in body)
+    coeffs = ["E", "F1", "F2", "G11", "G12", "G22"]
+    assert header == (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k"]
+                      + coeffs + DIAG_COLUMNS + [f"inc_{c}" for c in coeffs])
+    assert body[-1][15:] == ["nan"] * 11
+    assert "nan" not in body[0]
 
 
 def test_perturbation_sweep_slope_is_positive(count_factorizations):

@@ -78,11 +78,13 @@ def test_run_matches_golden_report(tmp_path):
 
 
 def test_rerun_bit_reproduces_traces(tmp_path):
+    # drift_c1's per-rung measurements are nonzero, zero_case's mostly zero
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "zero_case", "--out", str(a)]) == 0
-    assert main(["run", "zero_case", "--out", str(b)]) == 0
-    assert (a / "zero_case_trace.csv").read_bytes() == \
-        (b / "zero_case_trace.csv").read_bytes()
+    for out in (a, b):
+        assert main(["run", "zero_case", "drift_c1", "--out", str(out)]) == 0
+    for name in ("zero_case", "drift_c1"):
+        assert (a / f"{name}_trace.csv").read_bytes() == \
+            (b / f"{name}_trace.csv").read_bytes()
     assert not list(a.glob("*.tmp"))
 
 
@@ -482,6 +484,21 @@ def test_numeric_mode_needs_sane_grid(tmp_path, grid, capsys):
     path = write_scenario(tmp_path, data_mode="numeric", grid=grid)
     assert main(["run", str(path)]) == 2
     assert "grid.cells" in capsys.readouterr().err
+
+
+def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, data_mode="numeric",
+                          grid={"cells": 10**400})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "grid.cells" in capsys.readouterr().err
+    assert not out.exists()
+    # 4 GiB at 2 KiB a node holds pi c^2 nodes up to c = 817; validated only
+    doc = json.loads(path.read_text())
+    assert math.pi * 817 ** 2 * 2048 <= 4 << 30 < math.pi * 818 ** 2 * 2048
+    validate_scenario(dict(doc, grid={"cells": 817}))
+    with pytest.raises(ScenarioError, match="grid.cells"):
+        validate_scenario(dict(doc, grid={"cells": 818}))
 
 # Fuzzed documents start from the bundled ones, with solver_rtol present so
 # that it is fuzzed too and the solver validation cut to test size.

@@ -1,4 +1,5 @@
-"""Every function, class, method and dataclass field of the package is read.
+"""Every function, class, method, dataclass field and instance attribute of
+the package is read.
 
 Code whose only caller is its own unit test either gets a real caller or
 is deleted; this test finds the names that have none.  Names are defined
@@ -8,7 +9,8 @@ counts as read when:
 
 - a function or class: an ``ast.Name`` load, an ``ast.Attribute`` load or
   an import alias of its name outside its own definition;
-- a method: an ``ast.Attribute`` load of its name outside its definition;
+- a method, or an instance attribute assigned as ``self.<name> = ...`` in
+  a method: an ``ast.Attribute`` load of its name outside its definition;
 - a dataclass field: an ``ast.Attribute`` load, or a string constant equal
   to its name (``check_numbers(self, floats=("beta", ...))`` and the
   keyword dicts a record is built from name fields that way).
@@ -22,11 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "regprobe"
 READERS = (PACKAGE, ROOT / "perfbench")
 
-# The only observables of Picard's damping rule: nothing reads them until
-# per-rung diagnostics go to disk (ROADMAP item 1), which is to write them.
-ALLOWED = {"PicardResult.increments", "PicardResult.damping_used",
-           "PicardResult.residual_sup"}
-
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
@@ -38,6 +35,23 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
             return True
     return False
+
+
+def _self_targets(method):
+    """(name, statement) of every ``self.<name> = ...`` in ``method``."""
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield sub.attr, node
 
 
 def _definitions(path: Path, tree: ast.Module):
@@ -53,6 +67,9 @@ def _definitions(path: Path, tree: ast.Module):
                 if not _is_dunder(item.name):
                     out.append(("method", f"{node.name}.{item.name}", item.name,
                                 path, item.lineno, item.end_lineno))
+                for name, stmt in _self_targets(item):
+                    out.append(("attribute", f"{node.name}.{name}", name,
+                                path, stmt.lineno, stmt.end_lineno))
             elif (isinstance(item, ast.AnnAssign) and _is_dataclass(node)
                   and isinstance(item.target, ast.Name)):
                 name = item.target.id
@@ -85,7 +102,7 @@ def _reads(path: Path, tree: ast.Module):
 
 
 _COUNTED = {"function": {"name", "attribute"}, "method": {"attribute"},
-            "field": {"attribute", "string"}}
+            "attribute": {"attribute"}, "field": {"attribute", "string"}}
 
 
 def unread_names() -> list:
@@ -105,9 +122,20 @@ def unread_names() -> list:
                    and not (where == path and first <= line <= last)
                    for read, where, line in by_name.get(name, ())):
             unread.add(qualified)
-    return sorted(unread - ALLOWED)
+    return sorted(unread)
 
 
 def test_every_name_has_a_caller_in_the_package():
     unread = unread_names()
     assert not unread, f"defined but never read in the package: {unread}"
+
+
+def test_guard_defines_instance_attributes():
+    tree = ast.parse("class E:\n"
+                     "    def __init__(self, a):\n"
+                     "        self.history, self.count = list(a), 0\n"
+                     "        self.last: float = 0.0\n")
+    found = {qualified: kind for kind, qualified, *_ in
+             _definitions(Path("e.py"), tree)}
+    assert found == {"E": "function", "E.history": "attribute",
+                     "E.count": "attribute", "E.last": "attribute"}

@@ -134,8 +134,6 @@ def test_runaway_reaction_stalls():
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(-8.0, lambda p: np.full(len(p), 1.0))
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
-    with pytest.raises(FixedPointError) as err:
+    with pytest.raises(FixedPointError,
+                       match=r"stopped shrinking for 5 consecutive steps"):
         picard_solve(op, nl, boundary, PicardConfig(tol=1e-9, max_outer=100))
-    history = err.value.history
-    assert len(history) >= 5
-    assert history[-1] >= history[-5]
