@@ -113,24 +113,24 @@ def _advance(cur, inc, scale):
 class IterationConfig:
     """Scale ladder and calibrated constants for a probe run.
 
-    ``lam`` and ``K`` fix the geometry; C0, C1, C2, alpha, beta come from
-    ``calibrate_constants``.  ``nu`` bounds the coefficient oscillation,
-    ``lambda1`` the integral drift norm (first-order mode), ``tau`` the
-    uniform drift bound (second-order mode); leaving any of the three at
-    None inherits the value the probed problem declares for itself.  The
-    structural requirements ``0 < lam < 1/4`` and ``2 C1 lam < 1/4`` are
-    hard errors; the smallness conditions on (nu, lambda1, tau) are
-    recorded as flags and only enforced when ``enforce_smallness`` is
-    "error".
+    ``lam`` and ``K`` fix the geometry.  The defaults of C0, C1, C2 and
+    alpha are the constants ``calibrate_constants()`` measures: this class
+    is their one record, and a recalibration changes them here.  ``nu``
+    bounds the coefficient oscillation, ``lambda1`` the integral drift
+    norm (first-order mode), ``tau`` the uniform drift bound (second-order
+    mode); leaving any of the three at None inherits the value the probed
+    problem declares for itself.  The structural requirements
+    ``0 < lam < 1/4`` and ``2 C1 lam < 1/4`` are hard errors; the
+    smallness conditions on (nu, lambda1, tau) are recorded as flags and
+    only enforced when ``enforce_smallness`` is "error".
     """
 
     lam: float = 0.2
     K: int = 6
-    C0: float = 6.0
-    C1: float = 0.05
-    C2: float = 0.05
-    alpha: float = 0.2
-    beta: float = 0.5
+    C0: float = 2.5625000960919557
+    C1: float = 0.01746397470151538
+    C2: float = 0.03593896907407683
+    alpha: float = 0.1905493004670684
     nu: float | None = None
     lambda1: float | None = None
     tau: float | None = None
@@ -138,16 +138,13 @@ class IterationConfig:
     safety: float = 1.5
     sub_cells: int = 32
     sup_cells: int = 48
-    fit_radius: float | None = None
-    solver_rtol: float = 1e-11
     enforce_smallness: str = "warn"
 
     def __post_init__(self):
         check_numbers(
             self, ints=("K", "sub_cells", "sup_cells"),
-            floats=("lam", "C0", "C1", "C2", "alpha", "beta", "cert_tol",
-                    "safety", "solver_rtol"),
-            optional=("nu", "lambda1", "tau", "fit_radius"))
+            floats=("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety"),
+            optional=("nu", "lambda1", "tau"))
         if not (0.0 < self.lam < 0.25):
             raise ValueError(f"scale ratio must lie in (0, 1/4), got {self.lam}")
         if not (2.0 * self.C1 * self.lam < 0.25):
@@ -161,11 +158,9 @@ class IterationConfig:
         if self.K > math.log(sys.float_info.min) / (2.0 * math.log(self.lam)):
             raise ValueError(
                 f"K={self.K} underflows lam**(2K) at lam={self.lam}")
-        for name in ("alpha", "beta"):
-            if not (0.0 < getattr(self, name) < 1.0):
-                raise ValueError(
-                    f"{name} must lie in (0, 1), got {getattr(self, name)}")
-        for name in ("C0", "C1", "C2", "cert_tol", "safety", "solver_rtol"):
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for name in ("C0", "C1", "C2", "cert_tol", "safety"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("nu", "lambda1", "tau"):
@@ -176,9 +171,6 @@ class IterationConfig:
             raise ValueError("enforce_smallness must be 'warn' or 'error'")
         if self.sub_cells < 16 or self.sup_cells < 16:
             raise ValueError("resolution knobs below 16 cells are meaningless")
-
-    def fit_radius_or_default(self) -> float:
-        return self.lam if self.fit_radius is None else self.fit_radius
 
 
 @dataclass(frozen=True)
@@ -311,15 +303,17 @@ def comparison_operator(a0, cells=32) -> LinearOperator:
     return frozen_operator(a0, DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
 
 
-def approximate(w_fn, op: LinearOperator, rtol=1e-11) -> DiscreteField:
-    """Solve a0 : D^2 h = 0 with h = w on the rim of ``op``'s disk; return h.
+def approximate(w_fn, op: LinearOperator) -> DiscreteField:
+    """Solve L h = 0, L the operator of ``op``, with h = w on the rim of
+    its disk; return h.
 
-    ``op`` is a frozen operator from ``comparison_operator``; it keeps its
-    LU factor, so solves after the first are triangular substitutions only.
+    The ladder passes its frozen ``comparison_operator``, the sweep and the
+    calibration their perturbed operators.  ``op`` keeps its LU factor, so
+    solves after the first are triangular substitutions only.
     """
     sub = op.grid
     return solve_dirichlet(op, sub.zeros("rhs"),
-                           sub.boundary_from_function(w_fn), rtol=rtol)
+                           sub.boundary_from_function(w_fn))
 
 
 def _node_gap(w_fn, h: DiscreteField) -> float:
@@ -329,12 +323,12 @@ def _node_gap(w_fn, h: DiscreteField) -> float:
     return float(np.max(np.abs(w_fn(pts[near]) - h.values[near])))
 
 
-def _gap_ratio(w: DiscreteField, op: LinearOperator, rtol=1e-11) -> float:
+def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
     """sup |w - h| / sup |w| for h = ``approximate(w)``, the sup over the
     half ball on a lattice at least as fine as the operator's grid, with w
     and h both sampled bicubically; the sweep's and the holdout's measure."""
     w_fn = bicubic_sampler(w)
-    h_fn = bicubic_sampler(approximate(w_fn, op, rtol=rtol))
+    h_fn = bicubic_sampler(approximate(w_fn, op))
     sub = op.grid
     gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5 * sub.radius / 0.75,
                       cells=max(24, round(sub.radius / sub.h)))
@@ -434,7 +428,6 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
 
     T = float(problem.potential.hessian_bound)
     lam = cfg.lam
-    fit_radius = cfg.fit_radius_or_default()
     drift_exp = 1.0 - 2.0 / field.q
     nu = problem.nu if cfg.nu is None else cfg.nu
     lambda1 = field.drift_bound if cfg.lambda1 is None else cfg.lambda1
@@ -500,8 +493,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
             pts = np.atleast_2d(np.asarray(z, dtype=float)) * scale
             return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
 
-        h_field = approximate(rescaled_gap, comparison, rtol=cfg.solver_rtol)
-        inc = taylor_fit(h_field, (0.0, 0.0), fit_radius, order, a0=a0)
+        h_field = approximate(rescaled_gap, comparison)
+        inc = taylor_fit(h_field, (0.0, 0.0), lam, order, a0=a0)
         new_approx = _advance(approx, inc, scale)
         if order == 2:
             drift_tr = abs(new_approx.frozen_trace(a0))
@@ -695,14 +688,8 @@ def _perturbed_field(eps: float) -> CoefficientField:
     )
 
 
-def _shape_solve(op, shape_fn, rtol):
-    """Solution of L w = 0 with boundary values ``shape_fn``."""
-    return solve_dirichlet(op, op.grid.zeros("rhs"),
-                           op.grid.boundary_from_function(shape_fn), rtol=rtol)
-
-
 def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
-                       sub_cells=32, rtol=1e-11) -> SweepResult:
+                       sub_cells=32) -> SweepResult:
     """Frozen-coefficient gap against coefficient perturbation size.
 
     For each boundary shape and each eps, solves with the perturbed matrix
@@ -722,8 +709,7 @@ def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
     for j, eps in enumerate(epsilons):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
-            ratios[i, j] = _gap_ratio(_shape_solve(op, shape_fn, rtol), frozen,
-                                      rtol=rtol)
+            ratios[i, j] = _gap_ratio(approximate(shape_fn, op), frozen)
     mean_ratio = ratios.mean(axis=0)
     slope = float(np.polyfit(np.log(epsilons), np.log(mean_ratio), 1)[0])
     return SweepResult(
@@ -849,7 +835,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
     for j, eps in enumerate(epsilons):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
-            w = _shape_solve(op, shape_fn, 1e-11)
+            w = approximate(shape_fn, op)
             if i < n_train:
                 steps[i, j] = _one_step_linear(
                     w, lambda pts: np.zeros(len(pts)), lam, frozen)

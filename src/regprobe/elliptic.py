@@ -33,6 +33,9 @@ from .grid import AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid
 
 ANISOTROPY_LIMIT = 5.0
 
+# The relative residual every solve must meet; see ``solve_dirichlet``.
+SOLVER_RTOL = 1e-11
+
 # glibc raises its mmap threshold to each freed mapped block's size, so SuperLU's
 # multi-MB workspaces land on a heap that fragments differently per process: on a
 # 2-vCPU VM one solver_validation input peaked at 203 MB or 243 MB.  Pinned at 4 MB
@@ -203,17 +206,17 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     return LinearOperator(grid, mat, bmat, scale)
 
 
-def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteField,
-                    rtol: float = 1e-11) -> DiscreteField:
+def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
+                    boundary: DiscreteField) -> DiscreteField:
     """Solve the Dirichlet problem L u = rhs with the given boundary values.
 
     One sparse LU factorization of the row-equilibrated matrix, made on the
     first solve and kept on the operator, so later solves with the same
-    operator only run the triangular substitutions.  ``rtol`` is a check,
-    not a stopping rule: the solution must satisfy, in the equilibrated
-    system,
+    operator only run the triangular substitutions.  ``SOLVER_RTOL`` is a
+    check, not a stopping rule: the solution must satisfy, in the
+    equilibrated system,
 
-        ||A u - b||_2 <= rtol * (||rhs||_2 + ||B g||_2)
+        ||A u - b||_2 <= SOLVER_RTOL * (||rhs||_2 + ||B g||_2)
 
     or SolverError is raised naming the residual and its target.
     Fully deterministic for a fixed operator and right-hand side.
@@ -229,7 +232,7 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField, boundary: DiscreteFi
     scale = float(np.linalg.norm(d * rhs.values) + np.linalg.norm(d * coupled))
     if scale == 0.0:
         return DiscreteField(op.grid, np.zeros(op.grid.n_interior), "solution")
-    target = rtol * scale
+    target = SOLVER_RTOL * scale
 
     x = op.factor.solve(b_vec)
     res = float(np.linalg.norm(b_vec - op.equilibrated @ x))
@@ -276,8 +279,8 @@ def check_resolutions(hs) -> None:
         raise ValueError("resolutions must shrink in geometric progression")
 
 
-def convergence_order(field: CoefficientField, u_exact, rhs_fn, grids,
-                      rtol: float = 1e-11) -> float | None:
+def convergence_order(field: CoefficientField, u_exact, rhs_fn,
+                      grids) -> float | None:
     """Sup-norm convergence order of the solver on a known solution.
 
     ``grids`` are disk grids whose spacings pass ``check_resolutions``; a
@@ -295,7 +298,7 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn, grids,
         op = assemble(field, grid)
         rhs = grid.field_from_function(rhs_fn, "rhs")
         g = grid.boundary_from_function(u_exact)
-        u = solve_dirichlet(op, rhs, g, rtol=rtol)
+        u = solve_dirichlet(op, rhs, g)
         exact = np.asarray(u_exact(grid.coords), dtype=float)
         usup = max(usup, float(np.max(np.abs(exact))))
         errors.append(float(np.max(np.abs(u.values - exact))))

@@ -69,10 +69,9 @@ _GRID_BUDGET_BYTES, _NODE_BYTES = 4 << 30, 2048
 # Defaults of the top-level keys of the modes without config blocks.
 _DEFAULTS = {
     "lemma25_sweep": {"epsilons": [0.02, 0.05, 0.1, 0.2], "cells": 48,
-                      "sub_cells": 32, "solver_rtol": 1e-11,
-                      "min_slope": 0.15},
+                      "sub_cells": 32, "min_slope": 0.15},
     "solver_validation": {"resolutions": [1 / 32, 1 / 64, 1 / 128],
-                          "operators": 20, "solver_rtol": 1e-11},
+                          "operators": 20},
     "modulus_check": {
         "families": [
             {"id": "power:0.5", "dini": True},
@@ -204,7 +203,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(f"{source}: bad picard block: {exc}") from exc
     elif mode == "lemma25_sweep":
         cfg = _checked_settings(doc, source, ints=("cells", "sub_cells"),
-                                floats=("solver_rtol", "min_slope"))
+                                floats=("min_slope",))
         eps = cfg.epsilons
         if (not isinstance(eps, list) or len(eps) < 2
                 or not all(isinstance(e, (int, float)) and 0 < e < 1
@@ -216,8 +215,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: keys 'cells' and 'sub_cells' must be at least 16")
     elif mode == "solver_validation":
-        cfg = _checked_settings(doc, source, ints=("operators",),
-                                floats=("solver_rtol",))
+        cfg = _checked_settings(doc, source, ints=("operators",))
         if cfg.operators < 1:
             raise ScenarioError(
                 f"{source}: key 'operators' must be a positive integer")
@@ -273,14 +271,12 @@ def _settings(doc: dict) -> SimpleNamespace:
 
 
 def _checked_settings(doc: dict, source: str, ints=(), floats=()):
-    """``_settings`` after the number check; ``solver_rtol`` must be positive."""
+    """``_settings`` after the number check."""
     cfg = _settings(doc)
     try:
         check_numbers(cfg, ints=ints, floats=floats)
     except ValueError as exc:
         raise ScenarioError(f"{source}: key {exc}") from exc
-    if "solver_rtol" in floats and cfg.solver_rtol <= 0.0:
-        raise ScenarioError(f"{source}: key 'solver_rtol' must be positive")
     return cfg
 
 
@@ -420,7 +416,9 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         flags["picard"] = {"increments": solved.increments,
                            "damping_used": solved.damping_used,
                            "residual_sup": solved.residual_sup}
-    return _base_report(doc, cert.verdict, limits, flags)
+    # the report states the constants the ladder ran with, defaults included
+    return _base_report(dict(doc, iteration=asdict(cfg)), cert.verdict,
+                        limits, flags)
 
 
 def _run_sweep(doc: dict, out_dir: Path) -> dict:
@@ -429,7 +427,6 @@ def _run_sweep(doc: dict, out_dir: Path) -> dict:
         epsilons=tuple(cfg.epsilons),
         cells=cfg.cells,
         sub_cells=cfg.sub_cells,
-        rtol=cfg.solver_rtol,
     )
     min_slope = cfg.min_slope
     rows = []
@@ -541,7 +538,6 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     cfg = _settings(doc)
     hs = [float(h) for h in cfg.resolutions]
     n_ops = cfg.operators
-    rtol = cfg.solver_rtol
     grids = [DiskGrid((0.0, 0.0), 1.0, h) for h in hs]
     rows = []
     ok_all = True
@@ -549,7 +545,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     orders = {}
     for name, field_kw, u_exact, rhs_fn in _SMOOTH_CASES:
         order = convergence_order(CoefficientField(**field_kw), u_exact,
-                                  rhs_fn, grids, rtol=rtol)
+                                  rhs_fn, grids)
         orders[name] = order
         ok = order is not None and abs(order - 2.0) <= 0.2
         ok_all = ok_all and ok
@@ -564,7 +560,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     for grid in grids[:2]:
         op = assemble(field0, grid)
         bc = grid.boundary_from_function(_exact_quadratic)
-        u = solve_dirichlet(op, grid.zeros("rhs"), bc, rtol=rtol)
+        u = solve_dirichlet(op, grid.zeros("rhs"), bc)
         err = float(np.max(np.abs(u.values - _exact_quadratic(grid.coords))))
         exact_errs.append(err)
         ok = err <= 1e-10
@@ -579,7 +575,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         field, boundary_fn, forcing_fn = _random_operator(rng)
         op = assemble(field, coarse)
         bc = coarse.boundary_from_function(boundary_fn)
-        u0 = solve_dirichlet(op, coarse.zeros("rhs"), bc, rtol=rtol)
+        u0 = solve_dirichlet(op, coarse.zeros("rhs"), bc)
         excess = float(np.max(u0.values) - np.max(bc.values))
         mp_excess.append(excess)
         ok = excess <= 1e-10
@@ -591,7 +587,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         for o in (op, assemble(field, fine)):
             f = o.grid.field_from_function(forcing_fn, "rhs")
             b = o.grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
-            uf = solve_dirichlet(o, f, b, rtol=rtol)
+            uf = solve_dirichlet(o, f, b)
             implied_C, passed = abp_check(uf, f, b)
             implied.append(implied_C)
             rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import LinearOperator, solve_dirichlet
+from .elliptic import SOLVER_RTOL, LinearOperator, solve_dirichlet
 from .errors import FieldValidationError, FixedPointError, check_numbers
 from .fields import Nonlinearity
 from .grid import DiscreteField
@@ -24,18 +24,14 @@ class PicardConfig:
     max_outer: int = 60
     tol: float = 1e-9
     damping: float = 1.0
-    rtol: float = 1e-11
 
     def __post_init__(self):
-        check_numbers(self, ints=("max_outer",),
-                      floats=("tol", "damping", "rtol"))
+        check_numbers(self, ints=("max_outer",), floats=("tol", "damping"))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.rtol <= 0.0:
-            raise ValueError(f"rtol must be positive, got {self.rtol}")
-        if self.tol <= self.rtol:
+        if self.tol <= SOLVER_RTOL:
             raise ValueError(
-                f"outer tolerance {self.tol} must exceed the linear solver tolerance {self.rtol}"
+                f"outer tolerance {self.tol} must exceed the linear solver tolerance {SOLVER_RTOL}"
             )
         if self.max_outer < 1:
             raise ValueError("need at least one outer iteration")
@@ -83,7 +79,7 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
 
     for _ in range(config.max_outer):
         rhs = DiscreteField(grid, nonlinearity.eval(pts, u), "rhs")
-        lin = solve_dirichlet(op, rhs, boundary, rtol=config.rtol)
+        lin = solve_dirichlet(op, rhs, boundary)
         new = (1.0 - theta) * u + theta * lin.values
         step = float(np.max(np.abs(new - u)))
         increments.append(step)

@@ -44,7 +44,7 @@ from regprobe.fields import Nonlinearity, PotentialFamily
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
 
-CAL = dict(C0=2.56, C1=0.0175, C2=0.036, alpha=0.19, beta=0.47)
+CAL = dict(C0=2.56, C1=0.0175, C2=0.036, alpha=0.19)
 
 
 def sampled_field(fn, cells=32, radius=1.0):
@@ -482,6 +482,10 @@ def test_rung_samples_its_ball_once(probe, name, K):
 
 def test_calibration_produces_admissible_constants():
     out = calibrate_constants()
+    # IterationConfig's defaults are the one record of these constants
+    defaults = IterationConfig()
+    for name in ("C0", "C1", "C2", "alpha"):
+        assert out[name] == pytest.approx(getattr(defaults, name), rel=1e-10)
     assert 0.0 < out["alpha"] <= 1.0 / 3.0
     assert 0.0 < out["beta"] < 1.0
     assert out["alpha"] == pytest.approx(out["beta"] / (2.0 + out["beta"]))

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 
@@ -55,6 +56,17 @@ def test_bundled_names_cover_the_shipped_set():
                      "drift_c1_numeric", "lemma25_sweep",
                      "solver_validation", "modulus_check"):
         assert expected in names
+
+
+def test_bundled_scenarios_restate_no_iteration_default():
+    # IterationConfig holds the calibrated constants; a copy in a scenario
+    # file would drift from them at the next recalibration
+    defaults = asdict(campanato.IterationConfig())
+    for name in bundled_names():
+        iteration = load_scenario(name).get("iteration", {})
+        restated = [key for key, value in iteration.items()
+                    if key != "K" and value == defaults[key]]
+        assert not restated, f"{name} restates defaults {restated}"
 
 
 def test_run_bundled_zero_case(tmp_path, capsys):
@@ -142,7 +154,7 @@ def test_bad_iteration_block_exits_2(tmp_path, capsys):
                       {"K": 500}, {"cert_tol": float("inf")},
                       {"sub_cells": 20.5}, {"sup_cells": 48.5},
                       {"solver_rtol": -1.0}, {"solver_rtol": 0.0},
-                      {"beta": -5.0}, {"beta": 1.0}):
+                      {"beta": -5.0}, {"beta": 1.0}, {"fit_radius": 0.2}):
         path = write_scenario(tmp_path, iteration=iteration)
         assert main(["run", str(path)]) == 2
         assert "iteration" in capsys.readouterr().err
@@ -500,11 +512,10 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="grid.cells"):
         validate_scenario(dict(doc, grid={"cells": 818}))
 
-# Fuzzed documents start from the bundled ones, with solver_rtol present so
-# that it is fuzzed too and the solver validation cut to test size.
+# Fuzzed documents start from the bundled ones, with the solver validation
+# cut to test size.
 _FUZZ_BASE = {
-    "lemma25_sweep": {"solver_rtol": 1e-11},
-    "solver_validation": {"operators": 2, "solver_rtol": 1e-11,
+    "solver_validation": {"operators": 2,
                           "resolutions": [1 / 16, 1 / 32, 1 / 64]},
 }
 _BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})

@@ -257,14 +257,15 @@ def test_constant_coeff_rejects_indefinite():
         frozen_operator(np.eye(3), grid)
 
 
-def test_solver_error_carries_history():
+def test_solver_error_carries_history(monkeypatch):
+    monkeypatch.setattr(elliptic, "SOLVER_RTOL", 1e-18)
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     rhs = grid.field_from_function(lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1])
     g = grid.boundary_from_function(trig_boundary(0))
     with pytest.raises(SolverError, match="missed its residual check: "
                        r"residual \S+ above target \S+"):
-        solve_dirichlet(op, rhs, g, rtol=1e-18)
+        solve_dirichlet(op, rhs, g)
 
 
 def test_solver_deterministic():

@@ -12,7 +12,7 @@ counts as read when:
 - a method, or an instance attribute assigned as ``self.<name> = ...`` in
   a method: an ``ast.Attribute`` load of its name outside its definition;
 - a dataclass field: an ``ast.Attribute`` load, or a string constant equal
-  to its name (``check_numbers(self, floats=("beta", ...))`` and the
+  to its name (``check_numbers(self, floats=("alpha", ...))`` and the
   keyword dicts a record is built from name fields that way).
 """
 from __future__ import annotations

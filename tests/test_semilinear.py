@@ -51,7 +51,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(damping=1.5)
     with pytest.raises(ValueError):
-        PicardConfig(tol=1e-12, rtol=1e-11)
+        PicardConfig(tol=1e-12)
     with pytest.raises(ValueError):
         PicardConfig(max_outer=0)
 
