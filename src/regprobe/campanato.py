@@ -19,6 +19,7 @@ probe never repairs a trace to reach a verdict.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -90,7 +91,11 @@ class QuadApprox:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.E + pts @ self.F + np.einsum("ni,ij,nj->n", pts, self.G, pts)
+        x, y = pts[:, 0], pts[:, 1]
+        G = self.G
+        # the terms and the order of einsum("ni,ij,nj->n"), so the same bits
+        quad = x * G[0, 0] * x + x * G[0, 1] * y + y * G[1, 0] * x + y * G[1, 1] * y
+        return self.E + pts @ self.F + quad
 
     def frozen_trace(self, a0) -> float:
         """Value of sum_ij a0_ij * 2 G_ij, zero for admissible approximants."""
@@ -298,9 +303,21 @@ def comparison_operator(a0, cells=32) -> LinearOperator:
     """The frozen operator a0 : D^2 that ``approximate`` solves with.
 
     It lives on the disk of radius 3/4 around the origin, with ``cells``
-    grid spacings across that radius.
+    grid spacings across that radius.  It is assembled and factored once
+    per process for each a0 and ``cells``: every ladder, sweep and
+    calibration with the same a(0) and sub-grid gets the same operator,
+    which no caller writes.
     """
-    return frozen_operator(a0, DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
+    a0 = np.asarray(a0, dtype=float)
+    return _frozen_comparison(a0.shape, tuple(a0.ravel().tolist()), cells)
+
+
+# a process keeps four (a0, cells) pairs; every bundled ladder, sweep and
+# calibration uses one, a0 = I on 32 cells
+@functools.lru_cache(maxsize=4)
+def _frozen_comparison(shape, entries, cells) -> LinearOperator:
+    return frozen_operator(np.reshape(entries, shape),
+                           DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
 
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
@@ -459,8 +476,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     else:
         approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
 
-    # one frozen operator serves every rung, so its LU factor is made once;
-    # a one-rung ladder compares nothing and builds none
+    # one frozen operator serves every rung, and every later ladder with the
+    # same a(0) and sub-grid; a one-rung ladder compares nothing
     comparison = comparison_operator(a0, cfg.sub_cells) if K_eff else None
     rows = []
     S = 0.0

@@ -43,6 +43,7 @@ from .errors import (
 from .scenarios import (
     SCHEMA_VERSION,
     atomic_write_text,
+    check_cells,
     load_scenario,
     run_scenario,
     sanitize,
@@ -212,6 +213,7 @@ def _cmd_calibrate(args) -> int:
         raise ScenarioError(f"--lam must lie in (0, 1/4), got {args.lam}")
     if args.cells < 16:
         raise ScenarioError(f"--cells must be at least 16, got {args.cells}")
+    check_cells("--cells", args.cells)
     constants = calibrate_constants(lam=args.lam, cells=args.cells)
     text = json.dumps(sanitize(constants), indent=2)
     print(text)

@@ -317,9 +317,10 @@ def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
 
     a0 must be a symmetric positive definite 2x2 matrix with eigenvalue
     ratio at most 5.  The operator's ``factor`` is computed on its first
-    solve and reused by every later one, so a caller that solves many
-    Dirichlet problems for the same frozen coefficients (one per rung of a
-    ladder, one per boundary shape of a sweep) builds and factors it once.
+    solve and reused by every later one.  Ladders, sweeps and calibrations
+    take their comparison operator from ``campanato.comparison_operator``,
+    which keeps one per a0 and sub-grid for the whole process, so all of
+    them together assemble and factor it once.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):

@@ -65,6 +65,7 @@ _DEFAULT_SEED = 20260822
 # A grid of c cells has about pi c^2 nodes; a numeric run peaked at 1.6 KB
 # a node at 64-192 cells.  At 2 KiB a node, 4 GiB holds 817 cells.
 _GRID_BUDGET_BYTES, _NODE_BYTES = 4 << 30, 2048
+_MAX_CELLS = math.sqrt(_GRID_BUDGET_BYTES / (math.pi * _NODE_BYTES))
 
 # Defaults of the top-level keys of the modes without config blocks.
 _DEFAULTS = {
@@ -172,11 +173,13 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         if not isinstance(iteration, dict):
             raise ScenarioError(f"{source}: key 'iteration' must be an object")
         try:
-            IterationConfig(**iteration)
+            cfg = IterationConfig(**iteration)
         except TypeError as exc:
             raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
         except ValueError as exc:
             raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
+        for key in ("sub_cells", "sup_cells"):
+            check_cells(f"{source}: iteration.{key}", getattr(cfg, key))
         grid = doc.get("grid", {})
         if not isinstance(grid, dict) or set(grid) - {"cells"}:
             raise ScenarioError(
@@ -187,16 +190,13 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: key 'data_mode' must be 'manufactured' or "
                 f"'numeric', got {data_mode!r}")
-        cells = grid.get("cells")
-        # the memory estimate is compared through logs, so no count overflows
-        if ("cells" in grid or data_mode == "numeric") and (
-                not isinstance(cells, int) or cells < 16
-                or 2.0 * math.log(cells) + math.log(math.pi * _NODE_BYTES)
-                > math.log(_GRID_BUDGET_BYTES)):
-            raise ScenarioError(
-                f"{source}: grid.cells must be an integer >= 16 whose grid "
-                f"fits in {_GRID_BUDGET_BYTES >> 30} GiB at {_NODE_BYTES >> 10} "
-                f"KiB a node, and numeric mode needs it")
+        if "cells" in grid or data_mode == "numeric":
+            cells = grid.get("cells")
+            if not isinstance(cells, int) or cells < 16:
+                raise ScenarioError(
+                    f"{source}: grid.cells must be an integer >= 16, and "
+                    f"numeric mode needs it")
+            check_cells(f"{source}: grid.cells", cells)
         try:
             PicardConfig(**doc.get("picard", {}))
         except (TypeError, ValueError) as exc:
@@ -214,6 +214,8 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         if cfg.cells < 16 or cfg.sub_cells < 16:
             raise ScenarioError(
                 f"{source}: keys 'cells' and 'sub_cells' must be at least 16")
+        for key in ("cells", "sub_cells"):
+            check_cells(f"{source}: key {key!r}", getattr(cfg, key))
     elif mode == "solver_validation":
         cfg = _checked_settings(doc, source, ints=("operators",))
         if cfg.operators < 1:
@@ -232,6 +234,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             check_resolutions(hs)
         except ValueError as exc:
             raise ScenarioError(f"{source}: key 'resolutions': {exc}") from exc
+        check_cells(f"{source}: key 'resolutions'", 1.0 / min(hs))
     elif mode == "modulus_check":
         cfg = _checked_settings(doc, source, ints=("k0_max",))
         if cfg.k0_max < 1:
@@ -261,6 +264,20 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                     f"{source}: each entry of key 'families' needs keys 'id' "
                     f"and 'dini' (true or false)")
             parse_modulus(fam["id"])
+
+
+def check_cells(name: str, cells) -> None:
+    """Raise ScenarioError naming ``name`` unless a disk grid with ``cells``
+    spacings across its radius fits the memory budget.
+
+    ``cells`` is a count or, for a spacing h on the unit disk, 1/h.  An int
+    of any size is compared exactly, so no count overflows.
+    """
+    if not cells <= _MAX_CELLS:
+        raise ScenarioError(
+            f"{name} must ask for at most {_MAX_CELLS:.0f} cells across a "
+            f"radius, the grid that fits in {_GRID_BUDGET_BYTES >> 30} GiB at "
+            f"{_NODE_BYTES >> 10} KiB a node")
 
 
 def _settings(doc: dict) -> SimpleNamespace:

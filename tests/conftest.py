@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from regprobe import elliptic
+from regprobe import campanato, elliptic
 
 
 @pytest.fixture
@@ -12,7 +12,10 @@ def count_factorizations(monkeypatch):
 
     Returns a list that gains one entry (the positional arguments) per
     ``splu`` call, so ``len(count_factorizations)`` is the count so far.
+    The process-wide comparison operators are dropped first, so a frozen
+    operator an earlier test factored is factored again and counted.
     """
+    campanato._frozen_comparison.cache_clear()
     calls = []
     splu = elliptic.spla.splu
 

@@ -38,6 +38,7 @@ from regprobe.campanato import (
     trace_to_csv,
     verify_recurrence,
 )
+from regprobe.cli import main
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FieldValidationError, FitError
 from regprobe.fields import Nonlinearity, PotentialFamily
@@ -80,6 +81,18 @@ def test_approximants_evaluate():
     P = QuadApprox(1.0, (0.0, 0.0), [[1.0, 0.5], [0.5, -1.0]])
     assert P(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0 + 1.0 + 2.0 - 4.0)
     assert P.frozen_trace(np.eye(2)) == pytest.approx(0.0)
+
+
+def test_quadratic_is_bit_equal_to_einsum():
+    rng = np.random.default_rng(2024)
+    for g_mag in (1e-9, 1e-3, 1.0, 1e4):
+        for p_mag in (1e-20, 1e-10, 1e-4, 1.0):
+            A = g_mag * rng.normal(size=(2, 2))
+            P = QuadApprox(rng.normal(), rng.normal(size=2), A + A.T)
+            pts = p_mag * rng.normal(size=(2000, 2))
+            want = (P.E + pts @ P.F
+                    + np.einsum("ni,ij,nj->n", pts, P.G, pts))
+            assert np.array_equal(P(pts).view(np.int64), want.view(np.int64))
 
 
 def test_approximant_validation():
@@ -435,6 +448,25 @@ def test_perturbation_sweep_slope_is_positive(count_factorizations):
     assert np.all(np.diff(np.mean(sweep.ratios, axis=0)) > 0.0)
     # one factor per eps, shared by the three shapes, plus the frozen one
     assert len(count_factorizations) == 5
+
+
+def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
+    # two bundled ladders and a sweep, all with a(0) = I on 32 sub-cells
+    frozen = comparison_operator(np.eye(2), 32)
+    assert main(["run", "drift_c1", "nondini_c11", "--out", str(tmp_path)]) == 0
+    perturbation_sweep()
+    assert comparison_operator([[1.0, 0.0], [0.0, 1.0]], 32) is frozen
+    assert sum(args[0] is frozen.equilibrated
+               for args in count_factorizations) == 1
+    # the only others are the sweep's four perturbed operators
+    assert len(count_factorizations) == 5
+    # another a(0) or sub-grid gets its own operator
+    other_a0 = comparison_operator(2.0 * np.eye(2), 32)
+    other_grid = comparison_operator(np.eye(2), 40)
+    assert other_a0 is not frozen and other_grid is not frozen
+    assert other_a0.grid.h == frozen.grid.h
+    assert other_grid.grid.h == 0.75 / 40
+    assert (other_a0.matrix != frozen.matrix).nnz > 0
 
 
 LADDERS = pytest.mark.parametrize("probe, name, K", [

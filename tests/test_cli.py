@@ -90,13 +90,17 @@ def test_run_matches_golden_report(tmp_path):
 
 
 def test_rerun_bit_reproduces_traces(tmp_path):
-    # drift_c1's per-rung measurements are nonzero, zero_case's mostly zero
+    # drift_c1's per-rung measurements are nonzero, zero_case's mostly zero;
+    # the first run builds the shared comparison operator, the second reuses
+    # it on both the c1 and the c11 path
+    names = ("zero_case", "drift_c1", "cubic_c11", "nondini_c11")
+    campanato._frozen_comparison.cache_clear()
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert main(["run", "zero_case", "drift_c1", "--out", str(out)]) == 0
-    for name in ("zero_case", "drift_c1"):
-        assert (a / f"{name}_trace.csv").read_bytes() == \
-            (b / f"{name}_trace.csv").read_bytes()
+        assert main(["run", *names, "--out", str(out)]) == 0
+    for name in names:
+        for artifact in (f"{name}_trace.csv", f"{name}_report.json"):
+            assert (a / artifact).read_bytes() == (b / artifact).read_bytes()
     assert not list(a.glob("*.tmp"))
 
 
@@ -434,6 +438,8 @@ def test_calibrate_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--lam", "0.9"), ("--lam", "0.25"), ("--lam", "0.3"), ("--lam", "0"),
     ("--lam", "-1"), ("--lam", "nan"), ("--cells", "0"), ("--cells", "15"),
+    ("--cells", "818"),
+    pytest.param("--cells", "1" + "0" * 400, id="--cells-401_digits"),
 ])
 def test_calibrate_rejects_flags_before_solving(capsys, monkeypatch, flag,
                                                 value):
@@ -511,6 +517,56 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
     validate_scenario(dict(doc, grid={"cells": 817}))
     with pytest.raises(ScenarioError, match="grid.cells"):
         validate_scenario(dict(doc, grid={"cells": 818}))
+
+
+_BUDGET_MODES = {"iteration.sub_cells": "c1", "iteration.sup_cells": "c1",
+                 "'cells'": "lemma25_sweep", "'sub_cells'": "lemma25_sweep",
+                 "'resolutions'": "solver_validation"}
+
+
+def _budget_doc(key, value):
+    """A document whose cell count under ``key`` is ``value``."""
+    doc = {"v": 1, "id": "budget", "mode": _BUDGET_MODES[key]}
+    if key.startswith("iteration."):
+        doc.update(problem="zero_case",
+                   iteration={"K": 2, key.split(".")[1]: value})
+    else:
+        doc[key.strip("'")] = value
+    return doc
+
+
+def _spacings(cells):
+    return [4.0 / cells, 2.0 / cells, 1.0 / cells]
+
+
+# Every cell count is held to grid.cells' budget.  Only values validation
+# rejects are run, and the run itself is stubbed out, so nothing allocates.
+@pytest.mark.parametrize("key, value", [
+    *[pytest.param(key, value, id=f"{key}-{name}")
+      for key in list(_BUDGET_MODES)[:4]
+      for value, name in ((10**400, "401_digits"), (818, "818"))],
+    pytest.param("'resolutions'", [1e-100, 5e-101, 2.5e-101], id="h-1e-100"),
+    pytest.param("'resolutions'", [1e-4, 5e-5, 2.5e-5], id="h-1e-4"),
+    pytest.param("'resolutions'", _spacings(818), id="h-1/818"),
+])
+def test_cell_counts_beyond_the_memory_budget_exit_2(tmp_path, capsys,
+                                                     monkeypatch, key, value):
+    def unreachable(*args):
+        raise AssertionError("scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(_budget_doc(key, value)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"{key} must ask for at most 817 cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", list(_BUDGET_MODES))
+def test_cell_counts_at_the_memory_budget_validate(key):
+    value = _spacings(817) if key == "'resolutions'" else 817
+    validate_scenario(_budget_doc(key, value))
 
 # Fuzzed documents start from the bundled ones, with the solver validation
 # cut to test size.
