@@ -259,7 +259,7 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField,
     grid = u.grid
     lhs = float(np.max(u.values))
     bmax = float(np.max(boundary.values))
-    w = grid.node_weights()
+    w = grid.node_weights
     fnorm = float(np.sqrt(np.sum(w * f_rhs.values ** 2)))
     if fnorm > 1e-300:
         implied = (lhs - bmax) / fnorm

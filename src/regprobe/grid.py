@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,12 +117,14 @@ class DiskGrid:
     def n_boundary(self) -> int:
         return len(self.boundary_points)
 
+    @cached_property
     def node_weights(self) -> np.ndarray:
         """Midpoint-cell quadrature weights for the interior nodes.
 
         Each node owns the cell of side ``h`` centered on it; cells cut by
         the circle are weighted by the covered-area fraction from a 4x4
-        subsample.
+        subsample.  Computed once per grid and read-only, since every
+        caller shares the array.
         """
         d = self.coords - np.asarray(self.center)
         h = self.h
@@ -140,6 +143,7 @@ class DiskGrid:
             sy = ylo[cut, None, None] + h * sub[None, None, :]
             frac = np.mean(sx * sx + sy * sy <= r * r, axis=(1, 2))
             w[cut] = frac * h * h
+        w.flags.writeable = False
         return w
 
     def field_from_function(self, fn, role: str = "rhs") -> "DiscreteField":

@@ -67,6 +67,10 @@ _DEFAULT_SEED = 20260822
 _GRID_BUDGET_BYTES, _NODE_BYTES = 4 << 30, 2048
 _MAX_CELLS = math.sqrt(_GRID_BUDGET_BYTES / (math.pi * _NODE_BYTES))
 
+# Each randomized operator of solver_validation assembles and factors two
+# grids, about 0.09 s at the default resolutions, so 1000 is about 90 s.
+_MAX_OPERATORS = 1000
+
 # Defaults of the top-level keys of the modes without config blocks.
 _DEFAULTS = {
     "lemma25_sweep": {"epsilons": [0.02, 0.05, 0.1, 0.2], "cells": 48,
@@ -218,9 +222,10 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             check_cells(f"{source}: key {key!r}", getattr(cfg, key))
     elif mode == "solver_validation":
         cfg = _checked_settings(doc, source, ints=("operators",))
-        if cfg.operators < 1:
+        if not 1 <= cfg.operators <= _MAX_OPERATORS:
             raise ScenarioError(
-                f"{source}: key 'operators' must be a positive integer")
+                f"{source}: key 'operators' must be an integer from 1 to "
+                f"{_MAX_OPERATORS}")
         hs = cfg.resolutions
         if not isinstance(hs, list):
             raise ScenarioError(

@@ -426,6 +426,36 @@ def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, override):
     assert not out.exists()
 
 
+# Operator counts above the cap are rejected before anything is solved; the
+# run itself is stubbed out, so a count that slips through fails the test.
+@pytest.mark.parametrize("count", [1001, 10**9, 10**400])
+@pytest.mark.parametrize("via", ["scenario", "override"])
+def test_operator_counts_beyond_the_cap_exit_2(tmp_path, capsys, monkeypatch,
+                                                via, count):
+    def unreachable(*args):
+        raise AssertionError("scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    out = tmp_path / "out"
+    if via == "scenario":
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"v": 1, "id": "many",
+                                    "mode": "solver_validation",
+                                    "operators": count}))
+        argv = ["run", str(path)]
+    else:
+        argv = ["validate-solver", "--operators", str(count)]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "key 'operators' must be an integer from 1 to 1000" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_operator_count_at_the_cap_validates():
+    validate_scenario({"v": 1, "id": "many", "mode": "solver_validation",
+                       "operators": 1000})
+
+
 def test_calibrate_subcommand(tmp_path, capsys):
     code = main(["calibrate", "--out", str(tmp_path)])
     assert code == 0

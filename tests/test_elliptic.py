@@ -107,7 +107,7 @@ def test_node_weights_cover_disk():
     got = []
     for h in (1.0 / 32, 1.0 / 64):
         grid = DiskGrid((0.0, 0.0), 1.0, h)
-        total = float(np.sum(grid.node_weights()))
+        total = float(np.sum(grid.node_weights))
         assert total < np.pi
         got.append(np.pi - total)
     assert got[0] < 4.0 * np.pi / 32

@@ -13,7 +13,8 @@ import scipy.sparse.linalg as spla
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FixedPointError
 from regprobe.fields import CoefficientField, Nonlinearity
-from regprobe.grid import DiskGrid
+from regprobe.grid import DiscreteField, DiskGrid
+from regprobe.manufactured import get_problem
 from regprobe.modulus import Modulus, power, zero_modulus
 from regprobe.semilinear import (
     PicardConfig,
@@ -137,3 +138,36 @@ def test_runaway_reaction_stalls():
     with pytest.raises(FixedPointError,
                        match=r"stopped shrinking for 5 consecutive steps"):
         picard_solve(op, nl, boundary, PicardConfig(tol=1e-9, max_outer=100))
+
+
+def plain_picard(op, nl, boundary, tol, max_outer=200):
+    """Undamped Picard iteration u <- L^{-1} f(x, u) from u = 0, the
+    reference the accelerated solver must agree with."""
+    grid = op.grid
+    u = np.zeros(grid.n_interior)
+    for steps in range(1, max_outer + 1):
+        rhs = DiscreteField(grid, nl.eval(grid.coords, u), "rhs")
+        new = solve_dirichlet(op, rhs, boundary).values
+        step = float(np.max(np.abs(new - u)))
+        u = new
+        if step <= tol:
+            return u, steps
+    raise AssertionError(f"plain Picard missed {tol} in {max_outer} steps")
+
+
+def test_secant_picard_outer_steps(count_factorizations):
+    # The log-inverse reaction is not Lipschitz at u = 0, so plain Picard
+    # contracts only about 0.45 a step: 21 steps to 1e-9 on this grid.
+    problem = get_problem("nondini_c11")
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    op = assemble(problem.field, grid)
+    boundary = grid.boundary_from_function(problem.boundary)
+    result = picard_solve(op, problem.nonlinearity, boundary,
+                          PicardConfig(tol=1e-9))
+    assert result.outer_iterations <= 10
+    assert result.residual_sup < 1e-9
+    reference, plain_steps = plain_picard(op, problem.nonlinearity, boundary,
+                                          1e-12)
+    assert plain_steps > 21
+    assert np.max(np.abs(result.u.values - reference)) < 1e-9
+    assert len(count_factorizations) == 1
