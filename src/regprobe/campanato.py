@@ -37,15 +37,19 @@ from .errors import (
     CalibrationError,
     FieldValidationError,
     FitError,
-    SmallnessError,
     check_numbers,
 )
 from .fields import CoefficientField, _extended_modulus
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
-from .modulus import Modulus
 
 _TINY_SUP = 1e-10
 _STALL_RATIO = 0.95
+
+# The fixed resolutions of every ladder, sweep and calibration: the frozen
+# comparison operator has SUB_CELLS spacings across its radius, and a
+# ball's sup is sampled on a lattice of SUP_CELLS spacings across its.
+SUB_CELLS = 32
+SUP_CELLS = 48
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +124,11 @@ class IterationConfig:
 
     ``lam`` and ``K`` fix the geometry.  The defaults of C0, C1, C2 and
     alpha are the constants ``calibrate_constants()`` measures: this class
-    is their one record, and a recalibration changes them here.  ``nu``
-    bounds the coefficient oscillation, ``lambda1`` the integral drift
-    norm (first-order mode), ``tau`` the uniform drift bound (second-order
-    mode); leaving any of the three at None inherits the value the probed
-    problem declares for itself.  The structural requirements
-    ``0 < lam < 1/4`` and ``2 C1 lam < 1/4`` are hard errors; the
-    smallness conditions on (nu, lambda1, tau) are recorded as flags and
-    only enforced when ``enforce_smallness`` is "error".
+    is their one record, and a recalibration changes them here.  The
+    structural requirements ``0 < lam < 1/4`` and ``2 C1 lam < 1/4`` are
+    hard errors.  The smallness conditions belong to the probed problem,
+    which declares its oscillation ``nu``, drift norm and uniform drift
+    bound ``tau``; the ladder records whether they hold as a flag.
     """
 
     lam: float = 0.2
@@ -136,20 +137,13 @@ class IterationConfig:
     C1: float = 0.01746397470151538
     C2: float = 0.03593896907407683
     alpha: float = 0.1905493004670684
-    nu: float | None = None
-    lambda1: float | None = None
-    tau: float | None = None
     cert_tol: float = 1e-3
     safety: float = 1.5
-    sub_cells: int = 32
-    sup_cells: int = 48
-    enforce_smallness: str = "warn"
 
     def __post_init__(self):
         check_numbers(
-            self, ints=("K", "sub_cells", "sup_cells"),
-            floats=("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety"),
-            optional=("nu", "lambda1", "tau"))
+            self, ints=("K",),
+            floats=("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety"))
         if not (0.0 < self.lam < 0.25):
             raise ValueError(f"scale ratio must lie in (0, 1/4), got {self.lam}")
         if not (2.0 * self.C1 * self.lam < 0.25):
@@ -168,14 +162,6 @@ class IterationConfig:
         for name in ("C0", "C1", "C2", "cert_tol", "safety"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("nu", "lambda1", "tau"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.enforce_smallness not in ("warn", "error"):
-            raise ValueError("enforce_smallness must be 'warn' or 'error'")
-        if self.sub_cells < 16 or self.sup_cells < 16:
-            raise ValueError("resolution knobs below 16 cells are meaningless")
 
 
 @dataclass(frozen=True)
@@ -259,7 +245,7 @@ def _disk_lattice(radius, cells):
 _REFINE = 3
 
 
-def ball_sup(fn, radius, cells=48):
+def ball_sup(fn, radius, cells=SUP_CELLS):
     """Sup of |fn| over the closed ball, with a crude resolution error bar.
 
     The sample plan is the disk lattice of spacing radius/cells plus 720
@@ -299,7 +285,7 @@ def ball_sup(fn, radius, cells=48):
 # frozen-coefficient comparison and polynomial extraction
 
 
-def comparison_operator(a0, cells=32) -> LinearOperator:
+def comparison_operator(a0, cells=SUB_CELLS) -> LinearOperator:
     """The frozen operator a0 : D^2 that ``approximate`` solves with.
 
     It lives on the disk of radius 3/4 around the origin, with ``cells``
@@ -406,17 +392,15 @@ def _resolve_solution(problem, u_data):
     return u_fn, None
 
 
-def _smallness_flags(cfg: IterationConfig, mode: str, omega_a: Modulus,
-                     ellipticity: float, nu: float, lambda1: float,
-                     tau: float) -> dict:
+def _smallness_flags(cfg: IterationConfig, mode: str, problem) -> dict:
     if mode == "c1":
-        value = (nu + lambda1) ** cfg.alpha
+        value = (problem.nu + problem.field.drift_bound) ** cfg.alpha
         bound = cfg.lam ** 2
         return {"mode": mode, "oscillation": value, "bound": bound,
                 "ok": bool(value <= bound)}
-    osc = (_extended_modulus(omega_a, 1.0) + tau) ** cfg.alpha
+    osc = (_extended_modulus(problem.omega_a, 1.0) + problem.tau) ** cfg.alpha
     osc_bound = cfg.lam ** 3
-    drift = tau * cfg.C0 / (2.0 * ellipticity)
+    drift = problem.tau * cfg.C0 / (2.0 * problem.field.ellipticity)
     return {"mode": mode, "oscillation": osc, "bound": osc_bound,
             "drift_ratio": drift,
             "ok": bool(osc <= osc_bound and drift <= 0.25)}
@@ -446,13 +430,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     T = float(problem.potential.hessian_bound)
     lam = cfg.lam
     drift_exp = 1.0 - 2.0 / field.q
-    nu = problem.nu if cfg.nu is None else cfg.nu
-    lambda1 = field.drift_bound if cfg.lambda1 is None else cfg.lambda1
-    tau = problem.tau if cfg.tau is None else cfg.tau
-    smallness = _smallness_flags(cfg, mode, problem.omega_a, ell,
-                                 nu, lambda1, tau)
-    if cfg.enforce_smallness == "error" and not smallness["ok"]:
-        raise SmallnessError(f"smallness conditions violated: {smallness}")
+    nu, lambda1, tau = problem.nu, field.drift_bound, problem.tau
+    smallness = _smallness_flags(cfg, mode, problem)
 
     # Numeric data cannot resolve balls much smaller than the grid cell;
     # stop the ladder one rung above the floor and flag the truncation.
@@ -478,7 +457,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
 
     # one frozen operator serves every rung, and every later ladder with the
     # same a(0) and sub-grid; a one-rung ladder compares nothing
-    comparison = comparison_operator(a0, cfg.sub_cells) if K_eff else None
+    comparison = comparison_operator(a0) if K_eff else None
     rows = []
     S = 0.0
     for k in range(K_eff + 1):
@@ -497,7 +476,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
             gap = u - u_shift - v_fn(pts) - cur(pts)
             return gap + corr * pts[:, 0] ** 2 if order == 2 else gap
 
-        sup, bar = ball_sup(tracked, meas_r, cells=cfg.sup_cells)
+        sup, bar = ball_sup(tracked, meas_r)
         M = sup / scale ** order
         S = S + M
         row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
@@ -706,7 +685,7 @@ def _perturbed_field(eps: float) -> CoefficientField:
 
 
 def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
-                       sub_cells=32) -> SweepResult:
+                       sub_cells=SUB_CELLS) -> SweepResult:
     """Frozen-coefficient gap against coefficient perturbation size.
 
     For each boundary shape and each eps, solves with the perturbed matrix
@@ -820,9 +799,9 @@ def _one_step_linear(u_field, v_fn, lam, frozen):
     def w_fn(pts):
         return sampler(pts) - shift - v_fn(pts)
 
-    M0, _ = ball_sup(w_fn, 0.9, cells=48)
+    M0, _ = ball_sup(w_fn, 0.9)
     inc = taylor_fit(approximate(w_fn, frozen), (0.0, 0.0), lam, 1)
-    M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam, cells=48)
+    M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam)
     return M0, M1 / lam
 
 
@@ -846,7 +825,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
     shapes = _sweep_shapes()
     n_train = 2
     grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
-    frozen = comparison_operator(np.eye(2), 32)
+    frozen = comparison_operator(np.eye(2))
     steps = np.zeros((n_train, len(epsilons), 2))
     hold_ratios = np.zeros((len(shapes) - n_train, len(epsilons)))
     for j, eps in enumerate(epsilons):

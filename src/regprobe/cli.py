@@ -47,7 +47,6 @@ from .scenarios import (
     load_scenario,
     run_scenario,
     sanitize,
-    validate_scenario,
 )
 
 PASS_VERDICTS = frozenset({"C1_certified", "C11_certified", "pass"})
@@ -98,13 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_p.add_argument("--cells", type=int, default=48,
                        help="solver resolution (default 48)")
 
-    val_p = sub.add_parser("validate-solver", parents=[common],
-                           help="run the bundled solver validation scenario")
-    val_p.add_argument("--seed", type=int, default=None,
-                       help="override the randomized-operator seed")
-    val_p.add_argument("--operators", type=int, default=None,
-                       help="override the randomized-operator count")
-
+    sub.add_parser("validate-solver", parents=[common],
+                   help="run the bundled solver validation scenario")
     sub.add_parser("check-modulus", parents=[common],
                    help="run the bundled modulus suite")
     return parser
@@ -222,14 +216,9 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_bundled(args, name: str, overrides: dict) -> int:
-    doc = load_scenario(name)
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    validate_scenario(doc, source=f"bundled:{name} with command-line overrides")
-    report = run_scenario(doc, _out_dir(args))
-    print(f"{doc['id']}: {report['verdict']}")
+def _cmd_bundled(args, name: str) -> int:
+    report = run_scenario(load_scenario(name), _out_dir(args))
+    print(f"{name}: {report['verdict']}")
     for key, value in report["limits"].items():
         print(f"  {key}: {_fmt(sanitize(value))}")
     if _strict(args) and report["verdict"] not in PASS_VERDICTS:
@@ -251,10 +240,8 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             return _cmd_calibrate(args)
         if args.command == "validate-solver":
-            return _cmd_bundled(args, "solver_validation",
-                                {"seed": args.seed,
-                                 "operators": args.operators})
-        return _cmd_bundled(args, "modulus_check", {})
+            return _cmd_bundled(args, "solver_validation")
+        return _cmd_bundled(args, "modulus_check")
     except RegprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -5,21 +5,18 @@ import math
 import numbers
 
 
-def check_numbers(cfg, ints=(), floats=(), optional=()) -> None:
+def check_numbers(cfg, ints=(), floats=()) -> None:
     """Raise ValueError unless the named fields of ``cfg`` hold real numbers.
 
-    ``ints`` must be integers; ``floats`` and ``optional`` must be finite,
-    and ``optional`` may also be None.  A bool is neither, so a JSON
-    ``true`` never passes as 1.
+    ``ints`` must be integers and ``floats`` finite.  A bool is neither, so
+    a JSON ``true`` never passes as 1.
     """
     for name in ints:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name in floats + optional:
+    for name in floats:
         value = getattr(cfg, name)
-        if value is None and name in optional:
-            continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
         try:
@@ -60,10 +57,6 @@ class ExponentError(RegprobeError, ValueError):
 
 class AnisotropyError(RegprobeError, ValueError):
     """The coefficient matrix is too anisotropic for the discretization to stay monotone."""
-
-
-class SmallnessError(RegprobeError, ValueError):
-    """A probe was told to enforce smallness conditions its problem violates."""
 
 
 class SolverError(RegprobeError, RuntimeError):

@@ -147,8 +147,9 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             f"{source}: schema version {doc['v']!r} not supported "
             f"(expected {SCHEMA_VERSION})")
     ident = doc.get("id")
-    if not isinstance(ident, str) or not ident:
-        raise ScenarioError(f"{source}: key 'id' must be a non-empty string")
+    if not isinstance(ident, str) or not ident or "\0" in ident:
+        raise ScenarioError(
+            f"{source}: key 'id' must be a non-empty string without NUL")
     mode = doc.get("mode")
     if mode not in MODES:
         raise ScenarioError(
@@ -164,9 +165,10 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         raise ScenarioError(
             f"{source}: key 'seed' must be a non-negative integer")
     out = doc.get("output_dir", ".")
-    if not isinstance(out, str) or not out:
+    if not isinstance(out, str) or not out or "\0" in out:
         raise ScenarioError(
-            f"{source}: key 'output_dir' must be a non-empty string")
+            f"{source}: key 'output_dir' must be a non-empty string "
+            f"without NUL")
 
     if mode in ("c1", "c11"):
         if not isinstance(doc.get("problem"), str):
@@ -177,13 +179,9 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         if not isinstance(iteration, dict):
             raise ScenarioError(f"{source}: key 'iteration' must be an object")
         try:
-            cfg = IterationConfig(**iteration)
-        except TypeError as exc:
+            IterationConfig(**iteration)
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
-        for key in ("sub_cells", "sup_cells"):
-            check_cells(f"{source}: iteration.{key}", getattr(cfg, key))
         grid = doc.get("grid", {})
         if not isinstance(grid, dict) or set(grid) - {"cells"}:
             raise ScenarioError(
@@ -336,8 +334,9 @@ def sanitize(obj):
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it there.
 
-    An OSError, such as an output directory that is a regular file, becomes
-    a ScenarioError naming ``path``; the temp file never outlives a failure.
+    An OSError, such as an output directory that is a regular file, or a
+    ValueError, such as a path holding a NUL byte, becomes a ScenarioError
+    naming ``path``; the temp file never outlives a failure.
     """
     path = Path(path)
     try:
@@ -352,7 +351,7 @@ def atomic_write_text(path, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(
             f"cannot write {path}: {exc}") from exc
 

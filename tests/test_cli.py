@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -16,14 +17,14 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regprobe import campanato, cli
+from regprobe import campanato, cli, scenarios
 from regprobe.cli import main
 from regprobe.errors import ScenarioError
 from regprobe.scenarios import (
@@ -32,6 +33,7 @@ from regprobe.scenarios import (
     run_scenario,
     validate_scenario,
 )
+from regprobe.semilinear import PicardConfig
 
 GOLDEN = "tests/golden/zero_case_report.json"
 
@@ -67,6 +69,59 @@ def test_bundled_scenarios_restate_no_iteration_default():
         restated = [key for key, value in iteration.items()
                     if key != "K" and value == defaults[key]]
         assert not restated, f"{name} restates defaults {restated}"
+
+
+# Probe-document keys that no bundled scenario or benchmark document sets,
+# each kept for a reason.  Any other such key is a setting nobody uses.
+ALLOWED = {
+    "iteration.lam": "the scale ratio `calibrate --lam` measures C0-alpha at",
+    "iteration.C0": "calibration record: set with lam from a calibrate run",
+    "iteration.C1": "calibration record: set with lam from a calibrate run",
+    "iteration.C2": "calibration record: set with lam from a calibrate run",
+    "iteration.alpha": "calibration record: set with lam from a calibrate "
+                       "run",
+    "iteration.cert_tol": "verdict threshold the recurrence-based verdict "
+                          "will read",
+    "iteration.safety": "verdict threshold the recurrence-based verdict "
+                        "will read",
+}
+
+
+def _benchmark_documents(monkeypatch) -> list:
+    """The documents perfbench/workloads.py generates, for every workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [doc for group in workloads.WORKLOADS.values()
+            for doc in workloads.make_documents(path.parents[1], group, 1)]
+
+
+def _set_keys(doc: dict) -> set:
+    """The top-level keys of ``doc``, and block.key for its object values."""
+    keys = set(doc)
+    for block, value in doc.items():
+        if isinstance(value, dict):
+            keys |= {f"{block}.{key}" for key in value}
+    return keys
+
+
+def test_every_probe_setting_is_set_by_some_document(monkeypatch):
+    probe_keys = set(scenarios._MODE_KEYS["c1"] | scenarios._MODE_KEYS["c11"])
+    probe_keys |= {f"iteration.{f.name}"
+                   for f in fields(campanato.IterationConfig)}
+    probe_keys |= {f"picard.{f.name}" for f in fields(PicardConfig)}
+    probe_keys.add("grid.cells")
+    docs = [load_scenario(name) for name in bundled_names()]
+    docs += _benchmark_documents(monkeypatch)
+    set_keys = set().union(*(_set_keys(doc) for doc in docs
+                             if doc["mode"] in ("c1", "c11")))
+    unset = probe_keys - set_keys - set(ALLOWED)
+    assert not unset, f"probe settings no document sets: {sorted(unset)}"
+    stale = set(ALLOWED) - (probe_keys - set_keys)
+    assert not stale, f"ALLOWED names keys that are set or gone: {sorted(stale)}"
 
 
 def test_run_bundled_zero_case(tmp_path, capsys):
@@ -156,16 +211,11 @@ def test_schema_version_mismatch_exits_2(tmp_path):
 def test_bad_iteration_block_exits_2(tmp_path, capsys):
     for iteration in ({"lam": 0.3}, {"K": 2.5}, {"K": True}, {"K": 240},
                       {"K": 500}, {"cert_tol": float("inf")},
-                      {"sub_cells": 20.5}, {"sup_cells": 48.5},
                       {"solver_rtol": -1.0}, {"solver_rtol": 0.0},
                       {"beta": -5.0}, {"beta": 1.0}, {"fit_radius": 0.2}):
         path = write_scenario(tmp_path, iteration=iteration)
         assert main(["run", str(path)]) == 2
         assert "iteration" in capsys.readouterr().err
-    path = write_scenario(tmp_path, problem="drift_c1",
-                          iteration={"K": 1, "enforce_smallness": "error"})
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "smallness" in capsys.readouterr().err
     path = write_scenario(tmp_path, seed=True)
     assert main(["run", str(path)]) == 2
     assert "seed" in capsys.readouterr().err
@@ -189,6 +239,8 @@ def test_bad_iteration_block_exits_2(tmp_path, capsys):
     ("modulus_check", "families", [{"id": "zero", "dini": "yes"}]),
     ("c1", "problem", []),
     ("c1", "output_dir", 5),
+    ("c1", "output_dir", "a\0b"),
+    ("c1", "id", "a\0b"),
 ])
 def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     doc = {"v": 1, "id": "custom", "mode": mode, key: value}
@@ -369,7 +421,9 @@ def test_malformed_report_exits_2_naming_it(tmp_path, capsys, make):
     ["run", "zero_case", "--out", "{file}"],
     ["run", "zero_case", "--out", "{file}/sub"],
     ["report", "{reports}", "--out", "{file}"],
-], ids=["run_out_file", "run_out_under_file", "report_out_file"])
+    ["run", "zero_case", "--out", "{file}\0"],
+], ids=["run_out_file", "run_out_under_file", "report_out_file",
+        "run_out_nul"])
 def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, argv):
     reports = tmp_path / "reports"
     assert main(["run", "zero_case", "--out", str(reports)]) == 0
@@ -394,6 +448,30 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# Settings a document can no longer hold: the problem declares nu, lambda1
+# and tau, smallness is only reported, the ladder's resolutions and
+# Picard's damping and step cap are fixed.  Each value here was in range
+# when the key existed, so only the key itself is rejected.
+@pytest.mark.parametrize("block, key, value", [
+    ("iteration", "nu", 0.0), ("iteration", "lambda1", 0.0),
+    ("iteration", "tau", 0.0), ("iteration", "enforce_smallness", "warn"),
+    ("iteration", "sub_cells", 32), ("iteration", "sup_cells", 48),
+    ("picard", "damping", 0.5), ("picard", "max_outer", 60),
+])
+def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
+                                             block, key, value):
+    def unreachable(*args):
+        raise AssertionError("scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    path = write_scenario(tmp_path, **{block: {key: value}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad {block} block" in err and repr(key) in err
+    assert not out.exists()
+
+
 def test_check_modulus_subcommand(tmp_path, capsys):
     code = main(["check-modulus", "--out", str(tmp_path)])
     assert code == 0
@@ -401,53 +479,71 @@ def test_check_modulus_subcommand(tmp_path, capsys):
     assert (tmp_path / "modulus_check_report.json").exists()
 
 
-def test_validate_solver_subcommand(tmp_path, capsys, count_factorizations):
-    code = main(["validate-solver", "--operators", "2",
-                 "--out", str(tmp_path)])
-    assert code == 0
+def test_validate_solver_subcommand(tmp_path, capsys, monkeypatch):
+    ran = []
+
+    def recorded(doc, out_dir):
+        ran.append((doc, out_dir))
+        return {"verdict": "pass", "limits": {"operators": doc["operators"]}}
+
+    monkeypatch.setattr(cli, "run_scenario", recorded)
+    assert main(["validate-solver", "--out", str(tmp_path)]) == 0
+    # the bundled document runs as it is
+    assert ran == [(load_scenario("solver_validation"), tmp_path)]
+    assert capsys.readouterr().out == "solver_validation: pass\n  operators: 20\n"
+
+
+def test_solver_validation_factors_each_operator_once(tmp_path,
+                                                      count_factorizations):
+    doc = dict(load_scenario("solver_validation"), operators=2)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
     # 9 convergence solves, 2 exact-quadratic solves, and per operator one
     # factor on each of the two grids: the coarse one serves both its
     # maximum-principle and its implied-C solve.
     assert len(count_factorizations) == 15
-    out = capsys.readouterr().out
-    assert "solver_validation: pass" in out
     report = json.loads(
         (tmp_path / "solver_validation_report.json").read_text())
+    assert report["verdict"] == "pass"
     assert report["limits"]["operators"] == 2
     assert report["flags"]["seed"] == 20260822
 
 
-@pytest.mark.parametrize("override", [["--operators", "0"], ["--seed", "-1"]],
+# validate-solver runs the bundled document and takes no flags of its own;
+# a document sets the seed and the operator count
+@pytest.mark.parametrize("flag", [["--operators", "2"], ["--seed", "7"]],
                          ids=["operators", "seed"])
-def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, override):
+def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, flag):
     out = tmp_path / "out"
-    assert main(["validate-solver", *override, "--out", str(out)]) == 2
-    assert override[0][2:] in capsys.readouterr().err
+    assert main(["validate-solver", *flag, "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 
 # Operator counts above the cap are rejected before anything is solved; the
 # run itself is stubbed out, so a count that slips through fails the test.
 @pytest.mark.parametrize("count", [1001, 10**9, 10**400])
-@pytest.mark.parametrize("via", ["scenario", "override"])
+@pytest.mark.parametrize("via", ["scenario", "api"])
 def test_operator_counts_beyond_the_cap_exit_2(tmp_path, capsys, monkeypatch,
                                                 via, count):
     def unreachable(*args):
         raise AssertionError("scenario ran")
 
+    message = "key 'operators' must be an integer from 1 to 1000"
+    doc = {"v": 1, "id": "many", "mode": "solver_validation",
+           "operators": count}
+    if via == "api":
+        with pytest.raises(ScenarioError, match=message):
+            validate_scenario(doc)
+        return
     monkeypatch.setattr(cli, "run_scenario", unreachable)
     out = tmp_path / "out"
-    if via == "scenario":
-        path = tmp_path / "many.json"
-        path.write_text(json.dumps({"v": 1, "id": "many",
-                                    "mode": "solver_validation",
-                                    "operators": count}))
-        argv = ["run", str(path)]
-    else:
-        argv = ["validate-solver", "--operators", str(count)]
-    assert main([*argv, "--out", str(out)]) == 2
-    assert "key 'operators' must be an integer from 1 to 1000" in (
-        capsys.readouterr().err)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -499,7 +595,7 @@ def test_numeric_scenario_reports_truncation(tmp_path):
 
 
 def test_bad_picard_block_exits_2(tmp_path, capsys):
-    for picard in ({"damping": 2.0}, {"max_outer": 2.5}, {"max_outer": True},
+    for picard in ({"tol": 1e-12}, {"tol": "x"}, {"tol": True},
                    {"rtol": 0.0}, {"rtol": -1e-11}):
         path = write_scenario(tmp_path, data_mode="numeric",
                               grid={"cells": 32}, picard=picard)
@@ -549,20 +645,14 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
         validate_scenario(dict(doc, grid={"cells": 818}))
 
 
-_BUDGET_MODES = {"iteration.sub_cells": "c1", "iteration.sup_cells": "c1",
-                 "'cells'": "lemma25_sweep", "'sub_cells'": "lemma25_sweep",
+_BUDGET_MODES = {"'cells'": "lemma25_sweep", "'sub_cells'": "lemma25_sweep",
                  "'resolutions'": "solver_validation"}
 
 
 def _budget_doc(key, value):
     """A document whose cell count under ``key`` is ``value``."""
-    doc = {"v": 1, "id": "budget", "mode": _BUDGET_MODES[key]}
-    if key.startswith("iteration."):
-        doc.update(problem="zero_case",
-                   iteration={"K": 2, key.split(".")[1]: value})
-    else:
-        doc[key.strip("'")] = value
-    return doc
+    return {"v": 1, "id": "budget", "mode": _BUDGET_MODES[key],
+            key.strip("'"): value}
 
 
 def _spacings(cells):
@@ -573,7 +663,7 @@ def _spacings(cells):
 # rejects are run, and the run itself is stubbed out, so nothing allocates.
 @pytest.mark.parametrize("key, value", [
     *[pytest.param(key, value, id=f"{key}-{name}")
-      for key in list(_BUDGET_MODES)[:4]
+      for key in list(_BUDGET_MODES)[:2]
       for value, name in ((10**400, "401_digits"), (818, "818"))],
     pytest.param("'resolutions'", [1e-100, 5e-101, 2.5e-101], id="h-1e-100"),
     pytest.param("'resolutions'", [1e-4, 5e-5, 2.5e-5], id="h-1e-4"),
