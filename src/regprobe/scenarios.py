@@ -147,9 +147,11 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             f"{source}: schema version {doc['v']!r} not supported "
             f"(expected {SCHEMA_VERSION})")
     ident = doc.get("id")
-    if not isinstance(ident, str) or not ident or "\0" in ident:
+    if (not isinstance(ident, str) or ident in ("", ".", "..")
+            or any(c in ident for c in "\0/\\")):
         raise ScenarioError(
-            f"{source}: key 'id' must be a non-empty string without NUL")
+            f"{source}: key 'id' must be a file name: a non-empty string "
+            f"other than '.' and '..', without NUL, '/' or '\\'")
     mode = doc.get("mode")
     if mode not in MODES:
         raise ScenarioError(

@@ -10,8 +10,9 @@ from regprobe import campanato, elliptic
 def count_factorizations(monkeypatch):
     """Count the sparse LU factorizations made while the test runs.
 
-    Returns a list that gains one entry (the positional arguments) per
-    ``splu`` call, so ``len(count_factorizations)`` is the count so far.
+    Returns a list that gains one entry, the matrix and the keyword
+    arguments, per ``splu`` call, so ``len(count_factorizations)`` is the
+    count so far.
     The process-wide comparison operators are dropped first, so a frozen
     operator an earlier test factored is factored again and counted.
     """
@@ -19,9 +20,9 @@ def count_factorizations(monkeypatch):
     calls = []
     splu = elliptic.spla.splu
 
-    def counting_splu(*args, **kwargs):
-        calls.append(args)
-        return splu(*args, **kwargs)
+    def counting_splu(matrix, **kwargs):
+        calls.append((matrix, kwargs))
+        return splu(matrix, **kwargs)
 
     monkeypatch.setattr(elliptic.spla, "splu", counting_splu)
     return calls

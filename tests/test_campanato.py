@@ -452,8 +452,8 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     assert main(["run", "drift_c1", "nondini_c11", "--out", str(tmp_path)]) == 0
     perturbation_sweep()
     assert comparison_operator([[1.0, 0.0], [0.0, 1.0]], 32) is frozen
-    assert sum(args[0] is frozen.equilibrated
-               for args in count_factorizations) == 1
+    assert sum(matrix is frozen.equilibrated
+               for matrix, _ in count_factorizations) == 1
     # the only others are the sweep's four perturbed operators
     assert len(count_factorizations) == 5
     # another a(0) or sub-grid gets its own operator

@@ -254,6 +254,36 @@ def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     assert not out.exists()
 
 
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("ident", [
+    "../escaped", "sub/escaped", "a\\b", "..\\escaped", ".", ".."])
+def test_path_like_id_exits_2_and_writes_nothing(tmp_path, capsys, ident):
+    # artifacts are named after the id inside the output directory, so an
+    # id that names another directory would write outside it
+    work = tmp_path / "work"
+    work.mkdir()
+    path = write_scenario(work, name="custom", id=ident, iteration={"K": 1})
+    before = _tree(tmp_path)
+    assert main(["run", str(path), "--out", str(work / "out")]) == 2
+    assert "'id'" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("ident", ["../escaped", "a/b", "/abs", "a\\b", ".",
+                                   ".."])
+def test_validate_scenario_rejects_path_like_id(tmp_path, ident):
+    doc = {"v": 1, "id": ident, "mode": "c1", "problem": "zero_case",
+           "iteration": {"K": 1}, "output_dir": str(tmp_path / "out")}
+    with pytest.raises(ScenarioError, match="'id'"):
+        validate_scenario(doc)
+    assert _tree(tmp_path) == []
+    # an id may still hold dots and other punctuation
+    validate_scenario(dict(doc, id="..a.b-c_d"))
+
+
 def write_modulus_doc(tmp_path, modulus_id, lams=(0.5,), k0_max=2):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps({

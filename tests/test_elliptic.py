@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regprobe import elliptic
+from regprobe import elliptic, scenarios
 from regprobe.elliptic import (
     abp_check,
     assemble,
@@ -24,6 +24,7 @@ from regprobe.elliptic import (
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField
 from regprobe.grid import DiscreteField, DiskGrid
+from regprobe.manufactured import get_problem
 
 
 def const_field(a11, a22, a12, b1=0.0, b2=0.0, lam=None):
@@ -416,7 +417,59 @@ def test_residual_of_solution_small():
 def test_factor_pins_mmap_threshold(monkeypatch):
     if platform.libc_ver()[0] == "glibc":
         assert elliptic._MALLOPT is not None
-    calls = []
-    monkeypatch.setattr(elliptic, "_MALLOPT", lambda *args: calls.append(args))
-    frozen_operator(np.eye(2), DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)).factor
-    assert calls == [(-3, 4 << 20)]
+    # a12 = 0 is the 5-point, minimum-degree branch; a12 != 0 the 7-point,
+    # nested-dissection one
+    for a12 in (0.0, 0.3):
+        calls = []
+        monkeypatch.setattr(elliptic, "_MALLOPT",
+                            lambda *args: calls.append(args))
+        a0 = np.array([[1.0, a12], [a12, 1.0]])
+        op = frozen_operator(a0, DiskGrid((0.0, 0.0), 1.0, 1.0 / 16))
+        assert (op.order is None) == (a12 == 0.0)
+        op.factor
+        assert calls == [(-3, 4 << 20)]
+
+
+def test_dissection_order_is_a_permutation_fixed_by_the_geometry():
+    for center, radius, h in (((0.0, 0.0), 1.0, 1.0 / 32),
+                              ((0.3, -0.2), 0.5, 0.5 / 21)):
+        grid = DiskGrid(center, radius, h)
+        order = grid.dissection_order
+        assert np.array_equal(np.sort(order), np.arange(grid.n_interior))
+        assert not order.flags.writeable
+        assert grid.dissection_order is order
+        assert np.array_equal(DiskGrid(center, radius, h).dissection_order, order)
+
+
+def test_diagonal_stencil_factors_in_dissection_order(count_factorizations):
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    field, boundary_fn, forcing_fn = scenarios._random_operator(
+        np.random.default_rng(0))
+    op = assemble(field, grid)
+    assert op.order is grid.dissection_order
+    rhs = grid.field_from_function(forcing_fn, "rhs")
+    g = grid.boundary_from_function(boundary_fn)
+    u = solve_dirichlet(op, rhs, g)
+    (matrix, kwargs), = count_factorizations
+    assert kwargs["permc_spec"] == "NATURAL"
+    p = grid.dissection_order
+    assert (matrix != op.equilibrated[p][:, p]).nnz == 0
+    # minimum degree fills 867,534 entries on this 7-point stencil, nested
+    # dissection 807,458 (scipy 1.17)
+    mmd = elliptic.spla.splu(op.equilibrated, permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True})
+    assert op.factor.L.nnz + op.factor.U.nnz < mmd.L.nnz + mmd.U.nnz
+    d = 1.0 / op.row_scale
+    ref = mmd.solve(d * (rhs.values - op.boundary_matrix @ g.values))
+    assert np.max(np.abs(u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_five_point_stencil_keeps_minimum_degree(count_factorizations):
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 128)
+    op = assemble(get_problem("nondini_c11").field, grid)
+    assert op.order is None
+    op.factor
+    (matrix, kwargs), = count_factorizations
+    assert matrix is op.equilibrated
+    assert kwargs == {"permc_spec": "MMD_AT_PLUS_A",
+                      "options": {"SymmetricMode": True}}
