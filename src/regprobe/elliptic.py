@@ -16,10 +16,14 @@ theorem for every operator it accepts, not an observation.  Arms cut by
 the circle use unequal-arm (Shortley-Weller) differences, which keep the
 stencil exact on quadratics right up to the boundary.
 
-Each operator is factored once by sparse LU, in a fill-reducing order
-chosen from the stencil: minimum degree for the 5-point stencil (a12 = 0
-at every node), and the grid's lattice nested dissection as soon as a
-diagonal arm appears, where minimum degree fills more.
+Each operator is factored once by sparse LU, in a way chosen from the
+stencil.  On the 5-point stencil (a12 = 0 at every node) every arm joins a
+red node (i + j even) to a black one (i + j odd), so the red unknowns
+eliminate exactly and only the half-size black Schur complement is
+factored, in minimum-degree order (red-black reduction; Buzbee, Golub and
+Nielson, SIAM J. Numer. Anal. 7, 1970).  A diagonal arm joins two nodes of
+one colour; such a matrix is factored whole, in the grid's lattice
+nested-dissection order, where minimum degree fills more.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ class LinearOperator:
 
     ``order`` is the column order the LU factor eliminates in: the grid's
     ``dissection_order`` when the stencil has diagonal arms, None for the
-    5-point stencil, which SuperLU orders by minimum degree.
+    5-point stencil, whose factor is of the red-black reduced system.
     """
 
     grid: DiskGrid
@@ -76,20 +80,39 @@ class LinearOperator:
         return (sp.diags(1.0 / self.row_scale) @ self.matrix).tocsc()
 
     @cached_property
-    def factor(self):
-        """Sparse LU factor of the equilibrated matrix, computed once.
+    def _red_black(self):
+        """The red-black split of a 5-point ``equilibrated`` = A.
 
-        The fill-reducing order follows the stencil.  A 5-point matrix is
-        factored as it is, in SuperLU's minimum-degree order of A^T + A;
-        on that stencil it fills less than nested dissection.  With
-        diagonal arms (7 or 9 points) minimum degree fills more, and the
-        factor is of ``equilibrated[order][:, order]`` in its natural
-        order, so ``solve`` permutes in and out.
+        Returns the red and black node indices, the red diagonal d, the
+        block A_BR and the block diag(1/d) A_RB; the red-red block of A is
+        diag(d) because no 5-point arm joins two red nodes.
+        """
+        odd = (self.grid.lattice.sum(axis=1) & 1).astype(bool)
+        red, black = np.flatnonzero(~odd), np.flatnonzero(odd)
+        a = self.equilibrated
+        d = a.diagonal()[red]
+        a_br = a[black][:, red].tocsr()
+        c_rb = (sp.diags(1.0 / d) @ a[red][:, black]).tocsr()
+        return red, black, d, a_br, c_rb
+
+    @cached_property
+    def factor(self):
+        """Sparse LU factor, computed once.
+
+        The matrix factored follows the stencil.  For a 5-point matrix it
+        is the black Schur complement S = A_BB - A_BR diag(1/d) A_RB of
+        the red-black split, a 9-point system on about half the nodes, in
+        SuperLU's minimum-degree order of S^T + S; ``solve`` eliminates
+        the red unknowns around it.  With diagonal arms (7 or 9 points)
+        the colours couple among themselves, minimum degree fills more
+        than nested dissection, and the factor is of
+        ``equilibrated[order][:, order]`` in its natural order, so
+        ``solve`` permutes in and out.
 
         SuperLU runs in its SymmetricMode: the elimination tree comes from
         A^T + A, and a diagonal pivot is taken whenever it passes the
         threshold test, so the row order follows the column order on
-        these structurally symmetric, diagonally dominant stencils.
+        these structurally symmetric, diagonally dominant matrices.
         Partial pivoting takes over for any column whose diagonal fails
         the test.
         """
@@ -97,17 +120,24 @@ class LinearOperator:
             _MALLOPT(-3, 4 << 20)
         options = {"SymmetricMode": True}
         if self.order is None:
-            return spla.splu(self.equilibrated, permc_spec="MMD_AT_PLUS_A",
-                             options=options)
+            _, black, _, a_br, c_rb = self._red_black
+            a = self.equilibrated
+            schur = (a[black][:, black] - a_br @ c_rb).tocsc()
+            return spla.splu(schur, permc_spec="MMD_AT_PLUS_A", options=options)
         p = self.order
         return spla.splu(self.equilibrated[p][:, p], permc_spec="NATURAL",
                          options=options)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The x with ``equilibrated @ x = b``, from the cached factor."""
-        if self.order is None:
-            return self.factor.solve(b)
         x = np.empty_like(b)
+        if self.order is None:
+            red, black, d, a_br, c_rb = self._red_black
+            y = b[red] / d
+            x_black = self.factor.solve(b[black] - a_br @ y)
+            x[black] = x_black
+            x[red] = y - c_rb @ x_black
+            return x
         x[self.order] = self.factor.solve(b[self.order])
         return x
 
@@ -242,11 +272,11 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
                     boundary: DiscreteField) -> DiscreteField:
     """Solve the Dirichlet problem L u = rhs with the given boundary values.
 
-    One sparse LU factorization of the row-equilibrated matrix, made on the
-    first solve and kept on the operator, so later solves with the same
+    One sparse LU factorization (see ``LinearOperator.factor``), made on
+    the first solve and kept on the operator, so later solves with the same
     operator only run the triangular substitutions.  ``SOLVER_RTOL`` is a
-    check, not a stopping rule: the solution must satisfy, in the
-    equilibrated system,
+    check, not a stopping rule: the solution must satisfy, in the whole
+    equilibrated system, red-black reduced or not,
 
         ||A u - b||_2 <= SOLVER_RTOL * (||rhs||_2 + ||B g||_2)
 

@@ -150,6 +150,17 @@ class DiskGrid:
         return w
 
     @cached_property
+    def lattice(self) -> np.ndarray:
+        """The int64 lattice indices (i, j) of each interior node.
+
+        Node k sits at ``center + h * lattice[k]``.  Computed once per grid
+        and read-only.
+        """
+        ij = np.rint((self.coords - np.asarray(self.center)) / self.h).astype(np.int64)
+        ij.flags.writeable = False
+        return ij
+
+    @cached_property
     def dissection_order(self) -> np.ndarray:
         """Lattice nested-dissection order of the interior nodes.
 
@@ -163,7 +174,7 @@ class DiskGrid:
         half, 1 for the high half and 2 for the line, and the order is a
         stable sort by key.  Computed once per grid and read-only.
         """
-        ij = np.rint((self.coords - np.asarray(self.center)) / self.h).astype(np.int64)
+        ij = self.lattice
         n = len(ij)
         key = np.zeros(n, dtype=np.int64)
         live = np.arange(n)                      # nodes whose box still splits
@@ -248,10 +259,12 @@ def bicubic_sampler(field: DiscreteField):
     if field.role == "boundary":
         raise FieldValidationError("cannot interpolate a boundary-trace field")
     grid = field.grid
+    if field.points is not grid.coords:
+        raise FieldValidationError("can interpolate only values at the grid's nodes")
     m = int(math.floor(grid.radius / grid.h + 1e-12)) + 1
     lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
     cx, cy = float(grid.center[0]), float(grid.center[1])
-    ij = np.round((field.points - [cx, cy]) / grid.h).astype(int)
+    ij = grid.lattice
     lattice[ij[:, 0] + m, ij[:, 1] + m] = field.values
 
     def sample(pts):

@@ -194,7 +194,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: key 'data_mode' must be 'manufactured' or "
                 f"'numeric', got {data_mode!r}")
-        if "cells" in grid or data_mode == "numeric":
+        if data_mode == "numeric":
             cells = grid.get("cells")
             if not isinstance(cells, int) or cells < 16:
                 raise ScenarioError(
@@ -205,6 +205,13 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             PicardConfig(**doc.get("picard", {}))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{source}: bad picard block: {exc}") from exc
+        # a well-formed grid or picard block is still refused where no
+        # solve reads it, so a report never echoes a setting it ignored
+        for key in ("grid", "picard"):
+            if data_mode == "manufactured" and key in doc:
+                raise ScenarioError(
+                    f"{source}: key {key!r} is read only in numeric mode "
+                    f"(\"data_mode\": \"numeric\")")
     elif mode == "lemma25_sweep":
         cfg = _checked_settings(doc, source, ints=("cells", "sub_cells"),
                                 floats=("min_slope",))

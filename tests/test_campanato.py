@@ -452,7 +452,10 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     assert main(["run", "drift_c1", "nondini_c11", "--out", str(tmp_path)]) == 0
     perturbation_sweep()
     assert comparison_operator([[1.0, 0.0], [0.0, 1.0]], 32) is frozen
-    assert sum(matrix is frozen.equilibrated
+    # the frozen operator's one factor is of its red-black reduced system
+    _, black, _, a_br, c_rb = frozen._red_black
+    reduced = frozen.equilibrated[black][:, black] - a_br @ c_rb
+    assert sum(matrix.shape == reduced.shape and (matrix != reduced).nnz == 0
                for matrix, _ in count_factorizations) == 1
     # the only others are the sweep's four perturbed operators
     assert len(count_factorizations) == 5

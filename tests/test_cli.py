@@ -639,6 +639,28 @@ def test_bad_picard_block_exits_2(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+# grid and picard configure the numeric solve, which manufactured mode skips
+@pytest.mark.parametrize("overrides, key", [
+    ({"grid": {"cells": 64}}, "grid"),
+    ({"mode": "c11", "problem": "cubic_c11", "picard": {"tol": 0.5}},
+     "picard"),
+    ({"data_mode": "manufactured", "grid": {"cells": 32},
+      "picard": {"tol": 1e-9}}, "grid"),
+])
+def test_numeric_only_keys_exit_2_in_manufactured_mode(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       overrides, key):
+    def unreachable(*args):
+        raise AssertionError("scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    path = write_scenario(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert f"key {key!r} is read only in numeric mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # the scipy subpackages the program does not use, or uses only in tests
     unused = ["scipy.stats", "scipy.special", "scipy.interpolate",

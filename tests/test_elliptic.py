@@ -12,8 +12,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from regprobe import elliptic, scenarios
+from regprobe import campanato, elliptic, scenarios
+from regprobe.cli import main
 from regprobe.elliptic import (
     abp_check,
     assemble,
@@ -23,7 +25,7 @@ from regprobe.elliptic import (
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField
-from regprobe.grid import DiscreteField, DiskGrid
+from regprobe.grid import DiscreteField, DiskGrid, bicubic_sampler
 from regprobe.manufactured import get_problem
 
 
@@ -125,6 +127,19 @@ def test_field_role_validation():
     bad[0] = np.nan
     with pytest.raises(FieldValidationError):
         DiscreteField(grid, bad, "solution")
+
+
+def test_bicubic_sampler_reads_node_values_only():
+    def cubic(p):
+        return p[:, 0] ** 3 - 2.0 * p[:, 0] * p[:, 1] ** 2 + p[:, 1]
+
+    grid = DiskGrid((0.2, -0.1), 0.5, 0.5 / 20)
+    sample = bicubic_sampler(grid.field_from_function(cubic, "solution"))
+    pts = np.array([[0.2, -0.1], [0.31, 0.013], [0.07, -0.23]])
+    assert np.allclose(sample(pts), cubic(pts), rtol=0.0, atol=1e-13)
+    elsewhere = DiscreteField(grid, np.zeros(3), "solution", points=pts)
+    with pytest.raises(FieldValidationError, match="grid's nodes"):
+        bicubic_sampler(elsewhere)
 
 
 def assert_monotone(op):
@@ -470,6 +485,47 @@ def test_five_point_stencil_keeps_minimum_degree(count_factorizations):
     assert op.order is None
     op.factor
     (matrix, kwargs), = count_factorizations
-    assert matrix is op.equilibrated
+    # the factored matrix is the red-black reduced system on the black nodes
+    assert matrix.shape == (black_count(grid), black_count(grid))
     assert kwargs == {"permc_spec": "MMD_AT_PLUS_A",
                       "options": {"SymmetricMode": True}}
+
+
+def black_count(grid):
+    return int(np.count_nonzero(grid.lattice.sum(axis=1) % 2))
+
+
+@pytest.mark.parametrize("cells", [32, 128])
+@pytest.mark.parametrize("name", ["zero_case", "drift_c1", "nondini_c11"])
+def test_red_black_solve_matches_the_full_factor(count_factorizations,
+                                                 name, cells):
+    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    op = assemble(get_problem(name).field, grid)
+    assert op.order is None
+    b = np.random.default_rng(cells).standard_normal(grid.n_interior)
+    x = op.solve(b)
+    (matrix, _), = count_factorizations
+    assert matrix.shape == (black_count(grid), black_count(grid))
+    full = elliptic.spla.splu(op.equilibrated, permc_spec="MMD_AT_PLUS_A")
+    ref = full.solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_every_bundled_five_point_operator_has_a_diagonal_red_block(
+        tmp_path, monkeypatch):
+    solved = {}
+    solve = elliptic.LinearOperator.solve
+
+    def recording_solve(op, b):
+        solved[id(op)] = op
+        return solve(op, b)
+
+    monkeypatch.setattr(elliptic.LinearOperator, "solve", recording_solve)
+    campanato._frozen_comparison.cache_clear()
+    assert main(["run", *scenarios.bundled_names(), "--out", str(tmp_path)]) == 0
+    five_point = [op for op in solved.values() if op.order is None]
+    assert five_point
+    for op in five_point:
+        red = op.grid.lattice.sum(axis=1) % 2 == 0
+        block = op.equilibrated[red][:, red]
+        assert (block - sp.diags(block.diagonal())).count_nonzero() == 0
