@@ -9,7 +9,7 @@ rung's record holds M_k, the xi_k and eta_k of the one-step bound
 M_{k+1} <= xi_k * M_k + eta_k, and what the rung measured on the way (bar,
 gap |w - h| on h's nodes, reaction terms, increment); all reach the trace.
 
-A run certifies first-order (mode "c1", affine approximants) or
+A run certifies first-order (mode "c1", affine approximants: G = 0) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
 when the distance N_k to the limiting polynomial falls below tolerance
 with a monotone tail.  A sup sequence that stops decaying is reported as
@@ -50,6 +50,9 @@ _STALL_RATIO = 0.95
 # ball's sup is sampled on a lattice of SUP_CELLS spacings across its.
 SUB_CELLS = 32
 SUP_CELLS = 48
+# The least scale ratio: each rung fits its increment over radius lam on
+# the comparison grid, and ``taylor_fit`` needs 4 of its spacings.
+MIN_LAM = 4.0 * 0.75 / SUB_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -57,26 +60,11 @@ SUP_CELLS = 48
 
 
 @dataclass(frozen=True)
-class LinearApprox:
-    """Affine approximant L(x) = A + B.x."""
-
-    A: float
-    B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", float(self.A))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float).reshape(2))
-        if not (math.isfinite(self.A) and np.all(np.isfinite(self.B))):
-            raise FieldValidationError("approximant coefficients must be finite")
-
-    def __call__(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.A + pts @ self.B
-
-
-@dataclass(frozen=True)
 class QuadApprox:
-    """Quadratic approximant P(x) = E + F.x + x^T G x with symmetric G."""
+    """Quadratic approximant P(x) = E + F.x + x^T G x with symmetric G.
+
+    The first-order ladder's affine approximants are the case G = 0.
+    """
 
     E: float
     F: np.ndarray
@@ -106,14 +94,6 @@ class QuadApprox:
         return float(2.0 * np.sum(np.asarray(a0, dtype=float) * self.G))
 
 
-def _advance(cur, inc, scale):
-    """Fold a unit-ball increment fitted at scale ``lam^k`` into the approximant."""
-    if isinstance(cur, LinearApprox):
-        return LinearApprox(cur.A + scale * scale * inc.A, cur.B + scale * inc.B)
-    return QuadApprox(cur.E + scale * scale * inc.E, cur.F + scale * inc.F,
-                      cur.G + inc.G)
-
-
 # ---------------------------------------------------------------------------
 # configuration and trace containers
 
@@ -125,8 +105,8 @@ class IterationConfig:
     ``lam`` and ``K`` fix the geometry.  The defaults of C0, C1, C2 and
     alpha are the constants ``calibrate_constants()`` measures: this class
     is their one record, and a recalibration changes them here.  The
-    structural requirements ``0 < lam < 1/4`` and ``2 C1 lam < 1/4`` are
-    hard errors.  The smallness conditions belong to the probed problem,
+    structural requirements ``MIN_LAM <= lam < 1/4`` and ``2 C1 lam < 1/4``
+    are hard errors.  The smallness conditions belong to the probed problem,
     which declares its oscillation ``nu``, drift norm and uniform drift
     bound ``tau``; the ladder records whether they hold as a flag.
     """
@@ -144,8 +124,10 @@ class IterationConfig:
         check_numbers(
             self, ints=("K",),
             floats=("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety"))
-        if not (0.0 < self.lam < 0.25):
-            raise ValueError(f"scale ratio must lie in (0, 1/4), got {self.lam}")
+        if not (MIN_LAM <= self.lam < 0.25):
+            raise ValueError(
+                f"scale ratio lam must lie in [{MIN_LAM}, 1/4), got {self.lam}; "
+                f"each rung's fit spans 4 spacings of the comparison grid")
         if not (2.0 * self.C1 * self.lam < 0.25):
             raise ValueError(
                 f"need 2*C1*lam < 1/4, got C1={self.C1}, lam={self.lam}"
@@ -173,7 +155,7 @@ class ScaleRecord:
     M: float
     S: float
     N: float
-    approx: LinearApprox | QuadApprox
+    approx: QuadApprox
     sup_error_bar: float
     measure_radius: float
     # from the comparison solve that leads to the next rung, so the last
@@ -185,14 +167,14 @@ class ScaleRecord:
     u_sup: float = math.nan
     phi_u: float = math.nan
     phi_scale: float = math.nan
-    increment: LinearApprox | QuadApprox | None = None
+    increment: QuadApprox | None = None
 
 
 @dataclass(frozen=True)
 class IterationTrace:
     mode: str
     records: tuple
-    limit: LinearApprox | QuadApprox
+    limit: QuadApprox
     config: IterationConfig
     truncated: bool
     flags: dict
@@ -285,25 +267,24 @@ def ball_sup(fn, radius, cells=SUP_CELLS):
 # frozen-coefficient comparison and polynomial extraction
 
 
-def comparison_operator(a0, cells=SUB_CELLS) -> LinearOperator:
+def comparison_operator(a0) -> LinearOperator:
     """The frozen operator a0 : D^2 that ``approximate`` solves with.
 
-    It lives on the disk of radius 3/4 around the origin, with ``cells``
+    It lives on the disk of radius 3/4 around the origin, with SUB_CELLS
     grid spacings across that radius.  It is assembled and factored once
-    per process for each a0 and ``cells``: every ladder, sweep and
-    calibration with the same a(0) and sub-grid gets the same operator,
-    which no caller writes.
+    per process for each a0: every ladder, sweep and calibration with the
+    same a(0) gets the same operator, which no caller writes.
     """
     a0 = np.asarray(a0, dtype=float)
-    return _frozen_comparison(a0.shape, tuple(a0.ravel().tolist()), cells)
+    return _frozen_comparison(a0.shape, tuple(a0.ravel().tolist()))
 
 
-# a process keeps four (a0, cells) pairs; every bundled ladder, sweep and
-# calibration uses one, a0 = I on 32 cells
+# a process keeps four a0; every bundled ladder, sweep and calibration
+# uses one, a0 = I
 @functools.lru_cache(maxsize=4)
-def _frozen_comparison(shape, entries, cells) -> LinearOperator:
+def _frozen_comparison(shape, entries) -> LinearOperator:
     return frozen_operator(np.reshape(entries, shape),
-                           DiskGrid((0.0, 0.0), 0.75, 0.75 / cells))
+                           DiskGrid(0.75, 0.75 / SUB_CELLS))
 
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
@@ -315,7 +296,7 @@ def approximate(w_fn, op: LinearOperator) -> DiscreteField:
     solves after the first are triangular substitutions only.
     """
     sub = op.grid
-    return solve_dirichlet(op, sub.zeros("rhs"),
+    return solve_dirichlet(op, sub.zeros(),
                            sub.boundary_from_function(w_fn))
 
 
@@ -338,13 +319,13 @@ def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
     return gap / w.sup_norm()
 
 
-def taylor_fit(h: DiscreteField, center, fit_radius, order, a0=None):
-    """Polynomial behaviour of h at ``center`` by least squares.
+def taylor_fit(h: DiscreteField, fit_radius, order, a0=None) -> QuadApprox:
+    """Polynomial behaviour of h at the origin by least squares.
 
     Fits over the nodes within ``fit_radius`` (which must span at least 4
-    grid spacings).  For order 2 the quadratic part is projected onto the
-    subspace with vanishing frozen-coefficient trace, so the returned
-    QuadApprox always satisfies sum a0_ij * 2 G_ij = 0.
+    grid spacings).  An order-1 fit is affine, G = 0.  For order 2 the
+    quadratic part is projected onto the subspace with vanishing
+    frozen-coefficient trace, so the fit satisfies sum a0_ij * 2 G_ij = 0.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -353,8 +334,7 @@ def taylor_fit(h: DiscreteField, center, fit_radius, order, a0=None):
         raise FitError(
             f"fit radius {fit_radius} spans fewer than 4 spacings of {grid.h}"
         )
-    center = np.asarray(center, dtype=float)
-    d = h.points - center[None, :]
+    d = h.points
     mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= fit_radius * fit_radius
     d = d[mask]
     vals = h.values[mask]
@@ -367,11 +347,11 @@ def taylor_fit(h: DiscreteField, center, fit_radius, order, a0=None):
         raise FitError(
             f"rank-deficient fit: {len(d)} nodes inside radius {fit_radius}"
         )
-    if order == 1:
-        return LinearApprox(sol[0], sol[1:3])
-    G = np.array([[sol[3], 0.5 * sol[4]], [0.5 * sol[4], sol[5]]])
-    a0 = np.eye(2) if a0 is None else np.asarray(a0, dtype=float)
-    G = G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0
+    G = np.zeros((2, 2))
+    if order == 2:
+        G = np.array([[sol[3], 0.5 * sol[4]], [0.5 * sol[4], sol[5]]])
+        a0 = np.eye(2) if a0 is None else np.asarray(a0, dtype=float)
+        G = G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0
     return QuadApprox(sol[0], sol[1:3], G)
 
 
@@ -423,10 +403,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     u_fn, base_h = _resolve_solution(problem, u_data)
     numeric = base_h is not None
     u_shift = float(u_fn(origin)[0])
-
-    def v_fn(pts):
-        return problem.potential.eval((0.0, 0.0), 0.0, pts)
-
+    v_fn = problem.potential.v
     T = float(problem.potential.hessian_bound)
     lam = cfg.lam
     drift_exp = 1.0 - 2.0 / field.q
@@ -450,13 +427,9 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
                 f"grid spacing {base_h} cannot resolve even the unit scale"
             )
 
-    if order == 1:
-        approx = LinearApprox(0.0, np.zeros(2))
-    else:
-        approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
-
+    approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     # one frozen operator serves every rung, and every later ladder with the
-    # same a(0) and sub-grid; a one-rung ladder compares nothing
+    # same a(0); a one-rung ladder compares nothing
     comparison = comparison_operator(a0) if K_eff else None
     rows = []
     S = 0.0
@@ -473,8 +446,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         def tracked(pts, cur=cur, corr=corr):
             u = u_fn(pts)
             sampled.append((pts, u))
-            gap = u - u_shift - v_fn(pts) - cur(pts)
-            return gap + corr * pts[:, 0] ** 2 if order == 2 else gap
+            return u - u_shift - v_fn(pts) - cur(pts) + corr * pts[:, 0] ** 2
 
         sup, bar = ball_sup(tracked, meas_r)
         M = sup / scale ** order
@@ -490,14 +462,15 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
             return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
 
         h_field = approximate(rescaled_gap, comparison)
-        inc = taylor_fit(h_field, (0.0, 0.0), lam, order, a0=a0)
-        new_approx = _advance(approx, inc, scale)
-        if order == 2:
-            drift_tr = abs(new_approx.frozen_trace(a0))
-            if drift_tr > 1e-9:
-                raise FitError(
-                    f"frozen-coefficient trace drifted to {drift_tr} at scale {k}"
-                )
+        inc = taylor_fit(h_field, lam, order, a0=a0)
+        # the unit-ball increment, fitted at scale lam^k, folded in
+        new_approx = QuadApprox(approx.E + scale * scale * inc.E,
+                                approx.F + scale * inc.F, approx.G + inc.G)
+        drift_tr = abs(new_approx.frozen_trace(a0))
+        if drift_tr > 1e-9:
+            raise FitError(
+                f"frozen-coefficient trace drifted to {drift_tr} at scale {k}"
+            )
 
         pts = np.concatenate([p for p, _ in sampled])
         u = np.concatenate([v for _, v in sampled])
@@ -514,7 +487,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
             row["eta"] = (cfg.C2 / lam) * (
                 scale * fdev
                 + T * scale * (nu + drift_k)
-                + drift_k * float(np.linalg.norm(approx.B))
+                + drift_k * float(np.linalg.norm(approx.F))
             )
         else:
             om1 = _extended_modulus(problem.omega_a, scale)
@@ -533,19 +506,15 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         approx = new_approx
 
     limit = approx
-    tau_term = tau / (2.0 * ell)
+    tau_term = tau / (2.0 * ell) if order == 2 else 0.0
     records = []
     for row in rows:
         ap = row["approx"]
         scale = row["scale"]
-        if order == 1:
-            N = (row["M"] + float(np.linalg.norm(ap.B - limit.B))
-                 + abs(ap.A - limit.A) / scale)
-        else:
-            f_dist = float(np.linalg.norm(ap.F - limit.F))
-            N = (row["M"] + float(np.linalg.norm(ap.G - limit.G))
-                 + f_dist / scale + abs(ap.E - limit.E) / scale ** 2
-                 + tau_term * f_dist)
+        f_dist = float(np.linalg.norm(ap.F - limit.F))
+        N = (row["M"] + float(np.linalg.norm(ap.G - limit.G))
+             + f_dist / scale ** (order - 1)
+             + abs(ap.E - limit.E) / scale ** order + tau_term * f_dist)
         records.append(ScaleRecord(N=N, **row))
 
     flags = {
@@ -684,14 +653,14 @@ def _perturbed_field(eps: float) -> CoefficientField:
     )
 
 
-def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
-                       sub_cells=SUB_CELLS) -> SweepResult:
+def perturbation_sweep(epsilons, cells) -> SweepResult:
     """Frozen-coefficient gap against coefficient perturbation size.
 
     For each boundary shape and each eps, solves with the perturbed matrix
     field, compares against the frozen solve sharing its trace, and
-    reports gap / sup|w|.  The log-log slope across eps is the headline
-    number; it must come out positive for the approximation law to hold.
+    reports gap / sup|w|, the gap measured with the ladder's comparison
+    operator.  The log-log slope across eps is the headline number; it
+    must come out positive for the approximation law to hold.
     Each perturbed operator is assembled once for all the shapes, and one
     frozen operator serves every comparison.
     """
@@ -699,8 +668,8 @@ def perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2), cells=48,
     if len(epsilons) < 2:
         raise ValueError("need at least two perturbation sizes")
     shapes = _sweep_shapes()
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
-    frozen = comparison_operator(np.eye(2), sub_cells)
+    grid = DiskGrid(1.0, 1.0 / cells)
+    frozen = comparison_operator(np.eye(2))
     ratios = np.zeros((len(shapes), len(epsilons)))
     for j, eps in enumerate(epsilons):
         op = assemble(_perturbed_field(eps), grid)
@@ -721,9 +690,9 @@ def _boundary_exponent(cells):
     fits sup |u| over shrinking half-balls at that point; the fitted slope
     is the exponent the solver actually delivers for rough data.
     """
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / cells)
     op = frozen_operator(np.eye(2), grid)
-    rhs = grid.zeros("rhs")
+    rhs = grid.zeros()
     anchor = np.array([1.0, 0.0])
     deltas = np.array([0.08, 0.15, 0.3, 0.5])
     slopes = []
@@ -800,7 +769,7 @@ def _one_step_linear(u_field, v_fn, lam, frozen):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    inc = taylor_fit(approximate(w_fn, frozen), (0.0, 0.0), lam, 1)
+    inc = taylor_fit(approximate(w_fn, frozen), lam, 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam)
     return M0, M1 / lam
 
@@ -824,7 +793,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
     epsilons = (0.02, 0.05, 0.1, 0.2)
     shapes = _sweep_shapes()
     n_train = 2
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / cells)
     frozen = comparison_operator(np.eye(2))
     steps = np.zeros((n_train, len(epsilons), 2))
     hold_ratios = np.zeros((len(shapes) - n_train, len(epsilons)))
@@ -893,27 +862,38 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
 # serialization
 
 
-_COEFFS = {"c1": ["A", "B1", "B2"],
-           "c11": ["E", "F1", "F2", "G11", "G12", "G22"]}
+# The names of E, F and G in each mode: the keys of the report's limit,
+# and with the components' indices the trace's columns.  A c1 trace has
+# G = 0 and leaves it out.
+_COEFFS = {"c1": ("A", "B"), "c11": ("E", "F", "G")}
+_INDICES = (("",), ("1", "2"), ("11", "12", "22"))
 
 
-def _coeffs(ap) -> list:
-    if isinstance(ap, LinearApprox):
-        return [ap.A, *ap.B]
-    return [ap.E, *ap.F, ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]]
+def limit_coeffs(trace: IterationTrace) -> dict:
+    """The limiting polynomial under the trace mode's names."""
+    ap = trace.limit
+    return dict(zip(_COEFFS[trace.mode], (ap.E, ap.F, ap.G)))
+
+
+def _coeffs(ap: QuadApprox, count: int) -> list:
+    """The first ``count`` of E, F1, F2, G11, G12, G22."""
+    return [ap.E, *ap.F, ap.G[0, 0], ap.G[0, 1], ap.G[1, 1]][:count]
 
 
 def trace_rows(trace: IterationTrace):
     """CSV header and rows of a trace, one rung a row, floats in ``repr``."""
-    names = _COEFFS[trace.mode]
+    names = [name + index
+             for name, indices in zip(_COEFFS[trace.mode], _INDICES)
+             for index in indices]
+    n = len(names)
     header = (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k"] + names
               + ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",
                  "phi_scale_k"] + [f"inc_{name}" for name in names])
     rows = []
     for r in trace.records:
-        inc = [math.nan] * len(names) if r.increment is None else _coeffs(r.increment)
+        inc = [math.nan] * n if r.increment is None else _coeffs(r.increment, n)
         rows.append([r.k] + [repr(float(x)) for x in (
-            r.scale, r.M, r.xi, r.eta, r.S, r.N, *_coeffs(r.approx),
+            r.scale, r.M, r.xi, r.eta, r.S, r.N, *_coeffs(r.approx, n),
             r.sup_error_bar, r.measure_radius, r.gap, r.fdev, r.u_sup,
             r.phi_u, r.phi_scale, *inc)])
     return header, rows

@@ -29,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campanato import calibrate_constants
+from .campanato import MIN_LAM, calibrate_constants
 from .errors import (
     CalibrationError,
     FixedPointError,
@@ -203,8 +203,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     # the ranges every scenario's IterationConfig and DiskGrid enforce
-    if not 0.0 < args.lam < 0.25:
-        raise ScenarioError(f"--lam must lie in (0, 1/4), got {args.lam}")
+    if not MIN_LAM <= args.lam < 0.25:
+        raise ScenarioError(
+            f"--lam must lie in [{MIN_LAM}, 1/4), got {args.lam}")
     if args.cells < 16:
         raise ScenarioError(f"--cells must be at least 16, got {args.cells}")
     check_cells("--cells", args.cells)

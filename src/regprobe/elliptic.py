@@ -358,7 +358,7 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn,
     usup = 1.0
     for grid in grids:
         op = assemble(field, grid)
-        rhs = grid.field_from_function(rhs_fn, "rhs")
+        rhs = grid.field_from_function(rhs_fn)
         g = grid.boundary_from_function(u_exact)
         u = solve_dirichlet(op, rhs, g)
         exact = np.asarray(u_exact(grid.coords), dtype=float)
@@ -381,8 +381,8 @@ def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
     ratio at most 5.  The operator's ``factor`` is computed on its first
     solve and reused by every later one.  Ladders, sweeps and calibrations
     take their comparison operator from ``campanato.comparison_operator``,
-    which keeps one per a0 and sub-grid for the whole process, so all of
-    them together assemble and factor it once.
+    which keeps one per a0 for the whole process, so all of them together
+    assemble and factor it once.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):

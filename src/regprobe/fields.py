@@ -91,20 +91,16 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """Comparison potentials for the frozen-coefficient equation.
+    """The comparison potential of the frozen-coefficient equation.
 
-    ``v(x0, t, pts)`` evaluates the potential centered at ``x0`` with frozen
-    parameter ``t``; it solves ``a_ij(x0) D_ij v = f(x, t)`` with
-    ``v(x0) = 0`` and ``Dv(x0) = 0``, and its Hessian is bounded by
-    ``hessian_bound`` uniformly in ``(x0, t)``.
+    ``v(pts)`` evaluates, on an ``(N, 2)`` float array, the potential
+    centred at the probe point, the origin, with the reaction frozen at
+    ``t = 0``: it solves ``a_ij(0) D_ij v = f(x, 0)`` with ``v(0) = 0`` and
+    ``Dv(0) = 0``, and its Hessian is bounded by ``hessian_bound``.
     """
 
     v: Callable
     hessian_bound: float
-
-    def eval(self, x0, t, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.v(np.asarray(x0, dtype=float), t, pts), dtype=float)
 
 
 def _extended_modulus(phi: Modulus, delta: float) -> float:

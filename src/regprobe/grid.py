@@ -1,10 +1,11 @@
 """Disk grids and nodal fields.
 
-The grid is a uniform Cartesian lattice ``center + (i*h, j*h)`` clipped to an
-open disk.  Nodes strictly inside the disk are interior; stencil arms that
-leave the disk are cut at the circle, and the cut geometry (arm fraction and
-boundary intersection point) is precomputed per direction so the operator
-assembly can apply unequal-arm differences.
+The grid is a uniform Cartesian lattice ``(i*h, j*h)`` about the origin,
+the probe point, clipped to an open disk.  Nodes strictly inside the disk
+are interior; stencil arms that leave the disk are cut at the circle, and
+the cut geometry (arm fraction and boundary intersection point) is
+precomputed per direction so the operator assembly can apply unequal-arm
+differences.
 
 Direction order is fixed as E, W, N, S, NE, SW, NW, SE; the first four are
 the axis arms, the last four the diagonal arms grouped in opposite pairs.
@@ -34,9 +35,9 @@ DISSECTION_LEAF = 8
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Uniform lattice on a disk with Shortley-Weller arm geometry."""
+    """Uniform lattice on a disk about the origin with Shortley-Weller arm
+    geometry."""
 
-    center: tuple[float, float]
     radius: float
     h: float
     coords: np.ndarray = dc_field(repr=False, default=None)
@@ -55,7 +56,6 @@ class DiskGrid:
         if self.coords is not None:
             return
 
-        cx, cy = float(self.center[0]), float(self.center[1])
         r = float(self.radius)
         h = float(self.h)
         m = int(math.floor(r / h + 1e-12)) + 1
@@ -69,7 +69,7 @@ class DiskGrid:
         index = -np.ones(gi.shape, dtype=int)
         index[inner] = np.arange(int(inner.sum()))
         n_int = int(inner.sum())
-        coords = np.stack([px[inner] + cx, py[inner] + cy], axis=1)
+        coords = np.stack([px[inner], py[inner]], axis=1)
 
         neighbor = -np.ones((n_int, 8), dtype=int)
         arm = np.ones((n_int, 8))
@@ -102,8 +102,8 @@ class DiskGrid:
             cols = np.arange(next_col, next_col + int(cut.sum()))
             bcol[cut, k] = cols
             next_col = cols[-1] + 1 if len(cols) else next_col
-            bpoints.append(np.stack([lx[cut] + theta * vx + cx,
-                                     ly[cut] + theta * vy + cy], axis=1))
+            bpoints.append(np.stack([lx[cut] + theta * vx,
+                                     ly[cut] + theta * vy], axis=1))
 
         bp = np.concatenate(bpoints, axis=0) if bpoints else np.zeros((0, 2))
         object.__setattr__(self, "coords", coords)
@@ -129,7 +129,7 @@ class DiskGrid:
         subsample.  Computed once per grid and read-only, since every
         caller shares the array.
         """
-        d = self.coords - np.asarray(self.center)
+        d = self.coords
         h = self.h
         r = self.radius
         xlo = d[:, 0] - 0.5 * h
@@ -153,10 +153,10 @@ class DiskGrid:
     def lattice(self) -> np.ndarray:
         """The int64 lattice indices (i, j) of each interior node.
 
-        Node k sits at ``center + h * lattice[k]``.  Computed once per grid
-        and read-only.
+        Node k sits at ``h * lattice[k]``.  Computed once per grid and
+        read-only.
         """
-        ij = np.rint((self.coords - np.asarray(self.center)) / self.h).astype(np.int64)
+        ij = np.rint(self.coords / self.h).astype(np.int64)
         ij.flags.writeable = False
         return ij
 
@@ -205,16 +205,16 @@ class DiskGrid:
         order.flags.writeable = False
         return order
 
-    def field_from_function(self, fn, role: str = "rhs") -> "DiscreteField":
+    def field_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.coords), dtype=float)
-        return DiscreteField(self, vals, role)
+        return DiscreteField(self, vals, "rhs")
 
     def boundary_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.boundary_points), dtype=float)
         return DiscreteField(self, vals, "boundary", points=self.boundary_points)
 
-    def zeros(self, role: str = "rhs") -> "DiscreteField":
-        return DiscreteField(self, np.zeros(self.n_interior), role)
+    def zeros(self) -> "DiscreteField":
+        return DiscreteField(self, np.zeros(self.n_interior), "rhs")
 
 
 @dataclass(frozen=True)
@@ -263,13 +263,12 @@ def bicubic_sampler(field: DiscreteField):
         raise FieldValidationError("can interpolate only values at the grid's nodes")
     m = int(math.floor(grid.radius / grid.h + 1e-12)) + 1
     lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
-    cx, cy = float(grid.center[0]), float(grid.center[1])
     ij = grid.lattice
     lattice[ij[:, 0] + m, ij[:, 1] + m] = field.values
 
     def sample(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = (pts - [cx, cy]) / grid.h
+        s = pts / grid.h
         i0 = np.floor(s[:, 0]).astype(int)
         j0 = np.floor(s[:, 1]).astype(int)
         tx = s[:, 0] - i0

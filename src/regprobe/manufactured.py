@@ -283,13 +283,6 @@ def _nondini_u(pts):
     return out
 
 
-def _closed_potential(fn, hessian_bound):
-    return PotentialFamily(
-        v=lambda x0, t, pts: fn(np.asarray(pts, dtype=float)),
-        hessian_bound=hessian_bound,
-    )
-
-
 def _build_zero_case():
     return ManufacturedProblem(
         field=_identity_field(),
@@ -299,7 +292,7 @@ def _build_zero_case():
         ),
         u=_quadratic,
         boundary=_quadratic,
-        potential=_closed_potential(_quadratic, 2.0),
+        potential=PotentialFamily(_quadratic, 2.0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=0.0,
@@ -316,7 +309,7 @@ def _build_drift_c1():
         ),
         u=_drift_u,
         boundary=lambda pts: np.ones(len(np.atleast_2d(pts))),
-        potential=_closed_potential(_quadratic, 2.0),
+        potential=PotentialFamily(_quadratic, 2.0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=1.0,
@@ -342,7 +335,7 @@ def _build_cubic_c11():
         ),
         u=_quadratic,
         boundary=_quadratic,
-        potential=_closed_potential(v, 2.0 + 2.0 * _CUBIC_BETA),
+        potential=PotentialFamily(v, 2.0 + 2.0 * _CUBIC_BETA),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=_CUBIC_BETA,
@@ -359,7 +352,7 @@ def _build_nondini_c11():
         ),
         u=_nondini_u,
         boundary=_nondini_u,
-        potential=_closed_potential(_quadratic, 2.0),
+        potential=PotentialFamily(_quadratic, 2.0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=0.0,

@@ -31,6 +31,7 @@ from .campanato import (
     c1_probe,
     c11_probe,
     certificate,
+    limit_coeffs,
     perturbation_sweep,
     trace_rows,
     verify_recurrence,
@@ -74,7 +75,7 @@ _MAX_OPERATORS = 1000
 # Defaults of the top-level keys of the modes without config blocks.
 _DEFAULTS = {
     "lemma25_sweep": {"epsilons": [0.02, 0.05, 0.1, 0.2], "cells": 48,
-                      "sub_cells": 32, "min_slope": 0.15},
+                      "min_slope": 0.15},
     "solver_validation": {"resolutions": [1 / 32, 1 / 64, 1 / 128],
                           "operators": 20},
     "modulus_check": {
@@ -213,7 +214,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                     f"{source}: key {key!r} is read only in numeric mode "
                     f"(\"data_mode\": \"numeric\")")
     elif mode == "lemma25_sweep":
-        cfg = _checked_settings(doc, source, ints=("cells", "sub_cells"),
+        cfg = _checked_settings(doc, source, ints=("cells",),
                                 floats=("min_slope",))
         eps = cfg.epsilons
         if (not isinstance(eps, list) or len(eps) < 2
@@ -222,11 +223,9 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(
                 f"{source}: key 'epsilons' must list at least two values "
                 f"in (0, 1)")
-        if cfg.cells < 16 or cfg.sub_cells < 16:
-            raise ScenarioError(
-                f"{source}: keys 'cells' and 'sub_cells' must be at least 16")
-        for key in ("cells", "sub_cells"):
-            check_cells(f"{source}: key {key!r}", getattr(cfg, key))
+        if cfg.cells < 16:
+            raise ScenarioError(f"{source}: key 'cells' must be at least 16")
+        check_cells(f"{source}: key 'cells'", cfg.cells)
     elif mode == "solver_validation":
         cfg = _checked_settings(doc, source, ints=("operators",))
         if not 1 <= cfg.operators <= _MAX_OPERATORS:
@@ -416,7 +415,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     u = solved = None
     if doc.get("data_mode", "manufactured") == "numeric":
         cells = doc["grid"]["cells"]
-        grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+        grid = DiskGrid(1.0, 1.0 / cells)
         op = assemble(problem.field, grid)
         boundary = grid.boundary_from_function(problem.boundary)
         picard = PicardConfig(**doc.get("picard", {}))
@@ -438,7 +437,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         "m_last": last.M,
         "worst_margin": min(rec.margins) if rec else None,
         "ok_fraction": rec.ok_fraction if rec else None,
-        "limit": asdict(trace.limit),
+        "limit": limit_coeffs(trace),
     }
     flags = dict(trace.flags)
     flags["scales_run"] = len(trace.records)
@@ -453,11 +452,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
 
 def _run_sweep(doc: dict, out_dir: Path) -> dict:
     cfg = _settings(doc)
-    sweep = perturbation_sweep(
-        epsilons=tuple(cfg.epsilons),
-        cells=cfg.cells,
-        sub_cells=cfg.sub_cells,
-    )
+    sweep = perturbation_sweep(tuple(cfg.epsilons), cfg.cells)
     min_slope = cfg.min_slope
     rows = []
     for i, shape in enumerate(sweep.shapes):
@@ -568,7 +563,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     cfg = _settings(doc)
     hs = [float(h) for h in cfg.resolutions]
     n_ops = cfg.operators
-    grids = [DiskGrid((0.0, 0.0), 1.0, h) for h in hs]
+    grids = [DiskGrid(1.0, h) for h in hs]
     rows = []
     ok_all = True
 
@@ -590,7 +585,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     for grid in grids[:2]:
         op = assemble(field0, grid)
         bc = grid.boundary_from_function(_exact_quadratic)
-        u = solve_dirichlet(op, grid.zeros("rhs"), bc)
+        u = solve_dirichlet(op, grid.zeros(), bc)
         err = float(np.max(np.abs(u.values - _exact_quadratic(grid.coords))))
         exact_errs.append(err)
         ok = err <= 1e-10
@@ -605,7 +600,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         field, boundary_fn, forcing_fn = _random_operator(rng)
         op = assemble(field, coarse)
         bc = coarse.boundary_from_function(boundary_fn)
-        u0 = solve_dirichlet(op, coarse.zeros("rhs"), bc)
+        u0 = solve_dirichlet(op, coarse.zeros(), bc)
         excess = float(np.max(u0.values) - np.max(bc.values))
         mp_excess.append(excess)
         ok = excess <= 1e-10
@@ -615,7 +610,7 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
 
         implied = []
         for o in (op, assemble(field, fine)):
-            f = o.grid.field_from_function(forcing_fn, "rhs")
+            f = o.grid.field_from_function(forcing_fn)
             b = o.grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
             uf = solve_dirichlet(o, f, b)
             implied_C, passed = abp_check(uf, f, b)

@@ -98,7 +98,7 @@ def test_criterion_2_maximum_principle(solver_report):
 
 def test_criterion_3_perturbation_scaling():
     start = time.perf_counter()
-    sweep = perturbation_sweep(epsilons=(0.02, 0.05, 0.1, 0.2))
+    sweep = perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
     constants = calibrate_constants()
     elapsed = time.perf_counter() - start
     alpha = constants["alpha"]
@@ -124,8 +124,8 @@ def test_criterion_5_drift_c1_certificate(drift_trace):
     tr = drift_trace
     N = tr.N_values
     monotone = bool(np.all(np.diff(N[2:]) < 0.0))
-    b5 = tr.records[5].approx.B
-    b6 = tr.records[6].approx.B
+    b5 = tr.records[5].approx.F
+    b6 = tr.records[6].approx.F
     cauchy = float(np.linalg.norm(b6 - b5))
     ok = (tr.config.lam == 0.2 and monotone and N[6] <= 1e-3
           and cauchy <= 1e-4
@@ -188,34 +188,22 @@ def scaled_problem(base, s: float):
             modulus=nl.modulus),
         u=lambda pts: s * np.asarray(base.u(pts)),
         potential=PotentialFamily(
-            v=lambda x0, t, pts: s * np.asarray(base.potential.v(x0, t, pts)),
+            v=lambda pts: s * np.asarray(base.potential.v(pts)),
             hessian_bound=s * base.potential.hessian_bound),
     )
 
 
 def assert_telescoping(tr):
-    scale = 1.0
-    if tr.mode == "c1":
-        acc = [0.0, np.zeros(2)]
-    else:
-        acc = [0.0, np.zeros(2), np.zeros((2, 2))]
+    acc = [0.0, np.zeros(2), np.zeros((2, 2))]
     for rec in tr.records[:-1]:
         inc = rec.increment
         scale = tr.config.lam ** rec.k
-        if tr.mode == "c1":
-            acc[0] = acc[0] + scale * scale * inc.A
-            acc[1] = acc[1] + scale * inc.B
-        else:
-            acc[0] = acc[0] + scale * scale * inc.E
-            acc[1] = acc[1] + scale * inc.F
-            acc[2] = acc[2] + inc.G
-    if tr.mode == "c1":
-        assert acc[0] == tr.limit.A
-        assert np.array_equal(acc[1], tr.limit.B)
-    else:
-        assert acc[0] == tr.limit.E
-        assert np.array_equal(acc[1], tr.limit.F)
-        assert np.array_equal(acc[2], tr.limit.G)
+        acc[0] = acc[0] + scale * scale * inc.E
+        acc[1] = acc[1] + scale * inc.F
+        acc[2] = acc[2] + inc.G
+    assert acc[0] == tr.limit.E
+    assert np.array_equal(acc[1], tr.limit.F)
+    assert np.array_equal(acc[2], tr.limit.G)
     running = 0.0
     for rec in tr.records:
         running += rec.M
@@ -236,10 +224,10 @@ def test_criterion_9_invariances(drift_trace, cubic_trace):
                 assert rs.xi == r0.xi
                 worst = max(worst,
                             abs(rs.eta - s * r0.eta) / max(s * r0.eta, 1e-300))
-        b_ref = s * np.asarray(tr0.limit.B)
+        b_ref = s * np.asarray(tr0.limit.F)
         b_norm = max(float(np.max(np.abs(b_ref))), 1e-300)
         worst = max(worst,
-                    float(np.max(np.abs(trs.limit.B - b_ref))) / b_norm)
+                    float(np.max(np.abs(trs.limit.F - b_ref))) / b_norm)
         assert verify_recurrence(trs).ok == rec0.ok
         assert certificate(trs).verdict == certificate(tr0).verdict
 

@@ -17,11 +17,11 @@ from dataclasses import replace
 from scipy.special import iv
 
 from regprobe.campanato import (
+    SUB_CELLS,
     SUP_CELLS,
     CertificateReport,
     IterationConfig,
     IterationTrace,
-    LinearApprox,
     QuadApprox,
     ScaleRecord,
     _gap_ratio,
@@ -50,13 +50,13 @@ CAL = dict(C0=2.56, C1=0.0175, C2=0.036, alpha=0.19)
 
 
 def sampled_field(fn, cells=32, radius=1.0):
-    grid = DiskGrid((0.0, 0.0), radius, radius / cells)
-    return grid.field_from_function(fn, "solution")
+    grid = DiskGrid(radius, radius / cells)
+    return DiscreteField(grid, fn(grid.coords), "solution")
 
 
 def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
     cfg = cfg or IterationConfig(K=max(1, len(M) - 1), **CAL)
-    approx = LinearApprox(0.0, np.zeros(2))
+    approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     S = np.cumsum(M)
     N = M if N is None else N
     records = []
@@ -77,7 +77,7 @@ def with_safety(trace, safety):
 
 
 def test_approximants_evaluate():
-    L = LinearApprox(1.0, (2.0, -1.0))
+    L = QuadApprox(1.0, (2.0, -1.0), np.zeros((2, 2)))
     assert L(np.array([[1.0, 1.0]]))[0] == pytest.approx(2.0)
     P = QuadApprox(1.0, (0.0, 0.0), [[1.0, 0.5], [0.5, -1.0]])
     assert P(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.0 + 1.0 + 2.0 - 4.0)
@@ -98,7 +98,7 @@ def test_quadratic_is_bit_equal_to_einsum():
 
 def test_approximant_validation():
     with pytest.raises(FieldValidationError):
-        LinearApprox(math.nan, (0.0, 0.0))
+        QuadApprox(math.nan, (0.0, 0.0), np.zeros((2, 2)))
     with pytest.raises(FieldValidationError):
         QuadApprox(0.0, (0.0, 0.0), [[0.0, 1.0], [0.0, 0.0]])
 
@@ -133,8 +133,8 @@ def test_gap_ratio_accepts_discrete_field():
 
 
 def test_approximate_reuses_the_operator_factor(count_factorizations):
-    op = comparison_operator(np.eye(2), cells=24)
-    assert op.grid.radius == 0.75 and op.grid.h == 0.75 / 24
+    op = comparison_operator(np.eye(2))
+    assert op.grid.radius == 0.75 and op.grid.h == 0.75 / SUB_CELLS
     for fn in (harmonic,
                lambda p: p[:, 0] * p[:, 1] + p[:, 0],
                lambda p: 3.0 - p[:, 1]):
@@ -145,15 +145,16 @@ def test_approximate_reuses_the_operator_factor(count_factorizations):
 def test_taylor_fit_order1_exact():
     h = sampled_field(
         lambda p: 3.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1])
-    L = taylor_fit(h, (0.0, 0.0), 0.25, 1)
-    assert L.A == pytest.approx(3.0, abs=1e-9)
-    assert np.allclose(L.B, [2.0, -1.0], atol=1e-9)
+    L = taylor_fit(h, 0.25, 1)
+    assert L.E == pytest.approx(3.0, abs=1e-9)
+    assert np.allclose(L.F, [2.0, -1.0], atol=1e-9)
+    assert not L.G.any()
 
 
 def test_taylor_fit_order2_exact():
     h = sampled_field(
         lambda p: 3.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1])
-    P = taylor_fit(h, (0.0, 0.0), 0.25, 2)
+    P = taylor_fit(h, 0.25, 2)
     assert P.E == pytest.approx(3.0, abs=1e-9)
     assert np.allclose(P.F, [2.0, -1.0], atol=1e-9)
     assert np.allclose(P.G, [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
@@ -161,28 +162,28 @@ def test_taylor_fit_order2_exact():
 
 def test_taylor_fit_trace_projection_keeps_harmonic_hessian():
     h = sampled_field(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
-    P = taylor_fit(h, (0.0, 0.0), 0.25, 2)
+    P = taylor_fit(h, 0.25, 2)
     assert np.allclose(P.G, np.diag([1.0, -1.0]), atol=1e-9)
 
 
 def test_taylor_fit_projection_removes_frozen_trace():
     h = sampled_field(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2)
-    P = taylor_fit(h, (0.0, 0.0), 0.25, 2)
+    P = taylor_fit(h, 0.25, 2)
     assert abs(P.frozen_trace(np.eye(2))) <= 1e-9
 
 
 def test_taylor_fit_rejects_narrow_radius():
     h = sampled_field(lambda p: p[:, 0], cells=32)
     with pytest.raises(FitError):
-        taylor_fit(h, (0.0, 0.0), 3.0 * h.grid.h, 1)
+        taylor_fit(h, 3.0 * h.grid.h, 1)
 
 
 def test_taylor_fit_rejects_rank_deficient_sample():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     line = np.stack([np.linspace(-0.3, 0.3, 25), np.zeros(25)], axis=1)
     h = DiscreteField(grid, line[:, 0], "solution", points=line)
     with pytest.raises(FitError):
-        taylor_fit(h, (0.0, 0.0), 0.25, 1)
+        taylor_fit(h, 0.25, 1)
 
 
 def test_config_validation():
@@ -225,8 +226,8 @@ def test_drift_ladder_contracts_and_certifies():
     N = tr.N_values
     assert np.all(np.diff(N[2:]) < 0.0)
     assert N[6] <= 1e-3
-    b5 = tr.records[5].approx.B
-    b6 = tr.records[6].approx.B
+    b5 = tr.records[5].approx.F
+    b6 = tr.records[6].approx.F
     assert np.linalg.norm(b6 - b5) <= 1e-4
     assert certificate(tr).verdict == "C1_certified"
     assert verify_recurrence(tr).ok_fraction >= 0.95
@@ -237,8 +238,8 @@ def test_drift_limit_gradient_matches_bessel_series():
     c0 = iv(2, 0.5) / iv(0, 0.5)
     c1 = (iv(1, 0.5) + iv(3, 0.5)) / iv(1, 0.5)
     expected = c1 / 4.0 - c0 / 2.0
-    assert tr.limit.B[0] == pytest.approx(expected, abs=2e-6)
-    assert tr.limit.B[1] == pytest.approx(0.0, abs=1e-9)
+    assert tr.limit.F[0] == pytest.approx(expected, abs=2e-6)
+    assert tr.limit.F[1] == pytest.approx(0.0, abs=1e-9)
     assert tr.flags["u_shift"] == pytest.approx(c0, abs=1e-12)
 
 
@@ -342,10 +343,11 @@ def test_telescoping_and_partial_sums_are_exact():
     for rec in tr.records[:-1]:
         inc = rec.increment
         scale = cfg.lam ** rec.k
-        A = A + scale * scale * inc.A
-        B = B + scale * inc.B
-    assert A == tr.limit.A
-    assert np.array_equal(B, tr.limit.B)
+        A = A + scale * scale * inc.E
+        B = B + scale * inc.F
+    assert A == tr.limit.E
+    assert np.array_equal(B, tr.limit.F)
+    assert not tr.limit.G.any()
     S = 0.0
     for rec in tr.records:
         S = S + rec.M
@@ -365,8 +367,7 @@ def test_scalar_rescaling_invariance():
                 modulus=nl.modulus),
             u=lambda pts, s=s: s * np.asarray(base.u(pts)),
             potential=PotentialFamily(
-                v=lambda x0, t, pts, s=s: s * np.asarray(
-                    base.potential.v(x0, t, pts)),
+                v=lambda pts, s=s: s * np.asarray(base.potential.v(pts)),
                 hessian_bound=s * base.potential.hessian_bound),
         )
         trs = c1_probe(scaled, cfg)
@@ -375,14 +376,14 @@ def test_scalar_rescaling_invariance():
             if not math.isnan(r0.xi):
                 assert rs.xi == r0.xi
                 assert rs.eta == pytest.approx(s * r0.eta, rel=1e-9)
-        assert np.allclose(trs.limit.B, s * tr0.limit.B, rtol=1e-9)
+        assert np.allclose(trs.limit.F, s * tr0.limit.F, rtol=1e-9)
         assert verify_recurrence(trs).ok == verify_recurrence(tr0).ok
         assert certificate(trs).verdict == certificate(tr0).verdict
 
 
 def test_numeric_mode_truncates_at_scale_floor():
     drift = get_problem("drift_c1")
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    grid = DiskGrid(1.0, 1.0 / 64)
     op = assemble(drift.field, grid)
     rhs = grid.field_from_function(lambda p: np.full(len(p), 4.0))
     bc = grid.boundary_from_function(lambda p: np.ones(len(p)))
@@ -417,12 +418,12 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     assert rows[1][0] == "0"
     assert float(rows[1][2]) == tr.records[0].M
     assert rows[-1][3] == "nan" and rows[-1][4] == "nan"
-    assert float(rows[-1][8]) == tr.records[-1].approx.B[0]
+    assert float(rows[-1][8]) == tr.records[-1].approx.F[0]
     first, last = tr.records[0], tr.records[-1]
     assert [float(v) for v in rows[1][10:]] == [
         first.sup_error_bar, first.measure_radius, first.gap, first.fdev,
         first.u_sup, first.phi_u, first.phi_scale,
-        first.increment.A, *first.increment.B]
+        first.increment.E, *first.increment.F]
     # the last rung has no comparison solve: bar and radius only
     assert [float(v) for v in rows[-1][10:12]] == [last.sup_error_bar,
                                                    last.measure_radius]
@@ -439,7 +440,7 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
 
 
 def test_perturbation_sweep_slope_is_positive(count_factorizations):
-    sweep = perturbation_sweep()
+    sweep = perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
     assert sweep.slope >= 0.15
     assert np.all(np.diff(np.mean(sweep.ratios, axis=0)) > 0.0)
     # one factor per eps, shared by the three shapes, plus the frozen one
@@ -447,11 +448,11 @@ def test_perturbation_sweep_slope_is_positive(count_factorizations):
 
 
 def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
-    # two bundled ladders and a sweep, all with a(0) = I on 32 sub-cells
-    frozen = comparison_operator(np.eye(2), 32)
+    # two bundled ladders and a sweep, all with a(0) = I
+    frozen = comparison_operator(np.eye(2))
     assert main(["run", "drift_c1", "nondini_c11", "--out", str(tmp_path)]) == 0
-    perturbation_sweep()
-    assert comparison_operator([[1.0, 0.0], [0.0, 1.0]], 32) is frozen
+    perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
+    assert comparison_operator([[1.0, 0.0], [0.0, 1.0]]) is frozen
     # the frozen operator's one factor is of its red-black reduced system
     _, black, _, a_br, c_rb = frozen._red_black
     reduced = frozen.equilibrated[black][:, black] - a_br @ c_rb
@@ -459,12 +460,10 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
                for matrix, _ in count_factorizations) == 1
     # the only others are the sweep's four perturbed operators
     assert len(count_factorizations) == 5
-    # another a(0) or sub-grid gets its own operator
-    other_a0 = comparison_operator(2.0 * np.eye(2), 32)
-    other_grid = comparison_operator(np.eye(2), 40)
-    assert other_a0 is not frozen and other_grid is not frozen
+    # another a(0) gets its own operator on the same sub-grid
+    other_a0 = comparison_operator(2.0 * np.eye(2))
+    assert other_a0 is not frozen
     assert other_a0.grid.h == frozen.grid.h
-    assert other_grid.grid.h == 0.75 / 40
     assert (other_a0.matrix != frozen.matrix).nnz > 0
 
 

@@ -86,7 +86,7 @@ def trig_boundary(seed):
 
 
 def test_grid_geometry():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     n = grid.n_interior
     assert abs(n * grid.h ** 2 - np.pi) < 0.1
     r = np.hypot(grid.coords[:, 0], grid.coords[:, 1])
@@ -103,13 +103,13 @@ def test_grid_geometry():
 
 def test_grid_rejects_coarse_spacing():
     with pytest.raises(DomainError):
-        DiskGrid((0.0, 0.0), 1.0, 1.0 / 8)
+        DiskGrid(1.0, 1.0 / 8)
 
 
 def test_node_weights_cover_disk():
     got = []
     for h in (1.0 / 32, 1.0 / 64):
-        grid = DiskGrid((0.0, 0.0), 1.0, h)
+        grid = DiskGrid(1.0, h)
         total = float(np.sum(grid.node_weights))
         assert total < np.pi
         got.append(np.pi - total)
@@ -118,7 +118,7 @@ def test_node_weights_cover_disk():
 
 
 def test_field_role_validation():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(FieldValidationError):
         DiscreteField(grid, np.zeros(grid.n_interior), "velocity")
     with pytest.raises(FieldValidationError):
@@ -133,9 +133,9 @@ def test_bicubic_sampler_reads_node_values_only():
     def cubic(p):
         return p[:, 0] ** 3 - 2.0 * p[:, 0] * p[:, 1] ** 2 + p[:, 1]
 
-    grid = DiskGrid((0.2, -0.1), 0.5, 0.5 / 20)
-    sample = bicubic_sampler(grid.field_from_function(cubic, "solution"))
-    pts = np.array([[0.2, -0.1], [0.31, 0.013], [0.07, -0.23]])
+    grid = DiskGrid(0.5, 0.5 / 20)
+    sample = bicubic_sampler(DiscreteField(grid, cubic(grid.coords), "solution"))
+    pts = np.array([[0.0, 0.0], [0.11, 0.113], [-0.13, -0.13]])
     assert np.allclose(sample(pts), cubic(pts), rtol=0.0, atol=1e-13)
     elsewhere = DiscreteField(grid, np.zeros(3), "solution", points=pts)
     with pytest.raises(FieldValidationError, match="grid's nodes"):
@@ -157,7 +157,7 @@ def apply_to(op, grid, u_fn):
 
 
 def test_assemble_laplacian_on_quadratic():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     op = assemble(laplacian_field(), grid)
     got = apply_to(op, grid, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2)
     regular = np.all(grid.neighbor >= 0, axis=1)
@@ -167,7 +167,7 @@ def test_assemble_laplacian_on_quadratic():
 
 
 def test_assemble_mixed_positive_cross():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     field = const_field(2.0, 1.0, 0.8, b1=0.5, b2=-0.3)
     op = assemble(field, grid)
 
@@ -184,7 +184,7 @@ def test_assemble_mixed_positive_cross():
 
 
 def test_assemble_mixed_negative_cross():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     field = const_field(2.0, 1.5, -0.9)
     op = assemble(field, grid)
 
@@ -198,7 +198,7 @@ def test_assemble_mixed_negative_cross():
 
 
 def test_assemble_refuses_strong_anisotropy():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(AnisotropyError) as err:
         assemble(const_field(5.5, 1.0, 0.0, lam=1.0 / 5.5), grid)
     assert "5.5" in str(err.value)
@@ -206,7 +206,7 @@ def test_assemble_refuses_strong_anisotropy():
 
 
 def test_assemble_rejects_asymmetric_matrix():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
 
     def a(pts):
         out = np.tile(np.eye(2), (len(pts), 1, 1))
@@ -220,15 +220,15 @@ def test_assemble_rejects_asymmetric_matrix():
 
 
 def test_solve_laplace_linear_boundary():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
-    u = solve_dirichlet(op, grid.zeros("rhs"),
+    u = solve_dirichlet(op, grid.zeros(),
                         grid.boundary_from_function(lambda p: p[:, 0]))
     assert np.max(np.abs(u.values - grid.coords[:, 0])) < 1e-10
 
 
 def test_solve_poisson_quadratic():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 24)
+    grid = DiskGrid(1.0, 1.0 / 24)
     op = assemble(laplacian_field(), grid)
     rhs = grid.field_from_function(lambda p: np.full(len(p), -4.0))
     u = solve_dirichlet(op, rhs, grid.boundary_from_function(lambda p: np.zeros(len(p))))
@@ -236,8 +236,8 @@ def test_solve_poisson_quadratic():
     assert np.max(np.abs(u.values - exact)) < 1e-10
 
 
-def test_solve_offcenter_ball():
-    grid = DiskGrid((0.3, -0.2), 0.5, 0.5 / 20)
+def test_solve_half_radius_ball():
+    grid = DiskGrid(0.5, 0.5 / 20)
     field = const_field(1.5, 1.0, 0.4)
     op = assemble(field, grid)
     rhs = grid.field_from_function(lambda p: np.full(len(p), 2.0 * 1.5 + 2.0))
@@ -259,14 +259,14 @@ def test_constant_coeff_rotated_oracle():
         y = pts @ tmap.T
         return y[:, 0] ** 2 - y[:, 1] ** 2
 
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
-    u = solve_dirichlet(frozen_operator(a0, grid), grid.zeros("rhs"),
+    grid = DiskGrid(1.0, 1.0 / 32)
+    u = solve_dirichlet(frozen_operator(a0, grid), grid.zeros(),
                         grid.boundary_from_function(u_exact))
     assert np.max(np.abs(u.values - u_exact(grid.coords))) < 1e-8
 
 
 def test_constant_coeff_rejects_indefinite():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 16)
+    grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(FieldValidationError):
         frozen_operator(np.array([[1.0, 2.0], [2.0, 1.0]]), grid)
     with pytest.raises(FieldValidationError):
@@ -275,7 +275,7 @@ def test_constant_coeff_rejects_indefinite():
 
 def test_solver_error_carries_history(monkeypatch):
     monkeypatch.setattr(elliptic, "SOLVER_RTOL", 1e-18)
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     rhs = grid.field_from_function(lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1])
     g = grid.boundary_from_function(trig_boundary(0))
@@ -287,16 +287,16 @@ def test_solver_error_carries_history(monkeypatch):
 def test_solver_deterministic():
     vals = []
     for _ in range(2):
-        grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+        grid = DiskGrid(1.0, 1.0 / 32)
         op = assemble(random_smooth_field(7), grid)
-        u = solve_dirichlet(op, grid.zeros("rhs"),
+        u = solve_dirichlet(op, grid.zeros(),
                             grid.boundary_from_function(trig_boundary(7)))
         vals.append(u.values.copy())
     assert np.array_equal(vals[0], vals[1])
 
 
 def disk_grids(hs):
-    return [DiskGrid((0.0, 0.0), 1.0, h) for h in hs]
+    return [DiskGrid(1.0, h) for h in hs]
 
 
 def test_convergence_order_variable_coefficients():
@@ -349,17 +349,17 @@ def test_convergence_order_validates_resolutions():
 
 def test_maximum_principle_random_operators():
     for seed in range(5):
-        grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+        grid = DiskGrid(1.0, 1.0 / 32)
         op = assemble(random_smooth_field(seed), grid)
         assert_monotone(op)
         g = grid.boundary_from_function(trig_boundary(seed))
-        u = solve_dirichlet(op, grid.zeros("rhs"), g)
+        u = solve_dirichlet(op, grid.zeros(), g)
         assert float(np.max(u.values)) <= float(np.max(g.values)) + 1e-10
         assert float(np.min(u.values)) >= float(np.min(g.values)) - 1e-10
 
 
 def test_abp_poisson_example():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    grid = DiskGrid(1.0, 1.0 / 64)
     op = assemble(laplacian_field(), grid)
     rhs = grid.field_from_function(lambda p: np.full(len(p), -4.0))
     g = grid.boundary_from_function(lambda p: np.zeros(len(p)))
@@ -372,11 +372,11 @@ def test_abp_poisson_example():
 
 
 def test_abp_zero_forcing():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     g = grid.boundary_from_function(trig_boundary(2))
-    u = solve_dirichlet(op, grid.zeros("rhs"), g)
-    implied_C, passed = abp_check(u, grid.zeros("rhs"), g)
+    u = solve_dirichlet(op, grid.zeros(), g)
+    implied_C, passed = abp_check(u, grid.zeros(), g)
     assert implied_C == 0.0
     assert passed
 
@@ -386,7 +386,7 @@ def second_difference_sup(grid, values, min_dist):
     idx_n, idx_s = grid.neighbor[:, 2], grid.neighbor[:, 3]
     idx_ne, idx_sw = grid.neighbor[:, 4], grid.neighbor[:, 5]
     regular = np.all(grid.neighbor >= 0, axis=1)
-    d = grid.coords - np.asarray(grid.center)
+    d = grid.coords
     deep = regular & (np.hypot(d[:, 0], d[:, 1]) <= grid.radius - min_dist)
     h2 = grid.h ** 2
     d11 = (values[idx_e[deep]] - 2 * values[deep] + values[idx_w[deep]]) / h2
@@ -407,10 +407,10 @@ def test_harmonic_second_difference_decay():
             out += coef[k - 1, 0] * np.cos(k * th) + coef[k - 1, 1] * np.sin(k * th)
         return out
 
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    grid = DiskGrid(1.0, 1.0 / 64)
     op = assemble(laplacian_field(), grid)
     g = grid.boundary_from_function(rough)
-    u = solve_dirichlet(op, grid.zeros("rhs"), g)
+    u = solve_dirichlet(op, grid.zeros(), g)
     sup = u.sup_norm()
     sups = [second_difference_sup(grid, u.values, d) for d in (0.1, 0.2, 0.3)]
     assert sups[0] >= sups[1] >= sups[2]
@@ -419,7 +419,7 @@ def test_harmonic_second_difference_decay():
 
 
 def test_residual_of_solution_small():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(random_smooth_field(11), grid)
     rhs = grid.field_from_function(lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
     g = grid.boundary_from_function(trig_boundary(11))
@@ -439,30 +439,29 @@ def test_factor_pins_mmap_threshold(monkeypatch):
         monkeypatch.setattr(elliptic, "_MALLOPT",
                             lambda *args: calls.append(args))
         a0 = np.array([[1.0, a12], [a12, 1.0]])
-        op = frozen_operator(a0, DiskGrid((0.0, 0.0), 1.0, 1.0 / 16))
+        op = frozen_operator(a0, DiskGrid(1.0, 1.0 / 16))
         assert (op.order is None) == (a12 == 0.0)
         op.factor
         assert calls == [(-3, 4 << 20)]
 
 
 def test_dissection_order_is_a_permutation_fixed_by_the_geometry():
-    for center, radius, h in (((0.0, 0.0), 1.0, 1.0 / 32),
-                              ((0.3, -0.2), 0.5, 0.5 / 21)):
-        grid = DiskGrid(center, radius, h)
+    for radius, h in ((1.0, 1.0 / 32), (0.5, 0.5 / 21)):
+        grid = DiskGrid(radius, h)
         order = grid.dissection_order
         assert np.array_equal(np.sort(order), np.arange(grid.n_interior))
         assert not order.flags.writeable
         assert grid.dissection_order is order
-        assert np.array_equal(DiskGrid(center, radius, h).dissection_order, order)
+        assert np.array_equal(DiskGrid(radius, h).dissection_order, order)
 
 
 def test_diagonal_stencil_factors_in_dissection_order(count_factorizations):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    grid = DiskGrid(1.0, 1.0 / 64)
     field, boundary_fn, forcing_fn = scenarios._random_operator(
         np.random.default_rng(0))
     op = assemble(field, grid)
     assert op.order is grid.dissection_order
-    rhs = grid.field_from_function(forcing_fn, "rhs")
+    rhs = grid.field_from_function(forcing_fn)
     g = grid.boundary_from_function(boundary_fn)
     u = solve_dirichlet(op, rhs, g)
     (matrix, kwargs), = count_factorizations
@@ -480,7 +479,7 @@ def test_diagonal_stencil_factors_in_dissection_order(count_factorizations):
 
 
 def test_five_point_stencil_keeps_minimum_degree(count_factorizations):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 128)
+    grid = DiskGrid(1.0, 1.0 / 128)
     op = assemble(get_problem("nondini_c11").field, grid)
     assert op.order is None
     op.factor
@@ -499,7 +498,7 @@ def black_count(grid):
 @pytest.mark.parametrize("name", ["zero_case", "drift_c1", "nondini_c11"])
 def test_red_black_solve_matches_the_full_factor(count_factorizations,
                                                  name, cells):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / cells)
     op = assemble(get_problem(name).field, grid)
     assert op.order is None
     b = np.random.default_rng(cells).standard_normal(grid.n_interior)

@@ -14,6 +14,10 @@ counts as read when:
 - a dataclass field: an ``ast.Attribute`` load, or a string constant equal
   to its name (``check_numbers(self, floats=("alpha", ...))`` and the
   keyword dicts a record is built from name fields that way).
+
+The same syntax tree also yields the parameters that every call sets to
+one value (``one_value_parameters``): a parameter that never varies is a
+constant passed around, and goes unless ``ALLOWED`` names a reason.
 """
 from __future__ import annotations
 
@@ -139,3 +143,126 @@ def test_guard_defines_instance_attributes():
              _definitions(Path("e.py"), tree)}
     assert found == {"E": "function", "E.history": "attribute",
                      "E.count": "attribute", "E.last": "attribute"}
+
+
+# Parameters and dataclass fields that every call sets to one value, each
+# kept for a reason.  Any other such parameter carries nothing.
+ALLOWED = {
+    "ManufacturedProblem.nu": "ROADMAP item 4 gives it a nonzero value or "
+                              "deletes it",
+}
+
+
+def _parameters(node, method: bool) -> list:
+    """(name, default node or None) of a function's parameters, less the
+    ``self`` of a method, or of a dataclass's fields."""
+    if isinstance(node, ast.ClassDef):
+        return [(item.target.id, item.value) for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)]
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    params = [(arg.arg, default)
+              for arg, default in zip(positional, defaults)]
+    params += [(arg.arg, default)
+               for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
+    static = any(getattr(deco, "id", None) == "staticmethod"
+                 for deco in node.decorator_list)
+    return params[1:] if method and not static else params
+
+
+def _callables(tree: ast.Module):
+    """(qualified name, bare name, parameters) of every function, method
+    and dataclass constructor."""
+    methods = set()
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node):
+            out.append((node.name, node.name, _parameters(node, False)))
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                methods.add(item)
+                if not _is_dunder(item.name):
+                    out.append((f"{node.name}.{item.name}", item.name,
+                                _parameters(item, True)))
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node not in methods and not _is_dunder(node.name)):
+            out.append((node.name, node.name, _parameters(node, False)))
+    return out
+
+
+def _literal(node):
+    """The repr of a constant literal's value, or None for anything else."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _one_value(defining: list, calling: list) -> list:
+    """Parameters of a function, method or dataclass constructor defined
+    once in the ``defining`` trees that every call by its name in the
+    ``calling`` trees sets to one constant literal or leaves at its
+    default.  A callable that some call passes ``*args`` or ``**kwargs`` is
+    skipped, since its values cannot be read off the call."""
+    callables = [entry for tree in defining for entry in _callables(tree)]
+    calls = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    defined = [bare for _, bare, _ in callables]
+    found = []
+    for qualified, bare, params in callables:
+        sites = calls.get(bare, [])
+        starred = any(isinstance(arg, ast.Starred) for call in sites
+                      for arg in call.args) or any(
+            kw.arg is None for call in sites for kw in call.keywords)
+        if defined.count(bare) > 1 or not sites or starred:
+            continue
+        for i, (param, default) in enumerate(params):
+            values = set()
+            for call in sites:
+                given = {kw.arg: kw.value for kw in call.keywords}
+                node = (call.args[i] if i < len(call.args)
+                        else given.get(param, default))
+                values.add(None if node is None else _literal(node))
+            if len(values) == 1 and None not in values:
+                found.append(f"{qualified}.{param}")
+    return sorted(found)
+
+
+def one_value_parameters() -> list:
+    """``_one_value`` of the package, with calls read in it and in
+    ``perfbench/``."""
+    trees = {folder: [ast.parse(path.read_text(encoding="utf-8"))
+                      for path in sorted(folder.glob("*.py"))]
+             for folder in READERS}
+    return _one_value(trees[PACKAGE], [t for ts in trees.values() for t in ts])
+
+
+def test_every_parameter_takes_more_than_one_value():
+    found = set(one_value_parameters())
+    unexplained = found - set(ALLOWED)
+    assert not unexplained, (
+        f"parameters only ever given one value: {sorted(unexplained)}")
+    stale = set(ALLOWED) - found
+    assert not stale, (
+        f"ALLOWED names parameters that now vary or are gone: {sorted(stale)}")
+
+
+def test_guard_finds_one_value_parameters():
+    tree = ast.parse(
+        "def f(a, b=2, *, c=None):\n    pass\n"
+        "f(1, c=3)\nf(x, 2, c=3)\n"
+        "def g(a):\n    pass\n"
+        "g(1)\ng(*xs)\n"
+        "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+        "    def m(self, z):\n        pass\n"
+        "D(1)\nD(2, y=0)\nd.m((0.0, 0.0))\n")
+    assert _one_value([tree], [tree]) == ["D.m.z", "D.y", "f.b", "f.c"]

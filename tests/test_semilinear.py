@@ -55,7 +55,7 @@ def test_config_validation():
 
 
 def test_t_independent_matches_linear_solve():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     g = grid.boundary_from_function(lambda p: np.zeros(len(p)))
     nl = Nonlinearity(lambda pts, t: np.full(len(pts), -4.0), zero_modulus())
@@ -69,7 +69,7 @@ def test_t_independent_matches_linear_solve():
 
 
 def test_absorbed_linear_reaction_oracle():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     g_fn = lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1]
     nl = linear_reaction(0.3, g_fn)
@@ -82,7 +82,7 @@ def test_absorbed_linear_reaction_oracle():
 
 
 def test_outer_step_cap_raises(monkeypatch):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(0.3, lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
     boundary = grid.boundary_from_function(lambda p: p[:, 0] ** 2)
@@ -93,7 +93,7 @@ def test_outer_step_cap_raises(monkeypatch):
 
 
 def test_picard_steps_share_one_factorization(count_factorizations):
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(0.3, lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
     boundary = grid.boundary_from_function(lambda p: p[:, 0] ** 2)
@@ -103,7 +103,7 @@ def test_picard_steps_share_one_factorization(count_factorizations):
 
 
 def test_oscillatory_reaction_rescued_by_damping():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(9.0, lambda p: np.full(len(p), 4.0))
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
@@ -117,7 +117,7 @@ def test_oscillatory_reaction_rescued_by_damping():
 
 
 def test_sublinear_nonlinearity_converges():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
 
     def sqrt_dini(pts, t):
@@ -139,7 +139,7 @@ def test_sublinear_nonlinearity_converges():
 
 
 def test_runaway_reaction_stalls():
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 32)
+    grid = DiskGrid(1.0, 1.0 / 32)
     op = assemble(laplacian_field(), grid)
     nl = linear_reaction(-8.0, lambda p: np.full(len(p), 1.0))
     boundary = grid.boundary_from_function(lambda p: np.zeros(len(p)))
@@ -167,7 +167,7 @@ def test_secant_picard_outer_steps(count_factorizations):
     # The log-inverse reaction is not Lipschitz at u = 0, so plain Picard
     # contracts only about 0.45 a step: 21 steps to 1e-9 on this grid.
     problem = get_problem("nondini_c11")
-    grid = DiskGrid((0.0, 0.0), 1.0, 1.0 / 64)
+    grid = DiskGrid(1.0, 1.0 / 64)
     op = assemble(problem.field, grid)
     boundary = grid.boundary_from_function(problem.boundary)
     result = picard_solve(op, problem.nonlinearity, boundary,
