@@ -53,6 +53,10 @@ SUP_CELLS = 48
 # The least scale ratio: each rung fits its increment over radius lam on
 # the comparison grid, and ``taylor_fit`` needs 4 of its spacings.
 MIN_LAM = 4.0 * 0.75 / SUB_CELLS
+# The perturbation sizes of the sweep and of the calibration's holdout, and
+# the spacings across the unit disk of the sweep's perturbed operators.
+SWEEP_EPSILONS = (0.02, 0.05, 0.1, 0.2)
+SWEEP_CELLS = 48
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,6 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    epsilons: tuple
     shapes: tuple
     ratios: np.ndarray
     slope: float
@@ -309,13 +312,12 @@ def _node_gap(w_fn, h: DiscreteField) -> float:
 
 def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
     """sup |w - h| / sup |w| for h = ``approximate(w)``, the sup over the
-    half ball on a lattice at least as fine as the operator's grid, with w
-    and h both sampled bicubically; the sweep's and the holdout's measure."""
+    half ball on a lattice of the comparison grid's SUB_CELLS spacings
+    across its radius, with w and h both sampled bicubically; the sweep's
+    and the holdout's measure."""
     w_fn = bicubic_sampler(w)
     h_fn = bicubic_sampler(approximate(w_fn, op))
-    sub = op.grid
-    gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5 * sub.radius / 0.75,
-                      cells=max(24, round(sub.radius / sub.h)))
+    gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5, cells=SUB_CELLS)
     return gap / w.sup_norm()
 
 
@@ -653,34 +655,29 @@ def _perturbed_field(eps: float) -> CoefficientField:
     )
 
 
-def perturbation_sweep(epsilons, cells) -> SweepResult:
+def perturbation_sweep() -> SweepResult:
     """Frozen-coefficient gap against coefficient perturbation size.
 
-    For each boundary shape and each eps, solves with the perturbed matrix
-    field, compares against the frozen solve sharing its trace, and
-    reports gap / sup|w|, the gap measured with the ladder's comparison
-    operator.  The log-log slope across eps is the headline number; it
+    For each boundary shape and each eps of SWEEP_EPSILONS, solves with
+    the perturbed matrix field, compares against the frozen solve sharing
+    its trace, and reports gap / sup|w|, the gap measured with the
+    ladder's comparison operator.  The log-log slope across eps is the headline number; it
     must come out positive for the approximation law to hold.
     Each perturbed operator is assembled once for all the shapes, and one
     frozen operator serves every comparison.
     """
-    epsilons = tuple(float(e) for e in epsilons)
-    if len(epsilons) < 2:
-        raise ValueError("need at least two perturbation sizes")
     shapes = _sweep_shapes()
-    grid = DiskGrid(1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
     frozen = comparison_operator(np.eye(2))
-    ratios = np.zeros((len(shapes), len(epsilons)))
-    for j, eps in enumerate(epsilons):
+    ratios = np.zeros((len(shapes), len(SWEEP_EPSILONS)))
+    for j, eps in enumerate(SWEEP_EPSILONS):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
             ratios[i, j] = _gap_ratio(approximate(shape_fn, op), frozen)
     mean_ratio = ratios.mean(axis=0)
-    slope = float(np.polyfit(np.log(epsilons), np.log(mean_ratio), 1)[0])
-    return SweepResult(
-        epsilons=epsilons, shapes=tuple(name for name, _ in shapes),
-        ratios=ratios, slope=slope,
-    )
+    slope = float(np.polyfit(np.log(SWEEP_EPSILONS), np.log(mean_ratio), 1)[0])
+    return SweepResult(shapes=tuple(name for name, _ in shapes),
+                       ratios=ratios, slope=slope)
 
 
 def _boundary_exponent(cells):
@@ -790,14 +787,13 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
         raise CalibrationError(f"alpha {alpha} escaped (0, 1/3]")
     C0 = _interior_bound_constant()
 
-    epsilons = (0.02, 0.05, 0.1, 0.2)
     shapes = _sweep_shapes()
     n_train = 2
     grid = DiskGrid(1.0, 1.0 / cells)
     frozen = comparison_operator(np.eye(2))
-    steps = np.zeros((n_train, len(epsilons), 2))
-    hold_ratios = np.zeros((len(shapes) - n_train, len(epsilons)))
-    for j, eps in enumerate(epsilons):
+    steps = np.zeros((n_train, len(SWEEP_EPSILONS), 2))
+    hold_ratios = np.zeros((len(shapes) - n_train, len(SWEEP_EPSILONS)))
+    for j, eps in enumerate(SWEEP_EPSILONS):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
             w = approximate(shape_fn, op)
@@ -810,7 +806,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
     num = 0.0
     den = 0.0
     for i in range(n_train):
-        for j, eps in enumerate(epsilons):
+        for j, eps in enumerate(SWEEP_EPSILONS):
             M0, M1 = steps[i, j]
             x = (lam ** 2 + eps ** alpha) * M0 / lam
             num += x * M1
@@ -822,7 +818,7 @@ def calibrate_constants(lam=0.2, cells=48) -> dict:
         raise CalibrationError(f"calibrated C1={C1} breaks 2*C1*lam < 1/4")
 
     holdout_slope = float(np.polyfit(
-        np.log(epsilons), np.log(np.mean(hold_ratios, axis=0)), 1)[0])
+        np.log(SWEEP_EPSILONS), np.log(np.mean(hold_ratios, axis=0)), 1)[0])
     if holdout_slope < alpha - 0.05:
         raise CalibrationError(
             f"holdout slope {holdout_slope} under alpha - 0.05 = {alpha - 0.05}"

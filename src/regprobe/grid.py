@@ -40,11 +40,11 @@ class DiskGrid:
 
     radius: float
     h: float
-    coords: np.ndarray = dc_field(repr=False, default=None)
-    neighbor: np.ndarray = dc_field(repr=False, default=None)
-    arm: np.ndarray = dc_field(repr=False, default=None)
-    boundary_col: np.ndarray = dc_field(repr=False, default=None)
-    boundary_points: np.ndarray = dc_field(repr=False, default=None)
+    coords: np.ndarray = dc_field(init=False, repr=False)
+    neighbor: np.ndarray = dc_field(init=False, repr=False)
+    arm: np.ndarray = dc_field(init=False, repr=False)
+    boundary_col: np.ndarray = dc_field(init=False, repr=False)
+    boundary_points: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.radius > 0.0 and self.h > 0.0):
@@ -53,8 +53,6 @@ class DiskGrid:
             raise DomainError(
                 f"spacing h={self.h} too coarse for radius {self.radius}; need h <= radius/16"
             )
-        if self.coords is not None:
-            return
 
         r = float(self.radius)
         h = float(self.h)

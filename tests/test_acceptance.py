@@ -98,7 +98,7 @@ def test_criterion_2_maximum_principle(solver_report):
 
 def test_criterion_3_perturbation_scaling():
     start = time.perf_counter()
-    sweep = perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
+    sweep = perturbation_sweep()
     constants = calibrate_constants()
     elapsed = time.perf_counter() - start
     alpha = constants["alpha"]

@@ -440,7 +440,7 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
 
 
 def test_perturbation_sweep_slope_is_positive(count_factorizations):
-    sweep = perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
+    sweep = perturbation_sweep()
     assert sweep.slope >= 0.15
     assert np.all(np.diff(np.mean(sweep.ratios, axis=0)) > 0.0)
     # one factor per eps, shared by the three shapes, plus the frozen one
@@ -451,7 +451,7 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     # two bundled ladders and a sweep, all with a(0) = I
     frozen = comparison_operator(np.eye(2))
     assert main(["run", "drift_c1", "nondini_c11", "--out", str(tmp_path)]) == 0
-    perturbation_sweep((0.02, 0.05, 0.1, 0.2), 48)
+    perturbation_sweep()
     assert comparison_operator([[1.0, 0.0], [0.0, 1.0]]) is frozen
     # the frozen operator's one factor is of its red-black reduced system
     _, black, _, a_br, c_rb = frozen._red_black

@@ -20,6 +20,7 @@ import tempfile
 from dataclasses import asdict, fields
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,8 +72,9 @@ def test_bundled_scenarios_restate_no_iteration_default():
         assert not restated, f"{name} restates defaults {restated}"
 
 
-# Probe-document keys that no bundled scenario or benchmark document sets,
-# each kept for a reason.  Any other such key is a setting nobody uses.
+# Document keys that no bundled scenario or benchmark document sets, each
+# kept for a reason.  Any other such key is a setting nobody uses.  A probe
+# key is named as its block names it, a key of another mode after the mode.
 ALLOWED = {
     "iteration.lam": "the scale ratio `calibrate --lam` measures C0-alpha at",
     "iteration.C0": "calibration record: set with lam from a calibrate run",
@@ -84,6 +86,8 @@ ALLOWED = {
                           "will read",
     "iteration.safety": "verdict threshold the recurrence-based verdict "
                         "will read",
+    "modulus_check.families": "the route to a user's own modulus, table "
+                              "files included",
 }
 
 
@@ -118,18 +122,21 @@ def _set_keys(doc: dict) -> set:
 
 
 def test_every_probe_setting_is_set_by_some_document(monkeypatch):
-    probe_keys = set(scenarios._MODE_KEYS["c1"] | scenarios._MODE_KEYS["c11"])
-    probe_keys |= {f"iteration.{f.name}"
-                   for f in fields(campanato.IterationConfig)}
-    probe_keys |= {f"picard.{f.name}" for f in fields(PicardConfig)}
-    probe_keys.add("grid.cells")
+    settable = {f"iteration.{f.name}"
+                for f in fields(campanato.IterationConfig)}
+    settable |= {f"picard.{f.name}" for f in fields(PicardConfig)}
+    settable.add("grid.cells")
     docs = [load_scenario(name) for name in bundled_names()]
     docs += _benchmark_documents(monkeypatch)
-    set_keys = set().union(*(_set_keys(doc) for doc in docs
-                             if doc["mode"] in ("c1", "c11")))
-    unset = probe_keys - set_keys - set(ALLOWED)
-    assert not unset, f"probe settings no document sets: {sorted(unset)}"
-    stale = set(ALLOWED) - (probe_keys - set_keys)
+    set_keys = set()
+    for mode, keys in scenarios._MODE_KEYS.items():
+        prefix = "" if mode in ("c1", "c11") else f"{mode}."
+        settable |= {prefix + key for key in keys}
+        set_keys |= {prefix + key for doc in docs if doc["mode"] == mode
+                     for key in _set_keys(doc)}
+    unset = settable - set_keys - set(ALLOWED)
+    assert not unset, f"settings no document sets: {sorted(unset)}"
+    stale = set(ALLOWED) - (settable - set_keys)
     assert not stale, f"ALLOWED names keys that are set or gone: {sorted(stale)}"
 
 
@@ -250,27 +257,40 @@ def test_bad_iteration_block_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode, key, value", [
-    ("lemma25_sweep", "solver_rtol", -1.0),
-    ("lemma25_sweep", "cells", "x"),
-    ("lemma25_sweep", "min_slope", "x"),
-    ("lemma25_sweep", "cells", 8),
-    ("solver_validation", "resolutions", ["a", "b", "c"]),
-    ("solver_validation", "resolutions", [0.05, 0.04, 0.01]),
-    ("solver_validation", "resolutions", [0.01, 0.02, 0.04]),
-    ("solver_validation", "resolutions", [0.25, 0.125, 0.0625]),
-    ("solver_validation", "solver_rtol", 0.0),
-    ("solver_validation", "operators", True),
-    ("solver_validation", "seed", -1),
-    ("modulus_check", "lams", [2.0]),
-    ("modulus_check", "lams", "x"),
-    ("modulus_check", "k0_max", "x"),
-    ("modulus_check", "families", [{"id": "zero", "dini": "yes"}]),
-    ("c1", "problem", []),
-    ("c1", "output_dir", 5),
-    ("c1", "output_dir", "a\0b"),
-    ("c1", "id", "a\0b"),
-])
+# The suite modes' cases name keys those modes do not have, so they exit on
+# the unknown key.
+_BAD_TOP_LEVEL = {
+    "lemma25_sweep-solver_rtol--1.0": ("lemma25_sweep", "solver_rtol", -1.0),
+    "lemma25_sweep-cells-x": ("lemma25_sweep", "cells", "x"),
+    "lemma25_sweep-min_slope-x": ("lemma25_sweep", "min_slope", "x"),
+    "lemma25_sweep-cells-8": ("lemma25_sweep", "cells", 8),
+    "solver_validation-resolutions-strings": (
+        "solver_validation", "resolutions", ["a", "b", "c"]),
+    "solver_validation-resolutions-not_geometric": (
+        "solver_validation", "resolutions", [0.05, 0.04, 0.01]),
+    "solver_validation-resolutions-growing": (
+        "solver_validation", "resolutions", [0.01, 0.02, 0.04]),
+    "solver_validation-resolutions-too_coarse": (
+        "solver_validation", "resolutions", [0.25, 0.125, 0.0625]),
+    "solver_validation-solver_rtol-0.0": ("solver_validation", "solver_rtol",
+                                          0.0),
+    "solver_validation-operators-True": ("solver_validation", "operators",
+                                         True),
+    "solver_validation-seed--1": ("solver_validation", "seed", -1),
+    "modulus_check-lams-above_one": ("modulus_check", "lams", [2.0]),
+    "modulus_check-lams-x": ("modulus_check", "lams", "x"),
+    "modulus_check-k0_max-x": ("modulus_check", "k0_max", "x"),
+    "modulus_check-families-dini_not_bool": (
+        "modulus_check", "families", [{"id": "zero", "dini": "yes"}]),
+    "c1-problem-list": ("c1", "problem", []),
+    "c1-output_dir-5": ("c1", "output_dir", 5),
+    "c1-output_dir-a\0b": ("c1", "output_dir", "a\0b"),
+    "c1-id-a\0b": ("c1", "id", "a\0b"),
+}
+
+
+@pytest.mark.parametrize("mode, key, value", list(_BAD_TOP_LEVEL.values()),
+                         ids=list(_BAD_TOP_LEVEL))
 def test_bad_top_level_key_exits_2(tmp_path, capsys, mode, key, value):
     doc = {"v": 1, "id": "custom", "mode": mode, key: value}
     if mode == "c1":
@@ -313,42 +333,28 @@ def test_validate_scenario_rejects_path_like_id(tmp_path, ident):
     validate_scenario(dict(doc, id="..a.b-c_d"))
 
 
-def write_modulus_doc(tmp_path, modulus_id, lams=(0.5,), k0_max=2):
+def write_modulus_doc(tmp_path, modulus_id):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps({
         "v": 1, "id": "custom", "mode": "modulus_check",
-        "families": [{"id": modulus_id, "dini": True}],
-        "lams": list(lams), "k0_max": k0_max}))
+        "families": [{"id": modulus_id, "dini": True}]}))
     return path
 
 
 def test_modulus_check_just_above_the_dini_threshold(tmp_path):
     # the integral of (ln 1/t)^-1.01 / t converges, so the tail sums do too
-    path = write_modulus_doc(tmp_path, "log_power:1.01", lams=[0.2], k0_max=3)
+    path = write_modulus_doc(tmp_path, "log_power:1.01")
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "custom_report.json").read_text())
     assert report["verdict"] == "pass"
     with open(out / "custom_trace.csv", newline="") as fh:
         tails = [row for row in csv.DictReader(fh) if row["kind"] == "tail_sum"]
-    assert len(tails) == 2
+    # the family lives below r = 1/e, so each of the three ratios starts
+    # at k0 = 2 and runs to k0 = 6
+    assert report["limits"]["combos_skipped_out_of_domain"] == 3
+    assert len(tails) == 15
     assert all(math.isfinite(float(row["value"])) for row in tails)
-
-
-def test_k0_max_that_underflows_the_tail_radius_exits_2(tmp_path, capsys):
-    path = write_modulus_doc(tmp_path, "power:0.5", lams=[0.2], k0_max=600)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert "k0_max" in capsys.readouterr().err
-    assert not out.exists()
-    # the largest k0_max keeps 0.2**(k0_max-1) a normal float
-    largest = math.floor(math.log(sys.float_info.min) / math.log(0.2)) + 1
-    assert 0.2 ** (largest - 1) >= sys.float_info.min
-    doc = json.loads(path.read_text())
-    validate_scenario(dict(doc, k0_max=largest))
-    for k0_max in (largest + 1, 10**400):
-        with pytest.raises(ScenarioError, match="k0_max"):
-            validate_scenario(dict(doc, k0_max=k0_max))
 
 
 def test_non_finite_modulus_table_exits_2(tmp_path, capsys):
@@ -509,16 +515,25 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
 
 # Settings a document can no longer hold: the problem declares nu, lambda1
 # and tau, smallness is only reported, the ladder's resolutions (which the
-# sweep shares) and Picard's damping and step cap are fixed.  Each value
-# here was in range when the key existed, so only the key itself is
-# rejected.  A block names a probe document's block, lemma25_sweep a
-# top-level key of a sweep document.
+# sweep shares), Picard's damping and step cap and the check suites are
+# fixed.  Each value here was in range when the key existed, so only the
+# key itself is rejected.  A block names a probe document's block, a mode
+# a top-level key of a suite document.
 @pytest.mark.parametrize("block, key, value", [
     ("iteration", "nu", 0.0), ("iteration", "lambda1", 0.0),
     ("iteration", "tau", 0.0), ("iteration", "enforce_smallness", "warn"),
     ("iteration", "sub_cells", 32), ("iteration", "sup_cells", 48),
     ("picard", "damping", 0.5), ("picard", "max_outer", 60),
     ("lemma25_sweep", "sub_cells", 32),
+    pytest.param("lemma25_sweep", "epsilons", [0.02, 0.05, 0.1, 0.2],
+                 id="lemma25_sweep-epsilons-list"),
+    ("lemma25_sweep", "cells", 48), ("lemma25_sweep", "min_slope", 0.15),
+    pytest.param("solver_validation", "resolutions", [1 / 32, 1 / 64, 1 / 128],
+                 id="solver_validation-resolutions-list"),
+    ("solver_validation", "operators", 20),
+    pytest.param("modulus_check", "lams", [0.125, 0.2, 0.25],
+                 id="modulus_check-lams-list"),
+    ("modulus_check", "k0_max", 6),
 ])
 def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
                                              block, key, value):
@@ -526,7 +541,7 @@ def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
         raise AssertionError("scenario ran")
 
     monkeypatch.setattr(cli, "run_scenario", unreachable)
-    if block == "lemma25_sweep":
+    if block in scenarios.MODES:
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(
             {"v": 1, "id": "custom", "mode": block, key: value}))
@@ -553,7 +568,7 @@ def test_validate_solver_subcommand(tmp_path, capsys, monkeypatch):
 
     def recorded(doc, out_dir):
         ran.append((doc, out_dir))
-        return {"verdict": "pass", "limits": {"operators": doc["operators"]}}
+        return {"verdict": "pass", "limits": {"operators": 20}}
 
     monkeypatch.setattr(cli, "run_scenario", recorded)
     assert main(["validate-solver", "--out", str(tmp_path)]) == 0
@@ -562,12 +577,10 @@ def test_validate_solver_subcommand(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "solver_validation: pass\n  operators: 20\n"
 
 
-def test_solver_validation_factors_each_operator_once(tmp_path,
+def test_solver_validation_factors_each_operator_once(tmp_path, monkeypatch,
                                                       count_factorizations):
-    doc = dict(load_scenario("solver_validation"), operators=2)
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(scenarios, "_OPERATORS", 2)
+    assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 0
     # 9 convergence solves, 2 exact-quadratic solves, and per operator one
     # factor on each of the two grids: the coarse one serves both its
     # maximum-principle and its implied-C solve.
@@ -580,7 +593,7 @@ def test_solver_validation_factors_each_operator_once(tmp_path,
 
 
 # validate-solver runs the bundled document and takes no flags of its own;
-# a document sets the seed and the operator count
+# a document sets the seed
 @pytest.mark.parametrize("flag", [["--operators", "2"], ["--seed", "7"]],
                          ids=["operators", "seed"])
 def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, flag):
@@ -589,36 +602,6 @@ def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in (
         capsys.readouterr().err)
     assert not out.exists()
-
-
-# Operator counts above the cap are rejected before anything is solved; the
-# run itself is stubbed out, so a count that slips through fails the test.
-@pytest.mark.parametrize("count", [1001, 10**9, 10**400])
-@pytest.mark.parametrize("via", ["scenario", "api"])
-def test_operator_counts_beyond_the_cap_exit_2(tmp_path, capsys, monkeypatch,
-                                                via, count):
-    def unreachable(*args):
-        raise AssertionError("scenario ran")
-
-    message = "key 'operators' must be an integer from 1 to 1000"
-    doc = {"v": 1, "id": "many", "mode": "solver_validation",
-           "operators": count}
-    if via == "api":
-        with pytest.raises(ScenarioError, match=message):
-            validate_scenario(doc)
-        return
-    monkeypatch.setattr(cli, "run_scenario", unreachable)
-    out = tmp_path / "out"
-    path = tmp_path / "many.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_operator_count_at_the_cap_validates():
-    validate_scenario({"v": 1, "id": "many", "mode": "solver_validation",
-                       "operators": 1000})
 
 
 def test_calibrate_subcommand(tmp_path, capsys):
@@ -736,55 +719,9 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
         validate_scenario(dict(doc, grid={"cells": 818}))
 
 
-_BUDGET_MODES = {"'cells'": "lemma25_sweep",
-                 "'resolutions'": "solver_validation"}
-
-
-def _budget_doc(key, value):
-    """A document whose cell count under ``key`` is ``value``."""
-    return {"v": 1, "id": "budget", "mode": _BUDGET_MODES[key],
-            key.strip("'"): value}
-
-
-def _spacings(cells):
-    return [4.0 / cells, 2.0 / cells, 1.0 / cells]
-
-
-# Every cell count is held to grid.cells' budget.  Only values validation
-# rejects are run, and the run itself is stubbed out, so nothing allocates.
-@pytest.mark.parametrize("key, value", [
-    *[pytest.param(key, value, id=f"{key}-{name}")
-      for key in list(_BUDGET_MODES)[:1]
-      for value, name in ((10**400, "401_digits"), (818, "818"))],
-    pytest.param("'resolutions'", [1e-100, 5e-101, 2.5e-101], id="h-1e-100"),
-    pytest.param("'resolutions'", [1e-4, 5e-5, 2.5e-5], id="h-1e-4"),
-    pytest.param("'resolutions'", _spacings(818), id="h-1/818"),
-])
-def test_cell_counts_beyond_the_memory_budget_exit_2(tmp_path, capsys,
-                                                     monkeypatch, key, value):
-    def unreachable(*args):
-        raise AssertionError("scenario ran")
-
-    monkeypatch.setattr(cli, "run_scenario", unreachable)
-    path = tmp_path / "budget.json"
-    path.write_text(json.dumps(_budget_doc(key, value)))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert f"{key} must ask for at most 817 cells" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", list(_BUDGET_MODES))
-def test_cell_counts_at_the_memory_budget_validate(key):
-    value = _spacings(817) if key == "'resolutions'" else 817
-    validate_scenario(_budget_doc(key, value))
-
-# Fuzzed documents start from the bundled ones, with the solver validation
-# cut to test size.
-_FUZZ_BASE = {
-    "solver_validation": {"operators": 2,
-                          "resolutions": [1 / 16, 1 / 32, 1 / 64]},
-}
+# Fuzzed documents start from the bundled ones, and the check suites they
+# run are cut to test size.
+_FUZZ_SUITE = {"_OPERATORS": 1, "_RESOLUTIONS": (1 / 16, 1 / 24, 1 / 36)}
 _BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})
 
 
@@ -801,7 +738,6 @@ def _key_paths(value, prefix=()):
 def broken_documents(draw):
     name = draw(st.sampled_from(bundled_names()))
     doc = load_scenario(name)
-    doc.update(_FUZZ_BASE.get(name, {}))
     path = draw(st.sampled_from(list(_key_paths(doc))))
     target = doc
     for key in path[:-1]:
@@ -813,7 +749,9 @@ def broken_documents(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(broken_documents())
 def test_broken_documents_exit_with_a_code(doc):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(scenarios, **_FUZZ_SUITE), \
+            mock.patch.object(campanato, "SWEEP_CELLS", 24):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc))
         code = main(["run", str(path), "--out", str(Path(tmp) / "out")])

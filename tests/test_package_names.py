@@ -153,13 +153,29 @@ ALLOWED = {
 }
 
 
+def _field_default(value):
+    """(in the constructor, default node or None) of a dataclass field
+    whose right-hand side is ``value``; a ``field(...)`` call gives its
+    ``default=`` and its ``init=``."""
+    if not (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            in ("field", "dc_field")):
+        return True, value
+    given = {kw.arg: kw.value for kw in value.keywords}
+    init = given.get("init")
+    return (not (isinstance(init, ast.Constant) and init.value is False),
+            given.get("default"))
+
+
 def _parameters(node, method: bool) -> list:
     """(name, default node or None) of a function's parameters, less the
-    ``self`` of a method, or of a dataclass's fields."""
+    ``self`` of a method, or of a dataclass's constructor fields."""
     if isinstance(node, ast.ClassDef):
-        return [(item.target.id, item.value) for item in node.body
-                if isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)]
+        fields = [(item.target.id, *_field_default(item.value))
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)]
+        return [(name, default) for name, init, default in fields if init]
     args = node.args
     positional = args.posonlyargs + args.args
     defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
@@ -263,6 +279,9 @@ def test_guard_finds_one_value_parameters():
         "def g(a):\n    pass\n"
         "g(1)\ng(*xs)\n"
         "@dataclass\nclass D:\n    x: int\n    y: int = 0\n"
+        "    w: list = field(repr=False, default=None)\n"
+        "    v: list = dc_field(default_factory=list)\n"
+        "    u: list = field(init=False, default=None)\n"
         "    def m(self, z):\n        pass\n"
         "D(1)\nD(2, y=0)\nd.m((0.0, 0.0))\n")
-    assert _one_value([tree], [tree]) == ["D.m.z", "D.y", "f.b", "f.c"]
+    assert _one_value([tree], [tree]) == ["D.m.z", "D.w", "D.y", "f.b", "f.c"]
