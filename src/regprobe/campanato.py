@@ -54,7 +54,8 @@ SUP_CELLS = 48
 # the comparison grid, and ``taylor_fit`` needs 4 of its spacings.
 MIN_LAM = 4.0 * 0.75 / SUB_CELLS
 # The perturbation sizes of the sweep and of the calibration's holdout, and
-# the spacings across the unit disk of the sweep's perturbed operators.
+# the spacings across the unit disk of the sweep's perturbed operators (the
+# calibration's by default).
 SWEEP_EPSILONS = (0.02, 0.05, 0.1, 0.2)
 SWEEP_CELLS = 48
 
@@ -771,7 +772,7 @@ def _one_step_linear(u_field, v_fn, lam, frozen):
     return M0, M1 / lam
 
 
-def calibrate_constants(lam=0.2, cells=48) -> dict:
+def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
     """Empirical constants for the ladder inequalities.
 
     beta is the measured boundary growth exponent, alpha = beta/(2+beta);

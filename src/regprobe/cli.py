@@ -29,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campanato import MIN_LAM, calibrate_constants
+from .campanato import MIN_LAM, SWEEP_CELLS, calibrate_constants
 from .errors import (
     CalibrationError,
     FixedPointError,
@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "coefficient suite")
     cal_p.add_argument("--lam", type=float, default=0.2,
                        help="scale ratio (default 0.2)")
-    cal_p.add_argument("--cells", type=int, default=48,
-                       help="solver resolution (default 48)")
+    cal_p.add_argument("--cells", type=int, default=SWEEP_CELLS,
+                       help="solver resolution (default %(default)s)")
 
     sub.add_parser("validate-solver", parents=[common],
                    help="run the bundled solver validation scenario")

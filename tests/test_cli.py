@@ -282,6 +282,13 @@ _BAD_TOP_LEVEL = {
     "modulus_check-k0_max-x": ("modulus_check", "k0_max", "x"),
     "modulus_check-families-dini_not_bool": (
         "modulus_check", "families", [{"id": "zero", "dini": "yes"}]),
+    "modulus_check-families-not_a_list": ("modulus_check", "families",
+                                          "zero"),
+    "modulus_check-families-empty": ("modulus_check", "families", []),
+    "modulus_check-families-entry_not_an_object": (
+        "modulus_check", "families", ["zero"]),
+    "modulus_check-families-no_id": ("modulus_check", "families",
+                                     [{"dini": True}]),
     "c1-problem-list": ("c1", "problem", []),
     "c1-output_dir-5": ("c1", "output_dir", 5),
     "c1-output_dir-a\0b": ("c1", "output_dir", "a\0b"),
@@ -719,8 +726,9 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
         validate_scenario(dict(doc, grid={"cells": 818}))
 
 
-# Fuzzed documents start from the bundled ones, and the check suites they
-# run are cut to test size.
+# Fuzzed documents start from the bundled ones, modulus_check's naming the
+# built-in families so that its one optional key is fuzzed too, and the
+# check suites they run are cut to test size.
 _FUZZ_SUITE = {"_OPERATORS": 1, "_RESOLUTIONS": (1 / 16, 1 / 24, 1 / 36)}
 _BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})
 
@@ -738,6 +746,8 @@ def _key_paths(value, prefix=()):
 def broken_documents(draw):
     name = draw(st.sampled_from(bundled_names()))
     doc = load_scenario(name)
+    if name == "modulus_check":
+        doc["families"] = [dict(family) for family in scenarios._FAMILIES]
     path = draw(st.sampled_from(list(_key_paths(doc))))
     target = doc
     for key in path[:-1]:
