@@ -39,7 +39,7 @@ from .errors import (
     FitError,
     check_numbers,
 )
-from .fields import CoefficientField, _extended_modulus
+from .fields import DRIFT_Q, CoefficientField, _extended_modulus
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
 
 _TINY_SUP = 1e-10
@@ -377,13 +377,13 @@ def _resolve_solution(problem, u_data):
 
 def _smallness_flags(cfg: IterationConfig, mode: str, problem) -> dict:
     if mode == "c1":
-        value = (problem.nu + problem.field.drift_bound) ** cfg.alpha
+        value = (problem.nu + problem.drift_bound) ** cfg.alpha
         bound = cfg.lam ** 2
         return {"mode": mode, "oscillation": value, "bound": bound,
                 "ok": bool(value <= bound)}
     osc = (_extended_modulus(problem.omega_a, 1.0) + problem.tau) ** cfg.alpha
     osc_bound = cfg.lam ** 3
-    drift = problem.tau * cfg.C0 / (2.0 * problem.field.ellipticity)
+    drift = problem.tau * cfg.C0 / (2.0 * problem.ellipticity)
     return {"mode": mode, "oscillation": osc, "bound": osc_bound,
             "drift_ratio": drift,
             "ok": bool(osc <= osc_bound and drift <= 0.25)}
@@ -391,12 +391,11 @@ def _smallness_flags(cfg: IterationConfig, mode: str, problem) -> dict:
 
 def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     mode = "c1" if order == 1 else "c11"
-    field: CoefficientField = problem.field
     nl = problem.nonlinearity
     origin = np.zeros((1, 2))
-    a0 = field.eval_a(origin)[0]
-    b0 = field.eval_b(origin)[0]
-    ell = field.ellipticity
+    a0 = problem.field.eval_a(origin)[0]
+    b0 = problem.field.eval_b(origin)[0]
+    ell = problem.ellipticity
     if order == 2 and a0[0, 0] < ell * (1.0 - 1e-12):
         raise FieldValidationError(
             "a11 at the origin sits below the ellipticity constant; "
@@ -409,8 +408,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     v_fn = problem.potential.v
     T = float(problem.potential.hessian_bound)
     lam = cfg.lam
-    drift_exp = 1.0 - 2.0 / field.q
-    nu, lambda1, tau = problem.nu, field.drift_bound, problem.tau
+    drift_exp = 1.0 - 2.0 / DRIFT_Q
+    nu, lambda1, tau = problem.nu, problem.drift_bound, problem.tau
     smallness = _smallness_flags(cfg, mode, problem)
 
     # Numeric data cannot resolve balls much smaller than the grid cell;
@@ -650,10 +649,7 @@ def _perturbed_field(eps: float) -> CoefficientField:
         out[:, 1, 1] = 1.0
         return out
 
-    return CoefficientField(
-        a=a_fn, b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=1.0 - eps, drift_bound=0.0, q=4.0,
-    )
+    return CoefficientField(a=a_fn, b=lambda pts: np.zeros((len(pts), 2)))
 
 
 def perturbation_sweep() -> SweepResult:
@@ -831,16 +827,14 @@ def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
         field = CoefficientField(
             a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
             b=lambda pts, bmag=bmag: np.column_stack(
-                [np.full(len(pts), bmag), np.zeros(len(pts))]),
-            ellipticity=1.0, drift_bound=bmag * math.pi ** 0.25, q=4.0,
-        )
+                [np.full(len(pts), bmag), np.zeros(len(pts))]))
+        lam1 = bmag * math.pi ** 0.25  # the drift's L^4(B_1) norm
         op = assemble(field, grid)
         rhs = grid.field_from_function(lambda pts: np.full(len(pts), 4.0))
         for _, shape_fn in shapes:
             u = solve_dirichlet(op, rhs, grid.boundary_from_function(shape_fn))
             M0, M1 = _one_step_linear(
                 u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, lam, frozen)
-            lam1 = field.drift_bound
             xi0 = (C1 / lam) * (lam ** 2 + lam1 ** alpha)
             eta_need = max(0.0, M1 - xi0 * M0)
             bracket = 2.0 * lam1 / lam

@@ -330,43 +330,24 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField,
     return implied, lhs <= bmax + C_CAL * fnorm + 1e-10
 
 
-def check_resolutions(hs) -> None:
-    """Raise ValueError unless ``hs`` lists at least three grid spacings
-    that shrink in geometric progression."""
-    if len(hs) < 3:
-        raise ValueError("need at least three resolutions")
-    ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
-    if not ratios[0] > 1.0 or any(abs(q - ratios[0]) > 1e-9 * ratios[0]
-                                  for q in ratios):
-        raise ValueError("resolutions must shrink in geometric progression")
-
-
 def convergence_order(field: CoefficientField, u_exact, rhs_fn,
-                      grids) -> float | None:
+                      grids) -> float:
     """Sup-norm convergence order of the solver on a known solution.
 
-    ``grids`` are disk grids whose spacings pass ``check_resolutions``; a
-    caller that runs several studies on one set of grids builds them once.
-    When every error sits at solver noise the scheme is exact on this
-    solution and the result is None; a non-monotone error sequence fits
-    the order anyway but warns.
+    ``grids`` are disk grids of shrinking spacing; a caller that runs
+    several studies on one set of grids builds them once.  A non-monotone
+    error sequence fits the order anyway but warns.
     """
     hs = [grid.h for grid in grids]
-    check_resolutions(hs)
-
     errors = []
-    usup = 1.0
     for grid in grids:
         op = assemble(field, grid)
         rhs = grid.field_from_function(rhs_fn)
         g = grid.boundary_from_function(u_exact)
         u = solve_dirichlet(op, rhs, g)
         exact = np.asarray(u_exact(grid.coords), dtype=float)
-        usup = max(usup, float(np.max(np.abs(exact))))
         errors.append(float(np.max(np.abs(u.values - exact))))
 
-    if max(errors) <= 1e-11 * usup:
-        return None
     slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0]
     if not all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)):
         warnings.warn("error sequence is not monotone; fitted order is unreliable",
@@ -387,15 +368,7 @@ def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):
         raise FieldValidationError("a0 must be a 2x2 matrix")
-    eigs = np.linalg.eigvalsh(0.5 * (a0 + a0.T))
-    if eigs[0] <= 0.0:
-        raise FieldValidationError("a0 must be positive definite")
-    lam = min(eigs[0], 1.0 / eigs[1], 1.0)
     field = CoefficientField(
         a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)),
-        b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=lam,
-        drift_bound=0.0,
-        q=4.0,
-    )
+        b=lambda pts: np.zeros((len(pts), 2)))
     return assemble(field, grid)

@@ -51,10 +51,6 @@ class DomainError(RegprobeError, ValueError):
     """A requested ball or sample point leaves the domain a field is defined on."""
 
 
-class ExponentError(RegprobeError, ValueError):
-    """An integrability exponent is outside the admissible range."""
-
-
 class AnisotropyError(RegprobeError, ValueError):
     """The coefficient matrix is too anisotropic for the discretization to stay monotone."""
 

@@ -1,12 +1,15 @@
 """Coefficient fields, nonlinearities, and frozen-coefficient potentials.
 
 This module owns the structural data of a problem: the matrix field ``a``
-and drift ``b`` with their ellipticity and integrability constants, the
-nonlinearity ``f(x, t)`` with its modulus of continuity in ``t``, and the
-comparison potentials solving the frozen-coefficient equation.  The
-constants are declared, not measured: the probes read them as given.  The
-bundled problems in ``manufactured`` and the frozen operators in
-``elliptic`` build their fields directly from these classes.
+and drift ``b``, the nonlinearity ``f(x, t)`` with its modulus of
+continuity in ``t``, and the comparison potentials solving the
+frozen-coefficient equation.  A problem's coefficient constants
+(ellipticity, drift bound, moduli) are declared on
+``manufactured.ManufacturedProblem``, not measured: the probes read them
+as given.  The drift's integrability
+exponent is the one constant ``DRIFT_Q``.  The bundled problems in
+``manufactured`` and the frozen operators in ``elliptic`` build their
+fields directly from these classes.
 
 Conventions: everything is vectorized over points.  A matrix field maps an
 ``(N, 2)`` array of points to ``(N, 2, 2)``; a drift maps it to ``(N, 2)``;
@@ -20,34 +23,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExponentError, FieldValidationError
+from .errors import FieldValidationError
 from .modulus import Modulus
+
+# The drift b lies in L^DRIFT_Q(B_1), an exponent above the dimension n = 2.
+DRIFT_Q = 4.0
 
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Second-order coefficients ``a`` and drift ``b`` with their constants.
-
-    ``ellipticity`` is the constant pinching the Rayleigh quotients of ``a``
-    into ``[ellipticity, 1/ellipticity]``; ``drift_bound`` bounds the sum of
-    the component L^q norms of ``b``.
-    """
+    """Second-order coefficients ``a`` and drift ``b``."""
 
     a: Callable
     b: Callable
-    ellipticity: float
-    drift_bound: float
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.ellipticity <= 1.0):
-            raise FieldValidationError(
-                f"ellipticity constant must lie in (0, 1], got {self.ellipticity}"
-            )
-        if self.drift_bound < 0.0:
-            raise FieldValidationError("drift bound must be nonnegative")
-        if not (self.q > 2.0):
-            raise ExponentError(f"drift exponent must exceed n=2, got {self.q}")
 
     def eval_a(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

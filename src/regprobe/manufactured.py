@@ -27,24 +27,46 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import RegistryError
+from .errors import FieldValidationError, RegistryError
 from .fields import CoefficientField, Nonlinearity, PotentialFamily
 from .modulus import Modulus, log_inverse, zero_modulus
 
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """A probe problem with exact solution and frozen-coefficient potential."""
+    """A probe problem with exact solution and frozen-coefficient potential.
+
+    Its constants are the hypotheses at the origin, declared rather than
+    measured:
+
+    - ``ellipticity`` pinches the Rayleigh quotients of ``a`` into
+      ``[ellipticity, 1/ellipticity]``;
+    - ``drift_bound`` bounds the sum of the components' L^DRIFT_Q(B_1)
+      norms of ``b`` (``fields.DRIFT_Q``);
+    - ``tau`` is the sup of ``|b|``;
+    - ``nu`` bounds the C^{-1,1}_n modulus of ``a``;
+    - ``omega_a`` and ``omega_b`` are the Dini moduli of ``a`` and ``b``.
+    """
 
     field: CoefficientField
     nonlinearity: Nonlinearity
     u: object
     boundary: object
     potential: PotentialFamily
+    ellipticity: float
+    drift_bound: float
     omega_a: Modulus
     omega_b: Modulus
     tau: float
     nu: float
+
+    def __post_init__(self):
+        if not (0.0 < self.ellipticity <= 1.0):
+            raise FieldValidationError(
+                f"ellipticity constant must lie in (0, 1], got {self.ellipticity}"
+            )
+        if self.drift_bound < 0.0:
+            raise FieldValidationError("drift bound must be nonnegative")
 
 
 def _quadratic(pts):
@@ -52,13 +74,11 @@ def _quadratic(pts):
 
 
 def _identity_field(b1=0.0):
-    """a = I with the constant drift b = (b1, 0); drift_bound is |b1|'s
-    L^4(B_1) norm, |b1| pi^(1/4)."""
+    """a = I with the constant drift b = (b1, 0), whose L^4(B_1) norm is
+    |b1| pi^(1/4)."""
     return CoefficientField(
         a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
-        b=lambda pts: np.broadcast_to((b1, 0.0), (len(pts), 2)),
-        ellipticity=1.0, drift_bound=abs(b1) * math.pi ** 0.25, q=4.0,
-    )
+        b=lambda pts: np.broadcast_to((b1, 0.0), (len(pts), 2)))
 
 
 _DRIFT_TERMS = 34
@@ -293,6 +313,8 @@ def _build_zero_case():
         u=_quadratic,
         boundary=_quadratic,
         potential=PotentialFamily(_quadratic, 2.0),
+        ellipticity=1.0,
+        drift_bound=0.0,
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=0.0,
@@ -310,6 +332,8 @@ def _build_drift_c1():
         u=_drift_u,
         boundary=lambda pts: np.ones(len(np.atleast_2d(pts))),
         potential=PotentialFamily(_quadratic, 2.0),
+        ellipticity=1.0,
+        drift_bound=math.pi ** 0.25,
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=1.0,
@@ -336,6 +360,8 @@ def _build_cubic_c11():
         u=_quadratic,
         boundary=_quadratic,
         potential=PotentialFamily(v, 2.0 + 2.0 * _CUBIC_BETA),
+        ellipticity=1.0,
+        drift_bound=_CUBIC_BETA * math.pi ** 0.25,
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=_CUBIC_BETA,
@@ -353,6 +379,8 @@ def _build_nondini_c11():
         u=_nondini_u,
         boundary=_nondini_u,
         potential=PotentialFamily(_quadratic, 2.0),
+        ellipticity=1.0,
+        drift_bound=0.0,
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=0.0,

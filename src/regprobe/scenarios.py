@@ -155,6 +155,8 @@ def validate_scenario(doc, source: str = "scenario") -> None:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ScenarioError(
             f"{source}: key 'seed' must be a non-negative integer")
+    if not isinstance(doc.get("description", ""), str):
+        raise ScenarioError(f"{source}: key 'description' must be a string")
     out = doc.get("output_dir", ".")
     if not isinstance(out, str) or not out or "\0" in out:
         raise ScenarioError(
@@ -400,12 +402,7 @@ def _random_operator(rng) -> tuple:
 
     b0 = rng.uniform(-0.7, 0.7, size=2)
     field = CoefficientField(
-        a=a_fn,
-        b=lambda pts, b0=b0: np.broadcast_to(b0, (len(pts), 2)),
-        ellipticity=0.42,
-        drift_bound=float(np.linalg.norm(b0)) * math.pi ** 0.25,
-        q=4.0,
-    )
+        a=a_fn, b=lambda pts, b0=b0: np.broadcast_to(b0, (len(pts), 2)))
 
     coeff = rng.normal(0.0, 0.5, size=7)
 
@@ -428,27 +425,27 @@ def _random_operator(rng) -> tuple:
 
 _SMOOTH_CASES = (
     ("drift_exponential",
-     dict(a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
-          b=lambda pts: np.broadcast_to(np.array([1.0, 0.0]), (len(pts), 2)),
-          ellipticity=1.0, drift_bound=math.pi ** 0.25, q=4.0),
+     CoefficientField(
+         a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
+         b=lambda pts: np.broadcast_to(np.array([1.0, 0.0]), (len(pts), 2))),
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1]),
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1])),
     ("variable_diagonal",
-     dict(a=lambda pts: np.stack(
-              [np.stack([1.0 + 0.3 * np.sin(pts[:, 0]),
-                         np.zeros(len(pts))], axis=1),
-               np.stack([np.zeros(len(pts)), np.ones(len(pts))], axis=1)],
-              axis=1),
-          b=lambda pts: np.zeros((len(pts), 2)),
-          ellipticity=0.7, drift_bound=0.0, q=4.0),
+     CoefficientField(
+         a=lambda pts: np.stack(
+             [np.stack([1.0 + 0.3 * np.sin(pts[:, 0]),
+                        np.zeros(len(pts))], axis=1),
+              np.stack([np.zeros(len(pts)), np.ones(len(pts))], axis=1)],
+             axis=1),
+         b=lambda pts: np.zeros((len(pts), 2))),
      lambda pts: np.cos(pts[:, 0]) + pts[:, 1] ** 4 / 12.0,
      lambda pts: -(1.0 + 0.3 * np.sin(pts[:, 0])) * np.cos(pts[:, 0])
          + pts[:, 1] ** 2),
     ("mixed_derivative",
-     dict(a=lambda pts: np.broadcast_to(
-              np.array([[1.0, 0.2], [0.2, 1.0]]), (len(pts), 2, 2)),
-          b=lambda pts: np.zeros((len(pts), 2)),
-          ellipticity=0.8, drift_bound=0.0, q=4.0),
+     CoefficientField(
+         a=lambda pts: np.broadcast_to(
+             np.array([[1.0, 0.2], [0.2, 1.0]]), (len(pts), 2, 2)),
+         b=lambda pts: np.zeros((len(pts), 2))),
      lambda pts: np.sin(pts[:, 0] + pts[:, 1]),
      lambda pts: -2.4 * np.sin(pts[:, 0] + pts[:, 1])),
 )
@@ -476,20 +473,17 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     ok_all = True
 
     orders = {}
-    for name, field_kw, u_exact, rhs_fn in _SMOOTH_CASES:
-        order = convergence_order(CoefficientField(**field_kw), u_exact,
-                                  rhs_fn, grids)
+    for name, field, u_exact, rhs_fn in _SMOOTH_CASES:
+        order = convergence_order(field, u_exact, rhs_fn, grids)
         orders[name] = order
-        ok = order is not None and abs(order - 2.0) <= 0.2
+        ok = abs(order - 2.0) <= 0.2
         ok_all = ok_all and ok
-        rows.append([name, "order", repr(min(hs)), repr(float(order)),
-                     int(ok)])
+        rows.append([name, "order", repr(min(hs)), repr(order), int(ok)])
 
     exact_errs = []
     field0 = CoefficientField(
         a=lambda pts: np.broadcast_to(_EXACT_A0, (len(pts), 2, 2)),
-        b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=0.6, drift_bound=0.0, q=4.0)
+        b=lambda pts: np.zeros((len(pts), 2)))
     for grid in grids[:2]:
         op = assemble(field0, grid)
         bc = grid.boundary_from_function(_exact_quadratic)

@@ -51,7 +51,7 @@ class PicardResult:
     residual_sup: float
 
 
-def _stalled(increments) -> bool:
+def _stopped_shrinking(increments) -> bool:
     if len(increments) < 5:
         return False
     tail = increments[-5:]
@@ -112,7 +112,7 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
         if len(increments) >= 2 and step > increments[-2] and not halved:
             theta *= 0.5
             halved = True
-        if _stalled(increments):
+        if _stopped_shrinking(increments):
             raise FixedPointError(
                 f"updates stopped shrinking for 5 consecutive steps "
                 f"(last {increments[-1]:.3e})")

@@ -29,17 +29,11 @@ from regprobe.grid import DiscreteField, DiskGrid, bicubic_sampler
 from regprobe.manufactured import get_problem
 
 
-def const_field(a11, a22, a12, b1=0.0, b2=0.0, lam=None):
+def const_field(a11, a22, a12, b1=0.0, b2=0.0):
     a0 = np.array([[a11, a12], [a12, a22]])
-    eigs = np.linalg.eigvalsh(a0)
-    if lam is None:
-        lam = min(eigs[0], 1.0 / eigs[1], 1.0)
     return CoefficientField(
         a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)).copy(),
         b=lambda pts: np.tile([b1, b2], (len(pts), 1)),
-        ellipticity=lam,
-        drift_bound=abs(b1) + abs(b2),
-        q=4.0,
     )
 
 
@@ -64,13 +58,7 @@ def random_smooth_field(seed):
         out[:, 0, 1] = out[:, 1, 0] = (mu - 1.0) * co * si
         return out
 
-    return CoefficientField(
-        a=a,
-        b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=1.0 / kappa,
-        drift_bound=0.0,
-        q=4.0,
-    )
+    return CoefficientField(a=a, b=lambda pts: np.zeros((len(pts), 2)))
 
 
 def trig_boundary(seed):
@@ -200,9 +188,9 @@ def test_assemble_mixed_negative_cross():
 def test_assemble_refuses_strong_anisotropy():
     grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(AnisotropyError) as err:
-        assemble(const_field(5.5, 1.0, 0.0, lam=1.0 / 5.5), grid)
+        assemble(const_field(5.5, 1.0, 0.0), grid)
     assert "5.5" in str(err.value)
-    assemble(const_field(5.0, 1.0, 0.0, lam=0.2), grid)
+    assemble(const_field(5.0, 1.0, 0.0), grid)
 
 
 def test_assemble_rejects_asymmetric_matrix():
@@ -213,8 +201,7 @@ def test_assemble_rejects_asymmetric_matrix():
         out[:, 0, 1] = 0.3
         return out
 
-    field = CoefficientField(a=a, b=lambda p: np.zeros((len(p), 2)),
-                             ellipticity=0.5, drift_bound=0.0, q=4.0)
+    field = CoefficientField(a=a, b=lambda p: np.zeros((len(p), 2)))
     with pytest.raises(FieldValidationError):
         assemble(field, grid)
 
@@ -308,7 +295,6 @@ def test_convergence_order_variable_coefficients():
     field = CoefficientField(
         a=a,
         b=lambda pts: np.stack([pts[:, 1] / 5.0, -pts[:, 0] / 5.0], axis=1),
-        ellipticity=0.8, drift_bound=0.4, q=4.0,
     )
 
     def u_exact(p):
@@ -326,25 +312,6 @@ def test_convergence_order_variable_coefficients():
         order = convergence_order(field, u_exact, rhs,
                                   disk_grids([1 / 16, 1 / 32, 1 / 64]))
     assert 1.8 <= order <= 2.2
-
-
-def test_convergence_order_exact_on_stencil():
-    order = convergence_order(
-        laplacian_field(),
-        lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
-        lambda p: np.zeros(len(p)),
-        disk_grids([1 / 16, 1 / 32, 1 / 64]),
-    )
-    assert order is None
-
-
-def test_convergence_order_validates_resolutions():
-    field = laplacian_field()
-    fn = lambda p: np.zeros(len(p))
-    for hs in ([1 / 16, 1 / 32], [1 / 16, 1 / 32, 1 / 48],
-               [1 / 64, 1 / 32, 1 / 16], [1 / 32, 1 / 32, 1 / 32]):
-        with pytest.raises(ValueError):
-            convergence_order(field, fn, fn, disk_grids(hs))
 
 
 def test_maximum_principle_random_operators():

@@ -1,22 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from regprobe import fields
-from regprobe.errors import ExponentError, FieldValidationError
+from regprobe.errors import FieldValidationError
 from regprobe.manufactured import get_problem
 
 
 def test_field_constructor_validation():
-    identity = lambda pts: np.tile(np.eye(2), (len(pts), 1, 1))
-    zero_b = lambda pts: np.zeros((len(pts), 2))
+    problem = get_problem("zero_case")
     with pytest.raises(FieldValidationError):
-        fields.CoefficientField(a=identity, b=zero_b,
-                                ellipticity=1.5, drift_bound=0.0, q=4.0)
-    with pytest.raises(ExponentError):
-        fields.CoefficientField(a=identity, b=zero_b,
-                                ellipticity=1.0, drift_bound=0.0, q=2.0)
+        dataclasses.replace(problem, ellipticity=1.5)
+    with pytest.raises(FieldValidationError):
+        dataclasses.replace(problem, drift_bound=-1.0)
 
 
 def polar_integral(g, r, nr=1000, ntheta=1000):
@@ -43,17 +42,18 @@ def rayleigh_range(field, count, seed=0):
 
 
 def drift_norm_total(field):
-    # sum of the component L^q(B_1) norms of the drift
-    return sum(polar_integral(lambda pts, i=i: np.abs(field.eval_b(pts)[:, i]) ** field.q,
-                              1.0) ** (1.0 / field.q)
+    # sum of the component L^q(B_1) norms of the drift, q = DRIFT_Q
+    q = fields.DRIFT_Q
+    return sum(polar_integral(lambda pts, i=i: np.abs(field.eval_b(pts)[:, i]) ** q,
+                              1.0) ** (1.0 / q)
                for i in range(2))
 
 
 def test_check_ellipticity_identity():
-    field = get_problem("drift_c1").field
-    lo, hi = rayleigh_range(field, 256)
-    assert lo >= field.ellipticity * (1.0 - 1e-12)
-    assert hi <= (1.0 / field.ellipticity) * (1.0 + 1e-12)
+    problem = get_problem("drift_c1")
+    lo, hi = rayleigh_range(problem.field, 256)
+    assert lo >= problem.ellipticity * (1.0 - 1e-12)
+    assert hi <= (1.0 / problem.ellipticity) * (1.0 + 1e-12)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
 
@@ -61,7 +61,7 @@ def test_check_ellipticity_identity():
 def test_drift_norm_consistency():
     # the declared drift_bound is what feeds the ladder's lambda1
     for name in ("drift_c1", "cubic_c11"):
-        field = get_problem(name).field
-        total = drift_norm_total(field)
-        assert total == pytest.approx(field.drift_bound, rel=1e-3)
-        assert total <= field.drift_bound * (1.0 + 1e-3)
+        problem = get_problem(name)
+        total = drift_norm_total(problem.field)
+        assert total == pytest.approx(problem.drift_bound, rel=1e-3)
+        assert total <= problem.drift_bound * (1.0 + 1e-3)

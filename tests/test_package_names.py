@@ -150,6 +150,9 @@ def test_guard_defines_instance_attributes():
 ALLOWED = {
     "ManufacturedProblem.nu": "ROADMAP item 4 gives it a nonzero value or "
                               "deletes it",
+    "ManufacturedProblem.ellipticity": "a declared hypothesis, like nu; "
+                                       "ROADMAP item 4 declares 1/2 for "
+                                       "a = (1 + r^gamma) I",
 }
 
 

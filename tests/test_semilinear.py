@@ -28,9 +28,6 @@ def laplacian_field():
     return CoefficientField(
         a=lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)),
         b=lambda pts: np.zeros((len(pts), 2)),
-        ellipticity=1.0,
-        drift_bound=0.0,
-        q=4.0,
     )
 
 
