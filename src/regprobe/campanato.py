@@ -5,9 +5,10 @@ its frozen-coefficient potential v is tracked by polynomials across
 geometrically shrinking balls around the origin.  Each scale solves the
 comparison problem on the rescaled gap (``approximate``), fits its solution
 h by a polynomial at the origin and folds that into the approximant.  The
-rung's record holds M_k, the xi_k and eta_k of the one-step bound
-M_{k+1} <= xi_k * M_k + eta_k, and what the rung measured on the way (bar,
-gap |w - h| on h's nodes, reaction terms, increment); all reach the trace.
+ladder only measures: a rung's record holds M_k, bar, gap |w - h| on h's
+nodes, fdev, u_sup and increment.  ``recurrence_model`` turns the records,
+the problem's declared constants and the config into the xi_k and eta_k of
+M_{k+1} <= xi_k * M_k + eta_k and the smallness flag; all reach the trace.
 
 A run certifies first-order (mode "c1", affine approximants: G = 0) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
@@ -22,7 +23,7 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +112,9 @@ class IterationConfig:
     alpha are the constants ``calibrate_constants()`` measures: this class
     is their one record, and a recalibration changes them here.  The
     structural requirements ``MIN_LAM <= lam < 1/4`` and ``2 C1 lam < 1/4``
-    are hard errors.  The smallness conditions belong to the probed problem,
-    which declares its oscillation ``nu``, drift norm and uniform drift
-    bound ``tau``; the ladder records whether they hold as a flag.
+    are hard errors.  Only ``recurrence_model`` uses C0-C2 and alpha: with
+    the problem's declared nu, drift_bound, tau, ellipticity, omega_a,
+    omega_b and T it turns the records into xi/eta and the smallness flag.
     """
 
     lam: float = 0.2
@@ -163,8 +164,8 @@ class ScaleRecord:
     approx: QuadApprox
     sup_error_bar: float
     measure_radius: float
-    # from the comparison solve that leads to the next rung, so the last
-    # rung leaves them NaN/None
+    # from the comparison solve that leads to the next rung (xi and eta from
+    # ``recurrence_model``), so the last rung leaves them NaN/None
     xi: float = math.nan
     eta: float = math.nan
     gap: float = math.nan
@@ -375,18 +376,44 @@ def _resolve_solution(problem, u_data):
     return u_fn, None
 
 
-def _smallness_flags(cfg: IterationConfig, mode: str, problem) -> dict:
-    if mode == "c1":
-        value = (problem.nu + problem.drift_bound) ** cfg.alpha
-        bound = cfg.lam ** 2
-        return {"mode": mode, "oscillation": value, "bound": bound,
-                "ok": bool(value <= bound)}
-    osc = (_extended_modulus(problem.omega_a, 1.0) + problem.tau) ** cfg.alpha
-    osc_bound = cfg.lam ** 3
-    drift = problem.tau * cfg.C0 / (2.0 * problem.ellipticity)
-    return {"mode": mode, "oscillation": osc, "bound": osc_bound,
-            "drift_ratio": drift,
-            "ok": bool(osc <= osc_bound and drift <= 0.25)}
+def recurrence_model(mode: str, records, problem, cfg: IterationConfig):
+    """Each compared rung's (xi_k, eta_k) of M_{k+1} <= xi_k M_k + eta_k,
+    and the smallness flag (rung 0's oscillation term against
+    lam**(order+1)).  Pure: of the ``records`` it reads k, scale, fdev and
+    the approximants (rung k+1's is the folded one); the rest is declared
+    by the problem and the config, so a stored trace can be modelled again.
+    docs/report_schema.md (The recurrence model) gives the formulas.
+    """
+    order = 1 if mode == "c1" else 2
+    lam, T = cfg.lam, problem.potential.hessian_bound
+    tau, ell = problem.tau, problem.ellipticity
+    drift = [problem.drift_bound * lam ** (rec.k * (1.0 - 2.0 / DRIFT_Q))
+             for rec in records]
+    osc = [problem.nu + d if order == 1 else
+           _extended_modulus(problem.omega_a, rec.scale) + tau * rec.scale
+           for rec, d in zip(records, drift)]
+    terms = []
+    for k, (cur, nxt) in enumerate(zip(records, records[1:])):
+        xi = (cfg.C1 / lam ** order) * (lam ** (order + 1) + osc[k] ** cfg.alpha)
+        f_norm = float(np.linalg.norm(cur.approx.F))
+        if order == 1:
+            eta = (cfg.C2 / lam) * (cur.scale * cur.fdev
+                                    + T * cur.scale * osc[k] + drift[k] * f_norm)
+        else:
+            g_norm = float(np.linalg.norm(cur.approx.G))
+            eta = (cfg.C2 / lam ** 2) * (
+                cur.fdev + osc[k] * (T + 2.0 * g_norm + (tau / ell) * f_norm)
+                + _extended_modulus(problem.omega_b, cur.scale) * f_norm
+            ) + (tau / (2.0 * ell)) * float(
+                np.linalg.norm(nxt.approx.F - cur.approx.F))
+        terms.append((xi, eta))
+    value, bound = osc[0] ** cfg.alpha, lam ** (order + 1)
+    smallness = {"mode": mode, "oscillation": value, "bound": bound}
+    if order == 2:
+        smallness["drift_ratio"] = tau * cfg.C0 / (2.0 * ell)
+    smallness["ok"] = bool(value <= bound
+                           and smallness.get("drift_ratio", 0.0) <= 0.25)
+    return terms, smallness
 
 
 def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
@@ -395,8 +422,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     origin = np.zeros((1, 2))
     a0 = problem.field.eval_a(origin)[0]
     b0 = problem.field.eval_b(origin)[0]
-    ell = problem.ellipticity
-    if order == 2 and a0[0, 0] < ell * (1.0 - 1e-12):
+    if order == 2 and a0[0, 0] < problem.ellipticity * (1.0 - 1e-12):
         raise FieldValidationError(
             "a11 at the origin sits below the ellipticity constant; "
             "the declared constant is wrong"
@@ -406,11 +432,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     numeric = base_h is not None
     u_shift = float(u_fn(origin)[0])
     v_fn = problem.potential.v
-    T = float(problem.potential.hessian_bound)
     lam = cfg.lam
-    drift_exp = 1.0 - 2.0 / DRIFT_Q
-    nu, lambda1, tau = problem.nu, problem.drift_bound, problem.tau
-    smallness = _smallness_flags(cfg, mode, problem)
 
     # Numeric data cannot resolve balls much smaller than the grid cell;
     # stop the ladder one rung above the floor and flag the truncation.
@@ -433,7 +455,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     # one frozen operator serves every rung, and every later ladder with the
     # same a(0); a one-rung ladder compares nothing
     comparison = comparison_operator(a0) if K_eff else None
-    rows = []
+    measured = []
     S = 0.0
     for k in range(K_eff + 1):
         scale = lam ** k
@@ -453,10 +475,11 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         sup, bar = ball_sup(tracked, meas_r)
         M = sup / scale ** order
         S = S + M
-        row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
-               "sup_error_bar": bar / scale ** order, "measure_radius": meas_r}
-        rows.append(row)
+        row = {"k": k, "scale": scale, "M": M, "S": S, "N": math.nan,
+               "approx": cur, "sup_error_bar": bar / scale ** order,
+               "measure_radius": meas_r}
         if k == K_eff:
+            measured.append(ScaleRecord(**row))
             break
 
         def rescaled_gap(z):
@@ -466,9 +489,9 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         h_field = approximate(rescaled_gap, comparison)
         inc = taylor_fit(h_field, lam, order, a0=a0)
         # the unit-ball increment, fitted at scale lam^k, folded in
-        new_approx = QuadApprox(approx.E + scale * scale * inc.E,
-                                approx.F + scale * inc.F, approx.G + inc.G)
-        drift_tr = abs(new_approx.frozen_trace(a0))
+        approx = QuadApprox(approx.E + scale * scale * inc.E,
+                            approx.F + scale * inc.F, approx.G + inc.G)
+        drift_tr = abs(approx.frozen_trace(a0))
         if drift_tr > 1e-9:
             raise FitError(
                 f"frozen-coefficient trace drifted to {drift_tr} at scale {k}"
@@ -478,46 +501,23 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         u = np.concatenate([v for _, v in sampled])
         fdev = float(np.max(np.abs(nl.eval(pts, u) - nl.eval(pts, 0.0))))
         u_sup = float(np.max(np.abs(u - u_shift)))
-        row.update(gap=_node_gap(rescaled_gap, h_field), fdev=fdev,
-                   u_sup=u_sup, phi_u=_extended_modulus(nl.modulus, u_sup),
-                   phi_scale=_extended_modulus(nl.modulus, scale),
-                   increment=inc)
-
-        if order == 1:
-            drift_k = lambda1 * lam ** (k * drift_exp)
-            row["xi"] = (cfg.C1 / lam) * (lam ** 2 + (nu + drift_k) ** cfg.alpha)
-            row["eta"] = (cfg.C2 / lam) * (
-                scale * fdev
-                + T * scale * (nu + drift_k)
-                + drift_k * float(np.linalg.norm(approx.F))
-            )
-        else:
-            om1 = _extended_modulus(problem.omega_a, scale)
-            om2 = _extended_modulus(problem.omega_b, scale)
-            osc = om1 + tau * scale
-            f_norm = float(np.linalg.norm(approx.F))
-            g_norm = float(np.linalg.norm(approx.G))
-            row["xi"] = (cfg.C1 / lam ** 2) * (lam ** 3 + osc ** cfg.alpha)
-            row["eta"] = (cfg.C2 / lam ** 2) * (
-                fdev
-                + osc * (T + 2.0 * g_norm + (tau / ell) * f_norm)
-                + om2 * f_norm
-            ) + (tau / (2.0 * ell)) * float(
-                np.linalg.norm(new_approx.F - approx.F))
-
-        approx = new_approx
+        measured.append(ScaleRecord(
+            gap=_node_gap(rescaled_gap, h_field), fdev=fdev, u_sup=u_sup,
+            phi_u=_extended_modulus(nl.modulus, u_sup),
+            phi_scale=_extended_modulus(nl.modulus, scale), increment=inc,
+            **row))
 
     limit = approx
-    tau_term = tau / (2.0 * ell) if order == 2 else 0.0
+    tau_term = problem.tau / (2.0 * problem.ellipticity) if order == 2 else 0.0
+    terms, smallness = recurrence_model(mode, measured, problem, cfg)
     records = []
-    for row in rows:
-        ap = row["approx"]
-        scale = row["scale"]
-        f_dist = float(np.linalg.norm(ap.F - limit.F))
-        N = (row["M"] + float(np.linalg.norm(ap.G - limit.G))
-             + f_dist / scale ** (order - 1)
-             + abs(ap.E - limit.E) / scale ** order + tau_term * f_dist)
-        records.append(ScaleRecord(N=N, **row))
+    for rec, (xi, eta) in zip(measured, terms + [(math.nan, math.nan)]):
+        f_dist = float(np.linalg.norm(rec.approx.F - limit.F))
+        N = (rec.M + float(np.linalg.norm(rec.approx.G - limit.G))
+             + f_dist / rec.scale ** (order - 1)
+             + abs(rec.approx.E - limit.E) / rec.scale ** order
+             + tau_term * f_dist)
+        records.append(replace(rec, N=N, xi=xi, eta=eta))
 
     flags = {
         "smallness": smallness,

@@ -34,6 +34,7 @@ from regprobe.campanato import (
     certificate,
     comparison_operator,
     perturbation_sweep,
+    recurrence_model,
     taylor_fit,
     trace_rows,
     trace_to_csv,
@@ -42,7 +43,6 @@ from regprobe.campanato import (
 from regprobe.cli import main
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FieldValidationError, FitError
-from regprobe.fields import Nonlinearity, PotentialFamily
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
 
@@ -277,6 +277,38 @@ def test_nondini_ladder_stalls_and_fails():
     assert cert.verdict == "failed"
 
 
+@pytest.mark.parametrize("K", [6, 40])
+@pytest.mark.parametrize("probe, name", [
+    (c1_probe, "drift_c1"), (c1_probe, "zero_case"),
+    (c11_probe, "cubic_c11"), (c11_probe, "nondini_c11"),
+])
+def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
+                                                  probe, name, K):
+    problem = get_problem(name)
+    tr = probe(problem, IterationConfig(K=K, **CAL))
+    factored = len(count_factorizations)
+    terms, smallness = recurrence_model(tr.mode, tr.records, problem,
+                                        tr.config)
+    stored = np.array([(rec.xi, rec.eta) for rec in tr.records])
+    assert np.array_equal(np.array(terms).view(np.int64),
+                          stored[:-1].view(np.int64))
+    assert np.isnan(stored[-1]).all()
+    assert repr(smallness) == repr(tr.flags["smallness"])
+
+    # C2 scales eta's bracket only: xi stays, eta moves wherever it is
+    # nonzero (zero_case's eta is 0: no reaction, drift or potential term)
+    doubled, flag = recurrence_model(
+        tr.mode, tr.records, problem, replace(tr.config, C2=2 * tr.config.C2))
+    xi, eta = np.array(terms).T
+    xi2, eta2 = np.array(doubled).T
+    assert np.array_equal(xi2.view(np.int64), xi.view(np.int64))
+    assert np.all(eta2 >= eta)
+    assert np.any(eta2 > eta) == np.any(eta > 0.0)
+    assert repr(flag) == repr(smallness)
+    # the model reads the records only: nothing is solved again
+    assert len(count_factorizations) == factored
+
+
 def test_recurrence_check_on_synthetic_values():
     tr = make_trace(M=[1.0, 0.2, 0.05], xi=[0.25, 0.25], eta=[0.01, 0.005])
     rep = verify_recurrence(tr)
@@ -333,52 +365,6 @@ def test_rescaling_changes_nothing_beyond_roundoff():
 
     scaled, _ = ball_sup(rescaled, 1.0, cells=40)
     assert abs(direct - scaled * lam ** 2) <= 1e-12
-
-
-def test_telescoping_and_partial_sums_are_exact():
-    cfg = IterationConfig(K=5, **CAL)
-    tr = c1_probe(get_problem("drift_c1"), cfg)
-    A = 0.0
-    B = np.zeros(2)
-    for rec in tr.records[:-1]:
-        inc = rec.increment
-        scale = cfg.lam ** rec.k
-        A = A + scale * scale * inc.E
-        B = B + scale * inc.F
-    assert A == tr.limit.E
-    assert np.array_equal(B, tr.limit.F)
-    assert not tr.limit.G.any()
-    S = 0.0
-    for rec in tr.records:
-        S = S + rec.M
-        assert rec.S == S
-
-
-def test_scalar_rescaling_invariance():
-    base = get_problem("drift_c1")
-    cfg = IterationConfig(K=4, **CAL)
-    tr0 = c1_probe(base, cfg)
-    for s in (0.1, 10.0):
-        nl = base.nonlinearity
-        scaled = replace(
-            base,
-            nonlinearity=Nonlinearity(
-                f=lambda pts, t, s=s: s * nl.f(pts, np.asarray(t) / s),
-                modulus=nl.modulus),
-            u=lambda pts, s=s: s * np.asarray(base.u(pts)),
-            potential=PotentialFamily(
-                v=lambda pts, s=s: s * np.asarray(base.potential.v(pts)),
-                hessian_bound=s * base.potential.hessian_bound),
-        )
-        trs = c1_probe(scaled, cfg)
-        for r0, rs in zip(tr0.records, trs.records):
-            assert rs.M == pytest.approx(s * r0.M, rel=1e-9, abs=1e-300)
-            if not math.isnan(r0.xi):
-                assert rs.xi == r0.xi
-                assert rs.eta == pytest.approx(s * r0.eta, rel=1e-9)
-        assert np.allclose(trs.limit.F, s * tr0.limit.F, rtol=1e-9)
-        assert verify_recurrence(trs).ok == verify_recurrence(tr0).ok
-        assert certificate(trs).verdict == certificate(tr0).verdict
 
 
 def test_numeric_mode_truncates_at_scale_floor():

@@ -17,7 +17,9 @@ counts as read when:
 
 The same syntax tree also yields the parameters that every call sets to
 one value (``one_value_parameters``): a parameter that never varies is a
-constant passed around, and goes unless ``ALLOWED`` names a reason.
+constant passed around, and goes unless ``ALLOWED`` names a reason.  And
+it yields the reads of the calibrated constants (``constant_reads``), which
+only the recurrence model, their validation and the calibration may make.
 """
 from __future__ import annotations
 
@@ -143,6 +145,60 @@ def test_guard_defines_instance_attributes():
              _definitions(Path("e.py"), tree)}
     assert found == {"E": "function", "E.history": "attribute",
                      "E.count": "attribute", "E.last": "attribute"}
+
+
+# The calibrated constants are validated where they are stored, measured
+# by the calibration, and read by the one recurrence model; a formula
+# anywhere else would be a second model.
+CONSTANTS = frozenset({"C0", "C1", "C2", "alpha"})
+CONSTANT_READERS = ("IterationConfig.__post_init__", "calibrate_constants",
+                    "recurrence_model")
+
+
+def constant_reads(package: Path = PACKAGE) -> dict:
+    """Owner -> [(constant, "file:line")] of every attribute read of a
+    calibrated constant in ``package``.  The owner is the module-level
+    function or the method (``Class.method``) around the read, nested
+    functions included, or ``<module>`` outside any."""
+    reads: dict = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [(node.name, node) for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owners += [(f"{node.name}.{item.name}", item) for node in tree.body
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.attr in CONSTANTS):
+                owner = next((name for name, fn in owners
+                              if fn.lineno <= node.lineno <= fn.end_lineno),
+                             "<module>")
+                reads.setdefault(owner, []).append(
+                    (node.attr, f"{path.name}:{node.lineno}"))
+    return reads
+
+
+def test_only_the_recurrence_model_reads_the_calibrated_constants():
+    reads = constant_reads()
+    stray = {owner: where for owner, where in reads.items()
+             if owner not in CONSTANT_READERS}
+    assert not stray, (
+        f"C0, C1, C2 or alpha read outside {CONSTANT_READERS}: {stray}")
+    assert {name for name, _ in reads["recurrence_model"]} == CONSTANTS
+
+
+def test_guard_finds_constant_reads_in_nested_functions(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "LIMIT = CFG.alpha\n"
+        "def model(cfg):\n    return cfg.C1\n"
+        "class Config:\n    def check(self):\n"
+        "        def inner():\n            return self.C2\n"
+        "        self.C0 = inner()\n")
+    assert constant_reads(tmp_path) == {
+        "<module>": [("alpha", "m.py:1")], "model": [("C1", "m.py:3")],
+        "Config.check": [("C2", "m.py:7")]}
 
 
 # Parameters and dataclass fields that every call sets to one value, each
