@@ -7,8 +7,10 @@ comparison problem on the rescaled gap (``approximate``), fits its solution
 h by a polynomial at the origin and folds that into the approximant.  The
 ladder only measures: a rung's record holds M_k, bar, gap |w - h| on h's
 nodes, fdev, u_sup and increment.  ``recurrence_model`` turns the records,
-the problem's declared constants and the config into the xi_k and eta_k of
-M_{k+1} <= xi_k * M_k + eta_k and the smallness flag; all reach the trace.
+the problem's declared constants and the calibrated constants below into
+the xi_k and eta_k of M_{k+1} <= xi_k * M_k + eta_k and the smallness flag;
+all reach the trace.  The scale ratio, the calibrated constants and the
+verdict thresholds are fixed: a run's only input is its number of rungs K.
 
 A run certifies first-order (mode "c1", affine approximants: G = 0) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
@@ -34,12 +36,7 @@ from .elliptic import (
     frozen_operator,
     solve_dirichlet,
 )
-from .errors import (
-    CalibrationError,
-    FieldValidationError,
-    FitError,
-    check_numbers,
-)
+from .errors import CalibrationError, FieldValidationError, FitError
 from .fields import DRIFT_Q, CoefficientField, _extended_modulus
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
 
@@ -51,14 +48,30 @@ _STALL_RATIO = 0.95
 # ball's sup is sampled on a lattice of SUP_CELLS spacings across its.
 SUB_CELLS = 32
 SUP_CELLS = 48
-# The least scale ratio: each rung fits its increment over radius lam on
-# the comparison grid, and ``taylor_fit`` needs 4 of its spacings.
-MIN_LAM = 4.0 * 0.75 / SUB_CELLS
 # The perturbation sizes of the sweep and of the calibration's holdout, and
-# the spacings across the unit disk of the sweep's perturbed operators (the
-# calibration's by default).
+# the spacings across the unit disk of the sweep's and the calibration's
+# perturbed operators.
 SWEEP_EPSILONS = (0.02, 0.05, 0.1, 0.2)
 SWEEP_CELLS = 48
+
+# The scale ratio of every ladder, and C0, C1, C2 and ALPHA as
+# ``calibrate_constants()`` measures them at that ratio: this is their one
+# record, and a recalibration changes them here.  Only ``recurrence_model``
+# computes with them (a probe report echoes them); with the problem's
+# declared nu, drift_bound, tau, ellipticity, omega_a, omega_b and T it
+# turns the records into xi/eta and the smallness flag.
+LAM = 0.2
+C0 = 2.5625000960919557
+C1 = 0.01746397470151538
+C2 = 0.03593896907407683
+ALPHA = 0.1905493004670684
+# The verdict thresholds: a certificate needs N_K <= CERT_TOL, and the
+# recurrence check allows M_{k+1} <= SAFETY * (xi_k M_k + eta_k).
+CERT_TOL = 1e-3
+SAFETY = 1.5
+# The most rungs a ladder takes: rung k divides by LAM**(2k), which must
+# stay a normal float (220 at LAM = 0.2).
+K_MAX = int(math.log(sys.float_info.min) / (2.0 * math.log(LAM)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,55 +114,7 @@ class QuadApprox:
 
 
 # ---------------------------------------------------------------------------
-# configuration and trace containers
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    """Scale ladder and calibrated constants for a probe run.
-
-    ``lam`` and ``K`` fix the geometry.  The defaults of C0, C1, C2 and
-    alpha are the constants ``calibrate_constants()`` measures: this class
-    is their one record, and a recalibration changes them here.  The
-    structural requirements ``MIN_LAM <= lam < 1/4`` and ``2 C1 lam < 1/4``
-    are hard errors.  Only ``recurrence_model`` uses C0-C2 and alpha: with
-    the problem's declared nu, drift_bound, tau, ellipticity, omega_a,
-    omega_b and T it turns the records into xi/eta and the smallness flag.
-    """
-
-    lam: float = 0.2
-    K: int = 6
-    C0: float = 2.5625000960919557
-    C1: float = 0.01746397470151538
-    C2: float = 0.03593896907407683
-    alpha: float = 0.1905493004670684
-    cert_tol: float = 1e-3
-    safety: float = 1.5
-
-    def __post_init__(self):
-        check_numbers(
-            self, ints=("K",),
-            floats=("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety"))
-        if not (MIN_LAM <= self.lam < 0.25):
-            raise ValueError(
-                f"scale ratio lam must lie in [{MIN_LAM}, 1/4), got {self.lam}; "
-                f"each rung's fit spans 4 spacings of the comparison grid")
-        if not (2.0 * self.C1 * self.lam < 0.25):
-            raise ValueError(
-                f"need 2*C1*lam < 1/4, got C1={self.C1}, lam={self.lam}"
-            )
-        if self.K < 1:
-            raise ValueError("need at least one scale")
-        # each rung divides by lam**(2k), which must stay a normal float;
-        # compared through logs so a huge K cannot overflow the power
-        if self.K > math.log(sys.float_info.min) / (2.0 * math.log(self.lam)):
-            raise ValueError(
-                f"K={self.K} underflows lam**(2K) at lam={self.lam}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("C0", "C1", "C2", "cert_tol", "safety"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+# trace containers
 
 
 @dataclass(frozen=True)
@@ -181,8 +146,6 @@ class IterationTrace:
     mode: str
     records: tuple
     limit: QuadApprox
-    config: IterationConfig
-    truncated: bool
     flags: dict
 
     @property
@@ -376,47 +339,48 @@ def _resolve_solution(problem, u_data):
     return u_fn, None
 
 
-def recurrence_model(mode: str, records, problem, cfg: IterationConfig):
+def recurrence_model(mode: str, records, problem):
     """Each compared rung's (xi_k, eta_k) of M_{k+1} <= xi_k M_k + eta_k,
     and the smallness flag (rung 0's oscillation term against
-    lam**(order+1)).  Pure: of the ``records`` it reads k, scale, fdev and
+    LAM**(order+1)).  Pure: of the ``records`` it reads k, scale, fdev and
     the approximants (rung k+1's is the folded one); the rest is declared
-    by the problem and the config, so a stored trace can be modelled again.
-    docs/report_schema.md (The recurrence model) gives the formulas.
+    by the problem or is LAM and the calibrated C0, C1, C2 and ALPHA, so a
+    stored trace can be modelled again.  docs/report_schema.md (The
+    recurrence model) gives the formulas.
     """
     order = 1 if mode == "c1" else 2
-    lam, T = cfg.lam, problem.potential.hessian_bound
+    T = problem.potential.hessian_bound
     tau, ell = problem.tau, problem.ellipticity
-    drift = [problem.drift_bound * lam ** (rec.k * (1.0 - 2.0 / DRIFT_Q))
+    drift = [problem.drift_bound * LAM ** (rec.k * (1.0 - 2.0 / DRIFT_Q))
              for rec in records]
     osc = [problem.nu + d if order == 1 else
            _extended_modulus(problem.omega_a, rec.scale) + tau * rec.scale
            for rec, d in zip(records, drift)]
     terms = []
     for k, (cur, nxt) in enumerate(zip(records, records[1:])):
-        xi = (cfg.C1 / lam ** order) * (lam ** (order + 1) + osc[k] ** cfg.alpha)
+        xi = (C1 / LAM ** order) * (LAM ** (order + 1) + osc[k] ** ALPHA)
         f_norm = float(np.linalg.norm(cur.approx.F))
         if order == 1:
-            eta = (cfg.C2 / lam) * (cur.scale * cur.fdev
-                                    + T * cur.scale * osc[k] + drift[k] * f_norm)
+            eta = (C2 / LAM) * (cur.scale * cur.fdev
+                                + T * cur.scale * osc[k] + drift[k] * f_norm)
         else:
             g_norm = float(np.linalg.norm(cur.approx.G))
-            eta = (cfg.C2 / lam ** 2) * (
+            eta = (C2 / LAM ** 2) * (
                 cur.fdev + osc[k] * (T + 2.0 * g_norm + (tau / ell) * f_norm)
                 + _extended_modulus(problem.omega_b, cur.scale) * f_norm
             ) + (tau / (2.0 * ell)) * float(
                 np.linalg.norm(nxt.approx.F - cur.approx.F))
         terms.append((xi, eta))
-    value, bound = osc[0] ** cfg.alpha, lam ** (order + 1)
+    value, bound = osc[0] ** ALPHA, LAM ** (order + 1)
     smallness = {"mode": mode, "oscillation": value, "bound": bound}
     if order == 2:
-        smallness["drift_ratio"] = tau * cfg.C0 / (2.0 * ell)
+        smallness["drift_ratio"] = tau * C0 / (2.0 * ell)
     smallness["ok"] = bool(value <= bound
                            and smallness.get("drift_ratio", 0.0) <= 0.25)
     return terms, smallness
 
 
-def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
+def _run_ladder(problem, K: int, order: int, u_data):
     mode = "c1" if order == 1 else "c11"
     nl = problem.nonlinearity
     origin = np.zeros((1, 2))
@@ -432,18 +396,17 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     numeric = base_h is not None
     u_shift = float(u_fn(origin)[0])
     v_fn = problem.potential.v
-    lam = cfg.lam
 
     # Numeric data cannot resolve balls much smaller than the grid cell;
     # stop the ladder one rung above the floor and flag the truncation.
     # At the outermost scale the interpolation stencil also cannot reach
     # the rim, so the measurement ball is pulled in by a few spacings.
-    K_eff = cfg.K
+    K_eff = K
     truncated = False
     safe_radius = math.inf
     if numeric:
         safe_radius = u_data.grid.radius - 3.0 * base_h
-        while K_eff >= 0 and lam ** K_eff < 16.0 * base_h * (1.0 - 1e-12):
+        while K_eff >= 0 and LAM ** K_eff < 16.0 * base_h * (1.0 - 1e-12):
             K_eff -= 1
             truncated = True
         if K_eff < 0:
@@ -458,7 +421,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
     measured = []
     S = 0.0
     for k in range(K_eff + 1):
-        scale = lam ** k
+        scale = LAM ** k
         meas_r = min(scale, safe_radius)
 
         cur = approx
@@ -487,8 +450,8 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
             return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
 
         h_field = approximate(rescaled_gap, comparison)
-        inc = taylor_fit(h_field, lam, order, a0=a0)
-        # the unit-ball increment, fitted at scale lam^k, folded in
+        inc = taylor_fit(h_field, LAM, order, a0=a0)
+        # the unit-ball increment, fitted at scale LAM^k, folded in
         approx = QuadApprox(approx.E + scale * scale * inc.E,
                             approx.F + scale * inc.F, approx.G + inc.G)
         drift_tr = abs(approx.frozen_trace(a0))
@@ -509,7 +472,7 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
 
     limit = approx
     tau_term = problem.tau / (2.0 * problem.ellipticity) if order == 2 else 0.0
-    terms, smallness = recurrence_model(mode, measured, problem, cfg)
+    terms, smallness = recurrence_model(mode, measured, problem)
     records = []
     for rec, (xi, eta) in zip(measured, terms + [(math.nan, math.nan)]):
         f_dist = float(np.linalg.norm(rec.approx.F - limit.F))
@@ -525,24 +488,23 @@ def _run_ladder(problem, cfg: IterationConfig, order: int, u_data):
         "data_mode": "numeric" if numeric else "manufactured",
         "scale_floor_k": len(records) if truncated else None,
     }
-    return IterationTrace(
-        mode=mode, records=tuple(records), limit=limit, config=cfg,
-        truncated=truncated, flags=flags,
-    )
+    return IterationTrace(mode=mode, records=tuple(records), limit=limit,
+                          flags=flags)
 
 
-def c1_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
-    """First-order ladder: affine approximants, sup normalized by scale."""
-    return _run_ladder(problem, cfg, 1, u)
+def c1_probe(problem, K: int, u=None) -> IterationTrace:
+    """First-order ladder of K + 1 rungs: affine approximants, sup
+    normalized by scale."""
+    return _run_ladder(problem, K, 1, u)
 
 
-def c11_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
-    """Second-order ladder: trace-free quadratic approximants.
+def c11_probe(problem, K: int, u=None) -> IterationTrace:
+    """Second-order ladder of K + 1 rungs: trace-free quadratic approximants.
 
     The tracked sup carries the drift correction term
     (b(0).F_k) x1^2 / (2 a11(0)) and is normalized by scale squared.
     """
-    return _run_ladder(problem, cfg, 2, u)
+    return _run_ladder(problem, K, 2, u)
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +512,18 @@ def c11_probe(problem, cfg: IterationConfig, u=None) -> IterationTrace:
 
 
 def verify_recurrence(trace: IterationTrace) -> RecurrenceReport:
-    """Check M_{k+1} <= safety * (xi_k M_k + eta_k) on consecutive records.
+    """Check M_{k+1} <= SAFETY * (xi_k M_k + eta_k) on consecutive records.
 
-    ``safety`` is the trace config's.  Each margin is the bound minus
-    M_{k+1}; a zero bound met by a zero sup passes with infinite margin.
-    This is the one place the recurrence is evaluated.
+    Each margin is the bound minus M_{k+1}; a zero bound met by a zero sup
+    passes with infinite margin.  This is the one place the recurrence is
+    evaluated.
     """
     if len(trace.records) < 2:
         raise ValueError("need at least two scales to check the recurrence")
-    safety = trace.config.safety
     ok = []
     margins = []
     for cur, nxt in zip(trace.records, trace.records[1:]):
-        bound = safety * (cur.xi * cur.M + cur.eta)
+        bound = SAFETY * (cur.xi * cur.M + cur.eta)
         if bound == 0.0 and nxt.M == 0.0:
             ok.append(True)
             margins.append(math.inf)
@@ -584,12 +545,11 @@ def _stalled(M: np.ndarray) -> bool:
 def certificate(trace: IterationTrace) -> CertificateReport:
     """Verdict from the certificate sequence N_k.
 
-    Certified means the tail of N_k is monotone and ends below the
-    configured tolerance while the partial sums of M_k have plateaued;
-    a non-decaying M tail is failed; anything else, including truncated
-    traces, is inconclusive.
+    Certified means the tail of N_k is monotone and ends below CERT_TOL
+    while the partial sums of M_k have plateaued; a non-decaying M tail is
+    failed; anything else, including traces the scale floor truncated, is
+    inconclusive.
     """
-    cfg = trace.config
     N = trace.N_values
     M = trace.M_values
     S = np.array([r.S for r in trace.records])
@@ -611,11 +571,11 @@ def certificate(trace: IterationTrace) -> CertificateReport:
     else:
         sum_plateau = True
 
-    if trace.truncated:
+    if trace.flags["scale_floor_k"] is not None:
         verdict = "inconclusive"
     elif _stalled(M):
         verdict = "failed"
-    elif final_n <= cfg.cert_tol and tail_monotone and sum_plateau:
+    elif final_n <= CERT_TOL and tail_monotone and sum_plateau:
         verdict = "C1_certified" if trace.mode == "c1" else "C11_certified"
     else:
         verdict = "inconclusive"
@@ -677,14 +637,15 @@ def perturbation_sweep() -> SweepResult:
                        ratios=ratios, slope=slope)
 
 
-def _boundary_exponent(cells):
+def _boundary_exponent():
     """Measured boundary growth exponent of the Dirichlet solver.
 
-    Solves with boundary data vanishing like |angle|^p at a rim point and
-    fits sup |u| over shrinking half-balls at that point; the fitted slope
-    is the exponent the solver actually delivers for rough data.
+    Solves on 96 spacings across the unit disk with boundary data vanishing
+    like |angle|^p at a rim point and fits sup |u| over shrinking
+    half-balls at that point; the fitted slope is the exponent the solver
+    actually delivers for rough data.
     """
-    grid = DiskGrid(1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / 96)
     op = frozen_operator(np.eye(2), grid)
     rhs = grid.zeros()
     anchor = np.array([1.0, 0.0])
@@ -754,7 +715,7 @@ def _interior_bound_constant():
     return worst
 
 
-def _one_step_linear(u_field, v_fn, lam, frozen):
+def _one_step_linear(u_field, v_fn, frozen):
     """Sups (M0, M1) of one first-order rung on a numeric solution."""
     sampler = bicubic_sampler(u_field)
     shift = float(sampler(np.zeros((1, 2)))[0])
@@ -763,13 +724,13 @@ def _one_step_linear(u_field, v_fn, lam, frozen):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    inc = taylor_fit(approximate(w_fn, frozen), lam, 1)
-    M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), lam)
-    return M0, M1 / lam
+    inc = taylor_fit(approximate(w_fn, frozen), LAM, 1)
+    M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), LAM)
+    return M0, M1 / LAM
 
 
-def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
-    """Empirical constants for the ladder inequalities.
+def calibrate_constants() -> dict:
+    """Empirical constants for the ladder inequalities at scale ratio LAM.
 
     beta is the measured boundary growth exponent, alpha = beta/(2+beta);
     C0 bounds interior value, gradient and second differences of frozen
@@ -778,15 +739,15 @@ def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
     for C2).  A holdout boundary shape checks that the perturbation law
     decays at least as fast as alpha predicts.
     """
-    beta = _boundary_exponent(max(cells, 96))
+    beta = _boundary_exponent()
     alpha = beta / (2.0 + beta)
     if not (0.0 < alpha <= 1.0 / 3.0 + 1e-12):
         raise CalibrationError(f"alpha {alpha} escaped (0, 1/3]")
-    C0 = _interior_bound_constant()
+    c0 = _interior_bound_constant()
 
     shapes = _sweep_shapes()
     n_train = 2
-    grid = DiskGrid(1.0, 1.0 / cells)
+    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
     frozen = comparison_operator(np.eye(2))
     steps = np.zeros((n_train, len(SWEEP_EPSILONS), 2))
     hold_ratios = np.zeros((len(shapes) - n_train, len(SWEEP_EPSILONS)))
@@ -796,7 +757,7 @@ def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
             w = approximate(shape_fn, op)
             if i < n_train:
                 steps[i, j] = _one_step_linear(
-                    w, lambda pts: np.zeros(len(pts)), lam, frozen)
+                    w, lambda pts: np.zeros(len(pts)), frozen)
             else:
                 hold_ratios[i - n_train, j] = _gap_ratio(w, frozen)
 
@@ -805,14 +766,14 @@ def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
     for i in range(n_train):
         for j, eps in enumerate(SWEEP_EPSILONS):
             M0, M1 = steps[i, j]
-            x = (lam ** 2 + eps ** alpha) * M0 / lam
+            x = (LAM ** 2 + eps ** alpha) * M0 / LAM
             num += x * M1
             den += x * x
     if den <= 0.0:
         raise CalibrationError("degenerate C1 regression: no usable experiments")
-    C1 = num / den
-    if not (0.0 < C1 and 2.0 * C1 * lam < 0.25):
-        raise CalibrationError(f"calibrated C1={C1} breaks 2*C1*lam < 1/4")
+    c1 = num / den
+    if not (0.0 < c1 and 2.0 * c1 * LAM < 0.25):
+        raise CalibrationError(f"calibrated C1={c1} breaks 2*C1*LAM < 1/4")
 
     holdout_slope = float(np.polyfit(
         np.log(SWEEP_EPSILONS), np.log(np.mean(hold_ratios, axis=0)), 1)[0])
@@ -834,17 +795,17 @@ def calibrate_constants(lam=0.2, cells=SWEEP_CELLS) -> dict:
         for _, shape_fn in shapes:
             u = solve_dirichlet(op, rhs, grid.boundary_from_function(shape_fn))
             M0, M1 = _one_step_linear(
-                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, lam, frozen)
-            xi0 = (C1 / lam) * (lam ** 2 + lam1 ** alpha)
+                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, frozen)
+            xi0 = (c1 / LAM) * (LAM ** 2 + lam1 ** alpha)
             eta_need = max(0.0, M1 - xi0 * M0)
-            bracket = 2.0 * lam1 / lam
+            bracket = 2.0 * lam1 / LAM
             num += eta_need * bracket
             den += bracket * bracket
     if den <= 0.0:
         raise CalibrationError("degenerate C2 regression: no usable experiments")
-    C2 = max(num / den, 0.01)
+    c2 = max(num / den, 0.01)
 
-    return {"C0": C0, "C1": float(C1), "C2": float(C2),
+    return {"C0": c0, "C1": float(c1), "C2": float(c2),
             "alpha": float(alpha), "beta": float(beta),
             "holdout_slope": holdout_slope}
 

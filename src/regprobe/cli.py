@@ -6,7 +6,8 @@ Subcommands:
   writing a trace CSV and a report JSON per scenario.
 - ``report``: consolidate report JSONs into a summary table (CSV plus a
   text table on stdout), rows sorted by verdict then id.
-- ``calibrate``: measure the ladder constants and print them as JSON.
+- ``calibrate``: measure the ladder constants at the fixed scale ratio and
+  resolution and print them as JSON; it takes no option of its own.
 - ``validate-solver``: run the bundled solver validation scenario.
 - ``check-modulus``: run the bundled modulus suite.
 
@@ -29,7 +30,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campanato import MIN_LAM, SWEEP_CELLS, calibrate_constants
+from .campanato import calibrate_constants
 from .errors import (
     CalibrationError,
     FixedPointError,
@@ -43,7 +44,6 @@ from .errors import (
 from .scenarios import (
     SCHEMA_VERSION,
     atomic_write_text,
-    check_cells,
     load_scenario,
     run_scenario,
     sanitize,
@@ -89,13 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("path", nargs="+",
                        help="report JSON file or directory containing them")
 
-    cal_p = sub.add_parser("calibrate", parents=[common],
-                           help="measure ladder constants on the frozen "
-                                "coefficient suite")
-    cal_p.add_argument("--lam", type=float, default=0.2,
-                       help="scale ratio (default 0.2)")
-    cal_p.add_argument("--cells", type=int, default=SWEEP_CELLS,
-                       help="solver resolution (default %(default)s)")
+    sub.add_parser("calibrate", parents=[common],
+                   help="measure ladder constants on the frozen coefficient "
+                        "suite")
 
     sub.add_parser("validate-solver", parents=[common],
                    help="run the bundled solver validation scenario")
@@ -202,14 +198,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    # the ranges every scenario's IterationConfig and DiskGrid enforce
-    if not MIN_LAM <= args.lam < 0.25:
-        raise ScenarioError(
-            f"--lam must lie in [{MIN_LAM}, 1/4), got {args.lam}")
-    if args.cells < 16:
-        raise ScenarioError(f"--cells must be at least 16, got {args.cells}")
-    check_cells("--cells", args.cells)
-    constants = calibrate_constants(lam=args.lam, cells=args.cells)
+    constants = calibrate_constants()
     text = json.dumps(sanitize(constants), indent=2)
     print(text)
     if getattr(args, "out", None):

@@ -1,30 +1,5 @@
-"""Shared exception types, and the number check that config blocks share."""
+"""Shared exception types."""
 from __future__ import annotations
-
-import math
-import numbers
-
-
-def check_numbers(cfg, ints=(), floats=()) -> None:
-    """Raise ValueError unless the named fields of ``cfg`` hold real numbers.
-
-    ``ints`` must be integers and ``floats`` finite.  A bool is neither, so
-    a JSON ``true`` never passes as 1.
-    """
-    for name in ints:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name in floats:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class RegprobeError(Exception):

@@ -29,7 +29,7 @@ from scipy.linalg import solve_banded
 
 from .errors import FieldValidationError, RegistryError
 from .fields import CoefficientField, Nonlinearity, PotentialFamily
-from .modulus import Modulus, log_inverse, zero_modulus
+from .modulus import Modulus, log_power, zero_modulus
 
 
 @dataclass(frozen=True)
@@ -374,7 +374,7 @@ def _build_nondini_c11():
         field=_identity_field(),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: 4.0 + _g_nondini(t) * np.ones(len(pts)),
-            modulus=log_inverse(),
+            modulus=log_power(1.0),
         ),
         u=_nondini_u,
         boundary=_nondini_u,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MalformedIdError, ModulusDomainError, RegistryError
 
-_FAMILIES = ("power", "log_power", "log_inverse", "tabulated", "zero")
+_FAMILIES = ("power", "log_power", "tabulated", "zero")
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class Modulus:
             gamma = float(self.params["gamma"])
             if not (gamma > 0.0 and math.isfinite(gamma)):
                 raise ModulusDomainError(f"power modulus needs gamma > 0, got {gamma}")
-        elif self.family in ("log_power", "log_inverse"):
-            p = self._log_exponent()
+        elif self.family == "log_power":
+            p = float(self.params["p"])
             if not (p > 0.0 and math.isfinite(p)):
                 raise ModulusDomainError(f"log_power modulus needs p > 0, got {p}")
             if not (self.r_max < 1.0):
@@ -64,11 +64,6 @@ class Modulus:
                 raise ModulusDomainError("tabulated nodes must be strictly increasing")
             object.__setattr__(self, "_log_r", np.log(r))
             object.__setattr__(self, "_log_w", np.log(w))
-
-    def _log_exponent(self) -> float:
-        if self.family == "log_inverse":
-            return 1.0
-        return float(self.params["p"])
 
     def eval(self, r):
         """Evaluate the modulus at ``r`` (scalar or array), enforcing the domain."""
@@ -100,8 +95,8 @@ class Modulus:
                 )
         if self.family == "power":
             out = np.exp(float(self.params["gamma"]) * arr)
-        elif self.family in ("log_power", "log_inverse"):
-            out = np.power(-np.minimum(arr, -1e-16), -self._log_exponent())
+        elif self.family == "log_power":
+            out = np.power(-np.minimum(arr, -1e-16), -float(self.params["p"]))
         elif self.family == "tabulated":
             out = np.exp(self._interp_log(arr))
         else:
@@ -126,10 +121,6 @@ def power(gamma: float) -> Modulus:
 def log_power(p: float) -> Modulus:
     p = float(p)
     return Modulus("log_power", {"p": p}, math.exp(-p))
-
-
-def log_inverse() -> Modulus:
-    return Modulus("log_inverse", {}, math.exp(-1.0))
 
 
 def zero_modulus() -> Modulus:
@@ -186,10 +177,10 @@ def parse_modulus(modulus_id: str) -> Modulus:
             return power(_registry_float(arg, modulus_id))
         if name == "log_power":
             return log_power(_registry_float(arg, modulus_id))
-        if name == "log_inverse":
+        if name == "log_inverse":  # 1/ln(1/r), the log_power family at p = 1
             if arg:
                 raise MalformedIdError(f"log_inverse takes no parameter, got {modulus_id!r}")
-            return log_inverse()
+            return log_power(1.0)
         if name == "zero":
             if arg:
                 raise MalformedIdError(f"zero takes no parameter, got {modulus_id!r}")
@@ -240,8 +231,8 @@ def dini_integral(omega: Modulus, t0: float | None = None, *,
     if omega.family == "power":
         gamma = float(omega.params["gamma"])
         return math.exp(gamma * log_t0) / gamma
-    if omega.family in ("log_power", "log_inverse"):
-        p = omega._log_exponent()
+    if omega.family == "log_power":
+        p = float(omega.params["p"])
         return (-log_t0) ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
     s = np.diff(omega._log_w) / np.diff(omega._log_r)
     w = omega.eval_log(np.minimum(omega._log_r, log_t0))

@@ -18,15 +18,21 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .campanato import (
+    ALPHA,
+    C0,
+    C1,
+    C2,
+    CERT_TOL,
+    K_MAX,
+    LAM,
+    SAFETY,
     SWEEP_EPSILONS,
-    IterationConfig,
     c1_probe,
     c11_probe,
     certificate,
@@ -50,6 +56,8 @@ MODES = ("c1", "c11", "lemma25_sweep", "solver_validation", "modulus_check")
 _COMMON_KEYS = {"v", "id", "mode", "seed", "output_dir", "description"}
 
 _DEFAULT_SEED = 20260822
+# The rungs of a probe document that sets no iteration.K.
+_DEFAULT_K = 6
 
 # A grid of c cells has about pi c^2 nodes; a numeric run peaked at 1.6 KB
 # a node at 64-192 cells.  At 2 KiB a node, 4 GiB holds 817 cells.
@@ -171,10 +179,16 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         iteration = doc.get("iteration", {})
         if not isinstance(iteration, dict):
             raise ScenarioError(f"{source}: key 'iteration' must be an object")
-        try:
-            IterationConfig(**iteration)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{source}: bad iteration block: {exc}") from exc
+        # the scale ratio, the calibrated constants and the verdict
+        # thresholds are fixed; a document sets only the number of rungs
+        for key in iteration:
+            if key != "K":
+                raise ScenarioError(f"{source}: bad iteration block: unknown "
+                                    f"key {key!r}; it holds only 'K'")
+        K = iteration.get("K", _DEFAULT_K)
+        if isinstance(K, bool) or not isinstance(K, int) or not 1 <= K <= K_MAX:
+            raise ScenarioError(f"{source}: bad iteration block: K must be an "
+                                f"integer in [1, {K_MAX}], got {K!r}")
         grid = doc.get("grid", {})
         if not isinstance(grid, dict) or set(grid) - {"cells"}:
             raise ScenarioError(
@@ -191,7 +205,13 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                 raise ScenarioError(
                     f"{source}: grid.cells must be an integer >= 16, and "
                     f"numeric mode needs it")
-            check_cells(f"{source}: grid.cells", cells)
+            # an int of any size is compared exactly, so no count overflows
+            if not cells <= _MAX_CELLS:
+                raise ScenarioError(
+                    f"{source}: grid.cells must ask for at most "
+                    f"{_MAX_CELLS:.0f} cells across a radius, the grid that "
+                    f"fits in {_GRID_BUDGET_BYTES >> 30} GiB at "
+                    f"{_NODE_BYTES >> 10} KiB a node")
         try:
             PicardConfig(**doc.get("picard", {}))
         except (TypeError, ValueError) as exc:
@@ -215,20 +235,6 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                     f"{source}: each entry of key 'families' needs keys 'id' "
                     f"and 'dini' (true or false)")
             parse_modulus(fam["id"])
-
-
-def check_cells(name: str, cells) -> None:
-    """Raise ScenarioError naming ``name`` unless a disk grid with ``cells``
-    spacings across its radius fits the memory budget.
-
-    ``cells`` is a count or, for a spacing h on the unit disk, 1/h.  An int
-    of any size is compared exactly, so no count overflows.
-    """
-    if not cells <= _MAX_CELLS:
-        raise ScenarioError(
-            f"{name} must ask for at most {_MAX_CELLS:.0f} cells across a "
-            f"radius, the grid that fits in {_GRID_BUDGET_BYTES >> 30} GiB at "
-            f"{_NODE_BYTES >> 10} KiB a node")
 
 
 def sanitize(obj):
@@ -325,7 +331,7 @@ def _base_report(doc: dict, verdict: str, limits: dict, flags: dict) -> dict:
 
 def _run_probe(doc: dict, out_dir: Path) -> dict:
     problem = get_problem(doc["problem"])
-    cfg = IterationConfig(**doc.get("iteration", {}))
+    K = doc.get("iteration", {}).get("K", _DEFAULT_K)
     u = solved = None
     if doc.get("data_mode", "manufactured") == "numeric":
         cells = doc["grid"]["cells"]
@@ -337,7 +343,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         u = solved.u
 
     probe = c1_probe if doc["mode"] == "c1" else c11_probe
-    trace = probe(problem, cfg, u=u)
+    trace = probe(problem, K, u=u)
     cert = certificate(trace)
     rec = verify_recurrence(trace) if len(trace.records) >= 2 else None
 
@@ -359,8 +365,11 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         flags["picard"] = {"increments": solved.increments,
                            "damping_used": solved.damping_used,
                            "residual_sup": solved.residual_sup}
-    # the report states the constants the ladder ran with, defaults included
-    return _base_report(dict(doc, iteration=asdict(cfg)), cert.verdict,
+    # the report records the scale ratio, the calibration and the verdict
+    # thresholds the ladder ran with
+    iteration = {"lam": LAM, "K": K, "C0": C0, "C1": C1, "C2": C2,
+                 "alpha": ALPHA, "cert_tol": CERT_TOL, "safety": SAFETY}
+    return _base_report(dict(doc, iteration=iteration), cert.verdict,
                         limits, flags)
 
 

@@ -14,12 +14,14 @@ raises FixedPointError naming the last update.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import SOLVER_RTOL, LinearOperator, solve_dirichlet
-from .errors import FieldValidationError, FixedPointError, check_numbers
+from .errors import FieldValidationError, FixedPointError
 from .fields import Nonlinearity
 from .grid import DiscreteField
 
@@ -35,7 +37,15 @@ class PicardConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        check_numbers(self, floats=("tol",))
+        # a bool is not a number, so a JSON true never passes as 1
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a number, got {self.tol!r}")
+        try:
+            finite = math.isfinite(self.tol)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"tol must be finite, got {self.tol!r}")
         if self.tol <= SOLVER_RTOL:
             raise ValueError(
                 f"outer tolerance {self.tol} must exceed the linear solver tolerance {SOLVER_RTOL}"

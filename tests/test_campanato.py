@@ -9,18 +9,19 @@ part (9/64) x1, orthogonal to the cos(3 theta) mode on any centered disk).
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from scipy.special import iv
 
+from regprobe import campanato
 from regprobe.campanato import (
+    LAM,
     SUB_CELLS,
     SUP_CELLS,
     CertificateReport,
-    IterationConfig,
     IterationTrace,
     QuadApprox,
     ScaleRecord,
@@ -46,16 +47,12 @@ from regprobe.errors import FieldValidationError, FitError
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
 
-CAL = dict(C0=2.56, C1=0.0175, C2=0.036, alpha=0.19)
-
-
 def sampled_field(fn, cells=32, radius=1.0):
     grid = DiskGrid(radius, radius / cells)
     return DiscreteField(grid, fn(grid.coords), "solution")
 
 
-def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
-    cfg = cfg or IterationConfig(K=max(1, len(M) - 1), **CAL)
+def make_trace(M, xi, eta, mode="c1", N=None, scale_floor_k=None):
     approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     S = np.cumsum(M)
     N = M if N is None else N
@@ -64,16 +61,12 @@ def make_trace(M, xi, eta, mode="c1", cfg=None, N=None):
         x = xi[k] if k < len(xi) else math.nan
         e = eta[k] if k < len(eta) else math.nan
         records.append(ScaleRecord(
-            k=k, scale=cfg.lam ** k, M=M[k], xi=x, eta=e, S=float(S[k]),
+            k=k, scale=LAM ** k, M=M[k], xi=x, eta=e, S=float(S[k]),
             N=N[k], approx=approx, sup_error_bar=0.0,
-            measure_radius=cfg.lam ** k,
+            measure_radius=LAM ** k,
         ))
     return IterationTrace(mode=mode, records=tuple(records), limit=approx,
-                          config=cfg, truncated=False, flags={})
-
-
-def with_safety(trace, safety):
-    return replace(trace, config=replace(trace.config, safety=safety))
+                          flags={"scale_floor_k": scale_floor_k})
 
 
 def test_approximants_evaluate():
@@ -186,29 +179,30 @@ def test_taylor_fit_rejects_rank_deficient_sample():
         taylor_fit(h, 0.25, 1)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IterationConfig(lam=0.25)
-    with pytest.raises(ValueError):
-        IterationConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        IterationConfig(C1=0.7, lam=0.2)
-    with pytest.raises(ValueError):
-        IterationConfig(alpha=1.5)
-    assert IterationConfig(K=220).K == 220
-    with pytest.raises(ValueError):
-        IterationConfig(K=221)
+def test_config_validation(tmp_path, capsys):
+    # K is a document's only iteration setting: rung K divides by
+    # LAM**(2K), which stays a normal float up to K_MAX
+    assert campanato.K_MAX == 220
+    for K, code in ((220, 0), (221, 2), (True, 2)):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"v": 1, "id": "zero", "mode": "c1",
+                                    "problem": "zero_case",
+                                    "iteration": {"K": K}}))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == code
+        assert ("iteration" in capsys.readouterr().err) == bool(code)
+    with open(tmp_path / "zero_trace.csv") as fh:
+        assert len(list(csv.reader(fh))) == 222
 
 
 def test_smallness_flag_recorded():
     # smallness is the problem's property, reported and never enforced
-    tr = c1_probe(get_problem("drift_c1"), IterationConfig(K=1, **CAL))
+    tr = c1_probe(get_problem("drift_c1"), 1)
     assert tr.flags["smallness"]["ok"] is False
     assert len(tr.records) == 2
 
 
 def test_zero_case_certifies_at_machine_precision():
-    tr = c1_probe(get_problem("zero_case"), IterationConfig(K=6, **CAL))
+    tr = c1_probe(get_problem("zero_case"), 6)
     assert np.all(tr.M_values <= 1e-8)
     assert certificate(tr).verdict == "C1_certified"
     rep = verify_recurrence(tr)
@@ -220,7 +214,7 @@ def test_zero_case_certifies_at_machine_precision():
 
 
 def test_drift_ladder_contracts_and_certifies():
-    tr = c1_probe(get_problem("drift_c1"), IterationConfig(K=6, **CAL))
+    tr = c1_probe(get_problem("drift_c1"), 6)
     M = tr.M_values
     assert np.all(M[2:] / M[1:-1] <= 0.5)
     N = tr.N_values
@@ -234,7 +228,7 @@ def test_drift_ladder_contracts_and_certifies():
 
 
 def test_drift_limit_gradient_matches_bessel_series():
-    tr = c1_probe(get_problem("drift_c1"), IterationConfig(K=6, **CAL))
+    tr = c1_probe(get_problem("drift_c1"), 6)
     c0 = iv(2, 0.5) / iv(0, 0.5)
     c1 = (iv(1, 0.5) + iv(3, 0.5)) / iv(1, 0.5)
     expected = c1 / 4.0 - c0 / 2.0
@@ -245,7 +239,7 @@ def test_drift_limit_gradient_matches_bessel_series():
 
 def test_cubic_first_increment_matches_hand_computation():
     beta = 0.1
-    tr = c11_probe(get_problem("cubic_c11"), IterationConfig(K=2, **CAL))
+    tr = c11_probe(get_problem("cubic_c11"), 2)
     inc = tr.records[0].increment
     assert inc.F[0] == pytest.approx(-beta * (0.75 ** 2) / 4.0, abs=1e-5)
     assert abs(inc.E) <= 1e-8
@@ -253,10 +247,10 @@ def test_cubic_first_increment_matches_hand_computation():
 
 
 def test_cubic_ladder_decays_at_scale_rate():
-    tr = c11_probe(get_problem("cubic_c11"), IterationConfig(K=6, **CAL))
+    tr = c11_probe(get_problem("cubic_c11"), 6)
     M = tr.M_values[:6]
     logs = np.log(M)
-    denom = math.log(IterationConfig(**CAL).lam)
+    denom = math.log(LAM)
     slopes = [
         (logs[l] - logs[k]) / ((l - k) * denom)
         for k in range(6) for l in range(k + 1, 6)
@@ -269,7 +263,7 @@ def test_cubic_ladder_decays_at_scale_rate():
 
 
 def test_nondini_ladder_stalls_and_fails():
-    tr = c11_probe(get_problem("nondini_c11"), IterationConfig(K=26, **CAL))
+    tr = c11_probe(get_problem("nondini_c11"), 26)
     M = tr.M_values
     ratios = M[-4:] / M[-5:-1]
     assert np.all(ratios > 0.95)
@@ -283,12 +277,11 @@ def test_nondini_ladder_stalls_and_fails():
     (c11_probe, "cubic_c11"), (c11_probe, "nondini_c11"),
 ])
 def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
-                                                  probe, name, K):
+                                                  monkeypatch, probe, name, K):
     problem = get_problem(name)
-    tr = probe(problem, IterationConfig(K=K, **CAL))
+    tr = probe(problem, K)
     factored = len(count_factorizations)
-    terms, smallness = recurrence_model(tr.mode, tr.records, problem,
-                                        tr.config)
+    terms, smallness = recurrence_model(tr.mode, tr.records, problem)
     stored = np.array([(rec.xi, rec.eta) for rec in tr.records])
     assert np.array_equal(np.array(terms).view(np.int64),
                           stored[:-1].view(np.int64))
@@ -297,8 +290,8 @@ def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
 
     # C2 scales eta's bracket only: xi stays, eta moves wherever it is
     # nonzero (zero_case's eta is 0: no reaction, drift or potential term)
-    doubled, flag = recurrence_model(
-        tr.mode, tr.records, problem, replace(tr.config, C2=2 * tr.config.C2))
+    monkeypatch.setattr(campanato, "C2", 2 * campanato.C2)
+    doubled, flag = recurrence_model(tr.mode, tr.records, problem)
     xi, eta = np.array(terms).T
     xi2, eta2 = np.array(doubled).T
     assert np.array_equal(xi2.view(np.int64), xi.view(np.int64))
@@ -309,24 +302,28 @@ def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
     assert len(count_factorizations) == factored
 
 
-def test_recurrence_check_on_synthetic_values():
+def test_recurrence_check_on_synthetic_values(monkeypatch):
     tr = make_trace(M=[1.0, 0.2, 0.05], xi=[0.25, 0.25], eta=[0.01, 0.005])
     rep = verify_recurrence(tr)
     assert rep.ok == (True, True)
     assert rep.margins[0] == pytest.approx(1.5 * 0.26 - 0.2)
     assert rep.margins[1] == pytest.approx(1.5 * 0.055 - 0.05)
-    strict = verify_recurrence(with_safety(tr, 1.0))
-    assert strict.ok == (True, True)
-    assert verify_recurrence(with_safety(tr, 0.1)).ok == (False, False)
+    monkeypatch.setattr(campanato, "SAFETY", 1.0)
+    assert verify_recurrence(tr).ok == (True, True)
+    monkeypatch.setattr(campanato, "SAFETY", 0.1)
+    assert verify_recurrence(tr).ok == (False, False)
 
 
-def test_certificate_on_synthetic_geometric_decay():
+def test_certificate_on_synthetic_geometric_decay(monkeypatch):
     M = [2.0 ** -k for k in range(10)]
     N = [4.0 ** -k for k in range(10)]
-    tr = make_trace(M=M, xi=[0.5] * 9, eta=[0.0] * 9, N=N,
-                    cfg=IterationConfig(K=9, cert_tol=1e-2, **CAL))
+    tr = make_trace(M=M, xi=[0.5] * 9, eta=[0.0] * 9, N=N)
+    monkeypatch.setattr(campanato, "CERT_TOL", 1e-2)
     cert = certificate(tr)
     assert cert.verdict == "C1_certified"
+    # N_9 = 4**-9 = 3.8e-6: a tolerance below it is not met
+    monkeypatch.setattr(campanato, "CERT_TOL", 1e-6)
+    assert certificate(tr).verdict == "inconclusive"
 
 
 def test_certificate_all_zero_is_certified():
@@ -337,8 +334,8 @@ def test_certificate_all_zero_is_certified():
 
 
 def test_certificate_truncated_is_inconclusive():
-    tr = make_trace(M=[1.0, 0.1, 0.01], xi=[0.1, 0.1], eta=[0.0, 0.0])
-    tr = replace(tr, truncated=True)
+    tr = make_trace(M=[1.0, 0.1, 0.01], xi=[0.1, 0.1], eta=[0.0, 0.0],
+                    scale_floor_k=3)
     assert certificate(tr).verdict == "inconclusive"
 
 
@@ -374,13 +371,12 @@ def test_numeric_mode_truncates_at_scale_floor():
     rhs = grid.field_from_function(lambda p: np.full(len(p), 4.0))
     bc = grid.boundary_from_function(lambda p: np.ones(len(p)))
     u = solve_dirichlet(op, rhs, bc)
-    tr = c1_probe(drift, IterationConfig(K=6, **CAL), u=u)
-    assert tr.truncated
+    tr = c1_probe(drift, 6, u=u)
     assert tr.flags["data_mode"] == "numeric"
     assert len(tr.records) == 1
     assert tr.flags["scale_floor_k"] == 1
     assert tr.records[0].measure_radius < 1.0
-    closed = c1_probe(drift, IterationConfig(K=1, **CAL))
+    closed = c1_probe(drift, 1)
     assert tr.records[0].M == pytest.approx(closed.records[0].M, rel=1e-3)
     assert certificate(tr).verdict == "inconclusive"
 
@@ -390,7 +386,7 @@ DIAG_COLUMNS = ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",
 
 
 def test_trace_csv_schema_and_roundtrip(tmp_path):
-    tr = c1_probe(get_problem("drift_c1"), IterationConfig(K=3, **CAL))
+    tr = c1_probe(get_problem("drift_c1"), 3)
     path = tmp_path / "trace.csv"
     trace_to_csv(tr, path)
     with path.open() as fh:
@@ -415,7 +411,7 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
                                                    last.measure_radius]
     assert rows[-1][12:] == ["nan"] * 8
 
-    tr2 = c11_probe(get_problem("cubic_c11"), IterationConfig(K=2, **CAL))
+    tr2 = c11_probe(get_problem("cubic_c11"), 2)
     header, body = trace_rows(tr2)
     assert len(body) == 3 and all(len(row) == len(header) for row in body)
     coeffs = ["E", "F1", "F2", "G11", "G12", "G22"]
@@ -462,7 +458,7 @@ LADDERS = pytest.mark.parametrize("probe, name, K", [
 @LADDERS
 def test_ladder_factors_its_frozen_operator_once(count_factorizations,
                                                  probe, name, K):
-    tr = probe(get_problem(name), IterationConfig(K=K, **CAL))
+    tr = probe(get_problem(name), K)
     assert len(tr.records) == K + 1
     assert len(count_factorizations) == 1
 
@@ -485,10 +481,9 @@ def test_rung_samples_its_ball_once(probe, name, K):
         sizes.append(len(pts))
         return u(pts)
 
-    cfg = IterationConfig(K=K, **CAL)
     object.__setattr__(problem, "u", counted)
     try:
-        probe(problem, cfg)
+        probe(problem, K)
     finally:
         object.__setattr__(problem, "u", u)
     bare = {disk_lattice_size(cells) for cells in range(16, 97)}
@@ -498,14 +493,14 @@ def test_rung_samples_its_ball_once(probe, name, K):
 
 def test_calibration_produces_admissible_constants():
     out = calibrate_constants()
-    # IterationConfig's defaults are the one record of these constants
-    defaults = IterationConfig()
-    for name in ("C0", "C1", "C2", "alpha"):
-        assert out[name] == pytest.approx(getattr(defaults, name), rel=1e-10)
+    # campanato's constants are the one record of the calibration
+    for name, value in (("C0", campanato.C0), ("C1", campanato.C1),
+                        ("C2", campanato.C2), ("alpha", campanato.ALPHA)):
+        assert out[name] == pytest.approx(value, rel=1e-10)
     assert 0.0 < out["alpha"] <= 1.0 / 3.0
     assert 0.0 < out["beta"] < 1.0
     assert out["alpha"] == pytest.approx(out["beta"] / (2.0 + out["beta"]))
     assert out["C0"] > 1.0
-    assert 2.0 * out["C1"] * 0.2 < 0.25
+    assert 2.0 * out["C1"] * LAM < 0.25
     assert out["C2"] > 0.0
     assert out["holdout_slope"] >= out["alpha"] - 0.05

@@ -17,7 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 from unittest import mock
@@ -61,31 +61,10 @@ def test_bundled_names_cover_the_shipped_set():
         assert expected in names
 
 
-def test_bundled_scenarios_restate_no_iteration_default():
-    # IterationConfig holds the calibrated constants; a copy in a scenario
-    # file would drift from them at the next recalibration
-    defaults = asdict(campanato.IterationConfig())
-    for name in bundled_names():
-        iteration = load_scenario(name).get("iteration", {})
-        restated = [key for key, value in iteration.items()
-                    if key != "K" and value == defaults[key]]
-        assert not restated, f"{name} restates defaults {restated}"
-
-
 # Document keys that no bundled scenario or benchmark document sets, each
 # kept for a reason.  Any other such key is a setting nobody uses.  A probe
 # key is named as its block names it, a key of another mode after the mode.
 ALLOWED = {
-    "iteration.lam": "the scale ratio `calibrate --lam` measures C0-alpha at",
-    "iteration.C0": "calibration record: set with lam from a calibrate run",
-    "iteration.C1": "calibration record: set with lam from a calibrate run",
-    "iteration.C2": "calibration record: set with lam from a calibrate run",
-    "iteration.alpha": "calibration record: set with lam from a calibrate "
-                       "run",
-    "iteration.cert_tol": "verdict threshold the recurrence-based verdict "
-                          "will read",
-    "iteration.safety": "verdict threshold the recurrence-based verdict "
-                        "will read",
     "modulus_check.families": "the route to a user's own modulus, table "
                               "files included",
 }
@@ -122,10 +101,8 @@ def _set_keys(doc: dict) -> set:
 
 
 def test_every_probe_setting_is_set_by_some_document(monkeypatch):
-    settable = {f"iteration.{f.name}"
-                for f in fields(campanato.IterationConfig)}
+    settable = {"iteration.K", "grid.cells"}
     settable |= {f"picard.{f.name}" for f in fields(PicardConfig)}
-    settable.add("grid.cells")
     docs = [load_scenario(name) for name in bundled_names()]
     docs += _benchmark_documents(monkeypatch)
     set_keys = set()
@@ -565,6 +542,43 @@ def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def nondini_at_22(tmp_path_factory):
+    """The report of the bundled nondini_c11 negative control at K = 22."""
+    doc = dict(load_scenario("nondini_c11"), iteration={"K": 22})
+    return run_scenario(doc, tmp_path_factory.mktemp("nondini_at_22"))
+
+
+# The scale ratio, the calibrated constants and the verdict thresholds are
+# fixed.  "forged" loosens the certificate tolerance a hundredfold on the
+# negative control; each other document restates the value its report
+# echoes.  Every one exits 2 before anything runs, and the negative
+# control itself is never certified.
+@pytest.mark.parametrize("key, value", [
+    pytest.param("cert_tol", 0.1, id="forged"),
+    *(pytest.param(key, None, id=f"restated-{key}")
+      for key in ("lam", "C0", "C1", "C2", "alpha", "cert_tol", "safety")),
+])
+def test_iteration_holds_only_K(tmp_path, capsys, monkeypatch, nondini_at_22,
+                                key, value):
+    assert nondini_at_22["verdict"] not in cli.PASS_VERDICTS
+    echoed = nondini_at_22["config"]["iteration"]
+    doc = {"v": 1, "id": "forged", "mode": "c11", "problem": "nondini_c11",
+           "iteration": {"K": 22, key: echoed[key] if value is None else value}}
+
+    def unreachable(*args):
+        raise AssertionError("scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", unreachable)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert "bad iteration block" in err and repr(key) in err
+    assert not out.exists()
+
+
 def test_check_modulus_subcommand(tmp_path, capsys):
     code = main(["check-modulus", "--out", str(tmp_path)])
     assert code == 0
@@ -622,20 +636,22 @@ def test_calibrate_subcommand(tmp_path, capsys):
     assert 0.0 < stored["alpha"] <= 1.0 / 3.0
 
 
+# The scale ratio and the resolution are fixed: calibrate has no --lam or
+# --cells, and every value they once took, in range or not, is refused.
 @pytest.mark.parametrize("flag, value", [
-    ("--lam", "0.9"), ("--lam", "0.25"), ("--lam", "0.3"), ("--lam", "0"),
-    ("--lam", "-1"), ("--lam", "nan"), ("--lam", "0.05"), ("--cells", "0"), ("--cells", "15"),
-    ("--cells", "818"),
+    ("--lam", "0.2"), ("--lam", "0.9"), ("--lam", "0.25"), ("--lam", "0.3"), ("--lam", "0"),
+    ("--lam", "-1"), ("--lam", "nan"), ("--lam", "0.05"), ("--cells", "0"),
+    ("--cells", "15"), ("--cells", "818"),
     pytest.param("--cells", "1" + "0" * 400, id="--cells-401_digits"),
 ])
 def test_calibrate_rejects_flags_before_solving(capsys, monkeypatch, flag,
                                                 value):
-    def unreachable(**kwargs):
+    def unreachable():
         raise AssertionError("calibration ran")
 
     monkeypatch.setattr(cli, "calibrate_constants", unreachable)
     assert main(["calibrate", flag, value]) == 2
-    assert f"{flag} must" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_run_scenario_api_reports_seed(tmp_path):

@@ -28,7 +28,9 @@ def test_log_family_defaults():
     om = modulus.log_power(2.0)
     assert om.r_max == pytest.approx(math.exp(-2.0))
     assert om.eval(math.exp(-4.0)) == pytest.approx(1.0 / 16.0)
-    li = modulus.log_inverse()
+    # log_inverse is 1/ln(1/r), the log_power family at p = 1
+    li = modulus.parse_modulus("log_inverse")
+    assert li == modulus.log_power(1.0)
     assert li.r_max == pytest.approx(math.exp(-1.0))
     assert li.eval(math.exp(-5.0)) == pytest.approx(0.2)
 
@@ -39,7 +41,7 @@ def test_monotone_on_geometric_grid():
         modulus.power(0.5),
         modulus.power(1.0),
         modulus.log_power(2.0),
-        modulus.log_inverse(),
+        modulus.log_power(1.0),
     ]
     for om in cases:
         grid = np.geomspace(om.r_max * 1e-9, om.r_max, 64)
@@ -57,8 +59,8 @@ def test_dini_integral_linear():
 
 
 def test_dini_integral_log_inverse_diverges():
-    assert math.isinf(modulus.dini_integral(modulus.log_inverse(),
-                                            t0=math.exp(-1.0)))
+    li = modulus.parse_modulus("log_inverse")
+    assert math.isinf(modulus.dini_integral(li, t0=math.exp(-1.0)))
 
 
 def test_dini_integral_log_power_two():
@@ -96,7 +98,7 @@ def test_dini_integral_monotone_in_t0():
 def test_doubling_check():
     assert modulus.doubling_check(modulus.power(0.5))
     assert modulus.doubling_check(modulus.power(1.0))
-    assert modulus.doubling_check(modulus.log_inverse())
+    assert modulus.doubling_check(modulus.log_power(1.0))
     assert modulus.doubling_check(modulus.log_power(2.0))
     assert not modulus.doubling_check(modulus.power(2.0))
 
@@ -139,7 +141,7 @@ def test_dini_tail_sum_sweep_bound_holds():
         modulus.power(0.5),
         modulus.power(1.0),
         modulus.log_power(2.0),
-        modulus.log_inverse(),
+        modulus.log_power(1.0),
     ]
     checked = 0
     for om in families:
@@ -151,7 +153,7 @@ def test_dini_tail_sum_sweep_bound_holds():
                     continue
                 s, b = modulus.dini_tail_sum(om, lam, k0)
                 assert s <= b * (1.0 + 1e-12), (repr(om), lam, k0)
-                if om.family != "log_inverse":
+                if om.params.get("p") != 1.0:  # every one but p = 1 is Dini
                     assert math.isfinite(s) and math.isfinite(b)
                     assert 0.0 < s
                 checked += 1
@@ -211,7 +213,7 @@ def test_parse_modulus_ids(tmp_path):
     assert om.family == "power" and om.params["gamma"] == 0.5
     om = modulus.parse_modulus("log_power:2")
     assert om.family == "log_power" and om.r_max == pytest.approx(math.exp(-2.0))
-    assert modulus.parse_modulus("log_inverse").family == "log_inverse"
+    assert modulus.parse_modulus("log_inverse") == modulus.log_power(1.0)
     assert modulus.parse_modulus("zero").family == "zero"
     # a known id with a malformed parameter or table (exit 2)
     table = tmp_path / "decreasing.csv"

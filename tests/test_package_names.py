@@ -12,14 +12,14 @@ counts as read when:
 - a method, or an instance attribute assigned as ``self.<name> = ...`` in
   a method: an ``ast.Attribute`` load of its name outside its definition;
 - a dataclass field: an ``ast.Attribute`` load, or a string constant equal
-  to its name (``check_numbers(self, floats=("alpha", ...))`` and the
-  keyword dicts a record is built from name fields that way).
+  to its name (the keyword dicts a record is built from name fields that
+  way).
 
 The same syntax tree also yields the parameters that every call sets to
 one value (``one_value_parameters``): a parameter that never varies is a
 constant passed around, and goes unless ``ALLOWED`` names a reason.  And
 it yields the reads of the calibrated constants (``constant_reads``), which
-only the recurrence model, their validation and the calibration may make.
+only the recurrence model and the report echo may make.
 """
 from __future__ import annotations
 
@@ -147,17 +147,21 @@ def test_guard_defines_instance_attributes():
                      "E.count": "attribute", "E.last": "attribute"}
 
 
-# The calibrated constants are validated where they are stored, measured
-# by the calibration, and read by the one recurrence model; a formula
-# anywhere else would be a second model.
-CONSTANTS = frozenset({"C0", "C1", "C2", "alpha"})
-CONSTANT_READERS = ("IterationConfig.__post_init__", "calibrate_constants",
-                    "recurrence_model")
+# The calibrated constants are module constants of campanato, read by the
+# one recurrence model; a formula anywhere else would be a second model.
+# Each other reader is named with its reason.
+CONSTANTS = frozenset({"C0", "C1", "C2", "ALPHA"})
+CONSTANT_READERS = {
+    "recurrence_model": "the one recurrence model: xi, eta and the "
+                        "smallness flag",
+    "_run_probe": "the report echo: a probe report records the calibration "
+                  "it ran with under config.iteration",
+}
 
 
 def constant_reads(package: Path = PACKAGE) -> dict:
-    """Owner -> [(constant, "file:line")] of every attribute read of a
-    calibrated constant in ``package``.  The owner is the module-level
+    """Owner -> [(constant, "file:line")] of every name or attribute load
+    of a calibrated constant in ``package``.  The owner is the module-level
     function or the method (``Class.method``) around the read, nested
     functions included, or ``<module>`` outside any."""
     reads: dict = {}
@@ -169,14 +173,14 @@ def constant_reads(package: Path = PACKAGE) -> dict:
                    if isinstance(node, ast.ClassDef) for item in node.body
                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.attr in CONSTANTS):
-                owner = next((name for name, fn in owners
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else None)
+            if name in CONSTANTS and isinstance(node.ctx, ast.Load):
+                owner = next((owner for owner, fn in owners
                               if fn.lineno <= node.lineno <= fn.end_lineno),
                              "<module>")
                 reads.setdefault(owner, []).append(
-                    (node.attr, f"{path.name}:{node.lineno}"))
+                    (name, f"{path.name}:{node.lineno}"))
     return reads
 
 
@@ -185,20 +189,24 @@ def test_only_the_recurrence_model_reads_the_calibrated_constants():
     stray = {owner: where for owner, where in reads.items()
              if owner not in CONSTANT_READERS}
     assert not stray, (
-        f"C0, C1, C2 or alpha read outside {CONSTANT_READERS}: {stray}")
-    assert {name for name, _ in reads["recurrence_model"]} == CONSTANTS
+        f"C0, C1, C2 or ALPHA read outside {sorted(CONSTANT_READERS)}: "
+        f"{stray}")
+    for owner in CONSTANT_READERS:
+        assert {name for name, _ in reads.get(owner, ())} == CONSTANTS, owner
 
 
 def test_guard_finds_constant_reads_in_nested_functions(tmp_path):
     (tmp_path / "m.py").write_text(
-        "LIMIT = CFG.alpha\n"
+        "LIMIT = CFG.ALPHA\n"
         "def model(cfg):\n    return cfg.C1\n"
         "class Config:\n    def check(self):\n"
         "        def inner():\n            return self.C2\n"
-        "        self.C0 = inner()\n")
+        "        self.C0 = inner()\n"
+        "def echo():\n    C1 = 1.0\n    return {'C0': C0, 'C1': C1}\n")
     assert constant_reads(tmp_path) == {
-        "<module>": [("alpha", "m.py:1")], "model": [("C1", "m.py:3")],
-        "Config.check": [("C2", "m.py:7")]}
+        "<module>": [("ALPHA", "m.py:1")], "model": [("C1", "m.py:3")],
+        "Config.check": [("C2", "m.py:7")],
+        "echo": [("C0", "m.py:11"), ("C1", "m.py:11")]}
 
 
 # Parameters and dataclass fields that every call sets to one value, each
