@@ -16,14 +16,14 @@ theorem for every operator it accepts, not an observation.  Arms cut by
 the circle use unequal-arm (Shortley-Weller) differences, which keep the
 stencil exact on quadratics right up to the boundary.
 
-Each operator is factored once by sparse LU, in a way chosen from the
-stencil.  On the 5-point stencil (a12 = 0 at every node) every arm joins a
-red node (i + j even) to a black one (i + j odd), so the red unknowns
-eliminate exactly and only the half-size black Schur complement is
-factored, in minimum-degree order (red-black reduction; Buzbee, Golub and
-Nielson, SIAM J. Numer. Anal. 7, 1970).  A diagonal arm joins two nodes of
-one colour; such a matrix is factored whole, in the grid's lattice
-nested-dissection order, where minimum degree fills more.
+Each operator is factored once by sparse LU of a matrix already in lattice
+nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973).  On the
+5-point stencil (a12 = 0 at every node) every arm joins a red node (i + j
+even) to a black one (i + j odd), so the red unknowns eliminate exactly and
+only the half-size black Schur complement is factored (red-black reduction;
+Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), dissected in the
+black nodes' own lattice, rotated by 45 degrees.  A diagonal arm joins two
+nodes of one colour; such a matrix is factored whole, in the grid's lattice.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ class LinearOperator:
 
     ``order`` is the column order the LU factor eliminates in: the grid's
     ``dissection_order`` when the stencil has diagonal arms, None for the
-    5-point stencil, whose factor is of the red-black reduced system.
+    5-point stencil, whose factor is of the reduced system in ``black_order``.
     """
 
     grid: DiskGrid
@@ -83,12 +83,12 @@ class LinearOperator:
     def _red_black(self):
         """The red-black split of a 5-point ``equilibrated`` = A.
 
-        Returns the red and black node indices, the red diagonal d, the
-        block A_BR and the block diag(1/d) A_RB; the red-red block of A is
-        diag(d) because no 5-point arm joins two red nodes.
+        Returns the red node indices, the black ones in ``grid.black_order``,
+        the red diagonal d, the block A_BR and the block diag(1/d) A_RB; no
+        5-point arm joins two red nodes, so the red-red block of A is diag(d).
         """
-        odd = (self.grid.lattice.sum(axis=1) & 1).astype(bool)
-        red, black = np.flatnonzero(~odd), np.flatnonzero(odd)
+        red = np.flatnonzero(self.grid.lattice.sum(axis=1) % 2 == 0)
+        black = self.grid.black_order
         a = self.equilibrated
         d = a.diagonal()[red]
         a_br = a[black][:, red].tocsr()
@@ -99,15 +99,14 @@ class LinearOperator:
     def factor(self):
         """Sparse LU factor, computed once.
 
-        The matrix factored follows the stencil.  For a 5-point matrix it
-        is the black Schur complement S = A_BB - A_BR diag(1/d) A_RB of
-        the red-black split, a 9-point system on about half the nodes, in
-        SuperLU's minimum-degree order of S^T + S; ``solve`` eliminates
-        the red unknowns around it.  With diagonal arms (7 or 9 points)
-        the colours couple among themselves, minimum degree fills more
-        than nested dissection, and the factor is of
-        ``equilibrated[order][:, order]`` in its natural order, so
-        ``solve`` permutes in and out.
+        The matrix factored follows the stencil and is already in lattice
+        nested-dissection order, so SuperLU keeps its natural column order.
+        For a 5-point matrix it is the black Schur complement
+        S = A_BB - A_BR diag(1/d) A_RB of the red-black split, a 9-point
+        system on about half the nodes that one line of the black nodes'
+        rotated lattice separates; ``solve`` eliminates the red unknowns
+        around it.  With diagonal arms the colours couple among themselves,
+        and the factor is of ``equilibrated[p][:, p]`` for p = ``order``.
 
         SuperLU runs in its SymmetricMode: the elimination tree comes from
         A^T + A, and a diagonal pivot is taken whenever it passes the
@@ -118,15 +117,14 @@ class LinearOperator:
         """
         if _MALLOPT is not None:
             _MALLOPT(-3, 4 << 20)
-        options = {"SymmetricMode": True}
-        if self.order is None:
+        a, p = self.equilibrated, self.order
+        if p is None:
             _, black, _, a_br, c_rb = self._red_black
-            a = self.equilibrated
-            schur = (a[black][:, black] - a_br @ c_rb).tocsc()
-            return spla.splu(schur, permc_spec="MMD_AT_PLUS_A", options=options)
-        p = self.order
-        return spla.splu(self.equilibrated[p][:, p], permc_spec="NATURAL",
-                         options=options)
+            matrix = (a[black][:, black] - a_br @ c_rb).tocsc()
+        else:
+            matrix = a[p][:, p]
+        return spla.splu(matrix, permc_spec="NATURAL",
+                         options={"SymmetricMode": True})
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The x with ``equilibrated @ x = b``, from the cached factor."""

@@ -29,8 +29,49 @@ DIAG_PAIRS = ((4, 5), (6, 7))
 
 _ROLES = ("solution", "rhs", "boundary")
 
-# Largest box that ``DiskGrid.dissection_order`` leaves undivided.
+# Largest box that ``dissection_order`` leaves undivided, in either lattice.
 DISSECTION_LEAF = 8
+
+
+def dissection_order(ij: np.ndarray) -> np.ndarray:
+    """Lattice nested-dissection order of the integer points ``ij``.
+
+    The bounding box is split at its middle lattice line across its longer
+    side; both halves are ordered the same way, then the line, and a box of
+    at most ``DISSECTION_LEAF`` points keeps index order (George, SIAM J.
+    Numer. Anal. 10, 1973), so one line separates the 5-, 7- and 9-point
+    stencils alike.  All boxes of a level split at once: a point's base-3
+    key gains one digit per level, 0 for the low half, 1 for the high half
+    and 2 for the line, and the order is a read-only stable sort by key.
+    """
+    n = len(ij)
+    key = np.zeros(n, dtype=np.int64)
+    live = np.arange(n)                      # points whose box still splits
+    box = np.zeros(n, dtype=np.intp)         # the box of each live point
+    lo = ij.min(axis=0, keepdims=True)       # lattice bounds of each box
+    hi = ij.max(axis=0, keepdims=True)
+    while len(live):
+        boxes = np.arange(len(lo))
+        split = np.bincount(box, minlength=len(lo)) > DISSECTION_LEAF
+        axis = np.argmax(hi - lo, axis=1)
+        mid = (lo[boxes, axis] + hi[boxes, axis]) // 2
+        side = np.sign(ij[live, axis[box]] - mid[box])
+        digit = np.where(side == 0, 2, (side + 1) // 2)
+        go = split[box]
+        key *= 3
+        key[live[go]] += digit[go]
+        parent = np.flatnonzero(split)
+        child = 2 * np.arange(len(parent))
+        lo = np.repeat(lo[parent], 2, axis=0)
+        hi = np.repeat(hi[parent], 2, axis=0)
+        hi[child, axis[parent]] = mid[parent] - 1
+        lo[child + 1, axis[parent]] = mid[parent] + 1
+        go &= digit < 2
+        box = 2 * (np.cumsum(split) - 1)[box[go]] + digit[go]
+        live = live[go]
+    order = np.argsort(key, kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 @dataclass(frozen=True)
@@ -160,46 +201,17 @@ class DiskGrid:
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
-        """Lattice nested-dissection order of the interior nodes.
+        """``dissection_order`` of ``lattice``, computed once; read-only."""
+        return dissection_order(self.lattice)
 
-        The bounding box of the lattice indices is split at the middle
-        lattice line across its longer side; both halves are ordered the
-        same way, then the line, and a box of at most ``DISSECTION_LEAF``
-        nodes keeps its nodes in index order (George, SIAM J. Numer. Anal.
-        10, 1973).  One lattice line separates the two halves for the 5-,
-        7- and 9-point stencils alike.  Every box of a level is split at
-        once: a node's base-3 key gains one digit per level, 0 for the low
-        half, 1 for the high half and 2 for the line, and the order is a
-        stable sort by key.  Computed once per grid and read-only.
-        """
+    @cached_property
+    def black_order(self) -> np.ndarray:
+        """The black nodes (i + j odd), ordered by ``dissection_order`` of
+        their own lattice, rotated by 45 degrees: (i + j, i - j) // 2 =
+        ((i + j - 1) / 2, (i - j - 1) / 2).  Computed once; read-only."""
         ij = self.lattice
-        n = len(ij)
-        key = np.zeros(n, dtype=np.int64)
-        live = np.arange(n)                      # nodes whose box still splits
-        box = np.zeros(n, dtype=np.intp)         # the box of each live node
-        lo = ij.min(axis=0, keepdims=True)       # lattice bounds of each box
-        hi = ij.max(axis=0, keepdims=True)
-        while len(live):
-            boxes = np.arange(len(lo))
-            split = np.bincount(box, minlength=len(lo)) > DISSECTION_LEAF
-            axis = np.argmax(hi - lo, axis=1)
-            mid = (lo[boxes, axis] + hi[boxes, axis]) // 2
-            side = np.sign(ij[live, axis[box]] - mid[box])
-            digit = np.where(side == 0, 2, (side + 1) // 2)
-            go = split[box]
-            key *= 3
-            key[live[go]] += digit[go]
-
-            parent = np.flatnonzero(split)
-            child = 2 * np.arange(len(parent))
-            lo = np.repeat(lo[parent], 2, axis=0)
-            hi = np.repeat(hi[parent], 2, axis=0)
-            hi[child, axis[parent]] = mid[parent] - 1
-            lo[child + 1, axis[parent]] = mid[parent] + 1
-            go &= digit < 2
-            box = 2 * (np.cumsum(split) - 1)[box[go]] + digit[go]
-            live = live[go]
-        order = np.argsort(key, kind="stable")
+        black = np.flatnonzero(ij.sum(axis=1) & 1)
+        order = black[dissection_order(ij[black] @ [[1, 1], [1, -1]] // 2)]
         order.flags.writeable = False
         return order
 
