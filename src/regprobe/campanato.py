@@ -30,14 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .elliptic import (
-    LinearOperator,
-    assemble,
-    frozen_operator,
-    solve_dirichlet,
-)
+from .elliptic import LinearOperator, assemble, solve_dirichlet
 from .errors import CalibrationError, FieldValidationError, FitError
-from .fields import DRIFT_Q, CoefficientField, _extended_modulus
+from .fields import DRIFT_Q, CoefficientField, _extended_modulus, constant_field
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
 
 _TINY_SUP = 1e-10
@@ -251,8 +246,8 @@ def comparison_operator(a0) -> LinearOperator:
 # uses one, a0 = I
 @functools.lru_cache(maxsize=4)
 def _frozen_comparison(shape, entries) -> LinearOperator:
-    return frozen_operator(np.reshape(entries, shape),
-                           DiskGrid(0.75, 0.75 / SUB_CELLS))
+    return assemble(constant_field(np.reshape(entries, shape)),
+                    DiskGrid(0.75, 0.75 / SUB_CELLS))
 
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
@@ -646,7 +641,7 @@ def _boundary_exponent():
     actually delivers for rough data.
     """
     grid = DiskGrid(1.0, 1.0 / 96)
-    op = frozen_operator(np.eye(2), grid)
+    op = assemble(constant_field(np.eye(2)), grid)
     rhs = grid.zeros()
     anchor = np.array([1.0, 0.0])
     deltas = np.array([0.08, 0.15, 0.3, 0.5])
@@ -785,10 +780,7 @@ def calibrate_constants() -> dict:
     num = 0.0
     den = 0.0
     for bmag in (0.3, 0.6, 1.0):
-        field = CoefficientField(
-            a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
-            b=lambda pts, bmag=bmag: np.column_stack(
-                [np.full(len(pts), bmag), np.zeros(len(pts))]))
+        field = constant_field(np.eye(2), (bmag, 0.0))
         lam1 = bmag * math.pi ** 0.25  # the drift's L^4(B_1) norm
         op = assemble(field, grid)
         rhs = grid.field_from_function(lambda pts: np.full(len(pts), 4.0))

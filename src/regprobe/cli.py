@@ -43,6 +43,7 @@ from .errors import (
 )
 from .scenarios import (
     SCHEMA_VERSION,
+    _write_rows,
     atomic_write_text,
     load_scenario,
     run_scenario,
@@ -178,11 +179,9 @@ def _cmd_report(args) -> int:
         rows.append(row + [limits.get(k) for k in header[3:]])
     rows.sort(key=lambda r: (r[2], r[0]))
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else _fmt(v) for v in row))
     summary_path = _out_dir(args) / "summary.csv"
-    atomic_write_text(summary_path, "\n".join(lines) + "\n")
+    _write_rows(summary_path, header,
+                [["" if v is None else _fmt(v) for v in row] for row in rows])
 
     widths = [max(len(header[i]), max((len(_fmt(r[i])) for r in rows),
                                       default=0))

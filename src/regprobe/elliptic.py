@@ -352,21 +352,3 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn,
                       RuntimeWarning, stacklevel=2)
     return float(slope)
 
-
-def frozen_operator(a0: np.ndarray, grid: DiskGrid) -> LinearOperator:
-    """The constant-coefficient operator a0 : D^2 on ``grid``, assembled.
-
-    a0 must be a symmetric positive definite 2x2 matrix with eigenvalue
-    ratio at most 5.  The operator's ``factor`` is computed on its first
-    solve and reused by every later one.  Ladders, sweeps and calibrations
-    take their comparison operator from ``campanato.comparison_operator``,
-    which keeps one per a0 for the whole process, so all of them together
-    assemble and factor it once.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (2, 2):
-        raise FieldValidationError("a0 must be a 2x2 matrix")
-    field = CoefficientField(
-        a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)),
-        b=lambda pts: np.zeros((len(pts), 2)))
-    return assemble(field, grid)

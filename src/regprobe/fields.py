@@ -7,9 +7,9 @@ frozen-coefficient equation.  A problem's coefficient constants
 (ellipticity, drift bound, moduli) are declared on
 ``manufactured.ManufacturedProblem``, not measured: the probes read them
 as given.  The drift's integrability
-exponent is the one constant ``DRIFT_Q``.  The bundled problems in
-``manufactured`` and the frozen operators in ``elliptic`` build their
-fields directly from these classes.
+exponent is the one constant ``DRIFT_Q``.  Every constant-coefficient
+field, the frozen operator a_ij(x0) D_ij + b_i(x0) D_i of the
+perturbation argument included, comes from ``constant_field``.
 
 Conventions: everything is vectorized over points.  A matrix field maps an
 ``(N, 2)`` array of points to ``(N, 2, 2)``; a drift maps it to ``(N, 2)``;
@@ -54,6 +54,22 @@ class CoefficientField:
                 f"drift returned shape {out.shape}, expected {(len(pts), 2)}"
             )
         return out
+
+
+def constant_field(a0, b0=(0.0, 0.0)) -> CoefficientField:
+    """The field with a(x) = a0 and b(x) = b0 at every point.
+
+    a0 must be a 2x2 matrix and b0 have two entries; ellipticity and the
+    eigenvalue-ratio limit are checked where the field is assembled.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    b0 = np.asarray(b0, dtype=float)
+    if a0.shape != (2, 2):
+        raise FieldValidationError(f"a0 must be a 2x2 matrix, got shape {a0.shape}")
+    if b0.shape != (2,):
+        raise FieldValidationError(f"b0 must have two entries, got shape {b0.shape}")
+    return CoefficientField(a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)),
+                            b=lambda pts: np.broadcast_to(b0, (len(pts), 2)))
 
 
 @dataclass(frozen=True)

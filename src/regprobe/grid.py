@@ -229,7 +229,8 @@ class DiskGrid:
 
 @dataclass(frozen=True)
 class DiscreteField:
-    """Nodal values bound to a grid, tagged by role."""
+    """Nodal values bound to a grid, tagged by role: one value per point,
+    and the points are the role's nodes unless given."""
 
     grid: DiskGrid
     values: np.ndarray
@@ -242,15 +243,14 @@ class DiscreteField:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if self.points is None:
-            expected = (self.grid.n_boundary if self.role == "boundary"
-                        else self.grid.n_interior)
-            pts = (self.grid.boundary_points if self.role == "boundary"
-                   else self.grid.coords)
-            if vals.shape != (expected,):
-                raise FieldValidationError(
-                    f"{self.role} field has {vals.shape} values, expected ({expected},)"
-                )
-            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "points", (
+                self.grid.boundary_points if self.role == "boundary"
+                else self.grid.coords))
+        expected = len(self.points)
+        if vals.shape != (expected,):
+            raise FieldValidationError(
+                f"{self.role} field has {vals.shape} values, expected ({expected},)"
+            )
         if not np.all(np.isfinite(vals)):
             raise FieldValidationError(f"{self.role} field contains non-finite values")
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import FieldValidationError, RegistryError
-from .fields import CoefficientField, Nonlinearity, PotentialFamily
+from .fields import CoefficientField, Nonlinearity, PotentialFamily, constant_field
 from .modulus import Modulus, log_power, zero_modulus
 
 
@@ -71,14 +71,6 @@ class ManufacturedProblem:
 
 def _quadratic(pts):
     return pts[:, 0] ** 2 + pts[:, 1] ** 2
-
-
-def _identity_field(b1=0.0):
-    """a = I with the constant drift b = (b1, 0), whose L^4(B_1) norm is
-    |b1| pi^(1/4)."""
-    return CoefficientField(
-        a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
-        b=lambda pts: np.broadcast_to((b1, 0.0), (len(pts), 2)))
 
 
 _DRIFT_TERMS = 34
@@ -305,7 +297,7 @@ def _nondini_u(pts):
 
 def _build_zero_case():
     return ManufacturedProblem(
-        field=_identity_field(),
+        field=constant_field(np.eye(2)),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
@@ -324,7 +316,7 @@ def _build_zero_case():
 
 def _build_drift_c1():
     return ManufacturedProblem(
-        field=_identity_field(1.0),
+        field=constant_field(np.eye(2), (1.0, 0.0)),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
@@ -333,6 +325,7 @@ def _build_drift_c1():
         boundary=lambda pts: np.ones(len(np.atleast_2d(pts))),
         potential=PotentialFamily(_quadratic, 2.0),
         ellipticity=1.0,
+        # b = (b1, 0) has L^4(B_1) norm |b1| pi^(1/4), here and in cubic_c11
         drift_bound=math.pi ** 0.25,
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
@@ -352,7 +345,7 @@ def _build_cubic_c11():
         return _quadratic(pts) + (_CUBIC_BETA / 3.0) * pts[:, 0] ** 3
 
     return ManufacturedProblem(
-        field=_identity_field(_CUBIC_BETA),
+        field=constant_field(np.eye(2), (_CUBIC_BETA, 0.0)),
         nonlinearity=Nonlinearity(
             f=f,
             modulus=zero_modulus(),
@@ -371,7 +364,7 @@ def _build_cubic_c11():
 
 def _build_nondini_c11():
     return ManufacturedProblem(
-        field=_identity_field(),
+        field=constant_field(np.eye(2)),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: 4.0 + _g_nondini(t) * np.ones(len(pts)),
             modulus=log_power(1.0),

@@ -43,7 +43,7 @@ from .campanato import (
 )
 from .elliptic import abp_check, assemble, convergence_order, solve_dirichlet
 from .errors import RegistryError, ScenarioError, SchemaVersionError
-from .fields import CoefficientField
+from .fields import CoefficientField, constant_field
 from .grid import DiskGrid
 from .manufactured import get_problem
 from .modulus import dini_integral, dini_tail_sum, doubling_check, parse_modulus
@@ -298,6 +298,11 @@ def _write_rows(path, header, rows) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _suite_verdict(rows) -> str:
+    """A check suite passes when every check's row ends in its ok = 1."""
+    return "pass" if all(row[-1] for row in rows) else "failed"
+
+
 def run_scenario(doc: dict, out_dir) -> dict:
     """Execute a validated scenario; write its artifacts; return the report."""
     out_dir = Path(doc.get("output_dir", out_dir))
@@ -434,9 +439,7 @@ def _random_operator(rng) -> tuple:
 
 _SMOOTH_CASES = (
     ("drift_exponential",
-     CoefficientField(
-         a=lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
-         b=lambda pts: np.broadcast_to(np.array([1.0, 0.0]), (len(pts), 2))),
+     constant_field(np.eye(2), (1.0, 0.0)),
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1]),
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1])),
     ("variable_diagonal",
@@ -451,15 +454,12 @@ _SMOOTH_CASES = (
      lambda pts: -(1.0 + 0.3 * np.sin(pts[:, 0])) * np.cos(pts[:, 0])
          + pts[:, 1] ** 2),
     ("mixed_derivative",
-     CoefficientField(
-         a=lambda pts: np.broadcast_to(
-             np.array([[1.0, 0.2], [0.2, 1.0]]), (len(pts), 2, 2)),
-         b=lambda pts: np.zeros((len(pts), 2))),
+     constant_field([[1.0, 0.2], [0.2, 1.0]]),
      lambda pts: np.sin(pts[:, 0] + pts[:, 1]),
      lambda pts: -2.4 * np.sin(pts[:, 0] + pts[:, 1])),
 )
 
-_EXACT_A0 = np.array([[1.2, 0.3], [0.3, 0.9]])
+_EXACT_FIELD = constant_field([[1.2, 0.3], [0.3, 0.9]])
 
 
 def _exact_quadratic(pts):
@@ -479,28 +479,22 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     hs = _RESOLUTIONS
     grids = [DiskGrid(1.0, h) for h in hs]
     rows = []
-    ok_all = True
 
     orders = {}
     for name, field, u_exact, rhs_fn in _SMOOTH_CASES:
         order = convergence_order(field, u_exact, rhs_fn, grids)
         orders[name] = order
         ok = abs(order - 2.0) <= 0.2
-        ok_all = ok_all and ok
         rows.append([name, "order", repr(min(hs)), repr(order), int(ok)])
 
     exact_errs = []
-    field0 = CoefficientField(
-        a=lambda pts: np.broadcast_to(_EXACT_A0, (len(pts), 2, 2)),
-        b=lambda pts: np.zeros((len(pts), 2)))
     for grid in grids[:2]:
-        op = assemble(field0, grid)
+        op = assemble(_EXACT_FIELD, grid)
         bc = grid.boundary_from_function(_exact_quadratic)
         u = solve_dirichlet(op, grid.zeros(), bc)
         err = float(np.max(np.abs(u.values - _exact_quadratic(grid.coords))))
         exact_errs.append(err)
         ok = err <= 1e-10
-        ok_all = ok_all and ok
         rows.append(["frozen_quadratic", "exact", repr(grid.h), repr(err),
                      int(ok)])
 
@@ -515,7 +509,6 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         excess = float(np.max(u0.values) - np.max(bc.values))
         mp_excess.append(excess)
         ok = excess <= 1e-10
-        ok_all = ok_all and ok
         rows.append([f"op{i:02d}", "max_principle", repr(coarse.h),
                      repr(excess), int(ok)])
 
@@ -528,12 +521,10 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
             implied.append(implied_C)
             rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
                          repr(float(implied_C)), int(passed)])
-            ok_all = ok_all and passed
         spread = abs(implied[0] - implied[1]) / max(abs(implied[0]),
                                                     abs(implied[1]), 1e-300)
         spreads.append(spread)
         ok = spread <= 0.2
-        ok_all = ok_all and ok
         rows.append([f"op{i:02d}", "implied_c_spread", repr(fine.h),
                      repr(spread), int(ok)])
 
@@ -546,13 +537,12 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         "implied_c_max_spread": max(spreads) if spreads else 0.0,
         "operators": _OPERATORS,
     }
-    return _base_report(doc, "pass" if ok_all else "failed", limits, {})
+    return _base_report(doc, _suite_verdict(rows), limits, {})
 
 
 def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
     families = doc.get("families", _FAMILIES)
     rows = []
-    ok_all = True
     checked = 0
     skipped = 0
     worst_ratio = 0.0
@@ -567,7 +557,6 @@ def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
         doubling = doubling_check(omega)
         class_ok = math.isfinite(dini_integral(omega)) == fam["dini"]
         base_ok = monotone and at_zero and doubling and class_ok
-        ok_all = ok_all and base_ok
         rows.append([fam["id"], "invariants", "", "", "", int(base_ok)])
 
         for lam in _LAMS:
@@ -583,7 +572,6 @@ def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
                     ok = tail <= bound * (1.0 + 1e-9)
                     if bound > 0.0:
                         worst_ratio = max(worst_ratio, tail / bound)
-                ok_all = ok_all and ok
                 rows.append([fam["id"], "tail_sum", repr(lam), k0,
                              repr(float(tail)), int(ok)])
 
@@ -595,4 +583,4 @@ def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
         "combos_skipped_out_of_domain": skipped,
         "max_tail_to_bound": worst_ratio,
     }
-    return _base_report(doc, "pass" if ok_all else "failed", limits, {})
+    return _base_report(doc, _suite_verdict(rows), limits, {})

@@ -7,6 +7,7 @@ the gate stays fast enough to run on every change.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -177,6 +178,18 @@ def test_criterion_8_modulus_suite(out_dir):
                 f"{limits['combos_checked']} tail sums within bounds "
                 f"(worst ratio {limits['max_tail_to_bound']:.3f}); "
                 f"{elapsed:.1f}s <= 10s")
+
+
+def test_suite_verdicts_read_their_trace_ok_column(out_dir, solver_report):
+    # a check suite passes exactly when every row of its trace has ok = 1
+    reports = {"solver_validation": solver_report[0],
+               "modulus_check": run_scenario(load_scenario("modulus_check"),
+                                             out_dir)}
+    for name, report in reports.items():
+        with open(out_dir / f"{name}_trace.csv", newline="") as fh:
+            oks = [row["ok"] for row in csv.DictReader(fh)]
+        assert oks and set(oks) <= {"0", "1"}
+        assert (report["verdict"] == "pass") == all(ok == "1" for ok in oks)
 
 
 def scaled_problem(base, s: float):

@@ -153,7 +153,7 @@ def test_run_bundled_zero_case(tmp_path, capsys):
 def test_run_matches_golden_report(tmp_path):
     assert main(["run", "zero_case", "--out", str(tmp_path)]) == 0
     fresh = json.loads((tmp_path / "zero_case_report.json").read_text())
-    golden = json.loads(open(GOLDEN).read())
+    golden = json.loads(Path(GOLDEN).read_text())
     assert fresh == golden
 
 
@@ -343,6 +343,19 @@ def test_modulus_check_just_above_the_dini_threshold(tmp_path):
     assert all(math.isfinite(float(row["value"])) for row in tails)
 
 
+def test_modulus_check_with_a_wrong_dini_flag_fails(tmp_path):
+    # 1/ln(1/t) is not Dini, so the family's declared flag is wrong
+    path = write_modulus_doc(tmp_path, "log_power:1.0")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "custom_report.json").read_text())
+    assert report["verdict"] == "failed"
+    with open(out / "custom_trace.csv", newline="") as fh:
+        oks = [row["ok"] for row in csv.DictReader(fh)]
+    assert oks[0] == "0"  # the invariants row: the Dini class disagrees
+    assert "1" not in oks  # and no tail sum of a non-Dini family is finite
+
+
 def test_non_finite_modulus_table_exits_2(tmp_path, capsys):
     # a table with bad content is a malformed scenario, like a bad parameter
     table = tmp_path / "nan.csv"
@@ -415,6 +428,19 @@ def test_report_table_sorted_by_verdict_then_id(tmp_path, capsys):
     assert rows[0]["worst_margin"] == "inf"
     assert main(["--strict", "report", str(tmp_path),
                  "--out", str(tmp_path)]) == 1
+
+
+def test_report_summary_quotes_an_id_with_a_comma(tmp_path, capsys):
+    path = write_scenario(tmp_path, name="a,b")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["report", str(tmp_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with (tmp_path / "summary.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert None not in rows[0]  # no field beyond the header's six
+    assert rows[0]["scenario_id"] == "a,b"
+    assert rows[0]["verdict"] == "C1_certified"
 
 
 def test_report_accepts_single_file(tmp_path, capsys):

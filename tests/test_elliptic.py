@@ -20,11 +20,10 @@ from regprobe.elliptic import (
     abp_check,
     assemble,
     convergence_order,
-    frozen_operator,
     solve_dirichlet,
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
-from regprobe.fields import CoefficientField
+from regprobe.fields import CoefficientField, constant_field
 from regprobe.grid import DiscreteField, DiskGrid, bicubic_sampler
 from regprobe.manufactured import get_problem
 
@@ -115,6 +114,14 @@ def test_field_role_validation():
     bad[0] = np.nan
     with pytest.raises(FieldValidationError):
         DiscreteField(grid, bad, "solution")
+
+
+def test_boundary_field_checks_its_length():
+    # one value per boundary point, as an interior field has one per node
+    grid = DiskGrid(1.0, 1.0 / 16)
+    for fn in (lambda p: 1.0, lambda p: np.zeros(len(p) - 1)):
+        with pytest.raises(FieldValidationError, match="boundary field has"):
+            grid.boundary_from_function(fn)
 
 
 def test_bicubic_sampler_reads_node_values_only():
@@ -247,7 +254,7 @@ def test_constant_coeff_rotated_oracle():
         return y[:, 0] ** 2 - y[:, 1] ** 2
 
     grid = DiskGrid(1.0, 1.0 / 32)
-    u = solve_dirichlet(frozen_operator(a0, grid), grid.zeros(),
+    u = solve_dirichlet(assemble(constant_field(a0), grid), grid.zeros(),
                         grid.boundary_from_function(u_exact))
     assert np.max(np.abs(u.values - u_exact(grid.coords))) < 1e-8
 
@@ -255,9 +262,53 @@ def test_constant_coeff_rotated_oracle():
 def test_constant_coeff_rejects_indefinite():
     grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(FieldValidationError):
-        frozen_operator(np.array([[1.0, 2.0], [2.0, 1.0]]), grid)
+        assemble(constant_field([[1.0, 2.0], [2.0, 1.0]]), grid)
     with pytest.raises(FieldValidationError):
-        frozen_operator(np.eye(3), grid)
+        assemble(constant_field(np.eye(3)), grid)
+
+
+def assert_same_operator(op, oracle):
+    # bit for bit: the matrices' structure and entries, and the row scales
+    for got, want in ((op.matrix, oracle.matrix),
+                      (op.boundary_matrix, oracle.boundary_matrix)):
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert op.row_scale.tobytes() == oracle.row_scale.tobytes()
+    assert (op.order is None) == (oracle.order is None)
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_constant_fields_assemble_like_a_hand_built_oracle(monkeypatch):
+    grid = DiskGrid(1.0, 1.0 / 16)
+    # the bundled problems have a = I and the drift b = (b1, 0)
+    for name, b1 in (("zero_case", 0.0), ("drift_c1", 1.0),
+                     ("cubic_c11", 0.1), ("nondini_c11", 0.0)):
+        assert_same_operator(assemble(get_problem(name).field, grid),
+                             assemble(const_field(1.0, 1.0, 0.0, b1), grid))
+    smooth = {name: field for name, field, _, _ in scenarios._SMOOTH_CASES}
+    for name, oracle in (("drift_exponential", const_field(1.0, 1.0, 0.0, 1.0)),
+                         ("mixed_derivative", const_field(1.0, 1.0, 0.2))):
+        assert_same_operator(assemble(smooth[name], grid),
+                             assemble(oracle, grid))
+
+    # the solver suite's frozen quadratic: its first assembly is that field's
+    seen = []
+
+    def capture(field, grid):
+        seen.append(field)
+        raise _Captured
+
+    monkeypatch.setattr(scenarios, "convergence_order", lambda *args: 2.0)
+    monkeypatch.setattr(scenarios, "assemble", capture)
+    with pytest.raises(_Captured):
+        scenarios.run_scenario(scenarios.load_scenario("solver_validation"),
+                               "unused")
+    assert_same_operator(assemble(seen[0], grid),
+                         assemble(const_field(1.2, 0.9, 0.3), grid))
 
 
 def test_solver_error_carries_history(monkeypatch):
@@ -406,7 +457,7 @@ def test_factor_pins_mmap_threshold(monkeypatch):
         monkeypatch.setattr(elliptic, "_MALLOPT",
                             lambda *args: calls.append(args))
         a0 = np.array([[1.0, a12], [a12, 1.0]])
-        op = frozen_operator(a0, DiskGrid(1.0, 1.0 / 16))
+        op = assemble(constant_field(a0), DiskGrid(1.0, 1.0 / 16))
         assert (op.order is None) == (a12 == 0.0)
         op.factor
         assert calls == [(-3, 4 << 20)]

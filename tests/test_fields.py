@@ -18,6 +18,17 @@ def test_field_constructor_validation():
         dataclasses.replace(problem, drift_bound=-1.0)
 
 
+def test_constant_field_checks_its_shapes():
+    with pytest.raises(FieldValidationError, match="2x2"):
+        fields.constant_field(np.eye(3))
+    with pytest.raises(FieldValidationError, match="two entries"):
+        fields.constant_field(np.eye(2), (1.0, 0.0, 0.0))
+    field = fields.constant_field([[2.0, 0.5], [0.5, 1.0]], (0.3, -0.1))
+    pts = np.zeros((3, 2))
+    assert np.array_equal(field.eval_a(pts), np.tile([[2.0, 0.5], [0.5, 1.0]], (3, 1, 1)))
+    assert np.array_equal(field.eval_b(pts), np.tile([0.3, -0.1], (3, 1)))
+
+
 def polar_integral(g, r, nr=1000, ntheta=1000):
     # midpoint product rule in (radius, angle); the reference oracle for ball
     # integrals in this file
