@@ -50,9 +50,28 @@ SOLVER_RTOL = 1e-11
 # 2-vCPU VM one solver_validation input peaked at 203 MB or 243 MB.  Pinned at 4 MB
 # (mallopt's -3), such blocks are mapped and unmapped whole; every process: 194 MB.
 try:
-    _MALLOPT = ctypes.CDLL(None).mallopt
-except (AttributeError, OSError, TypeError):  # no mallopt in this C library
-    _MALLOPT = None
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):  # no C library to load
+    _LIBC = None
+_MALLOPT = getattr(_LIBC, "mallopt", None)  # None where the C library lacks it
+_MALLOC_TRIM = getattr(_LIBC, "malloc_trim", None)
+
+
+def trim_heap() -> None:
+    """Hand what every thread's malloc arena holds free back to the system."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+class _computed_once(cached_property):
+    """``cached_property`` without the lock that Python 3.11 shares among all
+    instances and holds while it computes, which lets one thread factor at a
+    time; two threads that read one new value both compute it."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 @dataclass(frozen=True)
@@ -74,12 +93,12 @@ class LinearOperator:
         """Evaluate the discrete operator given interior and boundary values."""
         return self.matrix @ interior + self.boundary_matrix @ boundary
 
-    @cached_property
+    @_computed_once
     def equilibrated(self) -> sp.csc_matrix:
         """The interior matrix with every row divided by its row scale."""
         return (sp.diags(1.0 / self.row_scale) @ self.matrix).tocsc()
 
-    @cached_property
+    @_computed_once
     def _red_black(self):
         """The red-black split of a 5-point ``equilibrated`` = A.
 
@@ -95,7 +114,7 @@ class LinearOperator:
         c_rb = (sp.diags(1.0 / d) @ a[red][:, black]).tocsr()
         return red, black, d, a_br, c_rb
 
-    @cached_property
+    @_computed_once
     def factor(self):
         """Sparse LU factor, computed once.
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from importlib import resources
 from pathlib import Path
 
@@ -41,7 +42,8 @@ from .campanato import (
     trace_rows,
     verify_recurrence,
 )
-from .elliptic import abp_check, assemble, convergence_order, solve_dirichlet
+from .elliptic import (abp_check, assemble, convergence_order, solve_dirichlet,
+                       trim_heap)
 from .errors import RegistryError, ScenarioError, SchemaVersionError
 from .fields import CoefficientField, constant_field
 from .grid import DiskGrid
@@ -66,13 +68,16 @@ _MAX_CELLS = math.sqrt(_GRID_BUDGET_BYTES / (math.pi * _NODE_BYTES))
 
 # The fixed suites.  lemma25_sweep passes when the sweep's log-log slope
 # reaches _MIN_SLOPE.  solver_validation fits its convergence orders on
-# _RESOLUTIONS and draws _OPERATORS randomized operators from the seed.
+# _RESOLUTIONS and draws _OPERATORS randomized operators from the seed,
+# which _WORKERS threads check: SuperLU lets go of the GIL while it factors,
+# and two threads bound the live fine-grid factors at two.
 # modulus_check sums each family's tails at every ratio of _LAMS from
 # k0 = 1 to _K0_MAX; a document may name its own families (a table: file,
 # say) in place of the built-in ones.
 _MIN_SLOPE = 0.15
 _RESOLUTIONS = (1 / 32, 1 / 64, 1 / 128)
 _OPERATORS = 20
+_WORKERS = 2
 _LAMS = (0.125, 0.2, 0.25)
 _K0_MAX = 6
 _FAMILIES = (
@@ -473,7 +478,10 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
 
     One grid per spacing serves every check, and each randomized operator
     is assembled once per spacing, so its maximum-principle and implied-C
-    solves on the coarse grid share one LU factor.
+    solves on the coarse grid share one LU factor.  The operators are drawn
+    from the seed in order and checked on ``_WORKERS`` threads; their rows
+    come back in operator order, and the first failure in that order is
+    raised, so the artifacts and errors are those of a serial loop.
     """
     rng = np.random.default_rng(doc.get("seed", _DEFAULT_SEED))
     hs = _RESOLUTIONS
@@ -498,20 +506,18 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         rows.append(["frozen_quadratic", "exact", repr(grid.h), repr(err),
                      int(ok)])
 
-    mp_excess = []
-    spreads = []
     coarse, fine = grids[:2]
-    for i in range(_OPERATORS):
-        field, boundary_fn, forcing_fn = _random_operator(rng)
+    # the workers share these grids; fill their cached arrays first
+    for grid in (coarse, fine):
+        grid.dissection_order, grid.node_weights
+
+    def check_operator(i, field, boundary_fn, forcing_fn):
         op = assemble(field, coarse)
         bc = coarse.boundary_from_function(boundary_fn)
         u0 = solve_dirichlet(op, coarse.zeros(), bc)
         excess = float(np.max(u0.values) - np.max(bc.values))
-        mp_excess.append(excess)
-        ok = excess <= 1e-10
-        rows.append([f"op{i:02d}", "max_principle", repr(coarse.h),
-                     repr(excess), int(ok)])
-
+        op_rows = [[f"op{i:02d}", "max_principle", repr(coarse.h),
+                    repr(excess), int(excess <= 1e-10)]]
         implied = []
         for o in (op, assemble(field, fine)):
             f = o.grid.field_from_function(forcing_fn)
@@ -519,14 +525,26 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
             uf = solve_dirichlet(o, f, b)
             implied_C, passed = abp_check(uf, f, b)
             implied.append(implied_C)
-            rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
-                         repr(float(implied_C)), int(passed)])
+            op_rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
+                            repr(float(implied_C)), int(passed)])
         spread = abs(implied[0] - implied[1]) / max(abs(implied[0]),
                                                     abs(implied[1]), 1e-300)
-        spreads.append(spread)
-        ok = spread <= 0.2
-        rows.append([f"op{i:02d}", "implied_c_spread", repr(fine.h),
-                     repr(spread), int(ok)])
+        op_rows.append([f"op{i:02d}", "implied_c_spread", repr(fine.h),
+                        repr(spread), int(spread <= 0.2)])
+        return excess, spread, op_rows
+
+    draws = [_random_operator(rng) for _ in range(_OPERATORS)]
+    pool = ThreadPoolExecutor(_WORKERS)
+    futures = [pool.submit(check_operator, i, *draw)
+               for i, draw in enumerate(draws)]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:  # after a failure or an interrupt no other operator starts
+        pool.shutdown(cancel_futures=True)
+    results = [future.result() for future in futures]
+    trim_heap()
+    mp_excess, spreads, chunks = zip(*results)
+    rows.extend(row for chunk in chunks for row in chunk)
 
     _write_rows(out_dir / f"{doc['id']}_trace.csv",
                 ["case", "kind", "h", "value", "ok"], rows)

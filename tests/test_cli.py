@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from regprobe import campanato, cli, scenarios
 from regprobe.cli import main
-from regprobe.errors import ScenarioError
+from regprobe.errors import ScenarioError, SolverError
 from regprobe.scenarios import (
     bundled_names,
     load_scenario,
@@ -639,6 +640,69 @@ def test_solver_validation_factors_each_operator_once(tmp_path, monkeypatch,
     assert report["verdict"] == "pass"
     assert report["limits"]["operators"] == 2
     assert report["flags"]["seed"] == 20260822
+
+
+# The randomized operators run on scenarios._WORKERS threads; one worker
+# is the serial order, and the artifacts must not tell the two apart.
+def test_solver_validation_threads_change_no_byte(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_OPERATORS", 4)
+    # a convergence study without its 128-cell grid
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 32, 1 / 48, 1 / 64))
+    artifacts = []
+    for workers in (scenarios._WORKERS, 1):
+        monkeypatch.setattr(scenarios, "_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert main(["run", "solver_validation", "--out", str(out)]) == 0
+        artifacts.append({path.name: path.read_bytes()
+                          for path in sorted(out.iterdir())})
+    assert sorted(artifacts[0]) == ["solver_validation_report.json",
+                                    "solver_validation_trace.csv"]
+    assert artifacts[0] == artifacts[1]
+
+
+def test_solver_validation_raises_the_first_failed_operator(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 16, 1 / 24, 1 / 36))
+    # each operator's assemblies map its operators (kept alive, so that no
+    # id is reused) to the operator's index
+    draws, index = [], {}
+    draw, assemble = scenarios._random_operator, scenarios.assemble
+
+    def tagged_draw(rng):
+        drawn = draw(rng)
+        draws.append(drawn[0])
+        return drawn
+
+    def tagged_assemble(field, grid):
+        op = assemble(field, grid)
+        for i, drawn in enumerate(draws):
+            if drawn is field:
+                index[id(op)] = (op, i)
+        return op
+
+    started = set()
+    solve = scenarios.solve_dirichlet
+
+    def failing_solve(op, rhs, boundary):
+        if id(op) not in index:
+            return solve(op, rhs, boundary)
+        i = index[id(op)][1]
+        started.add(i)
+        if i in (1, 3):
+            raise SolverError(f"op{i:02d} failed on purpose")
+        time.sleep(0.05)
+        return solve(op, rhs, boundary)
+
+    monkeypatch.setattr(scenarios, "_random_operator", tagged_draw)
+    monkeypatch.setattr(scenarios, "assemble", tagged_assemble)
+    monkeypatch.setattr(scenarios, "solve_dirichlet", failing_solve)
+    assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 4
+    assert "error: op01 failed on purpose" in capsys.readouterr().err
+    # op00 still solves when op01 fails; no operator after the one the
+    # freed worker may have taken starts, op03 included
+    assert {0, 1} <= started <= {0, 1, 2}
+    assert len(draws) == scenarios._OPERATORS
+    assert not list(tmp_path.iterdir())
 
 
 # validate-solver runs the bundled document and takes no flags of its own;

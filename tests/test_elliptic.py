@@ -8,6 +8,7 @@ matrices, and smooth manufactured problems pin the convergence order.
 from __future__ import annotations
 
 import platform
+import threading
 import warnings
 
 import numpy as np
@@ -461,6 +462,52 @@ def test_factor_pins_mmap_threshold(monkeypatch):
         assert (op.order is None) == (a12 == 0.0)
         op.factor
         assert calls == [(-3, 4 << 20)]
+
+
+def test_solver_validation_trims_the_heap_once(tmp_path, monkeypatch):
+    if platform.libc_ver()[0] == "glibc":
+        assert elliptic._MALLOC_TRIM is not None
+    # the worker threads' malloc arenas keep what SuperLU freed; one trim
+    # after the randomized operators hands it back before the next pass
+    calls = []
+    monkeypatch.setattr(elliptic, "_MALLOC_TRIM",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(scenarios, "_OPERATORS", 2)
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 32, 1 / 48, 1 / 64))
+    assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 0
+    assert calls == [(0,)]
+
+
+def test_two_threads_factor_two_operators_at_once(monkeypatch):
+    # functools.cached_property on Python 3.11 holds one lock for every
+    # instance while it computes, which would let solver_validation's
+    # worker threads factor only one operator at a time
+    entered, released, done = (threading.Event() for _ in range(3))
+    splu = elliptic.spla.splu
+
+    def first_call_waits(matrix, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            released.wait(10)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(elliptic.spla, "splu", first_call_waits)
+    grid = DiskGrid(1.0, 1.0 / 16)
+    ops = [assemble(constant_field([[1.0, a12], [a12, 1.0]]), grid)
+           for a12 in (0.2, 0.3)]
+    waiting = threading.Thread(target=lambda: ops[0].factor)
+    waiting.start()
+    assert entered.wait(10)
+    other = threading.Thread(target=lambda: (ops[1].factor, done.set()))
+    other.start()
+    try:
+        assert done.wait(10)
+    finally:
+        released.set()
+        waiting.join()
+        other.join()
+    for op in ops:
+        assert op.factor is op.factor
 
 
 def test_dissection_order_is_a_permutation_fixed_by_the_geometry():
