@@ -281,23 +281,23 @@ def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
     return gap / w.sup_norm()
 
 
-def taylor_fit(h: DiscreteField, fit_radius, order, a0=None) -> QuadApprox:
+def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
     """Polynomial behaviour of h at the origin by least squares.
 
-    Fits over the nodes within ``fit_radius`` (which must span at least 4
-    grid spacings).  An order-1 fit is affine, G = 0.  For order 2 the
-    quadratic part is projected onto the subspace with vanishing
+    Fits over the nodes within LAM, the scale ratio (which must span at
+    least 4 grid spacings).  An order-1 fit is affine, G = 0.  For order 2
+    the quadratic part is projected onto the subspace with vanishing
     frozen-coefficient trace, so the fit satisfies sum a0_ij * 2 G_ij = 0.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = h.grid
-    if fit_radius < 4.0 * grid.h * (1.0 - 1e-12):
+    if LAM < 4.0 * grid.h * (1.0 - 1e-12):
         raise FitError(
-            f"fit radius {fit_radius} spans fewer than 4 spacings of {grid.h}"
+            f"fit radius {LAM} spans fewer than 4 spacings of {grid.h}"
         )
     d = h.points
-    mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= fit_radius * fit_radius
+    mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= LAM * LAM
     d = d[mask]
     vals = h.values[mask]
     cols = [np.ones(len(d)), d[:, 0], d[:, 1]]
@@ -307,7 +307,7 @@ def taylor_fit(h: DiscreteField, fit_radius, order, a0=None) -> QuadApprox:
     sol, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
     if rank < design.shape[1]:
         raise FitError(
-            f"rank-deficient fit: {len(d)} nodes inside radius {fit_radius}"
+            f"rank-deficient fit: {len(d)} nodes inside radius {LAM}"
         )
     G = np.zeros((2, 2))
     if order == 2:
@@ -445,7 +445,7 @@ def _run_ladder(problem, K: int, order: int, u_data):
             return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
 
         h_field = approximate(rescaled_gap, comparison)
-        inc = taylor_fit(h_field, LAM, order, a0=a0)
+        inc = taylor_fit(h_field, order, a0=a0)
         # the unit-ball increment, fitted at scale LAM^k, folded in
         approx = QuadApprox(approx.E + scale * scale * inc.E,
                             approx.F + scale * inc.F, approx.G + inc.G)
@@ -719,7 +719,7 @@ def _one_step_linear(u_field, v_fn, frozen):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    inc = taylor_fit(approximate(w_fn, frozen), LAM, 1)
+    inc = taylor_fit(approximate(w_fn, frozen), 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), LAM)
     return M0, M1 / LAM
 
@@ -745,16 +745,13 @@ def calibrate_constants() -> dict:
     grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
     frozen = comparison_operator(np.eye(2))
     steps = np.zeros((n_train, len(SWEEP_EPSILONS), 2))
-    hold_ratios = np.zeros((len(shapes) - n_train, len(SWEEP_EPSILONS)))
     for j, eps in enumerate(SWEEP_EPSILONS):
         op = assemble(_perturbed_field(eps), grid)
-        for i, (_, shape_fn) in enumerate(shapes):
-            w = approximate(shape_fn, op)
-            if i < n_train:
-                steps[i, j] = _one_step_linear(
-                    w, lambda pts: np.zeros(len(pts)), frozen)
-            else:
-                hold_ratios[i - n_train, j] = _gap_ratio(w, frozen)
+        for i, (_, shape_fn) in enumerate(shapes[:n_train]):
+            steps[i, j] = _one_step_linear(
+                approximate(shape_fn, op), lambda pts: np.zeros(len(pts)),
+                frozen)
+    hold_ratios = perturbation_sweep().ratios[n_train:]
 
     num = 0.0
     den = 0.0

@@ -30,7 +30,6 @@ from __future__ import annotations
 import ctypes
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +37,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import AnisotropyError, FieldValidationError, SolverError
 from .fields import CoefficientField
-from .grid import AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid
+from .grid import (AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid,
+                   _computed_once)
 
 ANISOTROPY_LIMIT = 5.0
 
@@ -61,17 +61,6 @@ def trim_heap() -> None:
     """Hand what every thread's malloc arena holds free back to the system."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
-
-
-class _computed_once(cached_property):
-    """``cached_property`` without the lock that Python 3.11 shares among all
-    instances and holds while it computes, which lets one thread factor at a
-    time; two threads that read one new value both compute it."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 @dataclass(frozen=True)

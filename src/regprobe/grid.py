@@ -33,6 +33,17 @@ _ROLES = ("solution", "rhs", "boundary")
 DISSECTION_LEAF = 8
 
 
+class _computed_once(cached_property):
+    """``cached_property`` without the lock that Python 3.11 shares among all
+    instances and holds while it computes, which lets one thread factor at a
+    time; two threads that read one new value both compute it."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
 def dissection_order(ij: np.ndarray) -> np.ndarray:
     """Lattice nested-dissection order of the integer points ``ij``.
 
@@ -159,7 +170,7 @@ class DiskGrid:
     def n_boundary(self) -> int:
         return len(self.boundary_points)
 
-    @cached_property
+    @_computed_once
     def node_weights(self) -> np.ndarray:
         """Midpoint-cell quadrature weights for the interior nodes.
 
@@ -188,7 +199,7 @@ class DiskGrid:
         w.flags.writeable = False
         return w
 
-    @cached_property
+    @_computed_once
     def lattice(self) -> np.ndarray:
         """The int64 lattice indices (i, j) of each interior node.
 
@@ -199,12 +210,12 @@ class DiskGrid:
         ij.flags.writeable = False
         return ij
 
-    @cached_property
+    @_computed_once
     def dissection_order(self) -> np.ndarray:
         """``dissection_order`` of ``lattice``, computed once; read-only."""
         return dissection_order(self.lattice)
 
-    @cached_property
+    @_computed_once
     def black_order(self) -> np.ndarray:
         """The black nodes (i + j odd), ordered by ``dissection_order`` of
         their own lattice, rotated by 45 degrees: (i + j, i - j) // 2 =
@@ -221,7 +232,7 @@ class DiskGrid:
 
     def boundary_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.boundary_points), dtype=float)
-        return DiscreteField(self, vals, "boundary", points=self.boundary_points)
+        return DiscreteField(self, vals, "boundary")
 
     def zeros(self) -> "DiscreteField":
         return DiscreteField(self, np.zeros(self.n_interior), "rhs")
@@ -230,22 +241,17 @@ class DiskGrid:
 @dataclass(frozen=True)
 class DiscreteField:
     """Nodal values bound to a grid, tagged by role: one value per point,
-    and the points are the role's nodes unless given."""
+    and the role fixes the points."""
 
     grid: DiskGrid
     values: np.ndarray
     role: str
-    points: np.ndarray = None
 
     def __post_init__(self):
         if self.role not in _ROLES:
             raise FieldValidationError(f"unknown field role {self.role!r}")
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if self.points is None:
-            object.__setattr__(self, "points", (
-                self.grid.boundary_points if self.role == "boundary"
-                else self.grid.coords))
         expected = len(self.points)
         if vals.shape != (expected,):
             raise FieldValidationError(
@@ -253,6 +259,12 @@ class DiscreteField:
             )
         if not np.all(np.isfinite(vals)):
             raise FieldValidationError(f"{self.role} field contains non-finite values")
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid's boundary points for a boundary field, else its nodes."""
+        return (self.grid.boundary_points if self.role == "boundary"
+                else self.grid.coords)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
@@ -269,8 +281,6 @@ def bicubic_sampler(field: DiscreteField):
     if field.role == "boundary":
         raise FieldValidationError("cannot interpolate a boundary-trace field")
     grid = field.grid
-    if field.points is not grid.coords:
-        raise FieldValidationError("can interpolate only values at the grid's nodes")
     m = int(math.floor(grid.radius / grid.h + 1e-12)) + 1
     lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
     ij = grid.lattice

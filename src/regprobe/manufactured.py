@@ -36,6 +36,8 @@ from .modulus import Modulus, log_power, zero_modulus
 class ManufacturedProblem:
     """A probe problem with exact solution and frozen-coefficient potential.
 
+    ``u`` is also the Dirichlet data: a numeric run reads it on the circle.
+
     Its constants are the hypotheses at the origin, declared rather than
     measured:
 
@@ -51,7 +53,6 @@ class ManufacturedProblem:
     field: CoefficientField
     nonlinearity: Nonlinearity
     u: object
-    boundary: object
     potential: PotentialFamily
     ellipticity: float
     drift_bound: float
@@ -303,7 +304,6 @@ def _build_zero_case():
             modulus=zero_modulus(),
         ),
         u=_quadratic,
-        boundary=_quadratic,
         potential=PotentialFamily(_quadratic, 2.0),
         ellipticity=1.0,
         drift_bound=0.0,
@@ -322,7 +322,6 @@ def _build_drift_c1():
             modulus=zero_modulus(),
         ),
         u=_drift_u,
-        boundary=lambda pts: np.ones(len(np.atleast_2d(pts))),
         potential=PotentialFamily(_quadratic, 2.0),
         ellipticity=1.0,
         # b = (b1, 0) has L^4(B_1) norm |b1| pi^(1/4), here and in cubic_c11
@@ -351,7 +350,6 @@ def _build_cubic_c11():
             modulus=zero_modulus(),
         ),
         u=_quadratic,
-        boundary=_quadratic,
         potential=PotentialFamily(v, 2.0 + 2.0 * _CUBIC_BETA),
         ellipticity=1.0,
         drift_bound=_CUBIC_BETA * math.pi ** 0.25,
@@ -370,7 +368,6 @@ def _build_nondini_c11():
             modulus=log_power(1.0),
         ),
         u=_nondini_u,
-        boundary=_nondini_u,
         potential=PotentialFamily(_quadratic, 2.0),
         ellipticity=1.0,
         drift_bound=0.0,

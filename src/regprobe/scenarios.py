@@ -289,17 +289,9 @@ def atomic_write_text(path, text: str) -> None:
             f"cannot write {path}: {exc}") from exc
 
 
-def _write_report(report: dict, path) -> None:
-    atomic_write_text(path, json.dumps(sanitize(report), indent=2,
-                                       allow_nan=False) + "\n")
-
-
 def _write_rows(path, header, rows) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf).writerows([header, *rows])
     atomic_write_text(path, buf.getvalue())
 
 
@@ -311,16 +303,11 @@ def _suite_verdict(rows) -> str:
 def run_scenario(doc: dict, out_dir) -> dict:
     """Execute a validated scenario; write its artifacts; return the report."""
     out_dir = Path(doc.get("output_dir", out_dir))
-    mode = doc["mode"]
-    if mode in ("c1", "c11"):
-        report = _run_probe(doc, out_dir)
-    elif mode == "lemma25_sweep":
-        report = _run_sweep(doc, out_dir)
-    elif mode == "solver_validation":
-        report = _run_solver_validation(doc, out_dir)
-    else:
-        report = _run_modulus_check(doc, out_dir)
-    _write_report(report, out_dir / f"{doc['id']}_report.json")
+    header, rows, report = _RUNNERS[doc["mode"]](doc)
+    _write_rows(out_dir / f"{doc['id']}_trace.csv", header, rows)
+    atomic_write_text(out_dir / f"{doc['id']}_report.json",
+                      json.dumps(sanitize(report), indent=2,
+                                 allow_nan=False) + "\n")
     return report
 
 
@@ -339,7 +326,7 @@ def _base_report(doc: dict, verdict: str, limits: dict, flags: dict) -> dict:
     }
 
 
-def _run_probe(doc: dict, out_dir: Path) -> dict:
+def _run_probe(doc: dict) -> tuple:
     problem = get_problem(doc["problem"])
     K = doc.get("iteration", {}).get("K", _DEFAULT_K)
     u = solved = None
@@ -347,7 +334,7 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
         cells = doc["grid"]["cells"]
         grid = DiskGrid(1.0, 1.0 / cells)
         op = assemble(problem.field, grid)
-        boundary = grid.boundary_from_function(problem.boundary)
+        boundary = grid.boundary_from_function(problem.u)
         picard = PicardConfig(**doc.get("picard", {}))
         solved = picard_solve(op, problem.nonlinearity, boundary, picard)
         u = solved.u
@@ -356,9 +343,6 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     trace = probe(problem, K, u=u)
     cert = certificate(trace)
     rec = verify_recurrence(trace) if len(trace.records) >= 2 else None
-
-    _write_rows(out_dir / f"{doc['id']}_trace.csv", *trace_rows(trace))
-
     last = trace.records[-1]
     limits = {
         "final_n": cert.final_n,
@@ -379,18 +363,16 @@ def _run_probe(doc: dict, out_dir: Path) -> dict:
     # thresholds the ladder ran with
     iteration = {"lam": LAM, "K": K, "C0": C0, "C1": C1, "C2": C2,
                  "alpha": ALPHA, "cert_tol": CERT_TOL, "safety": SAFETY}
-    return _base_report(dict(doc, iteration=iteration), cert.verdict,
-                        limits, flags)
+    return (*trace_rows(trace), _base_report(
+        dict(doc, iteration=iteration), cert.verdict, limits, flags))
 
 
-def _run_sweep(doc: dict, out_dir: Path) -> dict:
+def _run_sweep(doc: dict) -> tuple:
     sweep = perturbation_sweep()
     rows = []
     for i, shape in enumerate(sweep.shapes):
         for j, e in enumerate(SWEEP_EPSILONS):
             rows.append([repr(float(e)), shape, repr(float(sweep.ratios[i, j]))])
-    _write_rows(out_dir / f"{doc['id']}_trace.csv",
-                ["epsilon", "shape", "ratio"], rows)
     verdict = "pass" if sweep.slope >= _MIN_SLOPE else "failed"
     limits = {
         "slope": sweep.slope,
@@ -399,7 +381,8 @@ def _run_sweep(doc: dict, out_dir: Path) -> dict:
         "epsilons": list(SWEEP_EPSILONS),
         "mean_ratios": np.mean(sweep.ratios, axis=0),
     }
-    return _base_report(doc, verdict, limits, {"shapes": list(sweep.shapes)})
+    return (["epsilon", "shape", "ratio"], rows,
+            _base_report(doc, verdict, limits, {"shapes": list(sweep.shapes)}))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -473,7 +456,7 @@ def _exact_quadratic(pts):
             + 0.5 * x - 0.3 * y + 0.25)
 
 
-def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
+def _run_solver_validation(doc: dict) -> tuple:
     """Convergence orders, the exact quadratic and the randomized operators.
 
     One grid per spacing serves every check, and each randomized operator
@@ -481,7 +464,8 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     solves on the coarse grid share one LU factor.  The operators are drawn
     from the seed in order and checked on ``_WORKERS`` threads; their rows
     come back in operator order, and the first failure in that order is
-    raised, so the artifacts and errors are those of a serial loop.
+    raised, so the artifacts and errors are those of a serial loop.  The
+    workers share two grids, whose arrays two workers may both compute.
     """
     rng = np.random.default_rng(doc.get("seed", _DEFAULT_SEED))
     hs = _RESOLUTIONS
@@ -507,9 +491,6 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
                      int(ok)])
 
     coarse, fine = grids[:2]
-    # the workers share these grids; fill their cached arrays first
-    for grid in (coarse, fine):
-        grid.dissection_order, grid.node_weights
 
     def check_operator(i, field, boundary_fn, forcing_fn):
         op = assemble(field, coarse)
@@ -546,8 +527,6 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
     mp_excess, spreads, chunks = zip(*results)
     rows.extend(row for chunk in chunks for row in chunk)
 
-    _write_rows(out_dir / f"{doc['id']}_trace.csv",
-                ["case", "kind", "h", "value", "ok"], rows)
     limits = {
         "orders": orders,
         "exact_sup_error": max(exact_errs),
@@ -555,10 +534,11 @@ def _run_solver_validation(doc: dict, out_dir: Path) -> dict:
         "implied_c_max_spread": max(spreads) if spreads else 0.0,
         "operators": _OPERATORS,
     }
-    return _base_report(doc, _suite_verdict(rows), limits, {})
+    return (["case", "kind", "h", "value", "ok"], rows,
+            _base_report(doc, _suite_verdict(rows), limits, {}))
 
 
-def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
+def _run_modulus_check(doc: dict) -> tuple:
     families = doc.get("families", _FAMILIES)
     rows = []
     checked = 0
@@ -593,12 +573,17 @@ def _run_modulus_check(doc: dict, out_dir: Path) -> dict:
                 rows.append([fam["id"], "tail_sum", repr(lam), k0,
                              repr(float(tail)), int(ok)])
 
-    _write_rows(out_dir / f"{doc['id']}_trace.csv",
-                ["family", "kind", "lam", "k0", "value", "ok"], rows)
     limits = {
         "families": len(families),
         "combos_checked": checked,
         "combos_skipped_out_of_domain": skipped,
         "max_tail_to_bound": worst_ratio,
     }
-    return _base_report(doc, _suite_verdict(rows), limits, {})
+    return (["family", "kind", "lam", "k0", "value", "ok"], rows,
+            _base_report(doc, _suite_verdict(rows), limits, {}))
+
+
+# mode -> runner: doc -> (trace header, trace rows, report), writing nothing
+_RUNNERS = {"c1": _run_probe, "c11": _run_probe, "lemma25_sweep": _run_sweep,
+            "solver_validation": _run_solver_validation,
+            "modulus_check": _run_modulus_check}

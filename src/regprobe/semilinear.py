@@ -114,9 +114,10 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
         r = lin - u
         if len(increments) >= 2 and step < increments[-2]:
             dr = r - r_prev
-            dr_dr = float(dr @ dr)
+            # not BLAS dot: its summation order follows the thread count
+            dr_dr = float(np.sum(dr * dr))
             if dr_dr > 0.0:
-                gamma = float(dr @ r) / dr_dr
+                gamma = float(np.sum(dr * r)) / dr_dr
                 new -= gamma * ((u - u_prev) + theta * dr)
         u_prev, r_prev, u = u, r, new
         if len(increments) >= 2 and step > increments[-2] and not halved:

@@ -138,6 +138,30 @@ def test_benchmark_probe_reports_match_the_reference(tmp_path, monkeypatch,
                                       workloads.drift_gradient()) == []
 
 
+def test_numeric_artifacts_do_not_depend_on_the_blas_thread_count(
+        tmp_path, monkeypatch):
+    # the secant Picard step reduces over the grid; a BLAS dot product
+    # there sums in an order that follows the thread count
+    workloads = _workloads(monkeypatch)
+    group = [sc for sc in workloads.WORKLOADS["numeric_picard"]
+             if sc.id == "nondini_c11_numeric"]
+    [doc] = workloads.make_documents(ROOT, group, 0)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "regprobe.cli", "run",
+                        str(path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        artifacts.append([(out / f"{doc['id']}{suffix}").read_bytes()
+                          for suffix in ("_trace.csv", "_report.json")])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_run_bundled_zero_case(tmp_path, capsys):
     code = main(["run", "zero_case", "--out", str(tmp_path)])
     assert code == 0
@@ -702,6 +726,19 @@ def test_solver_validation_raises_the_first_failed_operator(
     # freed worker may have taken starts, op03 included
     assert {0, 1} <= started <= {0, 1, 2}
     assert len(draws) == scenarios._OPERATORS
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_probe_that_fails_after_its_ladder_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # a runner only computes: the trace is written with the report, once
+    # the runner has returned
+    def failing(trace):
+        raise SolverError("limit failed on purpose")
+
+    monkeypatch.setattr(scenarios, "limit_coeffs", failing)
+    assert main(["run", "zero_case", "--out", str(tmp_path)]) == 4
+    assert "limit failed on purpose" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

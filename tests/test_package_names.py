@@ -278,8 +278,20 @@ def _callables(tree: ast.Module):
     return out
 
 
-def _literal(node):
-    """The repr of a constant literal's value, or None for anything else."""
+def _module_names(trees: list) -> set:
+    """The names that a module-level assignment binds in ``trees``."""
+    return {target.id for tree in trees for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Name)}
+
+
+def _literal(node, constants=frozenset()):
+    """The repr of a constant literal's value, the name of a module
+    constant in ``constants``, or None for anything else."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return node.id
     try:
         return repr(ast.literal_eval(node))
     except ValueError:
@@ -289,10 +301,12 @@ def _literal(node):
 def _one_value(defining: list, calling: list) -> list:
     """Parameters of a function, method or dataclass constructor defined
     once in the ``defining`` trees that every call by its name in the
-    ``calling`` trees sets to one constant literal or leaves at its
-    default.  A callable that some call passes ``*args`` or ``**kwargs`` is
-    skipped, since its values cannot be read off the call."""
+    ``calling`` trees sets to one constant literal or one module constant
+    of the ``defining`` trees, or leaves at its default.  A callable that
+    some call passes ``*args`` or ``**kwargs`` is skipped, since its values
+    cannot be read off the call."""
     callables = [entry for tree in defining for entry in _callables(tree)]
+    constants = _module_names(defining)
     calls = {}
     for tree in calling:
         for node in ast.walk(tree):
@@ -314,7 +328,8 @@ def _one_value(defining: list, calling: list) -> list:
                 given = {kw.arg: kw.value for kw in call.keywords}
                 node = (call.args[i] if i < len(call.args)
                         else given.get(param, default))
-                values.add(None if node is None else _literal(node))
+                values.add(None if node is None
+                           else _literal(node, constants))
             if len(values) == 1 and None not in values:
                 found.append(f"{qualified}.{param}")
     return sorted(found)
@@ -350,5 +365,9 @@ def test_guard_finds_one_value_parameters():
         "    v: list = dc_field(default_factory=list)\n"
         "    u: list = field(init=False, default=None)\n"
         "    def m(self, z):\n        pass\n"
-        "D(1)\nD(2, y=0)\nd.m((0.0, 0.0))\n")
-    assert _one_value([tree], [tree]) == ["D.m.z", "D.w", "D.y", "f.b", "f.c"]
+        "D(1)\nD(2, y=0)\nd.m((0.0, 0.0))\n"
+        "R: float = 0.5\n"
+        "def h(r, s):\n    pass\n"
+        "def k():\n    K = 2\n    h(R, K)\n    M = 3\n    h(R, M)\n")
+    assert _one_value([tree], [tree]) == ["D.m.z", "D.w", "D.y", "f.b", "f.c",
+                                          "h.r"]

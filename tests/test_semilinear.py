@@ -166,7 +166,7 @@ def test_secant_picard_outer_steps(count_factorizations):
     problem = get_problem("nondini_c11")
     grid = DiskGrid(1.0, 1.0 / 64)
     op = assemble(problem.field, grid)
-    boundary = grid.boundary_from_function(problem.boundary)
+    boundary = grid.boundary_from_function(problem.u)
     result = picard_solve(op, problem.nonlinearity, boundary,
                           PicardConfig(tol=1e-9))
     assert result.outer_iterations <= 10
