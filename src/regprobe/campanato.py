@@ -170,9 +170,14 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The sweep's gap ratios, indexed [shape, eps], their log-log slope,
+    and the perturbed solutions, ``solutions[shape][eps]``, that the
+    calibration's one-step experiments reuse."""
+
     shapes: tuple
     ratios: np.ndarray
     slope: float
+    solutions: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +627,17 @@ def perturbation_sweep() -> SweepResult:
     grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
     frozen = comparison_operator(np.eye(2))
     ratios = np.zeros((len(shapes), len(SWEEP_EPSILONS)))
+    solutions = [[None] * len(SWEEP_EPSILONS) for _ in shapes]
     for j, eps in enumerate(SWEEP_EPSILONS):
         op = assemble(_perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
-            ratios[i, j] = _gap_ratio(approximate(shape_fn, op), frozen)
+            solutions[i][j] = approximate(shape_fn, op)
+            ratios[i, j] = _gap_ratio(solutions[i][j], frozen)
     mean_ratio = ratios.mean(axis=0)
     slope = float(np.polyfit(np.log(SWEEP_EPSILONS), np.log(mean_ratio), 1)[0])
     return SweepResult(shapes=tuple(name for name, _ in shapes),
-                       ratios=ratios, slope=slope)
+                       ratios=ratios, slope=slope,
+                       solutions=tuple(map(tuple, solutions)))
 
 
 def _boundary_exponent():
@@ -740,24 +748,19 @@ def calibrate_constants() -> dict:
         raise CalibrationError(f"alpha {alpha} escaped (0, 1/3]")
     c0 = _interior_bound_constant()
 
-    shapes = _sweep_shapes()
+    # the first n_train shapes train C1 on the sweep's own solutions; the
+    # rest are the holdout
     n_train = 2
-    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
+    sweep = perturbation_sweep()
     frozen = comparison_operator(np.eye(2))
-    steps = np.zeros((n_train, len(SWEEP_EPSILONS), 2))
-    for j, eps in enumerate(SWEEP_EPSILONS):
-        op = assemble(_perturbed_field(eps), grid)
-        for i, (_, shape_fn) in enumerate(shapes[:n_train]):
-            steps[i, j] = _one_step_linear(
-                approximate(shape_fn, op), lambda pts: np.zeros(len(pts)),
-                frozen)
-    hold_ratios = perturbation_sweep().ratios[n_train:]
+    hold_ratios = sweep.ratios[n_train:]
 
     num = 0.0
     den = 0.0
     for i in range(n_train):
         for j, eps in enumerate(SWEEP_EPSILONS):
-            M0, M1 = steps[i, j]
+            M0, M1 = _one_step_linear(sweep.solutions[i][j],
+                                      lambda pts: np.zeros(len(pts)), frozen)
             x = (LAM ** 2 + eps ** alpha) * M0 / LAM
             num += x * M1
             den += x * x
@@ -774,6 +777,8 @@ def calibrate_constants() -> dict:
             f"holdout slope {holdout_slope} under alpha - 0.05 = {alpha - 0.05}"
         )
 
+    shapes = _sweep_shapes()
+    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
     num = 0.0
     den = 0.0
     for bmag in (0.3, 0.6, 1.0):

@@ -123,9 +123,8 @@ def _cmd_run(args) -> int:
     all_pass = True
     for doc in docs:
         report = run_scenario(doc, out)
-        eff = Path(doc.get("output_dir", out))
         print(f"{doc['id']}: {report['verdict']} "
-              f"({eff / (doc['id'] + '_report.json')})")
+              f"({out / (doc['id'] + '_report.json')})")
         all_pass = all_pass and report["verdict"] in PASS_VERDICTS
     if _strict(args) and not all_pass:
         return 1

@@ -270,6 +270,18 @@ class DiscreteField:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
 
+def cubic_weights(t):
+    """Lagrange weights of the nodes -1, 0, 1, 2 at ``t``, as four arrays.
+
+    They reproduce cubics exactly; outside [0, 1] they extrapolate the
+    cubic through the four nodes.
+    """
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t * t - 1.0) * (t - 2.0) / 2.0,
+            -t * (t + 1.0) * (t - 2.0) / 2.0,
+            t * (t * t - 1.0) / 6.0)
+
+
 def bicubic_sampler(field: DiscreteField):
     """Return a callable evaluating the field between nodes.
 
@@ -297,22 +309,14 @@ def bicubic_sampler(field: DiscreteField):
                 or np.any(j0 - 1 + m < 0) or np.any(j0 + 2 + m > 2 * m):
             raise DomainError("interpolation point outside the lattice")
 
-        def weights(t):
-            return np.stack([
-                -t * (t - 1.0) * (t - 2.0) / 6.0,
-                (t * t - 1.0) * (t - 2.0) / 2.0,
-                -t * (t + 1.0) * (t - 2.0) / 2.0,
-                t * (t * t - 1.0) / 6.0,
-            ], axis=1)
-
-        wx = weights(tx)
-        wy = weights(ty)
+        wx = cubic_weights(tx)
+        wy = cubic_weights(ty)
         out = np.zeros(len(pts))
         for a in range(4):
             row = np.zeros(len(pts))
             for bq in range(4):
-                row += wy[:, bq] * lattice[i0 - 1 + a + m, j0 - 1 + bq + m]
-            out += wx[:, a] * row
+                row += wy[bq] * lattice[i0 - 1 + a + m, j0 - 1 + bq + m]
+            out += wx[a] * row
         if not np.all(np.isfinite(out)):
             raise DomainError(
                 "interpolation stencil reaches outside the disk interior"

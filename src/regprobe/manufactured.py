@@ -15,8 +15,9 @@ cos(2 theta) exp(cos(theta)/2) in cosines.
 
 The non-Dini stressor is the radial fixed point of
 Delta u = 4 + g(u),  g(t) = 1/ln(1/min(|t|, e^-2)),
-computed on a logarithmic radius grid and stored as u = r^2 (1 + q(ln r)),
-which stays accurate down to radii around 1e-40.
+computed by Simpson's rule on a uniform lattice in ln r and stored as
+u = r^2 (1 + q(ln r)), q read off the cubic through the four nearest
+nodes; it stays accurate down to radii around 1e-40.
 """
 from __future__ import annotations
 
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import FieldValidationError, RegistryError
 from .fields import CoefficientField, Nonlinearity, PotentialFamily, constant_field
+from .grid import cubic_weights
 from .modulus import Modulus, log_power, zero_modulus
 
 
@@ -167,132 +168,64 @@ def _g_nondini(t):
     return float(out[0]) if scalar else out
 
 
-def _simpson_weights(x):
-    """The weights of scipy's cumulative Simpson rule on the lattice ``x``.
+def _cumulative_simpson(y, dx):
+    """Cumulative integral of ``y`` from 0 at the first node of a uniform
+    lattice of spacing ``dx`` with an even number of intervals.
 
-    Interval i is integrated over the parabola through three neighbouring
-    nodes: i, i+1, i+2 for even i, and i+1, i, i-1 for odd i and for the last
-    interval (scipy's h1 and h2 formulas on unequal intervals).  Returns the
-    node indices, shape (3, n-1), and the weights x21/6 and coeff1..coeff3,
-    shape (4, n-1), each computed with scipy's operations in scipy's order.
+    Each pair of intervals is integrated over the parabola through its
+    three nodes, split at the middle node as (5, 8, -1) dx/12 and
+    (-1, 8, 5) dx/12.
     """
-    n = len(x)
-    dx = np.diff(x)
-    i = np.arange(n - 1)
-    step = np.where((i % 2 == 1) | (i == n - 2), -1, 1)
-    first = np.where(step < 0, i + 1, i)
-    x21 = dx
-    x32 = dx[i + step]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    weights = np.stack((x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31,
-                        -x21x21_x31x32))
-    return np.stack((first, first + step, first + 2 * step)), weights
-
-
-def _cumulative_simpson(y, nodes, weights):
-    """Cumulative integral of ``y`` from 0 at the first node."""
-    f1, f2, f3 = y[nodes]
-    parts = weights[0] * (weights[1] * f1 + weights[2] * f2 + weights[3] * f3)
-    return np.concatenate(([0.0], np.cumsum(parts)))
-
-
-@dataclass(frozen=True, eq=False)
-class _CubicProfile:
-    """Piecewise cubic c3 + c2 s + c1 s^2 + c0 s^3, s = x - nodes[i].
-
-    Evaluated as scipy's PPoly does: x lies in [nodes[i], nodes[i+1]) (the
-    end intervals extrapolate), and the powers of s are accumulated term by
-    term.  The nodes are uniform, so i is estimated from the spacing and
-    corrected by one comparison each way, which finds the interval a
-    bisection would; the estimate is within one interval on a linspace.
-    """
-
-    nodes: np.ndarray
-    c: np.ndarray  # shape (4, len(nodes) - 1), highest power first
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        nodes, last = self.nodes, len(self.nodes) - 2
-        step = (nodes[-1] - nodes[0]) / (last + 1)
-        i = np.clip(((x - nodes[0]) / step).astype(np.intp), 0, last)
-        i -= x < nodes[i]
-        i += x >= nodes[i + 1]
-        np.clip(i, 0, last, out=i)
-        s = x - nodes[i]
-        c0, c1, c2, c3 = np.take(self.c, i, axis=1)
-        z = s * s
-        out = c3 + c2 * s + c1 * z
-        z *= s
-        out += c0 * z
-        return out
-
-
-def _not_a_knot_spline(x, y):
-    """Coefficients of the not-a-knot cubic spline through (x, y).
-
-    The slopes solve scipy's tridiagonal system, built and solved the way
-    CubicSpline does it; the coefficients follow CubicHermiteSpline.
-    """
-    n = len(x)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    ab = np.zeros((3, n))
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
-    b = np.empty(n)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d
-    b[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d
-    b[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
-    s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
-                     overwrite_b=True, check_finite=False)[:, 0]
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    y0, y1, y2 = y[:-2:2], y[1::2], y[2::2]
+    parts = np.empty(len(y) - 1)
+    parts[0::2] = 5.0 * y0 + 8.0 * y1 - y2
+    parts[1::2] = 8.0 * y1 + 5.0 * y2 - y0
+    return np.concatenate(([0.0], np.cumsum(parts * (dx / 12.0))))
 
 
 @lru_cache(maxsize=1)
 def _nondini_profile():
-    """Spline x -> q(x) with u(e^x) = e^{2x} (1 + q(x)), built by fixed point.
+    """Callable x -> q(x) with u(e^x) = e^{2x} (1 + q(x)), built by fixed point.
 
     The radial equation w'' + w'/r = g(u), w(0) = w'(0) = 0 integrates to
     w(r) = int_0^r s(t)/t dt with s(t) = int_0^t z g(u(z)) dz; both
-    integrals become plain cumulative integrals in x = ln r.
+    integrals become plain cumulative integrals in x = ln r, taken by
+    Simpson's rule on a uniform lattice.  Between nodes q is the cubic
+    through the four nearest nodes; the end cubics extrapolate.
     """
     x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
-    nodes, weights = _simpson_weights(x)
+    dx = (x[-1] - x[0]) / (len(x) - 1)
     r2 = np.exp(2.0 * x)
     u = r2.copy()
     for _ in range(12):
-        gv = _g_nondini(u)
-        s = _cumulative_simpson(r2 * gv, nodes, weights)
-        w = _cumulative_simpson(s, nodes, weights)
+        s = _cumulative_simpson(r2 * _g_nondini(u), dx)
+        w = _cumulative_simpson(s, dx)
         unew = r2 + w
         change = np.max(np.abs(unew - u) / np.maximum(r2, 1e-300))
         u = unew
         if change < 1e-15:
             break
-    c = _not_a_knot_spline(x, w / r2)
-    x.setflags(write=False)
-    c.setflags(write=False)
-    return _CubicProfile(x, c)
+    q = w / r2
+    last = len(q) - 4
+
+    def profile(x):
+        # node i + 1 starts the interval of x; the stencil is nodes i..i+3
+        pos = (np.asarray(x, dtype=float) - _NONDINI_LOG_FLOOR) / dx
+        i = np.clip(np.floor(pos).astype(np.intp) - 1, 0, last)
+        w0, w1, w2, w3 = cubic_weights(pos - (i + 1))
+        return w0 * q[i] + w1 * q[i + 1] + w2 * q[i + 2] + w3 * q[i + 3]
+
+    return profile
 
 
 def _nondini_u(pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     r = np.hypot(pts[:, 0], pts[:, 1])
-    spline = _nondini_profile()
+    profile = _nondini_profile()
     out = np.zeros(len(r))
     pos = r > 0.0
     logr = np.log(np.maximum(r[pos], np.exp(_NONDINI_LOG_FLOOR)))
-    out[pos] = r[pos] ** 2 * (1.0 + spline(np.maximum(logr, _NONDINI_LOG_FLOOR)))
+    out[pos] = r[pos] ** 2 * (1.0 + profile(np.maximum(logr, _NONDINI_LOG_FLOOR)))
     return out
 
 

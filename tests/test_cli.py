@@ -106,8 +106,10 @@ def test_every_probe_setting_is_set_by_some_document(monkeypatch):
     settable |= {f"picard.{f.name}" for f in fields(PicardConfig)}
     docs = [load_scenario(name) for name in bundled_names()]
     docs += _benchmark_documents(monkeypatch)
-    set_keys = set()
-    for mode, keys in scenarios._MODE_KEYS.items():
+    # the keys every mode takes, unprefixed
+    settable |= scenarios._COMMON_KEYS
+    set_keys = {key for doc in docs for key in doc}
+    for mode, (keys, _) in scenarios._MODES.items():
         prefix = "" if mode in ("c1", "c11") else f"{mode}."
         settable |= {prefix + key for key in keys}
         set_keys |= {prefix + key for doc in docs if doc["mode"] == mode
@@ -195,14 +197,6 @@ def test_rerun_bit_reproduces_traces(tmp_path):
         for artifact in (f"{name}_trace.csv", f"{name}_report.json"):
             assert (a / artifact).read_bytes() == (b / artifact).read_bytes()
     assert not list(a.glob("*.tmp"))
-
-
-def test_run_scenario_file_with_output_dir_key(tmp_path):
-    target = tmp_path / "nested" / "deeper"
-    path = write_scenario(tmp_path, output_dir=str(target))
-    assert main(["run", str(path)]) == 0
-    assert (target / "custom_report.json").exists()
-    assert (target / "custom_trace.csv").exists()
 
 
 def test_unknown_problem_exits_3_without_outputs(tmp_path, capsys):
@@ -294,8 +288,6 @@ _BAD_TOP_LEVEL = {
     "c1-problem-list": ("c1", "problem", []),
     "c1-description-list": ("c1", "description", ["a"]),
     "modulus_check-description-null": ("modulus_check", "description", None),
-    "c1-output_dir-5": ("c1", "output_dir", 5),
-    "c1-output_dir-a\0b": ("c1", "output_dir", "a\0b"),
     "c1-id-a\0b": ("c1", "id", "a\0b"),
 }
 
@@ -336,7 +328,7 @@ def test_path_like_id_exits_2_and_writes_nothing(tmp_path, capsys, ident):
                                    ".."])
 def test_validate_scenario_rejects_path_like_id(tmp_path, ident):
     doc = {"v": 1, "id": ident, "mode": "c1", "problem": "zero_case",
-           "iteration": {"K": 1}, "output_dir": str(tmp_path / "out")}
+           "iteration": {"K": 1}}
     with pytest.raises(ScenarioError, match="'id'"):
         validate_scenario(doc)
     assert _tree(tmp_path) == []
@@ -553,9 +545,10 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
 # Settings a document can no longer hold: the problem declares nu, lambda1
 # and tau, smallness is only reported, the ladder's resolutions (which the
 # sweep shares), Picard's damping and step cap and the check suites are
-# fixed.  Each value here was in range when the key existed, so only the
-# key itself is rejected.  A block names a probe document's block, a mode
-# a top-level key of a suite document.
+# fixed, and artifacts land where --out puts them.  Each value here was in
+# range when the key existed, so only the key itself is rejected.  A block
+# names a probe document's block, a mode a top-level key of a document of
+# that mode.
 @pytest.mark.parametrize("block, key, value", [
     ("iteration", "nu", 0.0), ("iteration", "lambda1", 0.0),
     ("iteration", "tau", 0.0), ("iteration", "enforce_smallness", "warn"),
@@ -571,6 +564,7 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     pytest.param("modulus_check", "lams", [0.125, 0.2, 0.25],
                  id="modulus_check-lams-list"),
     ("modulus_check", "k0_max", 6),
+    ("c1", "output_dir", "out"),
 ])
 def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
                                              block, key, value):
