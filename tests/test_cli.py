@@ -288,6 +288,8 @@ _BAD_TOP_LEVEL = {
     "c1-problem-list": ("c1", "problem", []),
     "c1-description-list": ("c1", "description", ["a"]),
     "modulus_check-description-null": ("modulus_check", "description", None),
+    "c1-output_dir-5": ("c1", "output_dir", 5),
+    "c1-output_dir-a\0b": ("c1", "output_dir", "a\0b"),
     "c1-id-a\0b": ("c1", "id", "a\0b"),
 }
 
