@@ -6,11 +6,12 @@ geometrically shrinking balls around the origin.  Each scale solves the
 comparison problem on the rescaled gap (``approximate``), fits its solution
 h by a polynomial at the origin and folds that into the approximant.  The
 ladder only measures: a rung's record holds M_k, bar, gap |w - h| on h's
-nodes, fdev, u_sup and increment.  ``recurrence_model`` turns the records,
-the problem's declared constants and the calibrated constants below into
-the xi_k and eta_k of M_{k+1} <= xi_k * M_k + eta_k and the smallness flag;
-all reach the trace.  The scale ratio, the calibrated constants and the
-verdict thresholds are fixed: a run's only input is its number of rungs K.
+nodes, fdev, u_sup and increment.  ``recurrence_model`` turns any prefix
+of the records, the problem's declared constants and the calibrated
+constants below into N_k, the xi_k and eta_k of M_{k+1} <= xi_k * M_k +
+eta_k, and the smallness flag; all reach the trace.  The scale ratio, the
+calibrated constants and the verdict thresholds are fixed: a run's only
+input is its number of rungs K.
 
 A run certifies first-order (mode "c1", affine approximants: G = 0) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
@@ -32,7 +33,8 @@ import numpy as np
 
 from .elliptic import LinearOperator, assemble, solve_dirichlet
 from .errors import CalibrationError, FieldValidationError, FitError
-from .fields import DRIFT_Q, CoefficientField, _extended_modulus, constant_field
+from .fields import (DRIFT_Q, CoefficientField, _extended_modulus,
+                     constant_drift_norm, constant_field)
 from .grid import DiscreteField, DiskGrid, bicubic_sampler
 
 _TINY_SUP = 1e-10
@@ -120,12 +122,13 @@ class ScaleRecord:
     scale: float
     M: float
     S: float
-    N: float
     approx: QuadApprox
     sup_error_bar: float
     measure_radius: float
-    # from the comparison solve that leads to the next rung (xi and eta from
-    # ``recurrence_model``), so the last rung leaves them NaN/None
+    # ``recurrence_model`` sets N, xi and eta; xi, eta and the rest come
+    # from the comparison solve that leads to the next rung, so the last
+    # rung leaves them NaN/None
+    N: float = math.nan
     xi: float = math.nan
     eta: float = math.nan
     gap: float = math.nan
@@ -140,8 +143,12 @@ class ScaleRecord:
 class IterationTrace:
     mode: str
     records: tuple
-    limit: QuadApprox
     flags: dict
+
+    @property
+    def limit(self) -> QuadApprox:
+        """The limiting polynomial: the last rung's approximant."""
+        return self.records[-1].approx
 
     @property
     def M_values(self) -> np.ndarray:
@@ -150,22 +157,6 @@ class IterationTrace:
     @property
     def N_values(self) -> np.ndarray:
         return np.array([r.N for r in self.records])
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    ok: tuple
-    margins: tuple
-
-    @property
-    def ok_fraction(self) -> float:
-        return float(np.mean(self.ok)) if self.ok else 1.0
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    verdict: str
-    final_n: float
 
 
 @dataclass(frozen=True)
@@ -340,44 +331,57 @@ def _resolve_solution(problem, u_data):
 
 
 def recurrence_model(mode: str, records, problem):
-    """Each compared rung's (xi_k, eta_k) of M_{k+1} <= xi_k M_k + eta_k,
-    and the smallness flag (rung 0's oscillation term against
-    LAM**(order+1)).  Pure: of the ``records`` it reads k, scale, fdev and
-    the approximants (rung k+1's is the folded one); the rest is declared
-    by the problem or is LAM and the calibrated C0, C1, C2 and ALPHA, so a
-    stored trace can be modelled again.  docs/report_schema.md (The
-    recurrence model) gives the formulas.
+    """Finish a ladder: the ``records`` with N_k, xi_k and eta_k set, and
+    the smallness flag (rung 0's oscillation term against LAM**(order+1)).
+
+    N_k is measured against the last record's approximant as the limit, so
+    any prefix of a deeper ladder is modelled as a ladder of its own depth.
+    Each compared rung gets the (xi_k, eta_k) of M_{k+1} <= xi_k M_k +
+    eta_k; the last rung's stay NaN.  Pure: of the ``records`` it reads k,
+    scale, M, fdev and the approximants (rung k+1's is the folded one); the
+    rest is declared by the problem or is LAM and the calibrated C0, C1, C2
+    and ALPHA, so a stored trace can be modelled again.
+    docs/report_schema.md (The recurrence model) gives the formulas.
     """
     order = 1 if mode == "c1" else 2
     T = problem.potential.hessian_bound
     tau, ell = problem.tau, problem.ellipticity
+    tau_term = tau / (2.0 * ell) if order == 2 else 0.0
     drift = [problem.drift_bound * LAM ** (rec.k * (1.0 - 2.0 / DRIFT_Q))
              for rec in records]
     osc = [problem.nu + d if order == 1 else
            _extended_modulus(problem.omega_a, rec.scale) + tau * rec.scale
            for rec, d in zip(records, drift)]
-    terms = []
-    for k, (cur, nxt) in enumerate(zip(records, records[1:])):
-        xi = (C1 / LAM ** order) * (LAM ** (order + 1) + osc[k] ** ALPHA)
-        f_norm = float(np.linalg.norm(cur.approx.F))
-        if order == 1:
-            eta = (C2 / LAM) * (cur.scale * cur.fdev
-                                + T * cur.scale * osc[k] + drift[k] * f_norm)
-        else:
-            g_norm = float(np.linalg.norm(cur.approx.G))
-            eta = (C2 / LAM ** 2) * (
-                cur.fdev + osc[k] * (T + 2.0 * g_norm + (tau / ell) * f_norm)
-                + _extended_modulus(problem.omega_b, cur.scale) * f_norm
-            ) + (tau / (2.0 * ell)) * float(
-                np.linalg.norm(nxt.approx.F - cur.approx.F))
-        terms.append((xi, eta))
+    limit = records[-1].approx
+    finished = []
+    for k, (cur, nxt) in enumerate(zip(records, [*records[1:], None])):
+        f_dist = float(np.linalg.norm(cur.approx.F - limit.F))
+        N = (cur.M + float(np.linalg.norm(cur.approx.G - limit.G))
+             + f_dist / cur.scale ** (order - 1)
+             + abs(cur.approx.E - limit.E) / cur.scale ** order
+             + tau_term * f_dist)
+        xi = eta = math.nan
+        if nxt is not None:
+            xi = (C1 / LAM ** order) * (LAM ** (order + 1) + osc[k] ** ALPHA)
+            f_norm = float(np.linalg.norm(cur.approx.F))
+            if order == 1:
+                eta = (C2 / LAM) * (cur.scale * cur.fdev + T * cur.scale
+                                    * osc[k] + drift[k] * f_norm)
+            else:
+                g_norm = float(np.linalg.norm(cur.approx.G))
+                eta = (C2 / LAM ** 2) * (
+                    cur.fdev + osc[k] * (T + 2.0 * g_norm + (tau / ell) * f_norm)
+                    + _extended_modulus(problem.omega_b, cur.scale) * f_norm
+                ) + tau_term * float(
+                    np.linalg.norm(nxt.approx.F - cur.approx.F))
+        finished.append(replace(cur, N=N, xi=xi, eta=eta))
     value, bound = osc[0] ** ALPHA, LAM ** (order + 1)
     smallness = {"mode": mode, "oscillation": value, "bound": bound}
     if order == 2:
         smallness["drift_ratio"] = tau * C0 / (2.0 * ell)
     smallness["ok"] = bool(value <= bound
                            and smallness.get("drift_ratio", 0.0) <= 0.25)
-    return terms, smallness
+    return tuple(finished), smallness
 
 
 def _run_ladder(problem, K: int, order: int, u_data):
@@ -438,9 +442,8 @@ def _run_ladder(problem, K: int, order: int, u_data):
         sup, bar = ball_sup(tracked, meas_r)
         M = sup / scale ** order
         S = S + M
-        row = {"k": k, "scale": scale, "M": M, "S": S, "N": math.nan,
-               "approx": cur, "sup_error_bar": bar / scale ** order,
-               "measure_radius": meas_r}
+        row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
+               "sup_error_bar": bar / scale ** order, "measure_radius": meas_r}
         if k == K_eff:
             measured.append(ScaleRecord(**row))
             break
@@ -470,26 +473,14 @@ def _run_ladder(problem, K: int, order: int, u_data):
             phi_scale=_extended_modulus(nl.modulus, scale), increment=inc,
             **row))
 
-    limit = approx
-    tau_term = problem.tau / (2.0 * problem.ellipticity) if order == 2 else 0.0
-    terms, smallness = recurrence_model(mode, measured, problem)
-    records = []
-    for rec, (xi, eta) in zip(measured, terms + [(math.nan, math.nan)]):
-        f_dist = float(np.linalg.norm(rec.approx.F - limit.F))
-        N = (rec.M + float(np.linalg.norm(rec.approx.G - limit.G))
-             + f_dist / rec.scale ** (order - 1)
-             + abs(rec.approx.E - limit.E) / rec.scale ** order
-             + tau_term * f_dist)
-        records.append(replace(rec, N=N, xi=xi, eta=eta))
-
+    records, smallness = recurrence_model(mode, measured, problem)
     flags = {
         "smallness": smallness,
         "u_shift": u_shift,
         "data_mode": "numeric" if numeric else "manufactured",
         "scale_floor_k": len(records) if truncated else None,
     }
-    return IterationTrace(mode=mode, records=tuple(records), limit=limit,
-                          flags=flags)
+    return IterationTrace(mode=mode, records=records, flags=flags)
 
 
 def c1_probe(problem, K: int, u=None) -> IterationTrace:
@@ -511,26 +502,22 @@ def c11_probe(problem, K: int, u=None) -> IterationTrace:
 # verification and certificates
 
 
-def verify_recurrence(trace: IterationTrace) -> RecurrenceReport:
-    """Check M_{k+1} <= SAFETY * (xi_k M_k + eta_k) on consecutive records.
+def verify_recurrence(trace: IterationTrace) -> tuple:
+    """The margins SAFETY * (xi_k M_k + eta_k) - M_{k+1} of consecutive
+    records.
 
-    Each margin is the bound minus M_{k+1}; a zero bound met by a zero sup
-    passes with infinite margin.  This is the one place the recurrence is
+    A step passes when its margin is >= 0; a zero bound met by a zero sup
+    has infinite margin.  This is the one place the recurrence is
     evaluated.
     """
     if len(trace.records) < 2:
         raise ValueError("need at least two scales to check the recurrence")
-    ok = []
     margins = []
     for cur, nxt in zip(trace.records, trace.records[1:]):
         bound = SAFETY * (cur.xi * cur.M + cur.eta)
-        if bound == 0.0 and nxt.M == 0.0:
-            ok.append(True)
-            margins.append(math.inf)
-        else:
-            ok.append(bool(nxt.M <= bound))
-            margins.append(bound - nxt.M)
-    return RecurrenceReport(tuple(ok), tuple(margins))
+        margins.append(math.inf if bound == 0.0 and nxt.M == 0.0
+                       else bound - nxt.M)
+    return tuple(margins)
 
 
 def _stalled(M: np.ndarray) -> bool:
@@ -542,44 +529,28 @@ def _stalled(M: np.ndarray) -> bool:
     return bool(np.all(ratios > _STALL_RATIO))
 
 
-def certificate(trace: IterationTrace) -> CertificateReport:
+def certificate(trace: IterationTrace) -> str:
     """Verdict from the certificate sequence N_k.
 
-    Certified means the tail of N_k is monotone and ends below CERT_TOL
-    while the partial sums of M_k have plateaued; a non-decaying M tail is
-    failed; anything else, including traces the scale floor truncated, is
-    inconclusive.
+    Certified means that over the last three steps (all of a shorter
+    ladder) N_k is monotone and ends below CERT_TOL while the partial sums
+    of M_k have plateaued; a non-decaying M tail is failed; anything else,
+    including traces the scale floor truncated, is inconclusive.
     """
-    N = trace.N_values
     M = trace.M_values
-    S = np.array([r.S for r in trace.records])
-    final_n = float(N[-1])
-
-    tail_len = min(3, len(N) - 1)
-    if tail_len > 0:
-        tail = N[-(tail_len + 1):]
-        slack = 1e-9 * np.maximum(tail[:-1], 1e-300)
-        tail_monotone = bool(np.all(np.diff(tail) <= slack))
-    else:
-        tail_monotone = True
-
-    plateau_span = min(3, len(S) - 1)
-    if plateau_span > 0:
-        sum_plateau = bool(
-            S[-1] - S[-(plateau_span + 1)] <= max(0.05 * S[-1], 1e-9)
-        )
-    else:
-        sum_plateau = True
+    N = trace.N_values[-4:]
+    S = [r.S for r in trace.records[-4:]]
+    slack = 1e-9 * np.maximum(N[:-1], 1e-300)
+    tail_monotone = bool(np.all(np.diff(N) <= slack))
+    sum_plateau = S[-1] - S[0] <= max(0.05 * S[-1], 1e-9)
 
     if trace.flags["scale_floor_k"] is not None:
-        verdict = "inconclusive"
-    elif _stalled(M):
-        verdict = "failed"
-    elif final_n <= CERT_TOL and tail_monotone and sum_plateau:
-        verdict = "C1_certified" if trace.mode == "c1" else "C11_certified"
-    else:
-        verdict = "inconclusive"
-    return CertificateReport(verdict=verdict, final_n=final_n)
+        return "inconclusive"
+    if _stalled(M):
+        return "failed"
+    if N[-1] <= CERT_TOL and tail_monotone and sum_plateau:
+        return "C1_certified" if trace.mode == "c1" else "C11_certified"
+    return "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +754,7 @@ def calibrate_constants() -> dict:
     den = 0.0
     for bmag in (0.3, 0.6, 1.0):
         field = constant_field(np.eye(2), (bmag, 0.0))
-        lam1 = bmag * math.pi ** 0.25  # the drift's L^4(B_1) norm
+        lam1 = constant_drift_norm((bmag, 0.0))
         op = assemble(field, grid)
         rhs = grid.field_from_function(lambda pts: np.full(len(pts), 4.0))
         for _, shape_fn in shapes:

@@ -7,7 +7,8 @@ frozen-coefficient equation.  A problem's coefficient constants
 (ellipticity, drift bound, moduli) are declared on
 ``manufactured.ManufacturedProblem``, not measured: the probes read them
 as given.  The drift's integrability
-exponent is the one constant ``DRIFT_Q``.  Every constant-coefficient
+exponent is the one constant ``DRIFT_Q``, and ``constant_drift_norm`` is
+the drift bound of a constant drift.  Every constant-coefficient
 field, the frozen operator a_ij(x0) D_ij + b_i(x0) D_i of the
 perturbation argument included, comes from ``constant_field``.
 
@@ -70,6 +71,12 @@ def constant_field(a0, b0=(0.0, 0.0)) -> CoefficientField:
         raise FieldValidationError(f"b0 must have two entries, got shape {b0.shape}")
     return CoefficientField(a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)),
                             b=lambda pts: np.broadcast_to(b0, (len(pts), 2)))
+
+
+def constant_drift_norm(b0) -> float:
+    """Sum of the L^DRIFT_Q(B_1) norms of the components of the constant
+    drift b0, sum |b_i| * pi ** (1 / DRIFT_Q): B_1 has area pi."""
+    return sum(abs(b) for b in b0) * math.pi ** (1.0 / DRIFT_Q)
 
 
 @dataclass(frozen=True)

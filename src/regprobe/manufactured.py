@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FieldValidationError, RegistryError
-from .fields import CoefficientField, Nonlinearity, PotentialFamily, constant_field
+from .fields import (CoefficientField, Nonlinearity, PotentialFamily,
+                     constant_drift_norm, constant_field)
 from .grid import cubic_weights
 from .modulus import Modulus, log_power, zero_modulus
 
@@ -248,8 +249,9 @@ def _build_zero_case():
 
 
 def _build_drift_c1():
+    b0 = (1.0, 0.0)
     return ManufacturedProblem(
-        field=constant_field(np.eye(2), (1.0, 0.0)),
+        field=constant_field(np.eye(2), b0),
         nonlinearity=Nonlinearity(
             f=lambda pts, t: np.full(len(pts), 4.0),
             modulus=zero_modulus(),
@@ -257,8 +259,7 @@ def _build_drift_c1():
         u=_drift_u,
         potential=PotentialFamily(_quadratic, 2.0),
         ellipticity=1.0,
-        # b = (b1, 0) has L^4(B_1) norm |b1| pi^(1/4), here and in cubic_c11
-        drift_bound=math.pi ** 0.25,
+        drift_bound=constant_drift_norm(b0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=1.0,
@@ -276,8 +277,9 @@ def _build_cubic_c11():
     def v(pts):
         return _quadratic(pts) + (_CUBIC_BETA / 3.0) * pts[:, 0] ** 3
 
+    b0 = (_CUBIC_BETA, 0.0)
     return ManufacturedProblem(
-        field=constant_field(np.eye(2), (_CUBIC_BETA, 0.0)),
+        field=constant_field(np.eye(2), b0),
         nonlinearity=Nonlinearity(
             f=f,
             modulus=zero_modulus(),
@@ -285,7 +287,7 @@ def _build_cubic_c11():
         u=_quadratic,
         potential=PotentialFamily(v, 2.0 + 2.0 * _CUBIC_BETA),
         ellipticity=1.0,
-        drift_bound=_CUBIC_BETA * math.pi ** 0.25,
+        drift_bound=constant_drift_norm(b0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
         tau=_CUBIC_BETA,

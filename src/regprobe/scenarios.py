@@ -219,11 +219,16 @@ def validate_scenario(doc, source: str = "scenario") -> None:
             raise ScenarioError(f"{source}: key 'families' must be a "
                                 f"non-empty list")
         for fam in fams:
-            if (not isinstance(fam, dict) or "id" not in fam
+            if (not isinstance(fam, dict) or not isinstance(fam.get("id"), str)
                     or not isinstance(fam.get("dini"), bool)):
                 raise ScenarioError(
                     f"{source}: each entry of key 'families' needs keys 'id' "
-                    f"and 'dini' (true or false)")
+                    f"(a string) and 'dini' (true or false)")
+            for key in fam:
+                if key not in ("id", "dini"):
+                    raise ScenarioError(
+                        f"{source}: unknown key {key!r} in an entry of key "
+                        f"'families', which holds only 'id' and 'dini'")
             parse_modulus(fam["id"])
 
 
@@ -325,16 +330,16 @@ def _run_probe(doc: dict) -> tuple:
 
     probe = c1_probe if doc["mode"] == "c1" else c11_probe
     trace = probe(problem, K, u=u)
-    cert = certificate(trace)
-    rec = verify_recurrence(trace) if len(trace.records) >= 2 else None
+    margins = verify_recurrence(trace) if len(trace.records) >= 2 else None
     last = trace.records[-1]
     limits = {
-        "final_n": cert.final_n,
+        "final_n": last.N,
         "s_last": last.S,
         "m_first": trace.records[0].M,
         "m_last": last.M,
-        "worst_margin": min(rec.margins) if rec else None,
-        "ok_fraction": rec.ok_fraction if rec else None,
+        "worst_margin": min(margins) if margins else None,
+        "ok_fraction": (sum(m >= 0.0 for m in margins) / len(margins)
+                        if margins else None),
         "limit": limit_coeffs(trace),
     }
     flags = dict(trace.flags)
@@ -348,7 +353,7 @@ def _run_probe(doc: dict) -> tuple:
     iteration = {"lam": LAM, "K": K, "C0": C0, "C1": C1, "C2": C2,
                  "alpha": ALPHA, "cert_tol": CERT_TOL, "safety": SAFETY}
     return (*trace_rows(trace), _base_report(
-        dict(doc, iteration=iteration), cert.verdict, limits, flags))
+        dict(doc, iteration=iteration), certificate(trace), limits, flags))
 
 
 def _run_sweep(doc: dict) -> tuple:

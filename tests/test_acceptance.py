@@ -130,11 +130,11 @@ def test_criterion_5_drift_c1_certificate(drift_trace):
     cauchy = float(np.linalg.norm(b6 - b5))
     ok = (LAM == 0.2 and monotone and N[6] <= 1e-3
           and cauchy <= 1e-4
-          and certificate(tr).verdict == "C1_certified")
+          and certificate(tr) == "C1_certified")
     report_line(5, ok,
                 f"N_k decreasing for k>=2, N_6 = {N[6]:.2e} <= 1e-3, "
                 f"|B_6-B_5| = {cauchy:.2e} <= 1e-4, verdict "
-                f"{certificate(tr).verdict}")
+                f"{certificate(tr)}")
 
 
 def test_criterion_6_cubic_c11_certificate(cubic_trace):
@@ -145,7 +145,7 @@ def test_criterion_6_cubic_c11_certificate(cubic_trace):
               for a in range(6) for b in range(a + 1, 6)]
     exponent = float(np.median(slopes))
     traces = [abs(r.approx.frozen_trace(np.eye(2))) for r in tr.records]
-    verdict = certificate(tr).verdict
+    verdict = certificate(tr)
     ok = (exponent >= 0.9 and max(traces) <= 1e-9
           and verdict == "C11_certified")
     report_line(6, ok,
@@ -159,7 +159,7 @@ def test_criterion_7_nondini_negative_control():
                    bundled_K("nondini_c11"))
     M = tr.M_values
     ratios = M[-4:] / M[-5:-1]
-    verdict = certificate(tr).verdict
+    verdict = certificate(tr)
     ok = verdict == "failed" and bool(np.all(ratios > 0.95))
     report_line(7, ok,
                 f"verdict {verdict}; last-4 increment ratios "
@@ -240,8 +240,9 @@ def test_criterion_9_invariances(drift_trace, cubic_trace):
         b_norm = max(float(np.max(np.abs(b_ref))), 1e-300)
         worst = max(worst,
                     float(np.max(np.abs(trs.limit.F - b_ref))) / b_norm)
-        assert verify_recurrence(trs).ok == rec0.ok
-        assert certificate(trs).verdict == certificate(tr0).verdict
+        assert ([m >= 0.0 for m in verify_recurrence(trs)]
+                == [m >= 0.0 for m in rec0])
+        assert certificate(trs) == certificate(tr0)
 
     assert_telescoping(drift_trace)
     assert_telescoping(cubic_trace)

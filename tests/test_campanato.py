@@ -9,6 +9,7 @@ part (9/64) x1, orthogonal to the cos(3 theta) mode on any centered disk).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 
@@ -16,12 +17,11 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from regprobe import campanato
+from regprobe import campanato, scenarios
 from regprobe.campanato import (
     LAM,
     SUB_CELLS,
     SUP_CELLS,
-    CertificateReport,
     IterationTrace,
     QuadApprox,
     ScaleRecord,
@@ -65,8 +65,32 @@ def make_trace(M, xi, eta, mode="c1", N=None, scale_floor_k=None):
             N=N[k], approx=approx, sup_error_bar=0.0,
             measure_radius=LAM ** k,
         ))
-    return IterationTrace(mode=mode, records=tuple(records), limit=approx,
+    return IterationTrace(mode=mode, records=tuple(records),
                           flags={"scale_floor_k": scale_floor_k})
+
+
+def ok_fraction(margins) -> float:
+    return sum(m >= 0.0 for m in margins) / len(margins)
+
+
+PROBLEMS = {"drift_c1": c1_probe, "zero_case": c1_probe,
+            "cubic_c11": c11_probe, "nondini_c11": c11_probe}
+
+
+@functools.cache
+def deep_ladder(name):
+    """One K = 40 ladder per manufactured problem, shared by the tests
+    that model its prefixes."""
+    return PROBLEMS[name](get_problem(name), 40)
+
+
+def prefix(name, K):
+    """The model of the first K + 1 records of ``deep_ladder(name)``."""
+    deep = deep_ladder(name)
+    records, smallness = recurrence_model(deep.mode, deep.records[:K + 1],
+                                          get_problem(name))
+    return IterationTrace(deep.mode, records,
+                          dict(deep.flags, smallness=smallness))
 
 
 def test_approximants_evaluate():
@@ -210,10 +234,8 @@ def test_smallness_flag_recorded():
 def test_zero_case_certifies_at_machine_precision():
     tr = c1_probe(get_problem("zero_case"), 6)
     assert np.all(tr.M_values <= 1e-8)
-    assert certificate(tr).verdict == "C1_certified"
-    rep = verify_recurrence(tr)
-    assert rep.ok_fraction == 1.0
-    assert all(math.isinf(m) for m in rep.margins)
+    assert certificate(tr) == "C1_certified"
+    assert all(math.isinf(m) for m in verify_recurrence(tr))
     # u - u(0) is the potential, so every comparison solve sees w = 0
     assert [rec.gap for rec in tr.records[:-1]] == [0.0] * 6
     assert math.isnan(tr.records[-1].gap)
@@ -229,8 +251,8 @@ def test_drift_ladder_contracts_and_certifies():
     b5 = tr.records[5].approx.F
     b6 = tr.records[6].approx.F
     assert np.linalg.norm(b6 - b5) <= 1e-4
-    assert certificate(tr).verdict == "C1_certified"
-    assert verify_recurrence(tr).ok_fraction >= 0.95
+    assert certificate(tr) == "C1_certified"
+    assert ok_fraction(verify_recurrence(tr)) >= 0.95
 
 
 def test_drift_limit_gradient_matches_bessel_series():
@@ -264,52 +286,53 @@ def test_cubic_ladder_decays_at_scale_rate():
     assert float(np.median(slopes)) >= 0.9
     for rec in tr.records:
         assert abs(rec.approx.frozen_trace(np.eye(2))) <= 1e-9
-    assert certificate(tr).verdict == "C11_certified"
-    assert verify_recurrence(tr).ok_fraction >= 0.95
+    assert certificate(tr) == "C11_certified"
+    assert ok_fraction(verify_recurrence(tr)) >= 0.95
 
 
 def test_nondini_ladder_stalls_and_fails():
-    tr = c11_probe(get_problem("nondini_c11"), 26)
+    tr = prefix("nondini_c11", 26)
     M = tr.M_values
     ratios = M[-4:] / M[-5:-1]
     assert np.all(ratios > 0.95)
-    cert = certificate(tr)
-    assert cert.verdict == "failed"
+    assert certificate(tr) == "failed"
 
 
 @pytest.mark.parametrize("K, verdict", [(22, "inconclusive"), (24, "failed")])
 def test_nondini_ladder_fails_from_K_24(K, verdict):
     # K = 24 is the first depth whose last four M_k ratios all pass the
     # stall ratio 0.95: their least is 0.94674 at K = 22 and 0.95188 at 24
-    tr = c11_probe(get_problem("nondini_c11"), K)
+    tr = prefix("nondini_c11", K)
     M = tr.M_values
     assert np.all(M[-4:] / M[-5:-1] > 0.95) == (verdict == "failed")
-    assert certificate(tr).verdict == verdict
+    assert certificate(tr) == verdict
+
+
+def modelled(records) -> np.ndarray:
+    """N, xi and eta of each record, as bits."""
+    return np.array([(r.N, r.xi, r.eta) for r in records]).view(np.int64)
 
 
 @pytest.mark.parametrize("K", [6, 40])
-@pytest.mark.parametrize("probe, name", [
-    (c1_probe, "drift_c1"), (c1_probe, "zero_case"),
-    (c11_probe, "cubic_c11"), (c11_probe, "nondini_c11"),
-])
+@pytest.mark.parametrize("name", list(PROBLEMS), ids=[
+    f"{probe.__name__}-{name}" for name, probe in PROBLEMS.items()])
 def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
-                                                  monkeypatch, probe, name, K):
+                                                  monkeypatch, name, K):
     problem = get_problem(name)
-    tr = probe(problem, K)
+    tr = prefix(name, K)
     factored = len(count_factorizations)
-    terms, smallness = recurrence_model(tr.mode, tr.records, problem)
-    stored = np.array([(rec.xi, rec.eta) for rec in tr.records])
-    assert np.array_equal(np.array(terms).view(np.int64),
-                          stored[:-1].view(np.int64))
-    assert np.isnan(stored[-1]).all()
+    records, smallness = recurrence_model(tr.mode, tr.records, problem)
+    assert np.array_equal(modelled(records), modelled(tr.records))
+    assert np.isnan([records[-1].xi, records[-1].eta]).all()
     assert repr(smallness) == repr(tr.flags["smallness"])
 
-    # C2 scales eta's bracket only: xi stays, eta moves wherever it is
+    # C2 scales eta's bracket only: N and xi stay, eta moves wherever it is
     # nonzero (zero_case's eta is 0: no reaction, drift or potential term)
     monkeypatch.setattr(campanato, "C2", 2 * campanato.C2)
     doubled, flag = recurrence_model(tr.mode, tr.records, problem)
-    xi, eta = np.array(terms).T
-    xi2, eta2 = np.array(doubled).T
+    N, xi, eta = np.array([(r.N, r.xi, r.eta) for r in records[:-1]]).T
+    N2, xi2, eta2 = np.array([(r.N, r.xi, r.eta) for r in doubled[:-1]]).T
+    assert np.array_equal(N2.view(np.int64), N.view(np.int64))
     assert np.array_equal(xi2.view(np.int64), xi.view(np.int64))
     assert np.all(eta2 >= eta)
     assert np.any(eta2 > eta) == np.any(eta > 0.0)
@@ -318,16 +341,55 @@ def test_recurrence_model_rebuilds_a_stored_trace(count_factorizations,
     assert len(count_factorizations) == factored
 
 
+# the columns of a trace row that a rung fills from its comparison solve;
+# a K-ladder leaves them NaN on its last rung, a prefix of a deeper one not
+LAST_RUNG_MEASURED = ["gap_k", "fdev_k", "u_sup_k", "phi_u_k", "phi_scale_k"]
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_a_prefix_of_a_deeper_ladder_is_that_ladder(monkeypatch, name):
+    deep = deep_ladder(name)
+    for K in range(6, 41, 2):
+        tr = prefix(name, K)
+        # a prefix reuses the deeper ladder's xi and eta, and rung K, whose
+        # comparison leads outside the prefix, leaves them NaN
+        assert np.array_equal(modelled(tr.records)[:-1, 1:],
+                              modelled(deep.records[:K])[:, 1:])
+        assert np.isnan([tr.records[-1].xi, tr.records[-1].eta]).all()
+        if K not in (6, 22, 24, 26):
+            continue
+        ladder = PROBLEMS[name](get_problem(name), K)
+        assert [repr(m) for m in verify_recurrence(tr)] == [
+            repr(m) for m in verify_recurrence(ladder)]
+        # the probe report and trace of the prefix are the K-ladder's
+        doc = {"v": 1, "id": name, "mode": deep.mode, "problem": name,
+               "iteration": {"K": K}}
+        runs = []
+        for trace in (ladder, tr):
+            with monkeypatch.context() as patch:
+                patch.setattr(scenarios, PROBLEMS[name].__name__,
+                              lambda problem, K, u=None, trace=trace: trace)
+                runs.append(scenarios._run_probe(doc))
+        (header, rows, report), (_, prefix_rows, prefix_report) = runs
+        assert (json.dumps(scenarios.sanitize(prefix_report))
+                == json.dumps(scenarios.sanitize(report)))
+        assert prefix_rows[:-1] == rows[:-1]
+        measured = [i for i, column in enumerate(header)
+                    if column in LAST_RUNG_MEASURED or column.startswith("inc_")]
+        assert all(rows[-1][i] == "nan" for i in measured)
+        assert ([v for i, v in enumerate(prefix_rows[-1]) if i not in measured]
+                == [v for i, v in enumerate(rows[-1]) if i not in measured])
+
+
 def test_recurrence_check_on_synthetic_values(monkeypatch):
     tr = make_trace(M=[1.0, 0.2, 0.05], xi=[0.25, 0.25], eta=[0.01, 0.005])
-    rep = verify_recurrence(tr)
-    assert rep.ok == (True, True)
-    assert rep.margins[0] == pytest.approx(1.5 * 0.26 - 0.2)
-    assert rep.margins[1] == pytest.approx(1.5 * 0.055 - 0.05)
+    margins = verify_recurrence(tr)
+    assert margins[0] == pytest.approx(1.5 * 0.26 - 0.2)
+    assert margins[1] == pytest.approx(1.5 * 0.055 - 0.05)
     monkeypatch.setattr(campanato, "SAFETY", 1.0)
-    assert verify_recurrence(tr).ok == (True, True)
+    assert all(m >= 0.0 for m in verify_recurrence(tr))
     monkeypatch.setattr(campanato, "SAFETY", 0.1)
-    assert verify_recurrence(tr).ok == (False, False)
+    assert all(m < 0.0 for m in verify_recurrence(tr))
 
 
 def test_certificate_on_synthetic_geometric_decay(monkeypatch):
@@ -335,34 +397,31 @@ def test_certificate_on_synthetic_geometric_decay(monkeypatch):
     N = [4.0 ** -k for k in range(10)]
     tr = make_trace(M=M, xi=[0.5] * 9, eta=[0.0] * 9, N=N)
     monkeypatch.setattr(campanato, "CERT_TOL", 1e-2)
-    cert = certificate(tr)
-    assert cert.verdict == "C1_certified"
+    assert certificate(tr) == "C1_certified"
     # N_9 = 4**-9 = 3.8e-6: a tolerance below it is not met
     monkeypatch.setattr(campanato, "CERT_TOL", 1e-6)
-    assert certificate(tr).verdict == "inconclusive"
+    assert certificate(tr) == "inconclusive"
 
 
 def test_certificate_all_zero_is_certified():
     tr = make_trace(M=[0.0] * 5, xi=[0.0] * 4, eta=[0.0] * 4)
-    cert = certificate(tr)
-    assert cert.verdict == "C1_certified"
-    assert cert.final_n == 0.0
+    assert certificate(tr) == "C1_certified"
 
 
 def test_certificate_truncated_is_inconclusive():
     tr = make_trace(M=[1.0, 0.1, 0.01], xi=[0.1, 0.1], eta=[0.0, 0.0],
                     scale_floor_k=3)
-    assert certificate(tr).verdict == "inconclusive"
+    assert certificate(tr) == "inconclusive"
 
 
 def test_certificate_stall_detector_needs_slow_tail():
     slow = make_trace(M=[1.0 / (k + 1.0) for k in range(40)],
                       xi=[0.5] * 39, eta=[0.0] * 39)
-    assert certificate(slow).verdict == "failed"
+    assert certificate(slow) == "failed"
     fast = make_trace(M=[0.3 ** k for k in range(20)],
                       xi=[0.5] * 19, eta=[0.0] * 19,
                       N=[0.3 ** k for k in range(20)])
-    assert certificate(fast).verdict == "C1_certified"
+    assert certificate(fast) == "C1_certified"
 
 
 def test_rescaling_changes_nothing_beyond_roundoff():
@@ -394,7 +453,7 @@ def test_numeric_mode_truncates_at_scale_floor():
     assert tr.records[0].measure_radius < 1.0
     closed = c1_probe(drift, 1)
     assert tr.records[0].M == pytest.approx(closed.records[0].M, rel=1e-3)
-    assert certificate(tr).verdict == "inconclusive"
+    assert certificate(tr) == "inconclusive"
 
 
 DIAG_COLUMNS = ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",

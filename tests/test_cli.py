@@ -285,6 +285,13 @@ _BAD_TOP_LEVEL = {
         "modulus_check", "families", ["zero"]),
     "modulus_check-families-no_id": ("modulus_check", "families",
                                      [{"dini": True}]),
+    "modulus_check-families-unknown_key": (
+        "modulus_check", "families",
+        [{"id": "power:0.5", "dini": True, "dinni": False}]),
+    "modulus_check-families-id_5": ("modulus_check", "families",
+                                    [{"id": 5, "dini": True}]),
+    "modulus_check-families-id_list": ("modulus_check", "families",
+                                       [{"id": ["power:0.5"], "dini": True}]),
     "c1-problem-list": ("c1", "problem", []),
     "c1-description-list": ("c1", "description", ["a"]),
     "modulus_check-description-null": ("modulus_check", "description", None),

@@ -18,8 +18,10 @@ counts as read when:
 The same syntax tree also yields the parameters that every call sets to
 one value (``one_value_parameters``): a parameter that never varies is a
 constant passed around, and goes unless ``ALLOWED`` names a reason.  And
-it yields the reads of the calibrated constants (``constant_reads``), which
-only the recurrence model and the report echo may make.
+it yields the reads of a set of names (``constant_reads``): of the
+calibrated constants, which only the recurrence model and the report echo
+may make, and of a problem's declared hypotheses, which only the
+recurrence model computes with.
 """
 from __future__ import annotations
 
@@ -159,9 +161,9 @@ CONSTANT_READERS = {
 }
 
 
-def constant_reads(package: Path = PACKAGE) -> dict:
-    """Owner -> [(constant, "file:line")] of every name or attribute load
-    of a calibrated constant in ``package``.  The owner is the module-level
+def constant_reads(package: Path = PACKAGE, names=CONSTANTS) -> dict:
+    """Owner -> [(name, "file:line")] of every name or attribute load of
+    one of ``names`` in ``package``.  The owner is the module-level
     function or the method (``Class.method``) around the read, nested
     functions included, or ``<module>`` outside any."""
     reads: dict = {}
@@ -175,7 +177,7 @@ def constant_reads(package: Path = PACKAGE) -> dict:
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute) else
                     node.id if isinstance(node, ast.Name) else None)
-            if name in CONSTANTS and isinstance(node.ctx, ast.Load):
+            if name in names and isinstance(node.ctx, ast.Load):
                 owner = next((owner for owner, fn in owners
                               if fn.lineno <= node.lineno <= fn.end_lineno),
                              "<module>")
@@ -193,6 +195,29 @@ def test_only_the_recurrence_model_reads_the_calibrated_constants():
         f"{stray}")
     for owner in CONSTANT_READERS:
         assert {name for name, _ in reads.get(owner, ())} == CONSTANTS, owner
+
+
+# A problem's declared hypotheses at the origin, which the one recurrence
+# model turns into N, xi, eta and the smallness flag; the ladder only
+# measures.  Each other reader is named with its reason.
+HYPOTHESES = frozenset({"tau", "nu", "drift_bound", "omega_a", "omega_b",
+                        "hessian_bound"})
+HYPOTHESIS_READERS = {
+    "recurrence_model": "the one recurrence model",
+    "ManufacturedProblem.__post_init__": "the declaration's check that "
+                                         "drift_bound is nonnegative",
+}
+
+
+def test_only_the_recurrence_model_reads_the_declared_hypotheses():
+    reads = constant_reads(names=HYPOTHESES)
+    stray = {owner: where for owner, where in reads.items()
+             if owner not in HYPOTHESIS_READERS}
+    assert not stray, (
+        f"{sorted(HYPOTHESES)} read outside {sorted(HYPOTHESIS_READERS)}: "
+        f"{stray}")
+    assert {name for name, _ in reads["recurrence_model"]} == HYPOTHESES
+    assert set(reads) == set(HYPOTHESIS_READERS)
 
 
 def test_guard_finds_constant_reads_in_nested_functions(tmp_path):
