@@ -164,7 +164,7 @@ def _cmd_report(args) -> int:
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
             raise ScenarioError(f"{p}: not a readable JSON report: {exc}") from exc
         version = doc.get("v") if isinstance(doc, dict) else None
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise SchemaVersionError(
                 f"{p}: schema version {version!r} not supported "
                 f"(expected {SCHEMA_VERSION})")

@@ -50,6 +50,10 @@ class ManufacturedProblem:
     - ``tau`` is the sup of ``|b|``;
     - ``nu`` bounds the C^{-1,1}_n modulus of ``a``;
     - ``omega_a`` and ``omega_b`` are the Dini moduli of ``a`` and ``b``.
+
+    The bundled problems have a = I and a constant drift b0, so these six
+    follow from b0 (``_identity_problem``); only the potential's Hessian
+    bound T and the reaction modulus are declared.
     """
 
     field: CoefficientField
@@ -230,94 +234,53 @@ def _nondini_u(pts):
     return out
 
 
-def _build_zero_case():
-    return ManufacturedProblem(
-        field=constant_field(np.eye(2)),
-        nonlinearity=Nonlinearity(
-            f=lambda pts, t: np.full(len(pts), 4.0),
-            modulus=zero_modulus(),
-        ),
-        u=_quadratic,
-        potential=PotentialFamily(_quadratic, 2.0),
-        ellipticity=1.0,
-        drift_bound=0.0,
-        omega_a=zero_modulus(),
-        omega_b=zero_modulus(),
-        tau=0.0,
-        nu=0.0,
-    )
-
-
-def _build_drift_c1():
-    b0 = (1.0, 0.0)
-    return ManufacturedProblem(
-        field=constant_field(np.eye(2), b0),
-        nonlinearity=Nonlinearity(
-            f=lambda pts, t: np.full(len(pts), 4.0),
-            modulus=zero_modulus(),
-        ),
-        u=_drift_u,
-        potential=PotentialFamily(_quadratic, 2.0),
-        ellipticity=1.0,
-        drift_bound=constant_drift_norm(b0),
-        omega_a=zero_modulus(),
-        omega_b=zero_modulus(),
-        tau=1.0,
-        nu=0.0,
-    )
+def _constant_f(pts, t):
+    return np.full(len(pts), 4.0)
 
 
 _CUBIC_BETA = 0.1
 
 
-def _build_cubic_c11():
-    def f(pts, t):
-        return 4.0 + 2.0 * _CUBIC_BETA * np.asarray(pts)[:, 0] + 0.0 * np.asarray(t)
+def _cubic_f(pts, t):
+    return 4.0 + 2.0 * _CUBIC_BETA * np.asarray(pts)[:, 0] + 0.0 * np.asarray(t)
 
-    def v(pts):
-        return _quadratic(pts) + (_CUBIC_BETA / 3.0) * pts[:, 0] ** 3
 
-    b0 = (_CUBIC_BETA, 0.0)
+def _cubic_v(pts):
+    return _quadratic(pts) + (_CUBIC_BETA / 3.0) * pts[:, 0] ** 3
+
+
+def _nondini_f(pts, t):
+    return 4.0 + _g_nondini(t) * np.ones(len(pts))
+
+
+def _identity_problem(f, modulus, u, v, T, b0=(0.0, 0.0)):
+    """The problem with a = I, b = b0, reaction f of modulus ``modulus``,
+    solution u and potential v of Hessian bound T.  Each call builds its
+    own potential, so wrapping one problem's ``v`` leaves the others'."""
     return ManufacturedProblem(
         field=constant_field(np.eye(2), b0),
-        nonlinearity=Nonlinearity(
-            f=f,
-            modulus=zero_modulus(),
-        ),
-        u=_quadratic,
-        potential=PotentialFamily(v, 2.0 + 2.0 * _CUBIC_BETA),
+        nonlinearity=Nonlinearity(f=f, modulus=modulus),
+        u=u,
+        potential=PotentialFamily(v, T),
         ellipticity=1.0,
         drift_bound=constant_drift_norm(b0),
         omega_a=zero_modulus(),
         omega_b=zero_modulus(),
-        tau=_CUBIC_BETA,
-        nu=0.0,
-    )
-
-
-def _build_nondini_c11():
-    return ManufacturedProblem(
-        field=constant_field(np.eye(2)),
-        nonlinearity=Nonlinearity(
-            f=lambda pts, t: 4.0 + _g_nondini(t) * np.ones(len(pts)),
-            modulus=log_power(1.0),
-        ),
-        u=_nondini_u,
-        potential=PotentialFamily(_quadratic, 2.0),
-        ellipticity=1.0,
-        drift_bound=0.0,
-        omega_a=zero_modulus(),
-        omega_b=zero_modulus(),
-        tau=0.0,
+        tau=math.hypot(*b0),
         nu=0.0,
     )
 
 
 _BUILDERS = {
-    "zero_case": _build_zero_case,
-    "drift_c1": _build_drift_c1,
-    "cubic_c11": _build_cubic_c11,
-    "nondini_c11": _build_nondini_c11,
+    "zero_case": lambda: _identity_problem(
+        _constant_f, zero_modulus(), _quadratic, _quadratic, 2.0),
+    "drift_c1": lambda: _identity_problem(
+        _constant_f, zero_modulus(), _drift_u, _quadratic, 2.0, b0=(1.0, 0.0)),
+    "cubic_c11": lambda: _identity_problem(
+        _cubic_f, zero_modulus(), _quadratic, _cubic_v,
+        2.0 + 2.0 * _CUBIC_BETA, b0=(_CUBIC_BETA, 0.0)),
+    "nondini_c11": lambda: _identity_problem(
+        _nondini_f, log_power(1.0), _nondini_u, _quadratic, 2.0),
 }
 
 

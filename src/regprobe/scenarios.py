@@ -134,7 +134,7 @@ def validate_scenario(doc, source: str = "scenario") -> None:
         raise ScenarioError(f"{source}: document must be a JSON object")
     if "v" not in doc:
         raise SchemaVersionError(f"{source}: missing schema version key 'v'")
-    if doc["v"] != SCHEMA_VERSION:
+    if type(doc["v"]) is not int or doc["v"] != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"{source}: schema version {doc['v']!r} not supported "
             f"(expected {SCHEMA_VERSION})")

@@ -9,6 +9,7 @@ part (9/64) x1, orthogonal to the cos(3 theta) mode on any centered disk).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -44,6 +45,7 @@ from regprobe.campanato import (
 from regprobe.cli import main
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import FieldValidationError, FitError
+from regprobe.fields import constant_field
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
 
@@ -118,6 +120,15 @@ def test_approximant_validation():
         QuadApprox(math.nan, (0.0, 0.0), np.zeros((2, 2)))
     with pytest.raises(FieldValidationError):
         QuadApprox(0.0, (0.0, 0.0), [[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_c11_ladder_refuses_an_ellipticity_above_a11_at_the_origin():
+    # a = I/2 while the problem still declares ellipticity 1
+    problem = dataclasses.replace(
+        get_problem("cubic_c11"),
+        field=constant_field(0.5 * np.eye(2), (0.1, 0.0)))
+    with pytest.raises(FieldValidationError, match="ellipticity"):
+        c11_probe(problem, 2)
 
 
 def harmonic(p):

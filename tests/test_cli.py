@@ -298,6 +298,8 @@ _BAD_TOP_LEVEL = {
     "c1-output_dir-5": ("c1", "output_dir", 5),
     "c1-output_dir-a\0b": ("c1", "output_dir", "a\0b"),
     "c1-id-a\0b": ("c1", "id", "a\0b"),
+    "v-true": ("c1", "v", True),
+    "v-1.0": ("c1", "v", 1.0),
 }
 
 
@@ -500,6 +502,11 @@ def _report_not_utf8(folder):
     (folder / "bad_report.json").write_bytes(b'{"v": 1, "id": "\xff"}')
 
 
+def _report_with_true_version(folder):
+    (folder / "bad_report.json").write_text(json.dumps(
+        {"v": True, "scenario_id": "x", "mode": "c1", "verdict": "pass"}))
+
+
 def _report_directory(folder):
     (folder / "bad_report.json").mkdir()
 
@@ -511,8 +518,10 @@ def _report_with_list_limits(folder):
 
 
 @pytest.mark.parametrize("make", [_report_without_ids, _report_not_utf8,
-                                  _report_directory, _report_with_list_limits],
-                         ids=["no_ids", "not_utf8", "directory", "list_limits"])
+                                  _report_directory, _report_with_list_limits,
+                                  _report_with_true_version],
+                         ids=["no_ids", "not_utf8", "directory", "list_limits",
+                              "v_true"])
 def test_malformed_report_exits_2_naming_it(tmp_path, capsys, make):
     make(tmp_path)
     assert main(["report", str(tmp_path), "--out", str(tmp_path)]) == 2
@@ -876,7 +885,8 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
 
 # Fuzzed documents start from the bundled ones, modulus_check's naming the
 # built-in families so that its one optional key is fuzzed too, and the
-# check suites they run are cut to test size.
+# check suites they run are cut to test size.  A mutation either replaces
+# one value or puts a key that no block has into one object.
 _FUZZ_SUITE = {"_OPERATORS": 1, "_RESOLUTIONS": (1 / 16, 1 / 24, 1 / 36)}
 _BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})
 
@@ -890,23 +900,41 @@ def _key_paths(value, prefix=()):
         yield from _key_paths(sub, prefix + (key,))
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def broken_documents(draw):
+    """(document, kind): kind is "same_type" when the new value has the
+    JSON type of the one it replaced, "other_type" when it has another,
+    and "unknown_key" when a key was put in."""
     name = draw(st.sampled_from(bundled_names()))
     doc = load_scenario(name)
     if name == "modulus_check":
         doc["families"] = [dict(family) for family in scenarios._FAMILIES]
-    path = draw(st.sampled_from(list(_key_paths(doc))))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = draw(st.sampled_from(_BAD_VALUES))
-    return doc
+    value = draw(st.sampled_from(_BAD_VALUES))
+    paths = list(_key_paths(doc))
+    if draw(st.integers(0, 3)) == 0:
+        objects = [()] + [path for path in paths
+                          if isinstance(_at(doc, path), dict)]
+        _at(doc, draw(st.sampled_from(objects)))["unknown_key"] = value
+        return doc, "unknown_key"
+    path = draw(st.sampled_from(paths))
+    target = _at(doc, path[:-1])
+    # json.loads gives null, bool, int, float, str, list and dict values,
+    # so type() tells the JSON types apart, bool from int included
+    same = type(target[path[-1]]) is type(value)
+    target[path[-1]] = value
+    return doc, "same_type" if same else "other_type"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(broken_documents())
-def test_broken_documents_exit_with_a_code(doc):
+def test_broken_documents_exit_with_a_code(case):
+    doc, kind = case
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.multiple(scenarios, **_FUZZ_SUITE), \
             mock.patch.object(campanato, "SWEEP_CELLS", 24):
@@ -914,6 +942,9 @@ def test_broken_documents_exit_with_a_code(doc):
         path.write_text(json.dumps(doc))
         code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
     assert code in {0, 1, 2, 3, 4}
+    # a value of another JSON type never passes; an unknown key never runs
+    assert code != 0 or kind == "same_type", doc
+    assert code == 2 or kind != "unknown_key", doc
 
 
 # Generated tables for a modulus_check document: a well-formed table

@@ -7,7 +7,8 @@ import pytest
 
 from regprobe import fields
 from regprobe.errors import FieldValidationError
-from regprobe.manufactured import get_problem
+from regprobe.manufactured import _BUILDERS, get_problem
+from regprobe.modulus import zero_modulus
 
 
 def test_field_constructor_validation():
@@ -40,13 +41,18 @@ def polar_integral(g, r, nr=1000, ntheta=1000):
     return float(np.sum(vals * rg) * (r / nr) * (2.0 * np.pi / ntheta))
 
 
-def rayleigh_range(field, count, seed=0):
-    # smallest and largest xi . a(x) xi over random x in B_1 and unit xi
+def random_points(count, seed):
+    # uniform in B_1
     rng = np.random.default_rng(seed)
     rad = np.sqrt(rng.random(count))
     ang = 2.0 * np.pi * rng.random(count)
-    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    xi_ang = 2.0 * np.pi * rng.random(count)
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+
+
+def rayleigh_range(field, count, seed=0):
+    # smallest and largest xi . a(x) xi over random x in B_1 and unit xi
+    pts = random_points(count, seed)
+    xi_ang = 2.0 * np.pi * np.random.default_rng(seed + 1).random(count)
     xi = np.stack([np.cos(xi_ang), np.sin(xi_ang)], axis=1)
     quot = np.einsum("ni,nij,nj->n", xi, field.eval_a(pts), xi)
     return float(quot.min()), float(quot.max())
@@ -61,18 +67,32 @@ def drift_norm_total(field):
 
 
 def test_check_ellipticity_identity():
-    problem = get_problem("drift_c1")
-    lo, hi = rayleigh_range(problem.field, 256)
-    assert lo >= problem.ellipticity * (1.0 - 1e-12)
-    assert hi <= (1.0 / problem.ellipticity) * (1.0 + 1e-12)
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert hi == pytest.approx(1.0, abs=1e-12)
+    # every bundled problem has a = I, constant in x, which is what makes
+    # its nu = 0 and zero omega_a exact
+    pts = random_points(256, seed=2)
+    for name in sorted(_BUILDERS):
+        problem = get_problem(name)
+        lo, hi = rayleigh_range(problem.field, 256)
+        assert lo >= problem.ellipticity * (1.0 - 1e-12), name
+        assert hi <= (1.0 / problem.ellipticity) * (1.0 + 1e-12), name
+        assert lo == pytest.approx(1.0, abs=1e-12), name
+        assert hi == pytest.approx(1.0, abs=1e-12), name
+        a = problem.field.eval_a(pts)
+        assert np.array_equal(a, np.broadcast_to(a[0], a.shape)), name
+        assert problem.nu == 0.0 and problem.omega_a == zero_modulus(), name
 
 
 def test_drift_norm_consistency():
-    # the declared drift_bound is what feeds the ladder's lambda1
-    for name in ("drift_c1", "cubic_c11"):
+    # the declared drift_bound is what feeds the ladder's lambda1; tau is
+    # the sup of |b|, and a b constant in x has a zero omega_b
+    pts = random_points(256, seed=2)
+    for name in sorted(_BUILDERS):
         problem = get_problem(name)
         total = drift_norm_total(problem.field)
-        assert total == pytest.approx(problem.drift_bound, rel=1e-3)
-        assert total <= problem.drift_bound * (1.0 + 1e-3)
+        assert total == pytest.approx(problem.drift_bound, rel=1e-3), name
+        assert total <= problem.drift_bound * (1.0 + 1e-3), name
+        b = problem.field.eval_b(pts)
+        assert np.array_equal(b, np.broadcast_to(b[0], b.shape)), name
+        assert float(np.max(np.hypot(b[:, 0], b[:, 1]))) == pytest.approx(
+            problem.tau, rel=1e-12, abs=0.0), name
+        assert problem.omega_b == zero_modulus(), name
