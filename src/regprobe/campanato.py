@@ -35,7 +35,7 @@ from .elliptic import LinearOperator, assemble, solve_dirichlet
 from .errors import CalibrationError, FieldValidationError, FitError
 from .fields import (DRIFT_Q, CoefficientField, _extended_modulus,
                      constant_drift_norm, constant_field)
-from .grid import DiscreteField, DiskGrid, bicubic_sampler
+from .grid import DiscreteField, bicubic_sampler, disk_grid
 
 _TINY_SUP = 1e-10
 _STALL_RATIO = 0.95
@@ -229,10 +229,11 @@ def ball_sup(fn, radius, cells=SUP_CELLS):
 def comparison_operator(a0) -> LinearOperator:
     """The frozen operator a0 : D^2 that ``approximate`` solves with.
 
-    It lives on the disk of radius 3/4 around the origin, with SUB_CELLS
-    grid spacings across that radius.  It is assembled and factored once
-    per process for each a0: every ladder, sweep and calibration with the
-    same a(0) gets the same operator, which no caller writes.
+    It lives on ``disk_grid(0.75, 0.75 / SUB_CELLS)``, the disk of radius
+    3/4 around the origin with SUB_CELLS grid spacings across that radius,
+    one grid that every a0 shares.  It is assembled and factored once per
+    process for each a0: every ladder, sweep and calibration with the same
+    a(0) gets the same operator, which no caller writes.
     """
     a0 = np.asarray(a0, dtype=float)
     return _frozen_comparison(a0.shape, tuple(a0.ravel().tolist()))
@@ -243,7 +244,7 @@ def comparison_operator(a0) -> LinearOperator:
 @functools.lru_cache(maxsize=4)
 def _frozen_comparison(shape, entries) -> LinearOperator:
     return assemble(constant_field(np.reshape(entries, shape)),
-                    DiskGrid(0.75, 0.75 / SUB_CELLS))
+                    disk_grid(0.75, 0.75 / SUB_CELLS))
 
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
@@ -595,7 +596,7 @@ def perturbation_sweep() -> SweepResult:
     frozen operator serves every comparison.
     """
     shapes = _sweep_shapes()
-    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
+    grid = disk_grid(1.0, 1.0 / SWEEP_CELLS)
     frozen = comparison_operator(np.eye(2))
     ratios = np.zeros((len(shapes), len(SWEEP_EPSILONS)))
     solutions = [[None] * len(SWEEP_EPSILONS) for _ in shapes]
@@ -619,7 +620,7 @@ def _boundary_exponent():
     half-balls at that point; the fitted slope is the exponent the solver
     actually delivers for rough data.
     """
-    grid = DiskGrid(1.0, 1.0 / 96)
+    grid = disk_grid(1.0, 1.0 / 96)
     op = assemble(constant_field(np.eye(2)), grid)
     rhs = grid.zeros()
     anchor = np.array([1.0, 0.0])
@@ -749,7 +750,7 @@ def calibrate_constants() -> dict:
         )
 
     shapes = _sweep_shapes()
-    grid = DiskGrid(1.0, 1.0 / SWEEP_CELLS)
+    grid = disk_grid(1.0, 1.0 / SWEEP_CELLS)
     num = 0.0
     den = 0.0
     for bmag in (0.3, 0.6, 1.0):

@@ -340,9 +340,9 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn,
                       grids) -> float:
     """Sup-norm convergence order of the solver on a known solution.
 
-    ``grids`` are disk grids of shrinking spacing; a caller that runs
-    several studies on one set of grids builds them once.  A non-monotone
-    error sequence fits the order anyway but warns.
+    ``grids`` are disk grids of shrinking spacing; the package takes them
+    from ``disk_grid``, so every study on one spacing reads one grid.  A
+    non-monotone error sequence fits the order anyway but warns.
     """
     hs = [grid.h for grid in grids]
     errors = []

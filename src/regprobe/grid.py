@@ -13,6 +13,7 @@ the axis arms, the last four the diagonal arms grouped in opposite pairs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -31,6 +32,19 @@ _ROLES = ("solution", "rhs", "boundary")
 
 # Largest box that ``dissection_order`` leaves undivided, in either lattice.
 DISSECTION_LEAF = 8
+
+# Interior nodes that ``disk_grid`` keeps in total, about 32 MB at the
+# measured 245 B of geometry and orders a node.  One pass of the largest
+# workload, validation_suite, reads five grids: 32, 48, 64 and 128 cells
+# on the unit disk and the 32-cell comparison disk of radius 3/4, 3205 +
+# 7209 + 12849 + 51429 + 3205 = 77897 nodes; a numeric probe on 128 cells
+# reads 51429 + 3205 = 54634, and calibration adds 28913 on 96 cells.
+# 2^17 = 131072 holds each set with room; one grid of 256 cells or more
+# (205857 nodes and up) is kept alone.
+GRID_CACHE_NODES = 1 << 17
+
+_GRIDS: dict = {}                 # (radius, h) -> DiskGrid, oldest use first
+_GRIDS_LOCK = threading.Lock()
 
 
 class _computed_once(cached_property):
@@ -156,11 +170,11 @@ class DiskGrid:
                                      ly[cut] + theta * vy], axis=1))
 
         bp = np.concatenate(bpoints, axis=0) if bpoints else np.zeros((0, 2))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "neighbor", neighbor)
-        object.__setattr__(self, "arm", arm)
-        object.__setattr__(self, "boundary_col", bcol)
-        object.__setattr__(self, "boundary_points", bp)
+        for name, value in (("coords", coords), ("neighbor", neighbor),
+                            ("arm", arm), ("boundary_col", bcol),
+                            ("boundary_points", bp)):
+            value.flags.writeable = False   # every caller shares the grid
+            object.__setattr__(self, name, value)
 
     @property
     def n_interior(self) -> int:
@@ -236,6 +250,28 @@ class DiskGrid:
 
     def zeros(self) -> "DiscreteField":
         return DiscreteField(self, np.zeros(self.n_interior), "rhs")
+
+
+def disk_grid(radius: float, h: float) -> DiskGrid:
+    """The process's one ``DiskGrid(radius, h)``, built on first use.
+
+    Every scenario, sweep and calibration with the same ``(radius, h)``
+    reads the same grid, so its geometry, lattice, orders and weights are
+    computed once per process.  The least recently used grids are dropped
+    while the kept ones hold more than ``GRID_CACHE_NODES`` interior nodes
+    in total; the newest grid is always kept.  A lock makes the lookup and
+    the build one step, so two threads never build one grid twice.
+    """
+    key = (radius, h)
+    with _GRIDS_LOCK:
+        grid = _GRIDS.pop(key, None)
+        if grid is None:
+            grid = DiskGrid(radius, h)
+        _GRIDS[key] = grid
+        while (len(_GRIDS) > 1 and sum(g.n_interior for g in _GRIDS.values())
+               > GRID_CACHE_NODES):
+            del _GRIDS[next(iter(_GRIDS))]
+    return grid
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .elliptic import (abp_check, assemble, convergence_order, solve_dirichlet,
                        trim_heap)
 from .errors import RegistryError, ScenarioError, SchemaVersionError
 from .fields import CoefficientField, constant_field
-from .grid import DiskGrid
+from .grid import disk_grid
 from .manufactured import get_problem
 from .modulus import dini_integral, dini_tail_sum, doubling_check, parse_modulus
 from .semilinear import PicardConfig, picard_solve
@@ -321,7 +321,7 @@ def _run_probe(doc: dict) -> tuple:
     u = solved = None
     if doc.get("data_mode", "manufactured") == "numeric":
         cells = doc["grid"]["cells"]
-        grid = DiskGrid(1.0, 1.0 / cells)
+        grid = disk_grid(1.0, 1.0 / cells)
         op = assemble(problem.field, grid)
         boundary = grid.boundary_from_function(problem.u)
         picard = PicardConfig(**doc.get("picard", {}))
@@ -448,17 +448,19 @@ def _exact_quadratic(pts):
 def _run_solver_validation(doc: dict) -> tuple:
     """Convergence orders, the exact quadratic and the randomized operators.
 
-    One grid per spacing serves every check, and each randomized operator
-    is assembled once per spacing, so its maximum-principle and implied-C
-    solves on the coarse grid share one LU factor.  The operators are drawn
-    from the seed in order and checked on ``_WORKERS`` threads; their rows
-    come back in operator order, and the first failure in that order is
-    raised, so the artifacts and errors are those of a serial loop.  The
-    workers share two grids, whose arrays two workers may both compute.
+    Each spacing's grid comes from ``disk_grid``, so every check, and every
+    later run in the process, reads one grid per spacing.  Each randomized
+    operator is assembled once per spacing, so its maximum-principle and
+    implied-C solves on the coarse grid share one LU factor.  The operators
+    are drawn from the seed in order and checked on ``_WORKERS`` threads;
+    their rows come back in operator order, and the first failure in that
+    order is raised, so the artifacts and errors are those of a serial
+    loop.  The workers share two read-only grids, whose cached arrays two
+    workers may both compute.
     """
     rng = np.random.default_rng(doc.get("seed", _DEFAULT_SEED))
     hs = _RESOLUTIONS
-    grids = [DiskGrid(1.0, h) for h in hs]
+    grids = [disk_grid(1.0, h) for h in hs]
     rows = []
 
     orders = {}

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from regprobe import campanato, elliptic
+from regprobe import campanato, elliptic, grid
 
 
 @pytest.fixture
@@ -27,3 +27,23 @@ def count_factorizations(monkeypatch):
     monkeypatch.setattr(elliptic.spla, "splu", counting_splu)
     return calls
 
+
+@pytest.fixture
+def count_grid_builds(monkeypatch):
+    """Record the ``(radius, h)`` of every disk grid built while the test
+    runs.
+
+    The process-wide grids and comparison operators are dropped first, so
+    a grid an earlier test built is built again and recorded.
+    """
+    grid._GRIDS.clear()
+    campanato._frozen_comparison.cache_clear()
+    builds = []
+    post_init = grid.DiskGrid.__post_init__
+
+    def counting_post_init(self):
+        builds.append((self.radius, self.h))
+        post_init(self)
+
+    monkeypatch.setattr(grid.DiskGrid, "__post_init__", counting_post_init)
+    return builds

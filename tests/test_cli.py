@@ -164,6 +164,28 @@ def test_numeric_artifacts_do_not_depend_on_the_blas_thread_count(
     assert artifacts[0] == artifacts[1]
 
 
+def test_numeric_scenarios_build_their_grid_once_per_process(
+        tmp_path, monkeypatch, count_grid_builds):
+    # both 128-cell documents read one grid, and a second run builds none
+    workloads = _workloads(monkeypatch)
+    docs = workloads.make_documents(
+        ROOT, workloads.WORKLOADS["numeric_picard"], 0)
+    paths = []
+    for doc in docs:
+        paths.append(tmp_path / f"{doc['id']}.json")
+        paths[-1].write_text(json.dumps(doc))
+    artifacts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["run", *map(str, paths), "--out", str(out)]) == 0
+        assert sorted(count_grid_builds) == [(0.75, 0.75 / 32),
+                                             (1.0, 1.0 / 128)]
+        artifacts.append({path.name: path.read_bytes()
+                          for path in sorted(out.iterdir())})
+    assert len(artifacts[0]) == 2 * len(docs)
+    assert artifacts[0] == artifacts[1]
+
+
 def test_run_bundled_zero_case(tmp_path, capsys):
     code = main(["run", "zero_case", "--out", str(tmp_path)])
     assert code == 0

@@ -8,6 +8,7 @@ matrices, and smooth manufactured problems pin the convergence order.
 from __future__ import annotations
 
 import platform
+import sys
 import threading
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from regprobe import campanato, elliptic, scenarios
+from regprobe import campanato, elliptic, grid as grid_module, scenarios
 from regprobe.cli import main
 from regprobe.elliptic import (
     abp_check,
@@ -87,6 +88,60 @@ def test_grid_geometry():
     assert grid.boundary_points.shape == (grid.n_boundary, 2)
     br = np.hypot(grid.boundary_points[:, 0], grid.boundary_points[:, 1])
     assert np.max(np.abs(br - 1.0)) < 1e-9
+
+
+def test_grid_arrays_are_read_only():
+    # every scenario and both solver_validation workers share one grid
+    grid = DiskGrid(1.0, 1.0 / 16)
+    for name in ("coords", "neighbor", "arm", "boundary_col",
+                 "boundary_points", "lattice", "black_order",
+                 "dissection_order", "node_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 0
+
+
+def test_disk_grid_keeps_the_cached_nodes_within_the_bound(
+        count_grid_builds):
+    cells = (32, 64, 128, 256)
+    for n in cells:
+        newest = grid_module.disk_grid(1.0, 1.0 / n)
+        kept = list(grid_module._GRIDS.values())
+        assert kept[-1] is newest
+        assert (sum(g.n_interior for g in kept)
+                <= grid_module.GRID_CACHE_NODES or kept == [newest])
+    # the 256-cell grid alone exceeds the bound, so it is kept alone
+    assert kept == [newest]
+    assert grid_module.disk_grid(1.0, 1.0 / 256) is newest
+    assert count_grid_builds == [(1.0, 1.0 / n) for n in cells]
+
+
+def test_disk_grid_builds_each_grid_once_across_threads(count_grid_builds):
+    keys = [(1.0, 1.0 / n) for n in (16, 20, 24)] + [(0.5, 0.5 / 16)]
+    seen = {key: set() for key in keys}
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20):
+                for key in keys:
+                    seen[key].add(id(grid_module.disk_grid(*key)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(count_grid_builds) == sorted(keys)
+    assert all(len(ids) == 1 for ids in seen.values())
 
 
 def test_grid_rejects_coarse_spacing():

@@ -21,7 +21,9 @@ constant passed around, and goes unless ``ALLOWED`` names a reason.  And
 it yields the reads of a set of names (``constant_reads``): of the
 calibrated constants, which only the recurrence model and the report echo
 may make, and of a problem's declared hypotheses, which only the
-recurrence model computes with.
+recurrence model computes with.  And it yields the calls of ``DiskGrid``
+outside ``grid.py`` (``grid_constructions``), which must be none: the
+package takes every grid from ``grid.disk_grid``.
 """
 from __future__ import annotations
 
@@ -396,3 +398,33 @@ def test_guard_finds_one_value_parameters():
         "def k():\n    K = 2\n    h(R, K)\n    M = 3\n    h(R, M)\n")
     assert _one_value([tree], [tree]) == ["D.m.z", "D.w", "D.y", "f.b", "f.c",
                                           "h.r"]
+
+
+def grid_constructions(package: Path = PACKAGE) -> list:
+    """"file:line" of every call of ``DiskGrid`` by name or attribute in
+    ``package`` outside ``grid.py``, whose ``disk_grid`` keeps one grid per
+    ``(radius, h)`` for the process."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr",
+                                                       None)) == "DiskGrid"]
+    return found
+
+
+def test_only_disk_grid_builds_grids_in_the_package():
+    found = grid_constructions()
+    assert not found, f"DiskGrid built outside grid.disk_grid: {found}"
+
+
+def test_guard_finds_grid_constructions(tmp_path):
+    (tmp_path / "grid.py").write_text("g = DiskGrid(1.0, 0.1)\n")
+    (tmp_path / "m.py").write_text(
+        "from .grid import DiskGrid, disk_grid\n"
+        "def f(grid: DiskGrid):\n    return disk_grid(1.0, 0.1)\n"
+        "a = DiskGrid(1.0, 0.1)\nb = grid.DiskGrid(0.5, 0.05)\n")
+    assert grid_constructions(tmp_path) == ["m.py:4", "m.py:5"]
