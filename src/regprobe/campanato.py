@@ -175,15 +175,33 @@ class SweepResult:
 # sup norms over balls
 
 
+_REFINE = 3
+
+
+# a process keeps four plans; every ladder and sweep uses SUP_CELLS or
+# SUB_CELLS
+@functools.lru_cache(maxsize=4)
+def _sup_plan(cells):
+    """The read-only integer lattice points (i, j) with i^2 + j^2 <= cells^2,
+    the 720 unit rim directions and the integer refine offsets: the parts
+    of ``ball_sup``'s sample plan that do not depend on the radius."""
+    ax = np.arange(-cells, cells + 1)
+    gi, gj = np.meshgrid(ax, ax, indexing="ij")
+    inside = gi * gi + gj * gj <= cells * cells
+    lattice = np.stack([gi[inside], gj[inside]], axis=1)
+    ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    rim = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    w = np.arange(-2 * _REFINE, 2 * _REFINE + 1)
+    lx, ly = np.meshgrid(w, w, indexing="ij")
+    offsets = np.stack([lx.ravel(), ly.ravel()], axis=1)
+    for part in (lattice, rim, offsets):
+        part.flags.writeable = False
+    return lattice, rim, offsets
+
+
 def _disk_lattice(radius, cells):
     """Square-lattice points of spacing radius/cells in the closed disk."""
-    ax = np.arange(-cells, cells + 1) * (radius / cells)
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    mask = gx * gx + gy * gy <= radius * radius * (1.0 + 1e-12)
-    return np.stack([gx[mask], gy[mask]], axis=1)
-
-
-_REFINE = 3
+    return _sup_plan(cells)[0] * (radius / cells)
 
 
 def ball_sup(fn, radius, cells=SUP_CELLS):
@@ -192,23 +210,23 @@ def ball_sup(fn, radius, cells=SUP_CELLS):
     The sample plan is the disk lattice of spacing radius/cells plus 720
     rim points, then a window refined ``_REFINE``-fold around the argmax;
     ``fn`` sees each part once, so the ladder reads its other per-rung
-    sups from the same samples.  The bar is 2 * (fine spacing) * (local
+    sups from the same samples.  The plan's integer lattice, unit rim and
+    integer window are built once per ``cells`` in a process
+    (``_sup_plan``); a call only scales them, which gives each point the
+    bits of building it afresh.  The bar is 2 * (fine spacing) * (local
     Lipschitz estimate).
     """
     step = radius / cells
-    pts = _disk_lattice(radius, cells)
-    ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    ring = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    allpts = np.concatenate([pts, ring], axis=0)
+    _, rim, offsets = _sup_plan(cells)
+    allpts = np.concatenate([_disk_lattice(radius, cells), radius * rim],
+                            axis=0)
     vals = np.abs(np.asarray(fn(allpts), dtype=float))
     best = int(np.argmax(vals))
     coarse_sup = float(vals[best])
     center = allpts[best]
 
     fine = step / _REFINE
-    w = np.arange(-2 * _REFINE, 2 * _REFINE + 1) * fine
-    lx, ly = np.meshgrid(w, w, indexing="ij")
-    local = center[None, :] + np.stack([lx.ravel(), ly.ravel()], axis=1)
+    local = center[None, :] + offsets * fine
     rho = np.hypot(local[:, 0], local[:, 1])
     outside = rho > radius
     if np.any(outside):
@@ -260,11 +278,42 @@ def approximate(w_fn, op: LinearOperator) -> DiscreteField:
                            sub.boundary_from_function(w_fn))
 
 
+# The node sets of a grid that ``_node_gap`` and ``taylor_fit`` read, built
+# once per process for each (radius, h) from ``disk_grid(radius, h)``, whose
+# nodes every DiskGrid(radius, h) shares; read-only.  A process keeps those
+# of four grids; every ladder reads one, the comparison grid's.
+@functools.lru_cache(maxsize=4)
+def _half_ball(radius, h):
+    """The mask of the nodes within 1/2 of the origin, and those nodes."""
+    pts = disk_grid(radius, h).coords
+    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
+    nodes = pts[near]
+    near.flags.writeable = False
+    nodes.flags.writeable = False
+    return near, nodes
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_design(radius, h, order):
+    """The mask of the nodes within LAM of the origin, and the design matrix
+    of an order-``order`` fit on them: columns 1, x1, x2, then for order 2
+    x1^2, x1 x2, x2^2."""
+    d = disk_grid(radius, h).coords
+    mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= LAM * LAM
+    d = d[mask]
+    cols = [np.ones(len(d)), d[:, 0], d[:, 1]]
+    if order == 2:
+        cols += [d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
+    design = np.stack(cols, axis=1)
+    mask.flags.writeable = False
+    design.flags.writeable = False
+    return mask, design
+
+
 def _node_gap(w_fn, h: DiscreteField) -> float:
     """Max |w - h| on h's own nodes in the half ball, radius 1/2, uninterpolated."""
-    pts = h.points
-    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
-    return float(np.max(np.abs(w_fn(pts[near]) - h.values[near])))
+    near, nodes = _half_ball(h.grid.radius, h.grid.h)
+    return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
 
 
 def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
@@ -282,7 +331,8 @@ def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
     """Polynomial behaviour of h at the origin by least squares.
 
     Fits over the nodes within LAM, the scale ratio (which must span at
-    least 4 grid spacings).  An order-1 fit is affine, G = 0.  For order 2
+    least 4 grid spacings); their mask and design matrix are derived once
+    per grid (``_fit_design``).  An order-1 fit is affine, G = 0.  For order 2
     the quadratic part is projected onto the subspace with vanishing
     frozen-coefficient trace, so the fit satisfies sum a0_ij * 2 G_ij = 0.
     """
@@ -293,18 +343,11 @@ def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
         raise FitError(
             f"fit radius {LAM} spans fewer than 4 spacings of {grid.h}"
         )
-    d = h.points
-    mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= LAM * LAM
-    d = d[mask]
-    vals = h.values[mask]
-    cols = [np.ones(len(d)), d[:, 0], d[:, 1]]
-    if order == 2:
-        cols += [d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
-    design = np.stack(cols, axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+    mask, design = _fit_design(grid.radius, grid.h, order)
+    sol, _, rank, _ = np.linalg.lstsq(design, h.values[mask], rcond=None)
     if rank < design.shape[1]:
         raise FitError(
-            f"rank-deficient fit: {len(d)} nodes inside radius {LAM}"
+            f"rank-deficient fit: {len(design)} nodes inside radius {LAM}"
         )
     G = np.zeros((2, 2))
     if order == 2:

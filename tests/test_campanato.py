@@ -450,6 +450,98 @@ def test_rescaling_changes_nothing_beyond_roundoff():
     assert abs(direct - scaled * lam ** 2) <= 1e-12
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def fresh_sample_plan(fn, radius, cells):
+    """``ball_sup``'s two sample sets built from scratch for one call: the
+    lattice-plus-rim plan and the refine window around its argmax, projected
+    onto the ball."""
+    step = radius / cells
+    ax = np.arange(-cells, cells + 1) * step
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    mask = gx * gx + gy * gy <= radius * radius * (1.0 + 1e-12)
+    ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ring = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    allpts = np.concatenate([np.stack([gx[mask], gy[mask]], axis=1), ring])
+    center = allpts[int(np.argmax(np.abs(fn(allpts))))]
+    w = np.arange(-6, 7) * (step / 3)
+    lx, ly = np.meshgrid(w, w, indexing="ij")
+    local = center[None, :] + np.stack([lx.ravel(), ly.ravel()], axis=1)
+    rho = np.hypot(local[:, 0], local[:, 1])
+    outside = rho > radius
+    assert np.any(outside)
+    local[outside] *= (radius / rho[outside])[:, None]
+    return allpts, local
+
+
+def test_ball_sup_plan_is_bit_equal_to_a_fresh_construction():
+    """The cached integer lattice, unit rim and integer window, scaled per
+    call, give every sample point the bits of building them afresh; the
+    argmax sits on the rim, so the window's projection runs."""
+    def oblique(pts):
+        return pts @ np.array([math.cos(0.3), math.sin(0.3)])
+
+    cells_set = (SUB_CELLS, SUP_CELLS, 40)
+    for cells in cells_set:
+        ball_sup(oblique, 1.0, cells=cells)
+    built = campanato._sup_plan.cache_info().misses
+    radii = [LAM ** k for k in range(41)] + [0.5, 0.9, 1.0]
+    for cells in cells_set:
+        assert all(not part.flags.writeable
+                   for part in campanato._sup_plan(cells))
+        for radius in radii:
+            for fn in (oblique, lambda p: p[:, 0]):
+                seen = []
+
+                def recorded(pts, fn=fn):
+                    seen.append(pts.copy())
+                    return fn(pts)
+
+                ball_sup(recorded, radius, cells=cells)
+                want = fresh_sample_plan(fn, radius, cells)
+                assert len(seen) == 2
+                assert all(map(same_bits, seen, want)), (cells, radius)
+    assert campanato._sup_plan.cache_info().misses == built
+
+
+@pytest.mark.parametrize("which", ["comparison", "bare64"])
+def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
+    grid = (comparison_operator(np.eye(2)).grid if which == "comparison"
+            else DiskGrid(1.0, 1.0 / 64))
+    pts = grid.coords
+    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
+    mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= LAM * LAM
+    d = pts[mask]
+    cols = [np.ones(len(d)), d[:, 0], d[:, 1],
+            d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
+    for order, width in ((1, 3), (2, 6)):
+        got = campanato._fit_design(grid.radius, grid.h, order)
+        want = (mask, np.stack(cols[:width], axis=1))
+        assert all(map(same_bits, got, want))
+        assert not any(part.flags.writeable for part in got)
+    got = campanato._half_ball(grid.radius, grid.h)
+    assert all(map(same_bits, got, (near, pts[near])))
+    assert not any(part.flags.writeable for part in got)
+    # the fit keeps the bits of a least-squares solve on the fresh design
+    h = DiscreteField(grid, np.sin(pts[:, 0]) + np.exp(pts[:, 1]), "solution")
+    sol = np.linalg.lstsq(np.stack(cols[:3], axis=1), h.values[mask],
+                          rcond=None)[0]
+    fit = taylor_fit(h, 1)
+    assert same_bits(np.array([fit.E, *fit.F]), sol)
+
+
+def test_deep_ladder_derives_its_node_sets_once():
+    for plan in (campanato._sup_plan, campanato._fit_design,
+                 campanato._half_ball):
+        plan.cache_clear()
+    c11_probe(get_problem("nondini_c11"), 26)
+    for plan in (campanato._sup_plan, campanato._fit_design,
+                 campanato._half_ball):
+        assert plan.cache_info().misses == 1
+
+
 def test_numeric_mode_truncates_at_scale_floor():
     drift = get_problem("drift_c1")
     grid = DiskGrid(1.0, 1.0 / 64)
