@@ -2,24 +2,22 @@
 
 Subcommands:
 
-- ``run``: execute one or more scenarios (file paths or bundled ids),
+- ``run``: execute one or more scenarios (file paths or bundled ids, the
+  check suites ``solver_validation`` and ``modulus_check`` among them),
   writing a trace CSV and a report JSON per scenario.
 - ``report``: consolidate report JSONs into a summary table (CSV plus a
   text table on stdout), rows sorted by verdict then id.
 - ``calibrate``: measure the ladder constants at the fixed scale ratio and
   resolution and print them as JSON; it takes no option of its own.
-- ``validate-solver``: run the bundled solver validation scenario.
-- ``check-modulus``: run the bundled modulus suite.
 
 Global flags (accepted before or after the subcommand): ``--strict``
 makes any non-passing verdict exit 1; ``--out DIR`` chooses the output
 directory.  Several scenarios run one after another, in argument order.
 
 Exit codes: 0 ok; 1 non-passing verdict under ``--strict``; 2 usage or
-config errors, malformed registry parameters, malformed table content,
-malformed report files and outputs that cannot be written; 3 unknown
-registry ids and table files that are missing or unreadable; 4 solver,
-fixed-point or calibration failures and running out of memory.
+config errors, malformed report files and outputs that cannot be written;
+3 unknown registry ids and scenario files that are missing or unreadable;
+4 solver, fixed-point or calibration failures and running out of memory.
 With several scenarios the most config-sided error wins (2 over 3 over 4);
 all scenarios are validated before any of them runs.
 """
@@ -34,7 +32,6 @@ from .campanato import calibrate_constants
 from .errors import (
     CalibrationError,
     FixedPointError,
-    MalformedIdError,
     RegistryError,
     RegprobeError,
     ScenarioError,
@@ -54,8 +51,6 @@ PASS_VERDICTS = frozenset({"C1_certified", "C11_certified", "pass"})
 
 
 def _exit_code(exc: RegprobeError) -> int:
-    if isinstance(exc, MalformedIdError):
-        return 2
     if isinstance(exc, RegistryError):
         return 3
     if isinstance(exc, (SolverError, FixedPointError, CalibrationError)):
@@ -93,11 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate", parents=[common],
                    help="measure ladder constants on the frozen coefficient "
                         "suite")
-
-    sub.add_parser("validate-solver", parents=[common],
-                   help="run the bundled solver validation scenario")
-    sub.add_parser("check-modulus", parents=[common],
-                   help="run the bundled modulus suite")
     return parser
 
 
@@ -204,16 +194,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_bundled(args, name: str) -> int:
-    report = run_scenario(load_scenario(name), _out_dir(args))
-    print(f"{name}: {report['verdict']}")
-    for key, value in report["limits"].items():
-        print(f"  {key}: {_fmt(sanitize(value))}")
-    if _strict(args) and report["verdict"] not in PASS_VERDICTS:
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -225,11 +205,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        if args.command == "validate-solver":
-            return _cmd_bundled(args, "solver_validation")
-        return _cmd_bundled(args, "modulus_check")
+        return _cmd_calibrate(args)
     except RegprobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -11,11 +11,9 @@ class ModulusDomainError(RegprobeError, ValueError):
 
 
 class RegistryError(RegprobeError, ValueError):
-    """An identifier does not name a registered object, or names a table file that cannot be read."""
-
-
-class MalformedIdError(RegistryError):
-    """A known identifier has malformed parameters, or names a table whose content is malformed."""
+    """An identifier names no registered object (a bundled scenario, a
+    problem or a modulus family), or a scenario file that is missing or
+    cannot be read."""
 
 
 class FieldValidationError(RegprobeError, ValueError):

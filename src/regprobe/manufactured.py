@@ -169,7 +169,16 @@ def _g_nondini(t):
     t = np.atleast_1d(t)
     out = np.zeros(t.shape)
     pos = t > 0.0
-    out[pos] = 1.0 / np.log(1.0 / np.minimum(t[pos], np.exp(-2.0)))
+    m = np.minimum(t[pos], np.exp(-2.0))
+    # in place, since the non-Dini profile passes 96001 nodes at a time
+    with np.errstate(over="ignore"):
+        log_inv = np.divide(1.0, m)
+    np.log(log_inv, out=log_inv)
+    # below about 5.6e-309 the reciprocal overflows, and -log(m) stands in
+    if np.max(log_inv, initial=0.0) == np.inf:
+        huge = np.isinf(log_inv)
+        log_inv[huge] = -np.log(m[huge])
+    out[pos] = np.divide(1.0, log_inv, out=log_inv)
     return float(out[0]) if scalar else out
 
 

@@ -2,24 +2,22 @@
 
 A modulus here is a nondecreasing function ``omega`` on ``(0, r_max]`` with
 ``omega(0+) = 0``.  The built-in families are the ones the rest of the package
-quantifies over: powers ``r**gamma``, inverse powers of the logarithm, and
-tabulated data with log-linear interpolation.  The central question asked of a
-modulus is whether ``omega(t)/t`` is integrable near zero, and how fast the
-geometric sums ``sum_i omega(lam**i)`` decay.
+quantifies over: powers ``r**gamma``, inverse powers ``ln(1/r)**-p`` of the
+logarithm, and zero.  The central question asked of a modulus is whether
+``omega(t)/t`` is integrable near zero, and how fast the geometric sums
+``sum_i omega(lam**i)`` decay.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import MalformedIdError, ModulusDomainError, RegistryError
+from .errors import ModulusDomainError, RegistryError
 
-_FAMILIES = ("power", "log_power", "tabulated", "zero")
+_FAMILIES = ("power", "log_power", "zero")
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,8 @@ class Modulus:
     """A modulus of continuity from one of the built-in families.
 
     ``params`` holds the family parameters (``gamma`` for powers, ``p`` for
-    log powers, node arrays for tabulated data).  Evaluation outside
-    ``(0, r_max]`` raises :class:`ModulusDomainError`.
+    log powers).  Evaluation outside ``(0, r_max]`` raises
+    :class:`ModulusDomainError`.
     """
 
     family: str
@@ -51,19 +49,6 @@ class Modulus:
                 raise ModulusDomainError(f"log_power modulus needs p > 0, got {p}")
             if not (self.r_max < 1.0):
                 raise ModulusDomainError("log-family moduli need r_max < 1")
-        elif self.family == "tabulated":
-            r = np.asarray(self.params["r"], dtype=float)
-            w = np.asarray(self.params["omega"], dtype=float)
-            if r.ndim != 1 or r.shape != w.shape or r.size < 2:
-                raise ModulusDomainError("tabulated modulus needs matching 1-d node arrays")
-            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
-                raise ModulusDomainError("tabulated nodes must be finite")
-            if np.any(r <= 0.0) or np.any(w <= 0.0):
-                raise ModulusDomainError("tabulated nodes must be positive")
-            if np.any(np.diff(r) <= 0.0) or np.any(np.diff(w) <= 0.0):
-                raise ModulusDomainError("tabulated nodes must be strictly increasing")
-            object.__setattr__(self, "_log_r", np.log(r))
-            object.__setattr__(self, "_log_w", np.log(w))
 
     def eval(self, r):
         """Evaluate the modulus at ``r`` (scalar or array), enforcing the domain."""
@@ -97,20 +82,10 @@ class Modulus:
             out = np.exp(float(self.params["gamma"]) * arr)
         elif self.family == "log_power":
             out = np.power(-np.minimum(arr, -1e-16), -float(self.params["p"]))
-        elif self.family == "tabulated":
-            out = np.exp(self._interp_log(arr))
         else:
             out = np.zeros_like(arr)
         if np.ndim(log_r) == 0:
             return float(out)
-        return out
-
-    def _interp_log(self, lr):
-        out = np.interp(lr, self._log_r, self._log_w)
-        below = lr < self._log_r[0]
-        if np.any(below):
-            slope = (self._log_w[1] - self._log_w[0]) / (self._log_r[1] - self._log_r[0])
-            out = np.where(below, self._log_w[0] + slope * (lr - self._log_r[0]), out)
         return out
 
 
@@ -127,80 +102,6 @@ def zero_modulus() -> Modulus:
     return Modulus("zero", {}, math.inf)
 
 
-def tabulated(r: Sequence[float], omega: Sequence[float]) -> Modulus:
-    params = {"r": tuple(float(v) for v in r),
-              "omega": tuple(float(v) for v in omega)}
-    return Modulus("tabulated", params, float(r[-1]))
-
-
-def from_table_file(path) -> Modulus:
-    """Load a tabulated modulus from a two-column UTF-8 CSV of (r, omega) rows.
-
-    The first non-blank row is skipped as a header when it holds no digit.
-    A file that cannot be read raises RegistryError; content that does not
-    decode or does not make a valid table raises MalformedIdError.
-    """
-    path = Path(path)
-    rows = []
-    first = True
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            for rec in csv.reader(fh):
-                if not any(cell.strip() for cell in rec):
-                    continue
-                try:
-                    rows.append((float(rec[0]), float(rec[1])))
-                except ValueError:
-                    if not first or any(c.isdigit() for c in "".join(rec)):
-                        raise MalformedIdError(f"non-numeric row {rec!r} in {path}")
-                except IndexError:
-                    raise MalformedIdError(f"short row {rec!r} in {path}")
-                first = False
-    except OSError as exc:
-        raise RegistryError(f"cannot read table {path}: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedIdError(f"bad table {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise MalformedIdError(f"table {path} needs at least two numeric rows")
-    r, w = zip(*rows)
-    try:
-        return tabulated(r, w)
-    except ModulusDomainError as exc:
-        raise MalformedIdError(f"bad table {path}: {exc}") from exc
-
-
-def parse_modulus(modulus_id: str) -> Modulus:
-    """Resolve a string identifier like ``power:0.5`` or ``table:/path.csv``."""
-    name, _, arg = str(modulus_id).partition(":")
-    try:
-        if name == "power":
-            return power(_registry_float(arg, modulus_id))
-        if name == "log_power":
-            return log_power(_registry_float(arg, modulus_id))
-        if name == "log_inverse":  # 1/ln(1/r), the log_power family at p = 1
-            if arg:
-                raise MalformedIdError(f"log_inverse takes no parameter, got {modulus_id!r}")
-            return log_power(1.0)
-        if name == "zero":
-            if arg:
-                raise MalformedIdError(f"zero takes no parameter, got {modulus_id!r}")
-            return zero_modulus()
-        if name == "table":
-            if not arg:
-                raise MalformedIdError("table id needs a file path, e.g. table:data.csv")
-            return from_table_file(arg)
-    except ModulusDomainError as exc:
-        raise MalformedIdError(f"bad modulus id {modulus_id!r}: {exc}") from exc
-    raise RegistryError(f"unknown modulus id {modulus_id!r}")
-
-
-def _registry_float(arg: str, full_id: str) -> float:
-    try:
-        return float(arg)
-    except ValueError:
-        raise MalformedIdError(f"bad numeric parameter in modulus id {full_id!r}") from None
-
-
 def dini_integral(omega: Modulus, t0: float | None = None, *,
                   log_t0: float | None = None) -> float:
     """Integrate ``omega(t)/t`` over ``(0, t0]``; ``math.inf`` exactly when
@@ -209,8 +110,7 @@ def dini_integral(omega: Modulus, t0: float | None = None, *,
     Every family has a closed antiderivative in ``x = ln t``, where the
     integrand is ``omega(e^x)``.  Working in ``x`` also keeps the result
     meaningful at depths where the radius itself would underflow (callers
-    at such depths pass ``log_t0``).  A table is a power law between its
-    nodes and below its first one, so each piece integrates exactly.
+    at such depths pass ``log_t0``).
     """
     if log_t0 is None:
         if t0 is None:
@@ -226,17 +126,13 @@ def dini_integral(omega: Modulus, t0: float | None = None, *,
             raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
         log_t0 = min(log_t0, log_cap)
 
-    if omega.family == "zero":
-        return 0.0
     if omega.family == "power":
         gamma = float(omega.params["gamma"])
         return math.exp(gamma * log_t0) / gamma
     if omega.family == "log_power":
         p = float(omega.params["p"])
         return (-log_t0) ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
-    s = np.diff(omega._log_w) / np.diff(omega._log_r)
-    w = omega.eval_log(np.minimum(omega._log_r, log_t0))
-    return float(w[0] / s[0] + np.sum(np.diff(w) / s))
+    return 0.0
 
 
 def doubling_check(omega: Modulus) -> bool:

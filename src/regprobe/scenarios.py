@@ -48,7 +48,8 @@ from .errors import RegistryError, ScenarioError, SchemaVersionError
 from .fields import CoefficientField, constant_field
 from .grid import disk_grid
 from .manufactured import get_problem
-from .modulus import dini_integral, dini_tail_sum, doubling_check, parse_modulus
+from .modulus import (dini_integral, dini_tail_sum, doubling_check, log_power,
+                      power, zero_modulus)
 from .semilinear import PicardConfig, picard_solve
 
 SCHEMA_VERSION = 1
@@ -69,9 +70,9 @@ _MAX_CELLS = math.sqrt(_GRID_BUDGET_BYTES / (math.pi * _NODE_BYTES))
 # _RESOLUTIONS and draws _OPERATORS randomized operators from the seed,
 # which _WORKERS threads check: SuperLU lets go of the GIL while it factors,
 # and two threads bound the live fine-grid factors at two.
-# modulus_check sums each family's tails at every ratio of _LAMS from
-# k0 = 1 to _K0_MAX; a document may name its own families (a table: file,
-# say) in place of the built-in ones.
+# modulus_check checks the (label, modulus, Dini or not) rows of
+# _FAMILIES, on both sides of the Dini threshold, and sums each family's
+# tails at every ratio of _LAMS from k0 = 1 to _K0_MAX.
 _MIN_SLOPE = 0.15
 _RESOLUTIONS = (1 / 32, 1 / 64, 1 / 128)
 _OPERATORS = 20
@@ -79,12 +80,12 @@ _WORKERS = 2
 _LAMS = (0.125, 0.2, 0.25)
 _K0_MAX = 6
 _FAMILIES = (
-    {"id": "power:0.5", "dini": True},
-    {"id": "power:1.0", "dini": True},
-    {"id": "log_power:2.0", "dini": True},
-    {"id": "log_power:1.0", "dini": False},
-    {"id": "log_inverse", "dini": False},
-    {"id": "zero", "dini": True},
+    ("power:0.5", power(0.5), True),
+    ("power:1.0", power(1.0), True),
+    ("log_power:2.0", log_power(2.0), True),
+    ("log_power:1.0", log_power(1.0), False),
+    ("log_inverse", log_power(1.0), False),
+    ("zero", zero_modulus(), True),
 )
 
 
@@ -213,23 +214,6 @@ def validate_scenario(doc, source: str = "scenario") -> None:
                 raise ScenarioError(
                     f"{source}: key {key!r} is read only in numeric mode "
                     f"(\"data_mode\": \"numeric\")")
-    elif mode == "modulus_check" and "families" in doc:
-        fams = doc["families"]
-        if not isinstance(fams, list) or not fams:
-            raise ScenarioError(f"{source}: key 'families' must be a "
-                                f"non-empty list")
-        for fam in fams:
-            if (not isinstance(fam, dict) or not isinstance(fam.get("id"), str)
-                    or not isinstance(fam.get("dini"), bool)):
-                raise ScenarioError(
-                    f"{source}: each entry of key 'families' needs keys 'id' "
-                    f"(a string) and 'dini' (true or false)")
-            for key in fam:
-                if key not in ("id", "dini"):
-                    raise ScenarioError(
-                        f"{source}: unknown key {key!r} in an entry of key "
-                        f"'families', which holds only 'id' and 'dini'")
-            parse_modulus(fam["id"])
 
 
 def sanitize(obj):
@@ -533,23 +517,21 @@ def _run_solver_validation(doc: dict) -> tuple:
 
 
 def _run_modulus_check(doc: dict) -> tuple:
-    families = doc.get("families", _FAMILIES)
     rows = []
     checked = 0
     skipped = 0
     worst_ratio = 0.0
 
-    for fam in families:
-        omega = parse_modulus(fam["id"])
+    for label, omega, dini in _FAMILIES:
         r_hi = omega.r_max if math.isfinite(omega.r_max) else 1.0
         scan = np.geomspace(r_hi * 1e-12, r_hi, 64)
         vals = omega.eval(scan)
         monotone = bool(np.all(np.diff(vals) >= -1e-12 * max(vals[-1], 1e-300)))
         at_zero = omega.eval_log(-1e300) <= 1e-200
         doubling = doubling_check(omega)
-        class_ok = math.isfinite(dini_integral(omega)) == fam["dini"]
+        class_ok = math.isfinite(dini_integral(omega)) == dini
         base_ok = monotone and at_zero and doubling and class_ok
-        rows.append([fam["id"], "invariants", "", "", "", int(base_ok)])
+        rows.append([label, "invariants", "", "", "", int(base_ok)])
 
         for lam in _LAMS:
             for k0 in range(1, _K0_MAX + 1):
@@ -559,16 +541,16 @@ def _run_modulus_check(doc: dict) -> tuple:
                 tail, bound = dini_tail_sum(omega, lam, k0)
                 checked += 1
                 if math.isinf(tail) and math.isinf(bound):
-                    ok = not fam["dini"]
+                    ok = not dini
                 else:
                     ok = tail <= bound * (1.0 + 1e-9)
                     if bound > 0.0:
                         worst_ratio = max(worst_ratio, tail / bound)
-                rows.append([fam["id"], "tail_sum", repr(lam), k0,
+                rows.append([label, "tail_sum", repr(lam), k0,
                              repr(float(tail)), int(ok)])
 
     limits = {
-        "families": len(families),
+        "families": len(_FAMILIES),
         "combos_checked": checked,
         "combos_skipped_out_of_domain": skipped,
         "max_tail_to_bound": worst_ratio,
@@ -585,6 +567,6 @@ _MODES = {
     "c11": (_PROBE_KEYS, _run_probe),
     "lemma25_sweep": (set(), _run_sweep),
     "solver_validation": (set(), _run_solver_validation),
-    "modulus_check": ({"families"}, _run_modulus_check),
+    "modulus_check": (set(), _run_modulus_check),
 }
 MODES = tuple(_MODES)

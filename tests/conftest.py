@@ -6,15 +6,11 @@ import pytest
 from regprobe import campanato, elliptic, grid
 
 
-@pytest.fixture
-def count_factorizations(monkeypatch):
-    """Count the sparse LU factorizations made while the test runs.
+def _record_factorizations(patch) -> list:
+    """Patch ``splu`` through the MonkeyPatch ``patch`` to record its calls.
 
-    Returns a list that gains one entry, the matrix and the keyword
-    arguments, per ``splu`` call, so ``len(count_factorizations)`` is the
-    count so far.
     The process-wide comparison operators are dropped first, so a frozen
-    operator an earlier test factored is factored again and counted.
+    operator an earlier test factored is factored again and recorded.
     """
     campanato._frozen_comparison.cache_clear()
     calls = []
@@ -24,8 +20,30 @@ def count_factorizations(monkeypatch):
         calls.append((matrix, kwargs))
         return splu(matrix, **kwargs)
 
-    monkeypatch.setattr(elliptic.spla, "splu", counting_splu)
+    patch.setattr(elliptic.spla, "splu", counting_splu)
     return calls
+
+
+@pytest.fixture
+def count_factorizations(monkeypatch):
+    """Count the sparse LU factorizations made while the test runs.
+
+    Returns a list that gains one entry, the matrix and the keyword
+    arguments, per ``splu`` call, so ``len(count_factorizations)`` is the
+    count so far.
+    """
+    return _record_factorizations(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def calibration():
+    """``(constants, factorizations)``: one ``calibrate_constants()`` run
+    shared by the session, and the LU factorizations it made, counted as
+    ``count_factorizations`` counts them.  Readers must not mutate it."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_factorizations(patch)
+        constants = campanato.calibrate_constants()
+    return constants, len(calls)
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from regprobe.campanato import (
     LAM,
     c1_probe,
     c11_probe,
-    calibrate_constants,
     certificate,
     perturbation_sweep,
     verify_recurrence,
@@ -97,12 +96,11 @@ def test_criterion_2_maximum_principle(solver_report):
                 f"<= 0.2")
 
 
-def test_criterion_3_perturbation_scaling():
+def test_criterion_3_perturbation_scaling(calibration):
     start = time.perf_counter()
     sweep = perturbation_sweep()
-    constants = calibrate_constants()
     elapsed = time.perf_counter() - start
-    alpha = constants["alpha"]
+    alpha = calibration[0]["alpha"]
     ok = (sweep.slope >= 0.15 and 0.0 < alpha <= 1.0 / 3.0
           and elapsed <= 300.0)
     report_line(3, ok,

@@ -32,7 +32,6 @@ from regprobe.campanato import (
     ball_sup,
     c1_probe,
     c11_probe,
-    calibrate_constants,
     certificate,
     comparison_operator,
     perturbation_sweep,
@@ -669,12 +668,12 @@ def test_rung_samples_its_ball_once(probe, name, K):
     assert sizes.count(disk_lattice_size(SUP_CELLS) + 720) == K + 1
 
 
-def test_calibration_produces_admissible_constants(count_factorizations):
-    out = calibrate_constants()
+def test_calibration_produces_admissible_constants(calibration):
+    out, factorizations = calibration
     # the boundary exponent's operator, the sweep's four perturbed ones and
     # the frozen one, and the three drift operators: the C1 experiments
     # reuse the sweep's solutions
-    assert len(count_factorizations) == 9
+    assert factorizations == 9
     # campanato's constants are the one record of the calibration
     for name, value in (("C0", campanato.C0), ("C1", campanato.C1),
                         ("C2", campanato.C2), ("alpha", campanato.ALPHA)):

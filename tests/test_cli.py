@@ -7,10 +7,8 @@ bundled zero_case scenario doubles as a fast end-to-end fixture.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import importlib.util
-import io
 import json
 import math
 import os
@@ -19,14 +17,13 @@ import sys
 import tempfile
 import time
 from dataclasses import fields
-from datetime import timedelta
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regprobe import campanato, cli, scenarios
+from regprobe import campanato, cli, modulus, scenarios
 from regprobe.cli import main
 from regprobe.errors import ScenarioError, SolverError
 from regprobe.scenarios import (
@@ -65,10 +62,7 @@ def test_bundled_names_cover_the_shipped_set():
 # Document keys that no bundled scenario or benchmark document sets, each
 # kept for a reason.  Any other such key is a setting nobody uses.  A probe
 # key is named as its block names it, a key of another mode after the mode.
-ALLOWED = {
-    "modulus_check.families": "the route to a user's own modulus, table "
-                              "files included",
-}
+ALLOWED = {}
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -369,23 +363,23 @@ def test_validate_scenario_rejects_path_like_id(tmp_path, ident):
     validate_scenario(dict(doc, id="..a.b-c_d"))
 
 
-def write_modulus_doc(tmp_path, modulus_id):
-    path = tmp_path / "custom.json"
-    path.write_text(json.dumps({
-        "v": 1, "id": "custom", "mode": "modulus_check",
-        "families": [{"id": modulus_id, "dini": True}]}))
-    return path
-
-
-def test_modulus_check_just_above_the_dini_threshold(tmp_path):
-    # the integral of (ln 1/t)^-1.01 / t converges, so the tail sums do too
-    path = write_modulus_doc(tmp_path, "log_power:1.01")
+def run_one_family(tmp_path, monkeypatch, row):
+    """Run modulus_check with ``row`` as its only family; return the report
+    and the trace rows."""
+    monkeypatch.setattr(scenarios, "_FAMILIES", (row,))
     out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "custom_report.json").read_text())
+    assert main(["run", "modulus_check", "--out", str(out)]) == 0
+    report = json.loads((out / "modulus_check_report.json").read_text())
+    with open(out / "modulus_check_trace.csv", newline="") as fh:
+        return report, list(csv.DictReader(fh))
+
+
+def test_modulus_check_just_above_the_dini_threshold(tmp_path, monkeypatch):
+    # the integral of (ln 1/t)^-1.01 / t converges, so the tail sums do too
+    report, rows = run_one_family(
+        tmp_path, monkeypatch, ("log_power:1.01", modulus.log_power(1.01), True))
     assert report["verdict"] == "pass"
-    with open(out / "custom_trace.csv", newline="") as fh:
-        tails = [row for row in csv.DictReader(fh) if row["kind"] == "tail_sum"]
+    tails = [row for row in rows if row["kind"] == "tail_sum"]
     # the family lives below r = 1/e, so each of the three ratios starts
     # at k0 = 2 and runs to k0 = 6
     assert report["limits"]["combos_skipped_out_of_domain"] == 3
@@ -393,55 +387,30 @@ def test_modulus_check_just_above_the_dini_threshold(tmp_path):
     assert all(math.isfinite(float(row["value"])) for row in tails)
 
 
-def test_modulus_check_with_a_wrong_dini_flag_fails(tmp_path):
-    # 1/ln(1/t) is not Dini, so the family's declared flag is wrong
-    path = write_modulus_doc(tmp_path, "log_power:1.0")
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "custom_report.json").read_text())
+def test_modulus_check_with_a_wrong_dini_flag_fails(tmp_path, monkeypatch):
+    # 1/ln(1/t) is not Dini, so a row that declares it Dini is wrong
+    report, rows = run_one_family(
+        tmp_path, monkeypatch, ("log_power:1.0", modulus.log_power(1.0), True))
     assert report["verdict"] == "failed"
-    with open(out / "custom_trace.csv", newline="") as fh:
-        oks = [row["ok"] for row in csv.DictReader(fh)]
+    oks = [row["ok"] for row in rows]
     assert oks[0] == "0"  # the invariants row: the Dini class disagrees
     assert "1" not in oks  # and no tail sum of a non-Dini family is finite
+    assert main(["--strict", "run", "modulus_check",
+                 "--out", str(tmp_path / "out")]) == 1
 
 
-def test_non_finite_modulus_table_exits_2(tmp_path, capsys):
-    # a table with bad content is a malformed scenario, like a bad parameter
-    table = tmp_path / "nan.csv"
-    table.write_text("r,omega\nnan,0.3\n0.1,0.4\n0.5,0.7\n")
-    path = write_modulus_doc(tmp_path, f"table:{table}")
+@pytest.mark.parametrize("ref", [
+    "nope", "{tmp}/missing.json", "{tmp}", "{tmp}/" + "x" * 5000,
+    "{tmp}/custom.json",
+], ids=["unknown", "missing", "directory", "too_long", "problem"])
+def test_registry_exit_codes(tmp_path, capsys, ref):
+    """An unknown bundled id or problem, or a scenario file that is missing
+    or cannot be read, exits 3."""
+    write_scenario(tmp_path, problem="nope")
     out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    assert "finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("modulus_id, code", [
-    ("power:nan", 2),
-    ("power:", 2),
-    ("log_inverse:3", 2),
-    ("table:", 2),
-    ("nope:1", 3),
-    ("table:{tmp}/missing.csv", 3),
-    ("table:{tmp}", 3),
-    ("table:{tmp}/" + "x" * 5000, 3),
-], ids=["nan", "empty", "extra", "no_path", "unknown", "missing", "directory",
-        "too_long"])
-def test_registry_exit_codes(tmp_path, capsys, modulus_id, code):
-    """A known id with a malformed parameter exits 2; an unknown id or a
-    table that cannot be read exits 3."""
-    path = write_modulus_doc(tmp_path, modulus_id.format(tmp=tmp_path))
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+    assert main(["run", ref.format(tmp=tmp_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_undecodable_table_exits_2_naming_it(tmp_path, capsys):
-    table = tmp_path / "utf16.csv"
-    table.write_bytes("r,omega\n0.1,0.4\n0.5,0.7\n".encode("utf-16"))
-    path = write_modulus_doc(tmp_path, f"table:{table}")
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert str(table) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_scenario_files(tmp_path, capsys):
@@ -604,6 +573,9 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     pytest.param("modulus_check", "lams", [0.125, 0.2, 0.25],
                  id="modulus_check-lams-list"),
     ("modulus_check", "k0_max", 6),
+    pytest.param("modulus_check", "families",
+                 [{"id": "power:0.5", "dini": True}],
+                 id="modulus_check-families-list"),
     ("c1", "output_dir", "out"),
 ])
 def test_removed_settings_exit_2_naming_them(tmp_path, capsys, monkeypatch,
@@ -665,24 +637,19 @@ def test_iteration_holds_only_K(tmp_path, capsys, monkeypatch, nondini_at_22,
 
 
 def test_check_modulus_subcommand(tmp_path, capsys):
-    code = main(["check-modulus", "--out", str(tmp_path)])
+    code = main(["run", "modulus_check", "--out", str(tmp_path)])
     assert code == 0
     assert "modulus_check: pass" in capsys.readouterr().out
     assert (tmp_path / "modulus_check_report.json").exists()
 
 
-def test_validate_solver_subcommand(tmp_path, capsys, monkeypatch):
-    ran = []
-
-    def recorded(doc, out_dir):
-        ran.append((doc, out_dir))
-        return {"verdict": "pass", "limits": {"operators": 20}}
-
-    monkeypatch.setattr(cli, "run_scenario", recorded)
-    assert main(["validate-solver", "--out", str(tmp_path)]) == 0
-    # the bundled document runs as it is
-    assert ran == [(load_scenario("solver_validation"), tmp_path)]
-    assert capsys.readouterr().out == "solver_validation: pass\n  operators: 20\n"
+# The check suites are bundled scenarios, and only `run` runs them.
+@pytest.mark.parametrize("command", ["check-modulus", "validate-solver"])
+def test_removed_subcommands_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_validation_factors_each_operator_once(tmp_path, monkeypatch,
@@ -776,19 +743,8 @@ def test_a_probe_that_fails_after_its_ladder_writes_nothing(
     assert not list(tmp_path.iterdir())
 
 
-# validate-solver runs the bundled document and takes no flags of its own;
-# a document sets the seed
-@pytest.mark.parametrize("flag", [["--operators", "2"], ["--seed", "7"]],
-                         ids=["operators", "seed"])
-def test_validate_solver_rejects_bad_overrides(tmp_path, capsys, flag):
-    out = tmp_path / "out"
-    assert main(["validate-solver", *flag, "--out", str(out)]) == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in (
-        capsys.readouterr().err)
-    assert not out.exists()
-
-
-def test_calibrate_subcommand(tmp_path, capsys):
+def test_calibrate_subcommand(tmp_path, capsys, monkeypatch, calibration):
+    monkeypatch.setattr(cli, "calibrate_constants", lambda: calibration[0])
     code = main(["calibrate", "--out", str(tmp_path)])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
@@ -905,10 +861,9 @@ def test_grid_cells_beyond_the_memory_budget_exits_2(tmp_path, capsys):
         validate_scenario(dict(doc, grid={"cells": 818}))
 
 
-# Fuzzed documents start from the bundled ones, modulus_check's naming the
-# built-in families so that its one optional key is fuzzed too, and the
-# check suites they run are cut to test size.  A mutation either replaces
-# one value or puts a key that no block has into one object.
+# Fuzzed documents start from the bundled ones, and the check suites they
+# run are cut to test size.  A mutation either replaces one value or puts a
+# key that no block has into one object.
 _FUZZ_SUITE = {"_OPERATORS": 1, "_RESOLUTIONS": (1 / 16, 1 / 24, 1 / 36)}
 _BAD_VALUES = ("x", True, False, None, -1, -2.5, 0, 0.0, "", [], {})
 
@@ -935,8 +890,6 @@ def broken_documents(draw):
     and "unknown_key" when a key was put in."""
     name = draw(st.sampled_from(bundled_names()))
     doc = load_scenario(name)
-    if name == "modulus_check":
-        doc["families"] = [dict(family) for family in scenarios._FAMILIES]
     value = draw(st.sampled_from(_BAD_VALUES))
     paths = list(_key_paths(doc))
     if draw(st.integers(0, 3)) == 0:
@@ -967,75 +920,3 @@ def test_broken_documents_exit_with_a_code(case):
     # a value of another JSON type never passes; an unknown key never runs
     assert code != 0 or kind == "same_type", doc
     assert code == 2 or kind != "unknown_key", doc
-
-
-# Generated tables for a modulus_check document: a well-formed table
-# (positive, finite, strictly increasing in both columns) with at most one
-# defect, so the expected exit code is known by construction.
-_TABLE_NODES = (1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0)
-_TABLE_DEFECTS = (None, None, None, "nan", "inf", "-inf", "negative", "zero",
-                  "duplicate", "decreasing", "short", "header_only",
-                  "non_utf8", "nul_row", "letter_o_row", "empty_cell")
-
-
-@st.composite
-def table_files(draw):
-    """(kind, bytes, malformed): kind is "file", "directory" or "missing"."""
-    kind = draw(st.sampled_from(["file"] * 8 + ["directory", "missing"]))
-    nodes = st.lists(st.sampled_from(_TABLE_NODES), min_size=2, max_size=5,
-                     unique=True)
-    r, w = sorted(draw(nodes)), sorted(draw(nodes))
-    rows = [[repr(a), repr(b)] for a, b in zip(r, w)]
-    defect = draw(st.sampled_from(_TABLE_DEFECTS))
-    i = draw(st.integers(0, len(rows) - 1))
-    col = draw(st.integers(0, 1))
-    if defect in ("nan", "inf", "-inf"):
-        rows[i][col] = defect
-    elif defect == "negative":
-        rows[i][col] = "-0.5"
-    elif defect == "zero":
-        rows[i][col] = "0.0"
-    elif defect == "duplicate":
-        rows.insert(i, list(rows[i]))
-    elif defect == "decreasing":
-        rows.reverse()
-    elif defect == "short":
-        rows[i] = rows[i][:1]
-    elif defect == "empty_cell":
-        rows[i][col] = ""
-    elif defect == "header_only":
-        rows = []
-    elif defect == "nul_row":  # a row that is not numbers, first included
-        rows.insert(draw(st.integers(0, len(rows))), ["0.3\x00", "0.4"])
-    elif defect == "letter_o_row":  # a first data row with O for 0
-        rows.insert(0, ["O.1", "0.4"])
-    header = draw(st.sampled_from(["r,omega\n", "r,\x00omega\n", ""]))
-    data = (header + "".join(",".join(row) + "\n" for row in rows)).encode()
-    if defect == "non_utf8":
-        data = draw(st.sampled_from([b"\xff\xfe", b"\x80", b"0.1\xff,"])) + data
-    return kind, data, defect is not None
-
-
-# A per-example deadline turns a pathologically slow table (a runaway
-# quadrature, say) into a failure instead of a slow pass.
-@settings(max_examples=250, deadline=timedelta(seconds=5), database=None,
-          derandomize=True)
-@given(table_files())
-def test_table_files_exit_with_a_code(table):
-    kind, data, malformed = table
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        target = tmp / "table.csv"
-        if kind == "file":
-            target.write_bytes(data)
-        elif kind == "directory":
-            target.mkdir()
-        path = write_modulus_doc(tmp, f"table:{target}")
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", str(path), "--out", str(tmp / "out")])
-    if kind != "file":
-        assert code == 3
-    else:
-        assert code == (2 if malformed else 0), stderr.getvalue()

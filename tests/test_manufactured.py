@@ -231,6 +231,15 @@ def test_nondini_reaction_passes_modulus_audit():
     assert _g_nondini(10.0) == pytest.approx(0.5)
 
 
+def test_nondini_reaction_at_subnormal_arguments():
+    # 1/t overflows below about 5.6e-309, where 1/ln(1/t) is still about
+    # 1.4e-3; a K = 220 ladder reaches such t
+    for t in (1e-310, 5e-324):
+        assert _g_nondini(t) == pytest.approx(1.0 / -math.log(t), rel=1e-15)
+    g = _g_nondini(np.geomspace(5e-324, math.exp(-2.0), 4001))
+    assert np.all(np.diff(g) >= 0.0)
+
+
 def test_drift_solution_agrees_with_discrete_solver():
     p = get_problem("drift_c1")
     grid = DiskGrid(1.0, 1.0 / 48.0)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from regprobe import modulus
-from regprobe.errors import MalformedIdError, ModulusDomainError, RegistryError
+from regprobe.errors import ModulusDomainError
 
 
 def test_power_eval_and_domain():
@@ -28,9 +28,8 @@ def test_log_family_defaults():
     om = modulus.log_power(2.0)
     assert om.r_max == pytest.approx(math.exp(-2.0))
     assert om.eval(math.exp(-4.0)) == pytest.approx(1.0 / 16.0)
-    # log_inverse is 1/ln(1/r), the log_power family at p = 1
-    li = modulus.parse_modulus("log_inverse")
-    assert li == modulus.log_power(1.0)
+    # 1/ln(1/r) is the log_power family at p = 1
+    li = modulus.log_power(1.0)
     assert li.r_max == pytest.approx(math.exp(-1.0))
     assert li.eval(math.exp(-5.0)) == pytest.approx(0.2)
 
@@ -59,7 +58,7 @@ def test_dini_integral_linear():
 
 
 def test_dini_integral_log_inverse_diverges():
-    li = modulus.parse_modulus("log_inverse")
+    li = modulus.log_power(1.0)
     assert math.isinf(modulus.dini_integral(li, t0=math.exp(-1.0)))
 
 
@@ -176,81 +175,17 @@ def test_zero_modulus():
     assert modulus.doubling_check(om)
 
 
-def test_tabulated_interpolation_and_integral(tmp_path):
-    r = np.geomspace(1e-8, 1.0, 200)
-    w = np.sqrt(r)
-    path = tmp_path / "sqrt_table.csv"
-    lines = ["r,omega"] + [f"{ri:.17e},{wi:.17e}" for ri, wi in zip(r, w)]
-    path.write_text("\n".join(lines) + "\n")
-
-    om = modulus.parse_modulus(f"table:{path}")
-    assert om.family == "tabulated"
-    assert om.r_max == pytest.approx(1.0)
-    probe = np.geomspace(1e-7, 0.9, 50)
-    assert np.allclose(om.eval(probe), np.sqrt(probe), rtol=1e-10)
-    # below the table the first-segment slope takes over, which is the same power law
-    assert om.eval(1e-12) == pytest.approx(1e-6, rel=1e-8)
-
-    assert modulus.dini_integral(om) == pytest.approx(2.0, abs=1e-6)
-    assert modulus.doubling_check(om)
-
-
-def test_tabulated_rejects_bad_tables(tmp_path):
-    bad = tmp_path / "bad.csv"
-    for rows in ("0.5,0.7\n0.25,0.5\n", "nan,0.3\n0.1,0.4\n0.5,0.7\n",
-                 "0.1,0.4\n0.5,inf\n", "0.1,0.4\ninf,0.7\n"):
-        bad.write_text("r,omega\n" + rows)
-        with pytest.raises(RegistryError):
-            modulus.from_table_file(bad)
-    for r, w in (([0.1, 0.2], [0.5, 0.5]), ([math.nan, 0.2], [0.5, 0.6]),
-                 ([0.1, 0.2], [0.5, math.nan]), ([0.1, math.inf], [0.5, 0.6])):
-        with pytest.raises(ModulusDomainError):
-            modulus.tabulated(r, w)
-
-
-def test_parse_modulus_ids(tmp_path):
-    om = modulus.parse_modulus("power:0.5")
-    assert om.family == "power" and om.params["gamma"] == 0.5
-    om = modulus.parse_modulus("log_power:2")
-    assert om.family == "log_power" and om.r_max == pytest.approx(math.exp(-2.0))
-    assert modulus.parse_modulus("log_inverse") == modulus.log_power(1.0)
-    assert modulus.parse_modulus("zero").family == "zero"
-    # a known id with a malformed parameter or table (exit 2)
-    table = tmp_path / "decreasing.csv"
-    table.write_text("r,omega\n0.5,0.7\n0.25,0.5\n")
-    for bad in ["power", "power:x", "log_inverse:3", "table:", "power:-1",
-                "power:nan", "zero:1", f"table:{table}"]:
-        with pytest.raises(MalformedIdError):
-            modulus.parse_modulus(bad)
-    # an unknown id or a table that cannot be read (exit 3)
-    for bad in ["nope:1", "table:/definitely/not/here.csv", f"table:{tmp_path}"]:
-        with pytest.raises(RegistryError) as info:
-            modulus.parse_modulus(bad)
-        assert not isinstance(info.value, MalformedIdError)
-
-
-_TABLE_R = np.geomspace(1e-6, 0.5, 40)
-_TABLE = modulus.tabulated(_TABLE_R, np.sqrt(_TABLE_R)
-                           * (1.0 + 0.2 * np.sin(np.log(_TABLE_R))))
-
-
 @pytest.mark.parametrize("om", [
     modulus.power(0.05), modulus.power(0.5), modulus.power(3.0),
     modulus.log_power(1.5), modulus.log_power(2.0), modulus.log_power(3.0),
-    _TABLE,
 ], ids=["power:0.05", "power:0.5", "power:3", "log_power:1.5", "log_power:2",
-        "log_power:3", "table"])
+        "log_power:3"])
 @pytest.mark.parametrize("frac", [1.0, 0.3, 1e-3])
 def test_dini_integral_matches_quadrature(om, frac):
     # the integral of omega(t)/t over (0, t0] is that of omega(e^x) over
-    # x < ln t0; quad takes it piecewise between the table nodes
-    log_t0 = math.log(frac * om.r_max)
-    nodes = np.log(_TABLE_R) if om.family == "tabulated" else np.empty(0)
-    edges = [-math.inf, *nodes[nodes < log_t0].tolist(), log_t0]
-    oracle = math.fsum(
-        integrate.quad(om.eval_log, a, b, epsabs=0.0, epsrel=1e-13,
-                       limit=200)[0]
-        for a, b in zip(edges[:-1], edges[1:]))
+    # x < ln t0
+    oracle = integrate.quad(om.eval_log, -math.inf, math.log(frac * om.r_max),
+                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
     assert modulus.dini_integral(om, t0=frac * om.r_max) == pytest.approx(
         oracle, rel=1e-12)
 
