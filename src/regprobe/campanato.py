@@ -199,11 +199,6 @@ def _sup_plan(cells):
     return lattice, rim, offsets
 
 
-def _disk_lattice(radius, cells):
-    """Square-lattice points of spacing radius/cells in the closed disk."""
-    return _sup_plan(cells)[0] * (radius / cells)
-
-
 def ball_sup(fn, radius, cells=SUP_CELLS):
     """Sup of |fn| over the closed ball, with a crude resolution error bar.
 
@@ -217,9 +212,8 @@ def ball_sup(fn, radius, cells=SUP_CELLS):
     Lipschitz estimate).
     """
     step = radius / cells
-    _, rim, offsets = _sup_plan(cells)
-    allpts = np.concatenate([_disk_lattice(radius, cells), radius * rim],
-                            axis=0)
+    lattice, rim, offsets = _sup_plan(cells)
+    allpts = np.concatenate([lattice * step, radius * rim], axis=0)
     vals = np.abs(np.asarray(fn(allpts), dtype=float))
     best = int(np.argmax(vals))
     coarse_sup = float(vals[best])

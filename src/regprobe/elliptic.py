@@ -207,39 +207,16 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     h = grid.h
     h2 = h * h
 
-    diag = np.zeros(n)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    brows: list[np.ndarray] = []
-    bcols: list[np.ndarray] = []
-    bvals: list[np.ndarray] = []
-    idx = np.arange(n)
-
-    def scatter(side_k, w):
-        nbr = grid.neighbor[:, side_k]
-        keep = w != 0.0
-        internal = keep & (nbr >= 0)
-        external = keep & (nbr < 0)
-        rows.append(idx[internal])
-        cols.append(nbr[internal])
-        vals.append(w[internal])
-        brows.append(idx[external])
-        bcols.append(grid.boundary_col[external, side_k])
-        bvals.append(w[external])
-
-    pair_specs = []
-    for pk, (kp, km) in enumerate(AXIS_PAIRS):
-        factor = cxx if pk == 0 else cyy
-        drift = bvec[:, 0] if pk == 0 else bvec[:, 1]
-        pair_specs.append((kp, km, factor, drift, h2, h))
     sign_pos = a12 >= 0.0
-    pair_specs.append((DIAG_PAIRS[0][0], DIAG_PAIRS[0][1],
-                       np.where(sign_pos, 2.0 * off, 0.0), None, 2.0 * h2, None))
-    pair_specs.append((DIAG_PAIRS[1][0], DIAG_PAIRS[1][1],
-                       np.where(sign_pos, 0.0, 2.0 * off), None, 2.0 * h2, None))
-
-    for kp, km, factor, drift, step2, step in pair_specs:
+    pair_specs = ((AXIS_PAIRS[0], cxx, bvec[:, 0], h2, h),
+                  (AXIS_PAIRS[1], cyy, bvec[:, 1], h2, h),
+                  (DIAG_PAIRS[0], np.where(sign_pos, 2.0 * off, 0.0), None,
+                   2.0 * h2, None),
+                  (DIAG_PAIRS[1], np.where(sign_pos, 0.0, 2.0 * off), None,
+                   2.0 * h2, None))
+    weights = np.empty((n, 8))       # the weight of each node's arm k
+    diag = np.zeros(n)
+    for (kp, km), factor, drift, step2, step in pair_specs:
         tp = grid.arm[:, kp]
         tm = grid.arm[:, km]
         wp, wm, wc = _pair_weights(tp, tm, factor, step2)
@@ -249,19 +226,22 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
             wm = wm + dm
             wc = wc + dc
         diag += wc
-        scatter(kp, wp)
-        scatter(km, wm)
+        weights[:, kp] = wp
+        weights[:, km] = wm
 
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
-
+    w = weights.ravel()
+    keep = w != 0.0
+    inner = np.flatnonzero(keep & (grid.neighbor.ravel() >= 0))
+    cut = np.flatnonzero(keep & (grid.boundary_col.ravel() >= 0))
+    idx = np.arange(n)
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([w[inner], diag]),
+         (np.concatenate([inner // 8, idx]),
+          np.concatenate([grid.neighbor.ravel()[inner], idx]))),
         shape=(n, n),
     ).tocsr()
     bmat = sp.coo_matrix(
-        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
+        (w[cut], (cut // 8, grid.boundary_col.ravel()[cut])),
         shape=(n, grid.n_boundary),
     ).tocsr()
 
@@ -336,6 +316,20 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField,
     return implied, lhs <= bmax + C_CAL * fnorm + 1e-10
 
 
+def sup_errors(field: CoefficientField, u_exact, rhs_fn, grids) -> list:
+    """The sup-norm error of the solver on each grid, for the known
+    solution ``u_exact`` of L u = ``rhs_fn`` with its own boundary values."""
+    errors = []
+    for grid in grids:
+        op = assemble(field, grid)
+        rhs = grid.field_from_function(rhs_fn)
+        g = grid.boundary_from_function(u_exact)
+        u = solve_dirichlet(op, rhs, g)
+        exact = np.asarray(u_exact(grid.coords), dtype=float)
+        errors.append(float(np.max(np.abs(u.values - exact))))
+    return errors
+
+
 def convergence_order(field: CoefficientField, u_exact, rhs_fn,
                       grids) -> float:
     """Sup-norm convergence order of the solver on a known solution.
@@ -345,18 +339,9 @@ def convergence_order(field: CoefficientField, u_exact, rhs_fn,
     non-monotone error sequence fits the order anyway but warns.
     """
     hs = [grid.h for grid in grids]
-    errors = []
-    for grid in grids:
-        op = assemble(field, grid)
-        rhs = grid.field_from_function(rhs_fn)
-        g = grid.boundary_from_function(u_exact)
-        u = solve_dirichlet(op, rhs, g)
-        exact = np.asarray(u_exact(grid.coords), dtype=float)
-        errors.append(float(np.max(np.abs(u.values - exact))))
-
+    errors = sup_errors(field, u_exact, rhs_fn, grids)
     slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0]
     if not all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)):
         warnings.warn("error sequence is not monotone; fitted order is unreliable",
                       RuntimeWarning, stacklevel=2)
     return float(slope)
-

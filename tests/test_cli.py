@@ -541,10 +541,10 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, argv):
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
-    def exhausted(radius, cells):
+    def exhausted(cells):
         raise MemoryError("Unable to allocate 298. GiB for an array")
 
-    monkeypatch.setattr(campanato, "_disk_lattice", exhausted)
+    monkeypatch.setattr(campanato, "_sup_plan", exhausted)
     assert main(["run", "zero_case", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "error: not enough memory: Unable to allocate" in err

@@ -26,7 +26,7 @@ from regprobe.elliptic import (
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField, constant_field
-from regprobe.grid import DiscreteField, DiskGrid, bicubic_sampler
+from regprobe.grid import DIRECTIONS, DiscreteField, DiskGrid, bicubic_sampler
 from regprobe.manufactured import get_problem
 
 
@@ -88,6 +88,35 @@ def test_grid_geometry():
     assert grid.boundary_points.shape == (grid.n_boundary, 2)
     br = np.hypot(grid.boundary_points[:, 0], grid.boundary_points[:, 1])
     assert np.max(np.abs(br - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("radius, h", [(1.0, 1.0 / 16), (0.75, 0.75 / 37),
+                                       (2.5, 0.13), (0.3, 0.017)])
+def test_grid_layout_of_arms_and_cut_points(radius, h):
+    # 2.5 / 0.13 and 0.3 / 0.017 are not integers
+    grid = DiskGrid(radius, h)
+    at = {tuple(ij): i for i, ij in enumerate(grid.lattice.tolist())}
+    want = [[at.get((i + di, j + dj), -1) for di, dj in DIRECTIONS.tolist()]
+            for i, j in grid.lattice.tolist()]
+    assert np.array_equal(grid.neighbor, want)
+
+    # the cut arms are numbered direction by direction, then node by node
+    cols = np.full((grid.n_interior, 8), -1)
+    count = 0
+    for k in range(8):
+        for i in range(grid.n_interior):
+            if grid.neighbor[i, k] < 0:
+                cols[i, k] = count
+                count += 1
+    assert count == grid.n_boundary
+    assert np.array_equal(grid.boundary_col, cols)
+
+    node, k = np.nonzero(grid.neighbor < 0)
+    points = grid.coords[node] + grid.arm[node, k, None] * h * DIRECTIONS[k]
+    assert (grid.boundary_points[grid.boundary_col[node, k]].tobytes()
+            == points.tobytes())
+    rho = np.hypot(points[:, 0], points[:, 1])
+    assert np.max(np.abs(rho - radius)) <= 1e-12 * radius
 
 
 def test_grid_arrays_are_read_only():
@@ -245,6 +274,39 @@ def test_assemble_mixed_negative_cross():
     assert_monotone(op)
 
 
+def test_assemble_cross_term_changing_sign():
+    # a12 = x / 2 changes sign inside the disk, so each node picks its own
+    # diagonal; the drift varies too
+    def a(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        out = np.empty((len(pts), 2, 2))
+        out[:, 0, 0] = 2.0 + 0.5 * y
+        out[:, 1, 1] = 1.5 - 0.3 * x
+        out[:, 0, 1] = out[:, 1, 0] = 0.5 * x
+        return out
+
+    def b(pts):
+        return np.stack([0.5 + pts[:, 1], -0.3 * pts[:, 0]], axis=1)
+
+    def u(p):
+        return p[:, 0] ** 2 + 3.0 * p[:, 0] * p[:, 1] - p[:, 1] ** 2 + 2.0 * p[:, 0]
+
+    def exact(p):
+        (a11, a12), (_, a22) = a(p).transpose(1, 2, 0)
+        b1, b2 = b(p).T
+        return (2.0 * a11 + 6.0 * a12 - 2.0 * a22
+                + b1 * (2.0 * p[:, 0] + 3.0 * p[:, 1] + 2.0)
+                + b2 * (3.0 * p[:, 0] - 2.0 * p[:, 1]))
+
+    grid = DiskGrid(1.0, 1.0 / 16)
+    cross = a(grid.coords)[:, 0, 1]
+    assert np.any(cross > 0.0) and np.any(cross < 0.0)
+    op = assemble(CoefficientField(a=a, b=b), grid)
+    got = apply_to(op, grid, u)
+    assert np.max(np.abs(got - exact(grid.coords))) < 1e-9
+    assert_monotone(op)
+
+
 def test_assemble_refuses_strong_anisotropy():
     grid = DiskGrid(1.0, 1.0 / 16)
     with pytest.raises(AnisotropyError) as err:
@@ -348,15 +410,16 @@ def test_constant_fields_assemble_like_a_hand_built_oracle(monkeypatch):
         assert_same_operator(assemble(smooth[name], grid),
                              assemble(oracle, grid))
 
-    # the solver suite's frozen quadratic: its first assembly is that field's
+    # the solver suite's frozen quadratic: its first error study is that
+    # field's
     seen = []
 
-    def capture(field, grid):
+    def capture(field, u_exact, rhs_fn, grids):
         seen.append(field)
         raise _Captured
 
     monkeypatch.setattr(scenarios, "convergence_order", lambda *args: 2.0)
-    monkeypatch.setattr(scenarios, "assemble", capture)
+    monkeypatch.setattr(scenarios, "sup_errors", capture)
     with pytest.raises(_Captured):
         scenarios.run_scenario(scenarios.load_scenario("solver_validation"),
                                "unused")
