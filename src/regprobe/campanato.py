@@ -99,11 +99,14 @@ class QuadApprox:
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
+        affine = self.E + pts @ self.F
         G = self.G
+        if not G.any():  # an affine approximant skips four zero terms
+            return affine
+        x, y = pts[:, 0], pts[:, 1]
         # the terms and the order of einsum("ni,ij,nj->n"), so the same bits
         quad = x * G[0, 0] * x + x * G[0, 1] * y + y * G[1, 0] * x + y * G[1, 1] * y
-        return self.E + pts @ self.F + quad
+        return affine + quad
 
     def frozen_trace(self, a0) -> float:
         """Value of sum_ij a0_ij * 2 G_ij, zero for admissible approximants."""

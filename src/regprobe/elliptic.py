@@ -330,16 +330,9 @@ def sup_errors(field: CoefficientField, u_exact, rhs_fn, grids) -> list:
     return errors
 
 
-def convergence_order(field: CoefficientField, u_exact, rhs_fn,
-                      grids) -> float:
-    """Sup-norm convergence order of the solver on a known solution.
-
-    ``grids`` are disk grids of shrinking spacing; the package takes them
-    from ``disk_grid``, so every study on one spacing reads one grid.  A
-    non-monotone error sequence fits the order anyway but warns.
-    """
-    hs = [grid.h for grid in grids]
-    errors = sup_errors(field, u_exact, rhs_fn, grids)
+def convergence_order(hs, errors) -> float:
+    """The order fitted to the sup-norm ``errors`` at shrinking spacings
+    ``hs``; a non-monotone error sequence fits the order anyway but warns."""
     slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0]
     if not all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)):
         warnings.warn("error sequence is not monotone; fitted order is unreliable",

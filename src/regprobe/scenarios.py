@@ -18,7 +18,9 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -68,8 +70,8 @@ _MAX_CELLS = math.sqrt(_GRID_BUDGET_BYTES / (math.pi * _NODE_BYTES))
 # The fixed suites.  lemma25_sweep passes when the sweep's log-log slope
 # reaches _MIN_SLOPE.  solver_validation fits its convergence orders on
 # _RESOLUTIONS and draws _OPERATORS randomized operators from the seed,
-# which _WORKERS threads check: SuperLU lets go of the GIL while it factors,
-# and two threads bound the live fine-grid factors at two.
+# and _WORKERS threads run its coarser solves beside its finest ones, since
+# SuperLU lets go of the GIL while it factors (see _run_solver_validation).
 # modulus_check checks the (label, modulus, Dini or not) rows of
 # _FAMILIES, on both sides of the Dini threshold, and sums each family's
 # tails at every ratio of _LAMS from k0 = 1 to _K0_MAX.
@@ -429,75 +431,102 @@ def _exact_quadratic(pts):
             + 0.5 * x - 0.3 * y + 0.25)
 
 
+def _operator_checks(i, field, boundary_fn, forcing_fn, grid, coarse) -> list:
+    """Operator ``i``'s (value, trace row) checks on ``grid``: its implied C,
+    after its maximum-principle excess from one factor on the coarse grid."""
+    op = assemble(field, grid)
+    checks = []
+    if coarse:
+        bc = grid.boundary_from_function(boundary_fn)
+        u0 = solve_dirichlet(op, grid.zeros(), bc)
+        excess = float(np.max(u0.values) - np.max(bc.values))
+        checks.append((excess, [f"op{i:02d}", "max_principle", repr(grid.h),
+                                repr(excess), int(excess <= 1e-10)]))
+    f = grid.field_from_function(forcing_fn)
+    b = grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
+    implied_C, passed = abp_check(solve_dirichlet(op, f, b), f, b)
+    return checks + [(implied_C, [f"op{i:02d}", "implied_c", repr(grid.h),
+                                  repr(float(implied_C)), int(passed)])]
+
+
 def _run_solver_validation(doc: dict) -> tuple:
     """Convergence orders, the exact quadratic and the randomized operators.
 
-    Each spacing's grid comes from ``disk_grid``, so every check, and every
-    later run in the process, reads one grid per spacing.  Each randomized
-    operator is assembled once per spacing, so its maximum-principle and
-    implied-C solves on the coarse grid share one LU factor.  The operators
-    are drawn from the seed in order and checked on ``_WORKERS`` threads;
-    their rows come back in operator order, and the first failure in that
-    order is raised, so the artifacts and errors are those of a serial
-    loop.  The workers share two read-only grids, whose cached arrays two
-    workers may both compute.
+    The checks split into one solve per (check, grid from ``disk_grid``); a
+    randomized operator's two coarse-grid solves share one LU factor.
+    ``_WORKERS`` threads run every coarse-grid solve while this thread runs
+    the finest grid's 7-point ones, whose factors fill about twice as much,
+    then every middle-grid solve while this thread runs the finest 5-point
+    ones.  Once a solve fails no queued solve starts, and the first failure
+    in the checks' serial order is raised; the rows are built in that
+    order, so the artifacts and errors are those of a serial loop.
     """
     rng = np.random.default_rng(doc.get("seed", _DEFAULT_SEED))
-    hs = _RESOLUTIONS
-    grids = [disk_grid(1.0, h) for h in hs]
-    rows = []
+    grids = [disk_grid(1.0, h) for h in _RESOLUTIONS]
+    cases = [(field, u, rhs, grids) for _, field, u, rhs in _SMOOTH_CASES]
+    cases.append((_EXACT_FIELD, _exact_quadratic,
+                  lambda pts: np.zeros(len(pts)), grids[:2]))
+    # ((phase, on the pool), solve) in the serial order of the checks
+    solves = []
+    for field, u, rhs, on in cases:
+        finest = 0 if np.any(field.eval_a(grids[0].coords)[:, 0, 1]) else 1
+        solves += [((level, True) if level < 2 else (finest, False),
+                    partial(sup_errors, field, u, rhs, (grid,)))
+                   for level, grid in enumerate(on)]
+    for i in range(_OPERATORS):
+        draw = _random_operator(rng)
+        solves += [((level, True), partial(_operator_checks, i, *draw,
+                                           grids[level], level == 0))
+                   for level in (0, 1)]
+    results = [None] * len(solves)
+    futures, lock, failed = [], threading.Lock(), threading.Event()
 
-    orders = {}
-    for name, field, u_exact, rhs_fn in _SMOOTH_CASES:
-        order = convergence_order(field, u_exact, rhs_fn, grids)
-        orders[name] = order
-        ok = abs(order - 2.0) <= 0.2
-        rows.append([name, "order", repr(min(hs)), repr(order), int(ok)])
+    def run(k):
+        try:
+            results[k] = solves[k][1]()
+        except Exception as exc:
+            results[k] = exc
+            with lock:  # after a failure no queued solve starts
+                failed.set()
+                for future in futures:
+                    future.cancel()
 
-    coarse, fine = grids[:2]
-    exact_errs = sup_errors(_EXACT_FIELD, _exact_quadratic,
-                            lambda pts: np.zeros(len(pts)), (coarse, fine))
-    for grid, err in zip((coarse, fine), exact_errs):
-        rows.append(["frozen_quadratic", "exact", repr(grid.h), repr(err),
-                     int(err <= 1e-10)])
-
-    def check_operator(i, field, boundary_fn, forcing_fn):
-        op = assemble(field, coarse)
-        bc = coarse.boundary_from_function(boundary_fn)
-        u0 = solve_dirichlet(op, coarse.zeros(), bc)
-        excess = float(np.max(u0.values) - np.max(bc.values))
-        op_rows = [[f"op{i:02d}", "max_principle", repr(coarse.h),
-                    repr(excess), int(excess <= 1e-10)]]
-        implied = []
-        for o in (op, assemble(field, fine)):
-            f = o.grid.field_from_function(forcing_fn)
-            b = o.grid.boundary_from_function(lambda pts: np.zeros(len(pts)))
-            uf = solve_dirichlet(o, f, b)
-            implied_C, passed = abp_check(uf, f, b)
-            implied.append(implied_C)
-            op_rows.append([f"op{i:02d}", "implied_c", repr(o.grid.h),
-                            repr(float(implied_C)), int(passed)])
-        spread = abs(implied[0] - implied[1]) / max(abs(implied[0]),
-                                                    abs(implied[1]), 1e-300)
-        op_rows.append([f"op{i:02d}", "implied_c_spread", repr(fine.h),
-                        repr(spread), int(spread <= 0.2)])
-        return excess, spread, op_rows
-
-    draws = [_random_operator(rng) for _ in range(_OPERATORS)]
     pool = ThreadPoolExecutor(_WORKERS)
-    futures = [pool.submit(check_operator, i, *draw)
-               for i, draw in enumerate(draws)]
     try:
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:  # after a failure or an interrupt no other operator starts
+        for phase in (0, 1):
+            with lock:
+                if not failed.is_set():
+                    futures += [pool.submit(run, k) for k, (at, _) in
+                                enumerate(solves) if at == (phase, True)]
+            for k, (at, _) in enumerate(solves):
+                if at == (phase, False) and not failed.is_set():
+                    run(k)
+        wait(futures)
+    finally:  # after an interrupt no queued solve starts
         pool.shutdown(cancel_futures=True)
-    results = [future.result() for future in futures]
-    # the workers' arenas hold the freed factors: over 8 alternating pairs
-    # on a 2-core VM, the validation_suite benchmark peaked at 181-190 MB
-    # without this trim and at 175-184 MB with it, lower in 7 pairs of 8
+    # the workers' arenas hold the freed factors: on a 2-core VM the
+    # benchmark peaked at 175-184 MB with this trim, 181-190 MB without it
     trim_heap()
-    mp_excess, spreads, chunks = zip(*results)
-    rows.extend(row for chunk in chunks for row in chunk)
+    if failed.is_set():
+        raise next(r for r in results if isinstance(r, Exception))
+
+    done = iter(results)
+    rows, orders = [], {}
+    for name, *_ in _SMOOTH_CASES:
+        order = orders[name] = convergence_order(
+            [grid.h for grid in grids], [next(done)[0] for _ in grids])
+        rows.append([name, "order", repr(min(_RESOLUTIONS)), repr(order),
+                     int(abs(order - 2.0) <= 0.2)])
+    exact_errs = [next(done)[0] for _ in grids[:2]]
+    rows += [["frozen_quadratic", "exact", repr(grid.h), repr(err),
+              int(err <= 1e-10)] for grid, err in zip(grids, exact_errs)]
+    mp_excess, spreads = [], []
+    for i, ((mp, (c0, row0)), ((c1, row1),)) in enumerate(zip(done, done)):
+        spreads.append(abs(c0 - c1) / max(abs(c0), abs(c1), 1e-300))
+        mp_excess.append(mp[0])
+        rows += [mp[1], row0, row1, [f"op{i:02d}", "implied_c_spread",
+                                     repr(grids[1].h), repr(spreads[-1]),
+                                     int(spreads[-1] <= 0.2)]]
 
     limits = {
         "orders": orders,

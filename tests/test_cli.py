@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regprobe import campanato, cli, modulus, scenarios
+from regprobe import campanato, cli, elliptic, modulus, scenarios
 from regprobe.cli import main
 from regprobe.errors import ScenarioError, SolverError
 from regprobe.scenarios import (
@@ -685,6 +686,26 @@ def test_solver_validation_threads_change_no_byte(tmp_path, monkeypatch):
     assert artifacts[0] == artifacts[1]
 
 
+def test_solver_validation_threads_under_stress(tmp_path, monkeypatch):
+    # more workers than cores and a short switch interval: a lost or
+    # misplaced result would change a byte
+    monkeypatch.setattr(scenarios, "_OPERATORS", 6)
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 16, 1 / 24, 1 / 36))
+    interval = sys.getswitchinterval()
+    artifacts = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 4):
+            monkeypatch.setattr(scenarios, "_WORKERS", workers)
+            out = tmp_path / str(workers)
+            assert main(["run", "solver_validation", "--out", str(out)]) == 0
+            artifacts.append({path.name: path.read_bytes()
+                              for path in sorted(out.iterdir())})
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(artifacts[0]) == 2 and artifacts[0] == artifacts[1]
+
+
 def test_solver_validation_raises_the_first_failed_operator(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 16, 1 / 24, 1 / 36))
@@ -727,6 +748,80 @@ def test_solver_validation_raises_the_first_failed_operator(
     # freed worker may have taken starts, op03 included
     assert {0, 1} <= started <= {0, 1, 2}
     assert len(draws) == scenarios._OPERATORS
+    assert not list(tmp_path.iterdir())
+
+
+# The finest grid's 7-point factor fills about twice as much as its 5-point
+# ones, so no middle-grid operator is live beside it, and no two
+# finest-grid operators are live at once.
+def test_solver_validation_keeps_the_largest_factor_apart(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(scenarios, "_OPERATORS", 4)
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 16, 1 / 24, 1 / 36))
+    _, middle, finest = scenarios._RESOLUTIONS
+    # at each assembly, the (h, 7-point) of every operator then alive
+    live, snapshots = {}, []
+    assemble = elliptic.assemble
+
+    def tracked(field, grid):
+        op = assemble(field, grid)
+        key = object()
+        live[key] = (grid.h, op.order is not None)
+        snapshots.append(list(live.values()))
+        weakref.finalize(op, live.pop, key)
+        return op
+
+    monkeypatch.setattr(elliptic, "assemble", tracked)
+    monkeypatch.setattr(scenarios, "assemble", tracked)
+    assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 0
+    # 4 studies on 11 grids and 4 operators on 2 each
+    assert len(snapshots) == 19 and not live
+    assert any((finest, True) in snapshot for snapshot in snapshots)
+    for snapshot in snapshots:
+        spacings = [h for h, _ in snapshot]
+        assert spacings.count(finest) <= 1, snapshot
+        assert (finest, True) not in snapshot or middle not in spacings, \
+            snapshot
+
+
+def test_solver_validation_raises_the_first_failed_check(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scenarios, "_RESOLUTIONS", (1 / 16, 1 / 24, 1 / 36))
+    coarse = scenarios._RESOLUTIONS[0]
+    drift = scenarios._SMOOTH_CASES[0][1]
+    draws, started = [], []
+    draw, errors = scenarios._random_operator, scenarios.sup_errors
+    assemble = scenarios.assemble
+
+    def tagged_draw(rng):
+        drawn = draw(rng)
+        draws.append(drawn[0])
+        return drawn
+
+    def failing_errors(field, u_exact, rhs_fn, grids):
+        if field is drift and grids[0].h == coarse:
+            time.sleep(0.2)  # op00 fails first
+            raise SolverError("drift_exponential failed on purpose")
+        return errors(field, u_exact, rhs_fn, grids)
+
+    def failing_assemble(field, grid):
+        for i, drawn in enumerate(draws):
+            if drawn is field:
+                started.append((i, grid.h))
+                if (i, grid.h) == (0, coarse):
+                    raise SolverError("op00 failed on purpose")
+        return assemble(field, grid)
+
+    monkeypatch.setattr(scenarios, "_random_operator", tagged_draw)
+    monkeypatch.setattr(scenarios, "sup_errors", failing_errors)
+    monkeypatch.setattr(scenarios, "assemble", failing_assemble)
+    assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    # the study comes first in the checks' order; after op00 failed no
+    # queued check started, though the study was still solving
+    assert "error: drift_exponential failed on purpose" in err
+    assert "op00" not in err
+    assert started == [(0, coarse)]
     assert not list(tmp_path.iterdir())
 
 

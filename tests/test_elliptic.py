@@ -23,6 +23,7 @@ from regprobe.elliptic import (
     assemble,
     convergence_order,
     solve_dirichlet,
+    sup_errors,
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField, constant_field
@@ -410,11 +411,12 @@ def test_constant_fields_assemble_like_a_hand_built_oracle(monkeypatch):
         assert_same_operator(assemble(smooth[name], grid),
                              assemble(oracle, grid))
 
-    # the solver suite's frozen quadratic: its first error study is that
-    # field's
+    # the solver suite's frozen quadratic: its error study is that field's
     seen = []
 
     def capture(field, u_exact, rhs_fn, grids):
+        if u_exact is not scenarios._exact_quadratic:
+            return [1.0] * len(grids)
         seen.append(field)
         raise _Captured
 
@@ -476,9 +478,20 @@ def test_convergence_order_variable_coefficients():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a non-monotone error sequence warns
-        order = convergence_order(field, u_exact, rhs,
-                                  disk_grids([1 / 16, 1 / 32, 1 / 64]))
+        hs = [1 / 16, 1 / 32, 1 / 64]
+        order = convergence_order(
+            hs, sup_errors(field, u_exact, rhs, disk_grids(hs)))
     assert 1.8 <= order <= 2.2
+
+
+def test_convergence_order_is_the_fitted_slope():
+    hs = [1 / 16, 1 / 32, 1 / 64]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert convergence_order(hs, [3.0 * h ** 2 for h in hs]) == \
+            pytest.approx(2.0, abs=1e-12)
+    with pytest.warns(RuntimeWarning, match="not monotone"):
+        convergence_order(hs, [1e-3, 2e-3, 1e-4])
 
 
 def test_maximum_principle_random_operators():
