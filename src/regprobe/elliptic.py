@@ -24,6 +24,17 @@ only the half-size black Schur complement is factored (red-black reduction;
 Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), dissected in the
 black nodes' own lattice, rotated by 45 degrees.  A diagonal arm joins two
 nodes of one colour; such a matrix is factored whole, in the grid's lattice.
+
+``assemble`` writes the weights into an (n, 9) table of slots, a row's
+columns in ascending order (``grid.SLOTS``), and copies it straight into
+the CSR matrix and the boundary matrix, then, row-scaled in place, into
+the equilibrated CSR matrix and the red-black blocks, through index
+patterns each grid computes once (``DiskGrid.slots``,
+``DiskGrid.red_black``).  Each value is the product scipy's conversions
+and diagonal products would form, exact zeros drop where they would drop,
+and the blocks' rows keep scipy's order, so S, which scipy still forms
+from the blocks, and the factor are the same bits as with that
+construction.
 """
 from __future__ import annotations
 
@@ -37,8 +48,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import AnisotropyError, FieldValidationError, SolverError
 from .fields import CoefficientField
-from .grid import (AXIS_PAIRS, DIAG_PAIRS, DiscreteField, DiskGrid,
-                   _computed_once)
+from .grid import (AXIS_PAIRS, AXIS_SLOTS, CENTRE, DIAG_PAIRS, SLOTS,
+                   DiscreteField, DiskGrid, _computed_once)
 
 ANISOTROPY_LIMIT = 5.0
 
@@ -67,41 +78,27 @@ def trim_heap() -> None:
 class LinearOperator:
     """Assembled interior matrix plus the boundary coupling.
 
+    ``equilibrated`` is ``matrix`` with every row divided by its row scale.
     ``order`` is the column order the LU factor eliminates in: the grid's
     ``dissection_order`` when the stencil has diagonal arms, None for the
     5-point stencil, whose factor is of the reduced system in ``black_order``.
+    ``red_black`` is then the red-black split of ``equilibrated`` = A: the
+    red node indices, the black ones in ``grid.black_order``, the red
+    diagonal d, the block A_BR and the block diag(1/d) A_RB; no 5-point arm
+    joins two red nodes, so the red-red block of A is diag(d).
     """
 
     grid: DiskGrid
     matrix: sp.csr_matrix
     boundary_matrix: sp.csr_matrix
     row_scale: np.ndarray
+    equilibrated: sp.csr_matrix
     order: np.ndarray | None
+    red_black: tuple | None
 
     def apply(self, interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Evaluate the discrete operator given interior and boundary values."""
         return self.matrix @ interior + self.boundary_matrix @ boundary
-
-    @_computed_once
-    def equilibrated(self) -> sp.csc_matrix:
-        """The interior matrix with every row divided by its row scale."""
-        return (sp.diags(1.0 / self.row_scale) @ self.matrix).tocsc()
-
-    @_computed_once
-    def _red_black(self):
-        """The red-black split of a 5-point ``equilibrated`` = A.
-
-        Returns the red node indices, the black ones in ``grid.black_order``,
-        the red diagonal d, the block A_BR and the block diag(1/d) A_RB; no
-        5-point arm joins two red nodes, so the red-red block of A is diag(d).
-        """
-        red = np.flatnonzero(self.grid.lattice.sum(axis=1) % 2 == 0)
-        black = self.grid.black_order
-        a = self.equilibrated
-        d = a.diagonal()[red]
-        a_br = a[black][:, red].tocsr()
-        c_rb = (sp.diags(1.0 / d) @ a[red][:, black]).tocsr()
-        return red, black, d, a_br, c_rb
 
     @_computed_once
     def factor(self):
@@ -113,7 +110,8 @@ class LinearOperator:
         S = A_BB - A_BR diag(1/d) A_RB of the red-black split, a 9-point
         system on about half the nodes that one line of the black nodes'
         rotated lattice separates; ``solve`` eliminates the red unknowns
-        around it.  With diagonal arms the colours couple among themselves,
+        around it.  No 5-point arm joins two black nodes either, so A_BB is
+        diagonal.  With diagonal arms the colours couple among themselves,
         and the factor is of ``equilibrated[p][:, p]`` for p = ``order``.
 
         SuperLU runs in its SymmetricMode: the elimination tree comes from
@@ -127,10 +125,11 @@ class LinearOperator:
             _MALLOPT(-3, 4 << 20)
         a, p = self.equilibrated, self.order
         if p is None:
-            _, black, _, a_br, c_rb = self._red_black
-            matrix = (a[black][:, black] - a_br @ c_rb).tocsc()
+            _, black, _, a_br, c_rb = self.red_black
+            a_bb = sp.diags(a.diagonal()[black], format="csr")
+            matrix = (a_bb - a_br @ c_rb).tocsc()
         else:
-            matrix = a[p][:, p]
+            matrix = a[p][:, p].tocsc()
         return spla.splu(matrix, permc_spec="NATURAL",
                          options={"SymmetricMode": True})
 
@@ -138,7 +137,7 @@ class LinearOperator:
         """The x with ``equilibrated @ x = b``, from the cached factor."""
         x = np.empty_like(b)
         if self.order is None:
-            red, black, d, a_br, c_rb = self._red_black
+            red, black, d, a_br, c_rb = self.red_black
             y = b[red] / d
             x_black = self.factor.solve(b[black] - a_br @ y)
             x[black] = x_black
@@ -166,11 +165,16 @@ def _drift_weights(theta_p, theta_m, coeff, step):
     return wp, wm, wc
 
 
-def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
-    """Build the discrete operator for ``field`` on ``grid``.
+def _weights(field: CoefficientField, grid: DiskGrid):
+    """The weights of ``field`` on ``grid``: the (n, 9) table whose slot
+    ``SLOTS[k]`` holds each node's arm k and ``CENTRE`` the node itself,
+    the row scale (each row's largest |weight|, 1 for a row of zeros) and
+    whether any node has diagonal arms.
 
     Raises AnisotropyError when the local eigenvalue ratio of a(x) exceeds
-    5 at any node, with the worst offender in the message.
+    5 at any node, with the worst offender in the message.  A function of
+    its own, so that the checks' temporaries are freed before ``assemble``
+    copies the table.
     """
     pts = grid.coords
     n = grid.n_interior
@@ -214,44 +218,91 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
                    2.0 * h2, None),
                   (DIAG_PAIRS[1], np.where(sign_pos, 0.0, 2.0 * off), None,
                    2.0 * h2, None))
-    weights = np.empty((n, 8))       # the weight of each node's arm k
+    table = np.zeros((n, 9))
     diag = np.zeros(n)
+    scale = np.zeros(n)
     for (kp, km), factor, drift, step2, step in pair_specs:
+        # a coefficient that is zero at every node adds only zeros, which
+        # change no weight a matrix keeps and no bit of diag
+        if drift is not None and not np.any(drift):
+            drift = None
+        if drift is None and not np.any(factor):
+            continue
         tp = grid.arm[:, kp]
         tm = grid.arm[:, km]
         wp, wm, wc = _pair_weights(tp, tm, factor, step2)
         if drift is not None:
             dp, dm, dc = _drift_weights(tp, tm, drift, step)
-            wp = wp + dp
-            wm = wm + dm
-            wc = wc + dc
+            wp += dp
+            wm += dm
+            wc += dc
         diag += wc
-        weights[:, kp] = wp
-        weights[:, km] = wm
-
-    w = weights.ravel()
-    keep = w != 0.0
-    inner = np.flatnonzero(keep & (grid.neighbor.ravel() >= 0))
-    cut = np.flatnonzero(keep & (grid.boundary_col.ravel() >= 0))
-    idx = np.arange(n)
-    mat = sp.coo_matrix(
-        (np.concatenate([w[inner], diag]),
-         (np.concatenate([inner // 8, idx]),
-          np.concatenate([grid.neighbor.ravel()[inner], idx]))),
-        shape=(n, n),
-    ).tocsr()
-    bmat = sp.coo_matrix(
-        (w[cut], (cut // 8, grid.boundary_col.ravel()[cut])),
-        shape=(n, grid.n_boundary),
-    ).tocsr()
-
-    scale = np.maximum(
-        np.abs(mat).max(axis=1).toarray().ravel(),
-        np.abs(bmat).max(axis=1).toarray().ravel() if grid.n_boundary else 0.0,
-    )
+        for k, w in ((kp, wp), (km, wm)):
+            table[:, SLOTS[k]] = w
+            np.maximum(scale, np.abs(w), out=scale)
+    table[:, CENTRE] = diag
+    np.maximum(scale, np.abs(diag), out=scale)
     scale[scale == 0.0] = 1.0
-    order = grid.dissection_order if np.any(off) else None
-    return LinearOperator(grid, mat, bmat, scale, order)
+    return table, scale, bool(np.any(off))
+
+
+def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
+    """Build the discrete operator for ``field`` on ``grid``.
+
+    The weights go straight into the CSR matrix, the boundary matrix, the
+    equilibrated matrix and, on a 5-point stencil, the red-black blocks,
+    through the grid's index patterns.  Raises AnisotropyError when the
+    local eigenvalue ratio of a(x) exceeds 5 at any node, with the worst
+    offender in the message.
+    """
+    table, scale, diagonal_arms = _weights(field, grid)
+    n = grid.n_interior
+    slots = grid.slots
+    flat = table.ravel()
+    cut = flat[slots.cut]
+    keep = cut != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(slots.cut[keep] // 9, minlength=n), out=indptr[1:])
+    bmat = sp.csr_matrix((cut[keep], slots.cut_columns[keep], indptr),
+                         shape=(n, grid.n_boundary))
+    flat[slots.cut] = 0.0           # the cut arms' weights are in bmat
+
+    keep = table != 0.0
+    keep[:, CENTRE] = True
+    mat = _compressed(table, slots.columns, keep, (n, n))
+    # the table becomes the values of sp.diags(1 / scale) @ mat, a product
+    # that drops exact zeros
+    table *= (1.0 / scale)[:, None]
+    equilibrated = _compressed(table, slots.columns, table != 0.0, (n, n))
+    if diagonal_arms:
+        return LinearOperator(grid, mat, bmat, scale, equilibrated,
+                              grid.dissection_order, None)
+
+    rb = grid.red_black
+    black = grid.black_order
+    d = table[rb.red, CENTRE]
+    to_red = black[:, None] * 9 + AXIS_SLOTS
+    to_black = rb.red[:, None] * 9 + AXIS_SLOTS[rb.rb_order]
+    a_br = flat[to_red]
+    c_rb = flat[to_black] * (1.0 / d)[:, None]
+    columns = slots.columns.ravel()
+    shape = (len(black), len(rb.red))
+    blocks = (rb.red, black, d,
+              _compressed(a_br, rb.rank[columns[to_red]], a_br != 0.0, shape),
+              _compressed(c_rb, rb.rank[columns[to_black]], c_rb != 0.0,
+                          shape[::-1]))
+    return LinearOperator(grid, mat, bmat, scale, equilibrated, None, blocks)
+
+
+def _compressed(values, columns, keep, shape):
+    """The CSR matrix whose row k holds the kept entries of ``values[k]``
+    in the columns ``columns[k]``, in that order."""
+    rows, width = keep.shape
+    at = np.flatnonzero(keep)
+    indptr = np.zeros(rows + 1, dtype=np.int32)
+    # the kept count of each row: a uint8 product sums short rows quickly
+    np.cumsum(keep.view(np.uint8) @ np.ones(width, np.uint8), out=indptr[1:])
+    return sp.csr_matrix((values.take(at), columns.take(at), indptr), shape=shape)
 
 
 def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,

@@ -6,7 +6,8 @@ are interior; stencil arms that leave the disk are cut at the circle.  The
 arm geometry is one ``(n_interior, 8)`` table per quantity, the neighbour,
 the arm fraction and the boundary column of each node's arm in each
 direction, so the operator assembly reads unequal-arm differences for all
-nodes at once.
+nodes at once.  ``DiskGrid.slots`` and ``DiskGrid.red_black`` are the index
+patterns through which the assembly copies its weights into sparse matrices.
 
 Direction order is fixed as E, W, N, S, NE, SW, NW, SE; the first four are
 the axis arms, the last four the diagonal arms grouped in opposite pairs.
@@ -29,13 +30,21 @@ DIRECTIONS = np.array(
 AXIS_PAIRS = ((0, 1), (2, 3))
 DIAG_PAIRS = ((4, 5), (6, 7))
 
+# A node's matrix row holds at most nine columns, in ascending order on the
+# row-major lattice SW, W, NW, S, centre, N, SE, E, NE: slot 3 (di + 1) +
+# (dj + 1) for the arm (di, dj), ``CENTRE`` for the node itself.
+SLOTS = 3 * DIRECTIONS[:, 0] + DIRECTIONS[:, 1] + 4
+CENTRE = 4
+AXIS_SLOTS = np.sort(SLOTS[:4])           # W, S, N, E
+
 _ROLES = ("solution", "rhs", "boundary")
 
 # Largest box that ``dissection_order`` leaves undivided, in either lattice.
 DISSECTION_LEAF = 8
 
-# Interior nodes that ``disk_grid`` keeps in total, about 32 MB at the
-# measured 245 B of geometry and orders a node.  One pass of the largest
+# Interior nodes that ``disk_grid`` keeps in total, about 34 MB at the
+# measured 260 B a node of geometry, orders and the assembly's index
+# patterns (``slots`` and ``red_black``).  One pass of the largest
 # workload, validation_suite, reads five grids: 32, 48, 64 and 128 cells
 # on the unit disk and the 32-cell comparison disk of radius 3/4, 3205 +
 # 7209 + 12849 + 51429 + 3205 = 77897 nodes; a numeric probe on 128 cells
@@ -57,6 +66,45 @@ class _computed_once(cached_property):
         if instance is None:
             return self
         return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False   # every caller shares the grid
+    return array
+
+
+@dataclass(frozen=True)
+class SlotPattern:
+    """A grid's index patterns for an (n, 9) table of slot weights.
+
+    ``columns`` holds the column of each slot, -1 where the arm is cut, so
+    a row's kept slots read in order are its sorted CSR columns.  ``cut``
+    are the flat slots of the cut arms, row by row and in direction order
+    within a row, which is the order of their ``cut_columns`` in the
+    boundary matrix.
+    """
+
+    columns: np.ndarray
+    cut: np.ndarray
+    cut_columns: np.ndarray
+
+
+@dataclass(frozen=True)
+class RedBlackPattern:
+    """A grid's index patterns for the red-black blocks of a 5-point table.
+
+    ``red`` are the red nodes (i + j even) in index order.  ``rank`` holds
+    each red node's place among them and each black node's place in
+    ``black_order``, the columns of A_BR and of A_RB.  A row of A_BR reads
+    its black node's ``AXIS_SLOTS`` in that order; row k of A_RB reads red
+    node k's in the order ``rb_order[k]``, by descending column, as
+    scipy's product of a diagonal and a sorted matrix lists them.  A cut
+    arm's slot holds a zero, which the assembly drops, wherever it sorts.
+    """
+
+    red: np.ndarray
+    rank: np.ndarray
+    rb_order: np.ndarray
 
 
 def dissection_order(ij: np.ndarray) -> np.ndarray:
@@ -129,7 +177,7 @@ class DiskGrid:
         px = (gi * h).ravel()
         py = (gj * h).ravel()
         nodes = np.flatnonzero(px * px + py * py < (r * (1.0 - 1e-13)) ** 2)
-        index = -np.ones(len(px), dtype=int)
+        index = -np.ones(len(px), dtype=np.int32)     # int32, as sparse indices
         index[nodes] = np.arange(len(nodes))
         coords = np.stack([px[nodes], py[nodes]], axis=1)
         # the flat lattice index of each arm's end; every interior node has
@@ -223,6 +271,32 @@ class DiskGrid:
         order = black[dissection_order(ij[black] @ [[1, 1], [1, -1]] // 2)]
         order.flags.writeable = False
         return order
+
+    @_computed_once
+    def slots(self) -> "SlotPattern":
+        """Where each slot of an (n, 9) weight table goes in the operator's
+        matrices; computed once, read-only."""
+        n = self.n_interior
+        columns = np.empty((n, 9), dtype=np.int32)
+        columns[:, SLOTS] = self.neighbor
+        columns[:, CENTRE] = np.arange(n)
+        node, k = np.nonzero(self.boundary_col >= 0)
+        return SlotPattern(_frozen(columns), _frozen(node * 9 + SLOTS[k]),
+                           _frozen(self.boundary_col[node, k].astype(np.int32)))
+
+    @_computed_once
+    def red_black(self) -> "RedBlackPattern":
+        """The index patterns of a 5-point operator's red-black blocks;
+        computed once, read-only."""
+        ij = self.lattice
+        red = np.flatnonzero(ij.sum(axis=1) % 2 == 0)
+        black = self.black_order
+        rank = np.empty(self.n_interior, dtype=np.int32)
+        rank[red] = np.arange(len(red))
+        rank[black] = np.arange(len(black))
+        to_black = rank[self.slots.columns[red][:, AXIS_SLOTS]]
+        order = np.argsort(-to_black, axis=1).astype(np.int8)
+        return RedBlackPattern(_frozen(red), _frozen(rank), _frozen(order))
 
     def field_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.coords), dtype=float)

@@ -613,7 +613,7 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     perturbation_sweep()
     assert comparison_operator([[1.0, 0.0], [0.0, 1.0]]) is frozen
     # the frozen operator's one factor is of its red-black reduced system
-    _, black, _, a_br, c_rb = frozen._red_black
+    _, black, _, a_br, c_rb = frozen.red_black
     reduced = frozen.equilibrated[black][:, black] - a_br @ c_rb
     assert sum(matrix.shape == reduced.shape and (matrix != reduced).nnz == 0
                for matrix, _ in count_factorizations) == 1

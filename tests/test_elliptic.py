@@ -275,9 +275,9 @@ def test_assemble_mixed_negative_cross():
     assert_monotone(op)
 
 
-def test_assemble_cross_term_changing_sign():
-    # a12 = x / 2 changes sign inside the disk, so each node picks its own
-    # diagonal; the drift varies too
+def cross_changing_sign():
+    """a12 = x / 2 changes sign inside the disk, so each node picks its own
+    diagonal; the drift varies too."""
     def a(pts):
         x, y = pts[:, 0], pts[:, 1]
         out = np.empty((len(pts), 2, 2))
@@ -286,23 +286,27 @@ def test_assemble_cross_term_changing_sign():
         out[:, 0, 1] = out[:, 1, 0] = 0.5 * x
         return out
 
-    def b(pts):
-        return np.stack([0.5 + pts[:, 1], -0.3 * pts[:, 0]], axis=1)
+    return CoefficientField(
+        a=a, b=lambda pts: np.stack([0.5 + pts[:, 1], -0.3 * pts[:, 0]], axis=1))
+
+
+def test_assemble_cross_term_changing_sign():
+    field = cross_changing_sign()
 
     def u(p):
         return p[:, 0] ** 2 + 3.0 * p[:, 0] * p[:, 1] - p[:, 1] ** 2 + 2.0 * p[:, 0]
 
     def exact(p):
-        (a11, a12), (_, a22) = a(p).transpose(1, 2, 0)
-        b1, b2 = b(p).T
+        (a11, a12), (_, a22) = field.eval_a(p).transpose(1, 2, 0)
+        b1, b2 = field.eval_b(p).T
         return (2.0 * a11 + 6.0 * a12 - 2.0 * a22
                 + b1 * (2.0 * p[:, 0] + 3.0 * p[:, 1] + 2.0)
                 + b2 * (3.0 * p[:, 0] - 2.0 * p[:, 1]))
 
     grid = DiskGrid(1.0, 1.0 / 16)
-    cross = a(grid.coords)[:, 0, 1]
+    cross = field.eval_a(grid.coords)[:, 0, 1]
     assert np.any(cross > 0.0) and np.any(cross < 0.0)
-    op = assemble(CoefficientField(a=a, b=b), grid)
+    op = assemble(field, grid)
     got = apply_to(op, grid, u)
     assert np.max(np.abs(got - exact(grid.coords))) < 1e-9
     assert_monotone(op)
@@ -669,7 +673,8 @@ def test_diagonal_stencil_factors_in_dissection_order(count_factorizations):
     assert (matrix != op.equilibrated[p][:, p]).nnz == 0
     # minimum degree fills 867,534 entries on this 7-point stencil, nested
     # dissection 807,458 (scipy 1.17)
-    mmd = elliptic.spla.splu(op.equilibrated, permc_spec="MMD_AT_PLUS_A",
+    mmd = elliptic.spla.splu(op.equilibrated.tocsc(),
+                             permc_spec="MMD_AT_PLUS_A",
                              options={"SymmetricMode": True})
     assert op.factor.L.nnz + op.factor.U.nnz < mmd.L.nnz + mmd.U.nnz
     d = 1.0 / op.row_scale
@@ -690,18 +695,192 @@ def test_five_point_stencil_factors_in_black_lattice_order(
     black = grid.black_order
     assert np.array_equal(np.sort(black),
                           np.flatnonzero(grid.lattice.sum(axis=1) % 2))
-    assert op._red_black[1] is black
+    assert op.red_black[1] is black
     # the factored matrix is S = A_BB - A_BR diag(1/d) A_RB in that order
     a = op.equilibrated
     red = np.flatnonzero(grid.lattice.sum(axis=1) % 2 == 0)
     schur = (a[black][:, black] - a[black][:, red]
-             @ sp.diags(1.0 / a.diagonal()[red]) @ a[red][:, black]).tocsc()
-    assert abs(matrix - schur).max() <= 1e-14 * abs(schur).max()
+             @ (sp.diags(1.0 / a.diagonal()[red]) @ a[red][:, black])).tocsc()
+    assert (matrix != schur).nnz == 0
     # minimum degree fills 2,303,392 entries on S, this order 1,916,342
     # (scipy 1.17)
     mmd = elliptic.spla.splu(schur, permc_spec="MMD_AT_PLUS_A",
                              options={"SymmetricMode": True})
     assert op.factor.L.nnz + op.factor.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
+def scipy_built(field, grid):
+    """The operator's arrays built by sparse-matrix conversions and
+    products alone, to check ``assemble``'s direct writes against: the
+    weight table through COO to CSR, ``sp.diags(1 / scale) @ matrix``, the
+    red-black blocks by fancy indexing, S = A_BB - A_BR diag(1/d) A_RB and
+    ``equilibrated[p][:, p]``.  Returns the matrix, the boundary matrix,
+    the row scale, the equilibrated matrix (CSC), the red-black split (None
+    with diagonal arms) and the matrix factored."""
+    pts = grid.coords
+    n = grid.n_interior
+    amat = field.eval_a(pts)
+    bvec = field.eval_b(pts)
+    a12 = 0.5 * (amat[:, 0, 1] + amat[:, 1, 0])
+    off = np.abs(a12)
+    h = grid.h
+    pos = a12 >= 0.0
+    specs = (((0, 1), amat[:, 0, 0] - off, bvec[:, 0], h * h, h),
+             ((2, 3), amat[:, 1, 1] - off, bvec[:, 1], h * h, h),
+             ((4, 5), np.where(pos, 2.0 * off, 0.0), None, 2.0 * h * h, None),
+             ((6, 7), np.where(pos, 0.0, 2.0 * off), None, 2.0 * h * h, None))
+    weights = np.empty((n, 8))
+    diag = np.zeros(n)
+    for (kp, km), factor, drift, step2, step in specs:
+        tp, tm = grid.arm[:, kp], grid.arm[:, km]
+        wp, wm, wc = elliptic._pair_weights(tp, tm, factor, step2)
+        if drift is not None:
+            dp, dm, dc = elliptic._drift_weights(tp, tm, drift, step)
+            wp, wm, wc = wp + dp, wm + dm, wc + dc
+        diag += wc
+        weights[:, kp], weights[:, km] = wp, wm
+
+    w = weights.ravel()
+    keep = w != 0.0
+    inner = np.flatnonzero(keep & (grid.neighbor.ravel() >= 0))
+    cut = np.flatnonzero(keep & (grid.boundary_col.ravel() >= 0))
+    idx = np.arange(n)
+    matrix = sp.coo_matrix(
+        (np.concatenate([w[inner], diag]),
+         (np.concatenate([inner // 8, idx]),
+          np.concatenate([grid.neighbor.ravel()[inner], idx]))),
+        shape=(n, n)).tocsr()
+    bmat = sp.coo_matrix((w[cut], (cut // 8, grid.boundary_col.ravel()[cut])),
+                         shape=(n, grid.n_boundary)).tocsr()
+    scale = np.maximum(abs(matrix).max(axis=1).toarray().ravel(),
+                       abs(bmat).max(axis=1).toarray().ravel())
+    scale[scale == 0.0] = 1.0
+    a = (sp.diags(1.0 / scale) @ matrix).tocsc()
+    if np.any(off):
+        p = grid.dissection_order
+        return matrix, bmat, scale, a, None, a[p][:, p]
+    red = np.flatnonzero(grid.lattice.sum(axis=1) % 2 == 0)
+    black = grid.black_order
+    d = a.diagonal()[red]
+    a_br = a[black][:, red].tocsr()
+    c_rb = (sp.diags(1.0 / d) @ a[red][:, black]).tocsr()
+    schur = (a[black][:, black] - a_br @ c_rb).tocsc()
+    return matrix, bmat, scale, a, (red, black, d, a_br, c_rb), schur
+
+
+def assert_same_bits(got, want):
+    # sparse matrices compare in canonical form
+    if sp.issparse(want):
+        assert got.format == want.format and got.shape == want.shape
+        got, want = got.copy(), want.copy()
+        got.sort_indices()
+        want.sort_indices()
+        got, want = (got.data, got.indices, got.indptr), (want.data,
+                                                          want.indices,
+                                                          want.indptr)
+    else:
+        got, want = [got], [want]
+    for x, y in zip(got, want, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+ORACLE_FIELDS = {
+    "identity_with_drift": lambda: const_field(1.0, 1.0, 0.0, 0.7, -0.4),
+    "variable_diagonal": lambda: {
+        name: field for name, field, _, _ in scenarios._SMOOTH_CASES
+    }["variable_diagonal"],
+    "positive_cross": lambda: const_field(2.0, 1.0, 0.8, 0.5, -0.3),
+    "negative_cross": lambda: const_field(2.0, 1.5, -0.9),
+    "cross_changing_sign": cross_changing_sign,
+}
+
+
+def assert_assembled_like_scipy(field, grid, factored):
+    op = assemble(field, grid)
+    matrix, bmat, scale, a, split, schur = scipy_built(field, grid)
+    assert_same_bits(op.matrix, matrix)
+    assert_same_bits(op.boundary_matrix, bmat)
+    assert_same_bits(op.row_scale, scale)
+    assert_same_bits(op.equilibrated, a.tocsr())
+    # the residual check's product sums each row in column order either way
+    x = np.random.default_rng(grid.n_interior).standard_normal(grid.n_interior)
+    assert_same_bits(op.equilibrated @ x, a @ x)
+    assert (op.red_black is None) == (split is None)
+    if split is not None:
+        red, black, d, a_br, c_rb = op.red_black
+        assert_same_bits(red, split[0])
+        assert black is split[1]
+        assert_same_bits(d, split[2])
+        # a solve sums each row of the blocks in their stored order, so
+        # they match unsorted too
+        for got, want in ((a_br, split[3]), (c_rb, split[4])):
+            for name in ("data", "indices", "indptr"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
+    op.factor
+    (matrix_factored, _), = factored
+    assert_same_bits(matrix_factored, schur)
+    return op
+
+
+@pytest.mark.parametrize("cells", [32, 64])
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_assembly_is_bit_equal_to_the_scipy_construction(count_factorizations,
+                                                         name, cells):
+    assert_assembled_like_scipy(ORACLE_FIELDS[name](),
+                                DiskGrid(1.0, 1.0 / cells),
+                                count_factorizations)
+
+
+def test_assembly_drops_the_weights_that_cancel(count_factorizations):
+    # with b1 = -2/h the east weight 1/h^2 + b1/(2h) is exactly 0 wherever
+    # the east and west arms are whole, and no 5-point weight is kept there
+    h = 1.0 / 32
+    grid = DiskGrid(1.0, h)
+    whole = (grid.arm[:, 0] == 1.0) & (grid.arm[:, 1] == 1.0)
+    assert np.count_nonzero(whole) == 3081
+    op = assert_assembled_like_scipy(const_field(1.0, 1.0, 0.0, -2.0 / h),
+                                     grid, count_factorizations)
+    # those rows keep the centre and three arms, in either matrix
+    kept = (np.diff(op.matrix.indptr) + np.diff(op.boundary_matrix.indptr))
+    assert np.all(kept[whole] == 4)
+
+
+def test_grids_share_their_index_patterns():
+    grid = grid_module.disk_grid(1.0, 1.0 / 24)
+    first = assemble(const_field(1.0, 1.0, 0.0, 0.0), grid)
+    patterns = (grid.slots, grid.red_black)
+    for pattern in patterns:
+        for name, value in vars(pattern).items():
+            assert not value.flags.writeable, name
+    # a second operator reads the arrays the first one had computed
+    second = assemble(const_field(1.0, 1.0, 0.0, 0.5), grid)
+    assert grid.slots is patterns[0] and grid.red_black is patterns[1]
+    for op in (first, second):
+        assert op.red_black[0] is grid.red_black.red
+        assert op.red_black[1] is grid.black_order
+
+    # two threads assembling on one new grid may both compute its
+    # patterns; one is kept, and the operators are equal
+    fresh = DiskGrid(1.0, 1.0 / 24)
+    field = const_field(1.0, 1.0, 0.0, 0.5)
+    built = [None, None]
+    barrier = threading.Barrier(2)
+
+    def build(i):
+        barrier.wait(10)
+        built[i] = assemble(field, fresh)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+        assert not thread.is_alive()
+    for got, want in zip(built[0].red_black[2:], built[1].red_black[2:]):
+        assert_same_bits(got, want)
+    assert_same_bits(built[0].matrix, built[1].matrix)
+    assert_same_bits(built[0].equilibrated, second.equilibrated)
 
 
 def black_count(grid):
@@ -719,7 +898,8 @@ def test_red_black_solve_matches_the_full_factor(count_factorizations,
     x = op.solve(b)
     (matrix, _), = count_factorizations
     assert matrix.shape == (black_count(grid), black_count(grid))
-    full = elliptic.spla.splu(op.equilibrated, permc_spec="MMD_AT_PLUS_A")
+    full = elliptic.spla.splu(op.equilibrated.tocsc(),
+                              permc_spec="MMD_AT_PLUS_A")
     ref = full.solve(b)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -730,7 +910,7 @@ def test_reduced_system_is_a_nine_point_stencil_on_the_black_lattice(
         name, cells):
     grid = DiskGrid(1.0, 1.0 / cells)
     op = assemble(get_problem(name).field, grid)
-    _, black, _, a_br, c_rb = op._red_black
+    _, black, _, a_br, c_rb = op.red_black
     schur = (op.equilibrated[black][:, black] - a_br @ c_rb).tocoo()
     assert np.any(schur.row != schur.col)
     # every entry joins black nodes at most one step apart in each rotated
