@@ -15,9 +15,12 @@ input is its number of rungs K.
 
 A run certifies first-order (mode "c1", affine approximants: G = 0) or
 second-order (mode "c11", quadratic approximants) behaviour at the origin
-when the distance N_k to the limiting polynomial falls below tolerance
-with a monotone tail.  A sup sequence that stops decaying is reported as
-failed; a run cut short by the resolution floor is inconclusive.  The
+when the distance N_k to the limiting polynomial, with the last rung's
+resolution and round-off bars added, falls below tolerance with a
+monotone tail.  A resolved sup sequence (the rungs above their bars)
+that stops decaying is reported as failed; a run cut short by the
+resolution floor, or stopped where round-off alone exceeds the tolerance,
+is inconclusive.  ``claim`` states what the records assert about u.  The
 probe never repairs a trace to reach a verdict.
 """
 from __future__ import annotations
@@ -140,6 +143,7 @@ class ScaleRecord:
     phi_u: float = math.nan
     phi_scale: float = math.nan
     increment: QuadApprox | None = None
+    roundoff: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -474,18 +478,31 @@ def _run_ladder(problem, K: int, order: int, u_data):
         # the reaction increment and the sup of u are all read from it
         corr = float(b0 @ cur.F) / (2.0 * a0[0, 0]) if order == 2 else 0.0
         sampled = []
+        sizes = []
 
         def tracked(pts, cur=cur, corr=corr):
-            u = u_fn(pts)
+            u, v, p = u_fn(pts), v_fn(pts), cur(pts)
+            drift = corr * pts[:, 0] ** 2
             sampled.append((pts, u))
-            return u - u_shift - v_fn(pts) - cur(pts) + corr * pts[:, 0] ** 2
+            # the largest size of the sum's terms, each carrying a relative
+            # error of eps
+            size = np.abs(u)
+            size += abs(u_shift)
+            for term in (v, p, drift):
+                size += np.abs(term)
+            sizes.append(size.max())
+            return u - u_shift - v - p + drift
 
         sup, bar = ball_sup(tracked, meas_r)
         M = sup / scale ** order
         S = S + M
+        roundoff = float(np.finfo(float).eps * max(sizes)) / scale ** order
         row = {"k": k, "scale": scale, "M": M, "S": S, "approx": cur,
-               "sup_error_bar": bar / scale ** order, "measure_radius": meas_r}
-        if k == K_eff:
+               "sup_error_bar": bar / scale ** order, "measure_radius": meas_r,
+               "roundoff": roundoff}
+        # past a rung whose round-off alone exceeds CERT_TOL no rung can
+        # resolve a certificate
+        if k == K_eff or roundoff > CERT_TOL:
             measured.append(ScaleRecord(**row))
             break
 
@@ -574,13 +591,17 @@ def certificate(trace: IterationTrace) -> str:
     """Verdict from the certificate sequence N_k.
 
     Certified means that over the last three steps (all of a shorter
-    ladder) N_k is monotone and ends below CERT_TOL while the partial sums
-    of M_k have plateaued; a non-decaying M tail is failed; anything else,
-    including traces the scale floor truncated, is inconclusive.
+    ladder) N_k is monotone and ends, with the last rung's resolution and
+    round-off bars added, below CERT_TOL while the partial sums of M_k have
+    plateaued; a non-decaying tail of the resolved M_k (those above their
+    two bars) is failed; anything else, including traces the scale floor
+    truncated or the round-off bar stopped, is inconclusive.
     """
-    M = trace.M_values
+    records = trace.records
+    resolved = np.array([r.M > r.sup_error_bar + r.roundoff for r in records])
+    M = trace.M_values[resolved]
     N = trace.N_values[-4:]
-    S = [r.S for r in trace.records[-4:]]
+    S = [r.S for r in records[-4:]]
     slack = 1e-9 * np.maximum(N[:-1], 1e-300)
     tail_monotone = bool(np.all(np.diff(N) <= slack))
     sum_plateau = S[-1] - S[0] <= max(0.05 * S[-1], 1e-9)
@@ -589,9 +610,40 @@ def certificate(trace: IterationTrace) -> str:
         return "inconclusive"
     if _stalled(M):
         return "failed"
-    if N[-1] <= CERT_TOL and tail_monotone and sum_plateau:
+    last = records[-1]
+    if (N[-1] + last.sup_error_bar + last.roundoff <= CERT_TOL
+            and tail_monotone and sum_plateau):
         return "C1_certified" if trace.mode == "c1" else "C11_certified"
     return "inconclusive"
+
+
+def claim(trace: IterationTrace, problem) -> dict:
+    """What the ladder's records claim about the data u it read.
+
+    For every rung k and every radius r with LAM**(k+1) <= r <= radius_k
+    (the ball the rung measured, LAM**k unless numeric data cannot reach
+    its rim):
+
+        sup over B_r of |u - u(0) - v - P + c x1^2| <= bound_k (r / LAM)**order
+
+    with P the limit polynomial, bound_k = N_k + bar_k + roundoff_k and,
+    as in the tracked gap, c = b(0).F / (2 a11(0)) in c11 and 0 in c1.
+    Nothing is claimed below LAM times the last rung's scale.  N_k bounds
+    M_k and the distance from rung k's approximant to P on B_(LAM**k), and
+    the two bars bound how far the measured M_k may sit below the true
+    sup; a certified verdict asserts the claim.  docs/report_schema.md
+    (The claim block) gives the derivation.
+    """
+    order = 1 if trace.mode == "c1" else 2
+    corr = 0.0
+    if order == 2:
+        origin = np.zeros((1, 2))
+        corr = (float(problem.field.eval_b(origin)[0] @ trace.limit.F)
+                / (2.0 * problem.field.eval_a(origin)[0][0, 0]))
+    return {"order": order, "drift_correction": corr,
+            "radii": [r.measure_radius for r in trace.records],
+            "bounds": [r.N + r.sup_error_bar + r.roundoff
+                       for r in trace.records]}
 
 
 # ---------------------------------------------------------------------------
@@ -846,14 +898,15 @@ def trace_rows(trace: IterationTrace):
     n = len(names)
     header = (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k"] + names
               + ["bar_k", "radius_k", "gap_k", "fdev_k", "u_sup_k", "phi_u_k",
-                 "phi_scale_k"] + [f"inc_{name}" for name in names])
+                 "phi_scale_k"] + [f"inc_{name}" for name in names]
+              + ["roundoff_k"])
     rows = []
     for r in trace.records:
         inc = [math.nan] * n if r.increment is None else _coeffs(r.increment, n)
         rows.append([r.k] + [repr(float(x)) for x in (
             r.scale, r.M, r.xi, r.eta, r.S, r.N, *_coeffs(r.approx, n),
             r.sup_error_bar, r.measure_radius, r.gap, r.fdev, r.u_sup,
-            r.phi_u, r.phi_scale, *inc)])
+            r.phi_u, r.phi_scale, *inc, r.roundoff)])
     return header, rows
 
 

@@ -26,15 +26,18 @@ black nodes' own lattice, rotated by 45 degrees.  A diagonal arm joins two
 nodes of one colour; such a matrix is factored whole, in the grid's lattice.
 
 ``assemble`` writes the weights into an (n, 9) table of slots, a row's
-columns in ascending order (``grid.SLOTS``), and copies it straight into
-the CSR matrix and the boundary matrix, then, row-scaled in place, into
-the equilibrated CSR matrix and the red-black blocks, through index
-patterns each grid computes once (``DiskGrid.slots``,
-``DiskGrid.red_black``).  Each value is the product scipy's conversions
-and diagonal products would form, exact zeros drop where they would drop,
-and the blocks' rows keep scipy's order, so S, which scipy still forms
-from the blocks, and the factor are the same bits as with that
-construction.
+columns in ascending order (``grid.SLOTS``), and copies the cut arms'
+weights straight into the boundary matrix, then, row-scaled in place, the
+rest into the equilibrated CSR matrix and the red-black blocks, through
+index patterns each grid keeps (``DiskGrid.slots``, built with the grid,
+and ``DiskGrid.red_black``, computed once).  Each value is the product
+scipy's conversions and diagonal products would form, exact zeros drop
+where they would drop, and the blocks' rows keep scipy's order, so S,
+which scipy still forms from the blocks, and the factor are the same bits
+as with that construction.  An operator keeps the boundary matrix, the
+row scale, the equilibrated matrix, on a 5-point stencil the red-black
+blocks, and its factor once computed; it keeps no unscaled copy of its
+matrix, which is diag(row_scale) @ ``equilibrated``.
 """
 from __future__ import annotations
 
@@ -78,7 +81,9 @@ def trim_heap() -> None:
 class LinearOperator:
     """Assembled interior matrix plus the boundary coupling.
 
-    ``equilibrated`` is ``matrix`` with every row divided by its row scale.
+    ``equilibrated`` is the interior matrix with every row divided by its
+    row scale, the row's largest |weight| (boundary weights included), and
+    ``boundary_matrix`` holds the unscaled weights of the cut arms.
     ``order`` is the column order the LU factor eliminates in: the grid's
     ``dissection_order`` when the stencil has diagonal arms, None for the
     5-point stencil, whose factor is of the reduced system in ``black_order``.
@@ -89,16 +94,11 @@ class LinearOperator:
     """
 
     grid: DiskGrid
-    matrix: sp.csr_matrix
     boundary_matrix: sp.csr_matrix
     row_scale: np.ndarray
     equilibrated: sp.csr_matrix
     order: np.ndarray | None
     red_black: tuple | None
-
-    def apply(self, interior: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-        """Evaluate the discrete operator given interior and boundary values."""
-        return self.matrix @ interior + self.boundary_matrix @ boundary
 
     @_computed_once
     def factor(self):
@@ -249,11 +249,11 @@ def _weights(field: CoefficientField, grid: DiskGrid):
 def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     """Build the discrete operator for ``field`` on ``grid``.
 
-    The weights go straight into the CSR matrix, the boundary matrix, the
-    equilibrated matrix and, on a 5-point stencil, the red-black blocks,
-    through the grid's index patterns.  Raises AnisotropyError when the
-    local eigenvalue ratio of a(x) exceeds 5 at any node, with the worst
-    offender in the message.
+    The weights go straight into the boundary matrix, the equilibrated
+    matrix and, on a 5-point stencil, the red-black blocks, through the
+    grid's index patterns.  Raises AnisotropyError when the local
+    eigenvalue ratio of a(x) exceeds 5 at any node, with the worst offender
+    in the message.
     """
     table, scale, diagonal_arms = _weights(field, grid)
     n = grid.n_interior
@@ -267,15 +267,12 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
                          shape=(n, grid.n_boundary))
     flat[slots.cut] = 0.0           # the cut arms' weights are in bmat
 
-    keep = table != 0.0
-    keep[:, CENTRE] = True
-    mat = _compressed(table, slots.columns, keep, (n, n))
-    # the table becomes the values of sp.diags(1 / scale) @ mat, a product
+    # the table becomes the values of sp.diags(1 / scale) @ L, a product
     # that drops exact zeros
     table *= (1.0 / scale)[:, None]
     equilibrated = _compressed(table, slots.columns, table != 0.0, (n, n))
     if diagonal_arms:
-        return LinearOperator(grid, mat, bmat, scale, equilibrated,
+        return LinearOperator(grid, bmat, scale, equilibrated,
                               grid.dissection_order, None)
 
     rb = grid.red_black
@@ -291,7 +288,7 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
               _compressed(a_br, rb.rank[columns[to_red]], a_br != 0.0, shape),
               _compressed(c_rb, rb.rank[columns[to_black]], c_rb != 0.0,
                           shape[::-1]))
-    return LinearOperator(grid, mat, bmat, scale, equilibrated, None, blocks)
+    return LinearOperator(grid, bmat, scale, equilibrated, None, blocks)
 
 
 def _compressed(values, columns, keep, shape):

@@ -2,12 +2,18 @@
 
 The grid is a uniform Cartesian lattice ``(i*h, j*h)`` about the origin,
 the probe point, clipped to an open disk.  Nodes strictly inside the disk
-are interior; stencil arms that leave the disk are cut at the circle.  The
-arm geometry is one ``(n_interior, 8)`` table per quantity, the neighbour,
-the arm fraction and the boundary column of each node's arm in each
-direction, so the operator assembly reads unequal-arm differences for all
-nodes at once.  ``DiskGrid.slots`` and ``DiskGrid.red_black`` are the index
-patterns through which the assembly copies its weights into sparse matrices.
+are interior; stencil arms that leave the disk are cut at the circle.
+
+A grid keeps, from its build, the node coordinates, the arm fractions as
+one ``(n_interior, 8)`` table (1 for a whole arm), the points where the
+cut arms meet the circle, and ``DiskGrid.slots``: each node's neighbours
+as columns of an ``(n_interior, 9)`` slot table, -1 for a cut arm, and
+the cut arms' slots with their boundary columns.  The operator assembly
+reads unequal-arm differences for all nodes at once from these, and
+copies its weights into sparse matrices through ``slots`` and
+``DiskGrid.red_black``.  The lattice indices, both nested-dissection
+orders, the quadrature weights and ``red_black`` are computed on first
+use and kept; with all of them a 128-cell grid holds 163 B a node.
 
 Direction order is fixed as E, W, N, S, NE, SW, NW, SE; the first four are
 the axis arms, the last four the diagonal arms grouped in opposite pairs.
@@ -42,13 +48,14 @@ _ROLES = ("solution", "rhs", "boundary")
 # Largest box that ``dissection_order`` leaves undivided, in either lattice.
 DISSECTION_LEAF = 8
 
-# Interior nodes that ``disk_grid`` keeps in total, about 34 MB at the
-# measured 260 B a node of geometry, orders and the assembly's index
-# patterns (``slots`` and ``red_black``).  One pass of the largest
-# workload, validation_suite, reads five grids: 32, 48, 64 and 128 cells
-# on the unit disk and the 32-cell comparison disk of radius 3/4, 3205 +
-# 7209 + 12849 + 51429 + 3205 = 77897 nodes; a numeric probe on 128 cells
-# reads 51429 + 3205 = 54634, and calibration adds 28913 on 96 cells.
+# Interior nodes that ``disk_grid`` keeps in total, about 21 MB at the
+# 163 B a node of geometry, orders and the assembly's index patterns
+# (``slots`` and ``red_black``) measured on 128 cells.  One pass of the
+# largest workload, validation_suite, reads five grids: 32, 48, 64 and
+# 128 cells on the unit disk and the 32-cell comparison disk of radius
+# 3/4, 3205 + 7209 + 12849 + 51429 + 3205 = 77897 nodes; a numeric probe
+# on 128 cells reads 51429 + 3205 = 54634, and calibration adds 28913 on
+# 96 cells.
 # 2^17 = 131072 holds each set with room; one grid of 256 cells or more
 # (205857 nodes and up) is kept alone.
 GRID_CACHE_NODES = 1 << 17
@@ -156,10 +163,9 @@ class DiskGrid:
     radius: float
     h: float
     coords: np.ndarray = dc_field(init=False, repr=False)
-    neighbor: np.ndarray = dc_field(init=False, repr=False)
     arm: np.ndarray = dc_field(init=False, repr=False)
-    boundary_col: np.ndarray = dc_field(init=False, repr=False)
     boundary_points: np.ndarray = dc_field(init=False, repr=False)
+    slots: SlotPattern = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.radius > 0.0 and self.h > 0.0):
@@ -180,33 +186,36 @@ class DiskGrid:
         index = -np.ones(len(px), dtype=np.int32)     # int32, as sparse indices
         index[nodes] = np.arange(len(nodes))
         coords = np.stack([px[nodes], py[nodes]], axis=1)
-        # the flat lattice index of each arm's end; every interior node has
-        # |i|, |j| < m, so no arm leaves the box.  The table then becomes the
-        # boundary columns: freeing an (n, 8) temporary here raises glibc's
-        # mmap threshold before the first factorization pins it, which put
-        # numeric_picard's peak RSS 4 % higher (2-core VM, glibc malloc).
-        bcol = nodes[:, None] + DIRECTIONS @ [2 * m + 1, 1]
-        neighbor = index[bcol]
-        bcol.fill(-1)
+        # each arm's neighbour, looked up at the flat lattice index of the
+        # arm's end; every interior node has |i|, |j| < m, so no arm leaves
+        # the box
+        n = len(nodes)
+        columns = np.empty((n, 9), dtype=np.int32)
+        columns[:, SLOTS] = index[nodes[:, None] + DIRECTIONS @ [2 * m + 1, 1]]
+        columns[:, CENTRE] = np.arange(n)
 
-        # the cut arms, direction by direction, then node by node
-        k, node = np.nonzero(neighbor.T < 0)
+        # the cut arms, direction by direction, then node by node: the
+        # order of the boundary points
+        k, node = np.nonzero(columns[:, SLOTS].T < 0)
         vx, vy = DIRECTIONS[k].T * h
         lx, ly = coords[node].T
         v2 = vx * vx + vy * vy
         pv = lx * vx + ly * vy
         disc = pv * pv + v2 * (r * r - (lx ** 2 + ly ** 2))
         theta = np.clip((-pv + np.sqrt(disc)) / v2, 1e-14, 1.0)
-        arm = np.ones(neighbor.shape)
+        arm = np.ones((n, 8))
         arm[node, k] = theta
-        bcol[node, k] = np.arange(len(k))
         bp = np.stack([lx + theta * vx, ly + theta * vy], axis=1)
-
-        for name, value in (("coords", coords), ("neighbor", neighbor),
-                            ("arm", arm), ("boundary_col", bcol),
+        # the same arms node by node, in direction order within a node; the
+        # boundary column of each is its place in the order above
+        within = np.argsort(node, kind="stable")
+        slots = SlotPattern(_frozen(columns),
+                            _frozen(node[within] * 9 + SLOTS[k[within]]),
+                            _frozen(within.astype(np.int32)))
+        for name, value in (("coords", coords), ("arm", arm),
                             ("boundary_points", bp)):
-            value.flags.writeable = False   # every caller shares the grid
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "slots", slots)
 
     @property
     def n_interior(self) -> int:
@@ -271,18 +280,6 @@ class DiskGrid:
         order = black[dissection_order(ij[black] @ [[1, 1], [1, -1]] // 2)]
         order.flags.writeable = False
         return order
-
-    @_computed_once
-    def slots(self) -> "SlotPattern":
-        """Where each slot of an (n, 9) weight table goes in the operator's
-        matrices; computed once, read-only."""
-        n = self.n_interior
-        columns = np.empty((n, 9), dtype=np.int32)
-        columns[:, SLOTS] = self.neighbor
-        columns[:, CENTRE] = np.arange(n)
-        node, k = np.nonzero(self.boundary_col >= 0)
-        return SlotPattern(_frozen(columns), _frozen(node * 9 + SLOTS[k]),
-                           _frozen(self.boundary_col[node, k].astype(np.int32)))
 
     @_computed_once
     def red_black(self) -> "RedBlackPattern":

@@ -39,6 +39,7 @@ from .campanato import (
     c1_probe,
     c11_probe,
     certificate,
+    claim,
     limit_coeffs,
     perturbation_sweep,
     trace_rows,
@@ -338,8 +339,11 @@ def _run_probe(doc: dict) -> tuple:
     # thresholds the ladder ran with
     iteration = {"lam": LAM, "K": K, "C0": C0, "C1": C1, "C2": C2,
                  "alpha": ALPHA, "cert_tol": CERT_TOL, "safety": SAFETY}
-    return (*trace_rows(trace), _base_report(
-        dict(doc, iteration=iteration), certificate(trace), limits, flags))
+    report = _base_report(dict(doc, iteration=iteration), certificate(trace),
+                          limits, flags)
+    # outside limits, whose keys the benchmark's reference pins
+    report["claim"] = claim(trace, problem)
+    return (*trace_rows(trace), report)
 
 
 def _run_sweep(doc: dict) -> tuple:

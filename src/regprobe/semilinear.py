@@ -84,8 +84,10 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
 
     The damping weight starts at 1 and is halved once, the first time an
     update fails to shrink.  The reported residual is the row-equilibrated
-    sup of L u - f(x, u), which convergence keeps within a small multiple
-    of the outer tolerance.
+    sup of L u - f(x, u), d (f(x, u) - B g) - A u with A = ``equilibrated``,
+    B = ``boundary_matrix`` and d = 1 / ``row_scale``, the system
+    ``solve_dirichlet`` solves; convergence keeps it within a small
+    multiple of the outer tolerance.
     """
     if config is None:
         config = PicardConfig()
@@ -132,8 +134,8 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
             f"no fixed point within {MAX_OUTER} outer iterations "
             f"(last update {increments[-1]:.3e})")
 
-    f_final = nonlinearity.eval(pts, u)
-    raw = f_final - op.apply(u, boundary.values)
-    residual = float(np.max(np.abs(raw / op.row_scale)))
+    d = 1.0 / op.row_scale
+    b_vec = d * (nonlinearity.eval(pts, u) - op.boundary_matrix @ boundary.values)
+    residual = float(np.max(np.abs(b_vec - op.equilibrated @ u)))
     return PicardResult(DiscreteField(grid, u, "solution"),
                         len(increments), tuple(increments), theta, residual)

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import iv
 
 from regprobe import campanato, scenarios
@@ -33,6 +34,7 @@ from regprobe.campanato import (
     c1_probe,
     c11_probe,
     certificate,
+    claim,
     comparison_operator,
     perturbation_sweep,
     recurrence_model,
@@ -265,11 +267,18 @@ def test_drift_ladder_contracts_and_certifies():
     assert ok_fraction(verify_recurrence(tr)) >= 0.95
 
 
+def bessel_gradient():
+    """drift_c1's gradient at the origin, c1/4 - c0/2, from its Bessel
+    series."""
+    c0 = iv(2, 0.5) / iv(0, 0.5)
+    c1 = (iv(1, 0.5) + iv(3, 0.5)) / iv(1, 0.5)
+    return c1 / 4.0 - c0 / 2.0
+
+
 def test_drift_limit_gradient_matches_bessel_series():
     tr = c1_probe(get_problem("drift_c1"), 6)
     c0 = iv(2, 0.5) / iv(0, 0.5)
-    c1 = (iv(1, 0.5) + iv(3, 0.5)) / iv(1, 0.5)
-    expected = c1 / 4.0 - c0 / 2.0
+    expected = bessel_gradient()
     assert tr.limit.F[0] == pytest.approx(expected, abs=2e-6)
     assert tr.limit.F[1] == pytest.approx(0.0, abs=1e-9)
     assert tr.flags["u_shift"] == pytest.approx(c0, abs=1e-12)
@@ -359,7 +368,9 @@ LAST_RUNG_MEASURED = ["gap_k", "fdev_k", "u_sup_k", "phi_u_k", "phi_scale_k"]
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_a_prefix_of_a_deeper_ladder_is_that_ladder(monkeypatch, name):
     deep = deep_ladder(name)
-    for K in range(6, 41, 2):
+    # a ladder stops at the first rung whose round-off bar exceeds CERT_TOL
+    # (drift_c1's K = 40 ladder at rung 20), so K runs up to its last rung
+    for K in range(6, len(deep.records), 2):
         tr = prefix(name, K)
         # a prefix reuses the deeper ladder's xi and eta, and rung K, whose
         # comparison leads outside the prefix, leaves them NaN
@@ -389,6 +400,64 @@ def test_a_prefix_of_a_deeper_ladder_is_that_ladder(monkeypatch, name):
         assert all(rows[-1][i] == "nan" for i in measured)
         assert ([v for i, v in enumerate(prefix_rows[-1]) if i not in measured]
                 == [v for i, v in enumerate(rows[-1]) if i not in measured])
+
+
+def off_ladder_points(r):
+    """The centre and 16 circles of 64 points filling B_r, each circle
+    turned half a step against the next, off every ladder sample plan."""
+    rho = r * np.arange(1, 17)[:, None] / 16.0
+    ang = (2.0 * np.pi / 64.0) * (np.arange(64)[None, :]
+                                  + 0.5 * (np.arange(16) % 2)[:, None])
+    pts = np.stack([(rho * np.cos(ang)).ravel(), (rho * np.sin(ang)).ravel()],
+                   axis=1)
+    return np.vstack([np.zeros((1, 2)), pts])
+
+
+@functools.cache
+def off_ladder_gap(name, k):
+    """The points of B_r, r = LAM**(k + 1/2), between rungs k and k + 1,
+    and u - u(0) - v on them, from the closed-form u."""
+    problem = get_problem(name)
+    pts = off_ladder_points(campanato.LAM ** (k + 0.5))
+    u0 = problem.u(np.zeros((1, 2)))[0]
+    return pts, problem.u(pts) - u0 - problem.potential.v(pts)
+
+
+def test_certificates_survive_off_ladder_checks():
+    # every K = 6, 8, ..., 40 of every manufactured problem, as the prefix
+    # of one K = 40 ladder (a prefix past the rung where the round-off bar
+    # stopped that ladder is the whole ladder)
+    gradient = np.array([bessel_gradient(), 0.0])
+    certified = {}
+    for name in PROBLEMS:
+        problem = get_problem(name)
+        for K in range(6, 41, 2):
+            tr = prefix(name, K)
+            if not certificate(tr).endswith("_certified"):
+                continue
+            certified.setdefault(name, []).append(K)
+            stated = claim(tr, problem)
+            order = stated["order"]
+            assert len(stated["bounds"]) == len(tr.records)
+            # a certificate places P within CERT_TOL at the deepest rung
+            assert stated["bounds"][-1] <= campanato.CERT_TOL, (name, K)
+            for k, bound in enumerate(stated["bounds"]):
+                r = campanato.LAM ** (k + 0.5)
+                assert r <= stated["radii"][k]
+                pts, gap = off_ladder_gap(name, k)
+                rest = (gap - tr.limit(pts)
+                        + stated["drift_correction"] * pts[:, 0] ** 2)
+                assert (np.max(np.abs(rest))
+                        <= bound * (r / campanato.LAM) ** order), (name, K, k)
+            if name == "drift_c1":
+                # the limit gradient against the Bessel series'
+                assert (np.linalg.norm(tr.limit.F - gradient)
+                        <= stated["bounds"][-1]), K
+    # the certified prefixes: drift_c1 stops certifying where round-off
+    # swamps its data, cubic_c11 where its tail N_k stops being monotone
+    assert certified == {"drift_c1": [6, 8, 10, 12],
+                         "zero_case": list(range(6, 41, 2)),
+                         "cubic_c11": list(range(6, 33, 2))}
 
 
 def test_recurrence_check_on_synthetic_values(monkeypatch):
@@ -572,7 +641,7 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     assert rows == [header] + [[str(v) for v in row] for row in body]
     assert rows[0] == (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k",
                         "A", "B1", "B2"] + DIAG_COLUMNS
-                       + ["inc_A", "inc_B1", "inc_B2"])
+                       + ["inc_A", "inc_B1", "inc_B2", "roundoff_k"])
     assert len(rows) == 5
     assert rows[1][0] == "0"
     assert float(rows[1][2]) == tr.records[0].M
@@ -582,19 +651,21 @@ def test_trace_csv_schema_and_roundtrip(tmp_path):
     assert [float(v) for v in rows[1][10:]] == [
         first.sup_error_bar, first.measure_radius, first.gap, first.fdev,
         first.u_sup, first.phi_u, first.phi_scale,
-        first.increment.E, *first.increment.F]
-    # the last rung has no comparison solve: bar and radius only
+        first.increment.E, *first.increment.F, first.roundoff]
+    # the last rung has no comparison solve: bar, radius and round-off only
     assert [float(v) for v in rows[-1][10:12]] == [last.sup_error_bar,
                                                    last.measure_radius]
-    assert rows[-1][12:] == ["nan"] * 8
+    assert rows[-1][12:-1] == ["nan"] * 8
+    assert float(rows[-1][-1]) == last.roundoff > 0.0
 
     tr2 = c11_probe(get_problem("cubic_c11"), 2)
     header, body = trace_rows(tr2)
     assert len(body) == 3 and all(len(row) == len(header) for row in body)
     coeffs = ["E", "F1", "F2", "G11", "G12", "G22"]
     assert header == (["k", "scale", "M_k", "xi_k", "eta_k", "S_k", "N_k"]
-                      + coeffs + DIAG_COLUMNS + [f"inc_{c}" for c in coeffs])
-    assert body[-1][15:] == ["nan"] * 11
+                      + coeffs + DIAG_COLUMNS + [f"inc_{c}" for c in coeffs]
+                      + ["roundoff_k"])
+    assert body[-1][15:-1] == ["nan"] * 11
     assert "nan" not in body[0]
 
 
@@ -623,7 +694,10 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     other_a0 = comparison_operator(2.0 * np.eye(2))
     assert other_a0 is not frozen
     assert other_a0.grid.h == frozen.grid.h
-    assert (other_a0.matrix != frozen.matrix).nnz > 0
+    # the operators L = diag(row_scale) @ equilibrated differ
+    unscaled = [sp.diags(op.row_scale) @ op.equilibrated
+                for op in (other_a0, frozen)]
+    assert (unscaled[0] != unscaled[1]).nnz > 0
 
 
 LADDERS = pytest.mark.parametrize("probe, name, K", [

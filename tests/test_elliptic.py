@@ -7,6 +7,8 @@ matrices, and smooth manufactured problems pin the convergence order.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import platform
 import sys
 import threading
@@ -27,7 +29,8 @@ from regprobe.elliptic import (
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField, constant_field
-from regprobe.grid import DIRECTIONS, DiscreteField, DiskGrid, bicubic_sampler
+from regprobe.grid import (CENTRE, DIRECTIONS, SLOTS, DiscreteField, DiskGrid,
+                           bicubic_sampler)
 from regprobe.manufactured import get_problem
 
 
@@ -83,7 +86,7 @@ def test_grid_geometry():
     assert np.all(r < 1.0)
     assert np.min(r) == 0.0
     assert np.all((grid.arm > 0.0) & (grid.arm <= 1.0))
-    cut = grid.neighbor < 0
+    cut = grid.slots.columns[:, SLOTS] < 0
     assert np.all(grid.arm[~cut] == 1.0)
     assert grid.n_boundary == int(cut.sum())
     assert grid.boundary_points.shape == (grid.n_boundary, 2)
@@ -99,22 +102,28 @@ def test_grid_layout_of_arms_and_cut_points(radius, h):
     at = {tuple(ij): i for i, ij in enumerate(grid.lattice.tolist())}
     want = [[at.get((i + di, j + dj), -1) for di, dj in DIRECTIONS.tolist()]
             for i, j in grid.lattice.tolist()]
-    assert np.array_equal(grid.neighbor, want)
+    slots = grid.slots
+    assert slots.columns.dtype == np.int32
+    assert np.array_equal(slots.columns[:, SLOTS], want)
+    assert np.array_equal(slots.columns[:, CENTRE], np.arange(grid.n_interior))
 
-    # the cut arms are numbered direction by direction, then node by node
+    # the cut arms are numbered direction by direction, then node by node;
+    # the slot pattern lists them node by node, in direction order
     cols = np.full((grid.n_interior, 8), -1)
     count = 0
     for k in range(8):
         for i in range(grid.n_interior):
-            if grid.neighbor[i, k] < 0:
+            if want[i][k] < 0:
                 cols[i, k] = count
                 count += 1
     assert count == grid.n_boundary
-    assert np.array_equal(grid.boundary_col, cols)
+    node, k = np.nonzero(cols >= 0)
+    assert np.array_equal(slots.cut, node * 9 + SLOTS[k])
+    assert slots.cut_columns.dtype == np.int32
+    assert np.array_equal(slots.cut_columns, cols[node, k])
 
-    node, k = np.nonzero(grid.neighbor < 0)
     points = grid.coords[node] + grid.arm[node, k, None] * h * DIRECTIONS[k]
-    assert (grid.boundary_points[grid.boundary_col[node, k]].tobytes()
+    assert (grid.boundary_points[slots.cut_columns].tobytes()
             == points.tobytes())
     rho = np.hypot(points[:, 0], points[:, 1])
     assert np.max(np.abs(rho - radius)) <= 1e-12 * radius
@@ -123,11 +132,36 @@ def test_grid_layout_of_arms_and_cut_points(radius, h):
 def test_grid_arrays_are_read_only():
     # every scenario and both solver_validation workers share one grid
     grid = DiskGrid(1.0, 1.0 / 16)
-    for name in ("coords", "neighbor", "arm", "boundary_col",
-                 "boundary_points", "lattice", "black_order",
-                 "dissection_order", "node_weights"):
+    arrays = [getattr(grid, name) for name in (
+        "coords", "arm", "boundary_points", "lattice", "black_order",
+        "dissection_order", "node_weights")]
+    for pattern in (grid.slots, grid.red_black):
+        arrays += vars(pattern).values()
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            getattr(grid, name)[0] = 0
+            array[0] = 0
+
+
+def grid_arrays(value):
+    """Every array that ``value``, a grid or one of its patterns, holds."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for part in vars(value).values():
+            yield from grid_arrays(part)
+
+
+def test_a_128_cell_grid_holds_at_most_164_bytes_a_node():
+    # GRID_CACHE_NODES is sized at this figure; with every computed
+    # property filled the arrays take 163.3 B a node
+    grid = DiskGrid(1.0, 1.0 / 128)
+    computed = [name for name, attr in vars(DiskGrid).items()
+                if isinstance(attr, functools.cached_property)]
+    assert {"lattice", "black_order", "red_black"} <= set(computed)
+    for name in computed:
+        getattr(grid, name)
+    held = sum(array.nbytes for array in grid_arrays(grid))
+    assert held <= 164 * grid.n_interior
 
 
 def test_disk_grid_keeps_the_cached_nodes_within_the_bound(
@@ -220,10 +254,15 @@ def test_bicubic_sampler_reads_node_values_only():
     assert np.allclose(sample(pts), cubic(pts), rtol=0.0, atol=1e-13)
 
 
+def unscaled(op):
+    """The operator's interior matrix L = diag(row_scale) @ equilibrated."""
+    return sp.diags(op.row_scale) @ op.equilibrated
+
+
 def assert_monotone(op):
     """Every off-center stencil weight is nonnegative, up to rounding."""
     floor = -1e-12 * op.row_scale.max()
-    off = op.matrix.tocoo()
+    off = unscaled(op).tocoo()
     assert np.all(off.data[off.row != off.col] >= floor)
     assert np.all(op.boundary_matrix.data >= floor)
 
@@ -231,14 +270,15 @@ def assert_monotone(op):
 def apply_to(op, grid, u_fn):
     u = u_fn(grid.coords)
     g = u_fn(grid.boundary_points)
-    return op.apply(np.asarray(u, float), np.asarray(g, float))
+    return (unscaled(op) @ np.asarray(u, float)
+            + op.boundary_matrix @ np.asarray(g, float))
 
 
 def test_assemble_laplacian_on_quadratic():
     grid = DiskGrid(1.0, 1.0 / 16)
     op = assemble(laplacian_field(), grid)
     got = apply_to(op, grid, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2)
-    regular = np.all(grid.neighbor >= 0, axis=1)
+    regular = np.all(grid.slots.columns >= 0, axis=1)
     assert np.max(np.abs(got[regular] - 4.0)) < 1e-12
     assert np.max(np.abs(got - 4.0)) < 1e-10
     assert_monotone(op)
@@ -389,7 +429,7 @@ def test_constant_coeff_rejects_indefinite():
 
 def assert_same_operator(op, oracle):
     # bit for bit: the matrices' structure and entries, and the row scales
-    for got, want in ((op.matrix, oracle.matrix),
+    for got, want in ((op.equilibrated, oracle.equilibrated),
                       (op.boundary_matrix, oracle.boundary_matrix)):
         for name in ("data", "indices", "indptr"):
             x, y = getattr(got, name), getattr(want, name)
@@ -533,10 +573,11 @@ def test_abp_zero_forcing():
 
 
 def second_difference_sup(grid, values, min_dist):
-    idx_e, idx_w = grid.neighbor[:, 0], grid.neighbor[:, 1]
-    idx_n, idx_s = grid.neighbor[:, 2], grid.neighbor[:, 3]
-    idx_ne, idx_sw = grid.neighbor[:, 4], grid.neighbor[:, 5]
-    regular = np.all(grid.neighbor >= 0, axis=1)
+    neighbor = grid.slots.columns[:, SLOTS]
+    idx_e, idx_w = neighbor[:, 0], neighbor[:, 1]
+    idx_n, idx_s = neighbor[:, 2], neighbor[:, 3]
+    idx_ne, idx_sw = neighbor[:, 4], neighbor[:, 5]
+    regular = np.all(neighbor >= 0, axis=1)
     d = grid.coords
     deep = regular & (np.hypot(d[:, 0], d[:, 1]) <= grid.radius - min_dist)
     h2 = grid.h ** 2
@@ -575,8 +616,8 @@ def test_residual_of_solution_small():
     rhs = grid.field_from_function(lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
     g = grid.boundary_from_function(trig_boundary(11))
     u = solve_dirichlet(op, rhs, g)
-    res = rhs.values - op.apply(u.values, g.values)
-    scaled = res / op.row_scale
+    scaled = ((rhs.values - op.boundary_matrix @ g.values) / op.row_scale
+              - op.equilibrated @ u.values)
     assert float(np.max(np.abs(scaled))) < 1e-9
 
 
@@ -714,9 +755,9 @@ def scipy_built(field, grid):
     products alone, to check ``assemble``'s direct writes against: the
     weight table through COO to CSR, ``sp.diags(1 / scale) @ matrix``, the
     red-black blocks by fancy indexing, S = A_BB - A_BR diag(1/d) A_RB and
-    ``equilibrated[p][:, p]``.  Returns the matrix, the boundary matrix,
-    the row scale, the equilibrated matrix (CSC), the red-black split (None
-    with diagonal arms) and the matrix factored."""
+    ``equilibrated[p][:, p]``.  Returns the boundary matrix, the row
+    scale, the equilibrated matrix (CSC), the red-black split (None with
+    diagonal arms) and the matrix factored."""
     pts = grid.coords
     n = grid.n_interior
     amat = field.eval_a(pts)
@@ -740,17 +781,23 @@ def scipy_built(field, grid):
         diag += wc
         weights[:, kp], weights[:, km] = wp, wm
 
+    # each arm's neighbour, and each cut arm's boundary column, by node and
+    # direction
+    neighbor = grid.slots.columns[:, SLOTS].ravel()
+    boundary_col = np.full((n, 9), -1)
+    boundary_col.ravel()[grid.slots.cut] = grid.slots.cut_columns
+    boundary_col = boundary_col[:, SLOTS].ravel()
     w = weights.ravel()
     keep = w != 0.0
-    inner = np.flatnonzero(keep & (grid.neighbor.ravel() >= 0))
-    cut = np.flatnonzero(keep & (grid.boundary_col.ravel() >= 0))
+    inner = np.flatnonzero(keep & (neighbor >= 0))
+    cut = np.flatnonzero(keep & (boundary_col >= 0))
     idx = np.arange(n)
     matrix = sp.coo_matrix(
         (np.concatenate([w[inner], diag]),
          (np.concatenate([inner // 8, idx]),
-          np.concatenate([grid.neighbor.ravel()[inner], idx]))),
+          np.concatenate([neighbor[inner], idx]))),
         shape=(n, n)).tocsr()
-    bmat = sp.coo_matrix((w[cut], (cut // 8, grid.boundary_col.ravel()[cut])),
+    bmat = sp.coo_matrix((w[cut], (cut // 8, boundary_col[cut])),
                          shape=(n, grid.n_boundary)).tocsr()
     scale = np.maximum(abs(matrix).max(axis=1).toarray().ravel(),
                        abs(bmat).max(axis=1).toarray().ravel())
@@ -758,14 +805,14 @@ def scipy_built(field, grid):
     a = (sp.diags(1.0 / scale) @ matrix).tocsc()
     if np.any(off):
         p = grid.dissection_order
-        return matrix, bmat, scale, a, None, a[p][:, p]
+        return bmat, scale, a, None, a[p][:, p]
     red = np.flatnonzero(grid.lattice.sum(axis=1) % 2 == 0)
     black = grid.black_order
     d = a.diagonal()[red]
     a_br = a[black][:, red].tocsr()
     c_rb = (sp.diags(1.0 / d) @ a[red][:, black]).tocsr()
     schur = (a[black][:, black] - a_br @ c_rb).tocsc()
-    return matrix, bmat, scale, a, (red, black, d, a_br, c_rb), schur
+    return bmat, scale, a, (red, black, d, a_br, c_rb), schur
 
 
 def assert_same_bits(got, want):
@@ -798,8 +845,7 @@ ORACLE_FIELDS = {
 
 def assert_assembled_like_scipy(field, grid, factored):
     op = assemble(field, grid)
-    matrix, bmat, scale, a, split, schur = scipy_built(field, grid)
-    assert_same_bits(op.matrix, matrix)
+    bmat, scale, a, split, schur = scipy_built(field, grid)
     assert_same_bits(op.boundary_matrix, bmat)
     assert_same_bits(op.row_scale, scale)
     assert_same_bits(op.equilibrated, a.tocsr())
@@ -842,7 +888,8 @@ def test_assembly_drops_the_weights_that_cancel(count_factorizations):
     op = assert_assembled_like_scipy(const_field(1.0, 1.0, 0.0, -2.0 / h),
                                      grid, count_factorizations)
     # those rows keep the centre and three arms, in either matrix
-    kept = (np.diff(op.matrix.indptr) + np.diff(op.boundary_matrix.indptr))
+    kept = (np.diff(op.equilibrated.indptr)
+            + np.diff(op.boundary_matrix.indptr))
     assert np.all(kept[whole] == 4)
 
 
@@ -861,7 +908,8 @@ def test_grids_share_their_index_patterns():
         assert op.red_black[1] is grid.black_order
 
     # two threads assembling on one new grid may both compute its
-    # patterns; one is kept, and the operators are equal
+    # red-black patterns (its slots come with the grid); one is kept, and
+    # the operators are equal
     fresh = DiskGrid(1.0, 1.0 / 24)
     field = const_field(1.0, 1.0, 0.0, 0.5)
     built = [None, None]
@@ -879,8 +927,9 @@ def test_grids_share_their_index_patterns():
         assert not thread.is_alive()
     for got, want in zip(built[0].red_black[2:], built[1].red_black[2:]):
         assert_same_bits(got, want)
-    assert_same_bits(built[0].matrix, built[1].matrix)
-    assert_same_bits(built[0].equilibrated, second.equilibrated)
+    for op in built:
+        assert_same_bits(op.equilibrated, second.equilibrated)
+        assert_same_bits(op.boundary_matrix, second.boundary_matrix)
 
 
 def black_count(grid):

@@ -39,8 +39,10 @@ def linear_reaction(eps, g_fn):
 
 
 def absorbed_direct_solve(op, eps, g_vals, boundary_vals):
-    mat = op.matrix - eps * sp.eye(op.matrix.shape[0], format="csr")
-    b = g_vals - op.boundary_matrix @ boundary_vals
+    # (L - eps) u = g - B g_boundary, every row divided by its row scale
+    d = 1.0 / op.row_scale
+    mat = op.equilibrated - eps * sp.diags(d, format="csr")
+    b = d * (g_vals - op.boundary_matrix @ boundary_vals)
     return spla.spsolve(mat.tocsc(), b)
 
 
@@ -131,8 +133,27 @@ def test_sublinear_nonlinearity_converges():
     assert result.residual_sup < 1e-9
     assert result.increments[0] > result.increments[-1]
     f_now = nl.eval(grid.coords, result.u.values)
-    check = op.apply(result.u.values, boundary.values) - f_now
-    assert np.max(np.abs(check / op.row_scale)) < 1e-9
+    check = (op.equilibrated @ result.u.values
+             - (f_now - op.boundary_matrix @ boundary.values) / op.row_scale)
+    assert np.max(np.abs(check)) < 1e-9
+
+
+@pytest.mark.parametrize("cells", [32, 64])
+def test_residual_sup_is_the_row_scaled_residual(cells):
+    # drift_c1's drift and reaction on a grid of its own; the residual is
+    # that of the system solve_dirichlet solves, formed again here
+    problem = get_problem("drift_c1")
+    grid = DiskGrid(1.0, 1.0 / cells)
+    op = assemble(problem.field, grid)
+    boundary = grid.boundary_from_function(problem.u)
+    result = picard_solve(op, problem.nonlinearity, boundary)
+    u = result.u.values
+    f_now = problem.nonlinearity.eval(grid.coords, u)
+    scaled = (1.0 / op.row_scale) * (f_now - op.boundary_matrix
+                                     @ boundary.values)
+    assert result.residual_sup == float(np.max(np.abs(
+        scaled - op.equilibrated @ u)))
+    assert 0.0 < result.residual_sup < 1e-9
 
 
 def test_runaway_reaction_stalls():
