@@ -284,36 +284,27 @@ def approximate(w_fn, op: LinearOperator) -> DiscreteField:
 # nodes every DiskGrid(radius, h) shares; read-only.  A process keeps those
 # of four grids; every ladder reads one, the comparison grid's.
 @functools.lru_cache(maxsize=4)
-def _half_ball(radius, h):
-    """The mask of the nodes within 1/2 of the origin, and those nodes."""
+def _node_sets(radius, h):
+    """The mask of the nodes within 1/2 of the origin and those nodes, then
+    the mask of the nodes within LAM and the design matrix of a quadratic
+    fit on them: columns 1, x1, x2, x1^2, x1 x2, x2^2, the first three an
+    affine fit's."""
     pts = disk_grid(radius, h).coords
-    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
-    nodes = pts[near]
-    near.flags.writeable = False
-    nodes.flags.writeable = False
-    return near, nodes
-
-
-@functools.lru_cache(maxsize=8)
-def _fit_design(radius, h, order):
-    """The mask of the nodes within LAM of the origin, and the design matrix
-    of an order-``order`` fit on them: columns 1, x1, x2, then for order 2
-    x1^2, x1 x2, x2^2."""
-    d = disk_grid(radius, h).coords
-    mask = d[:, 0] ** 2 + d[:, 1] ** 2 <= LAM * LAM
-    d = d[mask]
-    cols = [np.ones(len(d)), d[:, 0], d[:, 1]]
-    if order == 2:
-        cols += [d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
-    design = np.stack(cols, axis=1)
-    mask.flags.writeable = False
-    design.flags.writeable = False
-    return mask, design
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    near = r2 <= 0.25
+    mask = r2 <= LAM * LAM
+    d = pts[mask]
+    design = np.stack([np.ones(len(d)), d[:, 0], d[:, 1], d[:, 0] ** 2,
+                       d[:, 0] * d[:, 1], d[:, 1] ** 2], axis=1)
+    sets = (near, pts[near], mask, design)
+    for array in sets:
+        array.flags.writeable = False
+    return sets
 
 
 def _node_gap(w_fn, h: DiscreteField) -> float:
     """Max |w - h| on h's own nodes in the half ball, radius 1/2, uninterpolated."""
-    near, nodes = _half_ball(h.grid.radius, h.grid.h)
+    near, nodes, _, _ = _node_sets(h.grid.radius, h.grid.h)
     return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
 
 
@@ -333,7 +324,7 @@ def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
 
     Fits over the nodes within LAM, the scale ratio (which must span at
     least 4 grid spacings); their mask and design matrix are derived once
-    per grid (``_fit_design``).  An order-1 fit is affine, G = 0.  For order 2
+    per grid (``_node_sets``).  An order-1 fit is affine, G = 0.  For order 2
     the quadratic part is projected onto the subspace with vanishing
     frozen-coefficient trace, so the fit satisfies sum a0_ij * 2 G_ij = 0.
     """
@@ -344,7 +335,8 @@ def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
         raise FitError(
             f"fit radius {LAM} spans fewer than 4 spacings of {grid.h}"
         )
-    mask, design = _fit_design(grid.radius, grid.h, order)
+    _, _, mask, design = _node_sets(grid.radius, grid.h)
+    design = design[:, :3 * order]
     sol, _, rank, _ = np.linalg.lstsq(design, h.values[mask], rcond=None)
     if rank < design.shape[1]:
         raise FitError(
@@ -360,19 +352,6 @@ def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
 
 # ---------------------------------------------------------------------------
 # the multiscale ladder
-
-
-def _resolve_solution(problem, u_data):
-    if u_data is None:
-        u_data = problem.u
-    if isinstance(u_data, DiscreteField):
-        return bicubic_sampler(u_data), u_data.grid.h
-
-    def u_fn(pts):
-        return np.asarray(u_data(np.atleast_2d(np.asarray(pts, dtype=float))),
-                          dtype=float)
-
-    return u_fn, None
 
 
 def recurrence_model(mode: str, records, problem):
@@ -441,8 +420,8 @@ def _run_ladder(problem, K: int, order: int, u_data):
             "the declared constant is wrong"
         )
 
-    u_fn, base_h = _resolve_solution(problem, u_data)
-    numeric = base_h is not None
+    numeric = u_data is not None
+    u_fn = bicubic_sampler(u_data) if numeric else problem.u
     u_shift = float(u_fn(origin)[0])
     v_fn = problem.potential.v
 
@@ -454,6 +433,7 @@ def _run_ladder(problem, K: int, order: int, u_data):
     truncated = False
     safe_radius = math.inf
     if numeric:
+        base_h = u_data.grid.h
         safe_radius = u_data.grid.radius - 3.0 * base_h
         while K_eff >= 0 and LAM ** K_eff < 16.0 * base_h * (1.0 - 1e-12):
             K_eff -= 1

@@ -37,7 +37,9 @@ which scipy still forms from the blocks, and the factor are the same bits
 as with that construction.  An operator keeps the boundary matrix, the
 row scale, the equilibrated matrix, on a 5-point stencil the red-black
 blocks, and its factor once computed; it keeps no unscaled copy of its
-matrix, which is diag(row_scale) @ ``equilibrated``.
+matrix, which is diag(row_scale) @ ``equilibrated``, and no node order:
+the red and black node indices and the dissection order belong to the
+grid, which ``factor`` and ``solve`` read them from.
 """
 from __future__ import annotations
 
@@ -84,20 +86,18 @@ class LinearOperator:
     ``equilibrated`` is the interior matrix with every row divided by its
     row scale, the row's largest |weight| (boundary weights included), and
     ``boundary_matrix`` holds the unscaled weights of the cut arms.
-    ``order`` is the column order the LU factor eliminates in: the grid's
-    ``dissection_order`` when the stencil has diagonal arms, None for the
-    5-point stencil, whose factor is of the reduced system in ``black_order``.
-    ``red_black`` is then the red-black split of ``equilibrated`` = A: the
-    red node indices, the black ones in ``grid.black_order``, the red
-    diagonal d, the block A_BR and the block diag(1/d) A_RB; no 5-point arm
-    joins two red nodes, so the red-red block of A is diag(d).
+    ``red_black`` is None when the stencil has diagonal arms, whose factor
+    eliminates in the grid's ``dissection_order``.  On the 5-point stencil
+    it is the red-black split of ``equilibrated`` = A, over the grid's red
+    nodes ``grid.red_black.red`` and its black ones in ``grid.black_order``:
+    the red diagonal d, the block A_BR and the block diag(1/d) A_RB; no
+    5-point arm joins two red nodes, so the red-red block of A is diag(d).
     """
 
     grid: DiskGrid
     boundary_matrix: sp.csr_matrix
     row_scale: np.ndarray
     equilibrated: sp.csr_matrix
-    order: np.ndarray | None
     red_black: tuple | None
 
     @_computed_once
@@ -112,7 +112,8 @@ class LinearOperator:
         rotated lattice separates; ``solve`` eliminates the red unknowns
         around it.  No 5-point arm joins two black nodes either, so A_BB is
         diagonal.  With diagonal arms the colours couple among themselves,
-        and the factor is of ``equilibrated[p][:, p]`` for p = ``order``.
+        and the factor is of ``equilibrated[p][:, p]`` for the grid's
+        ``dissection_order`` p.
 
         SuperLU runs in its SymmetricMode: the elimination tree comes from
         A^T + A, and a diagonal pivot is taken whenever it passes the
@@ -123,27 +124,30 @@ class LinearOperator:
         """
         if _MALLOPT is not None:
             _MALLOPT(-3, 4 << 20)
-        a, p = self.equilibrated, self.order
-        if p is None:
-            _, black, _, a_br, c_rb = self.red_black
-            a_bb = sp.diags(a.diagonal()[black], format="csr")
-            matrix = (a_bb - a_br @ c_rb).tocsc()
-        else:
+        a = self.equilibrated
+        if self.red_black is None:
+            p = self.grid.dissection_order
             matrix = a[p][:, p].tocsc()
+        else:
+            _, a_br, c_rb = self.red_black
+            a_bb = sp.diags(a.diagonal()[self.grid.black_order], format="csr")
+            matrix = (a_bb - a_br @ c_rb).tocsc()
         return spla.splu(matrix, permc_spec="NATURAL",
                          options={"SymmetricMode": True})
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The x with ``equilibrated @ x = b``, from the cached factor."""
         x = np.empty_like(b)
-        if self.order is None:
-            red, black, d, a_br, c_rb = self.red_black
-            y = b[red] / d
-            x_black = self.factor.solve(b[black] - a_br @ y)
-            x[black] = x_black
-            x[red] = y - c_rb @ x_black
+        if self.red_black is None:
+            p = self.grid.dissection_order
+            x[p] = self.factor.solve(b[p])
             return x
-        x[self.order] = self.factor.solve(b[self.order])
+        red, black = self.grid.red_black.red, self.grid.black_order
+        d, a_br, c_rb = self.red_black
+        y = b[red] / d
+        x_black = self.factor.solve(b[black] - a_br @ y)
+        x[black] = x_black
+        x[red] = y - c_rb @ x_black
         return x
 
 
@@ -272,8 +276,7 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     table *= (1.0 / scale)[:, None]
     equilibrated = _compressed(table, slots.columns, table != 0.0, (n, n))
     if diagonal_arms:
-        return LinearOperator(grid, bmat, scale, equilibrated,
-                              grid.dissection_order, None)
+        return LinearOperator(grid, bmat, scale, equilibrated, None)
 
     rb = grid.red_black
     black = grid.black_order
@@ -284,11 +287,11 @@ def assemble(field: CoefficientField, grid: DiskGrid) -> LinearOperator:
     c_rb = flat[to_black] * (1.0 / d)[:, None]
     columns = slots.columns.ravel()
     shape = (len(black), len(rb.red))
-    blocks = (rb.red, black, d,
+    blocks = (d,
               _compressed(a_br, rb.rank[columns[to_red]], a_br != 0.0, shape),
               _compressed(c_rb, rb.rank[columns[to_black]], c_rb != 0.0,
                           shape[::-1]))
-    return LinearOperator(grid, bmat, scale, equilibrated, None, blocks)
+    return LinearOperator(grid, bmat, scale, equilibrated, blocks)
 
 
 def _compressed(values, columns, keep, shape):
@@ -317,8 +320,8 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
     or SolverError is raised naming the residual and its target.
     Fully deterministic for a fixed operator and right-hand side.
     """
-    if rhs.role == "boundary" or boundary.role != "boundary":
-        raise FieldValidationError("expected (rhs, boundary) field roles")
+    if rhs.role != "interior" or boundary.role != "boundary":
+        raise FieldValidationError("expected (interior, boundary) field roles")
     if rhs.grid is not op.grid or boundary.grid is not op.grid:
         raise FieldValidationError("fields and operator live on different grids")
 
@@ -327,7 +330,7 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
     b_vec = d * (rhs.values - coupled)
     scale = float(np.linalg.norm(d * rhs.values) + np.linalg.norm(d * coupled))
     if scale == 0.0:
-        return DiscreteField(op.grid, np.zeros(op.grid.n_interior), "solution")
+        return DiscreteField(op.grid, np.zeros(op.grid.n_interior), "interior")
     target = SOLVER_RTOL * scale
 
     x = op.solve(b_vec)
@@ -336,7 +339,7 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
         raise SolverError(
             f"linear solve missed its residual check: residual {res:.3e} "
             f"above target {target:.3e}")
-    return DiscreteField(op.grid, x, "solution")
+    return DiscreteField(op.grid, x, "interior")
 
 
 # The constant of the maximum-principle bound that ``abp_check`` tests.

@@ -43,7 +43,7 @@ SLOTS = 3 * DIRECTIONS[:, 0] + DIRECTIONS[:, 1] + 4
 CENTRE = 4
 AXIS_SLOTS = np.sort(SLOTS[:4])           # W, S, N, E
 
-_ROLES = ("solution", "rhs", "boundary")
+_ROLES = ("interior", "boundary")
 
 # Largest box that ``dissection_order`` leaves undivided, in either lattice.
 DISSECTION_LEAF = 8
@@ -297,14 +297,14 @@ class DiskGrid:
 
     def field_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.coords), dtype=float)
-        return DiscreteField(self, vals, "rhs")
+        return DiscreteField(self, vals, "interior")
 
     def boundary_from_function(self, fn) -> "DiscreteField":
         vals = np.asarray(fn(self.boundary_points), dtype=float)
         return DiscreteField(self, vals, "boundary")
 
     def zeros(self) -> "DiscreteField":
-        return DiscreteField(self, np.zeros(self.n_interior), "rhs")
+        return DiscreteField(self, np.zeros(self.n_interior), "interior")
 
 
 def disk_grid(radius: float, h: float) -> DiskGrid:
@@ -332,7 +332,8 @@ def disk_grid(radius: float, h: float) -> DiskGrid:
 @dataclass(frozen=True)
 class DiscreteField:
     """Nodal values bound to a grid, tagged by role: one value per point,
-    and the role fixes the points."""
+    and the role fixes the points, the interior nodes ("interior") or the
+    boundary points ("boundary")."""
 
     grid: DiskGrid
     values: np.ndarray

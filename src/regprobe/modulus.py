@@ -102,29 +102,21 @@ def zero_modulus() -> Modulus:
     return Modulus("zero", {}, math.inf)
 
 
-def dini_integral(omega: Modulus, t0: float | None = None, *,
-                  log_t0: float | None = None) -> float:
-    """Integrate ``omega(t)/t`` over ``(0, t0]``; ``math.inf`` exactly when
-    the integral diverges.
+def dini_integral(omega: Modulus, log_t0: float | None = None) -> float:
+    """Integrate ``omega(t)/t`` over ``(0, t0]``, ``t0 = exp(log_t0)``;
+    ``math.inf`` exactly when the integral diverges.
 
-    Every family has a closed antiderivative in ``x = ln t``, where the
-    integrand is ``omega(e^x)``.  Working in ``x`` also keeps the result
-    meaningful at depths where the radius itself would underflow (callers
-    at such depths pass ``log_t0``).
+    ``log_t0`` defaults to ``log r_max``, or to 0 when ``r_max`` is
+    infinite.  Every family has a closed antiderivative in ``x = ln t``,
+    where the integrand is ``omega(e^x)``, so the result stays meaningful
+    at depths where ``t0`` itself would underflow.
     """
+    log_cap = math.log(omega.r_max) if math.isfinite(omega.r_max) else math.inf
     if log_t0 is None:
-        if t0 is None:
-            t0 = omega.r_max if math.isfinite(omega.r_max) else 1.0
-        t0 = float(t0)
-        if not (0.0 < t0 <= omega.r_max * (1.0 + 1e-12)):
-            raise ModulusDomainError(f"t0={t0} outside (0, {omega.r_max}]")
-        t0 = min(t0, omega.r_max)
-        log_t0 = math.log(t0)
-    else:
-        log_cap = math.log(omega.r_max) if math.isfinite(omega.r_max) else math.inf
-        if not (math.isfinite(log_t0) and log_t0 <= log_cap + 1e-12):
-            raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
-        log_t0 = min(log_t0, log_cap)
+        log_t0 = log_cap if math.isfinite(log_cap) else 0.0
+    if not (math.isfinite(log_t0) and log_t0 <= log_cap + 1e-12):
+        raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
+    log_t0 = min(log_t0, log_cap)
 
     if omega.family == "power":
         gamma = float(omega.params["gamma"])
@@ -146,7 +138,7 @@ def dini_tail_sum(omega: Modulus, lam: float, k0: int) -> tuple[float, float]:
     """Sum ``omega(lam**i)`` for ``i >= k0`` next to its integral bound.
 
     Returns ``(tail_sum, bound)`` where ``bound`` is
-    ``dini_integral(omega, lam**(k0-1)) / ln(1/lam)``.  For a non-Dini modulus
+    ``dini_integral(omega, ln lam**(k0-1)) / ln(1/lam)``.  For a non-Dini modulus
     both entries are ``inf``.  Terms beyond a direct-summation window are
     picked up by a midpoint Euler-Maclaurin remainder, expressed through
     :func:`dini_integral` at the matching depth.
@@ -158,9 +150,9 @@ def dini_tail_sum(omega: Modulus, lam: float, k0: int) -> tuple[float, float]:
     if k0 < 1:
         raise ValueError(f"k0 must be a positive integer, got {k0}")
     upper = lam ** (k0 - 1)
-    if upper > omega.r_max * (1.0 + 1e-12):
+    if not 0.0 < upper <= omega.r_max * (1.0 + 1e-12):
         raise ModulusDomainError(
-            f"lam**(k0-1)={upper} exceeds the modulus domain bound {omega.r_max}"
+            f"lam**(k0-1)={upper} outside the modulus domain (0, {omega.r_max}]"
         )
     log_lam = math.log(lam)
     log_inv_lam = -log_lam
@@ -181,4 +173,4 @@ def dini_tail_sum(omega: Modulus, lam: float, k0: int) -> tuple[float, float]:
             break
     if not converged:
         total += dini_integral(omega, log_t0=(i - 0.5) * log_lam) / log_inv_lam
-    return total, dini_integral(omega, t0=upper) / log_inv_lam
+    return total, dini_integral(omega, math.log(upper)) / log_inv_lam

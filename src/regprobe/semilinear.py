@@ -105,7 +105,7 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
     u_prev = r_prev = None
 
     for _ in range(MAX_OUTER):
-        rhs = DiscreteField(grid, nonlinearity.eval(pts, u), "rhs")
+        rhs = DiscreteField(grid, nonlinearity.eval(pts, u), "interior")
         lin = solve_dirichlet(op, rhs, boundary).values
         new = (1.0 - theta) * u + theta * lin
         step = float(np.max(np.abs(new - u)))
@@ -137,5 +137,5 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
     d = 1.0 / op.row_scale
     b_vec = d * (nonlinearity.eval(pts, u) - op.boundary_matrix @ boundary.values)
     residual = float(np.max(np.abs(b_vec - op.equilibrated @ u)))
-    return PicardResult(DiscreteField(grid, u, "solution"),
+    return PicardResult(DiscreteField(grid, u, "interior"),
                         len(increments), tuple(increments), theta, residual)

@@ -52,7 +52,7 @@ from regprobe.manufactured import get_problem
 
 def sampled_field(fn, cells=32, radius=1.0):
     grid = DiskGrid(radius, radius / cells)
-    return DiscreteField(grid, fn(grid.coords), "solution")
+    return DiscreteField(grid, fn(grid.coords), "interior")
 
 
 def make_trace(M, xi, eta, mode="c1", N=None, scale_floor_k=None):
@@ -584,29 +584,25 @@ def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
     d = pts[mask]
     cols = [np.ones(len(d)), d[:, 0], d[:, 1],
             d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
-    for order, width in ((1, 3), (2, 6)):
-        got = campanato._fit_design(grid.radius, grid.h, order)
-        want = (mask, np.stack(cols[:width], axis=1))
-        assert all(map(same_bits, got, want))
-        assert not any(part.flags.writeable for part in got)
-    got = campanato._half_ball(grid.radius, grid.h)
-    assert all(map(same_bits, got, (near, pts[near])))
+    got = campanato._node_sets(grid.radius, grid.h)
+    want = (near, pts[near], mask, np.stack(cols, axis=1))
+    assert all(map(same_bits, got, want))
     assert not any(part.flags.writeable for part in got)
-    # the fit keeps the bits of a least-squares solve on the fresh design
-    h = DiscreteField(grid, np.sin(pts[:, 0]) + np.exp(pts[:, 1]), "solution")
-    sol = np.linalg.lstsq(np.stack(cols[:3], axis=1), h.values[mask],
-                          rcond=None)[0]
-    fit = taylor_fit(h, 1)
-    assert same_bits(np.array([fit.E, *fit.F]), sol)
+    # each fit keeps the bits of a least-squares solve on a fresh design of
+    # its own width, the affine one on the quadratic design's first columns
+    h = DiscreteField(grid, np.sin(pts[:, 0]) + np.exp(pts[:, 1]), "interior")
+    for order, width in ((1, 3), (2, 6)):
+        sol = np.linalg.lstsq(np.stack(cols[:width], axis=1), h.values[mask],
+                              rcond=None)[0]
+        fit = taylor_fit(h, order)
+        assert same_bits(np.array([fit.E, *fit.F]), sol[:3])
 
 
 def test_deep_ladder_derives_its_node_sets_once():
-    for plan in (campanato._sup_plan, campanato._fit_design,
-                 campanato._half_ball):
+    for plan in (campanato._sup_plan, campanato._node_sets):
         plan.cache_clear()
     c11_probe(get_problem("nondini_c11"), 26)
-    for plan in (campanato._sup_plan, campanato._fit_design,
-                 campanato._half_ball):
+    for plan in (campanato._sup_plan, campanato._node_sets):
         assert plan.cache_info().misses == 1
 
 
@@ -684,7 +680,8 @@ def test_one_frozen_operator_per_process(tmp_path, count_factorizations):
     perturbation_sweep()
     assert comparison_operator([[1.0, 0.0], [0.0, 1.0]]) is frozen
     # the frozen operator's one factor is of its red-black reduced system
-    _, black, _, a_br, c_rb = frozen.red_black
+    _, a_br, c_rb = frozen.red_black
+    black = frozen.grid.black_order
     reduced = frozen.equilibrated[black][:, black] - a_br @ c_rb
     assert sum(matrix.shape == reduced.shape and (matrix != reduced).nnz == 0
                for matrix, _ in count_factorizations) == 1

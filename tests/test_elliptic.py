@@ -229,11 +229,11 @@ def test_field_role_validation():
     with pytest.raises(FieldValidationError):
         DiscreteField(grid, np.zeros(grid.n_interior), "velocity")
     with pytest.raises(FieldValidationError):
-        DiscreteField(grid, np.zeros(3), "rhs")
+        DiscreteField(grid, np.zeros(3), "interior")
     bad = np.zeros(grid.n_interior)
     bad[0] = np.nan
     with pytest.raises(FieldValidationError):
-        DiscreteField(grid, bad, "solution")
+        DiscreteField(grid, bad, "interior")
 
 
 def test_boundary_field_checks_its_length():
@@ -249,7 +249,7 @@ def test_bicubic_sampler_reads_node_values_only():
         return p[:, 0] ** 3 - 2.0 * p[:, 0] * p[:, 1] ** 2 + p[:, 1]
 
     grid = DiskGrid(0.5, 0.5 / 20)
-    sample = bicubic_sampler(DiscreteField(grid, cubic(grid.coords), "solution"))
+    sample = bicubic_sampler(DiscreteField(grid, cubic(grid.coords), "interior"))
     pts = np.array([[0.0, 0.0], [0.11, 0.113], [-0.13, -0.13]])
     assert np.allclose(sample(pts), cubic(pts), rtol=0.0, atol=1e-13)
 
@@ -435,7 +435,7 @@ def assert_same_operator(op, oracle):
             x, y = getattr(got, name), getattr(want, name)
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert op.row_scale.tobytes() == oracle.row_scale.tobytes()
-    assert (op.order is None) == (oracle.order is None)
+    assert (op.red_black is None) == (oracle.red_black is None)
 
 
 class _Captured(Exception):
@@ -632,7 +632,7 @@ def test_factor_pins_mmap_threshold(monkeypatch):
                             lambda *args: calls.append(args))
         a0 = np.array([[1.0, a12], [a12, 1.0]])
         op = assemble(constant_field(a0), DiskGrid(1.0, 1.0 / 16))
-        assert (op.order is None) == (a12 == 0.0)
+        assert (op.red_black is None) == (a12 != 0.0)
         op.factor
         assert calls == [(-3, 4 << 20)]
 
@@ -704,7 +704,7 @@ def test_diagonal_stencil_factors_in_dissection_order(count_factorizations):
     field, boundary_fn, forcing_fn = scenarios._random_operator(
         np.random.default_rng(0))
     op = assemble(field, grid)
-    assert op.order is grid.dissection_order
+    assert op.red_black is None
     rhs = grid.field_from_function(forcing_fn)
     g = grid.boundary_from_function(boundary_fn)
     u = solve_dirichlet(op, rhs, g)
@@ -727,7 +727,7 @@ def test_five_point_stencil_factors_in_black_lattice_order(
         count_factorizations):
     grid = DiskGrid(1.0, 1.0 / 128)
     op = assemble(get_problem("nondini_c11").field, grid)
-    assert op.order is None
+    assert op.red_black is not None
     op.factor
     (matrix, kwargs), = count_factorizations
     assert kwargs == {"permc_spec": "NATURAL",
@@ -736,7 +736,7 @@ def test_five_point_stencil_factors_in_black_lattice_order(
     black = grid.black_order
     assert np.array_equal(np.sort(black),
                           np.flatnonzero(grid.lattice.sum(axis=1) % 2))
-    assert op.red_black[1] is black
+    assert len(op.red_black) == 3
     # the factored matrix is S = A_BB - A_BR diag(1/d) A_RB in that order
     a = op.equilibrated
     red = np.flatnonzero(grid.lattice.sum(axis=1) % 2 == 0)
@@ -854,9 +854,9 @@ def assert_assembled_like_scipy(field, grid, factored):
     assert_same_bits(op.equilibrated @ x, a @ x)
     assert (op.red_black is None) == (split is None)
     if split is not None:
-        red, black, d, a_br, c_rb = op.red_black
-        assert_same_bits(red, split[0])
-        assert black is split[1]
+        d, a_br, c_rb = op.red_black
+        assert_same_bits(grid.red_black.red, split[0])
+        assert grid.black_order is split[1]
         assert_same_bits(d, split[2])
         # a solve sums each row of the blocks in their stored order, so
         # they match unsorted too
@@ -904,8 +904,7 @@ def test_grids_share_their_index_patterns():
     second = assemble(const_field(1.0, 1.0, 0.0, 0.5), grid)
     assert grid.slots is patterns[0] and grid.red_black is patterns[1]
     for op in (first, second):
-        assert op.red_black[0] is grid.red_black.red
-        assert op.red_black[1] is grid.black_order
+        assert op.grid is grid and len(op.red_black) == 3
 
     # two threads assembling on one new grid may both compute its
     # red-black patterns (its slots come with the grid); one is kept, and
@@ -925,7 +924,7 @@ def test_grids_share_their_index_patterns():
     for thread in threads:
         thread.join(30)
         assert not thread.is_alive()
-    for got, want in zip(built[0].red_black[2:], built[1].red_black[2:]):
+    for got, want in zip(built[0].red_black, built[1].red_black):
         assert_same_bits(got, want)
     for op in built:
         assert_same_bits(op.equilibrated, second.equilibrated)
@@ -942,7 +941,7 @@ def test_red_black_solve_matches_the_full_factor(count_factorizations,
                                                  name, cells):
     grid = DiskGrid(1.0, 1.0 / cells)
     op = assemble(get_problem(name).field, grid)
-    assert op.order is None
+    assert op.red_black is not None
     b = np.random.default_rng(cells).standard_normal(grid.n_interior)
     x = op.solve(b)
     (matrix, _), = count_factorizations
@@ -959,7 +958,8 @@ def test_reduced_system_is_a_nine_point_stencil_on_the_black_lattice(
         name, cells):
     grid = DiskGrid(1.0, 1.0 / cells)
     op = assemble(get_problem(name).field, grid)
-    _, black, _, a_br, c_rb = op.red_black
+    _, a_br, c_rb = op.red_black
+    black = grid.black_order
     schur = (op.equilibrated[black][:, black] - a_br @ c_rb).tocoo()
     assert np.any(schur.row != schur.col)
     # every entry joins black nodes at most one step apart in each rotated
@@ -984,7 +984,7 @@ def test_every_bundled_five_point_operator_has_a_diagonal_red_block(
     monkeypatch.setattr(elliptic.LinearOperator, "solve", recording_solve)
     campanato._frozen_comparison.cache_clear()
     assert main(["run", *scenarios.bundled_names(), "--out", str(tmp_path)]) == 0
-    five_point = [op for op in solved.values() if op.order is None]
+    five_point = [op for op in solved.values() if op.red_black is not None]
     assert five_point
     for op in five_point:
         red = op.grid.lattice.sum(axis=1) % 2 == 0

@@ -59,13 +59,12 @@ def test_dini_integral_linear():
 
 def test_dini_integral_log_inverse_diverges():
     li = modulus.log_power(1.0)
-    assert math.isinf(modulus.dini_integral(li, t0=math.exp(-1.0)))
+    assert math.isinf(modulus.dini_integral(li, -1.0))
 
 
 def test_dini_integral_log_power_two():
-    # integral of (ln 1/t)^-2 / t equals 1/ln(1/t0)
-    t0 = math.exp(-2.0)
-    assert modulus.dini_integral(modulus.log_power(2.0), t0=t0) == pytest.approx(
+    # integral of (ln 1/t)^-2 / t equals 1/ln(1/t0), here t0 = e^-2
+    assert modulus.dini_integral(modulus.log_power(2.0), -2.0) == pytest.approx(
         0.5, abs=1e-8)
 
 
@@ -78,8 +77,8 @@ def test_dini_integral_log_power_two():
 def test_dini_integral_additive_in_t0(om):
     lo = om.r_max * 0.2
     hi = om.r_max
-    i_lo = modulus.dini_integral(om, t0=lo)
-    i_hi = modulus.dini_integral(om, t0=hi)
+    i_lo = modulus.dini_integral(om, math.log(lo))
+    i_hi = modulus.dini_integral(om, math.log(hi))
     band, err = integrate.quad(lambda t: om.eval(t) / t, lo, hi,
                                epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
@@ -90,7 +89,7 @@ def test_dini_integral_additive_in_t0(om):
 def test_dini_integral_monotone_in_t0():
     om = modulus.power(0.5)
     t0s = np.geomspace(1e-4, 1.0, 9)
-    vals = [modulus.dini_integral(om, t0=float(t)) for t in t0s]
+    vals = [modulus.dini_integral(om, math.log(t)) for t in t0s]
     assert np.all(np.diff(vals) >= -1e-9)
 
 
@@ -165,6 +164,9 @@ def test_dini_tail_sum_validates_inputs():
         modulus.dini_tail_sum(om, 1.5, 1)
     with pytest.raises(ValueError):
         modulus.dini_tail_sum(om, 0.25, 0)
+    # lam**(k0-1) underflows to 0.0
+    with pytest.raises(ModulusDomainError):
+        modulus.dini_tail_sum(om, 0.2, 500)
 
 
 def test_zero_modulus():
@@ -186,7 +188,7 @@ def test_dini_integral_matches_quadrature(om, frac):
     # x < ln t0
     oracle = integrate.quad(om.eval_log, -math.inf, math.log(frac * om.r_max),
                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert modulus.dini_integral(om, t0=frac * om.r_max) == pytest.approx(
+    assert modulus.dini_integral(om, math.log(frac * om.r_max)) == pytest.approx(
         oracle, rel=1e-12)
 
 
@@ -199,3 +201,20 @@ def test_dini_integral_near_the_threshold_is_finite(p):
 
 def test_dini_integral_at_the_threshold_diverges():
     assert math.isinf(modulus.dini_integral(modulus.log_power(1.0)))
+
+
+def test_dini_integral_at_depths_where_the_radius_underflows():
+    # exp(-1e4) and exp(-2000) are 0.0, yet the integrals are exact in ln t0
+    assert math.exp(-2000.0) == 0.0
+    assert modulus.dini_integral(modulus.log_power(2.0), -1e4) == pytest.approx(
+        1e-4, rel=1e-15)
+    assert math.isinf(modulus.dini_integral(modulus.log_power(1.0), -1e4))
+    assert modulus.dini_integral(modulus.power(0.5), -2000.0) == 0.0
+    om = modulus.power(0.5)
+    assert modulus.dini_integral(om, 1e-13) == modulus.dini_integral(om)
+    for bad in (2e-12, math.nan, math.inf, -math.inf):
+        with pytest.raises(ModulusDomainError):
+            modulus.dini_integral(om, bad)
+    li = modulus.log_power(2.0)
+    with pytest.raises(ModulusDomainError):
+        modulus.dini_integral(li, math.log(li.r_max) + 2e-12)

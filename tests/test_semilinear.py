@@ -172,7 +172,7 @@ def plain_picard(op, nl, boundary, tol, max_outer=200):
     grid = op.grid
     u = np.zeros(grid.n_interior)
     for steps in range(1, max_outer + 1):
-        rhs = DiscreteField(grid, nl.eval(grid.coords, u), "rhs")
+        rhs = DiscreteField(grid, nl.eval(grid.coords, u), "interior")
         new = solve_dirichlet(op, rhs, boundary).values
         step = float(np.max(np.abs(new - u)))
         u = new
