@@ -7,6 +7,7 @@ cross check.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,17 +17,21 @@ from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 from scipy.special import iv
 
+from regprobe.campanato import c1_probe
 from regprobe.elliptic import assemble, solve_dirichlet
 from regprobe.errors import RegistryError
 from regprobe.fields import _extended_modulus
-from regprobe.grid import DiskGrid
+from regprobe.grid import DiskGrid, disk_grid
 from regprobe.manufactured import (
+    _DRIFT_TERMS,
     _NONDINI_LOG_FLOOR,
     _bessel_i_half,
     _drift_series_coeffs,
+    _drift_series_table,
     _drift_u,
     _g_nondini,
     _nondini_profile,
+    _series_counts,
     get_problem,
 )
 
@@ -158,10 +163,50 @@ def test_drift_horner_series_matches_bessel_oracle():
     lattice = lattice[np.hypot(lattice[:, 0], lattice[:, 1]) <= 1.0]
     th = np.linspace(0.0, 2.0 * np.pi, 97)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    # the small lattices keep the fewest orders and powers
     for pts in (lattice, np.zeros((1, 2)), ring, 1.5 * ring, 3.0 * ring,
-                np.concatenate([lattice, 1.5 * ring])):
+                np.concatenate([lattice, 1.5 * ring]), 1e-3 * lattice,
+                1e-8 * lattice):
         exact = bessel_drift_u(pts)
         assert np.max(np.abs(_drift_u(pts) - exact) / np.abs(exact)) < 1e-13
+
+
+def all_orders_drift_u(pts):
+    """``_drift_u``'s Horner sum over all _DRIFT_TERMS orders of w."""
+    w = (pts[:, 0] + 1j * pts[:, 1]) / 4.0
+    y = w.real ** 2 + w.imag ** 2
+    _, powers = _series_counts(float(y.max()))
+    table = _drift_series_table()[:, :powers]
+    radial = np.repeat(table[:, -1:], len(y), axis=1)
+    for k in range(powers - 2, -1, -1):
+        radial *= y
+        radial += table[:, k:k + 1]
+    psi = radial[-1].astype(complex)
+    for m in range(_DRIFT_TERMS - 2, -1, -1):
+        psi *= w
+        psi += radial[m]
+    return 2.0 * pts[:, 1] ** 2 + np.exp(-pts[:, 0] / 2.0) * psi.real
+
+
+def test_drift_order_cut_equals_the_full_sum_on_every_ladder_batch():
+    problem = get_problem("drift_c1")
+    batches = []
+
+    def logged_u(pts):
+        batches.append(np.array(pts, dtype=float))
+        return problem.u(pts)
+
+    c1_probe(dataclasses.replace(problem, u=logged_u), 20)
+    # the Dirichlet data of a numeric run
+    batches.append(disk_grid(1.0, 1.0 / 128.0).boundary_points)
+    y_max = [float(np.max(np.sum((pts / 4.0) ** 2, axis=1))) for pts in batches]
+    for pts in batches:
+        assert np.array_equal(_drift_u(pts), all_orders_drift_u(pts))
+    counts = [_series_counts(y)[0] for y in sorted(y_max, reverse=True)]
+    assert counts == sorted(counts, reverse=True)
+    assert len(batches) > 20
+    # the unit ball keeps 17 orders and 8 powers
+    assert _series_counts(max(y_max)) == (17, 8)
 
 
 @pytest.mark.parametrize("name", ["cubic_c11", "drift_c1", "nondini_c11",
