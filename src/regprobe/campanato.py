@@ -36,8 +36,8 @@ import numpy as np
 
 from .elliptic import LinearOperator, assemble, solve_dirichlet
 from .errors import CalibrationError, FieldValidationError, FitError
-from .fields import (DRIFT_Q, CoefficientField, _extended_modulus,
-                     constant_drift_norm, constant_field)
+from .fields import (DRIFT_Q, _extended_modulus, constant_drift_norm,
+                     constant_field, perturbed_field)
 from .grid import DiscreteField, bicubic_sampler, disk_grid
 
 _TINY_SUP = 1e-10
@@ -542,14 +542,12 @@ def c11_probe(problem, K: int, u=None) -> IterationTrace:
 
 def verify_recurrence(trace: IterationTrace) -> tuple:
     """The margins SAFETY * (xi_k M_k + eta_k) - M_{k+1} of consecutive
-    records.
+    records; a one-record trace has no step and no margin.
 
     A step passes when its margin is >= 0; a zero bound met by a zero sup
     has infinite margin.  This is the one place the recurrence is
     evaluated.
     """
-    if len(trace.records) < 2:
-        raise ValueError("need at least two scales to check the recurrence")
     margins = []
     for cur, nxt in zip(trace.records, trace.records[1:]):
         bound = SAFETY * (cur.xi * cur.M + cur.eta)
@@ -646,16 +644,6 @@ def _sweep_shapes():
     return (("wave1", s1), ("wave2", s2), ("wave3", s3))
 
 
-def _perturbed_field(eps: float) -> CoefficientField:
-    def a_fn(pts, eps=eps):
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = 1.0 + eps * np.sin(pts[:, 0])
-        out[:, 1, 1] = 1.0
-        return out
-
-    return CoefficientField(a=a_fn, b=lambda pts: np.zeros((len(pts), 2)))
-
-
 def perturbation_sweep() -> SweepResult:
     """Frozen-coefficient gap against coefficient perturbation size.
 
@@ -673,7 +661,7 @@ def perturbation_sweep() -> SweepResult:
     ratios = np.zeros((len(shapes), len(SWEEP_EPSILONS)))
     solutions = [[None] * len(SWEEP_EPSILONS) for _ in shapes]
     for j, eps in enumerate(SWEEP_EPSILONS):
-        op = assemble(_perturbed_field(eps), grid)
+        op = assemble(perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
             solutions[i][j] = approximate(shape_fn, op)
             ratios[i, j] = _gap_ratio(solutions[i][j], frozen)

@@ -367,18 +367,13 @@ def abp_check(u: DiscreteField, f_rhs: DiscreteField,
     return implied, lhs <= bmax + C_CAL * fnorm + 1e-10
 
 
-def sup_errors(field: CoefficientField, u_exact, rhs_fn, grids) -> list:
-    """The sup-norm error of the solver on each grid, for the known
-    solution ``u_exact`` of L u = ``rhs_fn`` with its own boundary values."""
-    errors = []
-    for grid in grids:
-        op = assemble(field, grid)
-        rhs = grid.field_from_function(rhs_fn)
-        g = grid.boundary_from_function(u_exact)
-        u = solve_dirichlet(op, rhs, g)
-        exact = np.asarray(u_exact(grid.coords), dtype=float)
-        errors.append(float(np.max(np.abs(u.values - exact))))
-    return errors
+def sup_error(field: CoefficientField, u_exact, rhs_fn, grid: DiskGrid) -> float:
+    """The sup-norm error of the solver on ``grid``, for the known solution
+    ``u_exact`` of L u = ``rhs_fn`` with its own boundary values."""
+    u = solve_dirichlet(assemble(field, grid), grid.field_from_function(rhs_fn),
+                        grid.boundary_from_function(u_exact))
+    exact = np.asarray(u_exact(grid.coords), dtype=float)
+    return float(np.max(np.abs(u.values - exact)))
 
 
 def convergence_order(hs, errors) -> float:

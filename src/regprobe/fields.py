@@ -10,7 +10,9 @@ as given.  The drift's integrability
 exponent is the one constant ``DRIFT_Q``, and ``constant_drift_norm`` is
 the drift bound of a constant drift.  Every constant-coefficient
 field, the frozen operator a_ij(x0) D_ij + b_i(x0) D_i of the
-perturbation argument included, comes from ``constant_field``.
+perturbation argument included, comes from ``constant_field``; the one
+non-constant field constructor is ``perturbed_field``, which the
+perturbation sweep and the solver study read.
 
 Conventions: everything is vectorized over points.  A matrix field maps an
 ``(N, 2)`` array of points to ``(N, 2, 2)``; a drift maps it to ``(N, 2)``;
@@ -71,6 +73,17 @@ def constant_field(a0, b0=(0.0, 0.0)) -> CoefficientField:
         raise FieldValidationError(f"b0 must have two entries, got shape {b0.shape}")
     return CoefficientField(a=lambda pts: np.broadcast_to(a0, (len(pts), 2, 2)),
                             b=lambda pts: np.broadcast_to(b0, (len(pts), 2)))
+
+
+def perturbed_field(eps: float) -> CoefficientField:
+    """The field with a(x) = diag(1 + eps sin x1, 1) and b(x) = 0."""
+    def a_fn(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0] = 1.0 + eps * np.sin(pts[:, 0])
+        out[:, 1, 1] = 1.0
+        return out
+
+    return CoefficientField(a=a_fn, b=lambda pts: np.zeros((len(pts), 2)))
 
 
 def constant_drift_norm(b0) -> float:

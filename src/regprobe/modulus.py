@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping
 
 import numpy as np
 
@@ -24,31 +23,26 @@ _FAMILIES = ("power", "log_power", "zero")
 class Modulus:
     """A modulus of continuity from one of the built-in families.
 
-    ``params`` holds the family parameters (``gamma`` for powers, ``p`` for
-    log powers).  Evaluation outside ``(0, r_max]`` raises
-    :class:`ModulusDomainError`.
+    ``exponent`` is ``gamma`` for ``power`` (``r**gamma``) and ``p`` for
+    ``log_power`` (``ln(1/r)**-p``), finite and > 0; ``zero`` ignores it.
+    The domain ``(0, r_max]`` follows: ``r_max`` is 1 for powers, ``e**-p``
+    for log powers (up to which ``omega(r)/r`` decreases) and inf for zero.
+    Evaluation outside it raises :class:`ModulusDomainError`.
     """
 
     family: str
-    params: Mapping[str, object] = dc_field(default_factory=dict)
-    r_max: float = 1.0
+    exponent: float = 0.0
+    r_max: float = dc_field(init=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise RegistryError(f"unknown modulus family {self.family!r}")
-        if self.family != "zero":
-            if not (self.r_max > 0.0):
-                raise ModulusDomainError("r_max must be positive")
-        if self.family == "power":
-            gamma = float(self.params["gamma"])
-            if not (gamma > 0.0 and math.isfinite(gamma)):
-                raise ModulusDomainError(f"power modulus needs gamma > 0, got {gamma}")
-        elif self.family == "log_power":
-            p = float(self.params["p"])
-            if not (p > 0.0 and math.isfinite(p)):
-                raise ModulusDomainError(f"log_power modulus needs p > 0, got {p}")
-            if not (self.r_max < 1.0):
-                raise ModulusDomainError("log-family moduli need r_max < 1")
+        if self.family != "zero" and not 0.0 < self.exponent < math.inf:
+            raise ModulusDomainError(
+                f"{self.family} modulus needs an exponent > 0, got {self.exponent}")
+        r_max = {"power": 1.0, "log_power": math.exp(-self.exponent),
+                 "zero": math.inf}[self.family]
+        object.__setattr__(self, "r_max", r_max)
 
     def eval(self, r):
         """Evaluate the modulus at ``r`` (scalar or array), enforcing the domain."""
@@ -79,9 +73,9 @@ class Modulus:
                     f"modulus evaluated at log r={worst!r}, above log r_max={log_cap}"
                 )
         if self.family == "power":
-            out = np.exp(float(self.params["gamma"]) * arr)
+            out = np.exp(self.exponent * arr)
         elif self.family == "log_power":
-            out = np.power(-np.minimum(arr, -1e-16), -float(self.params["p"]))
+            out = np.power(-np.minimum(arr, -1e-16), -self.exponent)
         else:
             out = np.zeros_like(arr)
         if np.ndim(log_r) == 0:
@@ -90,16 +84,15 @@ class Modulus:
 
 
 def power(gamma: float) -> Modulus:
-    return Modulus("power", {"gamma": float(gamma)}, 1.0)
+    return Modulus("power", float(gamma))
 
 
 def log_power(p: float) -> Modulus:
-    p = float(p)
-    return Modulus("log_power", {"p": p}, math.exp(-p))
+    return Modulus("log_power", float(p))
 
 
 def zero_modulus() -> Modulus:
-    return Modulus("zero", {}, math.inf)
+    return Modulus("zero")
 
 
 def dini_integral(omega: Modulus, log_t0: float | None = None) -> float:
@@ -118,11 +111,10 @@ def dini_integral(omega: Modulus, log_t0: float | None = None) -> float:
         raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
     log_t0 = min(log_t0, log_cap)
 
+    p = omega.exponent
     if omega.family == "power":
-        gamma = float(omega.params["gamma"])
-        return math.exp(gamma * log_t0) / gamma
+        return math.exp(p * log_t0) / p
     if omega.family == "log_power":
-        p = float(omega.params["p"])
         return (-log_t0) ** (1.0 - p) / (p - 1.0) if p > 1.0 else math.inf
     return 0.0
 

@@ -46,9 +46,9 @@ from .campanato import (
     verify_recurrence,
 )
 from .elliptic import (abp_check, assemble, convergence_order, solve_dirichlet,
-                       sup_errors, trim_heap)
+                       sup_error, trim_heap)
 from .errors import RegistryError, ScenarioError, SchemaVersionError
-from .fields import CoefficientField, constant_field
+from .fields import CoefficientField, constant_field, perturbed_field
 from .grid import disk_grid
 from .manufactured import get_problem
 from .modulus import (dini_integral, dini_tail_sum, doubling_check, log_power,
@@ -317,7 +317,7 @@ def _run_probe(doc: dict) -> tuple:
 
     probe = c1_probe if doc["mode"] == "c1" else c11_probe
     trace = probe(problem, K, u=u)
-    margins = verify_recurrence(trace) if len(trace.records) >= 2 else None
+    margins = verify_recurrence(trace)
     last = trace.records[-1]
     limits = {
         "final_n": last.N,
@@ -410,13 +410,7 @@ _SMOOTH_CASES = (
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1]),
      lambda pts: np.exp(pts[:, 0]) * np.sin(pts[:, 1])),
     ("variable_diagonal",
-     CoefficientField(
-         a=lambda pts: np.stack(
-             [np.stack([1.0 + 0.3 * np.sin(pts[:, 0]),
-                        np.zeros(len(pts))], axis=1),
-              np.stack([np.zeros(len(pts)), np.ones(len(pts))], axis=1)],
-             axis=1),
-         b=lambda pts: np.zeros((len(pts), 2))),
+     perturbed_field(0.3),
      lambda pts: np.cos(pts[:, 0]) + pts[:, 1] ** 4 / 12.0,
      lambda pts: -(1.0 + 0.3 * np.sin(pts[:, 0])) * np.cos(pts[:, 0])
          + pts[:, 1] ** 2),
@@ -475,7 +469,7 @@ def _run_solver_validation(doc: dict) -> tuple:
     for field, u, rhs, on in cases:
         finest = 0 if np.any(field.eval_a(grids[0].coords)[:, 0, 1]) else 1
         solves += [((level, True) if level < 2 else (finest, False),
-                    partial(sup_errors, field, u, rhs, (grid,)))
+                    partial(sup_error, field, u, rhs, grid))
                    for level, grid in enumerate(on)]
     for i in range(_OPERATORS):
         draw = _random_operator(rng)
@@ -518,10 +512,10 @@ def _run_solver_validation(doc: dict) -> tuple:
     rows, orders = [], {}
     for name, *_ in _SMOOTH_CASES:
         order = orders[name] = convergence_order(
-            [grid.h for grid in grids], [next(done)[0] for _ in grids])
+            [grid.h for grid in grids], [next(done) for _ in grids])
         rows.append([name, "order", repr(min(_RESOLUTIONS)), repr(order),
                      int(abs(order - 2.0) <= 0.2)])
-    exact_errs = [next(done)[0] for _ in grids[:2]]
+    exact_errs = [next(done) for _ in grids[:2]]
     rows += [["frozen_quadratic", "exact", repr(grid.h), repr(err),
               int(err <= 1e-10)] for grid, err in zip(grids, exact_errs)]
     mp_excess, spreads = [], []

@@ -471,6 +471,11 @@ def test_recurrence_check_on_synthetic_values(monkeypatch):
     assert all(m < 0.0 for m in verify_recurrence(tr))
 
 
+def test_recurrence_check_of_one_rung_is_empty():
+    # a one-record trace has no step, so no margin
+    assert verify_recurrence(make_trace(M=[1.0], xi=[], eta=[])) == ()
+
+
 def test_certificate_on_synthetic_geometric_decay(monkeypatch):
     M = [2.0 ** -k for k in range(10)]
     N = [4.0 ** -k for k in range(10)]

@@ -823,7 +823,7 @@ def test_solver_validation_raises_the_first_failed_check(
     coarse = scenarios._RESOLUTIONS[0]
     drift = scenarios._SMOOTH_CASES[0][1]
     draws, started = [], []
-    draw, errors = scenarios._random_operator, scenarios.sup_errors
+    draw, error = scenarios._random_operator, scenarios.sup_error
     assemble = scenarios.assemble
 
     def tagged_draw(rng):
@@ -831,11 +831,11 @@ def test_solver_validation_raises_the_first_failed_check(
         draws.append(drawn[0])
         return drawn
 
-    def failing_errors(field, u_exact, rhs_fn, grids):
-        if field is drift and grids[0].h == coarse:
+    def failing_error(field, u_exact, rhs_fn, grid):
+        if field is drift and grid.h == coarse:
             time.sleep(0.2)  # op00 fails first
             raise SolverError("drift_exponential failed on purpose")
-        return errors(field, u_exact, rhs_fn, grids)
+        return error(field, u_exact, rhs_fn, grid)
 
     def failing_assemble(field, grid):
         for i, drawn in enumerate(draws):
@@ -846,7 +846,7 @@ def test_solver_validation_raises_the_first_failed_check(
         return assemble(field, grid)
 
     monkeypatch.setattr(scenarios, "_random_operator", tagged_draw)
-    monkeypatch.setattr(scenarios, "sup_errors", failing_errors)
+    monkeypatch.setattr(scenarios, "sup_error", failing_error)
     monkeypatch.setattr(scenarios, "assemble", failing_assemble)
     assert main(["run", "solver_validation", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err

@@ -25,7 +25,7 @@ from regprobe.elliptic import (
     assemble,
     convergence_order,
     solve_dirichlet,
-    sup_errors,
+    sup_error,
 )
 from regprobe.errors import AnisotropyError, DomainError, FieldValidationError, SolverError
 from regprobe.fields import CoefficientField, constant_field
@@ -458,14 +458,14 @@ def test_constant_fields_assemble_like_a_hand_built_oracle(monkeypatch):
     # the solver suite's frozen quadratic: its error study is that field's
     seen = []
 
-    def capture(field, u_exact, rhs_fn, grids):
+    def capture(field, u_exact, rhs_fn, grid):
         if u_exact is not scenarios._exact_quadratic:
-            return [1.0] * len(grids)
+            return 1.0
         seen.append(field)
         raise _Captured
 
     monkeypatch.setattr(scenarios, "convergence_order", lambda *args: 2.0)
-    monkeypatch.setattr(scenarios, "sup_errors", capture)
+    monkeypatch.setattr(scenarios, "sup_error", capture)
     with pytest.raises(_Captured):
         scenarios.run_scenario(scenarios.load_scenario("solver_validation"),
                                "unused")
@@ -524,7 +524,7 @@ def test_convergence_order_variable_coefficients():
         warnings.simplefilter("error")  # a non-monotone error sequence warns
         hs = [1 / 16, 1 / 32, 1 / 64]
         order = convergence_order(
-            hs, sup_errors(field, u_exact, rhs, disk_grids(hs)))
+            hs, [sup_error(field, u_exact, rhs, grid) for grid in disk_grids(hs)])
     assert 1.8 <= order <= 2.2
 
 

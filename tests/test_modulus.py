@@ -34,6 +34,17 @@ def test_log_family_defaults():
     assert li.eval(math.exp(-5.0)) == pytest.approx(0.2)
 
 
+def test_exponent_is_checked_and_fixes_the_domain():
+    for build, exponent in ((modulus.power, 0.0), (modulus.power, math.nan),
+                            (modulus.log_power, -1.0),
+                            (modulus.log_power, math.inf)):
+        with pytest.raises(ModulusDomainError):
+            build(exponent)
+    assert modulus.power(0.5).r_max == 1.0
+    assert modulus.log_power(1.5).r_max == math.exp(-1.5)
+    assert modulus.zero_modulus().r_max == math.inf
+
+
 def test_monotone_on_geometric_grid():
     cases = [
         modulus.power(0.3),
@@ -151,7 +162,7 @@ def test_dini_tail_sum_sweep_bound_holds():
                     continue
                 s, b = modulus.dini_tail_sum(om, lam, k0)
                 assert s <= b * (1.0 + 1e-12), (repr(om), lam, k0)
-                if om.params.get("p") != 1.0:  # every one but p = 1 is Dini
+                if om != modulus.log_power(1.0):  # every one but it is Dini
                     assert math.isfinite(s) and math.isfinite(b)
                     assert 0.0 < s
                 checked += 1

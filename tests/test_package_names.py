@@ -244,6 +244,12 @@ ALLOWED = {
     "ManufacturedProblem.ellipticity": "a declared hypothesis, like nu; "
                                        "ROADMAP item 4 declares 1/2 for "
                                        "a = (1 + r^gamma) I",
+    "ManufacturedProblem.omega_a": "the abstract's Dini hypothesis on a; "
+                                   "ROADMAP item 4 gives it a value or "
+                                   "deletes it",
+    "ManufacturedProblem.omega_b": "the abstract's Dini hypothesis on b; "
+                                   "ROADMAP item 4 gives it a value or "
+                                   "deletes it",
 }
 
 
@@ -314,11 +320,25 @@ def _module_names(trees: list) -> set:
             if isinstance(target, ast.Name)}
 
 
-def _literal(node, constants=frozenset()):
+def _callee(call: ast.Call):
+    """The bare name a call calls, by name or attribute."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _literal(node, constants=frozenset(), functions=frozenset()):
     """The repr of a constant literal's value, the name of a module
-    constant in ``constants``, or None for anything else."""
+    constant in ``constants``, (callee, argument values, keyword names) of
+    a call of one of ``functions`` with only such arguments, such as
+    ``zero_modulus()``, or None for anything else."""
     if isinstance(node, ast.Name) and node.id in constants:
         return node.id
+    if isinstance(node, ast.Call) and _callee(node) in functions:
+        args = node.args + [kw.value for kw in node.keywords]
+        values = tuple(_literal(arg, constants, functions) for arg in args)
+        keywords = tuple(kw.arg for kw in node.keywords)
+        if None in values or None in keywords:
+            return None
+        return _callee(node), values, keywords
     try:
         return repr(ast.literal_eval(node))
     except ValueError:
@@ -328,18 +348,20 @@ def _literal(node, constants=frozenset()):
 def _one_value(defining: list, calling: list) -> list:
     """Parameters of a function, method or dataclass constructor defined
     once in the ``defining`` trees that every call by its name in the
-    ``calling`` trees sets to one constant literal or one module constant
-    of the ``defining`` trees, or leaves at its default.  A callable that
+    ``calling`` trees sets to one constant literal, one module constant
+    of the ``defining`` trees or one call of their module-level functions
+    with such arguments, or leaves at its default.  A callable that
     some call passes ``*args`` or ``**kwargs`` is skipped, since its values
     cannot be read off the call."""
     callables = [entry for tree in defining for entry in _callables(tree)]
     constants = _module_names(defining)
+    functions = {node.name for tree in defining for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
     calls = {}
     for tree in calling:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(_callee(node), []).append(node)
     defined = [bare for _, bare, _ in callables]
     found = []
     for qualified, bare, params in callables:
@@ -356,7 +378,7 @@ def _one_value(defining: list, calling: list) -> list:
                 node = (call.args[i] if i < len(call.args)
                         else given.get(param, default))
                 values.add(None if node is None
-                           else _literal(node, constants))
+                           else _literal(node, constants, functions))
             if len(values) == 1 and None not in values:
                 found.append(f"{qualified}.{param}")
     return sorted(found)
@@ -395,9 +417,12 @@ def test_guard_finds_one_value_parameters():
         "D(1)\nD(2, y=0)\nd.m((0.0, 0.0))\n"
         "R: float = 0.5\n"
         "def h(r, s):\n    pass\n"
-        "def k():\n    K = 2\n    h(R, K)\n    M = 3\n    h(R, M)\n")
+        "def k():\n    K = 2\n    h(R, K)\n    M = 3\n    h(R, M)\n"
+        "def zero(n=0):\n    pass\n"
+        "def p(m, q, s):\n    pass\n"
+        "p(zero(), zero(1), eye(2))\np(zero(), zero(n=2), eye(2))\n")
     assert _one_value([tree], [tree]) == ["D.m.z", "D.w", "D.y", "f.b", "f.c",
-                                          "h.r"]
+                                          "h.r", "p.m"]
 
 
 def grid_constructions(package: Path = PACKAGE) -> list:
@@ -411,8 +436,7 @@ def grid_constructions(package: Path = PACKAGE) -> list:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", getattr(node.func, "attr",
-                                                       None)) == "DiskGrid"]
+                  and _callee(node) == "DiskGrid"]
     return found
 
 

@@ -16,7 +16,7 @@ from regprobe.errors import FixedPointError
 from regprobe.fields import CoefficientField, Nonlinearity
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
-from regprobe.modulus import Modulus, power, zero_modulus
+from regprobe.modulus import power, zero_modulus
 from regprobe.semilinear import (
     PicardConfig,
     PicardResult,
@@ -34,7 +34,7 @@ def laplacian_field():
 def linear_reaction(eps, g_fn):
     return Nonlinearity(
         f=lambda pts, t: eps * np.asarray(t) * np.ones(len(pts)) + g_fn(pts),
-        modulus=Modulus("power", {"gamma": 1.0}, 100.0),
+        modulus=power(1.0),
     )
 
 
