@@ -36,8 +36,7 @@ import numpy as np
 
 from .elliptic import LinearOperator, assemble, solve_dirichlet
 from .errors import CalibrationError, FieldValidationError, FitError
-from .fields import (DRIFT_Q, _extended_modulus, constant_drift_norm,
-                     constant_field, perturbed_field)
+from .fields import DRIFT_Q, constant_drift_norm, constant_field, perturbed_field
 from .grid import DiscreteField, bicubic_sampler, disk_grid
 
 _TINY_SUP = 1e-10
@@ -308,13 +307,13 @@ def _node_gap(w_fn, h: DiscreteField) -> float:
     return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
 
 
-def _gap_ratio(w: DiscreteField, op: LinearOperator) -> float:
-    """sup |w - h| / sup |w| for h = ``approximate(w)``, the sup over the
-    half ball on a lattice of the comparison grid's SUB_CELLS spacings
-    across its radius, with w and h both sampled bicubically; the sweep's
-    and the holdout's measure."""
+def _gap_ratio(w: DiscreteField) -> float:
+    """sup |w - h| / sup |w| for h = ``approximate(w)`` with the comparison
+    operator of a0 = I, the sup over the half ball on a lattice of the
+    comparison grid's SUB_CELLS spacings across its radius, with w and h
+    both sampled bicubically; the sweep's and the holdout's measure."""
     w_fn = bicubic_sampler(w)
-    h_fn = bicubic_sampler(approximate(w_fn, op))
+    h_fn = bicubic_sampler(approximate(w_fn, comparison_operator(np.eye(2))))
     gap, _ = ball_sup(lambda p: w_fn(p) - h_fn(p), 0.5, cells=SUB_CELLS)
     return gap / w.sup_norm()
 
@@ -374,7 +373,7 @@ def recurrence_model(mode: str, records, problem):
     drift = [problem.drift_bound * LAM ** (rec.k * (1.0 - 2.0 / DRIFT_Q))
              for rec in records]
     osc = [problem.nu + d if order == 1 else
-           _extended_modulus(problem.omega_a, rec.scale) + tau * rec.scale
+           problem.omega_a.extended(rec.scale) + tau * rec.scale
            for rec, d in zip(records, drift)]
     limit = records[-1].approx
     finished = []
@@ -395,7 +394,7 @@ def recurrence_model(mode: str, records, problem):
                 g_norm = float(np.linalg.norm(cur.approx.G))
                 eta = (C2 / LAM ** 2) * (
                     cur.fdev + osc[k] * (T + 2.0 * g_norm + (tau / ell) * f_norm)
-                    + _extended_modulus(problem.omega_b, cur.scale) * f_norm
+                    + problem.omega_b.extended(cur.scale) * f_norm
                 ) + tau_term * float(
                     np.linalg.norm(nxt.approx.F - cur.approx.F))
         finished.append(replace(cur, N=N, xi=xi, eta=eta))
@@ -507,8 +506,8 @@ def _run_ladder(problem, K: int, order: int, u_data):
         u_sup = float(np.max(np.abs(u - u_shift)))
         measured.append(ScaleRecord(
             gap=_node_gap(rescaled_gap, h_field), fdev=fdev, u_sup=u_sup,
-            phi_u=_extended_modulus(nl.modulus, u_sup),
-            phi_scale=_extended_modulus(nl.modulus, scale), increment=inc,
+            phi_u=nl.modulus.extended(u_sup),
+            phi_scale=nl.modulus.extended(scale), increment=inc,
             **row))
 
     records, smallness = recurrence_model(mode, measured, problem)
@@ -657,14 +656,13 @@ def perturbation_sweep() -> SweepResult:
     """
     shapes = _sweep_shapes()
     grid = disk_grid(1.0, 1.0 / SWEEP_CELLS)
-    frozen = comparison_operator(np.eye(2))
     ratios = np.zeros((len(shapes), len(SWEEP_EPSILONS)))
     solutions = [[None] * len(SWEEP_EPSILONS) for _ in shapes]
     for j, eps in enumerate(SWEEP_EPSILONS):
         op = assemble(perturbed_field(eps), grid)
         for i, (_, shape_fn) in enumerate(shapes):
             solutions[i][j] = approximate(shape_fn, op)
-            ratios[i, j] = _gap_ratio(solutions[i][j], frozen)
+            ratios[i, j] = _gap_ratio(solutions[i][j])
     mean_ratio = ratios.mean(axis=0)
     slope = float(np.polyfit(np.log(SWEEP_EPSILONS), np.log(mean_ratio), 1)[0])
     return SweepResult(shapes=tuple(name for name, _ in shapes),
@@ -750,8 +748,9 @@ def _interior_bound_constant():
     return worst
 
 
-def _one_step_linear(u_field, v_fn, frozen):
-    """Sups (M0, M1) of one first-order rung on a numeric solution."""
+def _one_step_linear(u_field, v_fn):
+    """Sups (M0, M1) of one first-order rung on a numeric solution, compared
+    with the comparison operator of a0 = I."""
     sampler = bicubic_sampler(u_field)
     shift = float(sampler(np.zeros((1, 2)))[0])
 
@@ -759,7 +758,7 @@ def _one_step_linear(u_field, v_fn, frozen):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    inc = taylor_fit(approximate(w_fn, frozen), 1)
+    inc = taylor_fit(approximate(w_fn, comparison_operator(np.eye(2))), 1)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), LAM)
     return M0, M1 / LAM
 
@@ -784,7 +783,6 @@ def calibrate_constants() -> dict:
     # rest are the holdout
     n_train = 2
     sweep = perturbation_sweep()
-    frozen = comparison_operator(np.eye(2))
     hold_ratios = sweep.ratios[n_train:]
 
     num = 0.0
@@ -792,7 +790,7 @@ def calibrate_constants() -> dict:
     for i in range(n_train):
         for j, eps in enumerate(SWEEP_EPSILONS):
             M0, M1 = _one_step_linear(sweep.solutions[i][j],
-                                      lambda pts: np.zeros(len(pts)), frozen)
+                                      lambda pts: np.zeros(len(pts)))
             x = (LAM ** 2 + eps ** alpha) * M0 / LAM
             num += x * M1
             den += x * x
@@ -821,7 +819,7 @@ def calibrate_constants() -> dict:
         for _, shape_fn in shapes:
             u = solve_dirichlet(op, rhs, grid.boundary_from_function(shape_fn))
             M0, M1 = _one_step_linear(
-                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2, frozen)
+                u, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2)
             xi0 = (c1 / LAM) * (LAM ** 2 + lam1 ** alpha)
             eta_need = max(0.0, M1 - xi0 * M0)
             bracket = 2.0 * lam1 / LAM

@@ -35,13 +35,12 @@ from .errors import (
     RegistryError,
     RegprobeError,
     ScenarioError,
-    SchemaVersionError,
     SolverError,
 )
 from .scenarios import (
-    SCHEMA_VERSION,
     _write_rows,
     atomic_write_text,
+    check_version,
     load_scenario,
     run_scenario,
     sanitize,
@@ -153,11 +152,7 @@ def _cmd_report(args) -> int:
             doc = json.loads(p.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
             raise ScenarioError(f"{p}: not a readable JSON report: {exc}") from exc
-        version = doc.get("v") if isinstance(doc, dict) else None
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"{p}: schema version {version!r} not supported "
-                f"(expected {SCHEMA_VERSION})")
+        check_version(doc.get("v") if isinstance(doc, dict) else None, str(p))
         row = [doc.get(k) for k in header[:3]]
         limits = doc.get("limits", {})
         if not (all(isinstance(v, str) for v in row)

@@ -126,11 +126,3 @@ class PotentialFamily:
     v: Callable
     hessian_bound: float
 
-
-def _extended_modulus(phi: Modulus, delta: float) -> float:
-    if delta <= 0.0:
-        return 0.0
-    cap = phi.r_max
-    if not delta > cap:  # the zero modulus's cap is inf; eval rejects NaN
-        return float(phi.eval(delta))
-    return math.ceil(delta / cap) * float(phi.eval(cap))

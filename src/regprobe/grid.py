@@ -4,16 +4,17 @@ The grid is a uniform Cartesian lattice ``(i*h, j*h)`` about the origin,
 the probe point, clipped to an open disk.  Nodes strictly inside the disk
 are interior; stencil arms that leave the disk are cut at the circle.
 
-A grid keeps, from its build, the node coordinates, the arm fractions as
-one ``(n_interior, 8)`` table (1 for a whole arm), the points where the
-cut arms meet the circle, and ``DiskGrid.slots``: each node's neighbours
-as columns of an ``(n_interior, 9)`` slot table, -1 for a cut arm, and
-the cut arms' slots with their boundary columns.  The operator assembly
-reads unequal-arm differences for all nodes at once from these, and
-copies its weights into sparse matrices through ``slots`` and
-``DiskGrid.red_black``.  The lattice indices, both nested-dissection
-orders, the quadrature weights and ``red_black`` are computed on first
-use and kept; with all of them a 128-cell grid holds 163 B a node.
+A grid keeps, from its build, the lattice indices of its nodes and their
+coordinates, the arm fractions as one ``(n_interior, 8)`` table (1 for a
+whole arm), the points where the cut arms meet the circle, and
+``DiskGrid.slots``: each node's neighbours as columns of an
+``(n_interior, 9)`` slot table, -1 for a cut arm, and the cut arms' slots
+with their boundary columns.  The operator assembly reads unequal-arm
+differences for all nodes at once from these, and copies its weights into
+sparse matrices through ``slots`` and ``DiskGrid.red_black``.  Both
+nested-dissection orders, the quadrature weights and ``red_black`` are
+computed on first use and kept; with all of them a 128-cell grid holds
+163 B a node.
 
 Direction order is fixed as E, W, N, S, NE, SW, NW, SE; the first four are
 the axis arms, the last four the diagonal arms grouped in opposite pairs.
@@ -162,6 +163,7 @@ class DiskGrid:
 
     radius: float
     h: float
+    lattice: np.ndarray = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     arm: np.ndarray = dc_field(init=False, repr=False)
     boundary_points: np.ndarray = dc_field(init=False, repr=False)
@@ -178,14 +180,16 @@ class DiskGrid:
         r = float(self.radius)
         h = float(self.h)
         m = int(math.floor(r / h + 1e-12)) + 1
-        ax = np.arange(-m, m + 1)
+        ax = np.arange(-m, m + 1, dtype=np.int64)
         gi, gj = np.meshgrid(ax, ax, indexing="ij")
         px = (gi * h).ravel()
         py = (gj * h).ravel()
         nodes = np.flatnonzero(px * px + py * py < (r * (1.0 - 1e-13)) ** 2)
         index = -np.ones(len(px), dtype=np.int32)     # int32, as sparse indices
         index[nodes] = np.arange(len(nodes))
-        coords = np.stack([px[nodes], py[nodes]], axis=1)
+        # node k's lattice indices (i, j); it sits at h * (i, j)
+        lattice = np.stack([gi.ravel()[nodes], gj.ravel()[nodes]], axis=1)
+        coords = lattice * h
         # each arm's neighbour, looked up at the flat lattice index of the
         # arm's end; every interior node has |i|, |j| < m, so no arm leaves
         # the box
@@ -212,8 +216,8 @@ class DiskGrid:
         slots = SlotPattern(_frozen(columns),
                             _frozen(node[within] * 9 + SLOTS[k[within]]),
                             _frozen(within.astype(np.int32)))
-        for name, value in (("coords", coords), ("arm", arm),
-                            ("boundary_points", bp)):
+        for name, value in (("lattice", lattice), ("coords", coords),
+                            ("arm", arm), ("boundary_points", bp)):
             object.__setattr__(self, name, _frozen(value))
         object.__setattr__(self, "slots", slots)
 
@@ -253,17 +257,6 @@ class DiskGrid:
             w[cut] = frac * h * h
         w.flags.writeable = False
         return w
-
-    @_computed_once
-    def lattice(self) -> np.ndarray:
-        """The int64 lattice indices (i, j) of each interior node.
-
-        Node k sits at ``h * lattice[k]``.  Computed once per grid and
-        read-only.
-        """
-        ij = np.rint(self.coords / self.h).astype(np.int64)
-        ij.flags.writeable = False
-        return ij
 
     @_computed_once
     def dissection_order(self) -> np.ndarray:

@@ -27,7 +27,8 @@ class Modulus:
     ``log_power`` (``ln(1/r)**-p``), finite and > 0; ``zero`` ignores it.
     The domain ``(0, r_max]`` follows: ``r_max`` is 1 for powers, ``e**-p``
     for log powers (up to which ``omega(r)/r`` decreases) and inf for zero.
-    Evaluation outside it raises :class:`ModulusDomainError`.
+    Evaluation outside it raises :class:`ModulusDomainError`;
+    :meth:`extended` reads the modulus past ``r_max``.
     """
 
     family: str
@@ -56,6 +57,15 @@ class Modulus:
                 )
         return self.eval_log(np.log(arr))
 
+    def extended(self, delta: float) -> float:
+        """``omega(delta)``, extended past the domain as
+        ``ceil(delta / r_max) * omega(r_max)`` and by 0 at ``delta <= 0``."""
+        if delta <= 0.0:
+            return 0.0
+        if not delta > self.r_max:  # zero's r_max is inf; eval rejects NaN
+            return float(self.eval(delta))
+        return math.ceil(delta / self.r_max) * float(self.eval(self.r_max))
+
     def eval_log(self, log_r):
         """Evaluate at ``r = exp(log_r)`` without forming ``r``.
 
@@ -64,7 +74,7 @@ class Modulus:
         value is perfectly representable.
         """
         arr = np.asarray(log_r, dtype=float)
-        log_cap = math.log(self.r_max) if math.isfinite(self.r_max) else math.inf
+        log_cap = math.log(self.r_max)
         if arr.size:
             bad = np.isnan(arr) | (arr > log_cap + 1e-12)
             if np.any(bad):
@@ -104,9 +114,9 @@ def dini_integral(omega: Modulus, log_t0: float | None = None) -> float:
     where the integrand is ``omega(e^x)``, so the result stays meaningful
     at depths where ``t0`` itself would underflow.
     """
-    log_cap = math.log(omega.r_max) if math.isfinite(omega.r_max) else math.inf
+    log_cap = math.log(omega.r_max)
     if log_t0 is None:
-        log_t0 = log_cap if math.isfinite(log_cap) else 0.0
+        log_t0 = min(log_cap, 0.0)
     if not (math.isfinite(log_t0) and log_t0 <= log_cap + 1e-12):
         raise ModulusDomainError(f"log_t0={log_t0} above log r_max={log_cap}")
     log_t0 = min(log_t0, log_cap)
@@ -121,7 +131,7 @@ def dini_integral(omega: Modulus, log_t0: float | None = None) -> float:
 
 def doubling_check(omega: Modulus) -> bool:
     """Check ``omega(2r) <= 2 omega(r)`` on a 100-point geometric scan of the domain."""
-    r_hi = omega.r_max if math.isfinite(omega.r_max) else 1.0
+    r_hi = min(omega.r_max, 1.0)
     r = np.geomspace(r_hi * 2.0 ** -50, r_hi / 2.0, 100)
     return bool(np.all(omega.eval(2.0 * r) <= 2.0 * omega.eval(r) * (1.0 + 1e-12)))
 

@@ -132,16 +132,21 @@ def load_scenario(ref) -> dict:
     return doc
 
 
+def check_version(version, source: str) -> None:
+    """Refuse a schema version other than the int SCHEMA_VERSION (True is not 1)."""
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"{source}: schema version {version!r} not supported "
+            f"(expected {SCHEMA_VERSION})")
+
+
 def validate_scenario(doc, source: str = "scenario") -> None:
     """Check schema version, key set, config invariants, and registry ids."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: document must be a JSON object")
     if "v" not in doc:
         raise SchemaVersionError(f"{source}: missing schema version key 'v'")
-    if type(doc["v"]) is not int or doc["v"] != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"{source}: schema version {doc['v']!r} not supported "
-            f"(expected {SCHEMA_VERSION})")
+    check_version(doc["v"], source)
     ident = doc.get("id")
     if (not isinstance(ident, str) or ident in ("", ".", "..")
             or any(c in ident for c in "\0/\\")):
@@ -544,7 +549,7 @@ def _run_modulus_check(doc: dict) -> tuple:
     worst_ratio = 0.0
 
     for label, omega, dini in _FAMILIES:
-        r_hi = omega.r_max if math.isfinite(omega.r_max) else 1.0
+        r_hi = min(omega.r_max, 1.0)
         scan = np.geomspace(r_hi * 1e-12, r_hi, 64)
         vals = omega.eval(scan)
         monotone = bool(np.all(np.diff(vals) >= -1e-12 * max(vals[-1], 1e-300)))

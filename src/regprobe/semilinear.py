@@ -55,10 +55,13 @@ class PicardConfig:
 @dataclass(frozen=True)
 class PicardResult:
     u: DiscreteField
-    outer_iterations: int
     increments: tuple
     damping_used: float
     residual_sup: float
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.increments)
 
 
 def _stopped_shrinking(increments) -> bool:
@@ -138,4 +141,4 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
     b_vec = d * (nonlinearity.eval(pts, u) - op.boundary_matrix @ boundary.values)
     residual = float(np.max(np.abs(b_vec - op.equilibrated @ u)))
     return PicardResult(DiscreteField(grid, u, "interior"),
-                        len(increments), tuple(increments), theta, residual)
+                        tuple(increments), theta, residual)

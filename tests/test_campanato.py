@@ -158,7 +158,7 @@ def test_approximate_paraboloid_gap_is_exact():
 
 def test_gap_ratio_accepts_discrete_field():
     w = sampled_field(harmonic, cells=48)
-    assert _gap_ratio(w, comparison_operator(np.eye(2))) <= 1e-9
+    assert _gap_ratio(w) <= 1e-9
 
 
 def test_approximate_reuses_the_operator_factor(count_factorizations):

@@ -138,8 +138,10 @@ def test_benchmark_probe_reports_match_the_reference(tmp_path, monkeypatch,
 def test_benchmark_span_wrappers_install_and_change_no_artifact(tmp_path):
     # perfbench/run.py --trace 1 wraps the names spans.install patches; a
     # name the package drops fails it, so run its install here, traced in a
-    # fresh process, against an untraced run
+    # fresh process, against an untraced run; the numeric scenario reaches
+    # the Picard and bicubic sampler wrappers
     names = ["zero_case", "drift_c1", "cubic_c11", "nondini_c11"]
+    scenarios = [*names, "drift_c1_numeric"]
     code = (
         "import sys\n"
         "import spans\n"
@@ -149,18 +151,26 @@ def test_benchmark_span_wrappers_install_and_change_no_artifact(tmp_path):
         f"spans.install(tracer, [get_problem(n) for n in {names!r}])\n"
         "status = cli.main(['run', *sys.argv[1:]])\n"
         "print(sorted(m for s, m in tracer.stats if m.endswith('.calls')))\n"
+        "print(tracer.stats['drift_c1_numeric', "
+        "'semilinear.picard.outer_steps'])\n"
         "sys.exit(status)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     traced = subprocess.run(
-        [sys.executable, "-c", code, *names, "--out", str(tmp_path / "traced")],
+        [sys.executable, "-c", code, *scenarios,
+         "--out", str(tmp_path / "traced")],
         env=env, capture_output=True, text=True)
     assert traced.returncode == 0, traced.stderr
+    calls, outer_steps = traced.stdout.splitlines()[-2:]
     for layer in ("campanato.ladder", "campanato.ball_sup",
                   "campanato.approximate", "campanato.taylor_fit",
-                  "elliptic.factor", "manufactured.u"):
-        assert f"'{layer}.calls'" in traced.stdout, layer
-    assert main(["run", *names, "--out", str(tmp_path / "plain")]) == 0
+                  "elliptic.factor", "manufactured.u", "semilinear.picard",
+                  "grid.sample"):
+        assert f"'{layer}.calls'" in calls, layer
+    report = json.loads(
+        (tmp_path / "traced" / "drift_c1_numeric_report.json").read_text())
+    assert float(outer_steps) == len(report["flags"]["picard"]["increments"])
+    assert main(["run", *scenarios, "--out", str(tmp_path / "plain")]) == 0
     written = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert sorted(p.name for p in (tmp_path / "traced").iterdir()) == written
     for name in written:

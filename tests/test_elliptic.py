@@ -157,11 +157,26 @@ def test_a_128_cell_grid_holds_at_most_164_bytes_a_node():
     grid = DiskGrid(1.0, 1.0 / 128)
     computed = [name for name, attr in vars(DiskGrid).items()
                 if isinstance(attr, functools.cached_property)]
-    assert {"lattice", "black_order", "red_black"} <= set(computed)
+    assert {"black_order", "red_black"} <= set(computed)
+    assert "lattice" in {f.name for f in dataclasses.fields(DiskGrid)}
     for name in computed:
         getattr(grid, name)
     held = sum(array.nbytes for array in grid_arrays(grid))
     assert held <= 164 * grid.n_interior
+
+
+@pytest.mark.parametrize("radius, cells", [
+    (1.0, 16), (1.0, 32), (1.0, 64), (1.0, 128), (1.0, 256),
+    (0.75, campanato.SUB_CELLS)])
+def test_grid_keeps_the_lattice_of_its_build(radius, cells):
+    grid = DiskGrid(radius, radius / cells)
+    lattice = grid.lattice
+    assert lattice.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        lattice[0] = 0
+    # each node's indices are its coordinates over h, rounded
+    assert np.array_equal(lattice, np.rint(grid.coords / grid.h))
+    assert grid.coords.tobytes() == (lattice * grid.h).tobytes()
 
 
 def test_disk_grid_keeps_the_cached_nodes_within_the_bound(

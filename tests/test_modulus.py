@@ -45,6 +45,22 @@ def test_exponent_is_checked_and_fixes_the_domain():
     assert modulus.zero_modulus().r_max == math.inf
 
 
+def test_extended_reads_the_modulus_past_its_domain():
+    for om in (modulus.power(0.5), modulus.log_power(1.0),
+               modulus.log_power(2.0), modulus.zero_modulus()):
+        assert om.extended(0.0) == om.extended(-1.0) == 0.0
+        for d in min(om.r_max, 1.0) * np.array([1e-9, 0.3, 1.0]):
+            assert om.extended(d) == om.eval(d)
+        with pytest.raises(ModulusDomainError):
+            om.extended(math.nan)
+    # past r_max = 1/e, ceil(delta e) copies of omega(1/e) = 1: nondini_c11's
+    # rung-0 phi_scale_k and phi_u_k
+    assert modulus.log_power(1.0).extended(1.0) == 3.0
+    assert modulus.log_power(1.0).extended(1.108759204455311) == 4.0
+    assert modulus.power(0.5).extended(2.5) == 3.0
+    assert modulus.zero_modulus().extended(1e300) == 0.0
+
+
 def test_monotone_on_geometric_grid():
     cases = [
         modulus.power(0.3),
