@@ -3,8 +3,9 @@
 The certificate engine: measure how well the gap between a solution u and
 its frozen-coefficient potential v is tracked by polynomials across
 geometrically shrinking balls around the origin.  Each scale solves the
-comparison problem on the rescaled gap (``approximate``), fits its solution
-h by a polynomial at the origin and folds that into the approximant.  The
+comparison problem on the rescaled gap (``approximate``; a ladder solves
+all its scales as one batch), fits its solution h by a polynomial at the
+origin and folds that into the approximant.  The
 ladder only measures: a rung's record holds M_k, bar, gap |w - h| on h's
 nodes, fdev, u_sup and increment.  ``recurrence_model`` turns any prefix
 of the records, the problem's declared constants and the calibrated
@@ -267,44 +268,55 @@ def _frozen_comparison(shape, entries) -> LinearOperator:
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
     """Solve L h = 0, L the operator of ``op``, with h = w on the rim of
-    its disk; return h.
+    its disk; return h.  ``w_fn`` gives one value per rim point, or a row
+    of K values for a batch of K problems, and h holds as many columns.
 
-    The ladder passes its frozen ``comparison_operator``, the sweep and the
-    calibration their perturbed operators.  ``op`` keeps its LU factor, so
-    solves after the first are triangular substitutions only.
+    The ladder passes its frozen ``comparison_operator`` and all its rungs
+    at once, the sweep and the calibration their perturbed operators and
+    one problem.  ``op`` keeps its LU factor, so solves after the first
+    are triangular substitutions only.
     """
-    sub = op.grid
-    return solve_dirichlet(op, sub.zeros(),
-                           sub.boundary_from_function(w_fn))
+    rim = op.grid.boundary_from_function(w_fn)
+    zeros = np.zeros((op.grid.n_interior, *rim.values.shape[1:]))
+    return solve_dirichlet(op, DiscreteField(op.grid, zeros, "interior"), rim)
 
 
-# The node sets of a grid that ``_node_gap`` and ``taylor_fit`` read, built
-# once per process for each (radius, h) from ``disk_grid(radius, h)``, whose
-# nodes every DiskGrid(radius, h) shares; read-only.  A process keeps those
-# of four grids; every ladder reads one, the comparison grid's.
+# The node sets of a grid that the ladder's comparisons and ``taylor_fit``
+# read, built once per process for each (radius, h) from
+# ``disk_grid(radius, h)``, whose nodes every DiskGrid(radius, h) shares;
+# read-only.  A process keeps those of four grids; every ladder reads one,
+# the comparison grid's.
 @functools.lru_cache(maxsize=4)
 def _node_sets(radius, h):
-    """The mask of the nodes within 1/2 of the origin and those nodes, then
-    the mask of the nodes within LAM and the design matrix of a quadratic
-    fit on them: columns 1, x1, x2, x1^2, x1 x2, x2^2, the first three an
-    affine fit's."""
+    """The mask of the nodes within 1/2 of the origin and those nodes, the
+    mask among them of the fit nodes, those within LAM, and the
+    pseudo-inverses of the affine and of the quadratic fit's design on the
+    fit nodes: columns 1, x1, x2, then x1^2, x1 x2, x2^2.
+
+    Raises FitError when LAM spans fewer than 4 grid spacings or a design
+    has lower rank than it has columns.
+    """
+    if LAM < 4.0 * h * (1.0 - 1e-12):
+        raise FitError(f"fit radius {LAM} spans fewer than 4 spacings of {h}")
     pts = disk_grid(radius, h).coords
-    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    near = r2 <= 0.25
-    mask = r2 <= LAM * LAM
-    d = pts[mask]
+    near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
+    nodes = pts[near]
+    fit = nodes[:, 0] ** 2 + nodes[:, 1] ** 2 <= LAM * LAM
+    d = nodes[fit]
     design = np.stack([np.ones(len(d)), d[:, 0], d[:, 1], d[:, 0] ** 2,
                        d[:, 0] * d[:, 1], d[:, 1] ** 2], axis=1)
-    sets = (near, pts[near], mask, design)
+    pinvs = []
+    for width in (3, 6):
+        pinv, _, rank, _ = np.linalg.lstsq(design[:, :width], np.eye(len(d)),
+                                           rcond=None)
+        if rank < width:
+            raise FitError(
+                f"rank-deficient fit: {len(d)} nodes inside radius {LAM}")
+        pinvs.append(pinv)
+    sets = (near, nodes, fit, *pinvs)
     for array in sets:
         array.flags.writeable = False
     return sets
-
-
-def _node_gap(w_fn, h: DiscreteField) -> float:
-    """Max |w - h| on h's own nodes in the half ball, radius 1/2, uninterpolated."""
-    near, nodes, _, _ = _node_sets(h.grid.radius, h.grid.h)
-    return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
 
 
 def _gap_ratio(w: DiscreteField) -> float:
@@ -318,35 +330,39 @@ def _gap_ratio(w: DiscreteField) -> float:
     return gap / w.sup_norm()
 
 
-def taylor_fit(h: DiscreteField, order, a0=None) -> QuadApprox:
-    """Polynomial behaviour of h at the origin by least squares.
+def _fit_rows(rows, pinv, order, a0):
+    """The polynomials whose coefficients are ``pinv`` times each column of
+    ``rows``, the values on the fit nodes of ``_node_sets``; one for a
+    vector, a tuple for an (m, K) block.  Each column is its own
+    matrix-vector product, so its bits do not depend on the batch."""
+    fits = []
+    for col in np.ascontiguousarray(rows.reshape(len(rows), -1).T):
+        sol = pinv @ col
+        G = np.zeros((2, 2))
+        if order == 2:
+            G = np.array([[sol[3], 0.5 * sol[4]], [0.5 * sol[4], sol[5]]])
+            G = G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0
+        fits.append(QuadApprox(sol[0], sol[1:3], G))
+    return fits[0] if rows.ndim == 1 else tuple(fits)
+
+
+def taylor_fit(h: DiscreteField, order, a0=None):
+    """Polynomial behaviour of h at the origin by least squares: one
+    QuadApprox, or a tuple of one per column of a batch.
 
     Fits over the nodes within LAM, the scale ratio (which must span at
-    least 4 grid spacings); their mask and design matrix are derived once
-    per grid (``_node_sets``).  An order-1 fit is affine, G = 0.  For order 2
-    the quadratic part is projected onto the subspace with vanishing
-    frozen-coefficient trace, so the fit satisfies sum a0_ij * 2 G_ij = 0.
+    least 4 grid spacings), with the pseudo-inverse of their design, which
+    is derived and checked for full rank once per grid (``_node_sets``).
+    An order-1 fit is affine, G = 0.  For order 2 the quadratic part is
+    projected onto the subspace with vanishing frozen-coefficient trace,
+    so the fit satisfies sum a0_ij * 2 G_ij = 0.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     grid = h.grid
-    if LAM < 4.0 * grid.h * (1.0 - 1e-12):
-        raise FitError(
-            f"fit radius {LAM} spans fewer than 4 spacings of {grid.h}"
-        )
-    _, _, mask, design = _node_sets(grid.radius, grid.h)
-    design = design[:, :3 * order]
-    sol, _, rank, _ = np.linalg.lstsq(design, h.values[mask], rcond=None)
-    if rank < design.shape[1]:
-        raise FitError(
-            f"rank-deficient fit: {len(design)} nodes inside radius {LAM}"
-        )
-    G = np.zeros((2, 2))
-    if order == 2:
-        G = np.array([[sol[3], 0.5 * sol[4]], [0.5 * sol[4], sol[5]]])
-        a0 = np.eye(2) if a0 is None else np.asarray(a0, dtype=float)
-        G = G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0
-    return QuadApprox(sol[0], sol[1:3], G)
+    near, _, fit, *pinvs = _node_sets(grid.radius, grid.h)
+    a0 = np.eye(2) if a0 is None else np.asarray(a0, dtype=float)
+    return _fit_rows(h.values[near][fit], pinvs[order - 1], order, a0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +423,42 @@ def recurrence_model(mode: str, records, problem):
     return tuple(finished), smallness
 
 
+def _drift_correction(a0, b0, F) -> float:
+    """c = b(0).F / (2 a11(0)), the coefficient of the c11 drift term
+    c x1^2 that the tracked gap adds and the claim states, for the
+    approximant's gradient F."""
+    return float(b0 @ F) / (2.0 * a0[0, 0])
+
+
+def _frozen_comparisons(op: LinearOperator, rungs, order, a0, gap_fn):
+    """Rung k's fit at the origin and its gap, for every k < ``rungs``,
+    from one batched solve with the frozen operator ``op``.
+
+    Column k holds U_k(z) = gap_fn(s z) / s^2, s = LAM**k, less its own
+    a(0)-harmonic fit Q_k, and h_k is the solution that matches it on the
+    rim.  Rung k's fit is Q_k plus h_k's, and its gap is max |U_k - Q_k -
+    h_k| on the nodes within 1/2; docs/report_schema.md (The frozen
+    comparison) says why no rung waits for the one before it and why Q_k
+    goes first.
+    """
+    grid = op.grid
+    near, nodes, fit, *pinvs = _node_sets(grid.radius, grid.h)
+
+    def rescaled(k, z):
+        scale = LAM ** k
+        return gap_fn(z * scale) / (scale * scale)
+
+    at_nodes = np.stack([rescaled(k, nodes) for k in range(rungs)], axis=1)
+    pre = _fit_rows(at_nodes[fit], pinvs[order - 1], order, a0)
+    h = approximate(lambda z: np.stack(
+        [rescaled(k, z) - Q(z) for k, Q in enumerate(pre)], axis=1), op)
+    at_nodes -= np.stack([Q(nodes) for Q in pre], axis=1)
+    gaps = np.max(np.abs(at_nodes - h.values[near]), axis=0)
+    fits = [QuadApprox(Q.E + P.E, Q.F + P.F, Q.G + P.G)
+            for Q, P in zip(pre, taylor_fit(h, order, a0=a0))]
+    return fits, gaps
+
+
 def _run_ladder(problem, K: int, order: int, u_data):
     mode = "c1" if order == 1 else "c11"
     nl = problem.nonlinearity
@@ -444,8 +496,13 @@ def _run_ladder(problem, K: int, order: int, u_data):
 
     approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     # one frozen operator serves every rung, and every later ladder with the
-    # same a(0); a one-rung ladder compares nothing
-    comparison = comparison_operator(a0) if K_eff else None
+    # same a(0); a one-rung ladder compares nothing.  Every rung below K_eff
+    # is compared in one batch; a ladder its round-off bar stops early
+    # leaves the rest unread.
+    if K_eff:
+        fits, gaps = _frozen_comparisons(
+            comparison_operator(a0), K_eff, order, a0,
+            lambda pts: u_fn(pts) - u_shift - v_fn(pts))
     measured = []
     S = 0.0
     for k in range(K_eff + 1):
@@ -455,7 +512,7 @@ def _run_ladder(problem, K: int, order: int, u_data):
         cur = approx
         # u is evaluated once on the rung's sample plan; the tracked sup,
         # the reaction increment and the sup of u are all read from it
-        corr = float(b0 @ cur.F) / (2.0 * a0[0, 0]) if order == 2 else 0.0
+        corr = _drift_correction(a0, b0, cur.F) if order == 2 else 0.0
         sampled = []
         sizes = []
 
@@ -485,13 +542,11 @@ def _run_ladder(problem, K: int, order: int, u_data):
             measured.append(ScaleRecord(**row))
             break
 
-        def rescaled_gap(z):
-            pts = np.atleast_2d(np.asarray(z, dtype=float)) * scale
-            return (u_fn(pts) - u_shift - v_fn(pts) - cur(pts)) / (scale * scale)
-
-        h_field = approximate(rescaled_gap, comparison)
-        inc = taylor_fit(h_field, order, a0=a0)
-        # the unit-ball increment, fitted at scale LAM^k, folded in
+        # the unit-ball increment: rung k's fit less the approximant
+        # rescaled to the unit ball, folded in at scale LAM^k
+        fit = fits[k]
+        inc = QuadApprox(fit.E - cur.E / (scale * scale),
+                         fit.F - cur.F / scale, fit.G - cur.G)
         approx = QuadApprox(approx.E + scale * scale * inc.E,
                             approx.F + scale * inc.F, approx.G + inc.G)
         drift_tr = abs(approx.frozen_trace(a0))
@@ -505,7 +560,7 @@ def _run_ladder(problem, K: int, order: int, u_data):
         fdev = float(np.max(np.abs(nl.eval(pts, u) - nl.eval(pts, 0.0))))
         u_sup = float(np.max(np.abs(u - u_shift)))
         measured.append(ScaleRecord(
-            gap=_node_gap(rescaled_gap, h_field), fdev=fdev, u_sup=u_sup,
+            gap=float(gaps[k]), fdev=fdev, u_sup=u_sup,
             phi_u=nl.modulus.extended(u_sup),
             phi_scale=nl.modulus.extended(scale), increment=inc,
             **row))
@@ -615,8 +670,9 @@ def claim(trace: IterationTrace, problem) -> dict:
     corr = 0.0
     if order == 2:
         origin = np.zeros((1, 2))
-        corr = (float(problem.field.eval_b(origin)[0] @ trace.limit.F)
-                / (2.0 * problem.field.eval_a(origin)[0][0, 0]))
+        corr = _drift_correction(problem.field.eval_a(origin)[0],
+                                 problem.field.eval_b(origin)[0],
+                                 trace.limit.F)
     return {"order": order, "drift_correction": corr,
             "radii": [r.measure_radius for r in trace.records],
             "bounds": [r.N + r.sup_error_bar + r.roundoff

@@ -4,7 +4,8 @@ The grid is a uniform Cartesian lattice ``(i*h, j*h)`` about the origin,
 the probe point, clipped to an open disk.  Nodes strictly inside the disk
 are interior; stencil arms that leave the disk are cut at the circle.
 
-A grid keeps, from its build, the lattice indices of its nodes and their
+A grid keeps, from its build, the lattice indices of its nodes, the
+half-width of the lattice box that holds them with their arms, their
 coordinates, the arm fractions as one ``(n_interior, 8)`` table (1 for a
 whole arm), the points where the cut arms meet the circle, and
 ``DiskGrid.slots``: each node's neighbours as columns of an
@@ -164,6 +165,7 @@ class DiskGrid:
     radius: float
     h: float
     lattice: np.ndarray = dc_field(init=False, repr=False)
+    half_width: int = dc_field(init=False, repr=False)
     coords: np.ndarray = dc_field(init=False, repr=False)
     arm: np.ndarray = dc_field(init=False, repr=False)
     boundary_points: np.ndarray = dc_field(init=False, repr=False)
@@ -219,6 +221,7 @@ class DiskGrid:
         for name, value in (("lattice", lattice), ("coords", coords),
                             ("arm", arm), ("boundary_points", bp)):
             object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "half_width", m)
         object.__setattr__(self, "slots", slots)
 
     @property
@@ -325,8 +328,9 @@ def disk_grid(radius: float, h: float) -> DiskGrid:
 @dataclass(frozen=True)
 class DiscreteField:
     """Nodal values bound to a grid, tagged by role: one value per point,
-    and the role fixes the points, the interior nodes ("interior") or the
-    boundary points ("boundary")."""
+    or a row of one value per column for a batch of fields, and the role
+    fixes the points, the interior nodes ("interior") or the boundary
+    points ("boundary")."""
 
     grid: DiskGrid
     values: np.ndarray
@@ -338,9 +342,10 @@ class DiscreteField:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         expected = len(self.points)
-        if vals.shape != (expected,):
+        if vals.ndim not in (1, 2) or len(vals) != expected:
             raise FieldValidationError(
-                f"{self.role} field has {vals.shape} values, expected ({expected},)"
+                f"{self.role} field has {vals.shape} values, expected "
+                f"({expected},) or ({expected}, columns)"
             )
         if not np.all(np.isfinite(vals)):
             raise FieldValidationError(f"{self.role} field contains non-finite values")
@@ -378,7 +383,7 @@ def bicubic_sampler(field: DiscreteField):
     if field.role == "boundary":
         raise FieldValidationError("cannot interpolate a boundary-trace field")
     grid = field.grid
-    m = int(math.floor(grid.radius / grid.h + 1e-12)) + 1
+    m = grid.half_width
     lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
     ij = grid.lattice
     lattice[ij[:, 0] + m, ij[:, 1] + m] = field.values

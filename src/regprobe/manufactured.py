@@ -34,7 +34,6 @@ import numpy as np
 from .errors import FieldValidationError, RegistryError
 from .fields import (CoefficientField, Nonlinearity, PotentialFamily,
                      constant_drift_norm, constant_field)
-from .grid import cubic_weights
 from .modulus import Modulus, log_power, zero_modulus
 
 
@@ -222,7 +221,9 @@ def _nondini_profile():
     w(r) = int_0^r s(t)/t dt with s(t) = int_0^t z g(u(z)) dz; both
     integrals become plain cumulative integrals in x = ln r, taken by
     Simpson's rule on a uniform lattice.  Between nodes q is the cubic
-    through the four nearest nodes; the end cubics extrapolate.
+    through the four nearest nodes; the end cubics extrapolate.  It is
+    evaluated as the chord through the middle two nodes less a bow from
+    their second differences, so q stays the only per-node table.
     """
     x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
     dx = (x[-1] - x[0]) / (len(x) - 1)
@@ -243,21 +244,23 @@ def _nondini_profile():
         # node i + 1 starts the interval of x; the stencil is nodes i..i+3
         pos = (np.asarray(x, dtype=float) - _NONDINI_LOG_FLOOR) / dx
         i = np.clip(np.floor(pos).astype(np.intp) - 1, 0, last)
-        w0, w1, w2, w3 = cubic_weights(pos - (i + 1))
-        return w0 * q[i] + w1 * q[i + 1] + w2 * q[i + 2] + w3 * q[i + 3]
+        t = pos - (i + 1)
+        q0, q1, q2, q3 = q[i], q[i + 1], q[i + 2], q[i + 3]
+        # the cubic through (-1, q0), (0, q1), (1, q2), (2, q3) at t
+        bow = t * (1.0 - t) / 6.0 * ((2.0 - t) * (q0 - 2.0 * q1 + q2)
+                                     + (1.0 + t) * (q1 - 2.0 * q2 + q3))
+        return (1.0 - t) * q1 + t * q2 - bow
 
     return profile
 
 
 def _nondini_u(pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    profile = _nondini_profile()
-    out = np.zeros(len(r))
-    pos = r > 0.0
-    logr = np.log(np.maximum(r[pos], np.exp(_NONDINI_LOG_FLOOR)))
-    out[pos] = r[pos] ** 2 * (1.0 + profile(np.maximum(logr, _NONDINI_LOG_FLOOR)))
-    return out
+    x, y = pts[:, 0], pts[:, 1]
+    r2 = x * x + y * y
+    # below the table's floor q is read at the floor, and u(0) = 0
+    log_r = 0.5 * np.log(np.maximum(r2, math.exp(2.0 * _NONDINI_LOG_FLOOR)))
+    return r2 * (1.0 + _nondini_profile()(log_r))
 
 
 def _constant_f(pts, t):

@@ -28,7 +28,6 @@ from regprobe.campanato import (
     QuadApprox,
     ScaleRecord,
     _gap_ratio,
-    _node_gap,
     approximate,
     ball_sup,
     c1_probe,
@@ -140,10 +139,16 @@ def node_error(w_fn, h):
     return float(np.max(np.abs(w_fn(h.points) - h.values)))
 
 
+def near_gap(w_fn, h):
+    """max |w - h| on h's nodes within 1/2, the ladder's gap."""
+    near, nodes = campanato._node_sets(h.grid.radius, h.grid.h)[:2]
+    return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
+
+
 def test_approximate_harmonic_quadratic_is_reproduced():
     h = approximate(harmonic, comparison_operator(np.eye(2)))
     assert node_error(harmonic, h) <= 1e-9
-    assert _node_gap(harmonic, h) <= 1e-9
+    assert near_gap(harmonic, h) <= 1e-9
 
 
 def test_approximate_paraboloid_gap_is_exact():
@@ -153,7 +158,67 @@ def test_approximate_paraboloid_gap_is_exact():
     h = approximate(paraboloid, comparison_operator(np.eye(2)))
     assert np.max(np.abs(h.values - 9.0 / 16.0)) <= 1e-9
     # the origin is a node, where the gap peaks
-    assert _node_gap(paraboloid, h) == pytest.approx(9.0 / 16.0, abs=1e-9)
+    assert near_gap(paraboloid, h) == pytest.approx(9.0 / 16.0, abs=1e-9)
+
+
+# a(0) with a diagonal arm (a 7-point stencil), as in a rotated and
+# sheared frame of the identity
+SHEARED_A0 = np.array([[1.4819, 0.2604], [0.2604, 0.7206]])
+
+
+def harmonic_quadratics(a0):
+    """1, x1, x2 and three quadratics x^T G x with a0 : G = 0, as a
+    function of rim points returning one column each."""
+    rng = np.random.default_rng(7)
+    hessians = []
+    for _ in range(3):
+        A = rng.normal(size=(2, 2))
+        G = A + A.T
+        hessians.append(G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0)
+
+    def columns(p):
+        quads = [np.einsum("ni,ij,nj->n", p, G, p) for G in hessians]
+        return np.stack([np.ones(len(p)), p[:, 0], p[:, 1], *quads], axis=1)
+
+    return columns
+
+
+@pytest.mark.parametrize("a0", [np.eye(2), SHEARED_A0], ids=["5pt", "7pt"])
+def test_frozen_comparison_reproduces_harmonic_quadratics(a0):
+    # the batch of the ladder rests on this: h of an a(0)-harmonic Q is Q
+    op = comparison_operator(a0)
+    assert (op.red_black is None) == (a0[0, 1] != 0.0)
+    columns = harmonic_quadratics(a0)
+    h = approximate(columns, op)
+    want = columns(op.grid.coords)
+    assert h.values.shape == want.shape
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.max(np.abs(h.values - want), axis=0) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("a0", [np.eye(2), SHEARED_A0], ids=["5pt", "7pt"])
+def test_batched_comparison_is_column_independent(a0):
+    op = comparison_operator(a0)
+    quadratics = harmonic_quadratics(a0)
+
+    def batch(p):
+        waves = [fn(p) for _, fn in campanato._sweep_shapes()]
+        # a column of zeros is solved by no substitution, alone or batched
+        return np.stack([*waves, np.exp(p[:, 0]) * np.sin(3.0 * p[:, 1]),
+                         np.zeros(len(p)), 1e6 * quadratics(p)[:, 4]], axis=1)
+
+    h = approximate(batch, op)
+    fits = taylor_fit(h, 2, a0=a0)
+    assert len(fits) == h.values.shape[1] == 6
+    assert not h.values[:, 4].any()
+    for j, fit in enumerate(fits):
+        alone = approximate(lambda p, j=j: batch(p)[:, j], op)
+        assert same_bits(h.values[:, j], alone.values)
+        for order in (1, 2):
+            one = taylor_fit(alone, order, a0=a0)
+            many = taylor_fit(h, order, a0=a0)[j]
+            assert all(same_bits(np.asarray(x), np.asarray(y)) for x, y in
+                       zip((one.E, one.F, one.G), (many.E, many.F, many.G)))
 
 
 def test_gap_ratio_accepts_discrete_field():
@@ -209,7 +274,9 @@ def test_taylor_fit_rejects_narrow_radius():
 
 
 def test_taylor_fit_rejects_rank_deficient_sample(monkeypatch):
-    # lstsq reports the rank it found, which can fall short of the columns
+    # lstsq reports the rank it found, which can fall short of the columns;
+    # the check runs where a grid's design is derived
+    campanato._node_sets.cache_clear()
     lstsq = np.linalg.lstsq
 
     def deficient(design, vals, rcond=None):
@@ -454,10 +521,11 @@ def test_certificates_survive_off_ladder_checks():
                 assert (np.linalg.norm(tr.limit.F - gradient)
                         <= stated["bounds"][-1]), K
     # the certified prefixes: drift_c1 stops certifying where round-off
-    # swamps its data, cubic_c11 where its tail N_k stops being monotone
+    # swamps its data; cubic_c11's unresolved tail M_k is exactly 0, so
+    # its N_k stay monotone to K = 40
     assert certified == {"drift_c1": [6, 8, 10, 12],
                          "zero_case": list(range(6, 41, 2)),
-                         "cubic_c11": list(range(6, 33, 2))}
+                         "cubic_c11": list(range(6, 41, 2))}
 
 
 def test_recurrence_check_on_synthetic_values(monkeypatch):
@@ -590,17 +658,18 @@ def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
     cols = [np.ones(len(d)), d[:, 0], d[:, 1],
             d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
     got = campanato._node_sets(grid.radius, grid.h)
-    want = (near, pts[near], mask, np.stack(cols, axis=1))
-    assert all(map(same_bits, got, want))
+    assert all(map(same_bits, got[:3], (near, pts[near], mask[near])))
     assert not any(part.flags.writeable for part in got)
-    # each fit keeps the bits of a least-squares solve on a fresh design of
-    # its own width, the affine one on the quadratic design's first columns
+    # each fit is a fresh design's pseudo-inverse times the fit nodes'
+    # values, the affine one on the quadratic design's first columns
     h = DiscreteField(grid, np.sin(pts[:, 0]) + np.exp(pts[:, 1]), "interior")
     for order, width in ((1, 3), (2, 6)):
-        sol = np.linalg.lstsq(np.stack(cols[:width], axis=1), h.values[mask],
-                              rcond=None)[0]
+        design = np.stack(cols[:width], axis=1)
+        pinv = got[2 + order]
+        assert np.allclose(pinv, np.linalg.pinv(design), rtol=0.0,
+                           atol=1e-12 * np.abs(pinv).max())
         fit = taylor_fit(h, order)
-        assert same_bits(np.array([fit.E, *fit.F]), sol[:3])
+        assert same_bits(np.array([fit.E, *fit.F]), (pinv @ h.values[mask])[:3])
 
 
 def test_deep_ladder_derives_its_node_sets_once():
