@@ -496,12 +496,15 @@ def _run_ladder(problem, K: int, order: int, u_data):
 
     approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     # one frozen operator serves every rung, and every later ladder with the
-    # same a(0); a one-rung ladder compares nothing.  Every rung below K_eff
-    # is compared in one batch; a ladder its round-off bar stops early
-    # leaves the rest unread.
-    if K_eff:
+    # same a(0); a one-rung ladder compares nothing.  One batch compares the
+    # rungs below the first whose round-off bar must stop the ladder: each
+    # size adds |u_shift| to nonnegative terms.
+    floor = float(np.finfo(float).eps * abs(u_shift))
+    rungs = next((k for k in range(K_eff)
+                  if floor / (LAM ** k) ** order > CERT_TOL), K_eff)
+    if rungs:
         fits, gaps = _frozen_comparisons(
-            comparison_operator(a0), K_eff, order, a0,
+            comparison_operator(a0), rungs, order, a0,
             lambda pts: u_fn(pts) - u_shift - v_fn(pts))
     measured = []
     S = 0.0

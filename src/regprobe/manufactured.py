@@ -179,6 +179,18 @@ def _drift_u(pts):
 _NONDINI_LOG_FLOOR = -92.0
 
 
+def _inv_log_inv(m, out):
+    """1/ln(1/m) for 0 < m <= e^-2, written into ``out`` (not ``m``)."""
+    with np.errstate(over="ignore"):
+        np.divide(1.0, m, out=out)
+    np.log(out, out=out)
+    # below about 5.6e-309 the reciprocal overflows, and -log(m) stands in
+    if np.max(out, initial=0.0) == np.inf:
+        huge = np.isinf(out)
+        out[huge] = -np.log(m[huge])
+    return np.divide(1.0, out, out=out)
+
+
 def _g_nondini(t):
     t = np.abs(np.asarray(t, dtype=float))
     scalar = t.ndim == 0
@@ -186,31 +198,8 @@ def _g_nondini(t):
     out = np.zeros(t.shape)
     pos = t > 0.0
     m = np.minimum(t[pos], np.exp(-2.0))
-    # in place, since the non-Dini profile passes 96001 nodes at a time
-    with np.errstate(over="ignore"):
-        log_inv = np.divide(1.0, m)
-    np.log(log_inv, out=log_inv)
-    # below about 5.6e-309 the reciprocal overflows, and -log(m) stands in
-    if np.max(log_inv, initial=0.0) == np.inf:
-        huge = np.isinf(log_inv)
-        log_inv[huge] = -np.log(m[huge])
-    out[pos] = np.divide(1.0, log_inv, out=log_inv)
+    out[pos] = _inv_log_inv(m, np.empty_like(m))
     return float(out[0]) if scalar else out
-
-
-def _cumulative_simpson(y, dx):
-    """Cumulative integral of ``y`` from 0 at the first node of a uniform
-    lattice of spacing ``dx`` with an even number of intervals.
-
-    Each pair of intervals is integrated over the parabola through its
-    three nodes, split at the middle node as (5, 8, -1) dx/12 and
-    (-1, 8, 5) dx/12.
-    """
-    y0, y1, y2 = y[:-2:2], y[1::2], y[2::2]
-    parts = np.empty(len(y) - 1)
-    parts[0::2] = 5.0 * y0 + 8.0 * y1 - y2
-    parts[1::2] = 8.0 * y1 + 5.0 * y2 - y0
-    return np.concatenate(([0.0], np.cumsum(parts * (dx / 12.0))))
 
 
 @lru_cache(maxsize=1)
@@ -220,24 +209,54 @@ def _nondini_profile():
     The radial equation w'' + w'/r = g(u), w(0) = w'(0) = 0 integrates to
     w(r) = int_0^r s(t)/t dt with s(t) = int_0^t z g(u(z)) dz; both
     integrals become plain cumulative integrals in x = ln r, taken by
-    Simpson's rule on a uniform lattice.  Between nodes q is the cubic
+    Simpson's rule on a uniform lattice.  The fixed point is causal (node
+    i reads the last iterate up to node i + 1), so each step starts 4
+    nodes below the first node the last one moved, at an even node so its
+    Simpson pairs are the whole lattice's, and each cumulative sum adds
+    its frozen value there to the tail's first part before the sequential
+    cumsum: every node sums in a full step's order, to the same bits, and
+    the stop test sees the same maximum.  Between nodes q is the cubic
     through the four nearest nodes; the end cubics extrapolate.  It is
     evaluated as the chord through the middle two nodes less a bow from
     their second differences, so q stays the only per-node table.
     """
-    x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
-    dx = (x[-1] - x[0]) / (len(x) - 1)
-    r2 = np.exp(2.0 * x)
-    u = r2.copy()
+    r2 = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
+    dx = (r2[-1] - r2[0]) / (len(r2) - 1)
+    np.exp(np.multiply(r2, 2.0, out=r2), out=r2)
+    u, unew, g, s, w = r2.copy(), *(np.zeros_like(r2) for _ in range(4))
+    parts, scratch = np.empty(len(r2) - 1), np.empty(len(r2) // 2)
+    start = 0
+
+    def integrate(y, out):
+        # pair parts (5 y0 + 8 y1) - y2 and (8 y1 + 5 y2) - y0, times dx/12
+        y0, y1, y2 = y[start:-2:2], y[start + 1::2], y[start + 2::2]
+        first, second = parts[start::2], parts[start + 1::2]
+        np.multiply(y1, 8.0, out=second)
+        np.add(np.multiply(y0, 5.0, out=first), second, out=first)
+        first -= y2
+        second += np.multiply(y2, 5.0, out=scratch[:len(y2)])
+        second -= y0
+        tail = np.multiply(parts[start:], dx / 12.0, out=parts[start:])
+        tail[0] += out[start]
+        np.cumsum(tail, out=out[start + 1:])
+
     for _ in range(12):
-        s = _cumulative_simpson(r2 * _g_nondini(u), dx)
-        w = _cumulative_simpson(s, dx)
-        unew = r2 + w
-        change = np.max(np.abs(unew - u) / np.maximum(r2, 1e-300))
-        u = unew
+        # u > 0 on the lattice, so g(u) r^2 is 1/ln(1/min(u, e^-2)) r^2
+        np.minimum(u[start:], np.exp(-2.0), out=unew[start:])
+        _inv_log_inv(unew[start:], g[start:])
+        g[start:] *= r2[start:]
+        integrate(g, s)
+        integrate(s, w)
+        np.add(r2[start:], w[start:], out=unew[start:])
+        moved = np.subtract(unew[start:], u[start:], out=g[start:])
+        # r^2 >= e^-184, so the relative change needs no floor
+        change = np.divide(np.abs(moved, out=moved), r2[start:], out=moved).max()
+        u, unew = unew, u
         if change < 1e-15:
             break
-    q = w / r2
+        node = start + int(np.argmax(moved > 0.0))
+        start = max(node - node % 2 - 4, 0)
+    q = np.divide(w, r2, out=w)
     last = len(q) - 4
 
     def profile(x):

@@ -469,6 +469,28 @@ def test_a_prefix_of_a_deeper_ladder_is_that_ladder(monkeypatch, name):
                 == [v for i, v in enumerate(rows[-1]) if i not in measured])
 
 
+def test_comparison_batch_ends_where_the_roundoff_bar_stops(monkeypatch):
+    # drift_c1's K = 40 ladder stops at rung 20, where eps |u(0)| / s alone
+    # passes CERT_TOL; its batch compares rungs 0-20, not all 40
+    original = campanato._frozen_comparisons
+    widths = []
+
+    def spy(op, rungs, order, a0, gap_fn):
+        fits, gaps = original(op, rungs, order, a0, gap_fn)
+        widths.append(len(gaps))
+        return fits, gaps
+
+    def full_width(op, rungs, order, a0, gap_fn):
+        return original(op, 40, order, a0, gap_fn)
+
+    problem = get_problem("drift_c1")
+    monkeypatch.setattr(campanato, "_frozen_comparisons", spy)
+    cut = c1_probe(problem, 40)
+    assert widths == [21] and len(cut.records) == 21
+    monkeypatch.setattr(campanato, "_frozen_comparisons", full_width)
+    assert trace_rows(c1_probe(problem, 40)) == trace_rows(cut)
+
+
 def off_ladder_points(r):
     """The centre and 16 circles of 64 points filling B_r, each circle
     turned half a step against the next, off every ladder sample plan."""

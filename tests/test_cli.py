@@ -976,6 +976,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert loaded == []
 
 
+def test_set_up_leaves_the_nondini_table_unbuilt():
+    # the profile table is built by the first u evaluation, in the run,
+    # and not while a document is loaded and its problem looked up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import regprobe.cli; "
+            "from regprobe.manufactured import _nondini_profile, get_problem; "
+            "from regprobe.scenarios import load_scenario; "
+            "get_problem(load_scenario('nondini_c11')['problem']); "
+            "print(_nondini_profile.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    built = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert built == ["0"]
+
+
 @pytest.mark.parametrize("grid", [{"cells": 8}, {"cells": "many"}, {}, [1]],
                          ids=["8", "many", "None", "list"])
 def test_numeric_mode_needs_sane_grid(tmp_path, grid, capsys):

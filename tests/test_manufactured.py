@@ -8,6 +8,7 @@ cross check.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from regprobe.manufactured import (
     _drift_series_table,
     _drift_u,
     _g_nondini,
+    _inv_log_inv,
     _nondini_profile,
     _series_counts,
     get_problem,
@@ -255,6 +257,47 @@ def test_nondini_profile_matches_scipy():
     x = np.random.default_rng(12).uniform(_NONDINI_LOG_FLOOR, 0.0, 100_000)
     for pts in (oracle.x, x):
         assert np.max(np.abs(profile(pts) - oracle(pts))) <= 1e-11
+
+
+def cumulative_simpson_pairs(y, dx):
+    """Cumulative Simpson integral of ``y`` from its first node, each pair
+    of intervals split at the middle node as (5, 8, -1) and (-1, 8, 5)
+    dx/12, on fresh arrays."""
+    y0, y1, y2 = y[:-2:2], y[1::2], y[2::2]
+    parts = np.empty(len(y) - 1)
+    parts[0::2] = 5.0 * y0 + 8.0 * y1 - y2
+    parts[1::2] = 8.0 * y1 + 5.0 * y2 - y0
+    return np.concatenate(([0.0], np.cumsum(parts * (dx / 12.0))))
+
+
+def full_lattice_nondini_table():
+    """The profile's table q by the plain fixed point: every step on the
+    whole lattice, on fresh arrays."""
+    x = np.linspace(_NONDINI_LOG_FLOOR, 0.0, 96001)
+    dx = (x[-1] - x[0]) / (len(x) - 1)
+    r2 = np.exp(2.0 * x)
+    u = r2.copy()
+    for _ in range(12):
+        s = cumulative_simpson_pairs(r2 * _g_nondini(u), dx)
+        w = cumulative_simpson_pairs(s, dx)
+        unew = r2 + w
+        change = np.max(np.abs(unew - u) / np.maximum(r2, 1e-300))
+        u = unew
+        if change < 1e-15:
+            break
+    return w / r2, u
+
+
+def test_nondini_table_is_the_full_lattice_fixed_point_bit_for_bit():
+    # the in-place build re-iterates only the unsettled tail of the lattice
+    q = inspect.getclosurevars(_nondini_profile()).nonlocals["q"]
+    want, u = full_lattice_nondini_table()
+    assert np.array_equal(q, want)
+    # the build's g is the reaction's, bit for bit, on the lattice and at
+    # arguments whose reciprocal overflows
+    for t in (u, np.geomspace(5e-324, math.exp(-2.0), 4001)):
+        m = np.minimum(t, np.exp(-2.0))
+        assert np.array_equal(_inv_log_inv(m, np.empty_like(m)), _g_nondini(t))
 
 
 def test_nondini_slow_decay_rate():
