@@ -309,10 +309,43 @@ def _compressed(values, columns, keep, shape):
 
 
 def _column_norms(v: np.ndarray) -> np.ndarray:
-    """The 2-norm of each column of ``v``, each taken as a vector: a
-    vector's norm is one dot product, several times faster on a long
-    column than numpy's norm along an axis."""
-    return np.array([np.linalg.norm(col) for col in v.T])
+    """The 2-norm of each column of ``v`` (a vector is one column), each
+    taken as a vector: a vector's norm is one dot product, several times
+    faster on a long column than numpy's norm along an axis."""
+    return np.array([np.linalg.norm(col) for col in v.reshape(len(v), -1).T])
+
+
+def _dirichlet_part(op: LinearOperator, g: np.ndarray):
+    """The Dirichlet data ``g``'s part of every solve against it, for one
+    problem or a batch of columns: d = 1 / row_scale shaped to ``g``, the
+    coupling B g and each column's ||d B g||_2."""
+    d = (1.0 / op.row_scale).reshape((-1,) + (1,) * (g.ndim - 1))
+    coupled = op.boundary_matrix @ g
+    return d, coupled, _column_norms(d * coupled)
+
+
+def _checked_solve(op: LinearOperator, f: np.ndarray, part) -> np.ndarray:
+    """The solution of L u = ``f`` against the Dirichlet data whose
+    ``_dirichlet_part`` is ``part``, shaped like ``f``, once each column
+    has passed the residual check that ``solve_dirichlet`` states."""
+    d, coupled, coupled_norm = part
+    b_vec = d * (f - coupled)
+    scale = _column_norms(d * f) + coupled_norm
+    live = scale != 0.0
+    if not live.any():
+        return np.zeros_like(b_vec)
+    target = SOLVER_RTOL * scale
+    x = op.solve(b_vec)
+    columns = x.reshape(len(x), -1)     # a view: one problem is one column
+    columns[:, ~live] = 0.0
+    res = _column_norms(b_vec - op.equilibrated @ x)
+    failed = np.flatnonzero(~(np.isfinite(columns).all(axis=0) & (res <= target)))
+    if len(failed):
+        j = failed[0]
+        raise SolverError(
+            f"linear solve missed its residual check: residual {res[j]:.3e} "
+            f"above target {target[j]:.3e}")
+    return x
 
 
 def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
@@ -333,37 +366,20 @@ def solve_dirichlet(op: LinearOperator, rhs: DiscreteField,
     against that column's own rhs and g, or SolverError is raised naming
     the first failing column's residual and target.  A column whose data
     are all zero is zero.  Fully deterministic for a fixed operator and
-    right-hand side, and a column has the same bits in any batch.
+    right-hand side, and a column has the same bits in any batch.  The
+    part that reads only g (``_dirichlet_part``) is formed apart from the
+    solve and its check (``_checked_solve``): ``picard_solve`` forms it
+    once a run.
     """
     if rhs.role != "interior" or boundary.role != "boundary":
         raise FieldValidationError("expected (interior, boundary) field roles")
     if rhs.grid is not op.grid or boundary.grid is not op.grid:
         raise FieldValidationError("fields and operator live on different grids")
-    shape = rhs.values.shape
-    if shape[1:] != boundary.values.shape[1:]:
+    if rhs.values.shape[1:] != boundary.values.shape[1:]:
         raise FieldValidationError("rhs and boundary hold different batches")
 
-    # one problem is a batch of one column
-    f = rhs.values.reshape(shape[0], -1)
-    d = (1.0 / op.row_scale)[:, None]
-    coupled = op.boundary_matrix @ boundary.values.reshape(op.grid.n_boundary, -1)
-    b_vec = d * (f - coupled)
-    scale = _column_norms(d * f) + _column_norms(d * coupled)
-    live = scale != 0.0
-    if not live.any():
-        return DiscreteField(op.grid, np.zeros(shape), "interior")
-    target = SOLVER_RTOL * scale
-
-    x = op.solve(b_vec)
-    x[:, ~live] = 0.0
-    res = _column_norms(b_vec - op.equilibrated @ x)
-    failed = np.flatnonzero(~(np.isfinite(x).all(axis=0) & (res <= target)))
-    if len(failed):
-        j = failed[0]
-        raise SolverError(
-            f"linear solve missed its residual check: residual {res[j]:.3e} "
-            f"above target {target[j]:.3e}")
-    return DiscreteField(op.grid, x.reshape(shape), "interior")
+    x = _checked_solve(op, rhs.values, _dirichlet_part(op, boundary.values))
+    return DiscreteField(op.grid, x, "interior")
 
 
 # The constant of the maximum-principle bound that ``abp_check`` tests.

@@ -7,7 +7,8 @@ are interior; stencil arms that leave the disk are cut at the circle.
 A grid keeps, from its build, the lattice indices of its nodes, the
 half-width of the lattice box that holds them with their arms, their
 coordinates, the arm fractions as one ``(n_interior, 8)`` table (1 for a
-whole arm), the points where the cut arms meet the circle, and
+whole arm), stored column by column because the assembly reads one
+direction at a time, the points where the cut arms meet the circle, and
 ``DiskGrid.slots``: each node's neighbours as columns of an
 ``(n_interior, 9)`` slot table, -1 for a cut arm, and the cut arms' slots
 with their boundary columns.  The operator assembly reads unequal-arm
@@ -209,7 +210,7 @@ class DiskGrid:
         pv = lx * vx + ly * vy
         disc = pv * pv + v2 * (r * r - (lx ** 2 + ly ** 2))
         theta = np.clip((-pv + np.sqrt(disc)) / v2, 1e-14, 1.0)
-        arm = np.ones((n, 8))
+        arm = np.ones((n, 8), order="F")     # a direction's column is contiguous
         arm[node, k] = theta
         bp = np.stack([lx + theta * vx, ly + theta * vy], axis=1)
         # the same arms node by node, in direction order within a node; the
@@ -384,9 +385,11 @@ def bicubic_sampler(field: DiscreteField):
         raise FieldValidationError("cannot interpolate a boundary-trace field")
     grid = field.grid
     m = grid.half_width
-    lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
+    width = 2 * m + 1
+    lattice = np.full((width, width), np.nan)
     ij = grid.lattice
     lattice[ij[:, 0] + m, ij[:, 1] + m] = field.values
+    flat = lattice.ravel()          # a view: the stencil gathers flat
 
     def sample(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -401,11 +404,12 @@ def bicubic_sampler(field: DiscreteField):
 
         wx = cubic_weights(tx)
         wy = cubic_weights(ty)
+        base = (i0 - 1 + m) * width + (j0 - 1 + m)    # the stencil's corner
         out = np.zeros(len(pts))
         for a in range(4):
             row = np.zeros(len(pts))
             for bq in range(4):
-                row += wy[bq] * lattice[i0 - 1 + a + m, j0 - 1 + bq + m]
+                row += wy[bq] * flat.take(base + (a * width + bq))
             out += wx[a] * row
         if not np.all(np.isfinite(out)):
             raise DomainError(

@@ -1,7 +1,8 @@
 """Picard iteration for the semilinear Dirichlet problem L u = f(x, u).
 
 Each outer step solves the linear problem with the nonlinearity frozen at
-the current iterate, reusing the operator's one LU factor, and blends old
+the current iterate, reusing the operator's one LU factor and the
+Dirichlet data's part of the system (formed once a run), and blends old
 and new solutions with a damping weight that starts at 1 and is halved
 once.  Once the updates shrink, each step is corrected by a one-vector
 secant (Anderson) step built from the previous iterate, which turns the
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import SOLVER_RTOL, LinearOperator, solve_dirichlet
+from .elliptic import (SOLVER_RTOL, LinearOperator, _checked_solve,
+                       _dirichlet_part)
 from .errors import FieldValidationError, FixedPointError
 from .fields import Nonlinearity
 from .grid import DiscreteField
@@ -89,8 +91,8 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
     update fails to shrink.  The reported residual is the row-equilibrated
     sup of L u - f(x, u), d (f(x, u) - B g) - A u with A = ``equilibrated``,
     B = ``boundary_matrix`` and d = 1 / ``row_scale``, the system
-    ``solve_dirichlet`` solves; convergence keeps it within a small
-    multiple of the outer tolerance.
+    ``solve_dirichlet`` solves, with the coupling B g of every step;
+    convergence keeps it within a small multiple of the outer tolerance.
     """
     if config is None:
         config = PicardConfig()
@@ -99,8 +101,11 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
     grid = op.grid
     if boundary.grid is not grid:
         raise FieldValidationError("boundary field lives on a different grid")
+    if boundary.values.ndim != 1:   # each step solves one problem
+        raise FieldValidationError("rhs and boundary hold different batches")
 
     pts = grid.coords
+    part = _dirichlet_part(op, boundary.values)
     u = np.zeros(grid.n_interior)
     theta = 1.0
     halved = False
@@ -109,7 +114,7 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
 
     for _ in range(MAX_OUTER):
         rhs = DiscreteField(grid, nonlinearity.eval(pts, u), "interior")
-        lin = solve_dirichlet(op, rhs, boundary).values
+        lin = _checked_solve(op, rhs.values, part)
         new = (1.0 - theta) * u + theta * lin
         step = float(np.max(np.abs(new - u)))
         increments.append(step)
@@ -137,8 +142,8 @@ def picard_solve(op: LinearOperator, nonlinearity: Nonlinearity,
             f"no fixed point within {MAX_OUTER} outer iterations "
             f"(last update {increments[-1]:.3e})")
 
-    d = 1.0 / op.row_scale
-    b_vec = d * (nonlinearity.eval(pts, u) - op.boundary_matrix @ boundary.values)
+    d, coupled, _ = part
+    b_vec = d * (nonlinearity.eval(pts, u) - coupled)
     residual = float(np.max(np.abs(b_vec - op.equilibrated @ u)))
     return PicardResult(DiscreteField(grid, u, "interior"),
                         tuple(increments), theta, residual)

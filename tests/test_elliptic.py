@@ -142,6 +142,11 @@ def test_grid_arrays_are_read_only():
             array[0] = 0
 
 
+def test_arm_fractions_are_stored_column_by_column():
+    # _weights reads one direction's arm fractions at a time
+    assert grid_module.disk_grid(1.0, 1.0 / 32).arm.flags.f_contiguous
+
+
 def grid_arrays(value):
     """Every array that ``value``, a grid or one of its patterns, holds."""
     if isinstance(value, np.ndarray):
@@ -267,6 +272,51 @@ def test_bicubic_sampler_reads_node_values_only():
     sample = bicubic_sampler(DiscreteField(grid, cubic(grid.coords), "interior"))
     pts = np.array([[0.0, 0.0], [0.11, 0.113], [-0.13, -0.13]])
     assert np.allclose(sample(pts), cubic(pts), rtol=0.0, atol=1e-13)
+
+
+def indexed_bicubic(field, pts):
+    """The 4x4 Lagrange sample of ``field`` at ``pts``, read from the
+    lattice by two-dimensional indexing, with the sampler's products and
+    sums in the sampler's order."""
+    grid = field.grid
+    m = grid.half_width
+    lattice = np.full((2 * m + 1, 2 * m + 1), np.nan)
+    lattice[grid.lattice[:, 0] + m, grid.lattice[:, 1] + m] = field.values
+    s = pts / grid.h
+    i0 = np.floor(s[:, 0]).astype(int)
+    j0 = np.floor(s[:, 1]).astype(int)
+    wx = grid_module.cubic_weights(s[:, 0] - i0)
+    wy = grid_module.cubic_weights(s[:, 1] - j0)
+    out = np.zeros(len(pts))
+    for a in range(4):
+        row = np.zeros(len(pts))
+        for bq in range(4):
+            row += wy[bq] * lattice[i0 - 1 + a + m, j0 - 1 + bq + m]
+        out += wx[a] * row
+    return out
+
+
+@pytest.mark.parametrize("radius, cells", [
+    (1.0, 32), (1.0, 64), (1.0, 128), (0.75, campanato.SUB_CELLS)])
+def test_bicubic_sampler_matches_two_dimensional_indexing(radius, cells):
+    grid = grid_module.disk_grid(radius, radius / cells)
+    rng = np.random.default_rng(cells)
+    field = DiscreteField(grid, rng.standard_normal(grid.n_interior),
+                          "interior")
+    # random points whose 4x4 node block lies inside the disk
+    rho = (radius - 3.0 * grid.h) * np.sqrt(rng.uniform(size=500))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=500)
+    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
+    pts = np.concatenate([pts, [[0.0, 0.0]]])      # and a node itself
+    sample = bicubic_sampler(field)
+    assert sample(pts).tobytes() == indexed_bicubic(field, pts).tobytes()
+
+    with pytest.raises(DomainError,
+                       match="^interpolation point outside the lattice$"):
+        sample([[2.0 * radius, 0.0]])
+    with pytest.raises(DomainError, match="^interpolation stencil reaches "
+                       "outside the disk interior$"):
+        sample([[radius - 0.5 * grid.h, 0.0]])
 
 
 def unscaled(op):

@@ -10,9 +10,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from regprobe import semilinear
+from regprobe import elliptic, semilinear
 from regprobe.elliptic import assemble, solve_dirichlet
-from regprobe.errors import FixedPointError
+from regprobe.errors import FieldValidationError, FixedPointError, SolverError
 from regprobe.fields import CoefficientField, Nonlinearity
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
@@ -197,3 +197,106 @@ def test_secant_picard_outer_steps(count_factorizations):
     assert plain_steps > 21
     assert np.max(np.abs(result.u.values - reference)) < 1e-9
     assert len(count_factorizations) == 1
+
+
+def picard_through_solve_dirichlet(op, nonlinearity, boundary, tol):
+    """``picard_solve`` with each step a whole ``solve_dirichlet`` call, the
+    loop that forms the Dirichlet data's part again every step: the oracle
+    for the loop that forms it once."""
+    grid = op.grid
+    pts = grid.coords
+    u = np.zeros(grid.n_interior)
+    theta = 1.0
+    halved = False
+    increments = []
+    u_prev = r_prev = None
+    for _ in range(semilinear.MAX_OUTER):
+        rhs = DiscreteField(grid, nonlinearity.eval(pts, u), "interior")
+        lin = solve_dirichlet(op, rhs, boundary).values
+        new = (1.0 - theta) * u + theta * lin
+        step = float(np.max(np.abs(new - u)))
+        increments.append(step)
+        if step <= tol:
+            u = new
+            break
+        r = lin - u
+        if len(increments) >= 2 and step < increments[-2]:
+            dr = r - r_prev
+            dr_dr = float(np.sum(dr * dr))
+            if dr_dr > 0.0:
+                gamma = float(np.sum(dr * r)) / dr_dr
+                new -= gamma * ((u - u_prev) + theta * dr)
+        u_prev, r_prev, u = u, r, new
+        if len(increments) >= 2 and step > increments[-2] and not halved:
+            theta *= 0.5
+            halved = True
+    else:
+        raise AssertionError("the oracle loop did not converge")
+    d = 1.0 / op.row_scale
+    b_vec = d * (nonlinearity.eval(pts, u) - op.boundary_matrix @ boundary.values)
+    residual = float(np.max(np.abs(b_vec - op.equilibrated @ u)))
+    return u, tuple(increments), theta, residual
+
+
+def oscillating_case():
+    grid = DiskGrid(1.0, 1.0 / 32)
+    return (assemble(laplacian_field(), grid),
+            linear_reaction(9.0, lambda p: np.full(len(p), 4.0)),
+            grid.boundary_from_function(lambda p: np.zeros(len(p))))
+
+
+def problem_case(name):
+    problem = get_problem(name)
+    grid = DiskGrid(1.0, 1.0 / 64)
+    return (assemble(problem.field, grid), problem.nonlinearity,
+            grid.boundary_from_function(problem.u))
+
+
+@pytest.mark.parametrize("case", ["nondini_c11", "drift_c1", "oscillating"])
+def test_picard_matches_a_loop_of_whole_dirichlet_solves(case):
+    op, nl, boundary = (oscillating_case() if case == "oscillating"
+                        else problem_case(case))
+    result = picard_solve(op, nl, boundary, PicardConfig(tol=1e-9))
+    u, increments, theta, residual = picard_through_solve_dirichlet(
+        op, nl, boundary, 1e-9)
+    assert np.array_equal(result.u.values, u)
+    assert result.increments == increments
+    assert result.damping_used == theta
+    assert result.residual_sup == residual
+    if case == "oscillating":
+        assert theta == 0.5
+
+
+def test_picard_rejects_a_non_finite_reaction_as_a_field_does():
+    op, _, boundary = oscillating_case()
+    nl = Nonlinearity(lambda pts, t: np.full(len(pts), np.nan), zero_modulus())
+    with pytest.raises(FieldValidationError,
+                       match="^interior field contains non-finite values$"):
+        picard_solve(op, nl, boundary)
+
+
+def test_picard_rejects_a_batch_of_boundary_data():
+    # each step solves one problem, as solve_dirichlet with a 1-D rhs would
+    op, nl, boundary = oscillating_case()
+    batch = DiscreteField(op.grid, np.stack([boundary.values] * 2, axis=1),
+                          "boundary")
+    with pytest.raises(FieldValidationError,
+                       match="^rhs and boundary hold different batches$"):
+        picard_solve(op, nl, batch)
+
+
+def test_picard_and_solve_dirichlet_fail_one_residual_check(monkeypatch):
+    # the check lives in one place: a solve that returns NaN fails it with
+    # the same residual and target from either caller
+    op, nl, boundary = problem_case("drift_c1")
+    monkeypatch.setattr(elliptic.LinearOperator, "solve",
+                        lambda self, b: np.full_like(b, np.nan))
+    u0 = np.zeros(op.grid.n_interior)      # the first step's iterate
+    rhs = DiscreteField(op.grid, nl.eval(op.grid.coords, u0), "interior")
+    with pytest.raises(SolverError) as direct:
+        solve_dirichlet(op, rhs, boundary)
+    with pytest.raises(SolverError) as picard:
+        picard_solve(op, nl, boundary)
+    assert str(picard.value) == str(direct.value)
+    assert str(direct.value).startswith(
+        "linear solve missed its residual check: residual nan above target ")
