@@ -271,21 +271,22 @@ def approximate(w_fn, op: LinearOperator) -> DiscreteField:
     its disk; return h.  ``w_fn`` gives one value per rim point, or a row
     of K values for a batch of K problems, and h holds as many columns.
 
-    The ladder passes its frozen ``comparison_operator`` and all its rungs
-    at once, the sweep and the calibration their perturbed operators and
-    one problem.  ``op`` keeps its LU factor, so solves after the first
-    are triangular substitutions only.
+    ``_frozen_comparisons`` passes the frozen ``comparison_operator`` and
+    all the rungs of a ladder, or the calibration's one rung, at once;
+    ``_gap_ratio`` passes that operator and the sweep its perturbed
+    operators, one problem each.  ``op`` keeps its LU factor, so solves
+    after the first are triangular substitutions only.
     """
     rim = op.grid.boundary_from_function(w_fn)
     zeros = np.zeros((op.grid.n_interior, *rim.values.shape[1:]))
     return solve_dirichlet(op, DiscreteField(op.grid, zeros, "interior"), rim)
 
 
-# The node sets of a grid that the ladder's comparisons and ``taylor_fit``
-# read, built once per process for each (radius, h) from
-# ``disk_grid(radius, h)``, whose nodes every DiskGrid(radius, h) shares;
-# read-only.  A process keeps those of four grids; every ladder reads one,
-# the comparison grid's.
+# The node sets of a grid that ``_frozen_comparisons`` reads for its gaps
+# and hands to ``taylor_fit``, built once per process for each (radius, h)
+# from ``disk_grid(radius, h)``, whose nodes every DiskGrid(radius, h)
+# shares; read-only.  A process keeps those of four grids; every ladder and
+# the calibration read one, the comparison grid's.
 @functools.lru_cache(maxsize=4)
 def _node_sets(radius, h):
     """The mask of the nodes within 1/2 of the origin and those nodes, the
@@ -330,39 +331,26 @@ def _gap_ratio(w: DiscreteField) -> float:
     return gap / w.sup_norm()
 
 
-def _fit_rows(rows, pinv, order, a0):
-    """The polynomials whose coefficients are ``pinv`` times each column of
-    ``rows``, the values on the fit nodes of ``_node_sets``; one for a
-    vector, a tuple for an (m, K) block.  Each column is its own
-    matrix-vector product, so its bits do not depend on the batch."""
+def taylor_fit(rows, pinv, order, a0):
+    """Polynomial behaviour at the origin by least squares: one QuadApprox
+    per column of ``rows``, an (m, K) block of values on the fit nodes of
+    ``_node_sets`` (those within LAM), with ``pinv`` the pseudo-inverse of
+    their design for ``order``.  Each column is its own matrix-vector
+    product, so its bits do not depend on the batch.
+
+    An order-1 fit is affine, G = 0.  For order 2 the quadratic part is
+    projected onto the subspace with vanishing frozen-coefficient trace,
+    so the fit satisfies sum a0_ij * 2 G_ij = 0.
+    """
     fits = []
-    for col in np.ascontiguousarray(rows.reshape(len(rows), -1).T):
+    for col in np.ascontiguousarray(rows.T):
         sol = pinv @ col
         G = np.zeros((2, 2))
         if order == 2:
             G = np.array([[sol[3], 0.5 * sol[4]], [0.5 * sol[4], sol[5]]])
             G = G - (np.sum(G * a0) / np.sum(a0 * a0)) * a0
         fits.append(QuadApprox(sol[0], sol[1:3], G))
-    return fits[0] if rows.ndim == 1 else tuple(fits)
-
-
-def taylor_fit(h: DiscreteField, order, a0=None):
-    """Polynomial behaviour of h at the origin by least squares: one
-    QuadApprox, or a tuple of one per column of a batch.
-
-    Fits over the nodes within LAM, the scale ratio (which must span at
-    least 4 grid spacings), with the pseudo-inverse of their design, which
-    is derived and checked for full rank once per grid (``_node_sets``).
-    An order-1 fit is affine, G = 0.  For order 2 the quadratic part is
-    projected onto the subspace with vanishing frozen-coefficient trace,
-    so the fit satisfies sum a0_ij * 2 G_ij = 0.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    grid = h.grid
-    near, _, fit, *pinvs = _node_sets(grid.radius, grid.h)
-    a0 = np.eye(2) if a0 is None else np.asarray(a0, dtype=float)
-    return _fit_rows(h.values[near][fit], pinvs[order - 1], order, a0)
+    return tuple(fits)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +431,20 @@ def _frozen_comparisons(op: LinearOperator, rungs, order, a0, gap_fn):
     """
     grid = op.grid
     near, nodes, fit, *pinvs = _node_sets(grid.radius, grid.h)
+    pinv = pinvs[order - 1]
 
     def rescaled(k, z):
         scale = LAM ** k
         return gap_fn(z * scale) / (scale * scale)
 
     at_nodes = np.stack([rescaled(k, nodes) for k in range(rungs)], axis=1)
-    pre = _fit_rows(at_nodes[fit], pinvs[order - 1], order, a0)
+    pre = taylor_fit(at_nodes[fit], pinv, order, a0)
     h = approximate(lambda z: np.stack(
         [rescaled(k, z) - Q(z) for k, Q in enumerate(pre)], axis=1), op)
     at_nodes -= np.stack([Q(nodes) for Q in pre], axis=1)
     gaps = np.max(np.abs(at_nodes - h.values[near]), axis=0)
-    fits = [QuadApprox(Q.E + P.E, Q.F + P.F, Q.G + P.G)
-            for Q, P in zip(pre, taylor_fit(h, order, a0=a0))]
+    fits = [QuadApprox(Q.E + P.E, Q.F + P.F, Q.G + P.G) for Q, P in
+            zip(pre, taylor_fit(h.values[near][fit], pinv, order, a0))]
     return fits, gaps
 
 
@@ -808,8 +797,8 @@ def _interior_bound_constant():
 
 
 def _one_step_linear(u_field, v_fn):
-    """Sups (M0, M1) of one first-order rung on a numeric solution, compared
-    with the comparison operator of a0 = I."""
+    """Sups (M0, M1) of one first-order rung on a numeric solution, its
+    affine fit from the ladder's frozen comparison with a0 = I."""
     sampler = bicubic_sampler(u_field)
     shift = float(sampler(np.zeros((1, 2)))[0])
 
@@ -817,7 +806,8 @@ def _one_step_linear(u_field, v_fn):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    inc = taylor_fit(approximate(w_fn, comparison_operator(np.eye(2))), 1)
+    a0 = np.eye(2)
+    (inc,), _ = _frozen_comparisons(comparison_operator(a0), 1, 1, a0, w_fn)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), LAM)
     return M0, M1 / LAM
 

@@ -54,6 +54,15 @@ def sampled_field(fn, cells=32, radius=1.0):
     return DiscreteField(grid, fn(grid.coords), "interior")
 
 
+def fit_field(h, order, a0=np.eye(2)):
+    """``taylor_fit`` of a field: its values on the fit nodes, sliced as
+    ``_frozen_comparisons`` slices its batch, one QuadApprox per column."""
+    near, _, fit, *pinvs = campanato._node_sets(h.grid.radius, h.grid.h)
+    rows = h.values[near][fit]
+    return taylor_fit(rows.reshape(len(rows), -1), pinvs[order - 1], order,
+                      a0)
+
+
 def make_trace(M, xi, eta, mode="c1", N=None, scale_floor_k=None):
     approx = QuadApprox(0.0, np.zeros(2), np.zeros((2, 2)))
     S = np.cumsum(M)
@@ -208,15 +217,15 @@ def test_batched_comparison_is_column_independent(a0):
                          np.zeros(len(p)), 1e6 * quadratics(p)[:, 4]], axis=1)
 
     h = approximate(batch, op)
-    fits = taylor_fit(h, 2, a0=a0)
+    fits = fit_field(h, 2, a0)
     assert len(fits) == h.values.shape[1] == 6
     assert not h.values[:, 4].any()
     for j, fit in enumerate(fits):
         alone = approximate(lambda p, j=j: batch(p)[:, j], op)
         assert same_bits(h.values[:, j], alone.values)
         for order in (1, 2):
-            one = taylor_fit(alone, order, a0=a0)
-            many = taylor_fit(h, order, a0=a0)[j]
+            (one,) = fit_field(alone, order, a0)
+            many = fit_field(h, order, a0)[j]
             assert all(same_bits(np.asarray(x), np.asarray(y)) for x, y in
                        zip((one.E, one.F, one.G), (many.E, many.F, many.G)))
 
@@ -239,7 +248,7 @@ def test_approximate_reuses_the_operator_factor(count_factorizations):
 def test_taylor_fit_order1_exact():
     h = sampled_field(
         lambda p: 3.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1])
-    L = taylor_fit(h, 1)
+    (L,) = fit_field(h, 1)
     assert L.E == pytest.approx(3.0, abs=1e-9)
     assert np.allclose(L.F, [2.0, -1.0], atol=1e-9)
     assert not L.G.any()
@@ -248,7 +257,7 @@ def test_taylor_fit_order1_exact():
 def test_taylor_fit_order2_exact():
     h = sampled_field(
         lambda p: 3.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1])
-    P = taylor_fit(h, 2)
+    (P,) = fit_field(h, 2)
     assert P.E == pytest.approx(3.0, abs=1e-9)
     assert np.allclose(P.F, [2.0, -1.0], atol=1e-9)
     assert np.allclose(P.G, [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
@@ -256,21 +265,21 @@ def test_taylor_fit_order2_exact():
 
 def test_taylor_fit_trace_projection_keeps_harmonic_hessian():
     h = sampled_field(lambda p: p[:, 0] ** 2 - p[:, 1] ** 2)
-    P = taylor_fit(h, 2)
+    (P,) = fit_field(h, 2)
     assert np.allclose(P.G, np.diag([1.0, -1.0]), atol=1e-9)
 
 
 def test_taylor_fit_projection_removes_frozen_trace():
     h = sampled_field(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2)
-    P = taylor_fit(h, 2)
+    (P,) = fit_field(h, 2)
     assert abs(P.frozen_trace(np.eye(2))) <= 1e-9
 
 
 def test_taylor_fit_rejects_narrow_radius():
-    # on 16 cells the fit radius LAM spans 3.2 spacings
-    h = sampled_field(lambda p: p[:, 0], cells=16)
+    # on 16 cells the fit radius LAM spans 3.2 spacings; the check runs
+    # where a grid's fit nodes are derived
     with pytest.raises(FitError, match="fewer than 4 spacings"):
-        taylor_fit(h, 1)
+        campanato._node_sets(1.0, 1.0 / 16)
 
 
 def test_taylor_fit_rejects_rank_deficient_sample(monkeypatch):
@@ -285,7 +294,7 @@ def test_taylor_fit_rejects_rank_deficient_sample(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", deficient)
     with pytest.raises(FitError, match="rank-deficient"):
-        taylor_fit(sampled_field(lambda p: p[:, 0]), 1)
+        campanato._node_sets(1.0, 1.0 / 32)
 
 
 def test_config_validation(tmp_path, capsys):
@@ -690,7 +699,7 @@ def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
         pinv = got[2 + order]
         assert np.allclose(pinv, np.linalg.pinv(design), rtol=0.0,
                            atol=1e-12 * np.abs(pinv).max())
-        fit = taylor_fit(h, order)
+        (fit,) = fit_field(h, order)
         assert same_bits(np.array([fit.E, *fit.F]), (pinv @ h.values[mask])[:3])
 
 
@@ -767,6 +776,30 @@ def test_perturbation_sweep_slope_is_positive(count_factorizations):
     assert np.all(np.diff(np.mean(sweep.ratios, axis=0)) > 0.0)
     # one factor per eps, shared by the three shapes, plus the frozen one
     assert len(count_factorizations) == 5
+
+
+def test_calibration_step_fits_through_the_ladder_comparison(monkeypatch):
+    # C1 and C2 are fitted on the comparison the ladder runs, pre-fit
+    # included: one rung of order 1 against the frozen operator of a0 = I
+    _, shape_fn = campanato._sweep_shapes()[0]
+    grid = DiskGrid(1.0, 1.0 / campanato.SWEEP_CELLS)
+    eps = campanato.SWEEP_EPSILONS[0]
+    u = approximate(shape_fn, assemble(campanato.perturbed_field(eps), grid))
+    original = campanato._frozen_comparisons
+    calls = []
+
+    def spy(op, rungs, order, a0, gap_fn):
+        calls.append((op, rungs, order, a0))
+        return original(op, rungs, order, a0, gap_fn)
+
+    monkeypatch.setattr(campanato, "_frozen_comparisons", spy)
+    M0, M1 = campanato._one_step_linear(u, lambda pts: np.zeros(len(pts)))
+    assert len(calls) == 1
+    op, rungs, order, a0 = calls[0]
+    assert (rungs, order) == (1, 1)
+    assert op is comparison_operator(np.eye(2))
+    assert np.array_equal(a0, np.eye(2))
+    assert np.isfinite(M0) and np.isfinite(M1) and M0 > 0.0 and M1 > 0.0
 
 
 def test_one_frozen_operator_per_process(tmp_path, count_factorizations):

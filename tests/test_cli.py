@@ -115,10 +115,12 @@ def test_every_probe_setting_is_set_by_some_document(monkeypatch):
     assert not stale, f"ALLOWED names keys that are set or gone: {sorted(stale)}"
 
 
-@pytest.mark.parametrize("workload", ["probe_ladder", "numeric_picard"])
-def test_benchmark_probe_reports_match_the_reference(tmp_path, monkeypatch,
-                                                     workload):
-    # the golden zero_case report is all zeros; these limits are not
+@pytest.mark.parametrize("workload",
+                         ["probe_ladder", "validation_suite", "numeric_picard"])
+def test_benchmark_reports_match_the_reference(tmp_path, monkeypatch,
+                                               workload):
+    # the golden zero_case report is all zeros; these limits are not, and
+    # every workload's reports are checked as the benchmark checks them
     workloads = _workloads(monkeypatch)
     reference = json.loads(
         (ROOT / "perfbench" / "reference.json").read_text())
