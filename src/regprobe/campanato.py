@@ -246,24 +246,11 @@ def ball_sup(fn, radius, cells=SUP_CELLS):
 
 
 def comparison_operator(a0) -> LinearOperator:
-    """The frozen operator a0 : D^2 that ``approximate`` solves with.
-
-    It lives on ``disk_grid(0.75, 0.75 / SUB_CELLS)``, the disk of radius
-    3/4 around the origin with SUB_CELLS grid spacings across that radius,
-    one grid that every a0 shares.  It is assembled and factored once per
-    process for each a0: every ladder, sweep and calibration with the same
-    a(0) gets the same operator, which no caller writes.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    return _frozen_comparison(a0.shape, tuple(a0.ravel().tolist()))
-
-
-# a process keeps four a0; every bundled ladder, sweep and calibration
-# uses one, a0 = I
-@functools.lru_cache(maxsize=4)
-def _frozen_comparison(shape, entries) -> LinearOperator:
-    return assemble(constant_field(np.reshape(entries, shape)),
-                    disk_grid(0.75, 0.75 / SUB_CELLS))
+    """The frozen operator a0 : D^2 that ``approximate`` solves with, on
+    ``disk_grid(0.75, 0.75 / SUB_CELLS)``, the grid every a0 shares: the
+    operator of a0's ``_comparison_build``, assembled and factored once
+    per process and written by no caller."""
+    return _comparison_build(tuple(np.ravel(a0).tolist()))[0]
 
 
 def approximate(w_fn, op: LinearOperator) -> DiscreteField:
@@ -271,53 +258,55 @@ def approximate(w_fn, op: LinearOperator) -> DiscreteField:
     its disk; return h.  ``w_fn`` gives one value per rim point, or a row
     of K values for a batch of K problems, and h holds as many columns.
 
-    ``_frozen_comparisons`` passes the frozen ``comparison_operator`` and
-    all the rungs of a ladder, or the calibration's one rung, at once;
-    ``_gap_ratio`` passes that operator and the sweep its perturbed
-    operators, one problem each.  ``op`` keeps its LU factor, so solves
-    after the first are triangular substitutions only.
+    ``_frozen_comparisons`` passes its build's frozen operator and all the
+    rungs of a ladder, or the calibration's one rung, at once;
+    ``_gap_ratio`` passes ``comparison_operator(I)`` and the sweep its
+    perturbed operators, one problem each.  ``op`` keeps its LU factor, so
+    solves after the first are triangular substitutions only.
     """
     rim = op.grid.boundary_from_function(w_fn)
     zeros = np.zeros((op.grid.n_interior, *rim.values.shape[1:]))
     return solve_dirichlet(op, DiscreteField(op.grid, zeros, "interior"), rim)
 
 
-# The node sets of a grid that ``_frozen_comparisons`` reads for its gaps
-# and hands to ``taylor_fit``, built once per process for each (radius, h)
-# from ``disk_grid(radius, h)``, whose nodes every DiskGrid(radius, h)
-# shares; read-only.  A process keeps those of four grids; every ladder and
-# the calibration read one, the comparison grid's.
+# Each a(0)'s frozen comparison, built once per process and read-only: its
+# operator and its grid's node sets.  A process keeps four; every bundled
+# ladder, sweep and calibration reads one, that of a(0) = I.
 @functools.lru_cache(maxsize=4)
-def _node_sets(radius, h):
-    """The mask of the nodes within 1/2 of the origin and those nodes, the
-    mask among them of the fit nodes, those within LAM, and the
-    pseudo-inverses of the affine and of the quadratic fit's design on the
-    fit nodes: columns 1, x1, x2, then x1^2, x1 x2, x2^2.
+def _comparison_build(entries):
+    """(op, near, nodes, fit, affine pinv, quadratic pinv) for the a0 whose
+    rows are ``entries``: its operator on ``disk_grid(0.75, 0.75 /
+    SUB_CELLS)``, the mask of the grid's nodes within 1/2 of the origin and
+    those nodes, the mask among them of the fit nodes, those within LAM,
+    and the pseudo-inverses of the fit's design on the fit nodes, columns
+    1, x1, x2, then x1^2, x1 x2, x2^2.
 
     Raises FitError when LAM spans fewer than 4 grid spacings or a design
     has lower rank than it has columns.
     """
-    if LAM < 4.0 * h * (1.0 - 1e-12):
-        raise FitError(f"fit radius {LAM} spans fewer than 4 spacings of {h}")
-    pts = disk_grid(radius, h).coords
+    grid = disk_grid(0.75, 0.75 / SUB_CELLS)
+    if LAM < 4.0 * grid.h * (1.0 - 1e-12):
+        raise FitError(
+            f"fit radius {LAM} spans fewer than 4 spacings of {grid.h}")
+    pts = grid.coords
     near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
     nodes = pts[near]
     fit = nodes[:, 0] ** 2 + nodes[:, 1] ** 2 <= LAM * LAM
     d = nodes[fit]
     design = np.stack([np.ones(len(d)), d[:, 0], d[:, 1], d[:, 0] ** 2,
                        d[:, 0] * d[:, 1], d[:, 1] ** 2], axis=1)
-    pinvs = []
+    sets = [near, nodes, fit]
     for width in (3, 6):
         pinv, _, rank, _ = np.linalg.lstsq(design[:, :width], np.eye(len(d)),
                                            rcond=None)
         if rank < width:
             raise FitError(
                 f"rank-deficient fit: {len(d)} nodes inside radius {LAM}")
-        pinvs.append(pinv)
-    sets = (near, nodes, fit, *pinvs)
+        sets.append(pinv)
     for array in sets:
         array.flags.writeable = False
-    return sets
+    return (assemble(constant_field(np.reshape(entries, (2, 2))), grid),
+            *sets)
 
 
 def _gap_ratio(w: DiscreteField) -> float:
@@ -334,9 +323,9 @@ def _gap_ratio(w: DiscreteField) -> float:
 def taylor_fit(rows, pinv, order, a0):
     """Polynomial behaviour at the origin by least squares: one QuadApprox
     per column of ``rows``, an (m, K) block of values on the fit nodes of
-    ``_node_sets`` (those within LAM), with ``pinv`` the pseudo-inverse of
-    their design for ``order``.  Each column is its own matrix-vector
-    product, so its bits do not depend on the batch.
+    ``_comparison_build`` (those within LAM), with ``pinv`` the
+    pseudo-inverse of their design for ``order``.  Each column is its own
+    matrix-vector product, so its bits do not depend on the batch.
 
     An order-1 fit is affine, G = 0.  For order 2 the quadratic part is
     projected onto the subspace with vanishing frozen-coefficient trace,
@@ -418,9 +407,10 @@ def _drift_correction(a0, b0, F) -> float:
     return float(b0 @ F) / (2.0 * a0[0, 0])
 
 
-def _frozen_comparisons(op: LinearOperator, rungs, order, a0, gap_fn):
+def _frozen_comparisons(a0, rungs, order, gap_fn):
     """Rung k's fit at the origin and its gap, for every k < ``rungs``,
-    from one batched solve with the frozen operator ``op``.
+    from one batched solve with the frozen operator of ``a0``, on the node
+    sets of its ``_comparison_build``.
 
     Column k holds U_k(z) = gap_fn(s z) / s^2, s = LAM**k, less its own
     a(0)-harmonic fit Q_k, and h_k is the solution that matches it on the
@@ -429,8 +419,8 @@ def _frozen_comparisons(op: LinearOperator, rungs, order, a0, gap_fn):
     comparison) says why no rung waits for the one before it and why Q_k
     goes first.
     """
-    grid = op.grid
-    near, nodes, fit, *pinvs = _node_sets(grid.radius, grid.h)
+    op, near, nodes, fit, *pinvs = _comparison_build(
+        tuple(np.ravel(a0).tolist()))
     pinv = pinvs[order - 1]
 
     def rescaled(k, z):
@@ -493,8 +483,7 @@ def _run_ladder(problem, K: int, order: int, u_data):
                   if floor / (LAM ** k) ** order > CERT_TOL), K_eff)
     if rungs:
         fits, gaps = _frozen_comparisons(
-            comparison_operator(a0), rungs, order, a0,
-            lambda pts: u_fn(pts) - u_shift - v_fn(pts))
+            a0, rungs, order, lambda pts: u_fn(pts) - u_shift - v_fn(pts))
     measured = []
     S = 0.0
     for k in range(K_eff + 1):
@@ -806,8 +795,7 @@ def _one_step_linear(u_field, v_fn):
         return sampler(pts) - shift - v_fn(pts)
 
     M0, _ = ball_sup(w_fn, 0.9)
-    a0 = np.eye(2)
-    (inc,), _ = _frozen_comparisons(comparison_operator(a0), 1, 1, a0, w_fn)
+    (inc,), _ = _frozen_comparisons(np.eye(2), 1, 1, w_fn)
     M1, _ = ball_sup(lambda p: w_fn(p) - inc(p), LAM)
     return M0, M1 / LAM
 

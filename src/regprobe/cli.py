@@ -150,7 +150,8 @@ def _cmd_report(args) -> int:
     for p in paths:
         try:
             doc = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8 or JSON; RecursionError: nested too deeply
             raise ScenarioError(f"{p}: not a readable JSON report: {exc}") from exc
         check_version(doc.get("v") if isinstance(doc, dict) else None, str(p))
         row = [doc.get(k) for k in header[:3]]

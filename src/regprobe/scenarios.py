@@ -128,6 +128,8 @@ def load_scenario(ref) -> dict:
         raise ScenarioError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{source}: JSON nested too deeply") from exc
     validate_scenario(doc, source=source)
     return doc
 

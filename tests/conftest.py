@@ -12,7 +12,7 @@ def _record_factorizations(patch) -> list:
     The process-wide comparison operators are dropped first, so a frozen
     operator an earlier test factored is factored again and recorded.
     """
-    campanato._frozen_comparison.cache_clear()
+    campanato._comparison_build.cache_clear()
     calls = []
     splu = elliptic.spla.splu
 
@@ -55,7 +55,7 @@ def count_grid_builds(monkeypatch):
     a grid an earlier test built is built again and recorded.
     """
     grid._GRIDS.clear()
-    campanato._frozen_comparison.cache_clear()
+    campanato._comparison_build.cache_clear()
     builds = []
     post_init = grid.DiskGrid.__post_init__
 

@@ -49,15 +49,24 @@ from regprobe.fields import constant_field
 from regprobe.grid import DiscreteField, DiskGrid
 from regprobe.manufactured import get_problem
 
-def sampled_field(fn, cells=32, radius=1.0):
-    grid = DiskGrid(radius, radius / cells)
+def sampled_field(fn, grid=None):
+    """fn on the nodes of ``grid``, by default the comparison grid."""
+    grid = comparison_operator(np.eye(2)).grid if grid is None else grid
     return DiscreteField(grid, fn(grid.coords), "interior")
 
 
+def node_sets(a0=np.eye(2)):
+    """The node sets of a0's comparison build: the gap mask and nodes, the
+    fit mask and the affine and quadratic pseudo-inverses."""
+    return campanato._comparison_build(tuple(np.ravel(a0).tolist()))[1:]
+
+
 def fit_field(h, order, a0=np.eye(2)):
-    """``taylor_fit`` of a field: its values on the fit nodes, sliced as
-    ``_frozen_comparisons`` slices its batch, one QuadApprox per column."""
-    near, _, fit, *pinvs = campanato._node_sets(h.grid.radius, h.grid.h)
+    """``taylor_fit`` of a field on the comparison grid: its values on the
+    fit nodes, sliced as ``_frozen_comparisons`` slices its batch, one
+    QuadApprox per column."""
+    assert h.grid is comparison_operator(a0).grid
+    near, _, fit, *pinvs = node_sets(a0)
     rows = h.values[near][fit]
     return taylor_fit(rows.reshape(len(rows), -1), pinvs[order - 1], order,
                       a0)
@@ -150,7 +159,8 @@ def node_error(w_fn, h):
 
 def near_gap(w_fn, h):
     """max |w - h| on h's nodes within 1/2, the ladder's gap."""
-    near, nodes = campanato._node_sets(h.grid.radius, h.grid.h)[:2]
+    assert h.grid is comparison_operator(np.eye(2)).grid
+    near, nodes = node_sets()[:2]
     return float(np.max(np.abs(w_fn(nodes) - h.values[near])))
 
 
@@ -231,7 +241,7 @@ def test_batched_comparison_is_column_independent(a0):
 
 
 def test_gap_ratio_accepts_discrete_field():
-    w = sampled_field(harmonic, cells=48)
+    w = sampled_field(harmonic, DiskGrid(1.0, 1.0 / 48))
     assert _gap_ratio(w) <= 1e-9
 
 
@@ -275,17 +285,19 @@ def test_taylor_fit_projection_removes_frozen_trace():
     assert abs(P.frozen_trace(np.eye(2))) <= 1e-9
 
 
-def test_taylor_fit_rejects_narrow_radius():
-    # on 16 cells the fit radius LAM spans 3.2 spacings; the check runs
-    # where a grid's fit nodes are derived
+def test_taylor_fit_rejects_narrow_radius(monkeypatch):
+    # a fit radius of 0.05 spans 2.1 spacings of the comparison grid; the
+    # check runs where the comparison build derives its fit nodes
+    campanato._comparison_build.cache_clear()
+    monkeypatch.setattr(campanato, "LAM", 0.05)
     with pytest.raises(FitError, match="fewer than 4 spacings"):
-        campanato._node_sets(1.0, 1.0 / 16)
+        comparison_operator(np.eye(2))
 
 
 def test_taylor_fit_rejects_rank_deficient_sample(monkeypatch):
     # lstsq reports the rank it found, which can fall short of the columns;
-    # the check runs where a grid's design is derived
-    campanato._node_sets.cache_clear()
+    # the check runs where the comparison build derives its design
+    campanato._comparison_build.cache_clear()
     lstsq = np.linalg.lstsq
 
     def deficient(design, vals, rcond=None):
@@ -294,7 +306,7 @@ def test_taylor_fit_rejects_rank_deficient_sample(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", deficient)
     with pytest.raises(FitError, match="rank-deficient"):
-        campanato._node_sets(1.0, 1.0 / 32)
+        comparison_operator(np.eye(2))
 
 
 def test_config_validation(tmp_path, capsys):
@@ -484,13 +496,13 @@ def test_comparison_batch_ends_where_the_roundoff_bar_stops(monkeypatch):
     original = campanato._frozen_comparisons
     widths = []
 
-    def spy(op, rungs, order, a0, gap_fn):
-        fits, gaps = original(op, rungs, order, a0, gap_fn)
+    def spy(a0, rungs, order, gap_fn):
+        fits, gaps = original(a0, rungs, order, gap_fn)
         widths.append(len(gaps))
         return fits, gaps
 
-    def full_width(op, rungs, order, a0, gap_fn):
-        return original(op, 40, order, a0, gap_fn)
+    def full_width(a0, rungs, order, gap_fn):
+        return original(a0, 40, order, gap_fn)
 
     problem = get_problem("drift_c1")
     monkeypatch.setattr(campanato, "_frozen_comparisons", spy)
@@ -678,17 +690,15 @@ def test_ball_sup_plan_is_bit_equal_to_a_fresh_construction():
     assert campanato._sup_plan.cache_info().misses == built
 
 
-@pytest.mark.parametrize("which", ["comparison", "bare64"])
-def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
-    grid = (comparison_operator(np.eye(2)).grid if which == "comparison"
-            else DiskGrid(1.0, 1.0 / 64))
+def test_fit_and_gap_node_sets_match_a_direct_recomputation():
+    grid = comparison_operator(np.eye(2)).grid
     pts = grid.coords
     near = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.25
     mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= LAM * LAM
     d = pts[mask]
     cols = [np.ones(len(d)), d[:, 0], d[:, 1],
             d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2]
-    got = campanato._node_sets(grid.radius, grid.h)
+    got = node_sets()
     assert all(map(same_bits, got[:3], (near, pts[near], mask[near])))
     assert not any(part.flags.writeable for part in got)
     # each fit is a fresh design's pseudo-inverse times the fit nodes'
@@ -704,10 +714,10 @@ def test_fit_and_gap_node_sets_match_a_direct_recomputation(which):
 
 
 def test_deep_ladder_derives_its_node_sets_once():
-    for plan in (campanato._sup_plan, campanato._node_sets):
+    for plan in (campanato._sup_plan, campanato._comparison_build):
         plan.cache_clear()
     c11_probe(get_problem("nondini_c11"), 26)
-    for plan in (campanato._sup_plan, campanato._node_sets):
+    for plan in (campanato._sup_plan, campanato._comparison_build):
         assert plan.cache_info().misses == 1
 
 
@@ -780,7 +790,7 @@ def test_perturbation_sweep_slope_is_positive(count_factorizations):
 
 def test_calibration_step_fits_through_the_ladder_comparison(monkeypatch):
     # C1 and C2 are fitted on the comparison the ladder runs, pre-fit
-    # included: one rung of order 1 against the frozen operator of a0 = I
+    # included: one rung of order 1 against the frozen comparison of a0 = I
     _, shape_fn = campanato._sweep_shapes()[0]
     grid = DiskGrid(1.0, 1.0 / campanato.SWEEP_CELLS)
     eps = campanato.SWEEP_EPSILONS[0]
@@ -788,16 +798,15 @@ def test_calibration_step_fits_through_the_ladder_comparison(monkeypatch):
     original = campanato._frozen_comparisons
     calls = []
 
-    def spy(op, rungs, order, a0, gap_fn):
-        calls.append((op, rungs, order, a0))
-        return original(op, rungs, order, a0, gap_fn)
+    def spy(a0, rungs, order, gap_fn):
+        calls.append((a0, rungs, order))
+        return original(a0, rungs, order, gap_fn)
 
     monkeypatch.setattr(campanato, "_frozen_comparisons", spy)
     M0, M1 = campanato._one_step_linear(u, lambda pts: np.zeros(len(pts)))
     assert len(calls) == 1
-    op, rungs, order, a0 = calls[0]
+    a0, rungs, order = calls[0]
     assert (rungs, order) == (1, 1)
-    assert op is comparison_operator(np.eye(2))
     assert np.array_equal(a0, np.eye(2))
     assert np.isfinite(M0) and np.isfinite(M1) and M0 > 0.0 and M1 > 0.0
 

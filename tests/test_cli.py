@@ -251,7 +251,7 @@ def test_rerun_bit_reproduces_traces(tmp_path):
     # the first run builds the shared comparison operator, the second reuses
     # it on both the c1 and the c11 path
     names = ("zero_case", "drift_c1", "cubic_c11", "nondini_c11")
-    campanato._frozen_comparison.cache_clear()
+    campanato._comparison_build.cache_clear()
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["run", *names, "--out", str(out)]) == 0
@@ -282,6 +282,21 @@ def test_invalid_json_exits_2_with_position(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+# the JSON parser gives up near a depth of 1000, so 100000 fails whatever
+# the recursion limit
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100000, "nested too deeply"),
+    ("[]", "document must be a JSON object"),
+], ids=["nested", "array"])
+def test_json_that_holds_no_object_exits_2_naming_the_file(tmp_path, capsys,
+                                                           text, message):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     path = write_scenario(tmp_path, surprise=True)
     assert main(["run", str(path)]) == 2
@@ -297,9 +312,15 @@ def test_config_error_outranks_unknown_id_in_either_order(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_schema_version_mismatch_exits_2(tmp_path):
+def test_schema_version_mismatch_exits_2(tmp_path, capsys):
     path = write_scenario(tmp_path, v=99)
     assert main(["run", str(path)]) == 2
+    assert "schema version 99" in capsys.readouterr().err
+    doc = json.loads(path.read_text())
+    del doc["v"]
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    assert "missing schema version key 'v'" in capsys.readouterr().err
 
 
 def test_bad_iteration_block_exits_2(tmp_path, capsys):
@@ -480,17 +501,24 @@ def test_strict_flags_failed_verdict(tmp_path):
 
 
 def test_report_table_sorted_by_verdict_then_id(tmp_path, capsys):
-    assert main(["run", "zero_case", "nondini_c11",
+    assert main(["run", "zero_case", "nondini_c11", "modulus_check",
                  "--out", str(tmp_path)]) == 0
     code = main(["report", str(tmp_path), "--out", str(tmp_path)])
     assert code == 0
-    capsys.readouterr()
+    table = capsys.readouterr().out.splitlines()
     with (tmp_path / "summary.csv").open() as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["scenario_id"] for r in rows] == ["zero_case", "nondini_c11"]
+    assert [r["scenario_id"] for r in rows] == ["zero_case", "nondini_c11",
+                                                "modulus_check"]
     assert rows[0]["verdict"] == "C1_certified"
     assert rows[1]["verdict"] == "failed"
     assert rows[0]["worst_margin"] == "inf"
+    # a suite report has no ladder limits: empty cells, "-" in the table
+    assert rows[2]["verdict"] == "pass"
+    assert [rows[2][k] for k in ("final_n", "s_last",
+                                 "worst_margin")] == [""] * 3
+    assert table[-2].split() == ["modulus_check", "modulus_check", "pass",
+                                 "-", "-", "-"]
     assert main(["--strict", "report", str(tmp_path),
                  "--out", str(tmp_path)]) == 1
 
@@ -523,6 +551,11 @@ def test_report_empty_directory_exits_2(tmp_path, capsys):
     assert "no report files" in capsys.readouterr().err
 
 
+def test_report_missing_path_exits_2(tmp_path, capsys):
+    assert main(["report", str(tmp_path / "nosuch")]) == 2
+    assert "no such file or directory" in capsys.readouterr().err
+
+
 def test_report_rejects_schema_mismatch(tmp_path, capsys):
     bad = tmp_path / "old_report.json"
     bad.write_text(json.dumps({"v": 0, "scenario_id": "x", "mode": "c1",
@@ -544,6 +577,10 @@ def _report_with_true_version(folder):
         {"v": True, "scenario_id": "x", "mode": "c1", "verdict": "pass"}))
 
 
+def _report_nested_too_deeply(folder):
+    (folder / "bad_report.json").write_text("[" * 100000)
+
+
 def _report_directory(folder):
     (folder / "bad_report.json").mkdir()
 
@@ -556,9 +593,10 @@ def _report_with_list_limits(folder):
 
 @pytest.mark.parametrize("make", [_report_without_ids, _report_not_utf8,
                                   _report_directory, _report_with_list_limits,
-                                  _report_with_true_version],
+                                  _report_with_true_version,
+                                  _report_nested_too_deeply],
                          ids=["no_ids", "not_utf8", "directory", "list_limits",
-                              "v_true"])
+                              "v_true", "nested"])
 def test_malformed_report_exits_2_naming_it(tmp_path, capsys, make):
     make(tmp_path)
     assert main(["report", str(tmp_path), "--out", str(tmp_path)]) == 2
@@ -929,8 +967,9 @@ def test_numeric_scenario_reports_truncation(tmp_path):
 
 
 def test_bad_picard_block_exits_2(tmp_path, capsys):
+    # 10**400 has no float, so the finiteness check overflows
     for picard in ({"tol": 1e-12}, {"tol": "x"}, {"tol": True},
-                   {"rtol": 0.0}, {"rtol": -1e-11}):
+                   {"tol": 10 ** 400}, {"rtol": 0.0}, {"rtol": -1e-11}):
         path = write_scenario(tmp_path, data_mode="numeric",
                               grid={"cells": 32}, picard=picard)
         assert main(["run", str(path)]) == 2

@@ -1047,7 +1047,7 @@ def test_every_bundled_five_point_operator_has_a_diagonal_red_block(
         return solve(op, b)
 
     monkeypatch.setattr(elliptic.LinearOperator, "solve", recording_solve)
-    campanato._frozen_comparison.cache_clear()
+    campanato._comparison_build.cache_clear()
     assert main(["run", *scenarios.bundled_names(), "--out", str(tmp_path)]) == 0
     five_point = [op for op in solved.values() if op.red_black is not None]
     assert five_point
